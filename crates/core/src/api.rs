@@ -20,13 +20,20 @@ use crate::session::{Msid, SessionData, SessionState, SessionTable, WindowDelta,
 /// it clear of application tags used by the example workloads.
 const PARTIAL_GATHER_TAG: u32 = 0x00C4_0000;
 
-/// Default fan-in of the tree-structured root gather; override with the
-/// `MIM_GATHER_ARITY` environment variable (minimum 2).
-const DEFAULT_GATHER_ARITY: usize = 8;
+/// Fan-in of the tree-structured root gather.
+const GATHER_ARITY: usize = 8;
 
-/// One rank's traffic in the gather wire format: `(dst, count, bytes)`
-/// triples sorted by destination, zero pairs omitted.
-type SparseRow = Vec<(u64, u64, u64)>;
+/// What a tree gather reads from the session (see
+/// [`Monitoring::tree_gather`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// Everything recorded since start/reset; the session must be
+    /// suspended.
+    Total,
+    /// The current epoch window, sealed by the gather; the session may be
+    /// active and is muted while its rows travel.
+    Window,
+}
 
 /// Per-session metadata returned by [`Monitoring::get_info`]
 /// (the paper's `MPI_M_get_info`).
@@ -121,8 +128,11 @@ pub struct Monitoring {
     hook: LocalHookHandle,
     world_rank: usize,
     finalized: std::cell::Cell<bool>,
-    /// Dense/sparse threshold for session accumulators (see
-    /// [`Monitoring::init_with_dense_limit`]).
+    /// Dense/sparse threshold for session accumulators: communicators up
+    /// to `dense_limit` members store dense rows (the paper's literal
+    /// layout), larger ones one hash cell per destination actually touched.
+    /// The two representations are observationally identical; only the
+    /// equivalence tests move it off [`PairAccum::DEFAULT_DENSE_LIMIT`].
     dense_limit: usize,
     /// The owning rank's trace track and clock, for recording session
     /// lifecycle transitions on that rank's timeline (`None` when tracing
@@ -135,16 +145,6 @@ impl Monitoring {
     /// Set up the monitoring environment (`MPI_M_init`): registers the
     /// recorder at the PML layer so every outgoing message is observed.
     pub fn init(rank: &Rank) -> Result<Self> {
-        Self::init_with_dense_limit(rank, PairAccum::DEFAULT_DENSE_LIMIT)
-    }
-
-    /// [`Monitoring::init`] with an explicit dense/sparse threshold for the
-    /// per-pair accumulators of this environment's sessions: communicators
-    /// up to `dense_limit` members store dense rows (the paper's literal
-    /// layout), larger ones store one hash cell per destination actually
-    /// touched.  The two representations are observationally identical;
-    /// benchmarks and equivalence tests force one with `0` / `usize::MAX`.
-    pub fn init_with_dense_limit(rank: &Rank, dense_limit: usize) -> Result<Self> {
         let state = Rc::new(RefCell::new(SessionTable::new(MAX_SESSIONS)));
         let recorder = Rc::clone(&state);
         let hook =
@@ -154,10 +154,19 @@ impl Monitoring {
             hook,
             world_rank: rank.world_rank(),
             finalized: std::cell::Cell::new(false),
-            dense_limit,
+            dense_limit: PairAccum::DEFAULT_DENSE_LIMIT,
             trace: rank.trace_handle().map(|t| (t, rank.clock_shared())),
         };
         this.trace_session("init", Msid::ALL);
+        Ok(this)
+    }
+
+    /// [`Monitoring::init`] with an explicit dense/sparse threshold: the
+    /// equivalence tests force one representation with `0` / `usize::MAX`.
+    #[cfg(test)]
+    pub(crate) fn init_with_dense_limit(rank: &Rank, dense_limit: usize) -> Result<Self> {
+        let mut this = Self::init(rank)?;
+        this.dense_limit = dense_limit;
         Ok(this)
     }
 
@@ -347,39 +356,7 @@ impl Monitoring {
         root: usize,
         flags: Flags,
     ) -> Result<GatheredWindow> {
-        self.check_init()?;
-        let (delta, comm) = {
-            let mut st = self.state.borrow_mut();
-            let s = st.get_mut(msid)?;
-            if root >= s.comm.size() {
-                return Err(MonError::InvalidRoot);
-            }
-            s.muted = true;
-            (s.advance_window(), s.comm.clone())
-        };
-        self.trace_window(msid, &delta);
-        let mut buf = Vec::with_capacity(delta.entries.len() * 3);
-        for e in &delta.entries {
-            let (mut count, mut bytes) = (0u64, 0u64);
-            for k in flags.selected_indices() {
-                count += e.counts[k];
-                bytes += e.sizes[k];
-            }
-            if count != 0 || bytes != 0 {
-                buf.extend([e.dst as u64, count, bytes]);
-            }
-        }
-        // The table borrow is dropped around the collective (the hook
-        // re-enters it for sessions that are not muted).
-        let order = topology_order(rank, &comm, root);
-        let rows = rank.gather_tree(&comm, root, gather_arity(), &order, &buf);
-        if let Ok(s) = self.state.borrow_mut().get_mut(msid) {
-            s.muted = false;
-        }
-        Ok(GatheredWindow {
-            epoch: delta.epoch,
-            data: rows.map(|rows| densify(&rows, comm.size())),
-        })
+        self.tree_gather(rank, msid, root, flags, Scope::Window, None)
     }
 
     /// Fault-tolerant variant of [`Monitoring::gather_window`] for sessions
@@ -403,46 +380,7 @@ impl Monitoring {
         flags: Flags,
         alive: &[bool],
     ) -> Result<GatheredWindow> {
-        self.check_init()?;
-        let (delta, comm) = {
-            let mut st = self.state.borrow_mut();
-            let s = st.get_mut(msid)?;
-            let n = s.comm.size();
-            if root >= n || alive.len() != n || !alive[root] {
-                return Err(MonError::InvalidRoot);
-            }
-            s.muted = true;
-            (s.advance_window(), s.comm.clone())
-        };
-        self.trace_window(msid, &delta);
-        let mut buf = Vec::with_capacity(delta.entries.len() * 3);
-        for e in &delta.entries {
-            let (mut count, mut bytes) = (0u64, 0u64);
-            for k in flags.selected_indices() {
-                count += e.counts[k];
-                bytes += e.sizes[k];
-            }
-            if count != 0 || bytes != 0 {
-                buf.extend([e.dst as u64, count, bytes]);
-            }
-        }
-        // Same topology order as the full gather, restricted to the
-        // survivors; the root stays first because it is alive by the check
-        // above.
-        let order: Vec<usize> =
-            topology_order(rank, &comm, root).into_iter().filter(|&r| alive[r]).collect();
-        let rows = rank.gather_tree(&comm, root, gather_arity(), &order, &buf);
-        if let Ok(s) = self.state.borrow_mut().get_mut(msid) {
-            s.muted = false;
-        }
-        Ok(GatheredWindow {
-            epoch: delta.epoch,
-            data: rows.map(|rows| {
-                let mut data = densify(&rows, comm.size());
-                data.liveness = alive.to_vec();
-                data
-            }),
-        })
+        self.tree_gather(rank, msid, root, flags, Scope::Window, Some(alive))
     }
 
     /// Re-attach a session to a grown or shrunk communicator (elastic
@@ -487,35 +425,18 @@ impl Monitoring {
     /// access requires a suspended session).
     pub fn get_data(&self, msid: Msid, flags: Flags) -> Result<SessionRow> {
         self.check_init()?;
-        let st = self.state.borrow();
-        let s = st.get(msid)?;
-        if s.state != SessionState::Suspended {
-            return Err(MonError::SessionNotSuspended);
-        }
-        let (counts, sizes) = s.row(flags);
-        Ok(SessionRow { counts, sizes })
+        Ok(self.row_and_comm(msid, flags)?.0)
     }
 
     /// `get_data` followed by an allgather over the session's communicator
     /// (`MPI_M_allgather_data`): every member receives the full matrices.
     pub fn allgather_data(&self, rank: &Rank, msid: Msid, flags: Flags) -> Result<GatheredData> {
         self.check_init()?;
-        let (row, comm) = self.row_and_comm(msid, flags)?;
+        let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
         // One collective moves both rows; the session being read is
         // suspended, so it does not observe its own gather.
-        let n = comm.size();
-        let mut buf = row.counts;
-        buf.extend_from_slice(&row.sizes);
         let gathered = rank.allgather(&comm, &buf);
-        let mut counts = CommMatrix::zeros(n);
-        let mut sizes = CommMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                counts.set(i, j, gathered[i * 2 * n + j]);
-                sizes.set(i, j, gathered[i * 2 * n + n + j]);
-            }
-        }
-        Ok(GatheredData { counts, sizes, liveness: vec![true; n] })
+        Ok(unpack_dense(&gathered, vec![true; comm.size()]))
     }
 
     /// Like [`Monitoring::allgather_data`] but only `root` receives the data
@@ -534,21 +455,7 @@ impl Monitoring {
         root: usize,
         flags: Flags,
     ) -> Result<Option<GatheredData>> {
-        self.check_init()?;
-        let (sparse, comm) = self.sparse_row_and_comm(msid, flags)?;
-        let n = comm.size();
-        if root >= n {
-            return Err(MonError::InvalidRoot);
-        }
-        let mut buf = Vec::with_capacity(sparse.len() * 3);
-        for (dst, count, bytes) in sparse {
-            buf.extend([dst, count, bytes]);
-        }
-        let order = topology_order(rank, &comm, root);
-        let Some(rows) = rank.gather_tree(&comm, root, gather_arity(), &order, &buf) else {
-            return Ok(None);
-        };
-        Ok(Some(densify(&rows, n)))
+        Ok(self.tree_gather(rank, msid, root, flags, Scope::Total, None)?.data)
     }
 
     /// The seed's star gather — every rank sends its dense row straight to
@@ -562,25 +469,10 @@ impl Monitoring {
         flags: Flags,
     ) -> Result<Option<GatheredData>> {
         self.check_init()?;
-        let (row, comm) = self.row_and_comm(msid, flags)?;
-        if root >= comm.size() {
-            return Err(MonError::InvalidRoot);
-        }
-        let n = comm.size();
-        let mut buf = row.counts;
-        buf.extend_from_slice(&row.sizes);
-        let Some(gathered) = rank.gather(&comm, root, &buf) else {
-            return Ok(None);
-        };
-        let mut counts = CommMatrix::zeros(n);
-        let mut sizes = CommMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                counts.set(i, j, gathered[i * 2 * n + j]);
-                sizes.set(i, j, gathered[i * 2 * n + n + j]);
-            }
-        }
-        Ok(Some(GatheredData { counts, sizes, liveness: vec![true; n] }))
+        let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
+        check_root(root, comm.size(), None)?;
+        let gathered = rank.gather(&comm, root, &buf);
+        Ok(gathered.map(|g| unpack_dense(&g, vec![true; comm.size()])))
     }
 
     /// Fault-tolerant variant of [`Monitoring::rootgather_data`]: gather
@@ -609,26 +501,16 @@ impl Monitoring {
         alive: &[bool],
     ) -> Result<Option<GatheredData>> {
         self.check_init()?;
-        let (row, comm) = self.row_and_comm(msid, flags)?;
+        let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
         let n = comm.size();
-        if root >= n || alive.len() != n || !alive[root] {
-            return Err(MonError::InvalidRoot);
-        }
-        let mut buf = row.counts;
-        buf.extend_from_slice(&row.sizes);
+        check_root(root, n, Some(alive))?;
         if comm.rank() != root {
             rank.send(&comm, root, PARTIAL_GATHER_TAG, &buf);
             return Ok(None);
         }
-        let mut counts = CommMatrix::zeros(n);
-        let mut sizes = CommMatrix::zeros(n);
-        let mut fill = |r: usize, data: &[u64]| {
-            for j in 0..n {
-                counts.set(r, j, data[j]);
-                sizes.set(r, j, data[n + j]);
-            }
-        };
-        fill(root, &buf);
+        // Dead ranks' rows stay zero.
+        let mut gathered = vec![0u64; 2 * n * n];
+        gathered[root * 2 * n..][..2 * n].copy_from_slice(&buf);
         for r in (0..n).filter(|&r| r != root && alive[r]) {
             let (data, _) = rank
                 .try_recv_deadline::<u64>(&comm, r, PARTIAL_GATHER_TAG, rank.recv_deadline())
@@ -637,9 +519,9 @@ impl Monitoring {
                         "partial gather: live rank {r} sent no row ({e:?})"
                     ))
                 })?;
-            fill(r, &data);
+            gathered[r * 2 * n..][..2 * n].copy_from_slice(&data);
         }
-        Ok(Some(GatheredData { counts, sizes, liveness: alive.to_vec() }))
+        Ok(Some(unpack_dense(&gathered, alive.to_vec())))
     }
 
     /// Each process writes its own row to `"{filename}.{rank}.prof"`
@@ -704,15 +586,79 @@ impl Monitoring {
         Ok((SessionRow { counts, sizes }, s.comm.clone()))
     }
 
-    /// [`Monitoring::row_and_comm`], but in the sparse `(dst, count, bytes)`
-    /// wire format the tree gather ships (zero pairs omitted).
-    fn sparse_row_and_comm(&self, msid: Msid, flags: Flags) -> Result<(SparseRow, Comm)> {
-        let st = self.state.borrow();
-        let s = st.get(msid)?;
-        if s.state != SessionState::Suspended {
-            return Err(MonError::SessionNotSuspended);
+    /// [`Monitoring::row_and_comm`] in the dense gather wire format: the
+    /// row's counts followed by its sizes, `2 * comm.size()` words that
+    /// [`unpack_dense`] reads back.
+    fn dense_row_and_comm(&self, msid: Msid, flags: Flags) -> Result<(Vec<u64>, Comm)> {
+        let (row, comm) = self.row_and_comm(msid, flags)?;
+        let mut buf = row.counts;
+        buf.extend_from_slice(&row.sizes);
+        Ok((buf, comm))
+    }
+
+    /// The one tree gather behind [`Monitoring::rootgather_data`],
+    /// [`Monitoring::gather_window`] and
+    /// [`Monitoring::gather_window_partial`], parameterised by what it can
+    /// observe: `scope` selects the rows and `alive` the membership (`None`
+    /// ≡ everyone).  Each rank ships its row as sparse `(dst, count, bytes)`
+    /// triples sorted by destination, zero pairs omitted, along a k-ary
+    /// tree laid over [`topology_order`] restricted to the live ranks — the
+    /// root stays first because [`check_root`] requires it alive.  Every
+    /// rank gets its epoch back, the root additionally the matrices.
+    fn tree_gather(
+        &self,
+        rank: &Rank,
+        msid: Msid,
+        root: usize,
+        flags: Flags,
+        scope: Scope,
+        alive: Option<&[bool]>,
+    ) -> Result<GatheredWindow> {
+        self.check_init()?;
+        let (epoch, buf, comm) = {
+            let mut st = self.state.borrow_mut();
+            let s = st.get_mut(msid)?;
+            if scope == Scope::Total && s.state != SessionState::Suspended {
+                return Err(MonError::SessionNotSuspended);
+            }
+            check_root(root, s.comm.size(), alive)?;
+            let mut buf = Vec::new();
+            let epoch = match scope {
+                Scope::Total => {
+                    buf.extend(s.sparse_row(flags).into_iter().flat_map(|(d, c, b)| [d, c, b]));
+                    s.epoch
+                }
+                Scope::Window => {
+                    s.muted = true;
+                    let delta = s.advance_window();
+                    self.trace_window(msid, &delta);
+                    for e in &delta.entries {
+                        let (mut count, mut bytes) = (0u64, 0u64);
+                        for k in flags.selected_indices() {
+                            count += e.counts[k];
+                            bytes += e.sizes[k];
+                        }
+                        if count != 0 || bytes != 0 {
+                            buf.extend([e.dst as u64, count, bytes]);
+                        }
+                    }
+                    delta.epoch
+                }
+            };
+            (epoch, buf, s.comm.clone())
+        };
+        // The table borrow is dropped around the collective (the hook
+        // re-enters it for sessions that are not muted).
+        let mut order = topology_order(rank, &comm, root);
+        if let Some(alive) = alive {
+            order.retain(|&r| alive[r]);
         }
-        Ok((s.sparse_row(flags), s.comm.clone()))
+        let rows = rank.gather_tree(&comm, root, GATHER_ARITY, &order, &buf);
+        // Unmute (a no-op after a `Total` gather, which never muted).
+        if let Ok(s) = self.state.borrow_mut().get_mut(msid) {
+            s.muted = false;
+        }
+        Ok(GatheredWindow { epoch, data: rows.map(|rows| densify(&rows, comm.size(), alive)) })
     }
 
     fn for_each(
@@ -736,7 +682,7 @@ impl Monitoring {
 }
 
 /// Rank order for the gather tree: communicator ranks sorted by machine
-/// position — `(node, core, rank)` — with the root moved to the front, so
+/// position — `(node, core, rank)` — with the root sorted to the front, so
 /// each node's members form a contiguous run that aggregates locally before
 /// one rank forwards across the network.  Deterministic, and identical on
 /// every rank (machine and placement are universe-global state).
@@ -746,29 +692,43 @@ fn topology_order(rank: &Rank, comm: &Comm, root: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..comm.size()).collect();
     order.sort_by_key(|&r| {
         let core = placement.core_of(comm.world_rank_of(r));
-        (machine.node_of_core(core), core, r)
+        (r != root, machine.node_of_core(core), core, r)
     });
-    if let Some(pos) = order.iter().position(|&r| r == root) {
-        order.remove(pos);
-    }
-    order.insert(0, root);
     order
 }
 
-/// Fan-in of the gather tree (`MIM_GATHER_ARITY`, default
-/// [`DEFAULT_GATHER_ARITY`], minimum 2).
-fn gather_arity() -> usize {
-    std::env::var("MIM_GATHER_ARITY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(DEFAULT_GATHER_ARITY, |a| a.max(2))
+/// Root validation shared by every rooted gather: `root` must be a member
+/// and, under a liveness bitmap, the bitmap must hold exactly one flag per
+/// member with the root alive.
+fn check_root(root: usize, n: usize, alive: Option<&[bool]>) -> Result<()> {
+    if root >= n || alive.is_some_and(|a| a.len() != n || !a[root]) {
+        return Err(MonError::InvalidRoot);
+    }
+    Ok(())
+}
+
+/// Unpack `n` dense rows of `counts ‖ sizes` (see
+/// [`Monitoring::dense_row_and_comm`]), one per communicator rank, into the
+/// matrices of [`GatheredData`].
+fn unpack_dense(gathered: &[u64], liveness: Vec<bool>) -> GatheredData {
+    let n = liveness.len();
+    let mut counts = CommMatrix::zeros(n);
+    let mut sizes = CommMatrix::zeros(n);
+    for i in 0..n {
+        for j in 0..n {
+            counts.set(i, j, gathered[i * 2 * n + j]);
+            sizes.set(i, j, gathered[i * 2 * n + n + j]);
+        }
+    }
+    GatheredData { counts, sizes, liveness }
 }
 
 /// Expand per-rank sparse `(dst, count, bytes)` triples into the dense
 /// matrices of [`GatheredData`].  Unmentioned cells stay zero, which is
 /// exactly what the dense representation recorded for them — the reason
-/// sparse and dense gathers are bit-identical.
-fn densify(rows: &[Vec<u64>], n: usize) -> GatheredData {
+/// sparse and dense gathers are bit-identical.  Ranks marked dead in `alive`
+/// shipped no row, so theirs stay zero too.
+fn densify(rows: &[Vec<u64>], n: usize, alive: Option<&[bool]>) -> GatheredData {
     let mut counts = CommMatrix::zeros(n);
     let mut sizes = CommMatrix::zeros(n);
     for (i, row) in rows.iter().enumerate() {
@@ -777,7 +737,7 @@ fn densify(rows: &[Vec<u64>], n: usize) -> GatheredData {
             sizes.set(i, t[0] as usize, t[2]);
         }
     }
-    GatheredData { counts, sizes, liveness: vec![true; n] }
+    GatheredData { counts, sizes, liveness: alive.map_or_else(|| vec![true; n], <[bool]>::to_vec) }
 }
 
 fn write_row(w: &mut impl Write, my_rank: usize, row: &SessionRow) -> std::io::Result<()> {

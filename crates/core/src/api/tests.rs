@@ -9,6 +9,7 @@ use crate::flags::Flags;
 use crate::session::Msid;
 
 use super::Monitoring;
+use super::{GatheredWindow, Scope};
 
 fn universe(n: usize) -> Universe {
     Universe::new(UniverseConfig::new(Machine::cluster(2, 2, 4), Placement::packed(n)))
@@ -397,6 +398,72 @@ fn check_equivalence(
     });
 }
 
+/// The projection the gather core relies on: a gather with no liveness
+/// bitmap and the same gather under an all-true bitmap are one operation.
+/// Runs the seeded p2p workload twice on identical universes — once
+/// gathering through the liveness-`None` entry points, once through the
+/// bitmap ones — and requires, on every rank, identical results (matrices,
+/// epoch, `liveness`) for both scopes and every flag selection, and a
+/// bit-identical final virtual clock.
+fn check_liveness_projection(
+    machine: &Machine,
+    placement: &Placement,
+    n: usize,
+    kind: ExecutorKind,
+    events: &[(usize, usize, u64)],
+    gather_root: usize,
+) {
+    let run = |bitmap: bool| {
+        let cfg = UniverseConfig::new(machine.clone(), placement.clone()).with_executor(kind);
+        Universe::new(cfg).launch(|rank| {
+            let world = rank.comm_world();
+            let me = world.rank();
+            let all_true = vec![true; n];
+            let alive = bitmap.then_some(all_true.as_slice());
+            let mon = Monitoring::init(rank).unwrap();
+            let id = mon.start(rank, &world).unwrap();
+            let mut got: Vec<GatheredWindow> = Vec::new();
+            let flag_sets = [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::OSC_ONLY, Flags::ALL_COMM];
+            // Window scope, on the ACTIVE session, through the public
+            // projections: one window of traffic per flag selection.
+            for flags in flag_sets {
+                for &(src, dst, bytes) in events {
+                    if me == src {
+                        rank.send(&world, dst, 7, &vec![0u8; bytes as usize]);
+                    } else if me == dst {
+                        rank.recv::<u8>(&world, SrcSel::Rank(src), TagSel::Is(7));
+                    }
+                }
+                rank.barrier(&world);
+                got.push(match alive {
+                    None => mon.gather_window(rank, id, gather_root, flags).unwrap(),
+                    Some(a) => mon.gather_window_partial(rank, id, gather_root, flags, a).unwrap(),
+                });
+            }
+            // Total scope, on the suspended session (no public bitmap entry
+            // point rides the tree, so both sides go through the core).
+            mon.suspend(id).unwrap();
+            for flags in flag_sets {
+                got.push(
+                    mon.tree_gather(rank, id, gather_root, flags, Scope::Total, alive).unwrap(),
+                );
+            }
+            mon.free(id).unwrap();
+            mon.finalize(rank).unwrap();
+            (rank.now_ns().to_bits(), got)
+        })
+    };
+    let (plain, bitmap) = (run(false), run(true));
+    for (r, (p, b)) in plain.iter().zip(&bitmap).enumerate() {
+        assert_eq!(p.1, b.1, "rank {r}: None vs all-true bitmap gathers differ");
+        assert_eq!(p.0, b.0, "rank {r}: None vs all-true bitmap left different virtual clocks");
+        assert_eq!(p.1.iter().all(|w| w.data.is_some()), r == gather_root);
+    }
+    let root = &plain[gather_root].1;
+    assert!(root.iter().all(|w| w.data.as_ref().is_some_and(|d| d.liveness == vec![true; n])));
+    assert_eq!(root.iter().map(|w| w.epoch).collect::<Vec<_>>(), [1, 2, 3, 4, 4, 4, 4, 4]);
+}
+
 props! {
     /// Sparse-vs-dense accumulators and tree-vs-star gathers are
     /// bit-identical across 3 machine topologies and both executors, on a
@@ -436,6 +503,7 @@ props! {
                     bcast_root,
                     gather_root,
                 );
+                check_liveness_projection(&machine, &placement, n, kind, &events, gather_root);
             }
         }
     }

@@ -41,7 +41,7 @@ use std::cell::RefCell;
 
 use mim_mpisim::{exec, Comm, Rank};
 
-use crate::api::Monitoring;
+use crate::api::{GatheredData, Monitoring};
 use crate::error::MonError;
 use crate::flags::Flags;
 use crate::session::Msid;
@@ -142,14 +142,42 @@ fn code(e: MonError) -> i32 {
     }
 }
 
+/// The C return value of a call's outcome.
+fn status(r: Result<(), MonError>) -> i32 {
+    r.map_or_else(code, |()| MPI_SUCCESS)
+}
+
 fn with_env<F: FnOnce(&Monitoring) -> Result<(), MonError>>(f: F) -> i32 {
     with_env_slot(|slot| match slot.as_ref() {
         None => MPI_M_MISSING_INIT,
-        Some(mon) => match f(mon) {
-            Ok(()) => MPI_SUCCESS,
-            Err(e) => code(e),
-        },
+        Some(mon) => status(f(mon)),
     })
+}
+
+/// A C `root` argument as a communicator rank: negative values are rejected
+/// here, before any cast could wrap them into a huge `usize`.
+fn checked_root(root: i32) -> Result<usize, MonError> {
+    usize::try_from(root).map_err(|_| MonError::InvalidRoot)
+}
+
+/// Copy gathered matrices, row-major, into caller buffers of at least
+/// `array_size²` words each.  `None` is a rooted gather's result off the
+/// root: nothing to copy, any buffers do.
+fn copy_out(
+    data: Option<GatheredData>,
+    matrix_counts: &mut [u64],
+    matrix_sizes: &mut [u64],
+) -> Result<(), MonError> {
+    let Some(data) = data else {
+        return Ok(());
+    };
+    let n2 = data.counts.order() * data.counts.order();
+    if matrix_counts.len() < n2 || matrix_sizes.len() < n2 {
+        return Err(MonError::InternalFail("output buffer too small".into()));
+    }
+    matrix_counts[..n2].copy_from_slice(data.counts.as_row_major());
+    matrix_sizes[..n2].copy_from_slice(data.sizes.as_row_major());
+    Ok(())
 }
 
 /// Set the monitoring environment (paper: `MPI_M_init`).
@@ -158,13 +186,7 @@ pub fn MPI_M_init(rank: &Rank) -> i32 {
         if slot.is_some() {
             return MPI_M_MULTIPLE_CALL; // environments must not overlap
         }
-        match Monitoring::init(rank) {
-            Ok(mon) => {
-                *slot = Some(mon);
-                MPI_SUCCESS
-            }
-            Err(e) => code(e),
-        }
+        status(Monitoring::init(rank).map(|mon| *slot = Some(mon)))
     })
 }
 
@@ -172,13 +194,7 @@ pub fn MPI_M_init(rank: &Rank) -> i32 {
 pub fn MPI_M_finalize(rank: &Rank) -> i32 {
     with_env_slot(|slot| match slot.as_ref() {
         None => MPI_M_MISSING_INIT,
-        Some(mon) => match mon.finalize(rank) {
-            Ok(()) => {
-                *slot = None;
-                MPI_SUCCESS
-            }
-            Err(e) => code(e),
-        },
+        Some(mon) => status(mon.finalize(rank).map(|()| *slot = None)),
     })
 }
 
@@ -249,14 +265,7 @@ pub fn MPI_M_allgather_data(
     flags: Flags,
 ) -> i32 {
     with_env(|mon| {
-        let data = mon.allgather_data(rank, msid, flags)?;
-        let n2 = data.counts.order() * data.counts.order();
-        if matrix_counts.len() < n2 || matrix_sizes.len() < n2 {
-            return Err(MonError::InternalFail("output buffer too small".into()));
-        }
-        matrix_counts[..n2].copy_from_slice(data.counts.as_row_major());
-        matrix_sizes[..n2].copy_from_slice(data.sizes.as_row_major());
-        Ok(())
+        copy_out(Some(mon.allgather_data(rank, msid, flags)?), matrix_counts, matrix_sizes)
     })
 }
 
@@ -271,19 +280,8 @@ pub fn MPI_M_rootgather_data(
     flags: Flags,
 ) -> i32 {
     with_env(|mon| {
-        if root < 0 {
-            return Err(MonError::InvalidRoot);
-        }
-        let Some(data) = mon.rootgather_data(rank, msid, root as usize, flags)? else {
-            return Ok(());
-        };
-        let n2 = data.counts.order() * data.counts.order();
-        if matrix_counts.len() < n2 || matrix_sizes.len() < n2 {
-            return Err(MonError::InternalFail("root buffer too small".into()));
-        }
-        matrix_counts[..n2].copy_from_slice(data.counts.as_row_major());
-        matrix_sizes[..n2].copy_from_slice(data.sizes.as_row_major());
-        Ok(())
+        let data = mon.rootgather_data(rank, msid, checked_root(root)?, flags)?;
+        copy_out(data, matrix_counts, matrix_sizes)
     })
 }
 
@@ -316,65 +314,10 @@ pub fn MPI_M_gather_window(
     flags: Flags,
 ) -> i32 {
     with_env(|mon| {
-        if root < 0 {
-            return Err(MonError::InvalidRoot);
-        }
-        let win = mon.gather_window(rank, msid, root as usize, flags)?;
+        let win = mon.gather_window(rank, msid, checked_root(root)?, flags)?;
         *epoch = win.epoch;
-        let Some(data) = win.data else {
-            return Ok(());
-        };
-        let n2 = data.counts.order() * data.counts.order();
-        if matrix_counts.len() < n2 || matrix_sizes.len() < n2 {
-            return Err(MonError::InternalFail("root buffer too small".into()));
-        }
-        matrix_counts[..n2].copy_from_slice(data.counts.as_row_major());
-        matrix_sizes[..n2].copy_from_slice(data.sizes.as_row_major());
-        Ok(())
+        copy_out(win.data, matrix_counts, matrix_sizes)
     })
-}
-
-/// Seal every live member's window and gather the deltas' matrices at
-/// `root`, skipping the ranks flagged dead in `alive` (elastic-membership
-/// counterpart of [`MPI_M_gather_window`]; dead rows come back zeroed).
-/// `alive` must hold exactly `array_size` flags with the root alive.
-// The arity is the C signature: gather_window's out-params plus the bitmap.
-#[allow(clippy::too_many_arguments)]
-pub fn MPI_M_gather_window_partial(
-    rank: &Rank,
-    msid: Msid,
-    root: i32,
-    alive: &[bool],
-    epoch: &mut u64,
-    matrix_counts: &mut [u64],
-    matrix_sizes: &mut [u64],
-    flags: Flags,
-) -> i32 {
-    with_env(|mon| {
-        if root < 0 {
-            return Err(MonError::InvalidRoot);
-        }
-        let win = mon.gather_window_partial(rank, msid, root as usize, flags, alive)?;
-        *epoch = win.epoch;
-        let Some(data) = win.data else {
-            return Ok(());
-        };
-        let n2 = data.counts.order() * data.counts.order();
-        if matrix_counts.len() < n2 || matrix_sizes.len() < n2 {
-            return Err(MonError::InternalFail("root buffer too small".into()));
-        }
-        matrix_counts[..n2].copy_from_slice(data.counts.as_row_major());
-        matrix_sizes[..n2].copy_from_slice(data.sizes.as_row_major());
-        Ok(())
-    })
-}
-
-/// Re-attach a session to a grown or shrunk communicator, remapping its
-/// recorded data through world ranks (no paper equivalent — the paper's
-/// library predates ULFM-style elastic membership; see
-/// [`crate::Monitoring::rebind_session`]).
-pub fn MPI_M_rebind(msid: Msid, comm: &Comm) -> i32 {
-    with_env(|mon| mon.rebind_session(msid, comm))
 }
 
 /// Flush this process's data to `filename.[rank].prof` (paper: `MPI_M_flush`).
@@ -385,12 +328,7 @@ pub fn MPI_M_flush(msid: Msid, filename: &str, flags: Flags) -> i32 {
 /// Root flushes all data to `filename_{counts,sizes}.[rank].prof`
 /// (paper: `MPI_M_rootflush`).
 pub fn MPI_M_rootflush(rank: &Rank, msid: Msid, root: i32, filename: &str, flags: Flags) -> i32 {
-    with_env(|mon| {
-        if root < 0 {
-            return Err(MonError::InvalidRoot);
-        }
-        mon.rootflush(rank, msid, root as usize, filename, flags)
-    })
+    with_env(|mon| mon.rootflush(rank, msid, checked_root(root)?, filename, flags))
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ impl SessionData {
     }
 
     /// Session with an explicit dense/sparse threshold for its accumulators
-    /// (see [`crate::Monitoring::init_with_dense_limit`]).
+    /// (the `dense_limit` of the owning [`crate::Monitoring`]).
     pub(crate) fn with_dense_limit(comm: Comm, limit: usize) -> Self {
         let n = comm.size();
         let members = comm.group().iter().enumerate().map(|(r, &w)| (w, r)).collect();

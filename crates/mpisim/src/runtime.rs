@@ -218,6 +218,9 @@ pub(crate) struct Shared {
     stage: Mutex<std::collections::VecDeque<(u64, usize, Envelope)>>,
     /// Ticket allocator for staged deliveries.
     stage_ticket: AtomicU64,
+    /// `MPI_COMM_WORLD`'s member list, built once: every rank's world
+    /// communicator shares it.
+    world_group: Arc<Vec<usize>>,
 }
 
 impl Shared {
@@ -367,6 +370,7 @@ impl Universe {
             exec,
             stage: Mutex::new(std::collections::VecDeque::new()),
             stage_ticket: AtomicU64::new(0),
+            world_group: Arc::new((0..cfg.initial()).collect()),
             cfg,
         });
         Self { shared, receivers: Mutex::new(Some(receivers)) }
@@ -609,41 +613,6 @@ impl Universe {
         .map(|r| r.map_err(RankFailure::classify))
         .collect()
     }
-
-    /// Admit a latent slot from *outside* the running universe: posts an
-    /// admission notice (timestamped at virtual time 0) carrying the initial
-    /// world grown by `joiner`.  Returns whether the notice was posted
-    /// (`false` when the slot is not latent or was already admitted).
-    /// Byte-reproducible runs should prefer in-band admission —
-    /// [`Rank::admit`] or a chaos plan's join schedule — whose timing is a
-    /// pure function of the plan; this entry point exists for driver code
-    /// that steers a universe it does not participate in.
-    pub fn admit(&self, joiner: usize) -> bool {
-        let initial = self.shared.cfg.initial();
-        if joiner < initial || joiner >= self.shared.cfg.nprocs() {
-            return false;
-        }
-        if self.shared.admitted[joiner].swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        let parent = Comm::new(0, Arc::new((0..initial).collect()), 0);
-        let (id, group, epoch) = grow_comm_parts(&parent, &[joiner]);
-        let env = Envelope {
-            src_world: joiner,
-            dst_world: joiner,
-            comm_id: fault::FAULT_COMM,
-            ctx: Ctx::Fault,
-            tag: fault::FAULT_TAG_ADMIT,
-            kind: MsgKind::P2pUser,
-            payload: Payload::Bytes(encode_comm(id, epoch, &group, &vec![0; group.len()])),
-            sent_at_ns: 0.0,
-            arrival_ns: 0.0,
-            wire_seq: None,
-            src_inc: 0,
-            dst_inc: 0,
-        };
-        self.shared.post(joiner, env)
-    }
 }
 
 /// Per-slot driver of [`Universe::launch_elastic`]: the restart loop of an
@@ -884,7 +853,6 @@ pub struct Rank {
     /// communicator from each other (MPI requires same call order on all
     /// members, which makes the sequence consistent).
     coll_seq: RefCell<HashMap<u64, u32>>,
-    world_group: Arc<Vec<usize>>,
     /// This rank's flight-recorder track (`None` when tracing is off).
     trace: Option<TraceHandle>,
     /// Id of the innermost open collective span, stamped onto the `Send`
@@ -941,7 +909,6 @@ impl Rank {
     ) -> Self {
         let deadline = shared.cfg.deadline;
         let core = shared.core_of(world_rank);
-        let n = shared.cfg.initial();
         let track = if incarnation > 0 {
             format!("rank{world_rank}.{incarnation}")
         } else {
@@ -987,7 +954,6 @@ impl Rank {
             mailbox: RefCell::new(mailbox),
             local_hooks: RefCell::new(LocalHooks::default()),
             coll_seq: RefCell::new(HashMap::new()),
-            world_group: Arc::new((0..n).collect()),
             trace,
             active_coll: Cell::new(None),
             next_coll_span: Cell::new(0),
@@ -1116,12 +1082,12 @@ impl Rank {
     /// communicator it was admitted into ([`Rank::join_comm`]).
     pub fn comm_world(&self) -> Comm {
         assert!(
-            self.world_rank < self.world_group.len(),
+            self.world_rank < self.shared.world_group.len(),
             "rank {} joined after launch and is not in MPI_COMM_WORLD; use the grown \
              communicator it was admitted into (Rank::join_comm)",
             self.world_rank
         );
-        Comm::new(0, Arc::clone(&self.world_group), self.world_rank)
+        Comm::new(0, Arc::clone(&self.shared.world_group), self.world_rank)
     }
 
     // ----- PML hooks ---------------------------------------------------------
@@ -2044,8 +2010,7 @@ impl Rank {
     /// Panics when `arity < 2` — validated *here*, before the collective
     /// allocates its tag or opens its span, so a bad arity fails every rank
     /// with the same message instead of desynchronizing the collective
-    /// sequence mid-flight.  (The `MIM_GATHER_ARITY` env path clamps to 2;
-    /// direct callers get this check.)
+    /// sequence mid-flight.
     pub fn gather_tree(
         &self,
         comm: &Comm,

@@ -529,32 +529,6 @@ pub fn evaluate_contended(
     )
 }
 
-/// [`evaluate`] / [`evaluate_contended`] with an explicit tracer: each
-/// evaluator step is recorded as a `des` event on a dedicated track (tests
-/// inject a tracer here; the plain entry points use the `MIM_TRACE` global
-/// one).  The instrumentation only *observes* the engine — it performs no
-/// float arithmetic of its own — so results stay bit-identical to the
-/// untraced run and to the scan reference.
-pub fn evaluate_traced(
-    schedule: &Schedule,
-    machine: &Machine,
-    rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
-    contention: bool,
-    tracer: Option<Arc<Tracer>>,
-) -> Vec<f64> {
-    simulate(
-        schedule,
-        machine,
-        rank_to_core,
-        send_overhead_ns,
-        recv_overhead_ns,
-        contention,
-        tracer,
-    )
-}
-
 /// Ready-queue entry ordered as a *min*-heap on `(clock, rank)` — the same
 /// "smallest clock, lowest rank breaks ties" rule as the seed's linear scan,
 /// so shared-resource bookings happen in the identical order and results
@@ -579,9 +553,16 @@ impl Ord for Ready {
     }
 }
 
-/// Discrete-event engine: repeatedly run the *ready* rank with the smallest
-/// clock for one step, so shared-resource bookings happen in virtual-time
-/// order.
+/// [`evaluate`] / [`evaluate_contended`] with an explicit tracer: each
+/// evaluator step is recorded as a `des` event on a dedicated track (tests
+/// inject a tracer here; the plain entry points use the `MIM_TRACE` global
+/// one).  The instrumentation only *observes* the engine — it performs no
+/// float arithmetic of its own — so results stay bit-identical to the
+/// untraced run and to the scan reference.
+///
+/// The discrete-event engine: repeatedly run the *ready* rank with the
+/// smallest clock for one step, so shared-resource bookings happen in
+/// virtual-time order.
 ///
 /// The ready set is an indexed heap: ranks are keyed by their clock, and a
 /// rank popped while its receive has no message yet is *parked* on that
@@ -590,7 +571,7 @@ impl Ord for Ready {
 /// ready-scan, taking the whole evaluation from O(E·n) to O(E log n) — the
 /// difference between minutes and milliseconds at Table-1 / NP=256 scales
 /// and beyond.
-fn simulate(
+pub fn evaluate_traced(
     schedule: &Schedule,
     machine: &Machine,
     rank_to_core: &[usize],

@@ -60,6 +60,52 @@ pub fn compute_mapping(
     inverse_permutation(&sigma)
 }
 
+/// The tail every reorder loop ends with: rank 0 of `comm` turns its matrix
+/// into the permutation `k` plus any trailer words (`root_maps`, which also
+/// charges the mapping's cost on the virtual clock), one broadcast ships
+/// `k ‖ trailer`, and `comm_split` keyed by `k` builds the optimized
+/// communicator.  Returns it with `k` and the trailer as every rank
+/// received them; the wire shape is whatever the root built, so a loop
+/// with more to tell the others appends words instead of adding a path.
+fn map_and_split(
+    rank: &Rank,
+    comm: &Comm,
+    root_maps: impl FnOnce() -> (Vec<usize>, Vec<u64>),
+) -> (Comm, Vec<usize>, Vec<u64>) {
+    let mut buf: Vec<u64> = Vec::new();
+    if comm.rank() == 0 {
+        let (k, trailer) = root_maps();
+        buf.extend(k.into_iter().map(|ki| ki as u64).chain(trailer));
+    }
+    rank.bcast(comm, 0, &mut buf);
+    let trailer = buf.split_off(comm.size());
+    let k: Vec<usize> = buf.into_iter().map(|v| v as usize).collect();
+    let opt_comm = rank.comm_split(comm, 0, k[comm.rank()] as i64);
+    (opt_comm, k, trailer)
+}
+
+/// [`map_and_split`] under the strict failure policy: TreeMatch on the
+/// byte matrix rank 0 holds (`None` elsewhere), no trailer, a mapping
+/// failure panics.  Also returns the wall-clock time rank 0 spent mapping.
+fn map_and_split_timed(
+    rank: &Rank,
+    comm: &Comm,
+    sizes: Option<CommMatrix>,
+) -> (Comm, Vec<usize>, f64) {
+    let mut mapping_wall_s = 0.0;
+    let (opt_comm, k, _) = map_and_split(rank, comm, || {
+        let sizes = sizes.expect("rank 0 holds the monitored matrix");
+        let wall = Instant::now();
+        let k = compute_mapping(rank.machine(), rank.placement(), comm.group(), &sizes);
+        mapping_wall_s = wall.elapsed().as_secs_f64();
+        // The mapping computation takes real time on rank 0: charge it on
+        // the virtual clock so the reordering cost is honest (Fig. 6).
+        rank.compute_ns(mapping_wall_s * 1e9);
+        (k, Vec::new())
+    });
+    (opt_comm, k, mapping_wall_s)
+}
+
 /// The paper's Fig. 1 algorithm: run `monitored` (typically the first
 /// iteration) under a fresh session on `comm`, then gather the byte matrix
 /// at rank 0, compute `k`, broadcast it, and split.  The returned
@@ -85,23 +131,8 @@ pub fn monitored_reorder(
     let t0 = rank.now_ns();
     let gathered =
         mon.rootgather_data(rank, id, 0, flags).expect("gather monitored matrix at rank 0");
-    let n = comm.size();
-    let mut k_buf: Vec<u64> = vec![0; n];
-    let mut mapping_wall_s = 0.0;
-    if let Some(data) = gathered {
-        let wall = Instant::now();
-        let k = compute_mapping(rank.machine(), rank.placement(), comm.group(), &data.sizes);
-        mapping_wall_s = wall.elapsed().as_secs_f64();
-        // The mapping computation takes real time on rank 0: charge it on
-        // the virtual clock so the reordering cost is honest (Fig. 6).
-        rank.compute_ns(mapping_wall_s * 1e9);
-        for (i, &ki) in k.iter().enumerate() {
-            k_buf[i] = ki as u64;
-        }
-    }
-    rank.bcast(comm, 0, &mut k_buf);
-    let k: Vec<usize> = k_buf.iter().map(|&v| v as usize).collect();
-    let opt_comm = rank.comm_split(comm, 0, k[comm.rank()] as i64);
+    let (opt_comm, k, mapping_wall_s) =
+        map_and_split_timed(rank, comm, gathered.map(|data| data.sizes));
     let reorder_cost_ns = rank.now_ns() - t0;
     mon.free(id).expect("free monitoring session");
     ReorderOutcome { comm: opt_comm, k, reorder_cost_ns, mapping_wall_s }
@@ -151,20 +182,7 @@ pub fn monitored_reorder_windowed(
         }
     }
     let t0 = rank.now_ns();
-    let mut k_buf: Vec<u64> = vec![0; n];
-    let mut mapping_wall_s = 0.0;
-    if let Some(sizes) = acc {
-        let wall = Instant::now();
-        let k = compute_mapping(rank.machine(), rank.placement(), comm.group(), &sizes);
-        mapping_wall_s = wall.elapsed().as_secs_f64();
-        rank.compute_ns(mapping_wall_s * 1e9);
-        for (i, &ki) in k.iter().enumerate() {
-            k_buf[i] = ki as u64;
-        }
-    }
-    rank.bcast(comm, 0, &mut k_buf);
-    let k: Vec<usize> = k_buf.iter().map(|&v| v as usize).collect();
-    let opt_comm = rank.comm_split(comm, 0, k[comm.rank()] as i64);
+    let (opt_comm, k, mapping_wall_s) = map_and_split_timed(rank, comm, acc);
     let reorder_cost_ns = rank.now_ns() - t0 + gather_cost_ns;
     mon.suspend(id).expect("suspend monitoring session");
     mon.free(id).expect("free monitoring session");
@@ -279,10 +297,11 @@ pub fn monitored_reorder_resilient(
     let work = if crashed.is_empty() { comm.clone() } else { rank.comm_shrink(comm, &alive) };
     let m = work.size();
 
-    // k ‖ identity-fallback flag, one bcast from the working root.
-    let mut k_buf: Vec<u64> = vec![0; m + 1];
+    // Resilient failure policy: identity instead of a panic, a flat
+    // deterministic charge, and a one-word identity-fallback flag trailing
+    // `k` so every survivor learns how the loop degraded.
     let mut why = None;
-    if work.rank() == 0 {
+    let (opt_comm, k, flag) = map_and_split(rank, &work, || {
         let (k, fail) = match (&gathered, root_why) {
             (Some(data), None) => {
                 let live: Vec<usize> = (0..comm.size()).filter(|&r| alive[r]).collect();
@@ -297,16 +316,11 @@ pub fn monitored_reorder_resilient(
             (_, w) => ((0..m).collect(), Some(w.unwrap_or_else(|| "no matrix at root".into()))),
         };
         rank.compute_ns(MAPPING_CHARGE_PER_PAIR_NS * (m * m) as f64);
-        for (i, &ki) in k.iter().enumerate() {
-            k_buf[i] = ki as u64;
-        }
-        k_buf[m] = u64::from(fail.is_some());
+        let flag = vec![u64::from(fail.is_some())];
         why = fail;
-    }
-    rank.bcast(&work, 0, &mut k_buf);
-    let k: Vec<usize> = k_buf[..m].iter().map(|&v| v as usize).collect();
-    let identity = k_buf[m] == 1;
-    let opt_comm = rank.comm_split(&work, 0, k[work.rank()] as i64);
+        (k, flag)
+    });
+    let identity = flag[0] == 1;
     let reorder_cost_ns = rank.now_ns() - t0;
     mon.free(id).expect("free monitoring session");
 
@@ -588,6 +602,12 @@ mod tests {
             } else {
                 assert!(outcome.gathered.is_none());
             }
+            // Fault-free, the resilient loop maps exactly like the strict
+            // one on the same traffic.
+            let strict = monitored_reorder(rank, &mon, &world, Flags::P2P_ONLY, |comm| {
+                pair_exchange(rank, comm, 4 << 20)
+            });
+            assert_eq!(outcome.k, strict.k, "fault-free resilient k must equal the strict k");
             mon.finalize(rank).unwrap();
         });
     }

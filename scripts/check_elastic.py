@@ -33,10 +33,11 @@ incarnations, per-track sequence numbers — is compared exactly.
 Usage: check_elastic.py path/to/elastic_stencil [seed]
 """
 import os
-import re
 import subprocess
 import sys
 import tempfile
+
+from check_chaos import normalize
 
 SEED = "42"
 VICTIM = 3
@@ -53,16 +54,6 @@ def run_once(example, seed, executor, trace_path, problems):
             f"{r.stdout}{r.stderr}"
         )
     return r.stdout
-
-
-def normalize(trace_path):
-    with open(trace_path) as f:
-        lines = [
-            re.sub(r'"tid":\d+', '"tid":0', re.sub(r'"uq":\d+', '"uq":0', ln))
-            for ln in f
-            if ln.strip()
-        ]
-    return sorted(lines)
 
 
 def check_stdout(out, problems):
