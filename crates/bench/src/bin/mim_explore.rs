@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use mim_analyze::{analyze_program, Determinism, Program};
 use mim_apps::builtin::{built_in, Shape, PLANS};
 use mim_explore::plans::{wildcard_clean, wildcard_race};
-use mim_explore::{explore, explore_with, replay, Budget, Outcome, Witness};
+use mim_explore::{explore, replay, Budget, Outcome, Witness};
 
 const USAGE: &str = "usage: mim-explore <plan> [options]
        mim-explore --replay <witness.json>
@@ -141,8 +141,8 @@ fn run_plan(
     let report = analyze_program(program);
     let analyzer = report.verdict.kind();
     let determinism = report.determinism.kind();
-    let outcome = explore_with(program, budget, Some(&report.independence))?;
-    let unpruned = explore(program, budget)?;
+    let outcome = explore(program, budget, Some(&report.independence))?;
+    let unpruned = explore(program, budget, None)?;
     check_consistency(name, analyzer, &report.determinism, &outcome, &unpruned)?;
     let schedules_unpruned = unpruned.schedules();
     match &outcome {

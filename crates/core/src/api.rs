@@ -16,10 +16,6 @@ use crate::error::{MonError, Result};
 use crate::flags::Flags;
 use crate::session::{Msid, SessionData, SessionState, SessionTable, WindowDelta, MAX_SESSIONS};
 
-/// Reserved tag for [`Monitoring::rootgather_partial`] rows; high bits keep
-/// it clear of application tags used by the example workloads.
-const PARTIAL_GATHER_TAG: u32 = 0x00C4_0000;
-
 /// Fan-in of the tree-structured root gather.
 const GATHER_ARITY: usize = 8;
 
@@ -436,7 +432,7 @@ impl Monitoring {
         // One collective moves both rows; the session being read is
         // suspended, so it does not observe its own gather.
         let gathered = rank.allgather(&comm, &buf);
-        Ok(unpack_dense(&gathered, vec![true; comm.size()]))
+        Ok(unpack_dense(&gathered, comm.size()))
     }
 
     /// Like [`Monitoring::allgather_data`] but only `root` receives the data
@@ -472,26 +468,24 @@ impl Monitoring {
         let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
         check_root(root, comm.size(), None)?;
         let gathered = rank.gather(&comm, root, &buf);
-        Ok(gathered.map(|g| unpack_dense(&g, vec![true; comm.size()])))
+        Ok(gathered.map(|g| unpack_dense(&g, comm.size())))
     }
 
     /// Fault-tolerant variant of [`Monitoring::rootgather_data`]: gather
     /// the matrices from the ranks marked alive in `alive` (indexed by
-    /// communicator rank of the session's communicator) and report the
-    /// dead ranks' rows as zeros with `liveness[i] == false`, instead of
-    /// failing the whole collection with `MPI_M_INTERNAL_FAIL` because one
-    /// peer crashed.  Collective over the *live* members only; dead ranks
-    /// must not call it (they are dead).
-    ///
-    /// Built on point-to-point with a reserved tag rather than the gather
-    /// collective, whose tree would route rows through possibly-dead
-    /// interior ranks.
+    /// communicator rank of the session's communicator), routing the k-ary
+    /// tree over the **live membership only**, and report the dead ranks'
+    /// rows as zeros with `liveness[i] == false`, instead of failing the
+    /// whole collection with `MPI_M_INTERNAL_FAIL` because one peer
+    /// crashed.  Collective over the *live* members only; dead ranks must
+    /// not call it (they are dead).
     ///
     /// # Errors
     /// [`MonError::InvalidRoot`] when `root` is out of range, marked dead,
     /// or `alive` is not exactly one flag per member.
-    /// [`MonError::InternalFail`] when a live peer's row does not arrive
-    /// within the universe's receive deadline.
+    /// [`MonError::InternalFail`] at the root when a rank marked alive died
+    /// before its row arrived (every gather entry point answers an
+    /// incomplete gather this way; the other ranks return normally).
     pub fn rootgather_partial(
         &self,
         rank: &Rank,
@@ -500,28 +494,7 @@ impl Monitoring {
         flags: Flags,
         alive: &[bool],
     ) -> Result<Option<GatheredData>> {
-        self.check_init()?;
-        let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
-        let n = comm.size();
-        check_root(root, n, Some(alive))?;
-        if comm.rank() != root {
-            rank.send(&comm, root, PARTIAL_GATHER_TAG, &buf);
-            return Ok(None);
-        }
-        // Dead ranks' rows stay zero.
-        let mut gathered = vec![0u64; 2 * n * n];
-        gathered[root * 2 * n..][..2 * n].copy_from_slice(&buf);
-        for r in (0..n).filter(|&r| r != root && alive[r]) {
-            let (data, _) = rank
-                .try_recv_deadline::<u64>(&comm, r, PARTIAL_GATHER_TAG, rank.recv_deadline())
-                .map_err(|e| {
-                    MonError::InternalFail(format!(
-                        "partial gather: live rank {r} sent no row ({e:?})"
-                    ))
-                })?;
-            gathered[r * 2 * n..][..2 * n].copy_from_slice(&data);
-        }
-        Ok(Some(unpack_dense(&gathered, alive.to_vec())))
+        Ok(self.tree_gather(rank, msid, root, flags, Scope::Total, Some(alive))?.data)
     }
 
     /// Each process writes its own row to `"{filename}.{rank}.prof"`
@@ -597,14 +570,16 @@ impl Monitoring {
     }
 
     /// The one tree gather behind [`Monitoring::rootgather_data`],
-    /// [`Monitoring::gather_window`] and
+    /// [`Monitoring::rootgather_partial`], [`Monitoring::gather_window`] and
     /// [`Monitoring::gather_window_partial`], parameterised by what it can
     /// observe: `scope` selects the rows and `alive` the membership (`None`
     /// ≡ everyone).  Each rank ships its row as sparse `(dst, count, bytes)`
     /// triples sorted by destination, zero pairs omitted, along a k-ary
     /// tree laid over [`topology_order`] restricted to the live ranks — the
     /// root stays first because [`check_root`] requires it alive.  Every
-    /// rank gets its epoch back, the root additionally the matrices.
+    /// rank gets its epoch back, the root additionally the matrices — or,
+    /// when a listed rank died before its row arrived, the paper's
+    /// `MPI_M_INTERNAL_FAIL`.
     fn tree_gather(
         &self,
         rank: &Rank,
@@ -658,6 +633,11 @@ impl Monitoring {
         if let Ok(s) = self.state.borrow_mut().get_mut(msid) {
             s.muted = false;
         }
+        let rows = rows.map_err(|missing| {
+            MonError::InternalFail(format!(
+                "incomplete gather: no row from live rank(s) {missing:?}"
+            ))
+        })?;
         Ok(GatheredWindow { epoch, data: rows.map(|rows| densify(&rows, comm.size(), alive)) })
     }
 
@@ -709,9 +689,9 @@ fn check_root(root: usize, n: usize, alive: Option<&[bool]>) -> Result<()> {
 
 /// Unpack `n` dense rows of `counts ‖ sizes` (see
 /// [`Monitoring::dense_row_and_comm`]), one per communicator rank, into the
-/// matrices of [`GatheredData`].
-fn unpack_dense(gathered: &[u64], liveness: Vec<bool>) -> GatheredData {
-    let n = liveness.len();
+/// matrices of [`GatheredData`] (the dense gathers have no liveness
+/// bitmap: every member contributed).
+fn unpack_dense(gathered: &[u64], n: usize) -> GatheredData {
     let mut counts = CommMatrix::zeros(n);
     let mut sizes = CommMatrix::zeros(n);
     for i in 0..n {
@@ -720,7 +700,7 @@ fn unpack_dense(gathered: &[u64], liveness: Vec<bool>) -> GatheredData {
             sizes.set(i, j, gathered[i * 2 * n + n + j]);
         }
     }
-    GatheredData { counts, sizes, liveness }
+    GatheredData { counts, sizes, liveness: vec![true; n] }
 }
 
 /// Expand per-rank sparse `(dst, count, bytes)` triples into the dense

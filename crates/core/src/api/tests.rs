@@ -8,8 +8,8 @@ use crate::error::MonError;
 use crate::flags::Flags;
 use crate::session::Msid;
 
+use super::GatheredWindow;
 use super::Monitoring;
-use super::{GatheredWindow, Scope};
 
 fn universe(n: usize) -> Universe {
     Universe::new(UniverseConfig::new(Machine::cluster(2, 2, 4), Placement::packed(n)))
@@ -440,13 +440,17 @@ fn check_liveness_projection(
                     Some(a) => mon.gather_window_partial(rank, id, gather_root, flags, a).unwrap(),
                 });
             }
-            // Total scope, on the suspended session (no public bitmap entry
-            // point rides the tree, so both sides go through the core).
+            // Total scope, on the suspended session, through the public
+            // projections too: `rootgather_partial` rides the same tree as
+            // `rootgather_data`, which is what keeps the clocks equal.
             mon.suspend(id).unwrap();
+            let epoch = mon.trace_counters(rank, id).unwrap().epoch;
             for flags in flag_sets {
-                got.push(
-                    mon.tree_gather(rank, id, gather_root, flags, Scope::Total, alive).unwrap(),
-                );
+                let data = match alive {
+                    None => mon.rootgather_data(rank, id, gather_root, flags).unwrap(),
+                    Some(a) => mon.rootgather_partial(rank, id, gather_root, flags, a).unwrap(),
+                };
+                got.push(GatheredWindow { epoch, data });
             }
             mon.free(id).unwrap();
             mon.finalize(rank).unwrap();

@@ -17,7 +17,7 @@ use mim_analyze::{IndependenceMap, Json, Program};
 use mim_trace::Tracer;
 use mim_util::rng::splitmix64;
 
-use crate::model::{run_model, run_model_with, RunOutput};
+use crate::model::{run_model, RunOutput};
 use crate::policy::{RecordingPolicy, ReplayPolicy};
 
 /// How much searching [`explore`] may do.
@@ -210,18 +210,15 @@ fn witness_from(
 
 /// Search `program`'s schedule space for a deadlock.
 ///
+/// With the analyzer's static [`IndependenceMap`], wildcard sites proven
+/// benign record empty persistent sets, so the DFS never seeds a backtrack
+/// point there and statically `Deterministic` plans are decided by a
+/// single schedule.  Passing `None` explores the full (unpruned) branch
+/// space.
+///
 /// Errors only on internal failures (a policy or model bug); a deadlock is
 /// a successful [`Outcome::DefiniteDeadlock`], not an error.
-pub fn explore(program: &Program, budget: &Budget) -> Result<Outcome, String> {
-    explore_with(program, budget, None)
-}
-
-/// [`explore`], additionally consulting the analyzer's static
-/// [`IndependenceMap`]: wildcard sites proven benign record empty
-/// persistent sets, so the DFS never seeds a backtrack point there and
-/// statically `Deterministic` plans are decided by a single schedule.
-/// Passing `None` explores the full (unpruned) branch space.
-pub fn explore_with(
+pub fn explore(
     program: &Program,
     budget: &Budget,
     independence: Option<&IndependenceMap>,
@@ -241,7 +238,7 @@ pub fn explore_with(
         let scripted_len = script.len();
         let policy = RecordingPolicy::scripted(script);
         let tracer = Tracer::new(64);
-        let out = run_model_with(program, &policy, Some(&tracer), independence)?;
+        let out = run_model(program, &policy, Some(&tracer), independence)?;
         schedules += 1;
         if out.deadlocked() {
             let w = witness_from(
@@ -292,7 +289,7 @@ fn finish_random(
             let schedule_seed = splitmix64(&mut state);
             let policy = RecordingPolicy::random(Vec::new(), schedule_seed);
             let tracer = Tracer::new(64);
-            let out = run_model_with(program, &policy, Some(&tracer), independence)?;
+            let out = run_model(program, &policy, Some(&tracer), independence)?;
             schedules += 1;
             if out.deadlocked() {
                 let w = witness_from(
@@ -325,7 +322,7 @@ pub fn replay(program: &Program, witness: &Witness) -> Result<RunOutput, String>
         ));
     }
     let policy = ReplayPolicy::from_log(&witness.decisions)?;
-    let out = run_model(program, &policy, None)?;
+    let out = run_model(program, &policy, None, None)?;
     if let Some(d) = policy.divergence() {
         return Err(d);
     }
@@ -364,7 +361,7 @@ mod tests {
         let mut p = Program::new("pp", 2);
         p.push(0, Op::Send { comm: WORLD, dst: 1, tag: 0, bytes: 8 });
         p.push(1, Op::Recv { comm: WORLD, src: Src::Rank(0), tag: Tag::Is(0) });
-        let out = explore(&p, &Budget::default()).unwrap();
+        let out = explore(&p, &Budget::default(), None).unwrap();
         let Outcome::ExploredClean { schedules, exhaustive } = out else {
             panic!("expected clean, got {out:?}");
         };
@@ -375,7 +372,7 @@ mod tests {
     #[test]
     fn wildcard_race_yields_a_replayable_witness() {
         let p = wildcard_race(4);
-        let out = explore(&p, &Budget::default()).unwrap();
+        let out = explore(&p, &Budget::default(), None).unwrap();
         let Outcome::DefiniteDeadlock { witness, schedules } = out else {
             panic!("expected a deadlock, got {out:?}");
         };
@@ -395,7 +392,7 @@ mod tests {
     #[test]
     fn wildcard_clean_survives_exploration() {
         let budget = Budget { max_schedules: 4096, ..Budget::default() };
-        let out = explore(&wildcard_clean(4), &budget).unwrap();
+        let out = explore(&wildcard_clean(4), &budget, None).unwrap();
         let Outcome::ExploredClean { schedules, exhaustive } = out else {
             panic!("expected clean, got {out:?}");
         };
@@ -406,7 +403,8 @@ mod tests {
     #[test]
     fn tampered_witness_is_rejected() {
         let p = wildcard_race(3);
-        let Outcome::DefiniteDeadlock { witness, .. } = explore(&p, &Budget::default()).unwrap()
+        let Outcome::DefiniteDeadlock { witness, .. } =
+            explore(&p, &Budget::default(), None).unwrap()
         else {
             panic!("expected a deadlock");
         };

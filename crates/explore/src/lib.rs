@@ -43,6 +43,6 @@ pub mod model;
 pub mod plans;
 pub mod policy;
 
-pub use explore::{explore, explore_with, replay, Budget, Outcome, Witness};
-pub use model::{run_model, run_model_with, RunOutput};
+pub use explore::{explore, replay, Budget, Outcome, Witness};
+pub use model::{run_model, RunOutput};
 pub use policy::{parse_log, RecordingPolicy, ReplayPolicy};

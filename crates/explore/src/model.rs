@@ -464,20 +464,13 @@ impl<'a> Model<'a> {
 /// With a tracer attached, each rank also records flight-recorder events
 /// on its own track (logical step counter as the clock), so a wedged run
 /// can dump recent history via `Tracer::flight_report`.
+///
+/// With the analyzer's static [`IndependenceMap`], wildcard sites it
+/// proves benign stop flagging races (empty persistent sets, non-racy rank
+/// resumes) while their decisions are still recorded, so a pruned run's
+/// decision log is byte-identical to the unpruned run making the same
+/// choices.
 pub fn run_model(
-    program: &Program,
-    policy: &dyn ModelPolicy,
-    tracer: Option<&std::sync::Arc<Tracer>>,
-) -> Result<RunOutput, String> {
-    Model::new(program, policy, tracer, None).run()
-}
-
-/// [`run_model`], additionally consulting the analyzer's static
-/// [`IndependenceMap`]: wildcard sites it proves benign stop flagging
-/// races (empty persistent sets, non-racy rank resumes) while their
-/// decisions are still recorded, so a pruned run's decision log is
-/// byte-identical to the unpruned run making the same choices.
-pub fn run_model_with(
     program: &Program,
     policy: &dyn ModelPolicy,
     tracer: Option<&std::sync::Arc<Tracer>>,
@@ -507,7 +500,7 @@ mod tests {
         p.push(1, recv(0, 0));
         p.push(1, send(0, 0));
         let pol = RecordingPolicy::canonical();
-        let out = run_model(&p, &pol, None).unwrap();
+        let out = run_model(&p, &pol, None, None).unwrap();
         assert!(!out.deadlocked(), "{:?}", out.stuck);
         assert_eq!(out.steps, 4);
     }
@@ -520,7 +513,7 @@ mod tests {
         p.push(1, recv(0, 0));
         p.push(1, send(0, 0));
         let pol = RecordingPolicy::canonical();
-        let out = run_model(&p, &pol, None).unwrap();
+        let out = run_model(&p, &pol, None, None).unwrap();
         let stuck = out.stuck.expect("must wedge");
         assert_eq!(stuck.len(), 2);
         assert!(stuck[0].contains("rank 0 blocked at step 0: recv src=1"), "{stuck:?}");
@@ -536,7 +529,7 @@ mod tests {
             p.push(r, Op::Coll { comm: WORLD, kind: CollKind::Barrier, root: None });
         }
         let pol = RecordingPolicy::canonical();
-        let out = run_model(&p, &pol, None).unwrap();
+        let out = run_model(&p, &pol, None, None).unwrap();
         assert!(!out.deadlocked(), "{:?}", out.stuck);
     }
 
@@ -545,7 +538,7 @@ mod tests {
         let mut p = Program::new("short", 2);
         p.push(0, Op::Coll { comm: WORLD, kind: CollKind::Barrier, root: None });
         let pol = RecordingPolicy::canonical();
-        let out = run_model(&p, &pol, None).unwrap();
+        let out = run_model(&p, &pol, None, None).unwrap();
         let stuck = out.stuck.expect("must wedge");
         assert!(stuck[0].contains("coll barrier comm=0 occ=0 (1/2 arrived)"), "{stuck:?}");
     }
@@ -559,11 +552,11 @@ mod tests {
         p.push(0, Op::Recv { comm: WORLD, src: Src::Any, tag: Tag::Any });
         p.push(0, Op::Recv { comm: WORLD, src: Src::Any, tag: Tag::Any });
         let canonical = RecordingPolicy::canonical();
-        let a = run_model(&p, &canonical, None).unwrap();
+        let a = run_model(&p, &canonical, None, None).unwrap();
         // Steer every decision to its last alternative: the wildcard takes
         // tag 8 first.
         let steered = RecordingPolicy::scripted(vec![usize::MAX; 4]);
-        let b = run_model(&p, &steered, None).unwrap();
+        let b = run_model(&p, &steered, None, None).unwrap();
         assert!(!a.deadlocked() && !b.deadlocked());
         let tag_of = |out: &RunOutput| {
             out.trace.iter().find(|l| l.contains("rank=0 recv")).map(|l| l.contains("tag=7"))
@@ -584,9 +577,9 @@ mod tests {
         p.push(1, Op::Coll { comm: WORLD, kind: CollKind::Allreduce, root: None });
         p.push(2, Op::Coll { comm: WORLD, kind: CollKind::Allreduce, root: None });
         let rec = RecordingPolicy::random(vec![], 99);
-        let a = run_model(&p, &rec, None).unwrap();
+        let a = run_model(&p, &rec, None, None).unwrap();
         let rep = ReplayPolicy::from_log(&rec.log()).unwrap();
-        let b = run_model(&p, &rep, None).unwrap();
+        let b = run_model(&p, &rep, None, None).unwrap();
         assert_eq!(rep.divergence(), None);
         assert_eq!(a, b, "replayed run must be byte-identical");
     }
@@ -602,7 +595,7 @@ mod tests {
         p.push(1, Op::Recv { comm: sub, src: Src::Rank(0), tag: Tag::Is(0) });
         p.push(1, recv(0, 0));
         let pol = RecordingPolicy::canonical();
-        let out = run_model(&p, &pol, None).unwrap();
+        let out = run_model(&p, &pol, None, None).unwrap();
         assert!(!out.deadlocked(), "{:?}", out.stuck);
         let first_recv = out.trace.iter().find(|l| l.contains("rank=1 recv")).unwrap();
         assert!(first_recv.contains("comm=1 tag=0 bytes=32"), "{first_recv}");

@@ -10,8 +10,7 @@ use mim_analyze::{analyze_program, Op, Program, Src, Tag, Verdict, WORLD};
 use mim_apps::builtin::{built_in, Shape, PLANS};
 use mim_explore::plans::{wildcard_clean, wildcard_race};
 use mim_explore::{
-    explore, explore_with, replay, run_model, Budget, Outcome, RecordingPolicy, ReplayPolicy,
-    Witness,
+    explore, replay, run_model, Budget, Outcome, RecordingPolicy, ReplayPolicy, Witness,
 };
 use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
@@ -40,7 +39,7 @@ props! {
             let report = analyze_program(&program);
             assert_eq!(report.verdict, Verdict::DeadlockFree, "{name}: {:?}", report.verdict);
             let budget = Budget { max_schedules: 64, random: 0, seed };
-            match explore(&program, &budget).unwrap() {
+            match explore(&program, &budget, None).unwrap() {
                 Outcome::ExploredClean { schedules, .. } => {
                     assert!(schedules >= 1, "{name}")
                 }
@@ -52,7 +51,7 @@ props! {
             // DFS's: probe with independent random ones.
             for _ in 0..3 {
                 let policy = RecordingPolicy::random(Vec::new(), splitmix64(&mut seed));
-                let out = run_model(&program, &policy, None).unwrap();
+                let out = run_model(&program, &policy, None, None).unwrap();
                 assert!(
                     !out.deadlocked(),
                     "{name} wedged on a random schedule ({}): {:?}",
@@ -77,7 +76,7 @@ props! {
         let report = analyze_program(&p);
         assert!(matches!(report.verdict, Verdict::DefiniteDeadlock { .. }), "{:?}", report.verdict);
         let budget = Budget { max_schedules: 16, random: 0, seed: g.next_u64() };
-        let Outcome::DefiniteDeadlock { witness, schedules } = explore(&p, &budget).unwrap() else {
+        let Outcome::DefiniteDeadlock { witness, schedules } = explore(&p, &budget, None).unwrap() else {
             panic!("explorer missed the analyzer's definite deadlock");
         };
         assert_eq!(schedules, 1, "a wildcard-free wedge must show on the canonical schedule");
@@ -93,7 +92,7 @@ props! {
         let seed = g.next_u64();
         let p = wildcard_race(n);
         let budget = Budget { max_schedules: 128, random: 8, seed };
-        let run = |b: &Budget| match explore(&p, b).unwrap() {
+        let run = |b: &Budget| match explore(&p, b, None).unwrap() {
             Outcome::DefiniteDeadlock { witness, .. } => witness,
             other => panic!("wildcard_race must wedge, got {other:?}"),
         };
@@ -133,7 +132,7 @@ props! {
                 program.name(),
                 report.determinism
             );
-            let pruned = explore_with(program, &budget, Some(&report.independence)).unwrap();
+            let pruned = explore(program, &budget, Some(&report.independence)).unwrap();
             assert_eq!(
                 pruned.schedules(),
                 1,
@@ -141,7 +140,7 @@ props! {
                 program.name(),
                 pruned.schedules()
             );
-            let unpruned = explore(program, &budget).unwrap();
+            let unpruned = explore(program, &budget, None).unwrap();
             assert!(
                 matches!(
                     (&pruned, &unpruned),
@@ -171,11 +170,11 @@ props! {
         );
 
         let canonical = RecordingPolicy::canonical();
-        let out0 = run_model(&p, &canonical, None).unwrap();
+        let out0 = run_model(&p, &canonical, None, None).unwrap();
         // Steer only the first resume decision somewhere else.
         let alt = 1 + g.index(n - 2);
         let scripted = RecordingPolicy::scripted(vec![alt]);
-        let out1 = run_model(&p, &scripted, None).unwrap();
+        let out1 = run_model(&p, &scripted, None, None).unwrap();
         assert_ne!(out0.trace, out1.trace, "schedules {:?} vs {:?}", canonical.log(), scripted.log());
 
         // The divergence is the race itself: rank 0's wildcard matched a
@@ -203,7 +202,7 @@ fn exploration_separates_what_the_analyzer_cannot() {
     for (plan, wedges) in [(wildcard_race(4), true), (wildcard_clean(4), false)] {
         let report = analyze_program(&plan);
         assert!(matches!(report.verdict, Verdict::PotentialDeadlock { .. }));
-        let out = explore(&plan, &budget).unwrap();
+        let out = explore(&plan, &budget, None).unwrap();
         match (wedges, out) {
             (true, Outcome::DefiniteDeadlock { .. }) => {}
             (false, Outcome::ExploredClean { exhaustive, .. }) => {
@@ -241,8 +240,17 @@ fn decision_logs_drive_the_live_runtime() {
         })
     };
 
-    // Record: steer the first wildcard match to the later channel.
-    let rec = Arc::new(RecordingPolicy::scripted(vec![1]));
+    // Record: steer the first wildcard match to the later channel.  The
+    // script addresses that decision by kind: a canonical probe run finds
+    // how many other decisions (task resumes, under the task engine)
+    // precede it, and the script answers those canonically.
+    let probe = Arc::new(RecordingPolicy::canonical());
+    run(probe.clone());
+    let first_w =
+        probe.recs().iter().position(|r| r.kind == 'w').expect("the run has a wildcard decision");
+    let mut script = vec![0; first_w];
+    script.push(1);
+    let rec = Arc::new(RecordingPolicy::scripted(script));
     let tags = run(rec.clone());
     assert_eq!(tags[0], vec![6, 5], "the scripted choice must steer the live match");
     let log = rec.log();

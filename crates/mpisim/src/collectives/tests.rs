@@ -238,7 +238,7 @@ fn gather_tree_collects_variable_rows_any_order() {
                     // the remaining ranks reversed.
                     let mut order = vec![root];
                     order.extend((0..n).rev().filter(|&r| r != root));
-                    let out = gather_tree_kary(rank, &world, root, arity, &order, &data);
+                    let out = gather_tree_kary(rank, &world, root, arity, &order, &data).unwrap();
                     if me == root {
                         let rows = out.expect("root gets rows");
                         assert_eq!(rows.len(), n);
@@ -264,7 +264,7 @@ fn gather_tree_handles_empty_contributions() {
         let me = world.rank();
         let data = if me % 2 == 0 { vec![me as u64] } else { Vec::new() };
         let order: Vec<usize> = (0..6).collect();
-        let out = gather_tree_kary(rank, &world, 0, 2, &order, &data);
+        let out = gather_tree_kary(rank, &world, 0, 2, &order, &data).unwrap();
         if me == 0 {
             let rows = out.expect("root gets rows");
             for (r, row) in rows.iter().enumerate() {

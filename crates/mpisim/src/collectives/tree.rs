@@ -9,9 +9,11 @@
 //! one member forwards the combined buffer across the network.
 
 use crate::comm::Comm;
+use crate::datatype::Scalar;
+use crate::envelope::Ctx;
 use crate::runtime::Rank;
 
-use super::{crecv, csend};
+use super::csend;
 
 /// Position `p`'s parent in the implicit k-ary heap over `order`.
 fn parent_pos(p: usize, arity: usize) -> usize {
@@ -23,8 +25,8 @@ fn parent_pos(p: usize, arity: usize) -> usize {
 /// `root`, and the rank at position `p` is the child of the rank at
 /// position `(p-1)/arity`.  Every rank frames its contribution as
 /// `[comm_rank, len, payload…]`, appends its children's subtree buffers and
-/// forwards the lot to its parent; the root returns `Some(rows)` with
-/// `rows[r]` = rank `r`'s contribution, everyone else `None`.
+/// forwards the lot to its parent; the root returns `Ok(Some(rows))` with
+/// `rows[r]` = rank `r`'s contribution, everyone else `Ok(None)`.
 ///
 /// `order` may list a **subset** of the communicator — the current live
 /// membership under churn — as long as it is duplicate-free and starts with
@@ -33,6 +35,17 @@ fn parent_pos(p: usize, arity: usize) -> usize {
 /// absent ranks come back empty, mirroring `rootgather_partial`'s
 /// zeroed-dead-rows contract.  Dead or departed ranks simply must not be
 /// listed; they never have to call at all.
+///
+/// Every child is received with the failure-aware wait — its buffer or its
+/// death notice — so a listed rank that dies mid-gather is skipped rather
+/// than waited on: its subtree's frames evaporate with it, exactly as
+/// sends to a dead rank do under `launch_faulty`, and every other rank
+/// still returns.
+///
+/// # Errors
+/// At the root only: the listed ranks that contributed no frame, in rank
+/// order (the dead rank and whatever part of its subtree it had not
+/// forwarded).
 ///
 /// # Panics
 /// Panics when `arity < 2`, `order` repeats or overflows the communicator,
@@ -46,7 +59,7 @@ pub fn gather_tree_kary(
     arity: usize,
     order: &[usize],
     data: &[u64],
-) -> Option<Vec<Vec<u64>>> {
+) -> Result<Option<Vec<Vec<u64>>>, Vec<usize>> {
     let tag = rank.next_coll_tag(comm);
     let n = comm.size();
     let me = comm.rank();
@@ -64,7 +77,7 @@ pub fn gather_tree_kary(
         // nothing and touch no channel.  (The coll tag above was still
         // consumed, keeping this rank's tag stream aligned with peers that
         // may include it in a later window.)
-        return None;
+        return Ok(None);
     }
 
     // Own frame first, then each child's subtree buffer in position order —
@@ -76,12 +89,14 @@ pub fn gather_tree_kary(
     buf.extend_from_slice(data);
     let first_child = pos * arity + 1;
     for &child_rank in order.iter().skip(first_child).take(arity) {
-        buf.extend(crecv::<u64>(rank, comm, child_rank, tag));
+        if let Ok(env) = rank.recv_or_death(comm, child_rank, tag, Ctx::Coll) {
+            buf.extend(u64::from_bytes(&env.payload.expect_bytes()));
+        }
     }
 
     if pos != 0 {
         csend(rank, comm, order[parent_pos(pos, arity)], tag, &buf);
-        return None;
+        return Ok(None);
     }
 
     // Root: unpack the concatenated frames into per-rank rows.
@@ -98,16 +113,10 @@ pub fn gather_tree_kary(
         rows[src] = Some(buf[at..at + len].to_vec());
         at += len;
     }
-    Some(
-        rows.into_iter()
-            .enumerate()
-            .map(|(r, row)| match row {
-                Some(row) => row,
-                None => {
-                    assert!(pos_of[r] == usize::MAX, "live rank {r} contributed no gather frame");
-                    Vec::new()
-                }
-            })
-            .collect(),
-    )
+    let missing: Vec<usize> =
+        (0..n).filter(|&r| pos_of[r] != usize::MAX && rows[r].is_none()).collect();
+    if !missing.is_empty() {
+        return Err(missing);
+    }
+    Ok(Some(rows.into_iter().map(Option::unwrap_or_default).collect()))
 }

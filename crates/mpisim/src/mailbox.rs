@@ -158,31 +158,10 @@ impl UnexpectedQueue {
 
     /// Remove and return the earliest-arrived envelope matching `pat`.
     pub fn take(&mut self, pat: &MatchPattern) -> Option<Envelope> {
-        let group_key = (pat.comm_id, pat.ctx);
-        let group = self.groups.get_mut(&group_key)?;
-        let chan = match (pat.src, pat.tag) {
-            // Fully specific: one leaf, O(1).
-            (SrcSel::World(src), TagSel::Is(tag)) => {
-                group.chans.contains_key(&(src, tag)).then_some((src, tag))?
-            }
-            // Wildcard: first channel in head-arrival order passing the
-            // filter — its head is the earliest eligible message, because
-            // every queued message is some channel's head or behind it.
-            _ => group.by_head.values().copied().find(|&c| chan_matches(pat, c))?,
-        };
-        let fifo = group.chans.get_mut(&chan).expect("channel key came from the index");
-        let (seq, env) = fifo.pop_front().expect("empty channels are pruned");
-        group.by_head.remove(&seq);
-        if let Some(&(next_seq, _)) = fifo.front() {
-            group.by_head.insert(next_seq, chan);
-        } else {
-            group.chans.remove(&chan);
-            if group.chans.is_empty() {
-                self.groups.remove(&group_key);
-            }
-        }
-        self.len -= 1;
-        Some(env)
+        // Wildcard: first channel in head-arrival order passing the filter
+        // — its head is the earliest eligible message, because every queued
+        // message is some channel's head or behind it.
+        self.take_by(pat, |group| group.by_head.values().copied().find(|&c| chan_matches(pat, c)))
     }
 
     /// Like [`UnexpectedQueue::take`], but when a wildcard receive has
@@ -196,24 +175,35 @@ impl UnexpectedQueue {
         rank: usize,
         policy: &dyn SchedulePolicy,
     ) -> Option<Envelope> {
+        self.take_by(pat, |group| {
+            let cands: Vec<(usize, u32)> =
+                group.by_head.values().copied().filter(|&c| chan_matches(pat, c)).collect();
+            match cands.len() {
+                0 => None,
+                1 => Some(cands[0]),
+                n => {
+                    let i = policy.choose(Decision::WildcardTake { rank, candidates: &cands });
+                    Some(cands[clamp_choice(i, n)])
+                }
+            }
+        })
+    }
+
+    /// The pop both takes share: a fully specific pattern names its one
+    /// leaf (O(1)), a wildcard asks `pick_wild` for the channel; the head
+    /// of the chosen channel is removed and the index repaired.
+    fn take_by(
+        &mut self,
+        pat: &MatchPattern,
+        pick_wild: impl FnOnce(&Group) -> Option<(usize, u32)>,
+    ) -> Option<Envelope> {
         let group_key = (pat.comm_id, pat.ctx);
         let group = self.groups.get_mut(&group_key)?;
         let chan = match (pat.src, pat.tag) {
             (SrcSel::World(src), TagSel::Is(tag)) => {
                 group.chans.contains_key(&(src, tag)).then_some((src, tag))?
             }
-            _ => {
-                let cands: Vec<(usize, u32)> =
-                    group.by_head.values().copied().filter(|&c| chan_matches(pat, c)).collect();
-                match cands.len() {
-                    0 => return None,
-                    1 => cands[0],
-                    n => {
-                        let i = policy.choose(Decision::WildcardTake { rank, candidates: &cands });
-                        cands[clamp_choice(i, n)]
-                    }
-                }
-            }
+            _ => pick_wild(group)?,
         };
         let fifo = group.chans.get_mut(&chan).expect("channel key came from the index");
         let (seq, env) = fifo.pop_front().expect("empty channels are pruned");
@@ -474,9 +464,9 @@ impl Mailbox {
     /// `Timeout` is produced deterministically by the scheduler's stall
     /// resolver (all live tasks parked, every queue empty) rather than by
     /// elapsed time — same observable outcome, no blocked worker thread.
-    fn wait_message(&mut self, deadline: Duration) -> Result<Envelope, RecvWaitError> {
+    fn wait_message(&mut self) -> Result<Envelope, RecvWaitError> {
         let Some(parker) = &self.parker else {
-            return match self.rx.recv_timeout(deadline) {
+            return match self.rx.recv_timeout(self.deadline) {
                 Ok(env) => Ok(env),
                 Err(RecvTimeoutError::Timeout) => Err(RecvWaitError::Timeout),
                 Err(RecvTimeoutError::Disconnected) => Err(RecvWaitError::Disconnected),
@@ -486,7 +476,7 @@ impl Mailbox {
             match self.rx.try_recv() {
                 Ok(env) => return Ok(env),
                 Err(TryRecvError::Disconnected) => return Err(RecvWaitError::Disconnected),
-                Err(TryRecvError::Empty) => match parker.park(deadline) {
+                Err(TryRecvError::Empty) => match parker.park(self.deadline) {
                     // A wake may be a leftover token from a message already
                     // consumed; the re-poll above sorts it out.
                     ParkWake::Message => continue,
@@ -496,50 +486,32 @@ impl Mailbox {
         }
     }
 
-    /// Fallible blocking receive of the earliest message matching `pat`:
-    /// returns an error instead of panicking on deadline or disconnect.
-    /// `deadline` overrides the mailbox's configured deadline.
-    pub fn try_recv_deadline(
+    /// The one blocking wait: the earliest queued match over `pats` taken in
+    /// order — an earlier pattern wins when several have a message queued —
+    /// else wait for arrivals, admit each and return the first that matches
+    /// any pattern (directly, without a trip through the unexpected queue),
+    /// queueing the rest.  Returns the envelope with the index of the
+    /// pattern it matched, or why the wait gave up.
+    ///
+    /// With a data pattern ahead of a death-notice pattern this is the
+    /// failure detector's wait: per-channel FIFO guarantees data sent
+    /// before a crash is consumed before the death notice.
+    pub fn recv_first(
         &mut self,
-        pat: &MatchPattern,
-        deadline: Duration,
-    ) -> Result<Envelope, RecvWaitError> {
-        if let Some(env) = self.take_unexpected(pat) {
-            return Ok(env);
+        pats: &[&MatchPattern],
+    ) -> Result<(Envelope, usize), RecvWaitError> {
+        for (i, pat) in pats.iter().enumerate() {
+            if let Some(env) = self.take_unexpected(pat) {
+                return Ok((env, i));
+            }
         }
         loop {
-            let env = self.wait_message(deadline)?;
+            let env = self.wait_message()?;
             let Some(env) = self.admit(env) else { continue };
-            if pat.matches(&env) {
-                return Ok(env);
+            if let Some(i) = pats.iter().position(|pat| pat.matches(&env)) {
+                return Ok((env, i));
             }
             self.queue_unexpected(env);
-        }
-    }
-
-    /// Blocking receive that matches *either* pattern, preferring `a` when
-    /// both have a message queued: returns `(env, true)` for an `a` match,
-    /// `(env, false)` for `b`.  Used by the failure detector to wait for
-    /// data while staying responsive to a peer's death notice; checking `a`
-    /// (the data pattern) first preserves the per-channel FIFO guarantee
-    /// that data sent before a crash is consumed before the death notice.
-    pub fn recv_either(
-        &mut self,
-        a: &MatchPattern,
-        b: &MatchPattern,
-        deadline: Duration,
-    ) -> Result<(Envelope, bool), RecvWaitError> {
-        loop {
-            if let Some(env) = self.take_unexpected(a) {
-                return Ok((env, true));
-            }
-            if let Some(env) = self.take_unexpected(b) {
-                return Ok((env, false));
-            }
-            let env = self.wait_message(deadline)?;
-            if let Some(env) = self.admit(env) {
-                self.queue_unexpected(env);
-            }
         }
     }
 
@@ -549,8 +521,8 @@ impl Mailbox {
     /// Panics if no matching message arrives within the wall-clock deadline
     /// (deadlock detector) or if all senders disconnected.
     pub fn recv_match(&mut self, pat: &MatchPattern) -> Envelope {
-        match self.try_recv_deadline(pat, self.deadline) {
-            Ok(env) => env,
+        match self.recv_first(&[pat]) {
+            Ok((env, _)) => env,
             Err(RecvWaitError::Timeout) => panic!(
                 "deadlock: no message matching {pat:?} within {:?} \
                  (override with MIM_DEADLINE_MS); {} unexpected messages queued:\n{}{}{}",
@@ -709,7 +681,7 @@ mod tests {
     #[test]
     fn duplicate_wire_seqs_dropped() {
         let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx, Duration::from_secs(5));
+        let mut mb = Mailbox::new(rx, Duration::from_millis(10));
         let seq = |src: usize, s: u64, tag: u32| {
             let mut e = env(src, 7, Ctx::Pt2pt, tag);
             e.wire_seq = Some(s);
@@ -723,16 +695,13 @@ mod tests {
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
         let mut got = Vec::new();
         for _ in 0..3 {
-            let e = mb.try_recv_deadline(&p, Duration::from_secs(5)).unwrap();
+            let (e, _) = mb.recv_first(&[&p]).unwrap();
             got.push((e.src_world, e.tag));
         }
         assert_eq!(got, vec![(1, 10), (1, 11), (2, 10)]);
         // The trailing duplicate is only drained (and counted) by the next
         // receive attempt, which then finds nothing live to deliver.
-        assert!(matches!(
-            mb.try_recv_deadline(&p, Duration::from_millis(10)),
-            Err(RecvWaitError::Timeout)
-        ));
+        assert!(matches!(mb.recv_first(&[&p]), Err(RecvWaitError::Timeout)));
         assert_eq!(mb.duplicates_dropped(), 2);
     }
 
@@ -741,7 +710,7 @@ mod tests {
         // A restarted sender's wire sequences start over at 0; the dedup
         // filter must key on (incarnation, seq), not seq alone.
         let (tx, rx) = unbounded();
-        let mut mb = Mailbox::new(rx, Duration::from_secs(5));
+        let mut mb = Mailbox::new(rx, Duration::from_millis(10));
         let seq = |src: usize, inc: u32, s: u64, tag: u32| {
             let mut e = env(src, 7, Ctx::Pt2pt, tag);
             e.wire_seq = Some(s);
@@ -756,14 +725,11 @@ mod tests {
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
         let mut got = Vec::new();
         for _ in 0..3 {
-            let e = mb.try_recv_deadline(&p, Duration::from_secs(5)).unwrap();
+            let (e, _) = mb.recv_first(&[&p]).unwrap();
             got.push(e.tag);
         }
         assert_eq!(got, vec![10, 11, 12]);
-        assert!(matches!(
-            mb.try_recv_deadline(&p, Duration::from_millis(10)),
-            Err(RecvWaitError::Timeout)
-        ));
+        assert!(matches!(mb.recv_first(&[&p]), Err(RecvWaitError::Timeout)));
         assert_eq!(mb.stale_dropped(), 1);
         assert_eq!(mb.duplicates_dropped(), 1);
     }
@@ -785,28 +751,25 @@ mod tests {
         fault.dst_inc = 0; // fault protocol never stamps a real incarnation
         tx.send(fault).unwrap();
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
-        let e = mb.try_recv_deadline(&p, Duration::from_secs(5)).unwrap();
+        let (e, _) = mb.recv_first(&[&p]).unwrap();
         assert_eq!(e.tag, 11);
         let f = pat(0, Ctx::Fault, SrcSel::Any, TagSel::Any);
-        let e = mb.try_recv_deadline(&f, Duration::from_secs(5)).unwrap();
+        let (e, _) = mb.recv_first(&[&f]).unwrap();
         assert_eq!(e.tag, 12);
         assert_eq!(mb.stale_dropped(), 1);
     }
 
     #[test]
-    fn try_recv_deadline_reports_disconnect() {
+    fn recv_first_reports_disconnect() {
         let (tx, rx) = unbounded::<Envelope>();
         let mut mb = Mailbox::new(rx, Duration::from_secs(5));
         drop(tx);
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
-        assert!(matches!(
-            mb.try_recv_deadline(&p, Duration::from_secs(5)),
-            Err(RecvWaitError::Disconnected)
-        ));
+        assert!(matches!(mb.recv_first(&[&p]), Err(RecvWaitError::Disconnected)));
     }
 
     #[test]
-    fn recv_either_prefers_first_pattern() {
+    fn recv_first_prefers_earlier_pattern() {
         let (tx, rx) = unbounded();
         let mut mb = Mailbox::new(rx, Duration::from_secs(5));
         tx.send(env(1, 7, Ctx::Pt2pt, 2)).unwrap(); // matches b
@@ -816,12 +779,23 @@ mod tests {
         // Drain both into the unexpected queue so one matcher pass sees
         // both; `a` wins even though `b`'s message arrived first.
         mb.iprobe(&pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(99)));
-        let (e, is_a) = mb.recv_either(&a, &b, Duration::from_secs(5)).unwrap();
-        assert!(is_a);
-        assert_eq!(e.tag, 1);
-        let (e, is_a) = mb.recv_either(&a, &b, Duration::from_secs(5)).unwrap();
-        assert!(!is_a);
-        assert_eq!(e.tag, 2);
+        let (e, which) = mb.recv_first(&[&a, &b]).unwrap();
+        assert_eq!((e.tag, which), (1, 0));
+        let (e, which) = mb.recv_first(&[&a, &b]).unwrap();
+        assert_eq!((e.tag, which), (2, 1));
+    }
+
+    #[test]
+    fn arrival_matching_any_pattern_skips_the_queue() {
+        let (tx, rx) = unbounded();
+        let mut mb = Mailbox::new(rx, Duration::from_secs(5));
+        tx.send(env(1, 7, Ctx::Pt2pt, 3)).unwrap(); // matches neither: queued
+        tx.send(env(1, 7, Ctx::Pt2pt, 2)).unwrap(); // matches b: returned directly
+        let a = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(1));
+        let b = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(2));
+        let (e, which) = mb.recv_first(&[&a, &b]).unwrap();
+        assert_eq!((e.tag, which), (2, 1));
+        assert_eq!(mb.max_unexpected_depth(), 1, "only the non-matching arrival was queued");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::exec::{self, ExecShared, ExecutorKind};
 use crate::fault::{
     self, CrashPoint, FaultInjector, LinkCtx, PeerFailure, RankFailure, SendOutcome,
 };
-use crate::mailbox::{self, Mailbox, MatchPattern, RecvWaitError};
+use crate::mailbox::{self, Mailbox, MatchPattern};
 use crate::nic::NicCounters;
 use crate::pml::{LocalHookHandle, LocalHooks, LocalPmlHook, PmlEvent, PmlHook};
 use crate::sched::{clamp_choice, Decision, PolicyHandle};
@@ -702,29 +702,27 @@ fn wait_for_admission(
     if let Some(exec) = &shared.exec {
         mb.set_parker(exec.parker(world_rank));
     }
-    let admit = MatchPattern {
-        comm_id: fault::FAULT_COMM,
-        ctx: Ctx::Fault,
-        src: mailbox::SrcSel::Any,
-        tag: TagSel::Is(fault::FAULT_TAG_ADMIT),
-    };
-    let retire = MatchPattern {
-        comm_id: fault::FAULT_COMM,
-        ctx: Ctx::Fault,
-        src: mailbox::SrcSel::Any,
-        tag: TagSel::Is(fault::FAULT_TAG_RETIRE),
-    };
-    match mb.recv_either(&admit, &retire, shared.cfg.deadline) {
-        Ok((env, true)) => {
+    let admit = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
+    let retire = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_RETIRE);
+    match mb.recv_first(&[&admit, &retire]) {
+        Ok((env, 0)) => {
             let (comm, incs) = decode_admission(&env.payload, world_rank);
             Some((comm, env.arrival_ns, incs, mb.drain_unexpected()))
         }
-        Ok((_, false)) => None,
+        Ok(_) => None,
         Err(e) => panic!(
             "latent rank {world_rank}: neither admitted nor retired before the deadline \
              ({e:?}); an elastic run must admit or retire every latent slot"
         ),
     }
+}
+
+/// The one fault-protocol receive pattern: control notices travel on the
+/// reserved communicator and context, and every receiver names the notice
+/// it waits for by tag — a wildcard tag would consume a queued notice of
+/// another kind as if it were the awaited one.
+fn fault_pat(src: mailbox::SrcSel, tag: u32) -> MatchPattern {
+    MatchPattern { comm_id: fault::FAULT_COMM, ctx: Ctx::Fault, src, tag: TagSel::Is(tag) }
 }
 
 /// Derive a grown communicator's identity: like `comm_shrink`'s id fold but
@@ -826,14 +824,6 @@ impl std::fmt::Display for StaleEpoch {
             self.comm_epoch, self.current_epoch
         )
     }
-}
-
-/// One fault-protocol message, as seen by the failure detector.
-enum FaultMsg {
-    /// The peer answered a liveness ping.
-    Ping,
-    /// The peer's death notice (carrying its time of death).
-    Death { at_ns: f64 },
 }
 
 /// Per-rank handle: the owning thread's view of the job.
@@ -1228,28 +1218,15 @@ impl Rank {
         let _ = self.shared.post(dst_world, env);
     }
 
-    /// Receive one fault-protocol message from a specific peer: its
-    /// liveness ping, or its death notice.  Death notices from superseded
-    /// incarnations (the peer has since been reborn) are swallowed.
-    fn fault_recv(&self, src_world: usize) -> FaultMsg {
-        let pat = MatchPattern {
-            comm_id: fault::FAULT_COMM,
-            ctx: Ctx::Fault,
-            src: mailbox::SrcSel::World(src_world),
-            tag: TagSel::Any,
-        };
-        loop {
-            let env = self.mailbox.borrow_mut().recv_match(&pat);
-            if env.tag == fault::FAULT_TAG_DEATH {
-                if env.src_inc < self.peer_incarnation_of(src_world) {
-                    continue;
-                }
-                self.clock.advance_to(env.arrival_ns);
-                return FaultMsg::Death { at_ns: env.sent_at_ns };
-            }
-            self.clock.advance_to(env.arrival_ns);
-            return FaultMsg::Ping;
-        }
+    /// Wait for one liveness verdict from a specific peer: its ping, or its
+    /// death notice — the ping-or-death projection of
+    /// [`Rank::wait_data_or_death`].  Control traffic pays no receive
+    /// overhead and leaves no trace event.
+    fn fault_recv(&self, src_world: usize) -> Result<(), PeerFailure> {
+        let ping = fault_pat(mailbox::SrcSel::World(src_world), fault::FAULT_TAG_PING);
+        let (env, _) = self.wait_data_or_death(&ping, src_world)?;
+        self.clock.advance_to(env.arrival_ns);
+        Ok(())
     }
 
     /// The newest incarnation this rank knows for a peer (0 until a join or
@@ -1291,12 +1268,7 @@ impl Rank {
     /// Panics (deadlock detector) when no join notice arrives within the
     /// configured deadline.
     pub fn await_rejoin(&self, world: usize) -> u32 {
-        let pat = MatchPattern {
-            comm_id: fault::FAULT_COMM,
-            ctx: Ctx::Fault,
-            src: mailbox::SrcSel::World(world),
-            tag: TagSel::Is(fault::FAULT_TAG_JOIN),
-        };
+        let pat = fault_pat(mailbox::SrcSel::World(world), fault::FAULT_TAG_JOIN);
         let env = self.mailbox.borrow_mut().recv_match(&pat);
         self.clock.advance_to(env.arrival_ns);
         let inc = decode_incarnation(&env.payload);
@@ -1312,12 +1284,7 @@ impl Rank {
     /// admission is consumed before the rank body even runs (its result is
     /// [`Rank::join_comm`]).
     pub fn recv_admission(&self) -> Comm {
-        let pat = MatchPattern {
-            comm_id: fault::FAULT_COMM,
-            ctx: Ctx::Fault,
-            src: mailbox::SrcSel::Any,
-            tag: TagSel::Is(fault::FAULT_TAG_ADMIT),
-        };
+        let pat = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
         let env = self.mailbox.borrow_mut().recv_match(&pat);
         self.clock.advance_to(env.arrival_ns);
         let (comm, incs) = decode_admission(&env.payload, self.world_rank);
@@ -1665,13 +1632,7 @@ impl Rank {
 
     /// Blocking typed receive.
     pub fn recv<T: Scalar>(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> (Vec<T>, Status) {
-        let env = self.wire_recv(comm, src, tag, Ctx::Pt2pt);
-        let status = Status {
-            src: comm.rank_of_world(env.src_world).expect("sender not in communicator"),
-            tag: env.tag,
-            bytes: env.payload.len_bytes(),
-        };
-        (T::from_bytes(&env.payload.expect_bytes()), status)
+        typed(comm, self.wire_recv(comm, src, tag, Ctx::Pt2pt))
     }
 
     /// Epoch-checked send: like [`Rank::send`], but deterministically
@@ -1704,12 +1665,7 @@ impl Rank {
 
     /// Receive a synthetic message; returns its status.
     pub fn recv_synthetic(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> Status {
-        let env = self.wire_recv(comm, src, tag, Ctx::Pt2pt);
-        Status {
-            src: comm.rank_of_world(env.src_world).expect("sender not in communicator"),
-            tag: env.tag,
-            bytes: env.payload.len_bytes(),
-        }
+        status_of(comm, &self.wire_recv(comm, src, tag, Ctx::Pt2pt))
     }
 
     /// Combined send + receive (safe under the eager-send model).
@@ -1728,37 +1684,6 @@ impl Rank {
 
     // ----- recoverable point-to-point ----------------------------------------
 
-    /// Fallible blocking receive from a specific peer: returns an error
-    /// instead of panicking when `deadline` expires or every sender is
-    /// gone.  The virtual clock is untouched on the error path.
-    pub fn try_recv_deadline<T: Scalar>(
-        &self,
-        comm: &Comm,
-        src: usize,
-        tag: u32,
-        deadline: Duration,
-    ) -> Result<(Vec<T>, Status), RecvWaitError> {
-        self.pre_op();
-        let src_world = comm.world_rank_of(src);
-        let pat = MatchPattern {
-            comm_id: comm.id(),
-            ctx: Ctx::Pt2pt,
-            src: mailbox::SrcSel::World(src_world),
-            tag: TagSel::Is(tag),
-        };
-        let res = {
-            let mut mb = self.mailbox.borrow_mut();
-            mb.try_recv_deadline(&pat, deadline).map(|env| {
-                let depth = mb.unexpected_len();
-                (env, depth)
-            })
-        };
-        let (env, depth) = res?;
-        let env = self.finish_recv(env, depth);
-        let status = Status { src, tag: env.tag, bytes: env.payload.len_bytes() };
-        Ok((T::from_bytes(&env.payload.expect_bytes()), status))
-    }
-
     /// Blocking receive from a specific peer that degrades into an error
     /// when the peer crashed: waits for the data *or* the peer's death
     /// notice, whichever the per-sender FIFO delivers first.  Data the
@@ -1774,75 +1699,76 @@ impl Rank {
         src: usize,
         tag: u32,
     ) -> Result<(Vec<T>, Status), PeerFailure> {
+        self.recv_or_death(comm, src, tag, Ctx::Pt2pt).map(|env| typed(comm, env))
+    }
+
+    /// The envelope-level receive under [`Rank::recv_or_failure`] (`Pt2pt`)
+    /// and the failure-aware tree gather (`Coll`): the wire-op prologue; a
+    /// peer already known dead can only have pre-crash data left in the
+    /// queue, so finding none is the failure; otherwise the data-or-death
+    /// wait; then the usual receive epilogue.
+    pub(crate) fn recv_or_death(
+        &self,
+        comm: &Comm,
+        src: usize,
+        tag: u32,
+        ctx: Ctx,
+    ) -> Result<Envelope, PeerFailure> {
         self.pre_op();
         let src_world = comm.world_rank_of(src);
-        let data_pat = MatchPattern {
+        let data = MatchPattern {
             comm_id: comm.id(),
-            ctx: Ctx::Pt2pt,
+            ctx,
             src: mailbox::SrcSel::World(src_world),
             tag: TagSel::Is(tag),
         };
-        // A peer already known dead can still have pre-crash data queued.
         let known_dead = self.failed_peers.borrow().get(&src_world).copied();
         if let Some(at_ns) = known_dead {
-            let leftover = {
-                let mut mb = self.mailbox.borrow_mut();
-                if mb.iprobe(&data_pat) {
-                    let env = mb.recv_match(&data_pat); // queued: returns at once
-                    let depth = mb.unexpected_len();
-                    Some((env, depth))
-                } else {
-                    None
-                }
-            };
-            return match leftover {
-                Some((env, depth)) => {
-                    let env = self.finish_recv(env, depth);
-                    let status = Status { src, tag: env.tag, bytes: env.payload.len_bytes() };
-                    Ok((T::from_bytes(&env.payload.expect_bytes()), status))
-                }
-                None => Err(PeerFailure { world: src_world, at_ns }),
-            };
-        }
-        let death_pat = MatchPattern {
-            comm_id: fault::FAULT_COMM,
-            ctx: Ctx::Fault,
-            src: mailbox::SrcSel::World(src_world),
-            tag: TagSel::Is(fault::FAULT_TAG_DEATH),
-        };
-        loop {
-            let res = {
-                let mut mb = self.mailbox.borrow_mut();
-                mb.recv_either(&data_pat, &death_pat, self.shared.cfg.deadline).map(
-                    |(env, is_data)| {
-                        let depth = mb.unexpected_len();
-                        (env, is_data, depth)
-                    },
-                )
-            };
-            match res {
-                Ok((env, true, depth)) => {
-                    let env = self.finish_recv(env, depth);
-                    let status = Status { src, tag: env.tag, bytes: env.payload.len_bytes() };
-                    return Ok((T::from_bytes(&env.payload.expect_bytes()), status));
-                }
-                Ok((env, false, _)) => {
-                    // A death notice from a superseded incarnation is stale:
-                    // the peer has since been reborn (this rank learned the
-                    // newer incarnation from a join or admission notice).
-                    // Swallow it and keep waiting for live traffic.
-                    if env.src_inc < self.peer_incarnation_of(src_world) {
-                        continue;
-                    }
-                    self.failed_peers.borrow_mut().insert(src_world, env.sent_at_ns);
-                    self.clock.advance_to(env.arrival_ns);
-                    return Err(PeerFailure { world: src_world, at_ns: env.sent_at_ns });
-                }
-                Err(e) => panic!(
-                    "recv_or_failure: neither data nor a death notice from world rank \
-                     {src_world} ({e:?}) while waiting for {data_pat:?}"
-                ),
+            if !self.mailbox.borrow_mut().iprobe(&data) {
+                return Err(PeerFailure { world: src_world, at_ns });
             }
+            // Leftover pre-crash data is queued: the wait returns at once.
+        }
+        let (env, depth) = self.wait_data_or_death(&data, src_world)?;
+        Ok(self.finish_recv(env, depth))
+    }
+
+    /// The one failure-aware wait: block until `data` arrives from
+    /// `src_world` or that peer's death notice does.  A death notice from a
+    /// superseded incarnation is stale — the peer has since been reborn
+    /// (this rank learned the newer incarnation from a join or admission
+    /// notice) — and is swallowed; a current one is remembered, advances
+    /// the clock to its arrival and becomes the error.  Data is returned
+    /// with the unexpected-queue depth, the clock untouched.
+    ///
+    /// # Panics
+    /// Panics (deadlock detector) when neither arrives within the deadline.
+    fn wait_data_or_death(
+        &self,
+        data: &MatchPattern,
+        src_world: usize,
+    ) -> Result<(Envelope, usize), PeerFailure> {
+        let death = fault_pat(mailbox::SrcSel::World(src_world), fault::FAULT_TAG_DEATH);
+        loop {
+            let (env, which, depth) = {
+                let mut mb = self.mailbox.borrow_mut();
+                match mb.recv_first(&[data, &death]) {
+                    Ok((env, which)) => (env, which, mb.unexpected_len()),
+                    Err(e) => panic!(
+                        "neither data nor a death notice from world rank {src_world} ({e:?}) \
+                         while waiting for {data:?}"
+                    ),
+                }
+            };
+            if which == 0 {
+                return Ok((env, depth));
+            }
+            if env.src_inc < self.peer_incarnation_of(src_world) {
+                continue;
+            }
+            self.failed_peers.borrow_mut().insert(src_world, env.sent_at_ns);
+            self.clock.advance_to(env.arrival_ns);
+            return Err(PeerFailure { world: src_world, at_ns: env.sent_at_ns });
         }
     }
 
@@ -1874,11 +1800,7 @@ impl Rank {
             if r == me || !*a {
                 continue;
             }
-            let w = comm.world_rank_of(r);
-            if let FaultMsg::Death { at_ns } = self.fault_recv(w) {
-                self.failed_peers.borrow_mut().insert(w, at_ns);
-                *a = false;
-            }
+            *a = self.fault_recv(comm.world_rank_of(r)).is_ok();
         }
         alive
     }
@@ -1946,11 +1868,6 @@ impl Rank {
         grown
     }
 
-    /// The configured deadlock-detector deadline (for fallible receives).
-    pub fn recv_deadline(&self) -> Duration {
-        self.shared.cfg.deadline
-    }
-
     /// Retransmissions this rank issued (0 without an injector).
     pub fn retry_count(&self) -> u64 {
         self.retries.get()
@@ -2006,6 +1923,11 @@ impl Rank {
     /// monitoring plane to aggregate sparse traffic rows along the machine
     /// topology instead of funnelling every row through the root's mailbox.
     ///
+    /// # Errors
+    /// At the root, the listed ranks whose frame did not arrive because
+    /// they, or a rank on their path to the root, died mid-gather (see
+    /// [`collectives::gather_tree_kary`]).
+    ///
     /// # Panics
     /// Panics when `arity < 2` — validated *here*, before the collective
     /// allocates its tag or opens its span, so a bad arity fails every rank
@@ -2018,7 +1940,7 @@ impl Rank {
         arity: usize,
         order: &[usize],
         data: &[u64],
-    ) -> Option<Vec<Vec<u64>>> {
+    ) -> Result<Option<Vec<Vec<u64>>>, Vec<usize>> {
         assert!(
             arity >= 2,
             "gather_tree: arity must be at least 2, got {arity} (rank {}); every caller \
@@ -2113,6 +2035,22 @@ impl Rank {
     pub fn comm_dup(&self, comm: &Comm) -> Comm {
         self.comm_split(comm, 0, comm.rank() as i64)
     }
+}
+
+/// Completion status of a received envelope, its sender as a rank of `comm`.
+fn status_of(comm: &Comm, env: &Envelope) -> Status {
+    Status {
+        src: comm.rank_of_world(env.src_world).expect("sender not in communicator"),
+        tag: env.tag,
+        bytes: env.payload.len_bytes(),
+    }
+}
+
+/// The one typed completion: decode a received envelope's payload and
+/// pair it with its [`Status`].
+fn typed<T: Scalar>(comm: &Comm, env: Envelope) -> (Vec<T>, Status) {
+    let status = status_of(comm, &env);
+    (T::from_bytes(&env.payload.expect_bytes()), status)
 }
 
 /// RAII guard of an open collective span (see [`Rank::coll_span`]).
@@ -2523,6 +2461,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn liveness_ping_wait_leaves_control_notices_queued() {
+        // A JOIN notice queued ahead of the ping must not be consumed as
+        // the ping: the survivor's later `await_rejoin` still finds it.
+        let u = small_universe(2);
+        let incs = u.launch(|rank| {
+            let world = rank.comm_world();
+            if rank.world_rank() == 1 {
+                rank.announce_rejoin();
+            }
+            assert_eq!(rank.liveness_exchange(&world), vec![true, true]);
+            if rank.world_rank() == 0 {
+                rank.await_rejoin(1)
+            } else {
+                0
+            }
+        });
+        assert_eq!(incs, vec![0, 0]);
     }
 
     #[test]

@@ -268,6 +268,57 @@ fn comm_shrink_while_peers_are_parked() {
     }
 }
 
+/// A listed interior rank dies before its first gather operation: the root
+/// gets the incomplete-gather error naming that rank and its subtree, every
+/// other rank returns, no wait sleeps out the wall-clock deadline, and the
+/// outcome (results and final clocks) is the same on both engines and on
+/// every run.
+#[test]
+fn tree_gather_reports_a_dead_interior_rank_on_the_virtual_clock() {
+    #[derive(Debug)]
+    struct CrashRank1AtOnce;
+    impl mim_mpisim::FaultInjector for CrashRank1AtOnce {
+        fn on_attempt(
+            &self,
+            _link: &mim_mpisim::LinkCtx,
+            _attempt: u32,
+        ) -> mim_mpisim::SendOutcome {
+            mim_mpisim::SendOutcome::CLEAN
+        }
+        fn crash_point(&self, world: usize) -> Option<mim_mpisim::CrashPoint> {
+            (world == 1).then_some(mim_mpisim::CrashPoint::OpCount(0))
+        }
+    }
+    let run = |kind: ExecutorKind| {
+        let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(7));
+        cfg.executor = kind;
+        cfg.injector = Some(Arc::new(CrashRank1AtOnce));
+        let deadline = cfg.deadline;
+        let wall = std::time::Instant::now();
+        let results = Universe::new(cfg).launch_faulty(|rank| {
+            let world = rank.comm_world();
+            // Binary heap over 0..7: rank 1 is interior, 3 and 4 its subtree.
+            let order: Vec<usize> = (0..7).collect();
+            let rows = rank.gather_tree(&world, 0, 2, &order, &[world.rank() as u64]);
+            (rows, rank.now_ns().to_bits())
+        });
+        assert!(wall.elapsed() < deadline, "{kind:?}: a wait slept out the deadline");
+        results
+    };
+    let reference = run(ExecutorKind::Threads);
+    for (w, r) in reference.iter().enumerate() {
+        match (w, r) {
+            (0, Ok((rows, _))) => assert_eq!(rows, &Err(vec![1, 3, 4])),
+            (1, r) => assert!(matches!(r, Err(mim_mpisim::RankFailure::Crashed { ops: 0, .. }))),
+            (_, Ok((rows, _))) => assert_eq!(rows, &Ok(None), "rank {w} is not the root"),
+            (_, Err(f)) => panic!("rank {w} should have returned: {f}"),
+        }
+    }
+    for kind in [ExecutorKind::Threads, ExecutorKind::Tasks, ExecutorKind::Tasks] {
+        assert_eq!(run(kind), reference, "{kind:?} diverged from the first threads run");
+    }
+}
+
 /// The starvation watchdog: a rank that burns its worker without a single
 /// scheduler interaction, while a peer waits parked, must abort the whole
 /// process with exit code 107 and a "starvation" diagnostic (a fiber cannot

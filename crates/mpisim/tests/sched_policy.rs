@@ -16,7 +16,10 @@ use mim_topology::{Machine, Placement};
 use mim_util::props;
 use mim_util::rng::Rng;
 
-/// Scripted test policy: fixed choices (canonical 0 past the script), every
+/// Scripted test policy: the script answers the *wildcard* decisions in
+/// order (canonical 0 past its end and for every other kind — under the
+/// task engine resume decisions precede the first wildcard one, so a
+/// script addressed by position would spend its entries on them), every
 /// decision recorded.
 #[derive(Debug, Default)]
 struct Scripted {
@@ -33,9 +36,13 @@ impl Scripted {
 
 impl SchedulePolicy for Scripted {
     fn choose(&self, decision: Decision<'_>) -> usize {
-        let mut at = self.at.lock().unwrap();
-        let pick = self.script.get(*at).copied().unwrap_or(0);
-        *at += 1;
+        let pick = if decision.kind_code() == 'w' {
+            let mut at = self.at.lock().unwrap();
+            *at += 1;
+            self.script.get(*at - 1).copied().unwrap_or(0)
+        } else {
+            0
+        };
         let _ = write!(
             self.log.lock().unwrap(),
             "{}:{}/{};",

@@ -203,8 +203,9 @@ pub enum ReorderFallback {
     /// The full reordering went through: every rank alive, mapping computed.
     None,
     /// The gather or the mapping failed; the loop fell back to the identity
-    /// permutation (the optimized communicator equals the working one).
-    /// Carries the reason — on non-root ranks a generic marker, since only
+    /// permutation (the optimized communicator equals the working one —
+    /// shrunk when a rank died inside the gather; see
+    /// [`ResilientOutcome::alive`]).  Carries the reason — on non-root ranks a generic marker, since only
     /// the root observes the failure.
     Identity(String),
     /// Ranks crashed: reordering proceeded ULFM-style on the shrunk
@@ -259,11 +260,13 @@ fn mapping_or_identity(
 ///
 /// After the monitored section the survivors agree on a liveness bitmap
 /// (`Rank::liveness_exchange`), gather the matrices *partially* — dead
-/// ranks' rows zeroed, flagged in `GatheredData::liveness` — and, when
-/// anyone died, shrink the communicator ULFM-style (`Rank::comm_shrink`)
-/// before computing the mapping over the surviving submatrix.  A gather or
-/// TreeMatch failure demotes the permutation to identity instead of
-/// panicking.  The returned communicator is always usable.
+/// ranks' rows zeroed, flagged in `GatheredData::liveness` — agree once
+/// more (a rank that died inside the gather fails it at the root and must
+/// not be a member of what follows) and, when anyone died, shrink the
+/// communicator ULFM-style (`Rank::comm_shrink`) before computing the
+/// mapping over the surviving submatrix.  A gather or TreeMatch failure
+/// demotes the permutation to identity instead of panicking.  The returned
+/// communicator is always usable.
 ///
 /// The `monitored` closure must itself be fault-aware when running under
 /// fault injection (use `Rank::recv_or_failure` rather than plain `recv`),
@@ -284,15 +287,17 @@ pub fn monitored_reorder_resilient(
     mon.suspend(id).expect("suspend monitoring session");
     let t0 = rank.now_ns();
 
-    let alive = rank.liveness_exchange(comm);
-    let crashed: Vec<usize> = (0..comm.size()).filter(|&r| !alive[r]).collect();
-
     // Partial gather on the ORIGINAL communicator (its member list still
     // names the dead, which is exactly what the liveness bitmap indexes).
-    let (gathered, root_why) = match mon.rootgather_partial(rank, id, 0, flags, &alive) {
-        Ok(g) => (g, None),
-        Err(e) => (None, Some(format!("partial gather failed: {e}"))),
-    };
+    let listed = rank.liveness_exchange(comm);
+    let gathered = mon
+        .rootgather_partial(rank, id, 0, flags, &listed)
+        .map_err(|e| format!("partial gather failed: {e}"));
+    // A listed rank can still die inside the gather — the root then holds
+    // the error, everyone else nothing — so the survivors agree once more:
+    // the tail below must never run over a dead member.
+    let alive = rank.liveness_exchange(comm);
+    let crashed: Vec<usize> = (0..comm.size()).filter(|&r| !alive[r]).collect();
 
     let work = if crashed.is_empty() { comm.clone() } else { rank.comm_shrink(comm, &alive) };
     let m = work.size();
@@ -302,8 +307,8 @@ pub fn monitored_reorder_resilient(
     // `k` so every survivor learns how the loop degraded.
     let mut why = None;
     let (opt_comm, k, flag) = map_and_split(rank, &work, || {
-        let (k, fail) = match (&gathered, root_why) {
-            (Some(data), None) => {
+        let (k, fail) = match &gathered {
+            Ok(Some(data)) => {
                 let live: Vec<usize> = (0..comm.size()).filter(|&r| alive[r]).collect();
                 let mut sub = CommMatrix::zeros(m);
                 for a in 0..m {
@@ -313,24 +318,25 @@ pub fn monitored_reorder_resilient(
                 }
                 mapping_or_identity(rank.machine(), rank.placement(), work.group(), &sub)
             }
-            (_, w) => ((0..m).collect(), Some(w.unwrap_or_else(|| "no matrix at root".into()))),
+            Ok(None) => ((0..m).collect(), Some("no matrix at root".into())),
+            Err(why) => ((0..m).collect(), Some(why.clone())),
         };
         rank.compute_ns(MAPPING_CHARGE_PER_PAIR_NS * (m * m) as f64);
         let flag = vec![u64::from(fail.is_some())];
         why = fail;
         (k, flag)
     });
-    let identity = flag[0] == 1;
     let reorder_cost_ns = rank.now_ns() - t0;
     mon.free(id).expect("free monitoring session");
 
-    let fallback = if !crashed.is_empty() {
-        ReorderFallback::Shrunk { crashed }
-    } else if identity {
+    let fallback = if flag[0] == 1 {
         ReorderFallback::Identity(why.unwrap_or_else(|| "mapping failed on root".into()))
+    } else if !crashed.is_empty() {
+        ReorderFallback::Shrunk { crashed }
     } else {
         ReorderFallback::None
     };
+    let gathered = gathered.ok().flatten();
     ResilientOutcome { comm: opt_comm, k, alive, reorder_cost_ns, fallback, gathered }
 }
 
@@ -610,6 +616,59 @@ mod tests {
             assert_eq!(outcome.k, strict.k, "fault-free resilient k must equal the strict k");
             mon.finalize(rank).unwrap();
         });
+    }
+
+    #[test]
+    fn rank_dying_inside_the_gather_demotes_to_identity() {
+        use mim_mpisim::{CrashPoint, ExecutorKind, FaultInjector, LinkCtx, SendOutcome};
+
+        /// Rank 5 answers the liveness pings, then dies at its first wire
+        /// operation of the gather: `start`'s barrier (a send and a receive
+        /// per dissemination round) and the exchange's one op come first.
+        #[derive(Debug)]
+        struct DieInGather;
+        impl FaultInjector for DieInGather {
+            fn on_attempt(&self, _link: &LinkCtx, _attempt: u32) -> SendOutcome {
+                SendOutcome::CLEAN
+            }
+            fn crash_point(&self, world: usize) -> Option<CrashPoint> {
+                (world == 5).then_some(CrashPoint::OpCount(2 * 3 + 1))
+            }
+        }
+
+        for kind in [ExecutorKind::Threads, ExecutorKind::Tasks] {
+            let machine = Machine::cluster(2, 1, 8);
+            let cfg = UniverseConfig::new(machine, Placement::packed(8))
+                .with_executor(kind)
+                .with_injector(std::sync::Arc::new(DieInGather));
+            let deadline = cfg.deadline;
+            let wall = Instant::now();
+            let results = Universe::new(cfg).launch_faulty(|rank| {
+                let world = rank.comm_world();
+                let mon = Monitoring::init(rank).unwrap();
+                let out = monitored_reorder_resilient(rank, &mon, &world, Flags::P2P_ONLY, |_| {});
+                // The communicator is usable: the seven survivors reduce on it.
+                let sum = rank.allreduce(&out.comm, &[rank.world_rank() as u64], |a, b| a + b)[0];
+                mon.finalize(rank).unwrap();
+                (out.fallback, out.alive, out.k, out.comm.size(), sum)
+            });
+            assert!(wall.elapsed() < deadline, "{kind:?}: a wait slept out the deadline");
+            for (w, r) in results.iter().enumerate() {
+                if w == 5 {
+                    assert!(matches!(r, Err(mim_mpisim::RankFailure::Crashed { ops: 7, .. })));
+                    continue;
+                }
+                let (fallback, alive, k, size, sum) = r.as_ref().expect("survivor");
+                let ReorderFallback::Identity(why) = fallback else {
+                    panic!("{kind:?} rank {w}: expected the identity fallback, got {fallback:?}");
+                };
+                if w == 0 {
+                    assert!(why.contains("incomplete gather"), "unexpected reason: {why}");
+                }
+                assert_eq!(alive, &(0..8).map(|r| r != 5).collect::<Vec<_>>());
+                assert_eq!((k, *size, *sum), (&(0..7).collect::<Vec<_>>(), 7, 28 - 5));
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod imp {
 
     /// Smallest stack a fiber will be given, regardless of the requested
     /// size.  Deep enough for the entry shim plus a panic unwind.
-    pub const MIN_STACK: usize = 16 * 1024;
+    pub const MIN_STACK: usize = 64 * 1024;
 
     /// Sentinel written at the low end of every fiber stack and checked on
     /// each suspension; an overflowing fiber fails loudly instead of
@@ -259,7 +259,7 @@ mod imp {
     pub const SUPPORTED: bool = false;
 
     /// Smallest stack a fiber will be given (unused on this target).
-    pub const MIN_STACK: usize = 16 * 1024;
+    pub const MIN_STACK: usize = 64 * 1024;
 
     /// Why [`Fiber::resume`] returned.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

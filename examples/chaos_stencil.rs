@@ -1,5 +1,5 @@
 //! Crash-surviving stencil under deterministic fault injection: the chaos
-//! CI gate's workload (`scripts/check_chaos.py`).
+//! CI gate's workload (`scripts/check_replay.py chaos`).
 //!
 //! 8 ranks run a 1-D halo-exchange stencil inside the self-healing reorder
 //! loop (`monitored_reorder_resilient`).  The installed [`FaultPlan`] drops

@@ -1,5 +1,5 @@
 //! Rolling restart + elastic scale-out under chaos: the elastic CI gate's
-//! workload (`scripts/check_elastic.py`).
+//! workload (`scripts/check_replay.py elastic`).
 //!
 //! 8 ranks run a monitored 1-D stencil; a latent 9th slot waits, parked,
 //! for admission.  The installed [`FaultPlan`] perturbs link latency and

@@ -1,0 +1,210 @@
+#!/usr/bin/env python3
+"""CI replay gates: fixed-seed runs must replay byte-for-byte.
+
+One harness, three gates.  Each runs its examples under a fixed
+``MIM_CHAOS_SEED`` with ``MIM_TRACE`` pointed at a fresh JSONL file per
+run, and requires that every run exits 0 (the examples assert their own
+protocol contracts), that stdout is byte-identical across all runs of an
+example, that the listed pairs of trace dumps are identical after
+*normalization* (below), plus the gate's own stdout markers and
+event-count checks, and a clean ``check_trace.py`` pass where listed.
+
+``chaos``     ``chaos_stencil`` twice: 8-rank halo exchange inside the
+              self-healing reorder loop; the plan drops/duplicates wire
+              transmissions and crashes rank 3 at its 18th wire operation.
+              Pins crash detection, seven survivors, shrink-and-remap.
+``executor``  ``quickstart`` and ``chaos_stencil`` once per engine
+              (``MIM_EXECUTOR=threads`` / ``tasks``): the simulated
+              application cannot tell which engine ran it.  Under the task
+              engine the retry timers, duplicate deliveries and scheduled
+              crash all fire against *parked tasks*, so this pins the whole
+              park/unpark protocol, not just the happy path.
+``elastic``   ``elastic_stencil`` twice per engine: rolling restart of
+              rank 3, readmission, a latent slot joining, a 9-rank window
+              matrix.  Per-engine replay AND threads-vs-tasks agreement.
+
+Normalization, and why it is honest: threads append to the shared trace
+file as they go, so lines from different ranks interleave in wall-clock
+order — sorting restores a canonical order without touching content.
+``tid`` is the tracer's registration index, assigned in whatever order
+the rank threads start; each workload runs a single universe, so track
+*names* already identify ranks uniquely and ``tid`` is zeroed.  The
+``recv`` event's ``uq`` field reports how many envelopes happened to
+sit in the unexpected queue when the match landed, a function of OS
+scheduling even between two fault-free runs, so it is zeroed too.  Every
+virtual-time field — timestamps, retry counts and backoffs, payload
+sizes, crash op counts, epochs, incarnations, per-track sequence numbers
+— is compared exactly.
+
+Usage: check_replay.py chaos    path/to/chaos_stencil [seed]
+       check_replay.py executor path/to/quickstart path/to/chaos_stencil [seed]
+       check_replay.py elastic  path/to/elastic_stencil [seed]
+"""
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+SEED = "42"
+T1, T2, K1, K2 = ("threads", 1), ("threads", 2), ("tasks", 1), ("tasks", 2)
+
+# Per gate: how many example paths it takes; the run matrix as
+# (MIM_EXECUTOR or None = inherit, repetition); which pairs of runs must
+# leave identical normalized traces; stdout markers (checked on the first
+# run); event-count checks on the first run's trace as
+# (what, needle, min, max or None); whether check_trace.py lints every
+# dump; and the closing line.
+GATES = {
+    "chaos": dict(
+        examples=1,
+        runs=[(None, 1), (None, 2)],
+        same_trace=[((None, 1), (None, 2))],
+        markers=[
+            "rank 3: DEAD",
+            "survivors: 7/8",
+            "recovered by shrink-and-remap; all checks passed",
+        ],
+        events=[
+            # A 10% drop plan must retry.
+            ("retry", '"type":"retry"', 1, None),
+            ("rank_crash", '"type":"rank_crash"', 1, 1),
+        ],
+        lint=True,
+        ok="seed {seed} replayed byte-identically; {events} trace events, "
+        "crash + shrink-and-remap verified twice",
+    ),
+    "executor": dict(
+        examples=2,
+        runs=[T1, K1],
+        same_trace=[(T1, K1)],
+        markers=[],
+        events=[],
+        lint=False,
+        ok="threads and tasks engines byte-identical on {names} "
+        "[{events} events], seed {seed}",
+    ),
+    "elastic": dict(
+        examples=1,
+        runs=[T1, T2, K1, K2],
+        same_trace=[(T1, T2), (K1, K2), (T1, K1)],
+        markers=[
+            "slot 3: reborn inc=1",
+            "slot 8: joiner",
+            "stale_send=[epoch 2 rejected at 3]",
+            "scale-out to 9 ranks converged; all checks passed",
+        ],
+        events=[
+            ("rank_crash", '"type":"rank_crash"', 1, 1),
+            ("rebirth join", '"type":"rank_join","incarnation":1', 1, 1),
+            ("latent-admission join", '"type":"rank_join","incarnation":0', 1, 1),
+            # 7 survivors x (shrink + grow) + 8 members x scale-out grow;
+            # the reborn and latent ranks receive their epochs by admission
+            # notice, which does not re-record the bump.
+            ("epoch_bump", '"type":"epoch_bump"', 3, None),
+        ],
+        lint=True,
+        ok="seed {seed} replayed byte-identically on both executors; {events} trace "
+        "events, restart + rejoin + scale-out verified 4x",
+    ),
+}
+
+
+def normalize(trace_path):
+    with open(trace_path) as f:
+        lines = [
+            re.sub(r'"tid":\d+', '"tid":0', re.sub(r'"uq":\d+', '"uq":0', ln))
+            for ln in f
+            if ln.strip()
+        ]
+    return sorted(lines)
+
+
+def run_once(example, engine, seed, trace_path, problems):
+    env = dict(os.environ, MIM_CHAOS_SEED=seed, MIM_TRACE=trace_path)
+    if engine:
+        env["MIM_EXECUTOR"] = engine
+    env.pop("MIM_CHAOS_PLAN", None)  # the gates check the built-in plans
+    r = subprocess.run([example], capture_output=True, text=True, env=env, check=False)
+    name = os.path.basename(example)
+    if r.returncode != 0:
+        problems.append(
+            f"{name} (seed {seed}, {engine or 'default engine'}) exited {r.returncode}:\n"
+            f"{r.stdout}{r.stderr}"
+        )
+    if engine == "tasks" and "using threads" in r.stderr:
+        problems.append(f"{name}: task engine silently fell back to threads:\n{r.stderr}")
+    if not os.path.exists(trace_path):
+        problems.append(f"{name} ({engine or 'default engine'}) produced no trace file")
+    return r.stdout
+
+
+def check_example(gate, example, seed, tmp, problems):
+    """Run one example through the gate's matrix; returns its event count."""
+    name = os.path.basename(example)
+    here = os.path.dirname(os.path.abspath(__file__))
+    first = gate["runs"][0]
+    traces = {
+        run: os.path.join(tmp, f"{name}.{run[0] or 'run'}{run[1]}.jsonl") for run in gate["runs"]
+    }
+    before = len(problems)
+    outs = {run: run_once(example, run[0], seed, traces[run], problems) for run in gate["runs"]}
+    if len(problems) > before:
+        return 0  # the example failed; replay checks would only add noise
+    for marker in gate["markers"]:
+        if marker not in outs[first]:
+            problems.append(f"{name}: stdout is missing {marker!r}")
+    for run in gate["runs"][1:]:
+        if outs[run] != outs[first]:
+            problems.append(f"{name}: stdout of {run} diverged from {first} (seed {seed})")
+    norms = {run: normalize(t) for run, t in traces.items()}
+    for a, b in gate["same_trace"]:
+        if norms[a] != norms[b]:
+            diff = sum(x != y for x, y in zip(norms[a], norms[b]))
+            diff += abs(len(norms[a]) - len(norms[b]))
+            problems.append(
+                f"{name}: normalized traces diverged between {a} and {b} "
+                f"({len(norms[a])} vs {len(norms[b])} lines, {diff} differing)"
+            )
+    for what, needle, lo, hi in gate["events"]:
+        count = sum(needle in ln for ln in norms[first])
+        if count < lo or (hi is not None and count > hi):
+            want = f"exactly {lo}" if hi == lo else f"at least {lo}"
+            problems.append(f"{name}: trace has {count} {what} events, want {want}")
+    if gate["lint"]:
+        for t in traces.values():
+            r = subprocess.run(
+                [sys.executable, os.path.join(here, "check_trace.py"), t],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+            if r.returncode != 0:
+                problems.append(f"check_trace.py rejected {t}:\n{r.stdout}{r.stderr}")
+    return len(norms[first])
+
+
+def main():
+    gate = GATES.get(sys.argv[1]) if len(sys.argv) > 1 else None
+    if gate is None or len(sys.argv) - 2 not in (gate["examples"], gate["examples"] + 1):
+        print(__doc__, file=sys.stderr)
+        return 2
+    examples = sys.argv[2 : 2 + gate["examples"]]
+    seed = sys.argv[2 + gate["examples"]] if len(sys.argv) - 2 > gate["examples"] else SEED
+    label = f"check_replay {sys.argv[1]}"
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        events = [check_example(gate, ex, seed, tmp, problems) for ex in examples]
+    if problems:
+        for p in problems:
+            print(f"  BAD  {p}", file=sys.stderr)
+        print(f"{label}: {len(problems)} problem(s)", file=sys.stderr)
+        return 1
+    names = " and ".join(os.path.basename(ex) for ex in examples)
+    counts = " / ".join(str(n) for n in events)
+    print(f"{label}: ok ({gate['ok'].format(seed=seed, names=names, events=counts)})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
