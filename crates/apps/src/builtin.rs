@@ -42,6 +42,7 @@ pub const PLANS: &[&str] = &[
     "reduce_binomial",
     "reduce_binary",
     "allgather_ring",
+    "allgather_bruck",
     "barrier_dissemination",
     "allreduce_recursive_doubling",
     "alltoall_pairwise",
@@ -76,6 +77,7 @@ pub fn built_in(name: &str, s: &Shape) -> Result<Program, String> {
         "reduce_binomial" => schedule::reduce_binomial(n, root, bytes).lower(),
         "reduce_binary" => schedule::reduce_binary(n, root, bytes).lower(),
         "allgather_ring" => schedule::allgather_ring(n, bytes).lower(),
+        "allgather_bruck" => schedule::allgather_bruck(n, bytes).lower(),
         "barrier_dissemination" => schedule::barrier_dissemination(n).lower(),
         "allreduce_recursive_doubling" => schedule::allreduce_recursive_doubling(n, bytes).lower(),
         "alltoall_pairwise" => schedule::alltoall_pairwise(n, bytes).lower(),

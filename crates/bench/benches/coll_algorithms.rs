@@ -18,6 +18,7 @@ fn main() {
         ("reduce_binomial", schedule::reduce_binomial(np, 0, bytes)),
         ("reduce_binary", schedule::reduce_binary(np, 0, bytes)),
         ("allgather_ring", schedule::allgather_ring(np, bytes / np as u64)),
+        ("allgather_bruck", schedule::allgather_bruck(np, bytes / np as u64)),
         ("allreduce_rd", schedule::allreduce_recursive_doubling(np, bytes)),
     ];
     let mut b = Bench::new("coll_algorithms");

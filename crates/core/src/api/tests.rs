@@ -1,12 +1,15 @@
 //! End-to-end tests of the monitoring API on the live runtime.
 
-use mim_mpisim::{ExecutorKind, SrcSel, TagSel, Universe, UniverseConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use mim_mpisim::{Comm, ExecutorKind, PmlEvent, Rank, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement, TopologyTree};
 use mim_util::props;
 
 use crate::error::MonError;
 use crate::flags::Flags;
-use crate::session::Msid;
+use crate::session::{MemberMapOracle, Msid};
 
 use super::GatheredWindow;
 use super::Monitoring;
@@ -510,6 +513,164 @@ props! {
                 check_liveness_projection(&machine, &placement, n, kind, &events, gather_root);
             }
         }
+    }
+}
+
+const FLAG_SETS: [Flags; 4] = [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::OSC_ONLY, Flags::ALL_COMM];
+
+/// A session and the [`MemberMapOracle`] watching the same communicator
+/// side by side: the oracle is fed from a second PML hook registered right
+/// after `start` and removed right after `suspend`, so both see exactly the
+/// same events.
+struct Watched {
+    mon: Monitoring,
+    id: Msid,
+    oracle: Rc<RefCell<MemberMapOracle>>,
+    hook: mim_mpisim::pml::LocalHookHandle,
+}
+
+impl Watched {
+    fn start(rank: &Rank, comm: &Comm) -> Self {
+        let mon = Monitoring::init(rank).unwrap();
+        let id = mon.start(rank, comm).unwrap();
+        let oracle = Rc::new(RefCell::new(MemberMapOracle::new(comm)));
+        let feed = Rc::clone(&oracle);
+        let hook = rank.add_local_hook(Rc::new(move |ev: &PmlEvent| feed.borrow_mut().record(ev)));
+        Self { mon, id, oracle, hook }
+    }
+
+    fn rebind(&self, old: &Comm, new: &Comm) {
+        self.mon.rebind_session(self.id, new).unwrap();
+        self.oracle.borrow_mut().rebind(old, new);
+    }
+
+    /// Suspend, stop the oracle, and require the session's row to equal the
+    /// oracle's under every flag selection; returns those rows.
+    fn suspend_and_compare(&self, rank: &Rank) -> Vec<(Vec<u64>, Vec<u64>)> {
+        self.mon.suspend(self.id).unwrap();
+        assert!(rank.remove_local_hook(self.hook));
+        FLAG_SETS
+            .iter()
+            .map(|&flags| {
+                let row = self.mon.get_data(self.id, flags).unwrap();
+                let want = self.oracle.borrow().row(flags);
+                assert_eq!((row.counts, row.sizes), want, "rank {} {flags:?}", rank.world_rank());
+                want
+            })
+            .collect()
+    }
+
+    fn finish(self, rank: &Rank) {
+        self.mon.free(self.id).unwrap();
+        self.mon.finalize(rank).unwrap();
+    }
+}
+
+/// Seeded traffic of all three kinds, carried by `world` whatever the
+/// session watches: matched p2p pairs, a broadcast, a one-sided put, and —
+/// where the caller holds one — an allreduce on the session's communicator.
+fn mixed_traffic(
+    rank: &Rank,
+    world: &Comm,
+    session_comm: Option<&Comm>,
+    events: &[(usize, usize, u64)],
+    root: usize,
+) {
+    let me = world.rank();
+    for &(src, dst, bytes) in events {
+        if me == src {
+            rank.send(world, dst, 7, &vec![0u8; bytes as usize]);
+        } else if me == dst {
+            rank.recv::<u8>(world, SrcSel::Rank(src), TagSel::Is(7));
+        }
+    }
+    let mut payload = if me == root { vec![3u8; 129] } else { Vec::new() };
+    rank.bcast(world, root, &mut payload);
+    let win = rank.win_create(world, vec![0u8; 64]);
+    rank.put(&win, (me + root + 1) % world.size(), 0, &[9u8; 24]);
+    rank.fence(&win);
+    rank.win_free(win);
+    if let Some(comm) = session_comm {
+        rank.allreduce(comm, &[me as u64], |a, b| a + b);
+    }
+}
+
+props! {
+    /// The communicator's shared index filters and remaps exactly like the
+    /// per-session `HashMap` it replaced: sessions on (a) world, (b) a
+    /// permuted split of world, (c) the even/odd halves with cross traffic
+    /// on world, and (d) world rebound across a shrink and a re-grow all
+    /// yield the oracle's matrices, for every flag selection.
+    fn sessions_match_the_member_map_oracle(g, cases = 6) {
+        let n = g.gen_range(4usize..13);
+        let pairs = |g: &mut mim_util::prop::Gen| -> Vec<(usize, usize, u64)> {
+            g.vec(1..20, |g| {
+                let src = g.index(n);
+                (src, (src + 1 + g.index(n - 1)) % n, g.gen_range(0u64..512))
+            })
+        };
+        let events = [pairs(g), pairs(g), pairs(g)];
+        let root = g.index(n);
+        let perm = g.permutation(n);
+        let alive: Vec<bool> = (0..n).map(|_| g.gen_bool(0.7)).collect();
+        let joiners: Vec<usize> = (0..n).filter(|&r| !alive[r] && g.any_bool()).collect();
+
+        // (a)–(c): one session per rank, matrices allgathered.
+        for scenario in 0..3 {
+            let (events, perm) = (events[0].clone(), perm.clone());
+            let reports = universe(n).launch(move |rank| {
+                let world = rank.comm_world();
+                let me = world.rank();
+                let comm = match scenario {
+                    0 => world.clone(),
+                    1 => rank.comm_split(&world, 0, perm[me] as i64),
+                    _ => rank.comm_split(&world, (me % 2) as i64, me as i64),
+                };
+                let w = Watched::start(rank, &comm);
+                mixed_traffic(rank, &world, Some(&comm), &events, root);
+                let rows = w.suspend_and_compare(rank);
+                let mats: Vec<_> = FLAG_SETS
+                    .iter()
+                    .map(|&f| w.mon.allgather_data(rank, w.id, f).unwrap())
+                    .collect();
+                w.finish(rank);
+                (comm.group().to_vec(), rows, mats)
+            });
+            for (group, _, mats) in &reports {
+                for (f, mat) in mats.iter().enumerate() {
+                    for (i, &member) in group.iter().enumerate() {
+                        let (counts, sizes) = &reports[member].1[f];
+                        assert_eq!(mat.counts.row(i), counts, "scenario {scenario} flags {f}");
+                        assert_eq!(mat.sizes.row(i), sizes, "scenario {scenario} flags {f}");
+                    }
+                }
+            }
+        }
+
+        // (d): survivors rebind to the shrunk, then to the re-grown
+        // communicator (both derived locally); the dropped ranks keep
+        // talking on world, so the sessions see traffic toward departed
+        // members, then toward re-admitted ones.
+        universe(n).launch(move |rank| {
+            let world = rank.comm_world();
+            let survivor = alive[world.rank()];
+            let w = Watched::start(rank, &world);
+            mixed_traffic(rank, &world, None, &events[0], root);
+            let mut comm = world.clone();
+            if survivor {
+                let shrunk = rank.comm_shrink(&comm, &alive);
+                w.rebind(&comm, &shrunk);
+                comm = shrunk;
+            }
+            mixed_traffic(rank, &world, survivor.then_some(&comm), &events[1], root);
+            if survivor && !joiners.is_empty() {
+                let grown = rank.comm_grow(&comm, &joiners);
+                w.rebind(&comm, &grown);
+            }
+            mixed_traffic(rank, &world, None, &events[2], root);
+            w.suspend_and_compare(rank);
+            w.finish(rank);
+        });
     }
 }
 

@@ -1,7 +1,5 @@
 //! Session state: identifiers, per-pair traffic accumulators, slot table.
 
-use std::collections::HashMap;
-
 use mim_mpisim::{Comm, PmlEvent};
 
 use crate::accum::{PairAccum, PairEntry};
@@ -73,10 +71,9 @@ pub struct WindowDelta {
 
 /// One live session.
 pub(crate) struct SessionData {
+    /// The attached communicator; its shared group index answers the
+    /// membership tests on the send hot path.
     pub(crate) comm: Comm,
-    /// world rank → communicator rank, for O(1) membership tests on the
-    /// send hot path.
-    members: HashMap<usize, usize>,
     pub(crate) state: SessionState,
     /// Everything recorded since start/reset (what the suspended-data
     /// accessors read).
@@ -112,10 +109,8 @@ impl SessionData {
     /// (the `dense_limit` of the owning [`crate::Monitoring`]).
     pub(crate) fn with_dense_limit(comm: Comm, limit: usize) -> Self {
         let n = comm.size();
-        let members = comm.group().iter().enumerate().map(|(r, &w)| (w, r)).collect();
         Self {
             comm,
-            members,
             state: SessionState::Active,
             total: PairAccum::with_dense_limit(n, limit),
             window: PairAccum::with_dense_limit(n, limit),
@@ -139,8 +134,8 @@ impl SessionData {
         // (sessions are started collectively on their communicator), but a
         // session started on a sub-communicator must ignore traffic to
         // non-members.
-        let Some(&dst) = self.members.get(&ev.dst_world) else { return };
-        if !self.members.contains_key(&ev.src_world) {
+        let Some(dst) = self.comm.rank_of_world(ev.dst_world) else { return };
+        if !self.comm.contains_world(ev.src_world) {
             return;
         }
         let k = Flags::kind_index(ev.kind);
@@ -189,16 +184,11 @@ impl SessionData {
     /// the epoch counter all survive — a rebind is a change of coordinates,
     /// not a reset.
     pub(crate) fn rebind(&mut self, new_comm: Comm, limit: usize) {
-        let members: HashMap<usize, usize> =
-            new_comm.group().iter().enumerate().map(|(r, &w)| (w, r)).collect();
-        let mut map = vec![None; self.comm.size()];
-        for (r, &w) in self.comm.group().iter().enumerate() {
-            map[r] = members.get(&w).copied();
-        }
+        let map: Vec<Option<usize>> =
+            self.comm.group().iter().map(|&w| new_comm.rank_of_world(w)).collect();
         let n = new_comm.size();
         self.total = self.total.reindex(&map, n, limit);
         self.window = self.window.reindex(&map, n, limit);
-        self.members = members;
         self.comm = new_comm;
     }
 
@@ -211,6 +201,60 @@ impl SessionData {
     /// format; see [`PairAccum::sparse_row`]).
     pub(crate) fn sparse_row(&self, flags: Flags) -> Vec<(u64, u64, u64)> {
         self.total.sparse_row(flags)
+    }
+}
+
+/// The per-session world → communicator-rank map this module kept on every
+/// rank before communicators carried their own index, with the membership
+/// filter and the rebind mapping written against it — retained verbatim as
+/// the oracle for [`SessionData::record`] / [`SessionData::rebind`]
+/// (`api::tests::sessions_match_the_member_map_oracle`).
+#[cfg(test)]
+pub(crate) struct MemberMapOracle {
+    members: std::collections::HashMap<usize, usize>,
+    /// `cells[dst][kind]` = (messages, bytes).
+    cells: Vec<[(u64, u64); 3]>,
+}
+
+#[cfg(test)]
+impl MemberMapOracle {
+    fn member_map(comm: &Comm) -> std::collections::HashMap<usize, usize> {
+        comm.group().iter().enumerate().map(|(r, &w)| (w, r)).collect()
+    }
+
+    pub(crate) fn new(comm: &Comm) -> Self {
+        Self { members: Self::member_map(comm), cells: vec![[(0, 0); 3]; comm.size()] }
+    }
+
+    pub(crate) fn record(&mut self, ev: &PmlEvent) {
+        let Some(&dst) = self.members.get(&ev.dst_world) else { return };
+        if !self.members.contains_key(&ev.src_world) {
+            return;
+        }
+        let cell = &mut self.cells[dst][Flags::kind_index(ev.kind)];
+        cell.0 += 1;
+        cell.1 += ev.bytes;
+    }
+
+    pub(crate) fn rebind(&mut self, old_comm: &Comm, new_comm: &Comm) {
+        let members = Self::member_map(new_comm);
+        let mut cells = vec![[(0, 0); 3]; new_comm.size()];
+        for (r, &w) in old_comm.group().iter().enumerate() {
+            if let Some(&new_r) = members.get(&w) {
+                cells[new_r] = self.cells[r];
+            }
+        }
+        self.members = members;
+        self.cells = cells;
+    }
+
+    /// (counts, sizes) summed over the selected kinds, like
+    /// [`SessionData::row`].
+    pub(crate) fn row(&self, flags: Flags) -> (Vec<u64>, Vec<u64>) {
+        let sum = |pick: fn(&(u64, u64)) -> u64| -> Vec<u64> {
+            self.cells.iter().map(|c| flags.selected_indices().map(|k| pick(&c[k])).sum()).collect()
+        };
+        (sum(|c| c.0), sum(|c| c.1))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Built-in wildcard plans for the explorer.
 //!
-//! The 14 plans shared with `mim-analyze` are all wildcard-free (CI keeps
+//! The 15 plans shared with `mim-analyze` are all wildcard-free (CI keeps
 //! them `DeadlockFree`); these two exercise the territory the analyzer can
 //! only call [`PotentialDeadlock`], so `mim-explore` has something to
 //! upgrade out of the box: one genuinely racy plan whose bad schedule the

@@ -23,7 +23,7 @@ fn quick() -> bool {
 
 props! {
     /// Every analyzer `DeadlockFree` verdict holds under exploration AND
-    /// under a burst of random schedules: the 14 built-in plans complete
+    /// under a burst of random schedules: the 15 built-in plans complete
     /// on every schedule the budget reaches.
     fn deadlock_free_plans_survive_random_schedules(g, cases = 6) {
         let n = g.gen_range(2usize..if quick() { 5 } else { 9 });
@@ -107,7 +107,7 @@ props! {
 
     /// A statically `Deterministic` verdict is a one-schedule proof: with
     /// the analyzer's independence map pruning benign wildcard sites, the
-    /// DFS decides every such plan — all 14 built-ins and the all-benign
+    /// DFS decides every such plan — all 15 built-ins and the all-benign
     /// `wildcard_clean` — in exactly one schedule, with the same outcome
     /// kind the unpruned search reaches.
     fn deterministic_plans_are_decided_in_one_schedule(g, cases = 4) {

@@ -1,5 +1,5 @@
-//! Additional collective algorithms: reduce-scatter, scan, recursive-
-//! doubling allgather, and segmented (pipelined) broadcast.
+//! Additional collective algorithms: reduce-scatter, scan, and segmented
+//! (pipelined) broadcast.
 //!
 //! The segmented broadcast matters for the Fig 5 discussion: production
 //! MPI libraries never ship an 800 MB buffer as one message — they chunk it
@@ -90,40 +90,6 @@ pub fn scan_inclusive<T: Scalar>(
         csend(rank, comm, me + 1, tag, &acc);
     }
     acc
-}
-
-/// Recursive-doubling allgather for power-of-two sizes (⌈log₂ n⌉ rounds of
-/// doubling exchanges); falls back to the ring otherwise.
-pub fn allgather_recursive_doubling<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
-    let n = comm.size();
-    if !n.is_power_of_two() {
-        return super::allgather_ring(rank, comm, data);
-    }
-    let tag = rank.next_coll_tag(comm);
-    let me = comm.rank();
-    let block = data.len();
-    // Working buffer holds a contiguous run of blocks; track which.
-    let mut have_lo = me;
-    let mut buf = data.to_vec();
-    let mut mask = 1;
-    while mask < n {
-        let peer = me ^ mask;
-        csend(rank, comm, peer, tag, &buf);
-        let other: Vec<T> = crecv(rank, comm, peer, tag);
-        // The peer's run is adjacent: below us if its group bit is 0.
-        if peer & mask != 0 || peer > me {
-            buf.extend(other);
-        } else {
-            have_lo -= mask;
-            let mut merged = other;
-            merged.extend(buf);
-            buf = merged;
-        }
-        mask <<= 1;
-    }
-    debug_assert_eq!(have_lo, 0);
-    debug_assert_eq!(buf.len(), n * block);
-    buf
 }
 
 /// Segmented (pipelined) binary-tree broadcast: the buffer is cut into
@@ -238,20 +204,6 @@ mod tests {
                 let out = scan_inclusive(rank, &world, &[me, 1], |a, b| a + b);
                 let prefix: i64 = (0..=me).sum();
                 assert_eq!(out, vec![prefix, me + 1], "n={n}");
-            });
-        }
-    }
-
-    #[test]
-    fn rd_allgather_matches_ring() {
-        for &n in SIZES {
-            let u = universe(n);
-            u.launch(|rank| {
-                let world = rank.comm_world();
-                let me = world.rank() as u32;
-                let out = allgather_recursive_doubling(rank, &world, &[me, 10 * me]);
-                let expect: Vec<u32> = (0..n as u32).flat_map(|r| [r, 10 * r]).collect();
-                assert_eq!(out, expect, "n={n}");
             });
         }
     }

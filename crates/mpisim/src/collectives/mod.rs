@@ -14,17 +14,16 @@
 //!   (the paper's Fig 5a uses the binary tree);
 //! * [`allreduce_recursive_doubling`] — with the standard fold-in step for
 //!   non-power-of-two rank counts;
-//! * [`gather_linear`], [`scatter_linear`], [`allgather_ring`],
-//!   [`alltoall_pairwise`].
+//! * [`gather_linear`], [`scatter_linear`], [`alltoall_pairwise`];
+//! * [`allgather_ring`] for payloads (`Rank::allgather`), [`allgather_bruck`]
+//!   for the small fixed-size exchange inside `Rank::comm_split`.
 
 mod extra;
 mod helpers;
 mod tree;
 mod varcount;
 
-pub use extra::{
-    allgather_recursive_doubling, bcast_binary_segmented, reduce_scatter_block, scan_inclusive,
-};
+pub use extra::{bcast_binary_segmented, reduce_scatter_block, scan_inclusive};
 pub use helpers::{binomial_peers, combine, vrank_of, world_of_vrank};
 pub use tree::gather_tree_kary;
 pub use varcount::{allgatherv, gatherv, scatterv};
@@ -289,6 +288,20 @@ pub fn scatter_linear<T: Scalar>(
     }
 }
 
+/// The equal-size contract of the allgathers, checked on every received
+/// message — in release builds too, where a short contribution would
+/// otherwise silently shift every later block.
+fn check_blocks<T>(algo: &str, comm: &Comm, got: &[T], blocks: usize, block: usize) {
+    assert_eq!(
+        got.len(),
+        blocks * block,
+        "{algo}: allgather contributions must be equal-sized: communicator rank {} expected \
+         {blocks} block(s) of {block} items and received {} items",
+        comm.rank(),
+        got.len()
+    );
+}
+
 /// Ring allgather of equal-size contributions: `n-1` steps, each rank
 /// forwarding one block to its right neighbour.
 pub fn allgather_ring<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
@@ -306,14 +319,41 @@ pub fn allgather_ring<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T>
         let recv_idx = (me + n - step - 1) % n;
         let to_send = blocks[send_idx].as_ref().expect("ring block not yet received");
         csend(rank, comm, right, tag, to_send);
-        blocks[recv_idx] = Some(crecv(rank, comm, left, tag));
+        let got: Vec<T> = crecv(rank, comm, left, tag);
+        check_blocks("allgather_ring", comm, &got, 1, block);
+        blocks[recv_idx] = Some(got);
     }
     for b in blocks {
-        let b = b.expect("missing allgather block");
-        debug_assert_eq!(b.len(), block, "allgather contributions must be equal-sized");
-        out.extend(b);
+        out.extend(b.expect("missing allgather block"));
     }
     out
+}
+
+/// Bruck allgather of equal-size contributions, for any `n`: in round
+/// `d = 1, 2, 4, … < n` every rank sends the first `min(d, n − d)` blocks it
+/// holds to `(me − d) mod n` and appends as many from `(me + d) mod n`, so
+/// after ⌈log₂ n⌉ rounds it holds blocks `me, me + 1, …` (mod `n`), which a
+/// final rotation by `me` puts in rank order.  ⌈log₂ n⌉ messages per rank
+/// instead of the ring's `n − 1`, the same `n(n − 1)` block-bytes in total:
+/// the algorithm for payloads whose cost is latency, not bandwidth.
+pub fn allgather_bruck<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
+    let tag = rank.next_coll_tag(comm);
+    let n = comm.size();
+    let me = comm.rank();
+    let block = data.len();
+    let mut held = Vec::with_capacity(n * block);
+    held.extend_from_slice(data);
+    let mut d = 1;
+    while d < n {
+        let count = d.min(n - d);
+        csend(rank, comm, (me + n - d) % n, tag, &held[..count * block]);
+        let got: Vec<T> = crecv(rank, comm, (me + d) % n, tag);
+        check_blocks("allgather_bruck", comm, &got, count, block);
+        held.extend(got);
+        d <<= 1;
+    }
+    held.rotate_right(me * block);
+    held
 }
 
 /// Pairwise (ring-offset) all-to-all: step `i` exchanges chunk with the

@@ -156,6 +156,53 @@ fn allgather_ring_orders_blocks() {
     }
 }
 
+mim_util::props! {
+    /// Bruck and ring are the same function of the contributions: any rank
+    /// count (powers of two, odd, prime, 1) and any block length, empty
+    /// blocks included, on every rank.
+    fn allgather_bruck_matches_ring(g, cases = 48) {
+        let n = g.gen_range(1usize..41);
+        let salt = g.any_u64();
+        let u =
+            Universe::new(UniverseConfig::new(Machine::cluster(5, 2, 4), Placement::packed(n)));
+        u.launch(move |rank| {
+            let world = rank.comm_world();
+            let me = world.rank() as u64;
+            for block in 0..=3u64 {
+                let data: Vec<u64> = (0..block).map(|i| salt ^ (me * 4 + i)).collect();
+                let ring = allgather_ring(rank, &world, &data);
+                assert_eq!(ring.len(), n * block as usize);
+                assert_eq!(allgather_bruck(rank, &world, &data), ring, "n={n} block={block}");
+            }
+        });
+    }
+}
+
+/// The equal-size contract holds in release builds too: rank 1 contributes
+/// one item where rank 0 contributes two, and the first receive says so.
+fn unequal_allgather(algo: fn(&Rank, &Comm, &[u32]) -> Vec<u32>) {
+    universe(2).launch(move |rank| {
+        let world = rank.comm_world();
+        algo(rank, &world, &[7u32, 8][..2 - world.rank()]);
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "communicator rank 0 expected 1 block(s) of 2 items and received 1 items"
+)]
+fn allgather_ring_rejects_unequal_contributions() {
+    unequal_allgather(allgather_ring);
+}
+
+#[test]
+#[should_panic(
+    expected = "communicator rank 0 expected 1 block(s) of 2 items and received 1 items"
+)]
+fn allgather_bruck_rejects_unequal_contributions() {
+    unequal_allgather(allgather_bruck);
+}
+
 #[test]
 fn alltoall_transposes() {
     for &n in SIZES {

@@ -15,7 +15,7 @@ use mim_topology::{Machine, Placement};
 
 use crate::clock::VirtualClock;
 use crate::collectives;
-use crate::comm::Comm;
+use crate::comm::{Comm, Group};
 use crate::datatype::Scalar;
 use crate::envelope::{Ctx, Envelope, MsgKind, Payload};
 use crate::exec::{self, ExecShared, ExecutorKind};
@@ -218,9 +218,9 @@ pub(crate) struct Shared {
     stage: Mutex<std::collections::VecDeque<(u64, usize, Envelope)>>,
     /// Ticket allocator for staged deliveries.
     stage_ticket: AtomicU64,
-    /// `MPI_COMM_WORLD`'s member list, built once: every rank's world
+    /// `MPI_COMM_WORLD`'s group, built once: every rank's world
     /// communicator shares it.
-    world_group: Arc<Vec<usize>>,
+    world_group: Arc<Group>,
 }
 
 impl Shared {
@@ -370,7 +370,7 @@ impl Universe {
             exec,
             stage: Mutex::new(std::collections::VecDeque::new()),
             stage_ticket: AtomicU64::new(0),
-            world_group: Arc::new((0..cfg.initial()).collect()),
+            world_group: Group::new((0..cfg.initial()).collect()),
             cfg,
         });
         Self { shared, receivers: Mutex::new(Some(receivers)) }
@@ -782,7 +782,7 @@ fn decode_admission(payload: &Payload, my_world: usize) -> (Comm, Vec<u32>) {
     let Some(my_rank) = group.iter().position(|&w| w == my_world) else {
         panic!("admission notice for rank {my_world} does not include it (group {group:?})");
     };
-    (Comm::new_at_epoch(id, Arc::new(group), my_rank, epoch), incs)
+    (Comm::new_at_epoch(id, Group::new(group), my_rank, epoch), incs)
 }
 
 /// Parse the incarnation carried by a join notice.
@@ -1072,7 +1072,7 @@ impl Rank {
     /// communicator it was admitted into ([`Rank::join_comm`]).
     pub fn comm_world(&self) -> Comm {
         assert!(
-            self.world_rank < self.shared.world_group.len(),
+            self.world_rank < self.shared.cfg.initial(),
             "rank {} joined after launch and is not in MPI_COMM_WORLD; use the grown \
              communicator it was admitted into (Rank::join_comm)",
             self.world_rank
@@ -1823,7 +1823,7 @@ impl Rank {
         let my_rank = (0..comm.rank()).filter(|&r| alive[r]).count();
         let epoch = comm.epoch() + 1;
         self.note_epoch(epoch);
-        let shrunk = Comm::new_at_epoch(id, Arc::new(group), my_rank, epoch);
+        let shrunk = Comm::new_at_epoch(id, Group::new(group), my_rank, epoch);
         self.record_trace(
             self.clock.now_ns(),
             TraceData::EpochBump { comm: shrunk.id(), epoch, size: shrunk.size() },
@@ -1849,7 +1849,7 @@ impl Rank {
         }
         let (id, group, epoch) = grow_comm_parts(comm, &js);
         self.note_epoch(epoch);
-        let grown = Comm::new_at_epoch(id, Arc::new(group), comm.rank(), epoch);
+        let grown = Comm::new_at_epoch(id, Group::new(group), comm.rank(), epoch);
         self.record_trace(
             self.clock.now_ns(),
             TraceData::EpochBump { comm: grown.id(), epoch, size: grown.size() },
@@ -2006,8 +2006,9 @@ impl Rank {
     /// ordered by `(key, parent rank)`.  Collective over `comm`.
     pub fn comm_split(&self, comm: &Comm, color: i64, key: i64) -> Comm {
         let _span = self.coll_span("comm_split", comm);
-        // Gather (color, key) from every member.
-        let all = collectives::allgather_ring(self, comm, &[color, key]);
+        // Gather (color, key) from every member: 16 bytes each, so the
+        // log-step exchange, not the ring.
+        let all = collectives::allgather_bruck(self, comm, &[color, key]);
         let n = comm.size();
         let mut distinct: Vec<i64> = (0..n).map(|r| all[2 * r]).collect();
         distinct.sort_unstable();
@@ -2028,7 +2029,7 @@ impl Rank {
         members.sort_unstable();
         let group: Vec<usize> = members.iter().map(|&(_, r)| comm.world_rank_of(r)).collect();
         let my_rank = members.iter().position(|&(_, r)| r == comm.rank()).unwrap();
-        Comm::new(id, Arc::new(group), my_rank)
+        Comm::new(id, Group::new(group), my_rank)
     }
 
     /// Duplicate a communicator (same group, fresh matching id).
@@ -2224,6 +2225,36 @@ mod tests {
             assert_eq!(rev.rank(), 3 - me);
             assert_eq!(rev.world_rank_of(0), 3);
         });
+    }
+
+    #[test]
+    fn comm_split_message_budget() {
+        // One Bruck allgather of the (color, key) pairs — ⌈log₂ n⌉ messages
+        // per rank — plus the id broadcast's n − 1: nothing else may reach
+        // the wire.
+        struct Count(AtomicU64);
+        impl PmlHook for Count {
+            fn on_send(&self, _ev: &PmlEvent) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for n in [2usize, 3, 8, 24, 100] {
+            let u = Universe::new(UniverseConfig::new(
+                Machine::cluster(4, 1, 25),
+                Placement::packed(n),
+            ));
+            let count = Arc::new(Count(AtomicU64::new(0)));
+            u.add_global_hook(count.clone());
+            u.launch(|rank| {
+                let world = rank.comm_world();
+                let me = world.rank();
+                let sub = rank.comm_split(&world, (me % 3) as i64, -(me as i64));
+                assert_eq!(sub.size(), (n - me % 3).div_ceil(3));
+            });
+            let rounds = u64::from(n.next_power_of_two().trailing_zeros());
+            let n = n as u64;
+            assert_eq!(count.0.load(Ordering::Relaxed), n * rounds + (n - 1), "n={n}");
+        }
     }
 
     #[test]

@@ -343,6 +343,23 @@ pub fn allgather_ring(n: usize, block_bytes: u64) -> Schedule {
     Schedule::new(steps)
 }
 
+/// Bruck allgather pattern with `block_bytes` per contribution, mirroring
+/// [`crate::collectives::allgather_bruck`]: ⌈log₂ n⌉ rounds, round `d`
+/// shipping `min(d, n − d)` blocks to the rank `d` below.
+pub fn allgather_bruck(n: usize, block_bytes: u64) -> Schedule {
+    let mut steps = vec![Vec::new(); n];
+    for (me, prog) in steps.iter_mut().enumerate() {
+        let mut d = 1;
+        while d < n {
+            let bytes = d.min(n - d) as u64 * block_bytes;
+            prog.push(Step::Send { peer: (me + n - d) % n, bytes });
+            prog.push(Step::Recv { peer: (me + d) % n });
+            d <<= 1;
+        }
+    }
+    Schedule::new(steps)
+}
+
 /// Dissemination barrier pattern (zero-byte messages).
 #[allow(clippy::needless_range_loop)] // indices address several arrays at once
 pub fn barrier_dissemination(n: usize) -> Schedule {
@@ -755,7 +772,7 @@ mod tests {
     fn random_generator_schedule(g: &mut Gen, n: usize) -> Schedule {
         let root = g.index(n);
         let bytes = g.gen_range(1u64..10_000);
-        match g.index(9) {
+        match g.index(10) {
             0 => bcast_binomial(n, root, bytes),
             1 => bcast_binary(n, root, bytes),
             2 => reduce_binomial(n, root, bytes),
@@ -764,6 +781,7 @@ mod tests {
             5 => barrier_dissemination(n),
             6 => allreduce_recursive_doubling(n, bytes),
             7 => alltoall_pairwise(n, bytes),
+            8 => allgather_bruck(n, bytes),
             _ => bcast_binary_segmented(n, root, bytes, (bytes / 3).max(1)),
         }
     }
@@ -865,6 +883,18 @@ mod tests {
         let s = allgather_ring(6, 100);
         assert_eq!(s.total_messages(), 6 * 5);
         assert_eq!(s.total_bytes(), 3000);
+    }
+
+    #[test]
+    fn bruck_validates_and_counts() {
+        // ⌈log₂ n⌉ messages per rank, the ring's n(n−1) block-bytes in total.
+        for n in 1..=33usize {
+            let s = allgather_bruck(n, 16);
+            s.validate().unwrap_or_else(|e| panic!("n={n}: {e}"));
+            let rounds = n.next_power_of_two().trailing_zeros() as usize;
+            assert_eq!(s.total_messages(), n * rounds, "n={n}");
+            assert_eq!(s.total_bytes(), allgather_ring(n, 16).total_bytes(), "n={n}");
+        }
     }
 
     #[test]

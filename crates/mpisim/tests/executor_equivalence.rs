@@ -157,6 +157,39 @@ props! {
     }
 }
 
+/// The log-step allgather under both engines: on every rank the blocks the
+/// ring returns, and final clocks bit-identical threads ↔ tasks — rank
+/// counts on both sides of every power of two, blocks from empty to three
+/// items.
+#[test]
+fn bruck_allgather_agrees_with_the_ring_on_both_engines() {
+    use mim_mpisim::collectives::{allgather_bruck, allgather_ring};
+    let run = |kind: ExecutorKind, n: usize| {
+        let mut cfg = UniverseConfig::new(Machine::cluster(5, 2, 4), Placement::packed(n));
+        cfg.executor = kind;
+        Universe::new(cfg).launch(move |rank| {
+            let world = rank.comm_world();
+            let me = world.rank() as i64;
+            let mut out = Vec::new();
+            for block in 0..=3 {
+                let data: Vec<i64> = (0..block).map(|i| me * 7 - i).collect();
+                let bruck = allgather_bruck(rank, &world, &data);
+                let at = rank.now_ns().to_bits();
+                assert_eq!(bruck, allgather_ring(rank, &world, &data), "n={n} block={block}");
+                out.push((bruck, at));
+            }
+            (out, rank.now_ns().to_bits())
+        })
+    };
+    for n in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 24, 31, 32, 33, 40] {
+        assert_eq!(
+            run(ExecutorKind::Threads, n),
+            run(ExecutorKind::Tasks, n),
+            "engines diverged at n={n}"
+        );
+    }
+}
+
 /// A *wildcard* receive parked across a peer's crash notice: the death
 /// notice (fault context) must wake the parked task, get filed in the
 /// unexpected queue without matching the user-context wildcard, and the

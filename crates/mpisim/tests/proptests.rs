@@ -37,6 +37,7 @@ props! {
             schedule::reduce_binomial(n, root, bytes),
             schedule::reduce_binary(n, root, bytes),
             schedule::allgather_ring(n, bytes),
+            schedule::allgather_bruck(n, bytes),
             schedule::barrier_dissemination(n),
             schedule::allreduce_recursive_doubling(n, bytes),
         ] {
@@ -93,6 +94,7 @@ props! {
             schedule::bcast_binomial(n, root, bytes),
             schedule::reduce_binary(n, root, bytes),
             schedule::allgather_ring(n, bytes),
+            schedule::allgather_bruck(n, bytes),
         ] {
             let expect = schedule::evaluate(&sched, &machine, &cores, soh, roh);
             let machine2 = machine.clone();
@@ -142,20 +144,33 @@ props! {
     }
 
     fn collectives_correct_on_random_subcomm(g, cases = 12) {
-        // Split the world by arbitrary colors and allreduce within each part.
+        // Split the world by arbitrary colors and keys (ties included) and
+        // allreduce within each part.
         let n = g.gen_range(2usize..10);
         let colors: Vec<i64> = (0..n).map(|_| g.gen_range(0i64..2)).collect();
-        let colors2 = colors.clone();
+        let keys: Vec<i64> = (0..n).map(|_| g.gen_range(-2i64..3)).collect();
+        let (colors2, keys2) = (colors.clone(), keys.clone());
         let u = Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 8), Placement::packed(n)));
-        u.launch(move |rank| {
+        let subs = u.launch(move |rank| {
             let world = rank.comm_world();
             let me = world.rank();
-            let sub = rank.comm_split(&world, colors2[me], me as i64);
+            let sub = rank.comm_split(&world, colors2[me], keys2[me]);
             let sum = rank.allreduce(&sub, &[me as u64], |a, b| a + b)[0];
             let expect: u64 = (0..n).filter(|&r| colors2[r] == colors2[me]).map(|r| r as u64).sum();
             assert_eq!(sum, expect);
+            (sub.id(), sub.group().to_vec(), sub.rank())
         });
-        let _ = colors;
+        // Against a directly computed expectation: members ordered by
+        // (key, parent rank), one id per color, distinct across colors.
+        for (me, (id, group, my_rank)) in subs.iter().enumerate() {
+            let mut expect: Vec<usize> = (0..n).filter(|&r| colors[r] == colors[me]).collect();
+            expect.sort_by_key(|&r| (keys[r], r));
+            assert_eq!(group, &expect, "rank {me}");
+            assert_eq!(group[*my_rank], me);
+            for (other, (other_id, ..)) in subs.iter().enumerate() {
+                assert_eq!(id == other_id, colors[me] == colors[other], "ranks {me}/{other}");
+            }
+        }
     }
 }
 

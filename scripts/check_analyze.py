@@ -62,8 +62,8 @@ def check_batch(cli, n, root, nbytes, problems):
         problems.append(f"{shape}: unexpected batch schema {batch.get('schema')!r}")
         return
     reports = batch.get("reports", [])
-    if len(reports) < 14:
-        problems.append(f"{shape}: only {len(reports)} reports (expected >= 14 plans)")
+    if len(reports) < 15:
+        problems.append(f"{shape}: only {len(reports)} reports (expected >= 15 plans)")
     for rep in reports:
         plan = rep.get("plan", "?")
         if rep.get("schema") != "mim-analyze-report-v2":
@@ -136,7 +136,7 @@ def main() -> int:
         for p in problems:
             print("  " + p)
         return 1
-    print(f"analyzer gate OK: {len(SHAPES)} shapes x 14 plans clean, "
+    print(f"analyzer gate OK: {len(SHAPES)} shapes x 15 plans clean, "
           "negative controls rejected")
     return 0
 

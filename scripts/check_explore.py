@@ -107,8 +107,8 @@ def main():
     elif not race.get("witness", {}).get("decisions"):
         problems.append("wildcard_race report carries no witness decision log")
     clean = [v for v in reports.values() if v.get("outcome") == "explored_clean"]
-    if len(clean) < 15:  # 14 built-ins + wildcard_clean
-        problems.append(f"expected >= 15 explored_clean reports, got {len(clean)}")
+    if len(clean) < 16:  # 15 built-ins + wildcard_clean
+        problems.append(f"expected >= 16 explored_clean reports, got {len(clean)}")
 
     # 6. Usage errors exit 2.
     r = run(cli, ["--no-such-flag"])

@@ -6,7 +6,7 @@ explorer consuming the independence map must run strictly fewer schedules
 than the unpruned search while producing identical verdicts.
 
 Checks:
-  1. `mim-analyze --all --json` exits 0 with a v2 batch: all 14 built-ins
+  1. `mim-analyze --all --json` exits 0 with a v2 batch: all 15 built-ins
      are `deterministic` and carry an `independence` object.
   2. `mim-analyze wildcard_race --n 4 --json` exits 1, classifies
      `sched_sensitive`, names MIM-A011, and marks >= 1 racy site.
@@ -43,8 +43,8 @@ def check_batch(analyze, problems):
     if batch.get("schema") != "mim-analyze-batch-v2":
         problems.append(f"batch schema is {batch.get('schema')!r}, want v2")
     reports = batch.get("reports", [])
-    if len(reports) < 14:
-        problems.append(f"only {len(reports)} reports (expected >= 14 plans)")
+    if len(reports) < 15:
+        problems.append(f"only {len(reports)} reports (expected >= 15 plans)")
     for rep in reports:
         plan = rep.get("plan", "?")
         det = rep.get("determinism", {})
@@ -154,7 +154,7 @@ def main() -> int:
             print("  " + p)
         return 1
     print(
-        f"determinism gate OK: 14 built-ins deterministic, wildcard_race "
+        f"determinism gate OK: 15 built-ins deterministic, wildcard_race "
         f"flagged and witnessed, wildcard_clean proven benign, pruning "
         f"{totals[0]} vs {totals[1]} unpruned schedules"
     )

@@ -93,6 +93,16 @@ fn allgather_matches_schedule() {
 }
 
 #[test]
+fn allgather_bruck_matches_schedule() {
+    for n in [2usize, 3, 6, 9, 16] {
+        let (counts, sizes) = monitor_collective(n, |rank, world| {
+            mim_mpisim::collectives::allgather_bruck(rank, world, &[world.rank() as u32; 25]);
+        });
+        check(n, &schedule::allgather_bruck(n, 100), &counts, &sizes);
+    }
+}
+
+#[test]
 fn barrier_matches_schedule() {
     for n in [2usize, 7, 16] {
         let (counts, sizes) = monitor_collective(n, |rank, world| {
