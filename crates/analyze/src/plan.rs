@@ -264,14 +264,6 @@ impl Program {
     pub fn total_ops(&self) -> usize {
         self.ranks.iter().map(Vec::len).sum()
     }
-
-    /// Does any rank contain a wildcard (`ANY_SOURCE`/`ANY_TAG`) receive?
-    pub fn has_wildcards(&self) -> bool {
-        self.ranks
-            .iter()
-            .flatten()
-            .any(|op| matches!(op, Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. }))
-    }
 }
 
 /// Anything that can describe its communication structure ahead of time.

@@ -15,11 +15,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Median (of a copy; does not reorder the input).
 pub fn median(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "median of an empty sample");

@@ -375,5 +375,129 @@ pub fn alltoall_pairwise<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec
     out.into_iter().flat_map(|b| b.expect("missing alltoall chunk")).collect()
 }
 
+// ----- the collective façade: `Rank` methods over the algorithms above ------
+
+impl Rank {
+    /// Barrier (dissemination algorithm).
+    pub fn barrier(&self, comm: &Comm) {
+        let _span = self.coll_span("barrier_dissemination", comm);
+        barrier(self, comm)
+    }
+
+    /// Broadcast from `root` (binomial tree).
+    pub fn bcast<T: Scalar>(&self, comm: &Comm, root: usize, data: &mut Vec<T>) {
+        let _span = self.coll_span("bcast_binomial", comm);
+        bcast_binomial(self, comm, root, data)
+    }
+
+    /// Reduce to `root` (binomial tree); `Some(result)` at the root.
+    pub fn reduce<T: Scalar>(
+        &self,
+        comm: &Comm,
+        root: usize,
+        data: &[T],
+        op: impl Fn(T, T) -> T,
+    ) -> Option<Vec<T>> {
+        let _span = self.coll_span("reduce_binomial", comm);
+        reduce_binomial(self, comm, root, data, op)
+    }
+
+    /// Allreduce (recursive doubling with non-power-of-two folding).
+    pub fn allreduce<T: Scalar>(&self, comm: &Comm, data: &[T], op: impl Fn(T, T) -> T) -> Vec<T> {
+        let _span = self.coll_span("allreduce_recursive_doubling", comm);
+        allreduce_recursive_doubling(self, comm, data, op)
+    }
+
+    /// Gather equal-size contributions at `root` (linear).
+    pub fn gather<T: Scalar>(&self, comm: &Comm, root: usize, data: &[T]) -> Option<Vec<T>> {
+        let _span = self.coll_span("gather_linear", comm);
+        gather_linear(self, comm, root, data)
+    }
+
+    /// Gather variable-size `u64` contributions at `root` along a k-ary
+    /// tree laid over an explicit rank `order` (`order[0]` must be `root`;
+    /// all ranks must pass identical `order` and `arity`).  Returns one row
+    /// per communicator rank at the root, `None` elsewhere.  Used by the
+    /// monitoring plane to aggregate sparse traffic rows along the machine
+    /// topology instead of funnelling every row through the root's mailbox.
+    ///
+    /// # Errors
+    /// At the root, the listed ranks whose frame did not arrive because
+    /// they, or a rank on their path to the root, died mid-gather (see
+    /// [`gather_tree_kary`]).
+    ///
+    /// # Panics
+    /// Panics when `arity < 2` — validated *here*, before the collective
+    /// allocates its tag or opens its span, so a bad arity fails every rank
+    /// with the same message instead of desynchronizing the collective
+    /// sequence mid-flight.
+    pub fn gather_tree(
+        &self,
+        comm: &Comm,
+        root: usize,
+        arity: usize,
+        order: &[usize],
+        data: &[u64],
+    ) -> Result<Option<Vec<Vec<u64>>>, Vec<usize>> {
+        assert!(
+            arity >= 2,
+            "gather_tree: arity must be at least 2, got {arity} (rank {}); every caller \
+             must pass the same arity >= 2 on every rank — a k-ary tree with k < 2 has \
+             no parent/child structure",
+            self.world_rank()
+        );
+        let _span = self.coll_span("gather_tree_kary", comm);
+        gather_tree_kary(self, comm, root, arity, order, data)
+    }
+
+    /// Allgather equal-size contributions (ring).
+    pub fn allgather<T: Scalar>(&self, comm: &Comm, data: &[T]) -> Vec<T> {
+        let _span = self.coll_span("allgather_ring", comm);
+        allgather_ring(self, comm, data)
+    }
+
+    /// Scatter equal-size chunks from `root` (linear).
+    pub fn scatter<T: Scalar>(&self, comm: &Comm, root: usize, data: Option<&[T]>) -> Vec<T> {
+        let _span = self.coll_span("scatter_linear", comm);
+        scatter_linear(self, comm, root, data)
+    }
+
+    /// All-to-all personalized exchange (ring-offset pairwise).
+    pub fn alltoall<T: Scalar>(&self, comm: &Comm, data: &[T]) -> Vec<T> {
+        let _span = self.coll_span("alltoall_pairwise", comm);
+        alltoall_pairwise(self, comm, data)
+    }
+
+    /// Reduce-scatter with equal blocks (recursive halving / fallback).
+    pub fn reduce_scatter<T: Scalar>(
+        &self,
+        comm: &Comm,
+        data: &[T],
+        op: impl Fn(T, T) -> T,
+    ) -> Vec<T> {
+        let _span = self.coll_span("reduce_scatter_block", comm);
+        reduce_scatter_block(self, comm, data, op)
+    }
+
+    /// Inclusive prefix scan (`MPI_Scan`).
+    pub fn scan<T: Scalar>(&self, comm: &Comm, data: &[T], op: impl Fn(T, T) -> T) -> Vec<T> {
+        let _span = self.coll_span("scan_inclusive", comm);
+        scan_inclusive(self, comm, data, op)
+    }
+
+    /// Segmented (pipelined) binary-tree broadcast; returns the number of
+    /// segments used.
+    pub fn bcast_segmented<T: Scalar>(
+        &self,
+        comm: &Comm,
+        root: usize,
+        data: &mut Vec<T>,
+        seg_items: usize,
+    ) -> usize {
+        let _span = self.coll_span("bcast_binary_segmented", comm);
+        bcast_binary_segmented(self, comm, root, data, seg_items)
+    }
+}
+
 #[cfg(test)]
 mod tests;

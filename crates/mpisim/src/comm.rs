@@ -2,6 +2,9 @@
 
 use std::sync::Arc;
 
+use crate::collectives::{allgather_bruck, bcast_binomial};
+use crate::runtime::Rank;
+
 /// An ordered member list (communicator rank → world rank) plus its
 /// inverse, built once and shared by every handle cloned from it.
 ///
@@ -129,10 +132,51 @@ impl Comm {
     }
 }
 
+impl Rank {
+    /// `MPI_Comm_split`: members with equal `color` form a new communicator,
+    /// ordered by `(key, parent rank)`.  Collective over `comm`.
+    pub fn comm_split(&self, comm: &Comm, color: i64, key: i64) -> Comm {
+        let _span = self.coll_span("comm_split", comm);
+        // Gather (color, key) from every member: 16 bytes each, so the
+        // log-step exchange, not the ring.
+        let all = allgather_bruck(self, comm, &[color, key]);
+        let n = comm.size();
+        let mut distinct: Vec<i64> = (0..n).map(|r| all[2 * r]).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        // Rank 0 allocates one globally unique id per color group; everyone
+        // derives its own from the broadcast base.
+        let mut base = vec![if comm.rank() == 0 {
+            self.shared().alloc_ids(distinct.len() as u64) as i64
+        } else {
+            0
+        }];
+        bcast_binomial(self, comm, 0, &mut base);
+        let color_idx = distinct.binary_search(&color).unwrap();
+        let id = base[0] as u64 + color_idx as u64;
+        // Build my group, ordered by (key, parent rank).
+        let mut members: Vec<(i64, usize)> =
+            (0..n).filter(|&r| all[2 * r] == color).map(|r| (all[2 * r + 1], r)).collect();
+        members.sort_unstable();
+        let group: Vec<usize> = members.iter().map(|&(_, r)| comm.world_rank_of(r)).collect();
+        let my_rank = members.iter().position(|&(_, r)| r == comm.rank()).unwrap();
+        Comm::new(id, Group::new(group), my_rank)
+    }
+
+    /// Duplicate a communicator (same group, fresh matching id).
+    pub fn comm_dup(&self, comm: &Comm) -> Comm {
+        self.comm_split(comm, 0, comm.rank() as i64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
-    use crate::runtime::{Universe, UniverseConfig};
+    use crate::pml::{PmlEvent, PmlHook};
+    use crate::runtime::tests::small_universe;
+    use crate::runtime::{SrcSel, TagSel, Universe, UniverseConfig};
     use mim_topology::{Machine, Placement};
 
     fn comm() -> Comm {
@@ -204,5 +248,86 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn comm_split_even_odd() {
+        let u = small_universe(6);
+        u.launch(|rank| {
+            let world = rank.comm_world();
+            let me = rank.world_rank();
+            let sub = rank.comm_split(&world, (me % 2) as i64, me as i64);
+            assert_eq!(sub.size(), 3);
+            assert_eq!(sub.rank(), me / 2);
+            assert_eq!(sub.world_rank_of(sub.rank()), me);
+            // Traffic on the sub-communicator stays inside it.
+            let gathered = rank.allgather(&sub, &[me as u64]);
+            let expect: Vec<u64> = (0..6).filter(|w| w % 2 == me % 2).map(|w| w as u64).collect();
+            assert_eq!(gathered, expect);
+        });
+    }
+
+    #[test]
+    fn comm_split_reorders_by_key() {
+        let u = small_universe(4);
+        u.launch(|rank| {
+            let world = rank.comm_world();
+            let me = rank.world_rank();
+            // Reverse the ranks: key = n - 1 - me.
+            let rev = rank.comm_split(&world, 0, (3 - me) as i64);
+            assert_eq!(rev.rank(), 3 - me);
+            assert_eq!(rev.world_rank_of(0), 3);
+        });
+    }
+
+    #[test]
+    fn comm_split_message_budget() {
+        // One Bruck allgather of the (color, key) pairs — ⌈log₂ n⌉ messages
+        // per rank — plus the id broadcast's n − 1: nothing else may reach
+        // the wire.
+        struct Count(AtomicU64);
+        impl PmlHook for Count {
+            fn on_send(&self, _ev: &PmlEvent) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for n in [2usize, 3, 8, 24, 100] {
+            let u = Universe::new(UniverseConfig::new(
+                Machine::cluster(4, 1, 25),
+                Placement::packed(n),
+            ));
+            let count = Arc::new(Count(AtomicU64::new(0)));
+            u.add_global_hook(count.clone());
+            u.launch(|rank| {
+                let world = rank.comm_world();
+                let me = world.rank();
+                let sub = rank.comm_split(&world, (me % 3) as i64, -(me as i64));
+                assert_eq!(sub.size(), (n - me % 3).div_ceil(3));
+            });
+            let rounds = u64::from(n.next_power_of_two().trailing_zeros());
+            let n = n as u64;
+            assert_eq!(count.0.load(Ordering::Relaxed), n * rounds + (n - 1), "n={n}");
+        }
+    }
+
+    #[test]
+    fn comm_dup_isolates_traffic() {
+        let u = small_universe(2);
+        u.launch(|rank| {
+            let world = rank.comm_world();
+            let dup = rank.comm_dup(&world);
+            assert_ne!(dup.id(), world.id());
+            if rank.world_rank() == 0 {
+                rank.send(&world, 1, 5, &[1u8]);
+                rank.send(&dup, 1, 5, &[2u8]);
+            } else {
+                // Receive from the dup first: matching must not steal the
+                // world message even though it arrived earlier.
+                let (v, _) = rank.recv::<u8>(&dup, SrcSel::Any, TagSel::Any);
+                assert_eq!(v, vec![2]);
+                let (v, _) = rank.recv::<u8>(&world, SrcSel::Any, TagSel::Any);
+                assert_eq!(v, vec![1]);
+            }
+        });
     }
 }

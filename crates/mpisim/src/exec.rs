@@ -56,7 +56,8 @@ use mim_util::sync::{Mutex, Notifier};
 
 use crate::sched::{clamp_choice, Decision, PolicyHandle};
 
-/// Which engine `Universe::run_collect` uses to host rank code.
+/// Which engine a universe's launch family (`launch`, `launch_faulty`,
+/// `launch_elastic`) uses to host rank code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// One OS thread per rank (the seed model; the equivalence oracle).

@@ -12,9 +12,9 @@
 
 use crate::comm::Comm;
 use crate::datatype::Scalar;
-use crate::envelope::{Ctx, MsgKind, Payload};
+use crate::envelope::Ctx;
 use crate::mailbox::MatchPattern;
-use crate::runtime::{Rank, SrcSel, Status, TagSel};
+use crate::runtime::{pattern, typed, Rank, SrcSel, Status, TagSel};
 
 /// Handle of a nonblocking send (eager: already complete).
 #[derive(Debug)]
@@ -37,41 +37,21 @@ impl SendRequest {
 #[derive(Debug)]
 #[must_use = "an unposted wait() loses the message"]
 pub struct RecvRequest {
-    comm_id: u64,
-    src_world: Option<usize>,
-    tag: TagSel,
-    /// Group snapshot for translating the sender back to a comm rank.
-    group: Vec<usize>,
+    /// The communicator the receive was posted on (translates the sender
+    /// back to a comm rank at completion).
+    comm: Comm,
+    pat: MatchPattern,
 }
 
 impl RecvRequest {
-    fn pattern(&self) -> MatchPattern {
-        MatchPattern {
-            comm_id: self.comm_id,
-            ctx: Ctx::Pt2pt,
-            src: match self.src_world {
-                None => crate::mailbox::SrcSel::Any,
-                Some(w) => crate::mailbox::SrcSel::World(w),
-            },
-            tag: self.tag,
-        }
-    }
-
     /// Block until a matching message arrives and return its data.
     pub fn wait<T: Scalar>(self, rank: &Rank) -> (Vec<T>, Status) {
-        let env = rank.mailbox_recv(&self.pattern());
-        let src = self
-            .group
-            .iter()
-            .position(|&w| w == env.src_world)
-            .expect("sender not in communicator");
-        let status = Status { src, tag: env.tag, bytes: env.payload.len_bytes() };
-        (T::from_bytes(&env.payload.expect_bytes()), status)
+        typed(&self.comm, rank.mailbox_recv(&self.pat))
     }
 
     /// Nonblocking completion test: is a matching message already here?
     pub fn test(&self, rank: &Rank) -> bool {
-        rank.mailbox_iprobe(&self.pattern())
+        rank.mailbox_iprobe(&self.pat)
     }
 }
 
@@ -85,42 +65,18 @@ impl Rank {
     /// Nonblocking typed send (completes immediately under the eager model,
     /// like a buffered `MPI_Ibsend`).
     pub fn isend<T: Scalar>(&self, comm: &Comm, dst: usize, tag: u32, data: &[T]) -> SendRequest {
-        self.wire_send(
-            comm,
-            dst,
-            tag,
-            Ctx::Pt2pt,
-            MsgKind::P2pUser,
-            Payload::Bytes(T::to_bytes(data)),
-        );
+        self.send(comm, dst, tag, data);
         SendRequest { _private: () }
     }
 
     /// Post a nonblocking receive; complete it with [`RecvRequest::wait`].
     pub fn irecv(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> RecvRequest {
-        RecvRequest {
-            comm_id: comm.id(),
-            src_world: match src {
-                SrcSel::Any => None,
-                SrcSel::Rank(r) => Some(comm.world_rank_of(r)),
-            },
-            tag,
-            group: comm.group().to_vec(),
-        }
+        RecvRequest { comm: comm.clone(), pat: pattern(comm, src, tag, Ctx::Pt2pt) }
     }
 
     /// `MPI_Iprobe`: is a matching user message pending?
     pub fn iprobe(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> bool {
-        let pat = MatchPattern {
-            comm_id: comm.id(),
-            ctx: Ctx::Pt2pt,
-            src: match src {
-                SrcSel::Any => crate::mailbox::SrcSel::Any,
-                SrcSel::Rank(r) => crate::mailbox::SrcSel::World(comm.world_rank_of(r)),
-            },
-            tag,
-        };
-        self.mailbox_iprobe(&pat)
+        self.mailbox_iprobe(&pattern(comm, src, tag, Ctx::Pt2pt))
     }
 }
 

@@ -66,11 +66,6 @@ impl Rank {
         win.local.lock().clone()
     }
 
-    /// Overwrite (a part of) this rank's own window buffer.
-    pub fn win_local_write(&self, win: &Window, offset: usize, data: &[u8]) {
-        win.local.lock()[offset..offset + data.len()].copy_from_slice(data);
-    }
-
     fn target_buffer(&self, win: &Window, target: usize) -> Arc<Mutex<Vec<u8>>> {
         Arc::clone(
             self.shared()

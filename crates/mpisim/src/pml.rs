@@ -94,13 +94,6 @@ impl LocalHooks {
             h.on_send(ev);
         }
     }
-
-    /// Snapshot the hooks (tests and slow paths only; the hot path uses
-    /// [`LocalHooks::dispatch`]).
-    #[allow(dead_code)]
-    pub(crate) fn snapshot(&self) -> Vec<Rc<dyn LocalPmlHook>> {
-        self.hooks.iter().map(|(_, h)| Rc::clone(h)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -123,9 +116,7 @@ mod tests {
             kind: MsgKind::P2pUser,
             vtime_ns: 0.0,
         };
-        for hook in t.snapshot() {
-            hook.on_send(&ev);
-        }
+        t.dispatch(&ev);
         assert_eq!(seen.get(), 42);
         assert!(t.remove(h));
         assert!(!t.remove(h));

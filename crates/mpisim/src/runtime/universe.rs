@@ -1,0 +1,649 @@
+//! The universe: job configuration, the shared delivery stage every
+//! envelope is posted through, the two rank engines and the launch family.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use mim_trace::Tracer;
+use mim_util::channel::{unbounded, Receiver, Sender};
+use mim_util::sync::{Mutex, RwLock};
+
+use mim_topology::{Machine, Placement};
+
+use super::membership::elastic_rank_body;
+use super::{Rank, RankAborted};
+use crate::comm::Group;
+use crate::envelope::Envelope;
+use crate::exec::{self, ExecShared, ExecutorKind};
+use crate::fault::{self, FaultInjector, RankFailure};
+use crate::nic::NicCounters;
+use crate::pml::PmlHook;
+use crate::sched::{clamp_choice, Decision, PolicyHandle};
+
+/// Job configuration.
+#[derive(Debug, Clone)]
+pub struct UniverseConfig {
+    /// The machine to simulate.
+    pub machine: Machine,
+    /// Process → core placement; its length is the number of ranks.
+    pub placement: Placement,
+    /// Virtual per-send overhead paid by the sender (ns).
+    pub send_overhead_ns: f64,
+    /// Virtual per-receive overhead paid by the receiver (ns).
+    pub recv_overhead_ns: f64,
+    /// Per-message protocol header counted by the simulated NIC (bytes).
+    pub nic_header_bytes: u64,
+    /// Wall-clock bound on a single blocking receive (deadlock detector).
+    pub deadline: Duration,
+    /// Stack size of rank threads.
+    pub stack_size: usize,
+    /// Which engine hosts rank code: one OS thread per rank
+    /// ([`ExecutorKind::Threads`], the default and the equivalence oracle)
+    /// or M:N rank tasks on a fixed work-stealing pool
+    /// ([`ExecutorKind::Tasks`], the 10k-rank engine).  Defaults from
+    /// `MIM_EXECUTOR`; both modes produce bit-identical virtual-time
+    /// results (see `tests/executor_equivalence.rs`).
+    pub executor: ExecutorKind,
+    /// Stack size of rank *task* fibers (Tasks mode only).  Much smaller
+    /// than `stack_size`: 10k ranks × this many bytes must fit comfortably
+    /// in memory, and simulated rank bodies are shallow.
+    pub task_stack_size: usize,
+    /// Tracing subsystem: each rank records its wire events on a per-rank
+    /// track (flight recorder + optional `MIM_TRACE` file sink).  `None`
+    /// disables tracing entirely — every record site is a single
+    /// branch-on-`Option` (see the `trace_overhead` microbench).
+    pub tracer: Option<Arc<Tracer>>,
+    /// Optional deterministic fault injector (see [`crate::fault`] and the
+    /// `mim-chaos` crate).  `None` keeps the wire layer on its fault-free
+    /// fast path: the injector check is a single branch-on-`Option`
+    /// (measured by the `chaos_overhead` microbench).
+    pub injector: Option<Arc<dyn FaultInjector>>,
+    /// Optional schedule policy (see [`crate::sched`] and the `mim-explore`
+    /// crate): takes over the runtime's three nondeterminism points —
+    /// wildcard matching, task resume order, wire-delivery order.  `None`
+    /// keeps every hook a single branch-on-`Option`; the canonical policy
+    /// is bit-identical to `None`.
+    pub sched: Option<PolicyHandle>,
+    /// Elastic universes: the number of trailing placement slots reserved
+    /// for ranks that may *join* the universe mid-run.  The initial world
+    /// (`MPI_COMM_WORLD`) is the first `placement.len() - latent_ranks`
+    /// ranks; latent slots are wired (channel + task/thread) at launch but
+    /// stay parked — no `Rank`, no mailbox, no trace track — until a
+    /// sponsor admits them (see `Universe::launch_elastic`).  0 (the
+    /// default) is the classic static universe.
+    pub latent_ranks: usize,
+}
+
+impl UniverseConfig {
+    /// Standard configuration: one process per core of `machine`, packed
+    /// placement, default overheads.
+    ///
+    /// The deadlock-detector deadline defaults to 30 s of wall clock but can
+    /// be raised (or lowered) via `MIM_DEADLINE_MS` — an overloaded CI
+    /// runner can stall a rank thread long enough to trip a fixed deadline
+    /// and report a false "deadlock".
+    pub fn new(machine: Machine, placement: Placement) -> Self {
+        assert!(
+            placement.len() <= machine.num_cores(),
+            "placement has more processes than the machine has cores"
+        );
+        let deadline = std::env::var("MIM_DEADLINE_MS")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .map_or(Duration::from_secs(30), Duration::from_millis);
+        Self {
+            machine,
+            placement,
+            send_overhead_ns: 100.0,
+            recv_overhead_ns: 50.0,
+            nic_header_bytes: 0,
+            deadline,
+            stack_size: 4 << 20,
+            executor: ExecutorKind::from_env(),
+            task_stack_size: 256 << 10,
+            tracer: Tracer::global(),
+            injector: None,
+            sched: None,
+            latent_ranks: 0,
+        }
+    }
+
+    /// Select the rank execution engine (builder style).
+    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
+        self.executor = executor;
+        self
+    }
+
+    /// Install a deterministic fault injector (builder style).
+    pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+        self.injector = Some(injector);
+        self
+    }
+
+    /// Install a schedule policy (builder style): the policy decides
+    /// wildcard matches, task resume order (Tasks mode, forced to one
+    /// worker) and wire-delivery order, and its decision log rides along in
+    /// deadlock panics.
+    pub fn with_schedule_policy(mut self, policy: PolicyHandle) -> Self {
+        self.sched = Some(policy);
+        self
+    }
+
+    /// Reserve the *last* `n` placement slots for latent joiners (builder
+    /// style; see the `latent_ranks` field).  Latent slots only come to life
+    /// under [`Universe::launch_elastic`].
+    pub fn with_latent_ranks(mut self, n: usize) -> Self {
+        assert!(
+            n < self.placement.len(),
+            "latent_ranks ({n}) must leave at least one initial rank \
+             (placement has {} slots)",
+            self.placement.len()
+        );
+        self.latent_ranks = n;
+        self
+    }
+
+    /// Number of rank slots in the job (initial world + latent joiners).
+    pub fn nprocs(&self) -> usize {
+        self.placement.len()
+    }
+
+    /// Size of the initial world (`MPI_COMM_WORLD`): every slot that is not
+    /// a latent joiner.
+    pub fn initial(&self) -> usize {
+        self.nprocs() - self.latent_ranks
+    }
+}
+
+/// Shared buffer of one rank's one-sided window.
+pub(crate) type WindowBuf = Arc<Mutex<Vec<u8>>>;
+
+pub(crate) struct Shared {
+    pub(crate) cfg: UniverseConfig,
+    pub(crate) senders: Vec<Sender<Envelope>>,
+    pub(crate) global_hooks: RwLock<Vec<Arc<dyn PmlHook>>>,
+    next_comm_id: AtomicU64,
+    /// One-sided window registry: (window id, comm rank) → shared buffer.
+    pub(crate) windows: Mutex<HashMap<(u64, usize), WindowBuf>>,
+    /// The simulated NIC (also the first global hook); kept here so the
+    /// wire layer can count retransmissions without a hook round-trip.
+    pub(crate) nic: Arc<NicCounters>,
+    /// Per-rank liveness, cleared when a fault plan crashes a rank.
+    pub(crate) alive: Vec<AtomicBool>,
+    /// Per-slot admission state (elastic universes): initial-world slots are
+    /// born admitted; a latent slot flips when a sponsor admits it.  The
+    /// sponsor's run epilogue retires every slot still unadmitted.
+    pub(crate) admitted: Vec<AtomicBool>,
+    /// Set by `launch_faulty`: sends to a gone mailbox drop silently
+    /// instead of unwinding the sender (`RankAborted`).
+    pub(crate) faulty: AtomicBool,
+    /// M:N scheduler state, present iff the universe runs in
+    /// [`ExecutorKind::Tasks`] mode.  Senders notify it after every
+    /// delivery so a parked destination task gets rescheduled.
+    pub(crate) exec: Option<Arc<ExecShared>>,
+    /// Wire-delivery staging area, used only under a schedule policy:
+    /// posted envelopes wait here as `(ticket, dst, env)` until the policy
+    /// releases them (see [`Shared::post`]).
+    stage: Mutex<VecDeque<(u64, usize, Envelope)>>,
+    /// Ticket allocator for staged deliveries.
+    stage_ticket: AtomicU64,
+    /// `MPI_COMM_WORLD`'s group, built once: every rank's world
+    /// communicator shares it.
+    pub(super) world_group: Arc<Group>,
+}
+
+impl Shared {
+    /// Allocate `n` consecutive globally unique communicator/window ids.
+    pub(crate) fn alloc_ids(&self, n: u64) -> u64 {
+        self.next_comm_id.fetch_add(n, Ordering::Relaxed)
+    }
+
+    pub(crate) fn core_of(&self, world: usize) -> usize {
+        self.cfg.placement.core_of(world)
+    }
+
+    /// Deliver an envelope to `dst`'s mailbox channel and, under the M:N
+    /// executor, wake `dst`'s task if it is parked.  Every wire-layer send
+    /// must go through here — a bare `senders[dst].send` would leave a
+    /// parked destination asleep until the stall resolver falsely times it
+    /// out.  Returns whether the channel accepted the envelope.
+    pub(crate) fn post(&self, dst: usize, env: Envelope) -> bool {
+        match &self.cfg.sched {
+            Some(policy) => self.post_policed(policy, dst, env),
+            None => self.post_direct(dst, env),
+        }
+    }
+
+    /// The un-policed delivery: send, then wake a parked destination task.
+    fn post_direct(&self, dst: usize, env: Envelope) -> bool {
+        let delivered = self.senders[dst].send(env).is_ok();
+        if delivered {
+            if let Some(exec) = &self.exec {
+                exec.notify(dst);
+                // Fairness: if the destination is runnable but starved of a
+                // worker, hand it ours (no-op off the executor).
+                exec.maybe_yield_to(dst);
+            }
+        }
+        delivered
+    }
+
+    /// Policed delivery: stage the envelope, then release staged envelopes
+    /// in policy-chosen order until the stage drains.  The slate is offered
+    /// in posting (FIFO) order, so the canonical index-0 answer releases
+    /// exactly as [`Shared::post_direct`] would — bit-identical; singleton
+    /// slates skip the policy call entirely.  A staged envelope can be
+    /// released by a *concurrent* poster's drain loop, in which case its
+    /// original poster reports success: the only false return is a send to
+    /// a gone mailbox (`launch_faulty` crash plans), which is not combined
+    /// with schedule exploration.
+    fn post_policed(&self, policy: &PolicyHandle, dst: usize, env: Envelope) -> bool {
+        let my_ticket = {
+            let mut stage = self.stage.lock();
+            let t = self.stage_ticket.fetch_add(1, Ordering::Relaxed);
+            stage.push_back((t, dst, env));
+            t
+        };
+        let mut my_result = true;
+        // Pop under the lock, deliver outside it: `post_direct` may suspend
+        // the calling fiber in its fairness yield, and a suspended fiber
+        // must never hold the stage.
+        while let Some((ticket, d, e)) = self.stage_pop(policy) {
+            let delivered = self.post_direct(d, e);
+            if ticket == my_ticket {
+                my_result = delivered;
+            }
+        }
+        my_result
+    }
+
+    /// Take one staged envelope, consulting the policy when several are
+    /// pending.  The slate is in posting (FIFO) order.
+    fn stage_pop(&self, policy: &PolicyHandle) -> Option<(u64, usize, Envelope)> {
+        let mut stage = self.stage.lock();
+        match stage.len() {
+            0 => None,
+            1 => stage.pop_front(),
+            n => {
+                let slate: Vec<(usize, usize)> =
+                    stage.iter().map(|(_, d, e)| (e.src_world, *d)).collect();
+                let i =
+                    clamp_choice(policy.choose(Decision::WireDelivery { candidates: &slate }), n);
+                stage.remove(i)
+            }
+        }
+    }
+}
+
+/// A simulated job: configuration, wiring and the simulated NIC.
+///
+/// ```
+/// use mim_mpisim::{Universe, UniverseConfig};
+/// use mim_topology::{Machine, Placement};
+///
+/// let machine = Machine::plafrim(2);
+/// let cfg = UniverseConfig::new(machine, Placement::packed(4));
+/// let universe = Universe::new(cfg);
+/// let sums = universe.launch(|rank| {
+///     let world = rank.comm_world();
+///     let mine = vec![rank.world_rank() as u64];
+///     rank.allreduce(&world, &mine, |a, b| a + b)[0]
+/// });
+/// assert_eq!(sums, vec![6, 6, 6, 6]);
+/// ```
+pub struct Universe {
+    shared: Arc<Shared>,
+    receivers: Mutex<Option<Vec<Receiver<Envelope>>>>,
+}
+
+impl Universe {
+    /// Wire a universe for `cfg.nprocs()` ranks.
+    pub fn new(cfg: UniverseConfig) -> Self {
+        let n = cfg.nprocs();
+        assert!(n > 0, "universe needs at least one rank");
+        let mut senders = Vec::with_capacity(n);
+        let mut receivers = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (tx, rx) = unbounded();
+            senders.push(tx);
+            receivers.push(rx);
+        }
+        let core_to_node =
+            (0..cfg.machine.num_cores()).map(|c| cfg.machine.node_of_core(c)).collect();
+        let nic = Arc::new(NicCounters::new(core_to_node, cfg.nic_header_bytes));
+        let exec = match cfg.executor {
+            ExecutorKind::Tasks if mim_util::fiber::SUPPORTED => Some(ExecShared::new(n)),
+            ExecutorKind::Tasks => {
+                eprintln!(
+                    "mim-mpisim: MIM_EXECUTOR=tasks needs stackful fibers \
+                     (x86_64 unix only); falling back to thread-per-rank"
+                );
+                None
+            }
+            ExecutorKind::Threads => None,
+        };
+        if let (Some(exec), Some(policy)) = (&exec, &cfg.sched) {
+            // Hand the policy to the scheduler before launch: dispatch
+            // becomes single-worker and resume order is the policy's.
+            exec.set_policy(Arc::clone(policy));
+        }
+        let shared = Arc::new(Shared {
+            senders,
+            global_hooks: RwLock::new(vec![nic.clone() as Arc<dyn PmlHook>]),
+            next_comm_id: AtomicU64::new(1), // id 0 is MPI_COMM_WORLD
+            windows: Mutex::new(HashMap::new()),
+            nic,
+            alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
+            admitted: (0..n).map(|i| AtomicBool::new(i < cfg.initial())).collect(),
+            faulty: AtomicBool::new(false),
+            exec,
+            stage: Mutex::new(VecDeque::new()),
+            stage_ticket: AtomicU64::new(0),
+            world_group: Group::new((0..cfg.initial()).collect()),
+            cfg,
+        });
+        Self { shared, receivers: Mutex::new(Some(receivers)) }
+    }
+
+    /// The simulated NIC counters (inspect after [`Universe::launch`]).
+    pub fn nic(&self) -> &NicCounters {
+        &self.shared.nic
+    }
+
+    /// Per-rank liveness after a run: `false` for ranks killed by the fault
+    /// plan, `true` otherwise.
+    pub fn alive(&self) -> Vec<bool> {
+        self.shared.alive.iter().map(|a| a.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Register an additional global PML hook (before launching).
+    pub fn add_global_hook(&self, hook: Arc<dyn PmlHook>) {
+        self.shared.global_hooks.write().push(hook);
+    }
+
+    /// Job configuration.
+    pub fn config(&self) -> &UniverseConfig {
+        &self.shared.cfg
+    }
+
+    /// Run every rank body to completion — one OS thread per rank, or M:N
+    /// rank tasks on a worker pool, per `cfg.executor` — and pair each
+    /// rank's result with its own panic payload (by rank index).  The
+    /// shared engine under both [`Universe::launch`] (strict) and
+    /// [`Universe::launch_faulty`] (recoverable).
+    fn run_collect<F, R>(&self, f: F) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
+    where
+        F: Fn(&Rank) -> R + Sync,
+        R: Send,
+    {
+        self.run_bodies(|world_rank, shared, rx, slot: &mut Option<R>| {
+            let rank = Rank::new_with(world_rank, shared, rx, 0, None);
+            *slot = Some(f(&rank));
+        })
+    }
+
+    /// The slot-body engine under [`Universe::run_collect`] and
+    /// [`Universe::launch_elastic`]: run one `body` per slot (thread-per-rank
+    /// or M:N tasks, per `cfg.executor`), pairing each slot's result with
+    /// its own panic payload (by slot index).
+    fn run_bodies<B, R>(&self, body: B) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
+    where
+        B: Fn(usize, Arc<Shared>, Receiver<Envelope>, &mut Option<R>) + Sync,
+        R: Send,
+    {
+        let receivers = self.receivers.lock().take().expect("a universe can only be launched once");
+        let n = receivers.len();
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let payloads = match &self.shared.exec {
+            Some(exec) => {
+                let exec = Arc::clone(exec);
+                self.run_ranks_as_tasks(&exec, &body, receivers, &mut results)
+            }
+            None => self.run_ranks_as_threads(&body, receivers, &mut results),
+        };
+        if let Some(t) = &self.shared.cfg.tracer {
+            t.flush();
+        }
+        results
+            .into_iter()
+            .zip(payloads)
+            .map(|(r, p)| match p {
+                Some(payload) => Err(payload),
+                None => Ok(r.expect("rank produced no result")),
+            })
+            .collect()
+    }
+
+    /// Thread-per-rank engine: spawn `n` scoped OS threads and join them.
+    fn run_ranks_as_threads<B, R>(
+        &self,
+        body: &B,
+        receivers: Vec<Receiver<Envelope>>,
+        results: &mut [Option<R>],
+    ) -> Vec<Option<Box<dyn std::any::Any + Send>>>
+    where
+        B: Fn(usize, Arc<Shared>, Receiver<Envelope>, &mut Option<R>) + Sync,
+        R: Send,
+    {
+        let n = receivers.len();
+        let mut payloads: Vec<Option<Box<dyn std::any::Any + Send>>> =
+            (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(n);
+            for (world_rank, (rx, slot)) in
+                receivers.into_iter().zip(results.iter_mut()).enumerate()
+            {
+                let shared = Arc::clone(&self.shared);
+                let handle = std::thread::Builder::new()
+                    .name(format!("rank-{world_rank}"))
+                    .stack_size(self.shared.cfg.stack_size)
+                    .spawn_scoped(scope, move || body(world_rank, shared, rx, slot))
+                    .expect("failed to spawn rank thread");
+                handles.push(handle);
+            }
+            for (i, h) in handles.into_iter().enumerate() {
+                if let Err(p) = h.join() {
+                    payloads[i] = Some(p);
+                }
+            }
+        });
+        payloads
+    }
+
+    /// M:N engine: wrap each rank body in a fiber task and run the lot on a
+    /// fixed work-stealing worker pool (`crate::exec`).  Blocking receives
+    /// park the rank's *task* (the mailbox holds its `ParkerHandle`), so a
+    /// handful of workers can carry a 10k-rank universe.
+    fn run_ranks_as_tasks<B, R>(
+        &self,
+        exec: &Arc<ExecShared>,
+        body: &B,
+        receivers: Vec<Receiver<Envelope>>,
+        results: &mut [Option<R>],
+    ) -> Vec<Option<Box<dyn std::any::Any + Send>>>
+    where
+        B: Fn(usize, Arc<Shared>, Receiver<Envelope>, &mut Option<R>) + Sync,
+        R: Send,
+    {
+        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(receivers.len());
+        for (world_rank, (rx, slot)) in receivers.into_iter().zip(results.iter_mut()).enumerate() {
+            let shared = Arc::clone(&self.shared);
+            let task: Box<dyn FnOnce() + Send + '_> =
+                Box::new(move || body(world_rank, shared, rx, slot));
+            // SAFETY: lifetime erasure only.  `exec::run_tasks` joins its
+            // worker pool (a `thread::scope`) before returning, and every
+            // fiber — run or not — is dropped inside it, so no task (and no
+            // borrow of `body` or `results` it captures) outlives this call.
+            let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
+            bodies.push(task);
+        }
+        exec::run_tasks(exec, bodies, self.shared.cfg.task_stack_size, self.shared.cfg.deadline)
+    }
+
+    /// Run `f` once per rank — on its own OS thread or as an M:N rank task,
+    /// per `cfg.executor` — and collect the per-rank results in rank order.
+    ///
+    /// # Panics
+    /// Panics if any rank panics (the first panic is propagated), or when
+    /// called a second time on the same universe.
+    pub fn launch<F, R>(&self, f: F) -> Vec<R>
+    where
+        F: Fn(&Rank) -> R + Sync,
+        R: Send,
+    {
+        let mut results = Vec::new();
+        let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
+        for r in self.run_collect(f) {
+            match r {
+                Ok(v) => results.push(v),
+                Err(p) => panics.push(p),
+            }
+        }
+        if !panics.is_empty() {
+            // A plan-scheduled crash is an error in strict mode: report it
+            // in the clear instead of unwinding an internal payload.
+            for p in &panics {
+                if let Some(c) = p.downcast_ref::<fault::RankCrashed>() {
+                    panic!(
+                        "rank {} crashed by fault injection at {:.0} ns after {} wire ops \
+                         (use Universe::launch_faulty to recover)",
+                        c.world, c.at_ns, c.ops
+                    );
+                }
+            }
+            // Prefer the first payload that is not a secondary
+            // `RankAborted` cascade, so the launcher reports the root cause
+            // (e.g. a deadlock diagnosis) rather than a send-to-dead-rank
+            // symptom from a surviving rank.
+            let pos = panics.iter().position(|p| !(**p).is::<RankAborted>()).unwrap_or(0);
+            let payload = panics.swap_remove(pos);
+            match payload.downcast::<RankAborted>() {
+                // Every failing rank was a cascade: the peer exited early
+                // *without* panicking, so describe that instead.
+                Ok(ab) => panic!(
+                    "rank {} sent to rank {}, whose thread had already \
+                     exited without receiving (and without panicking)",
+                    ab.src, ab.dst
+                ),
+                Err(p) => std::panic::resume_unwind(p),
+            }
+        }
+        results
+    }
+
+    /// Like [`Universe::launch`], but failures are *data*: each rank yields
+    /// `Ok(result)` or the [`RankFailure`] that took it down, and a send to
+    /// a dead rank's mailbox drops silently instead of unwinding the sender.
+    /// Survivors keep their results even when peers die — the recoverable
+    /// mode the self-healing reorder loop runs under.
+    pub fn launch_faulty<F, R>(&self, f: F) -> Vec<Result<R, RankFailure>>
+    where
+        F: Fn(&Rank) -> R + Sync,
+        R: Send,
+    {
+        self.shared.faulty.store(true, Ordering::Relaxed);
+        self.run_collect(f).into_iter().map(|r| r.map_err(RankFailure::classify)).collect()
+    }
+
+    /// Elastic launch: [`Universe::launch_faulty`] plus membership churn.
+    ///
+    /// Three behaviors stack on top of the recoverable mode:
+    ///
+    /// - **Rolling restarts.**  A rank crashed by the plan whose
+    ///   [`FaultInjector::restart_after_crash`] says so is reborn in place:
+    ///   same world rank, incarnation + 1, fresh clock and mailbox, and `f`
+    ///   runs again (`Rank::incarnation` distinguishes the rebirth).  Its
+    ///   rebirth broadcasts a join notice peers consume with
+    ///   [`Rank::await_rejoin`].
+    /// - **Latent joiners.**  Slots reserved by
+    ///   [`UniverseConfig::with_latent_ranks`] park until a sponsor admits
+    ///   them ([`Rank::admit`] or the plan's [`FaultInjector::join_plan`]);
+    ///   an admitted slot runs `f` with [`Rank::join_comm`] set to the
+    ///   communicator it was admitted into.  When the sponsor (world rank 0)
+    ///   finishes, every slot never admitted is retired and yields
+    ///   `Ok(None)`.
+    /// - **Stale-epoch hygiene.**  In-flight messages addressed to a dead
+    ///   incarnation are dropped deterministically (see
+    ///   [`Rank::stale_dropped`]), and [`Rank::send_checked`] rejects sends
+    ///   on superseded communicators.
+    ///
+    /// Each completed rank yields `Ok(Some(result))`; a rank that died for
+    /// good yields `Err(RankFailure)`.
+    pub fn launch_elastic<F, R>(&self, f: F) -> Vec<Result<Option<R>, RankFailure>>
+    where
+        F: Fn(&Rank) -> R + Sync,
+        R: Send,
+    {
+        self.shared.faulty.store(true, Ordering::Relaxed);
+        self.run_bodies(|world_rank, shared, rx, slot: &mut Option<Option<R>>| {
+            elastic_rank_body(world_rank, shared, rx, &f, slot);
+        })
+        .into_iter()
+        .map(|r| r.map_err(RankFailure::classify))
+        .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{faulty_universe, small_universe, CrashAtOps};
+    use super::*;
+
+    #[test]
+    fn deadline_env_override() {
+        // Use a generous value: tests run in parallel and another test
+        // constructing a config while the variable is set must not end up
+        // with a deadline short enough to trip its deadlock detector.
+        std::env::set_var("MIM_DEADLINE_MS", "123456");
+        let cfg = UniverseConfig::new(Machine::cluster(1, 1, 2), Placement::packed(2));
+        std::env::remove_var("MIM_DEADLINE_MS");
+        assert_eq!(cfg.deadline, Duration::from_millis(123_456));
+        let cfg = UniverseConfig::new(Machine::cluster(1, 1, 2), Placement::packed(2));
+        assert_eq!(cfg.deadline, Duration::from_secs(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "launched once")]
+    fn double_launch_panics() {
+        let u = small_universe(1);
+        u.launch(|_| ());
+        u.launch(|_| ());
+    }
+
+    #[test]
+    fn launch_faulty_reports_crash_and_preserves_survivors() {
+        let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 0 }));
+        let results = u.launch_faulty(|rank| {
+            let world = rank.comm_world();
+            if rank.world_rank() == 0 {
+                let err = rank
+                    .recv_or_failure::<u64>(&world, 1, 9)
+                    .expect_err("peer crashed before sending");
+                assert_eq!(err.world, 1);
+            } else {
+                // First wire op: dies in the send prologue.
+                rank.send(&world, 0, 9, &[1u64]);
+            }
+            rank.world_rank()
+        });
+        assert_eq!(results[0], Ok(0));
+        assert_eq!(results[1], Err(RankFailure::Crashed { at_ns: 0.0, ops: 0 }));
+        assert_eq!(u.alive(), vec![true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "use Universe::launch_faulty to recover")]
+    fn strict_launch_rejects_scheduled_crash() {
+        let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 0 }));
+        u.launch(|rank| {
+            let world = rank.comm_world();
+            if rank.world_rank() == 0 {
+                let _ = rank.recv_or_failure::<u64>(&world, 1, 9);
+            } else {
+                rank.send(&world, 0, 9, &[1u64]);
+            }
+        });
+    }
+}

@@ -524,10 +524,11 @@ pub fn evaluate(
 }
 
 /// Like [`evaluate`] but with per-node NIC contention: cross-node sends of
-/// one node serialize on its shared link (the runtime's
-/// `UniverseConfig::nic_contention` model).  Events are processed in
-/// virtual-time order, so this variant is deterministic — unlike the live
-/// runtime under contention, whose link bookings depend on thread timing.
+/// one node serialize on its shared link.  Events are processed in
+/// virtual-time order, so this variant is deterministic — which is why the
+/// model lives here and not in the live runtime (`Rank::wire_send` has no
+/// contention knob): there, link bookings would happen in wall-clock order
+/// while the ranks' virtual clocks drift.
 pub fn evaluate_contended(
     schedule: &Schedule,
     machine: &Machine,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint gate (stdlib only, no cargo needed).
 
-Two rules, both scoped to library code with `#[cfg(test)]` items stripped:
+Four rules, all scoped to library code with `#[cfg(test)]` items stripped:
 
 1. No `.unwrap()` / `.expect(` in `mim-mpisim`, `mim-core`,
    `mim-analyze`, or `mim-explore` outside the explicit allowlist below.
@@ -25,6 +25,16 @@ Two rules, both scoped to library code with `#[cfg(test)]` items stripped:
    read there would let scheduling order leak into behavior.  Blocking
    wall-clock waits belong in `sync.rs` (the Notifier), where the
    executor's idle workers and its starvation watchdog sleep.
+
+4. No library file under `crates/mpisim/src` — where every per-message
+   perf item on the ROADMAP lands — exceeds 600 counted lines (everything
+   from the first top-level `#[cfg(test)]` on dropped, blank and comment
+   lines excluded).  `runtime.rs` once reached 1413; each decision now
+   has a file of its own and none may quietly grow back.
+
+The allowlist is keyed by repo-relative path, and an entry no line
+matches fails the gate: a moved or deleted site must take its allowance
+with it.
 """
 import re
 import sys
@@ -47,38 +57,42 @@ CLOCK_SCOPE = [
 # Rule 3: single files (not whole directories) held to both rules.
 EXEC_SUBSTRATE = ["crates/util/src/fiber.rs", "crates/util/src/deque.rs"]
 
-# (file name, code substring) pairs; the substring must appear on the
-# offending line for it to pass.  Keep each entry justified.
+# Rule 4: the size cap and the tree it applies to.
+SIZE_SCOPE = "crates/mpisim/src"
+SIZE_CAP = 600
+
+# (repo-relative path, code substring) pairs; the substring must appear on
+# the offending line for it to pass.  Keep each entry justified.
+MPISIM = "crates/mpisim/src/"
 ALLOWLIST = [
     # Chunk size is constant and matches the type width.
-    ("datatype.rs", "c.try_into().unwrap()"),
+    (MPISIM + "datatype.rs", "c.try_into().unwrap()"),
     # Matching index and FIFO non-emptiness are the mailbox's own invariants.
-    ("mailbox.rs", 'expect("channel key came from the index")'),
-    ("mailbox.rs", 'expect("empty channels are pruned")'),
+    (MPISIM + "mailbox.rs", 'expect("channel key came from the index")'),
+    (MPISIM + "mailbox.rs", 'expect("empty channels are pruned")'),
     # Envelope sources were translated through the same communicator.
-    ("nonblocking.rs", 'expect("sender not in communicator")'),
-    ("runtime.rs", 'expect("sender not in communicator")'),
+    (MPISIM + "runtime/wire.rs", 'expect("sender not in communicator")'),
     # Window exposure is checked before any one-sided op is admitted.
-    ("osc.rs", 'expect("window not exposed on target'),
+    (MPISIM + "osc.rs", 'expect("window not exposed on target'),
     # Launch-once and thread-spawn failures are unrecoverable by design.
-    ("runtime.rs", 'expect("a universe can only be launched once")'),
-    ("runtime.rs", 'expect("failed to spawn rank thread")'),
-    ("runtime.rs", 'expect("rank produced no result")'),
+    (MPISIM + "runtime/universe.rs", 'expect("a universe can only be launched once")'),
+    (MPISIM + "runtime/universe.rs", 'expect("failed to spawn rank thread")'),
+    (MPISIM + "runtime/universe.rs", 'expect("rank produced no result")'),
     # comm_split: the color/rank were inserted into these very collections.
-    ("runtime.rs", "distinct.binary_search(&color).unwrap()"),
-    ("runtime.rs", "position(|&(_, r)| r == comm.rank()).unwrap()"),
+    (MPISIM + "comm.rs", "distinct.binary_search(&color).unwrap()"),
+    (MPISIM + "comm.rs", "position(|&(_, r)| r == comm.rank()).unwrap()"),
     # DES readiness check precedes the pop.
-    ("schedule.rs", 'expect("readiness check guaranteed a message")'),
+    (MPISIM + "schedule.rs", 'expect("readiness check guaranteed a message")'),
     # Collectives: rootedness and ring-arrival order are the algorithms'
     # own invariants (documented under `# Panics` on the public entry).
-    ("extra.rs", 'expect("non-root has a parent")'),
-    ("mod.rs", 'expect("scatter root must provide data")'),
-    ("mod.rs", 'expect("ring block not yet received")'),
-    ("mod.rs", 'expect("missing allgather block")'),
-    ("mod.rs", 'expect("missing alltoall chunk")'),
-    ("varcount.rs", 'expect("scatterv root must provide chunks")'),
-    ("varcount.rs", 'expect("ring block not yet received")'),
-    ("varcount.rs", 'expect("missing allgatherv block")'),
+    (MPISIM + "collectives/extra.rs", 'expect("non-root has a parent")'),
+    (MPISIM + "collectives/mod.rs", 'expect("scatter root must provide data")'),
+    (MPISIM + "collectives/mod.rs", 'expect("ring block not yet received")'),
+    (MPISIM + "collectives/mod.rs", 'expect("missing allgather block")'),
+    (MPISIM + "collectives/mod.rs", 'expect("missing alltoall chunk")'),
+    (MPISIM + "collectives/varcount.rs", 'expect("scatterv root must provide chunks")'),
+    (MPISIM + "collectives/varcount.rs", 'expect("ring block not yet received")'),
+    (MPISIM + "collectives/varcount.rs", 'expect("missing allgatherv block")'),
 ]
 
 UNWRAP_RE = re.compile(r"\.unwrap\(\)|\.expect\(")
@@ -116,13 +130,27 @@ def code_of(line):
     return line.split("//")[0]
 
 
-def allowed(path, code):
-    return any(path.name == f and frag in code for f, frag in ALLOWLIST)
+def allowance(rel, code):
+    """The allowlist entry that covers this line, if any."""
+    return next((e for e in ALLOWLIST if e[0] == rel and e[1] in code), None)
+
+
+def counted_lines(lines):
+    """Code lines before the first top-level `#[cfg(test)]`, blank and
+    comment-only lines excluded — the count the size cap is stated in."""
+    n = 0
+    for line in lines:
+        if line.startswith("#[cfg(test)]"):
+            break
+        stripped = line.strip()
+        n += bool(stripped) and not stripped.startswith("//")
+    return n
 
 
 def main() -> int:
     problems = []
     used = set()
+    sizes = []
     targets = []
     for scope in sorted(set(UNWRAP_SCOPE + CLOCK_SCOPE)):
         targets += [(p, scope in UNWRAP_SCOPE) for p in sorted((REPO / scope).rglob("*.rs"))]
@@ -132,13 +160,16 @@ def main() -> int:
             # gating attribute lives in the parent module, not here.
             if path.name == "tests.rs" or "tests" in path.parent.parts:
                 continue
-            rel = path.relative_to(REPO)
+            rel = path.relative_to(REPO).as_posix()
             lines = path.read_text().splitlines()
+            if rel.startswith(SIZE_SCOPE + "/"):
+                sizes.append((counted_lines(lines), rel))
             for ln, line in strip_test_items(lines):
                 code = code_of(line)
                 if check_unwrap and UNWRAP_RE.search(code):
-                    if allowed(path, code):
-                        used.add((path.name, ln))
+                    entry = allowance(rel, code)
+                    if entry:
+                        used.add(entry)
                     else:
                         problems.append(
                             f"{rel}:{ln}: unwrap/expect in library code "
@@ -150,15 +181,23 @@ def main() -> int:
                         f"{rel}:{ln}: wall-clock source in deterministic code: "
                         f"{line.strip()}"
                     )
+    for entry in ALLOWLIST:
+        if entry not in used:
+            problems.append(f"allowlist entry matches no line (moved or deleted?): {entry}")
+    sizes.sort(reverse=True)
+    for n, rel in sizes:
+        if n > SIZE_CAP:
+            problems.append(f"{rel}: {n} counted lines, cap is {SIZE_CAP}: split it by decision")
     if problems:
         print("lint gate failed:")
         for p in problems:
             print("  " + p)
         return 1
     print(
-        f"lint gate OK: {len(ALLOWLIST)} allowlisted sites, "
-        f"{len(used)} in use, no stray unwrap/expect or wall-clock calls"
+        f"lint gate OK: {len(ALLOWLIST)} allowlisted sites, all in use, no stray "
+        f"unwrap/expect or wall-clock calls, no {SIZE_SCOPE} file over {SIZE_CAP} counted lines"
     )
+    print("largest: " + ", ".join(f"{rel.removeprefix(SIZE_SCOPE + '/')} {n}" for n, rel in sizes[:5]))
     return 0
 
 
