@@ -146,8 +146,8 @@ struct Replay<'p> {
     p: &'p Program,
     pc: Vec<usize>,
     blocked: Vec<Option<Blocked>>,
-    /// Per-channel FIFO of (arrival seq, bytes).
-    channels: HashMap<ChanKey, VecDeque<(u64, u64)>>,
+    /// Per-channel FIFO of (arrival seq, the send op that produced it).
+    channels: HashMap<ChanKey, VecDeque<(u64, Loc)>>,
     /// Per-destination pending messages in global arrival order.
     arrivals: Vec<BTreeMap<u64, ChanKey>>,
     next_seq: u64,
@@ -162,8 +162,6 @@ struct Replay<'p> {
     /// Per win: one-sided accesses of the currently open epoch.
     epoch: Vec<Vec<Access>>,
     wildcard_sites: Vec<Loc>,
-    /// Arrival seq → the send op that produced it (for the match log).
-    send_locs: HashMap<u64, Loc>,
     /// The canonical matching as `(send, recv)` location pairs.
     matches: Vec<(Loc, Loc)>,
     diags: Vec<Diag>,
@@ -186,7 +184,6 @@ impl<'p> Replay<'p> {
             fence_idx: vec![vec![0; n]; p.nwins()],
             epoch: vec![Vec::new(); p.nwins()],
             wildcard_sites: Vec::new(),
-            send_locs: HashMap::new(),
             matches: Vec::new(),
             diags: Vec::new(),
         }
@@ -219,7 +216,8 @@ impl<'p> Replay<'p> {
         }
     }
 
-    fn consume(&mut self, r: usize, seq: u64, key: ChanKey) {
+    /// Take the matched message off its channel and log the match.
+    fn consume(&mut self, recv: Loc, seq: u64, key: ChanKey) {
         if let Some(q) = self.channels.get_mut(&key) {
             let head = q.pop_front();
             debug_assert_eq!(
@@ -227,11 +225,14 @@ impl<'p> Replay<'p> {
                 Some(seq),
                 "wildcard match must take its channel's head"
             );
+            if let Some((_, send)) = head {
+                self.matches.push((send, recv));
+            }
             if q.is_empty() {
                 self.channels.remove(&key);
             }
         }
-        self.arrivals[r].remove(&seq);
+        self.arrivals[recv.rank].remove(&seq);
     }
 
     /// Close the epoch of `win` at a completed fence: report conflicting
@@ -323,8 +324,7 @@ impl<'p> Replay<'p> {
                     let key = (comm, r, dst, tag);
                     let seq = self.next_seq;
                     self.next_seq += 1;
-                    self.send_locs.insert(seq, Loc { rank: r, step });
-                    self.channels.entry(key).or_default().push_back((seq, bytes));
+                    self.channels.entry(key).or_default().push_back((seq, Loc { rank: r, step }));
                     self.arrivals[dst].insert(seq, key);
                     let t = self.totals.entry(key).or_default();
                     t.0 += 1;
@@ -342,12 +342,7 @@ impl<'p> Replay<'p> {
                         }
                     }
                     match self.find_match(r, comm, src, tag) {
-                        Some((seq, key)) => {
-                            if let Some(&s) = self.send_locs.get(&seq) {
-                                self.matches.push((s, Loc { rank: r, step }));
-                            }
-                            self.consume(r, seq, key);
-                        }
+                        Some((seq, key)) => self.consume(Loc { rank: r, step }, seq, key),
                         None => {
                             self.blocked[r] = Some(Blocked::Recv);
                             return wake;

@@ -306,6 +306,14 @@ pub(crate) fn race_pass(
     diags: &mut Vec<Diag>,
 ) -> (Determinism, IndependenceMap) {
     let n = p.nranks();
+    let wild =
+        |op: &Op| matches!(op, Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. });
+    if !(0..n).any(|r| p.rank_ops(r).iter().any(wild)) {
+        // No wildcards, no races: matching is a pure function of program
+        // order and FIFO channels.  Decided before any send is collected —
+        // every `analyze()` of a dense wildcard-free plan comes through here.
+        return (Determinism::Deterministic, IndependenceMap::empty(n));
+    }
     let mut sends: Vec<SendSite> = Vec::new();
     let mut wilds: Vec<WildSite> = Vec::new();
     for r in 0..n {
@@ -314,19 +322,12 @@ pub(crate) fn race_pass(
                 Op::Send { comm, dst, tag, .. } => {
                     sends.push(SendSite { loc: Loc { rank: r, step }, comm, dst, tag });
                 }
-                Op::Recv { comm, src, tag }
-                    if matches!(src, Src::Any) || matches!(tag, Tag::Any) =>
-                {
+                Op::Recv { comm, src, tag } if wild(op) => {
                     wilds.push(WildSite { loc: Loc { rank: r, step }, comm, src, tag });
                 }
                 _ => {}
             }
         }
-    }
-    if wilds.is_empty() {
-        // No wildcards, no races: matching is a pure function of program
-        // order and FIFO channels.
-        return (Determinism::Deterministic, IndependenceMap::empty(n));
     }
 
     let match_of_recv: BTreeMap<(usize, usize), Loc> =

@@ -8,11 +8,12 @@
 //! it appears in the runtime: a branch on an `Option<Arc<dyn
 //! FaultInjector>>`, then, only when an injector is installed, the
 //! bandwidth-scale lookup, the per-link op-index bump, and the attempt
-//! loop.  The contract the CI gate watches is that the *disabled* arm
-//! (the `None` every production run holds) costs no more than 2x the
-//! injector-free baseline; the quiet-plan arm shows what a
-//! zero-probability `FaultPlan` left installed costs, and the active arm
-//! prices the per-decision RNG itself.
+//! loop.  The contract is that the *disabled* arm (the `None` every
+//! production run holds) costs no more than 2x the injector-free baseline
+//! — a ratio between two arms of this one run, so it is asserted here, on
+//! the medians, and needs no recorded baseline.  The quiet-plan arm shows
+//! what a zero-probability `FaultPlan` left installed costs, and the
+//! active arm prices the per-decision RNG itself.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -122,14 +123,16 @@ fn main() {
     let active_plan = FaultPlan::new(42).drop_p(0.1).dup_p(0.05).delay(0.1, 200.0);
     let active = arm(&mut b, "send_site/active_plan", Some(active_plan.into_injector()));
 
-    println!(
-        "chaos_overhead               disabled/baseline ratio: {:.3} (acceptance bar 2.0)",
-        disabled / baseline
-    );
+    let ratio = disabled / baseline;
+    println!("chaos_overhead               disabled/baseline ratio: {ratio:.3} (bar 2.0)");
     println!(
         "chaos_overhead               null_plan +{:.1}ns  active_plan +{:.1}ns per send",
         quiet - baseline,
         active - baseline
     );
     b.finish();
+    assert!(
+        ratio <= 2.0,
+        "an uninstalled injector seam costs {ratio:.3}x the seam-free send path (bar 2.0)"
+    );
 }

@@ -3,12 +3,27 @@
 //! (c) enabled into a ring?
 //!
 //! The carrier workload is the steady-state receive path (unexpected-queue
-//! take + push, as in `mailbox_matching`) with the instrumentation exactly
-//! as it appears in `Rank::wire_recv`: a branch on an `Option<TraceHandle>`
-//! followed by a `record` call.  The contract the runtime relies on — and
-//! the CI gate watches — is that the *disabled* arm is indistinguishable
-//! from the baseline (the issue's acceptance bar is ≤ 5% overhead), and the
+//! take + push, as in `mim-ledger`'s mailbox probes) with the
+//! instrumentation exactly as it appears in `Rank::wire_recv`: a branch on
+//! an `Option<TraceHandle>` followed by a `record` call.  The contract the
+//! runtime relies on is that the *disabled* arm is indistinguishable from
+//! the baseline (the issue's acceptance bar is ≤ 5% overhead), and the
 //! *enabled* arm stays cheap enough to leave on in anger.
+//!
+//! Both halves are ratios between arms of this one run, so they are
+//! asserted here, on the medians, and need no recorded baseline:
+//!
+//! * `recv_1k/disabled` ÷ `recv_1k/baseline` ≤ 1.5, in both modes.  On the
+//!   carrier a record is ~35 ns in 170–400 ns, and a shared 2-core host
+//!   moves whole arms by more than that (five 2 ms quick samples per arm
+//!   have put this ratio anywhere from 0.87 to 1.33; eleven full runs on
+//!   one such host read 0.77–1.17, two of them above 1.05), so this is the
+//!   backstop against a disabled site that costs as much as the receive
+//!   itself — a lock, an allocation — and ≤ 5% is what a quiet host's full
+//!   run should print, not a bar a smoke run can hold.
+//! * `record/disabled` ÷ `record/enabled_ring` ≤ 0.5: the site with no
+//!   carrier around it.  Disabled, it is the `Option` branch (~3 ns against
+//!   ~35 ns); a disabled site that records anything at all reads 1.0.
 
 use mim_util::bench::{black_box, Bench};
 
@@ -110,18 +125,27 @@ fn main() {
         q.push(e);
     });
 
-    // The record call alone, for the per-event cost.
+    // The record site alone: the per-event cost, and — with no carrier to
+    // hide behind — what a disabled site costs next to an enabled one.
     let solo = Some(tracer.track("rank1"));
     let e = env(0, 0);
-    let mut t = 0.0f64;
-    b.iter("trace_overhead", "record/enabled_ring", || {
-        t += 1.0;
-        record_site(black_box(&solo), t, &e, 0);
-    });
+    let mut site = |label: &str, trace: &Option<TraceHandle>| {
+        let mut t = 0.0f64;
+        b.iter("trace_overhead", label, || {
+            t += 1.0;
+            record_site(black_box(trace), t, &e, 0);
+        })
+    };
+    let site_on = site("record/enabled_ring", &solo);
+    let site_off = site("record/disabled", &off);
 
+    let ratio = disabled / baseline;
+    let site_ratio = site_off / site_on;
     println!(
-        "trace_overhead               disabled/baseline ratio: {:.3} (acceptance bar 1.05)",
-        disabled / baseline
+        "trace_overhead               disabled/baseline ratio: {ratio:.3} (bar 1.5, quiet 1.05)"
     );
+    println!("trace_overhead               record site off/on: {site_ratio:.3} (bar 0.5)");
     b.finish();
+    assert!(ratio <= 1.5, "a disabled record site costs {ratio:.3}x the site-free receive path");
+    assert!(site_ratio <= 0.5, "a disabled record site costs {site_ratio:.3} of an enabled one");
 }

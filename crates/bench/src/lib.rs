@@ -14,9 +14,14 @@
 //! (override with `MIM_RESULTS_DIR`).  Set `MIM_QUICK=1` to shrink the
 //! sweeps for a fast smoke run.
 //!
-//! The Criterion benches (`hook_overhead`, `treematch`, `coll_algorithms`)
-//! are ablation microbenchmarks for the design choices called out in
-//! DESIGN.md.
+//! The repository's benchmark is `mim-ledger/` (with `BENCHMARK.json`), not
+//! this crate.  The seven `benches/` harnesses (on `mim_util::bench`) are
+//! what it has no twin for, and none is compared against a recorded number:
+//! `trace_overhead` and `chaos_overhead` assert their own in-run
+//! disabled/baseline ratio; `retry_storm`, `elastic_churn` and
+//! `analyze_races` are diagnostics a smoke run must complete;
+//! `coll_algorithms` and `treematch` are the design ablations DESIGN.md §4
+//! cites.
 
 /// True when the `MIM_QUICK` environment variable requests reduced sweeps.
 pub fn quick_mode() -> bool {

@@ -302,8 +302,9 @@ impl PairAccum {
         }
     }
 
-    /// Approximate heap footprint in bytes — what `monitor_scale` compares
-    /// between the dense and sparse planes.
+    /// Approximate heap footprint in bytes — what the
+    /// `sparse_memory_is_pair_proportional` test and `mim-ledger`'s
+    /// `core.accum.mem_bytes` row compare between the dense and sparse planes.
     pub fn mem_bytes(&self) -> usize {
         match &self.repr {
             Repr::Dense { counts, sizes } => counts

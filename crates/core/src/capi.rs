@@ -109,6 +109,12 @@ static TASK_ENVS: std::sync::LazyLock<
 
 /// Run `f` on the calling rank's environment slot — the fiber task's
 /// registry entry under the M:N executor, the thread-local otherwise.
+///
+/// [`ENV`] is consulted only *off* the executor, where `f` runs on an OS
+/// thread that cannot migrate; a rank task never reaches it, so no
+/// thread-local address is ever live across a fiber switch here (`f` may
+/// park: `MPI_M_start` runs a barrier).  `exec::current_task` is the read
+/// that must stay out of line, and is.
 fn with_env_slot<R>(f: impl FnOnce(&mut Option<Monitoring>) -> R) -> R {
     let Some(tid) = exec::current_task() else {
         return ENV.with(|env| f(&mut env.borrow_mut()));

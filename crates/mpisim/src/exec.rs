@@ -40,11 +40,13 @@
 //! the same `Timeout` the wall clock would have produced, minus the wait.
 //!
 //! A task that never parks cannot be preempted (fibers are cooperative), so
-//! a separate watchdog thread reports *starvation* — no scheduler progress
-//! for a full deadline while runnable/parked tasks wait behind a spinning
-//! one — and aborts the process (exit 107): the honest analogue of the
-//! deadline panic a parked thread would have raised, for a fault that
-//! cannot be unwound from outside.
+//! the launching thread keeps watch while the workers run and reports
+//! *starvation* — no scheduler progress for a full deadline while
+//! runnable/parked tasks wait behind a spinning one — by aborting the
+//! process (exit 107): the honest analogue of the deadline panic a parked
+//! thread would have raised, for a fault that cannot be unwound from
+//! outside.  It sleeps whole deadlines and compares one counter; between
+//! one and two deadlines pass before a hog is reported.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -106,6 +108,11 @@ thread_local! {
 
 /// The rank task the calling thread is executing, if any.  `None` under
 /// thread-per-rank (callers fall back to genuinely thread-local state).
+///
+/// Never inlined, for the reason `mim_util::fiber`'s own accessor gives: a
+/// rank task that parks between two calls may resume on another worker, and
+/// an inlined thread-local read would reuse the first worker's slot address.
+#[inline(never)]
 pub fn current_task() -> Option<TaskId> {
     CURRENT_TASK.with(std::cell::Cell::get)
 }
@@ -159,14 +166,13 @@ pub(crate) struct ExecShared {
     stealers: Mutex<Vec<Stealer>>,
     /// Wakes idle workers (epoch-counted; see `mim_util::sync::Notifier`).
     notifier: Notifier,
-    /// Scheduler progress heartbeat for the starvation watchdog: bumped on
-    /// park, unpark, completion and stall resolution.
-    progress: Notifier,
-    /// Scheduler-visible *attempts* (every [`notify`](ExecShared::notify)
-    /// call, whatever its outcome).  The watchdog treats movement here as a
-    /// sign of life: a rank spin-sending to a starved peer is slow, not
-    /// stuck — only a task burning its worker with *no* scheduler
-    /// interaction at all is starvation.
+    /// The starvation watchdog's one sign of life: bumped on every park,
+    /// completion and stall resolution, and on every
+    /// [`notify`](ExecShared::notify) *attempt*, whatever its outcome — a
+    /// rank spin-sending to a starved peer is slow, not stuck; only a task
+    /// burning its worker with *no* scheduler interaction at all is
+    /// starvation.  A plain counter the watchdog compares once per window:
+    /// nothing on the message path ever wakes that thread.
     activity: AtomicU64,
     parked: AtomicUsize,
     live: AtomicUsize,
@@ -199,7 +205,6 @@ impl ExecShared {
             injector: Injector::new(),
             stealers: Mutex::new(Vec::new()),
             notifier: Notifier::new(),
-            progress: Notifier::new(),
             activity: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
@@ -239,7 +244,6 @@ impl ExecShared {
                         slot.wake.store(WAKE_MESSAGE, Ordering::Release);
                         self.parked.fetch_sub(1, Ordering::SeqCst);
                         self.injector.push(dst);
-                        self.progress.notify();
                         self.notifier.notify();
                         return;
                     }
@@ -295,7 +299,6 @@ impl ExecShared {
         if live == 0 {
             self.shutdown.store(true, Ordering::Release);
             self.notifier.notify();
-            self.progress.notify();
             return;
         }
         if self.parked.load(Ordering::SeqCst) != live || !self.injector.is_empty() {
@@ -325,7 +328,7 @@ impl ExecShared {
                 self.tasks[i].wake.store(WAKE_DEADLINE, Ordering::Release);
                 self.parked.fetch_sub(1, Ordering::SeqCst);
                 self.injector.push(i);
-                self.progress.notify();
+                self.activity.fetch_add(1, Ordering::Relaxed);
                 self.notifier.notify();
             }
         }
@@ -410,22 +413,26 @@ pub(crate) fn run_tasks(
         exec.tasks[i].state.store(RUNNABLE, Ordering::SeqCst);
         exec.injector.push(i);
     }
+    // Notified by each worker as it returns — which it only does once the
+    // run is shut down — so the watchdog below never sleeps out its window
+    // on a finished run.
+    let exited = Notifier::new();
     std::thread::scope(|scope| {
         for (wid, q) in queues.into_iter().enumerate() {
             let exec = Arc::clone(exec);
-            let fibers = &fibers;
-            let payloads = &payloads;
+            let (fibers, payloads, exited) = (&fibers, &payloads, &exited);
             std::thread::Builder::new()
                 .name(format!("mim-exec-{wid}"))
-                .spawn_scoped(scope, move || worker_loop(&exec, q, fibers, payloads))
+                .spawn_scoped(scope, move || {
+                    worker_loop(&exec, q, fibers, payloads);
+                    exited.notify();
+                })
                 .unwrap_or_else(|e| panic!("failed to spawn executor worker: {e}"));
         }
+        // The launching thread has nothing to do until the workers are
+        // done: it keeps watch.
         let suspended = exec.policy.get().is_some_and(|p| p.virtual_watchdog());
-        let exec = Arc::clone(exec);
-        std::thread::Builder::new()
-            .name("mim-exec-watchdog".into())
-            .spawn_scoped(scope, move || watchdog_loop(&exec, deadline, suspended))
-            .unwrap_or_else(|e| panic!("failed to spawn executor watchdog: {e}"));
+        watchdog_loop(exec, &exited, deadline, suspended);
     });
     payloads.into_iter().map(Mutex::into_inner).collect()
 }
@@ -557,15 +564,10 @@ fn run_one(
             }
             drop(fiber); // free the stack eagerly: 10k ranks, bounded RSS
             slot.state.store(DONE, Ordering::SeqCst);
-            let left = exec.live.fetch_sub(1, Ordering::SeqCst) - 1;
-            exec.progress.notify();
-            if left == 0 {
+            exec.activity.fetch_add(1, Ordering::Relaxed);
+            if exec.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 exec.shutdown.store(true, Ordering::Release);
                 exec.notifier.notify();
-                // Notify progress *after* the shutdown store so the
-                // watchdog either sees the flag or sees the epoch advance —
-                // never sleeps out its full timeout on a finished run.
-                exec.progress.notify();
             }
         }
         Resume::Suspended => {
@@ -578,24 +580,18 @@ fn run_one(
                 // decrement (which can only follow a successful publish)
                 // never observes the counter early.
                 exec.parked.fetch_add(1, Ordering::SeqCst);
-                match slot.state.compare_exchange(
-                    RUNNING,
-                    PARKED,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => {
-                        exec.progress.notify();
-                    }
-                    Err(_) => {
-                        // A notify token landed while the task was still
-                        // Running: consume it and keep the task runnable.
-                        exec.parked.fetch_sub(1, Ordering::SeqCst);
-                        slot.wake.store(WAKE_MESSAGE, Ordering::Release);
-                        slot.state.store(RUNNABLE, Ordering::SeqCst);
-                        enqueue(exec, local, task);
-                        exec.progress.notify();
-                    }
+                exec.activity.fetch_add(1, Ordering::Relaxed);
+                if slot
+                    .state
+                    .compare_exchange(RUNNING, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
+                {
+                    // A notify token landed while the task was still
+                    // Running: consume it and keep the task runnable.
+                    exec.parked.fetch_sub(1, Ordering::SeqCst);
+                    slot.wake.store(WAKE_MESSAGE, Ordering::Release);
+                    slot.state.store(RUNNABLE, Ordering::SeqCst);
+                    enqueue(exec, local, task);
                 }
             } else {
                 // Bare cooperative yield: to the *back* of the global queue
@@ -622,18 +618,20 @@ fn run_one(
 /// indistinguishable from starvation out here.  The deterministic stall
 /// resolver — virtual order, no wall clock — still fires deadline wakes, so
 /// real deadlocks keep surfacing as `deadlock:` panics.
-fn watchdog_loop(exec: &Arc<ExecShared>, deadline: Duration, suspended: bool) {
+fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration, suspended: bool) {
     loop {
-        let seen = exec.progress.epoch();
-        let seen_activity = exec.activity.load(Ordering::Relaxed);
+        // Epoch before flag, as in `worker_loop`: a worker that returns
+        // after the check has advanced the epoch by the time we sleep.
+        let epoch = exited.epoch();
+        let seen = exec.activity.load(Ordering::Relaxed);
         if exec.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let advanced = exec.progress.wait_timeout_epoch(seen, deadline);
-        if exec.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if advanced || exec.activity.load(Ordering::Relaxed) != seen_activity {
+        // A whole window asleep unless the run ends: no park, unpark or
+        // completion wakes this thread, it only reads their count afterwards.
+        if exited.wait_timeout_epoch(epoch, deadline)
+            || exec.activity.load(Ordering::Relaxed) != seen
+        {
             continue;
         }
         let running: Vec<usize> = exec
@@ -704,6 +702,42 @@ mod tests {
         let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(30));
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(*order.lock(), (0..N).collect::<Vec<_>>());
+    }
+
+    /// The watchdog sleeps whole deadlines, so the end of the run must wake
+    /// it: a lost wake-up shows as a launch that outlives its tasks by the
+    /// rest of the window (a minute here) — which no other test would see.
+    #[test]
+    fn finished_run_does_not_wait_out_the_watchdog_window() {
+        const N: usize = 16;
+        let exec = ExecShared::new(N);
+        let passes = Arc::new(AtomicUsize::new(0));
+        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+        for i in 0..N {
+            let exec = Arc::clone(&exec);
+            let passes = Arc::clone(&passes);
+            bodies.push(Box::new(move || {
+                // A baton around the ring, four laps: everyone parks until
+                // its predecessor has passed it on, then wakes its successor.
+                let parker = exec.parker(i);
+                for lap in 0..4 {
+                    while passes.load(Ordering::SeqCst) < lap * N + i {
+                        let _ = parker.park(Duration::from_secs(600));
+                    }
+                    passes.fetch_add(1, Ordering::SeqCst);
+                    exec.notify((i + 1) % N);
+                }
+            }));
+        }
+        let started = std::time::Instant::now();
+        let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(60));
+        assert!(payloads.iter().all(|p| p.is_none()));
+        assert_eq!(passes.load(Ordering::SeqCst), 4 * N);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "launch returned {:?} after start: the watchdog slept on",
+            started.elapsed()
+        );
     }
 
     /// All tasks park forever: the stall resolver must wake them in

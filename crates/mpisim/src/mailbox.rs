@@ -106,8 +106,9 @@ fn chan_matches(pat: &MatchPattern, (src, tag): (usize, u32)) -> bool {
 
 /// The indexed unexpected-message queue (see module docs).
 ///
-/// Public so the `mailbox_matching` microbench can drive it directly,
-/// without threads or channels in the measured loop.
+/// Public so a benchmark (`mim-ledger`'s `mpisim.mailbox.*` probes, the
+/// `trace_overhead` harness) can drive it directly, without threads or
+/// channels in the measured loop.
 #[derive(Default)]
 pub struct UnexpectedQueue {
     groups: HashMap<(u64, Ctx), Group>,

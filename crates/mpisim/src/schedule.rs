@@ -675,11 +675,24 @@ pub fn evaluate_traced(
     clock
 }
 
+/// Max completion time over all ranks — the collective's virtual makespan.
+pub fn makespan(
+    schedule: &Schedule,
+    machine: &Machine,
+    rank_to_core: &[usize],
+    send_overhead_ns: f64,
+    recv_overhead_ns: f64,
+) -> f64 {
+    evaluate(schedule, machine, rank_to_core, send_overhead_ns, recv_overhead_ns)
+        .into_iter()
+        .fold(0.0, f64::max)
+}
+
 /// The seed's O(E·n) ready-scan evaluator, retained verbatim as the
 /// equivalence oracle for [`evaluate`]/[`evaluate_contended`]: the
-/// `heap_evaluator_matches_scan_reference` property and the `des_evaluate`
-/// microbench both compare against it.  Not for production use.
-pub fn evaluate_scan_reference(
+/// `heap_evaluator_matches_scan_reference` property compares against it.
+#[cfg(test)]
+pub(crate) fn evaluate_scan_reference(
     schedule: &Schedule,
     machine: &Machine,
     rank_to_core: &[usize],
@@ -740,19 +753,6 @@ pub fn evaluate_scan_reference(
         remaining -= 1;
     }
     clock
-}
-
-/// Max completion time over all ranks — the collective's virtual makespan.
-pub fn makespan(
-    schedule: &Schedule,
-    machine: &Machine,
-    rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
-) -> f64 {
-    evaluate(schedule, machine, rank_to_core, send_overhead_ns, recv_overhead_ns)
-        .into_iter()
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -5,16 +5,15 @@
 //! reports the per-call median (plus mean and min) — median because sample
 //! noise on shared machines is one-sided.
 //!
-//! Results are printed as a table and written as JSON:
-//! * `MIM_BENCH_JSON=<path>` appends one JSON object per line (so several
-//!   bench binaries can accumulate into one baseline file);
-//! * otherwise a `bench_<name>.json` document is written into the results
-//!   directory (`MIM_RESULTS_DIR`, default `results/`).
+//! Results are printed as a table and written as one `bench_<name>.json`
+//! document into the results directory (`MIM_RESULTS_DIR`, default
+//! `results/`).  Nothing is compared against a committed number: a harness
+//! that has a contract asserts it in-binary, as a ratio between arms of the
+//! same run, on the medians [`Bench::iter`] returns.
 //!
 //! `MIM_QUICK=1` shrinks warmup and sample counts for smoke runs, matching
 //! the convention used by the figure binaries.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -107,7 +106,7 @@ impl Bench {
         median
     }
 
-    /// Write the JSON report (see module docs) and consume the harness.
+    /// Write the JSON document (see module docs) and consume the harness.
     pub fn finish(self) {
         let json_lines: Vec<String> = self
             .entries
@@ -128,33 +127,19 @@ impl Bench {
                 )
             })
             .collect();
-        let result = if let Ok(path) = std::env::var("MIM_BENCH_JSON") {
-            append_lines(&PathBuf::from(path), &json_lines)
-        } else {
-            let dir = PathBuf::from(
-                std::env::var("MIM_RESULTS_DIR").unwrap_or_else(|_| "results".into()),
-            );
-            let doc = format!("{{\"harness\":\"{}\",\"entries\":[\n{}\n]}}\n", self.name, {
-                json_lines.join(",\n")
-            });
-            std::fs::create_dir_all(&dir)
-                .and_then(|()| std::fs::write(dir.join(format!("bench_{}.json", self.name)), doc))
-        };
+        let dir =
+            PathBuf::from(std::env::var("MIM_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
+        let doc = format!(
+            "{{\"harness\":\"{}\",\"entries\":[\n{}\n]}}\n",
+            self.name,
+            json_lines.join(",\n")
+        );
+        let result = std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(dir.join(format!("bench_{}.json", self.name)), doc));
         if let Err(e) = result {
             eprintln!("warning: could not write bench JSON: {e}");
         }
     }
-}
-
-fn append_lines(path: &PathBuf, lines: &[String]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    for line in lines {
-        writeln!(file, "{line}")?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -113,6 +113,22 @@ mod imp {
         static CURRENT: Cell<*mut FiberInner> = const { Cell::new(std::ptr::null_mut()) };
     }
 
+    /// The fiber running on the *calling* thread (null outside one): the
+    /// only way fiber code may read [`CURRENT`].
+    ///
+    /// Must never be inlined.  A suspended fiber resumes on whichever
+    /// worker picks it up, but the optimiser treats a thread-local's
+    /// address as constant within a function: inlined into a body that
+    /// suspends twice, the first thread's slot address is kept in a
+    /// callee-saved register — which the switch faithfully restores — and
+    /// the second read consults the wrong thread.  Behind a call the
+    /// address is computed afresh on the thread that makes the call, so no
+    /// thread-local address lives across `mim_fiber_switch`.
+    #[inline(never)]
+    fn current() -> *mut FiberInner {
+        CURRENT.with(Cell::get)
+    }
+
     /// Why [`Fiber::resume`] returned.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Resume {
@@ -178,6 +194,10 @@ mod imp {
                 return Resume::Done;
             }
             let ptr: *mut FiberInner = &mut *self.inner;
+            // The two writes bracket the switch on the *resuming* thread's
+            // stack, and the switch comes back on the thread that made it,
+            // so this slot address — unlike one held by fiber code, see
+            // `current` — is still the right thread's afterwards.
             let prev = CURRENT.with(|c| c.replace(ptr));
             // SAFETY: `resume_sp` is either the hand-built initial frame or
             // the last frame saved by `suspend`/the entry loop; `ptr` stays
@@ -215,7 +235,7 @@ mod imp {
     /// Suspend the currently running fiber, returning control to whoever
     /// called [`Fiber::resume`].  Panics when called outside a fiber.
     pub fn suspend() {
-        let ptr = CURRENT.with(|c| c.get());
+        let ptr = current();
         assert!(!ptr.is_null(), "fiber::suspend() called outside a fiber");
         // SAFETY: `ptr` was installed by the `resume` currently below us on
         // the parent stack; the inner is boxed, so it cannot move.
@@ -226,7 +246,7 @@ mod imp {
 
     /// Whether the calling code is running inside a fiber.
     pub fn is_fiber() -> bool {
-        CURRENT.with(|c| !c.get().is_null())
+        !current().is_null()
     }
 
     /// First Rust frame of every fiber, reached via `mim_fiber_start`.

@@ -29,10 +29,11 @@ for b in fig2_counters table1_treematch fig5_collectives fig6_heatmap fig4_overh
   fi
 done
 
-# Hot-path microbenches (matching + DES evaluator + trace record sites +
-# static analyzer) ride along so a plain ./run_benches.sh always refreshes
-# their numbers too.
-for bench in mailbox_matching des_evaluate trace_overhead analyze_schedule analyze_races chaos_overhead retry_storm universe_scale monitor_scale elastic_churn; do
+# The harnesses without a ledger twin ride along, so a smoke run proves each
+# still completes: trace_overhead and chaos_overhead assert their in-run
+# disabled/baseline ratio in-binary, elastic_churn its membership count; the
+# others are diagnostics.  Everything else is measured by mim-ledger.
+for bench in trace_overhead chaos_overhead retry_storm analyze_races elastic_churn; do
   echo "===== bench $bench start $(date +%T)"
   if cargo bench --offline -p mim-bench --bench "$bench" \
       > "$results_dir/logs/bench_$bench.log" 2>&1; then

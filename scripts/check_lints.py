@@ -81,8 +81,6 @@ ALLOWLIST = [
     # comm_split: the color/rank were inserted into these very collections.
     (MPISIM + "comm.rs", "distinct.binary_search(&color).unwrap()"),
     (MPISIM + "comm.rs", "position(|&(_, r)| r == comm.rank()).unwrap()"),
-    # DES readiness check precedes the pop.
-    (MPISIM + "schedule.rs", 'expect("readiness check guaranteed a message")'),
     # Collectives: rootedness and ring-arrival order are the algorithms'
     # own invariants (documented under `# Panics` on the public entry).
     (MPISIM + "collectives/extra.rs", 'expect("non-root has a parent")'),
