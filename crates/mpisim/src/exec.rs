@@ -117,6 +117,40 @@ pub fn current_task() -> Option<TaskId> {
     CURRENT_TASK.with(std::cell::Cell::get)
 }
 
+/// Envelopes a rank task may post per resume before a post to a queued peer
+/// costs it its worker (see [`ExecShared::maybe_yield_to`]).  Not delicate.
+/// Medians of four alternating `mim-ledger` runs each, 2 workers, budget
+/// 1 (the yield per send this replaced) / 8 / 64 / 512: `farm_wildcard`
+/// 0.335 / 0.087 / 0.053 / 0.053 s, `stencil_loop` 1.50 / 0.95 / 0.96 /
+/// 0.98 s, `cg_windowed` 0.99 / 0.62 / 0.63 / 0.63 s, `ring_scale` 0.105 /
+/// 0.047 / 0.047 / 0.048 s.  At 64 the yield is what it should be, a
+/// backstop off the common path: the only rank of those workloads that
+/// spends budgets is `farm_wildcard`'s master, which acknowledges results
+/// for as long as its mailbox holds any (795 yields in 104 048 posts).
+const POST_BUDGET: u32 = 64;
+
+thread_local! {
+    /// Posts left to the task this worker is running.  Worker-local, so
+    /// private to the one task a worker runs at a time and on no cache line
+    /// another worker writes (`TaskSlot`s sit four to a line under foreign
+    /// CASes); [`run_one`] refills it at every resume, so it never carries
+    /// over from the task that ran here before.
+    static POSTS_LEFT: std::cell::Cell<u32> = const { std::cell::Cell::new(POST_BUDGET) };
+}
+
+/// Count one post against the running task's budget; true once it is spent
+/// (and until the next resume refills it).  Never inlined, as
+/// [`current_task`]: the caller may have resumed on another worker since
+/// its last post.
+#[inline(never)]
+fn post_budget_spent() -> bool {
+    POSTS_LEFT.with(|left| {
+        let n = left.get().saturating_sub(1);
+        left.set(n);
+        n == 0
+    })
+}
+
 /// Allocator for [`TaskId::exec`].
 static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -273,15 +307,22 @@ impl ExecShared {
         self.tasks[dst].state.load(Ordering::Relaxed) == RUNNABLE
     }
 
-    /// Fairness yield: when the calling rank task just sent to a peer that
-    /// is runnable but waiting for a worker, give up this worker (to the
-    /// *back* of the global queue) so the peer gets a turn.  Without it, a
-    /// send-and-never-block loop starves its own destination on a small
-    /// pool — the fiber analogue of the OS preemption thread-per-rank gets
-    /// for free.  Purely a scheduling choice: virtual clocks, matrices and
-    /// traces are interleaving-independent.
+    /// Fairness yield, budgeted: a rank task may post [`POST_BUDGET`]
+    /// envelopes per resume; the post that exhausts the budget — or any
+    /// later one — to a peer that is queued waiting for a worker gives up
+    /// this worker (to the *back* of the global queue) so the peer gets a
+    /// turn.  A send is not a context switch: yielding after *every* post
+    /// to a queued peer (the rule until PR 18) fired on ≈ 125 000 of the
+    /// 127 357 posts of one `stencil_loop` repetition — with 1024 ranks on
+    /// 2 workers every peer is always queued — and ran each rank's
+    /// iteration as four or five slices on a cold cache.  What the yield is
+    /// for survives: a send-and-never-block loop still cannot starve its
+    /// destination on a small pool (the fiber analogue of the OS preemption
+    /// thread-per-rank gets for free), and the backlog it can build unread
+    /// is bounded by the budget.  Purely a scheduling choice: virtual
+    /// clocks, matrices and traces are interleaving-independent.
     pub(crate) fn maybe_yield_to(&self, dst: usize) {
-        if self.is_queued(dst) && fiber::is_fiber() {
+        if post_budget_spent() && self.is_queued(dst) && fiber::is_fiber() {
             fiber::suspend();
         }
     }
@@ -555,6 +596,7 @@ fn run_one(
         panic!("executor: task {task} dispatched with no fiber");
     };
     CURRENT_TASK.with(|c| c.set(Some(TaskId { exec: exec.id, index: task })));
+    POSTS_LEFT.with(|left| left.set(POST_BUDGET));
     let resumed = fiber.resume();
     CURRENT_TASK.with(|c| c.set(None));
     match resumed {
@@ -659,6 +701,7 @@ fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration, suspe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CanonicalPolicy, SrcSel, TagSel, Universe, UniverseConfig};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -738,6 +781,85 @@ mod tests {
             "launch returned {:?} after start: the watchdog slept on",
             started.elapsed()
         );
+    }
+
+    /// Two ranks on the tasks engine with a single worker (a schedule
+    /// policy forces sequential dispatch; the canonical one is otherwise
+    /// bit-identical to none), so who runs when is the fairness yield's
+    /// doing alone.
+    fn two_ranks_one_worker() -> Universe {
+        use mim_topology::{Machine, Placement};
+        let cfg = UniverseConfig::new(Machine::cluster(1, 1, 2), Placement::packed(2))
+            .with_executor(ExecutorKind::Tasks)
+            .with_schedule_policy(Arc::new(CanonicalPolicy));
+        Universe::new(cfg)
+    }
+
+    /// The fairness bound, in both directions.  Rank 0 streams to rank 1 and
+    /// counts its completed posts; rank 1 reads the count at its first
+    /// completed receive.  A yield per send loses the worker inside the very
+    /// first send (count 0); no yield at all lets the whole stream through.
+    #[test]
+    fn post_budget_bounds_a_streaming_sender() {
+        let budget = POST_BUDGET as usize;
+        let posted = AtomicUsize::new(0);
+        let seen = two_ranks_one_worker().launch(|rank| {
+            let world = rank.comm_world();
+            if rank.world_rank() == 0 {
+                for _ in 0..10 * budget {
+                    rank.send_synthetic(&world, 1, 0, 8);
+                    posted.fetch_add(1, Ordering::SeqCst);
+                }
+                return 0;
+            }
+            rank.recv_synthetic(&world, SrcSel::Rank(0), TagSel::Is(0));
+            let seen = posted.load(Ordering::SeqCst);
+            for _ in 1..10 * budget {
+                rank.recv_synthetic(&world, SrcSel::Rank(0), TagSel::Is(0));
+            }
+            seen
+        })[1];
+        assert!(seen >= 2, "the sender lost its worker after {seen} post(s): a yield per send");
+        assert!(seen <= budget, "{seen} posts before the receiver ran: budget {budget} not held");
+    }
+
+    /// The budget is per resume: a sender that parks mid-stream (a receive
+    /// that must wait) comes back with a full one, not the remainder.
+    #[test]
+    fn post_budget_restarts_when_the_sender_parks() {
+        let budget = POST_BUDGET as usize;
+        let half = budget / 2;
+        let posted = AtomicUsize::new(0);
+        let seen = two_ranks_one_worker().launch(|rank| {
+            let world = rank.comm_world();
+            if rank.world_rank() == 0 {
+                for _ in 0..half {
+                    rank.send_synthetic(&world, 1, 0, 8);
+                }
+                // Rank 1 answers only after draining the first half.
+                rank.recv_synthetic(&world, SrcSel::Rank(1), TagSel::Is(1));
+                for _ in 0..10 * budget {
+                    rank.send_synthetic(&world, 1, 0, 8);
+                    posted.fetch_add(1, Ordering::SeqCst);
+                }
+                return 0;
+            }
+            for _ in 0..half {
+                rank.recv_synthetic(&world, SrcSel::Rank(0), TagSel::Is(0));
+            }
+            rank.send_synthetic(&world, 0, 1, 8);
+            rank.recv_synthetic(&world, SrcSel::Rank(0), TagSel::Is(0));
+            let seen = posted.load(Ordering::SeqCst);
+            for _ in 1..10 * budget {
+                rank.recv_synthetic(&world, SrcSel::Rank(0), TagSel::Is(0));
+            }
+            seen
+        })[1];
+        assert!(
+            seen > budget - half,
+            "{seen} posts after the park: the {half} before it were still counted"
+        );
+        assert!(seen <= budget, "{seen} posts before the receiver ran: budget {budget} not held");
     }
 
     /// All tasks park forever: the stall resolver must wake them in

@@ -217,13 +217,18 @@ impl Shared {
     }
 
     /// The un-policed delivery: send, then wake a parked destination task.
+    /// What a post costs the host is proportional to the message: the
+    /// channel and the executor issue a condvar wake only to a thread that
+    /// is asleep (no rank task ever is), and the sender keeps its worker
+    /// unless this post spends its per-resume budget on a queued peer.
     fn post_direct(&self, dst: usize, env: Envelope) -> bool {
         let delivered = self.senders[dst].send(env).is_ok();
         if delivered {
             if let Some(exec) = &self.exec {
                 exec.notify(dst);
-                // Fairness: if the destination is runnable but starved of a
-                // worker, hand it ours (no-op off the executor).
+                // Fairness: once the sender's post budget is spent, a
+                // destination still waiting for a worker gets ours (no-op
+                // off the executor).
                 exec.maybe_yield_to(dst);
             }
         }

@@ -43,6 +43,11 @@ struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers asleep on `readable` right now.  Raised and lowered around
+    /// the wait under this mutex, so a sender that reads 0 knows no wake is
+    /// owed: a receiver not yet counted has not released the lock, and will
+    /// find the value in its own queue check before it sleeps.
+    sleepers: usize,
 }
 
 struct Inner<T> {
@@ -69,7 +74,7 @@ pub struct Receiver<T> {
 /// Create an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Inner {
-        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1, sleepers: 0 }),
         readable: Condvar::new(),
     });
     (Sender { inner: Arc::clone(&inner) }, Receiver { inner })
@@ -77,15 +82,20 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 
 impl<T> Sender<T> {
     /// Enqueue `value`; never blocks.  Fails only when every receiver has
-    /// been dropped.
+    /// been dropped.  The condvar wake — a system call — is issued only when
+    /// a receiver is asleep: under the M:N executor nobody ever sleeps on a
+    /// rank's channel (ranks poll with `try_recv` and park their task).
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut st = self.inner.state();
         if st.receivers == 0 {
             return Err(SendError(value));
         }
         st.queue.push_back(value);
+        let wake = st.sleepers > 0;
         drop(st);
-        self.inner.readable.notify_one();
+        if wake {
+            self.inner.readable.notify_one();
+        }
         Ok(())
     }
 }
@@ -120,7 +130,9 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvError);
             }
+            st.sleepers += 1;
             st = self.inner.readable.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.sleepers -= 1;
         }
     }
 
@@ -140,12 +152,14 @@ impl<T> Receiver<T> {
                 return Err(RecvTimeoutError::Timeout);
             }
             // Re-check on spurious wakeups; the loop re-evaluates the deadline.
+            st.sleepers += 1;
             let (guard, _timed_out) = self
                 .inner
                 .readable
                 .wait_timeout(st, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
             st = guard;
+            st.sleepers -= 1;
         }
     }
 
@@ -217,13 +231,39 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
+    /// Spin until exactly `n` receivers are asleep on the condvar — the
+    /// interleaving the wake tests below need, forced instead of slept for.
+    fn await_sleepers<T>(tx: &Sender<T>, n: usize) {
+        while tx.inner.state().sleepers != n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn disconnect_unblocks_receiver() {
         let (tx, rx) = unbounded::<u8>();
         let h = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(10));
+        await_sleepers(&tx, 1);
         drop(tx);
         assert_eq!(h.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+    }
+
+    /// Wakes are gated, never lost: with two receivers asleep — one in each
+    /// blocking receive — two sends deliver a value to each.  (Every other
+    /// test here sends with nobody asleep, the path that skips the condvar.)
+    #[test]
+    fn gated_wake_reaches_every_sleeping_receiver() {
+        let (tx, rx) = unbounded::<u8>();
+        let rx2 = rx.clone();
+        let a = std::thread::spawn(move || rx.recv());
+        let b = std::thread::spawn(move || rx2.recv_timeout(Duration::from_secs(30)));
+        await_sleepers(&tx, 2);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let mut got = [a.join().unwrap().unwrap(), b.join().unwrap().unwrap()];
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]);
+        assert_eq!(tx.inner.state().sleepers, 0);
     }
 
     #[test]

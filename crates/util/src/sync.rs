@@ -78,10 +78,24 @@ impl<T> RwLock<T> {
 /// *before* the predicate check makes the classic lost-wakeup race benign:
 /// a notification between check and sleep advances the epoch, so the wait
 /// returns immediately.
+///
+/// [`notify`](Notifier::notify) always advances the epoch but issues the
+/// condvar wake — a system call — only when a waiter is asleep: the count
+/// of sleepers lives under the same mutex, raised before the wait releases
+/// it and lowered once the wait has re-acquired it, so a notifier that
+/// reads 0 owes nobody a wake (a waiter not yet counted still holds the
+/// lock ahead of its own epoch check).  On the message path of a busy
+/// executor no worker is idle, and a notify is a lock and an add.
 #[derive(Debug, Default)]
 pub struct Notifier {
-    epoch: std::sync::Mutex<u64>,
+    state: std::sync::Mutex<NotifierState>,
     cv: std::sync::Condvar,
+}
+
+#[derive(Debug, Default)]
+struct NotifierState {
+    epoch: u64,
+    sleepers: usize,
 }
 
 impl Notifier {
@@ -90,23 +104,31 @@ impl Notifier {
         Notifier::default()
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, NotifierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
-        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state().epoch
     }
 
     /// Advance the epoch and wake every waiter.
     pub fn notify(&self) {
-        let mut e = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        *e = e.wrapping_add(1);
-        self.cv.notify_all();
+        let mut st = self.state();
+        st.epoch = st.epoch.wrapping_add(1);
+        if st.sleepers > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Block until the epoch differs from `seen`.
     pub fn wait_while_epoch(&self, seen: u64) {
-        let mut e = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *e == seen {
-            e = self.cv.wait(e).unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.state();
+        while st.epoch == seen {
+            st.sleepers += 1;
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.sleepers -= 1;
         }
     }
 
@@ -114,15 +136,17 @@ impl Notifier {
     /// Returns `true` when the epoch advanced, `false` on timeout.
     pub fn wait_timeout_epoch(&self, seen: u64, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        let mut e = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *e == seen {
+        let mut st = self.state();
+        while st.epoch == seen {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return false;
             }
+            st.sleepers += 1;
             let (guard, _res) =
-                self.cv.wait_timeout(e, deadline - now).unwrap_or_else(PoisonError::into_inner);
-            e = guard;
+                self.cv.wait_timeout(st, deadline - now).unwrap_or_else(PoisonError::into_inner);
+            st = guard;
+            st.sleepers -= 1;
         }
         true
     }
@@ -152,7 +176,9 @@ mod tests {
         let n2 = Arc::clone(&n);
         let seen = n.epoch();
         // Notify *before* the wait starts: the stale epoch makes the wait
-        // return immediately instead of sleeping forever.
+        // return immediately instead of sleeping forever.  Nobody is asleep,
+        // so this notify skips the condvar — but never the epoch, which is
+        // what `worker_loop` and `watchdog_loop` read before their predicate.
         n2.notify();
         n.wait_while_epoch(seen);
         assert_eq!(n.epoch(), seen + 1);
@@ -167,6 +193,27 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         n.notify();
         waiter.join().unwrap_or_else(|_| panic!("waiter panicked"));
+    }
+
+    /// Wakes are gated, never lost: one `notify` releases a sleeper of each
+    /// kind (the executor's idle worker and its watchdog).
+    #[test]
+    fn one_notify_releases_both_kinds_of_sleeper() {
+        let n = Arc::new(Notifier::new());
+        let seen = n.epoch();
+        let (n1, n2) = (Arc::clone(&n), Arc::clone(&n));
+        let worker = std::thread::spawn(move || n1.wait_while_epoch(seen));
+        let watchdog = std::thread::spawn(move || {
+            n2.wait_timeout_epoch(seen, std::time::Duration::from_secs(30))
+        });
+        // Force the interleaving: both asleep on the condvar before the notify.
+        while n.state().sleepers != 2 {
+            std::thread::yield_now();
+        }
+        n.notify();
+        worker.join().unwrap_or_else(|_| panic!("waiter panicked"));
+        assert!(watchdog.join().unwrap_or_else(|_| panic!("waiter panicked")));
+        assert_eq!(n.state().sleepers, 0);
     }
 
     #[test]

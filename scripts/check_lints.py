@@ -65,8 +65,6 @@ SIZE_CAP = 600
 # the offending line for it to pass.  Keep each entry justified.
 MPISIM = "crates/mpisim/src/"
 ALLOWLIST = [
-    # Chunk size is constant and matches the type width.
-    (MPISIM + "datatype.rs", "c.try_into().unwrap()"),
     # Matching index and FIFO non-emptiness are the mailbox's own invariants.
     (MPISIM + "mailbox.rs", 'expect("channel key came from the index")'),
     (MPISIM + "mailbox.rs", 'expect("empty channels are pruned")'),
