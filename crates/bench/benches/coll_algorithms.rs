@@ -1,5 +1,10 @@
 //! Collective-algorithm ablation: analytic makespans of the tree shapes the
 //! paper's Fig 5 relies on (binary vs binomial), and evaluator throughput.
+//!
+//! The throughput rows are diagnostics with no baseline.  The makespans are
+//! deterministic, and the two orderings DESIGN §4 cites — the binary tree
+//! beats the binomial one for an 8 MB broadcast, Bruck beats the ring for a
+//! latency-bound allgather — are asserted in-binary to the digit printed.
 
 use mim_util::bench::{black_box, Bench};
 
@@ -31,12 +36,25 @@ fn main() {
     }
     b.finish();
 
-    // Report the ablation numbers once, for the record.
+    // Report the ablation numbers once, for the record — and hold the two
+    // orderings DESIGN §4 cites.  These are virtual times, the same on every
+    // host, so a generator (or the evaluator) that drifts fails this run
+    // instead of changing a log line.
+    let pinned_ms = [
+        ("bcast_binary", "16.01"),
+        ("bcast_binomial", "31.72"),
+        ("allgather_bruck", "0.81"),
+        ("allgather_ring", "15.20"),
+    ];
     println!("\nanalytic makespans, {np} ranks cyclic on 4 nodes, 8 MB buffers:");
     for (name, sched) in &schedules {
         let t = schedule::evaluate_contended(sched, &machine, &cores, 100.0, 50.0)
             .into_iter()
             .fold(0.0f64, f64::max);
-        println!("  {name:>16}: {:.2} ms", t / 1e6);
+        let ms = format!("{:.2}", t / 1e6);
+        println!("  {name:>16}: {ms} ms");
+        if let Some((_, pinned)) = pinned_ms.iter().find(|(pinned, _)| pinned == name) {
+            assert_eq!(ms, *pinned, "{name}: analytic makespan (ms) moved");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! MPI libraries never ship an 800 MB buffer as one message — they chunk it
 //! so tree levels pipeline, which changes how much a bad rank order hurts.
 
-use super::{combine, crecv, csend, vrank_of, world_of_vrank};
+use super::{bcast_walk, combine, crecv, csend, pattern};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::runtime::Rank;
@@ -109,50 +109,29 @@ pub fn bcast_binary_segmented<T: Scalar>(
 ) -> usize {
     assert!(seg_items > 0, "segment size must be positive");
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
+    let (me, n) = (comm.rank(), comm.size());
     if n == 1 {
         return 0;
     }
-    let me = comm.rank();
-    let vrank = vrank_of(me, root, n);
-    // Parent/children in the binary tree (children 2v+1, 2v+2).
-    let parent = (vrank != 0).then(|| world_of_vrank((vrank - 1) / 2, root, n));
-    let children: Vec<usize> = [2 * vrank + 1, 2 * vrank + 2]
-        .into_iter()
-        .filter(|&c| c < n)
-        .map(|c| world_of_vrank(c, root, n))
-        .collect();
-    // The root knows the segment count; everyone else learns it from the
-    // first header segment (we prepend a 1-item length header to segment 0
-    // conceptually — here the segment stream is self-terminating: the
-    // sender sends `nsegs` as a tiny first message).
-    let nsegs = if me == root {
-        let nsegs = data.len().div_ceil(seg_items).max(1);
-        for &c in &children {
-            csend(rank, comm, c, tag, &[nsegs as u64]);
-        }
-        nsegs
-    } else {
-        let hdr: Vec<u64> = crecv(rank, comm, parent.expect("non-root has a parent"), tag);
-        for &c in &children {
-            csend(rank, comm, c, tag, &hdr);
-        }
-        hdr[0] as usize
-    };
+    // One binary-tree broadcast after another under the one tag: first of
+    // the segment count, which only the root knows (a tiny header message
+    // per tree edge; elsewhere the initial value is replaced on arrival),
+    // then of each segment in turn.
+    let tree = || pattern::bcast_binary(me, n, root, 0);
+    let mut hdr = vec![data.len().div_ceil(seg_items).max(1) as u64];
+    bcast_walk(rank, comm, tag, tree(), &mut hdr);
+    let nsegs = hdr[0] as usize;
     if me != root {
         data.clear();
     }
     for s in 0..nsegs {
-        if me == root {
-            let seg = &data[s * seg_items..((s + 1) * seg_items).min(data.len())];
-            for &c in &children {
-                csend(rank, comm, c, tag, seg);
-            }
+        let mut seg = if me == root {
+            data[s * seg_items..((s + 1) * seg_items).min(data.len())].to_vec()
         } else {
-            let seg: Vec<T> = crecv(rank, comm, parent.expect("non-root has a parent"), tag);
-            for &c in &children {
-                csend(rank, comm, c, tag, &seg);
-            }
+            Vec::new()
+        };
+        bcast_walk(rank, comm, tag, tree(), &mut seg);
+        if me != root {
             data.extend(seg);
         }
     }

@@ -1,4 +1,5 @@
-//! Shared helpers for tree-structured collectives.
+//! Shared helpers for tree-structured collectives: rank rotation around the
+//! root, the two trees' links, and the reduce combine.
 
 /// Virtual rank relative to the root: the root gets vrank 0.
 pub fn vrank_of(rank: usize, root: usize, n: usize) -> usize {
@@ -21,39 +22,34 @@ pub fn combine<T: Copy>(acc: &mut [T], other: &[T], op: impl Fn(T, T) -> T) {
     }
 }
 
-/// Children and parent of a rank in a binomial tree rooted at vrank 0:
-/// returns `(parent, children)` in *virtual* ranks.  Used by the schedule
-/// generator so the synthetic pattern matches the live algorithm exactly.
-pub fn binomial_peers(vrank: usize, n: usize) -> (Option<usize>, Vec<usize>) {
-    let mut parent = None;
-    let mut mask = 1;
-    while mask < n {
-        if vrank & mask != 0 {
-            parent = Some(vrank - mask);
-            break;
-        }
-        mask <<= 1;
-    }
-    let mut children = Vec::new();
-    let top = if parent.is_some() { mask >> 1 } else { prev_pow2_at_least(n) };
-    let mut m = top;
-    while m > 0 {
-        if vrank + m < n && vrank & m == 0 {
-            children.push(vrank + m);
-        }
-        m >>= 1;
-    }
-    (parent, children)
+/// Parent of virtual rank `v` in the binomial tree rooted at vrank 0: `v`
+/// with its lowest set bit cleared.
+pub(super) fn binomial_parent(v: usize) -> Option<usize> {
+    (v != 0).then(|| v & (v - 1))
 }
 
-fn prev_pow2_at_least(n: usize) -> usize {
-    // Highest power of two < n... or the mask value the broadcast loop ends
-    // with: smallest power of two >= n, halved.
-    let mut mask = 1;
-    while mask < n {
-        mask <<= 1;
-    }
-    mask >> 1
+/// Children of `v` in that tree over `n` ranks, narrowest subtree first:
+/// `v + 2ᵏ` for every bit below `v`'s lowest set one (every bit, for the
+/// root) that stays under `n`.  Reversed, it is the broadcast's order.
+pub(super) fn binomial_children(v: usize, n: usize) -> impl DoubleEndedIterator<Item = usize> {
+    let bits = if v == 0 { n.next_power_of_two().trailing_zeros() } else { v.trailing_zeros() };
+    (0..bits).map(move |k| v + (1 << k)).filter(move |&c| c < n)
+}
+
+/// Parent of virtual rank `v` in the binary tree rooted at vrank 0.
+pub(super) fn binary_parent(v: usize) -> Option<usize> {
+    (v != 0).then(|| (v - 1) / 2)
+}
+
+/// Children of `v` in that tree over `n` ranks, left first.
+pub(super) fn binary_children(v: usize, n: usize) -> impl Iterator<Item = usize> {
+    [2 * v + 1, 2 * v + 2].into_iter().filter(move |&c| c < n)
+}
+
+/// `(parent, children)` of a rank in the binomial tree, in *virtual* ranks,
+/// children widest subtree first.
+pub fn binomial_peers(vrank: usize, n: usize) -> (Option<usize>, Vec<usize>) {
+    (binomial_parent(vrank), binomial_children(vrank, n).rev().collect())
 }
 
 #[cfg(test)]

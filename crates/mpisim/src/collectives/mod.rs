@@ -6,6 +6,14 @@
 //! collective, which is the paper's key capability ("we monitor communication
 //! once a collective has been decomposed into its point-to-point messages").
 //!
+//! Who talks to whom, in what order, with how many blocks is written once,
+//! in the private `pattern` module: each algorithm here walks its own
+//! rank's steps of its pattern and adds only the data rule (what a send
+//! carries, what a receive does to the buffer), and the
+//! [`crate::schedule`] generator of the same name collects every rank's
+//! steps — so the traffic the hook observes live and the traffic the DES
+//! evaluator, the analyzer and Fig 5/6 reason about are one piece of code.
+//!
 //! Algorithms follow the classic MPICH/Open MPI implementations:
 //!
 //! * [`barrier`] — dissemination (zero-byte messages);
@@ -20,6 +28,7 @@
 
 mod extra;
 mod helpers;
+pub(crate) mod pattern;
 mod tree;
 mod varcount;
 
@@ -32,6 +41,7 @@ use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::envelope::{Ctx, MsgKind, Payload};
 use crate::runtime::{Rank, SrcSel, TagSel};
+use crate::schedule::Step;
 
 fn csend<T: Scalar>(rank: &Rank, comm: &Comm, dst: usize, tag: u32, data: &[T]) {
     rank.wire_send(
@@ -61,66 +71,65 @@ fn crecv_zero(rank: &Rank, comm: &Comm, src: usize, tag: u32) {
 /// (the zero-length point-to-point messages the paper warns about).
 pub fn barrier(rank: &Rank, comm: &Comm) {
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
-    let mut dist = 1;
-    while dist < n {
-        let to = (me + dist) % n;
-        let from = (me + n - dist % n) % n;
-        csend_zero(rank, comm, to, tag);
-        crecv_zero(rank, comm, from, tag);
-        dist <<= 1;
+    for step in pattern::barrier(comm.rank(), comm.size()) {
+        match step {
+            Step::Send { peer, .. } => csend_zero(rank, comm, peer, tag),
+            Step::Recv { peer } => crecv_zero(rank, comm, peer, tag),
+        }
     }
+}
+
+/// A broadcast's data rule over one tree's `steps`: what arrives replaces
+/// the buffer, which then goes to each child.
+fn bcast_walk<T: Scalar>(
+    rank: &Rank,
+    comm: &Comm,
+    tag: u32,
+    steps: impl Iterator<Item = Step>,
+    data: &mut Vec<T>,
+) {
+    for step in steps {
+        match step {
+            Step::Recv { peer } => *data = crecv(rank, comm, peer, tag),
+            Step::Send { peer, .. } => csend(rank, comm, peer, tag, data),
+        }
+    }
+}
+
+/// A reduce's data rule over one tree's `steps`: what arrives is combined
+/// into the accumulator, which goes up to the parent — or, at the root,
+/// which has none, is the result.
+fn reduce_walk<T: Scalar>(
+    rank: &Rank,
+    comm: &Comm,
+    steps: impl Iterator<Item = Step>,
+    data: &[T],
+    op: impl Fn(T, T) -> T,
+) -> Option<Vec<T>> {
+    let tag = rank.next_coll_tag(comm);
+    let mut acc = data.to_vec();
+    for step in steps {
+        match step {
+            Step::Recv { peer } => combine(&mut acc, &crecv::<T>(rank, comm, peer, tag), &op),
+            Step::Send { peer, .. } => {
+                csend(rank, comm, peer, tag, &acc);
+                return None;
+            }
+        }
+    }
+    Some(acc)
 }
 
 /// Binomial-tree broadcast from `root` (the algorithm of the paper's Fig 5b).
 pub fn bcast_binomial<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    if n == 1 {
-        return;
-    }
-    let me = comm.rank();
-    let vrank = vrank_of(me, root, n);
-    // Receive once from the parent...
-    let mut mask = 1;
-    while mask < n {
-        if vrank & mask != 0 {
-            let parent = world_of_vrank(vrank - mask, root, n);
-            *data = crecv(rank, comm, parent, tag);
-            break;
-        }
-        mask <<= 1;
-    }
-    // ...then forward to children, widest subtree first.
-    mask >>= 1;
-    while mask > 0 {
-        if vrank + mask < n {
-            let child = world_of_vrank(vrank + mask, root, n);
-            csend(rank, comm, child, tag, data);
-        }
-        mask >>= 1;
-    }
+    bcast_walk(rank, comm, tag, pattern::bcast_binomial(comm.rank(), comm.size(), root, 0), data);
 }
 
 /// Binary-tree broadcast from `root` (ablation partner of the binomial tree).
 pub fn bcast_binary<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    if n == 1 {
-        return;
-    }
-    let me = comm.rank();
-    let vrank = vrank_of(me, root, n);
-    if vrank != 0 {
-        let parent = world_of_vrank((vrank - 1) / 2, root, n);
-        *data = crecv(rank, comm, parent, tag);
-    }
-    for child_v in [2 * vrank + 1, 2 * vrank + 2] {
-        if child_v < n {
-            csend(rank, comm, world_of_vrank(child_v, root, n), tag, data);
-        }
-    }
+    bcast_walk(rank, comm, tag, pattern::bcast_binary(comm.rank(), comm.size(), root, 0), data);
 }
 
 /// Binomial-tree reduce to `root` with a commutative `op`; returns the
@@ -132,27 +141,8 @@ pub fn reduce_binomial<T: Scalar>(
     data: &[T],
     op: impl Fn(T, T) -> T,
 ) -> Option<Vec<T>> {
-    let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
-    let vrank = vrank_of(me, root, n);
-    let mut acc = data.to_vec();
-    let mut mask = 1;
-    while mask < n {
-        if vrank & mask == 0 {
-            let peer_v = vrank | mask;
-            if peer_v < n {
-                let other: Vec<T> = crecv(rank, comm, world_of_vrank(peer_v, root, n), tag);
-                combine(&mut acc, &other, &op);
-            }
-        } else {
-            let parent = world_of_vrank(vrank & !mask, root, n);
-            csend(rank, comm, parent, tag, &acc);
-            return None;
-        }
-        mask <<= 1;
-    }
-    Some(acc)
+    let steps = pattern::reduce_binomial(comm.rank(), comm.size(), root, 0);
+    reduce_walk(rank, comm, steps, data, op)
 }
 
 /// Binary-tree reduce to `root` (the algorithm of the paper's Fig 5a).
@@ -163,29 +153,14 @@ pub fn reduce_binary<T: Scalar>(
     data: &[T],
     op: impl Fn(T, T) -> T,
 ) -> Option<Vec<T>> {
-    let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
-    let vrank = vrank_of(me, root, n);
-    let mut acc = data.to_vec();
-    for child_v in [2 * vrank + 1, 2 * vrank + 2] {
-        if child_v < n {
-            let other: Vec<T> = crecv(rank, comm, world_of_vrank(child_v, root, n), tag);
-            combine(&mut acc, &other, &op);
-        }
-    }
-    if vrank == 0 {
-        Some(acc)
-    } else {
-        let parent = world_of_vrank((vrank - 1) / 2, root, n);
-        csend(rank, comm, parent, tag, &acc);
-        None
-    }
+    let steps = pattern::reduce_binary(comm.rank(), comm.size(), root, 0);
+    reduce_walk(rank, comm, steps, data, op)
 }
 
 /// Recursive-doubling allreduce.  Non-power-of-two rank counts use the
 /// standard fold: the first `2·rem` ranks pair up so `pow2` ranks run the
-/// doubling, then results are pushed back to the folded ranks.
+/// doubling, then results are pushed back to the folded ranks — whose one
+/// receive is therefore the result itself, not a contribution.
 pub fn allreduce_recursive_doubling<T: Scalar>(
     rank: &Rank,
     comm: &Comm,
@@ -193,45 +168,14 @@ pub fn allreduce_recursive_doubling<T: Scalar>(
     op: impl Fn(T, T) -> T,
 ) -> Vec<T> {
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
+    let (me, n) = (comm.rank(), comm.size());
+    let sits_out = pattern::sits_doubling_out(me, n);
     let mut acc = data.to_vec();
-    if n == 1 {
-        return acc;
-    }
-    let pow2 = n.next_power_of_two() >> usize::from(!n.is_power_of_two());
-    let rem = n - pow2;
-    // Fold phase: ranks [0, 2*rem) pair up (even sends to odd).
-    let newrank: Option<usize> = if me < 2 * rem {
-        if me.is_multiple_of(2) {
-            csend(rank, comm, me + 1, tag, &acc);
-            None
-        } else {
-            let other: Vec<T> = crecv(rank, comm, me - 1, tag);
-            combine(&mut acc, &other, &op);
-            Some(me / 2)
-        }
-    } else {
-        Some(me - rem)
-    };
-    // Recursive doubling among `pow2` participants.
-    if let Some(nr) = newrank {
-        let to_old = |r: usize| if r < rem { 2 * r + 1 } else { r + rem };
-        let mut mask = 1;
-        while mask < pow2 {
-            let peer = to_old(nr ^ mask);
-            csend(rank, comm, peer, tag, &acc);
-            let other: Vec<T> = crecv(rank, comm, peer, tag);
-            combine(&mut acc, &other, &op);
-            mask <<= 1;
-        }
-    }
-    // Unfold: odd folded ranks push the result back to their even partner.
-    if me < 2 * rem {
-        if me.is_multiple_of(2) {
-            acc = crecv(rank, comm, me + 1, tag);
-        } else {
-            csend(rank, comm, me - 1, tag, &acc);
+    for step in pattern::allreduce_recursive_doubling(me, n, 0) {
+        match step {
+            Step::Send { peer, .. } => csend(rank, comm, peer, tag, &acc),
+            Step::Recv { peer } if sits_out => acc = crecv(rank, comm, peer, tag),
+            Step::Recv { peer } => combine(&mut acc, &crecv::<T>(rank, comm, peer, tag), &op),
         }
     }
     acc
@@ -244,22 +188,7 @@ pub fn gather_linear<T: Scalar>(
     root: usize,
     data: &[T],
 ) -> Option<Vec<T>> {
-    let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
-    if me != root {
-        csend(rank, comm, root, tag, data);
-        return None;
-    }
-    let mut out = Vec::with_capacity(data.len() * n);
-    for r in 0..n {
-        if r == root {
-            out.extend_from_slice(data);
-        } else {
-            out.extend(crecv::<T>(rank, comm, r, tag));
-        }
-    }
-    Some(out)
+    gatherv(rank, comm, root, data).map(|(out, _)| out)
 }
 
 /// Linear scatter of equal-size chunks from `root`; `data` must be
@@ -270,22 +199,14 @@ pub fn scatter_linear<T: Scalar>(
     root: usize,
     data: Option<&[T]>,
 ) -> Vec<T> {
-    let tag = rank.next_coll_tag(comm);
     let n = comm.size();
-    let me = comm.rank();
-    if me == root {
+    let chunks: Option<Vec<&[T]>> = (comm.rank() == root).then(|| {
         let data = data.expect("scatter root must provide data");
         assert!(data.len().is_multiple_of(n), "scatter buffer not divisible by communicator size");
         let chunk = data.len() / n;
-        for r in 0..n {
-            if r != root {
-                csend(rank, comm, r, tag, &data[r * chunk..(r + 1) * chunk]);
-            }
-        }
-        data[root * chunk..(root + 1) * chunk].to_vec()
-    } else {
-        crecv(rank, comm, root, tag)
-    }
+        (0..n).map(|r| &data[r * chunk..(r + 1) * chunk]).collect()
+    });
+    scatterv(rank, comm, root, chunks.as_deref())
 }
 
 /// The equal-size contract of the allgathers, checked on every received
@@ -305,28 +226,8 @@ fn check_blocks<T>(algo: &str, comm: &Comm, got: &[T], blocks: usize, block: usi
 /// Ring allgather of equal-size contributions: `n-1` steps, each rank
 /// forwarding one block to its right neighbour.
 pub fn allgather_ring<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
-    let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
-    let block = data.len();
-    let mut out = Vec::with_capacity(n * block);
-    let mut blocks: Vec<Option<Vec<T>>> = vec![None; n];
-    blocks[me] = Some(data.to_vec());
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    for step in 0..n.saturating_sub(1) {
-        let send_idx = (me + n - step) % n;
-        let recv_idx = (me + n - step - 1) % n;
-        let to_send = blocks[send_idx].as_ref().expect("ring block not yet received");
-        csend(rank, comm, right, tag, to_send);
-        let got: Vec<T> = crecv(rank, comm, left, tag);
-        check_blocks("allgather_ring", comm, &got, 1, block);
-        blocks[recv_idx] = Some(got);
-    }
-    for b in blocks {
-        out.extend(b.expect("missing allgather block"));
-    }
-    out
+    let check = |got: &[T]| check_blocks("allgather_ring", comm, got, 1, data.len());
+    varcount::ring_blocks(rank, comm, data, check).concat()
 }
 
 /// Bruck allgather of equal-size contributions, for any `n`: in round
@@ -338,41 +239,48 @@ pub fn allgather_ring<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T>
 /// the algorithm for payloads whose cost is latency, not bandwidth.
 pub fn allgather_bruck<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
+    let (me, n) = (comm.rank(), comm.size());
     let block = data.len();
     let mut held = Vec::with_capacity(n * block);
     held.extend_from_slice(data);
-    let mut d = 1;
-    while d < n {
-        let count = d.min(n - d);
-        csend(rank, comm, (me + n - d) % n, tag, &held[..count * block]);
-        let got: Vec<T> = crecv(rank, comm, (me + d) % n, tag);
-        check_blocks("allgather_bruck", comm, &got, count, block);
-        held.extend(got);
-        d <<= 1;
+    // With a unit of 1 a send's `bytes` is its block count, and a round
+    // takes as many blocks as it has just shipped.
+    let mut count = 0;
+    for step in pattern::allgather_bruck(me, n, 1) {
+        match step {
+            Step::Send { peer, bytes } => {
+                count = bytes as usize;
+                csend(rank, comm, peer, tag, &held[..count * block]);
+            }
+            Step::Recv { peer } => {
+                let got: Vec<T> = crecv(rank, comm, peer, tag);
+                check_blocks("allgather_bruck", comm, &got, count, block);
+                held.extend(got);
+            }
+        }
     }
     held.rotate_right(me * block);
     held
 }
 
 /// Pairwise (ring-offset) all-to-all: step `i` exchanges chunk with the
-/// ranks at offset `±i`.
+/// ranks at offset `±i` — chunk `peer` of `data` goes to `peer`, and what
+/// `peer` sends lands as chunk `peer` of the result.
 pub fn alltoall_pairwise<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
     let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
+    let (me, n) = (comm.rank(), comm.size());
     assert!(data.len().is_multiple_of(n), "alltoall buffer not divisible by communicator size");
     let chunk = data.len() / n;
-    let mut out = vec![None; n];
-    out[me] = Some(data[me * chunk..(me + 1) * chunk].to_vec());
-    for step in 1..n {
-        let to = (me + step) % n;
-        let from = (me + n - step) % n;
-        csend(rank, comm, to, tag, &data[to * chunk..(to + 1) * chunk]);
-        out[from] = Some(crecv(rank, comm, from, tag));
+    let chunk_of = |r: usize| &data[r * chunk..(r + 1) * chunk];
+    let mut out = vec![Vec::new(); n];
+    out[me] = chunk_of(me).to_vec();
+    for step in pattern::alltoall_pairwise(me, n, 0) {
+        match step {
+            Step::Send { peer, .. } => csend(rank, comm, peer, tag, chunk_of(peer)),
+            Step::Recv { peer } => out[peer] = crecv(rank, comm, peer, tag),
+        }
     }
-    out.into_iter().flat_map(|b| b.expect("missing alltoall chunk")).collect()
+    out.concat()
 }
 
 // ----- the collective façade: `Rank` methods over the algorithms above ------

@@ -5,10 +5,11 @@
 //! count arrays are needed on the receive side — the API stays idiomatic
 //! while the wire traffic matches the MPI originals.
 
-use super::{crecv, csend};
+use super::{crecv, csend, pattern};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::runtime::Rank;
+use crate::schedule::Step;
 
 /// Gather variable-size contributions at `root`, concatenated in rank
 /// order; `Some(data, displacements)` at the root (displacements index the
@@ -26,7 +27,8 @@ pub fn gatherv<T: Scalar>(
         csend(rank, comm, root, tag, data);
         return None;
     }
-    let mut out = Vec::new();
+    // Room for `n` blocks like the root's own: exact for `gather_linear`.
+    let mut out = Vec::with_capacity(n * data.len());
     let mut displs = Vec::with_capacity(n);
     for r in 0..n {
         displs.push(out.len());
@@ -67,29 +69,46 @@ pub fn scatterv<T: Scalar>(
     }
 }
 
+/// The one ring walk, for blocks of any size: what arrives is the next
+/// thing forwarded, `check`ed first.  Returns every rank's block, in rank
+/// order.
+pub(super) fn ring_blocks<T: Scalar>(
+    rank: &Rank,
+    comm: &Comm,
+    data: &[T],
+    check: impl Fn(&[T]),
+) -> Vec<Vec<T>> {
+    let tag = rank.next_coll_tag(comm);
+    let (me, n) = (comm.rank(), comm.size());
+    let mut blocks = Vec::with_capacity(n);
+    blocks.push(data.to_vec());
+    for step in pattern::allgather_ring(me, n, 0) {
+        match step {
+            Step::Send { peer, .. } => csend(rank, comm, peer, tag, &blocks[blocks.len() - 1]),
+            Step::Recv { peer } => {
+                let got: Vec<T> = crecv(rank, comm, peer, tag);
+                check(&got);
+                blocks.push(got);
+            }
+        }
+    }
+    // Blocks arrived from ranks me, me − 1, …, me + 1 (mod n): reversed
+    // they run me + 1, …, me, which rotating by me + 1 puts in rank order.
+    blocks.reverse();
+    blocks.rotate_right((me + 1) % n);
+    blocks
+}
+
 /// Allgather of variable-size contributions: everyone receives the
 /// rank-ordered concatenation and the per-rank displacements.
-/// Ring algorithm, like the equal-count variant.
+/// Ring algorithm; the equal-count [`super::allgather_ring`] is the same
+/// walk with a size check on every block.
 pub fn allgatherv<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> (Vec<T>, Vec<usize>) {
-    let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    let me = comm.rank();
-    let mut blocks: Vec<Option<Vec<T>>> = vec![None; n];
-    blocks[me] = Some(data.to_vec());
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    for step in 0..n.saturating_sub(1) {
-        let send_idx = (me + n - step) % n;
-        let recv_idx = (me + n - step - 1) % n;
-        let to_send = blocks[send_idx].as_ref().expect("ring block not yet received");
-        csend(rank, comm, right, tag, to_send);
-        blocks[recv_idx] = Some(crecv(rank, comm, left, tag));
-    }
     let mut out = Vec::new();
-    let mut displs = Vec::with_capacity(n);
-    for b in blocks {
+    let mut displs = Vec::with_capacity(comm.size());
+    for b in ring_blocks(rank, comm, data, |_| {}) {
         displs.push(out.len());
-        out.extend(b.expect("missing allgatherv block"));
+        out.extend(b);
     }
     (out, displs)
 }

@@ -1,6 +1,16 @@
 //! The M:N rank executor: every simulated rank is a resumable *task* (a
 //! stackful fiber, `mim_util::fiber`) multiplexed onto a fixed pool of
-//! worker threads by a work-stealing scheduler (`mim_util::deque`).
+//! worker threads over **one FIFO run queue** (the locked
+//! `mim_util::deque::Injector`): launch, [`ExecShared::notify`], bare yields
+//! and stall wakes all push there and any worker pops it, so tasks migrate
+//! between workers.  The one thing a worker keeps to itself is a *run-next
+//! slot*: a task that asked to park after a notify token had already landed
+//! on it is resumed by the same worker straight away.  There is no work
+//! stealing.  PR 6 built per-worker Chase–Lev deques for it; counted over
+//! whole runs of the six live ledger workloads (seed 1, 3 s each, 2
+//! workers) they served 6 355 974 dispatches as 6 110 844 injector pops,
+//! 245 130 pops of the task the same worker had just pushed, and **0**
+//! steals, retries or spills — the deque was only ever this slot.
 //!
 //! Thread-per-rank ([`ExecutorKind::Threads`]) remains the always-available
 //! equivalence oracle; this module only changes *where* rank code runs, not
@@ -20,9 +30,9 @@
 //!    fully switched out does the worker publish the parked state with
 //!    `CAS(Running → Parked)`.  A concurrent [`ExecShared::notify`] that
 //!    caught the task still `Running` left a `Notified` token instead; the
-//!    failed CAS observes it and the worker re-enqueues the task locally —
-//!    the wakeup is never lost, and a resumed fiber can never race its own
-//!    suspension.
+//!    failed CAS observes it and the worker keeps the task in its run-next
+//!    slot — the wakeup is never lost, and a resumed fiber can never race
+//!    its own suspension.
 //! 3. **Sender side**: `Shared::post` delivers the envelope, then calls
 //!    `notify(dst)`, which CASes `Parked → Runnable` (pushing the task to
 //!    the injector and waking an idle worker) or `Running → Notified`.
@@ -34,10 +44,11 @@
 //! Thread-per-rank relies on wall-clock `recv_timeout` to detect
 //! application deadlock.  Here, when every worker is idle — provably
 //! quiescent: notifications only originate from running task code — the
-//! last idler checks for a stall: all live tasks parked and every queue
-//! empty.  It then wakes exactly one task — smallest `(deadline, world
-//! rank)` — with [`ParkWake::Deadline`], which surfaces in the mailbox as
-//! the same `Timeout` the wall clock would have produced, minus the wait.
+//! last idler checks for a stall: all live tasks parked and the run queue
+//! empty (a worker only idles with an empty slot).  It then wakes exactly
+//! one task — smallest `(deadline, world rank)` — with
+//! [`ParkWake::Deadline`], which surfaces in the mailbox as the same
+//! `Timeout` the wall clock would have produced, minus the wait.
 //!
 //! A task that never parks cannot be preempted (fibers are cooperative), so
 //! the launching thread keeps watch while the workers run and reports
@@ -52,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use mim_util::deque::{deque, Injector, Steal, Stealer, WorkerQueue};
+use mim_util::deque::Injector;
 use mim_util::fiber::{self, Fiber, Resume};
 use mim_util::sync::{Mutex, Notifier};
 
@@ -64,7 +75,7 @@ use crate::sched::{clamp_choice, Decision, PolicyHandle};
 pub enum ExecutorKind {
     /// One OS thread per rank (the seed model; the equivalence oracle).
     Threads,
-    /// M:N — ranks are fibers on a fixed work-stealing worker pool.
+    /// M:N — ranks are fibers on a fixed worker pool.
     Tasks,
 }
 
@@ -195,9 +206,6 @@ pub(crate) struct ExecShared {
     id: u64,
     tasks: Vec<TaskSlot>,
     injector: Injector,
-    /// The workers' steal handles, registered by [`run_tasks`] at launch
-    /// (the stall check needs to observe every queue).
-    stealers: Mutex<Vec<Stealer>>,
     /// Wakes idle workers (epoch-counted; see `mim_util::sync::Notifier`).
     notifier: Notifier,
     /// The starvation watchdog's one sign of life: bumped on every park,
@@ -218,7 +226,7 @@ pub(crate) struct ExecShared {
     workers: AtomicUsize,
     /// Installed schedule policy: dispatch becomes single-worker and every
     /// resume choice with several queued tasks is the policy's.  Set once
-    /// before launch; `None` keeps the work-stealing default.
+    /// before launch; `None` keeps the multi-worker FIFO default.
     policy: OnceLock<PolicyHandle>,
 }
 
@@ -237,7 +245,6 @@ impl ExecShared {
                 })
                 .collect(),
             injector: Injector::new(),
-            stealers: Mutex::new(Vec::new()),
             notifier: Notifier::new(),
             activity: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
@@ -328,9 +335,10 @@ impl ExecShared {
     }
 
     /// All-workers-idle stall check (runs quiescent: every notify source is
-    /// task code, and no task is running).  Shut down when nothing is live;
-    /// otherwise, if every live task is parked and every queue is empty,
-    /// resolve the stall by waking one task with a deadline signal.
+    /// task code, no task is running, and a worker only idles with an empty
+    /// run-next slot).  Shut down when nothing is live; otherwise, if every
+    /// live task is parked and the run queue is empty, resolve the stall by
+    /// waking one task with a deadline signal.
     fn stall_check(&self) {
         let _guard = self.stall_lock.lock();
         if self.shutdown.load(Ordering::Acquire) {
@@ -343,9 +351,6 @@ impl ExecShared {
             return;
         }
         if self.parked.load(Ordering::SeqCst) != live || !self.injector.is_empty() {
-            return;
-        }
-        if self.stealers.lock().iter().any(|s| !s.is_empty()) {
             return;
         }
         // Deterministic order: smallest requested deadline, then smallest
@@ -413,9 +418,6 @@ fn worker_count(n: usize) -> usize {
     w.clamp(1, n.max(1))
 }
 
-/// Per-worker run queue capacity; overflow spills to the shared injector.
-const LOCAL_QUEUE_CAP: usize = 256;
-
 /// Run `bodies` (one per rank, indexed by world rank) to completion as
 /// fibers on the worker pool.  Returns each task's panic payload slot, in
 /// task order — the same shape `thread::JoinHandle::join` gives the
@@ -435,16 +437,6 @@ pub(crate) fn run_tasks(
         bodies.into_iter().map(|b| Mutex::new(Some(Fiber::new(stack_size, b)))).collect();
     let payloads: Vec<Mutex<Option<Box<dyn std::any::Any + Send>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
-    let mut queues = Vec::with_capacity(workers);
-    {
-        let mut stealers = exec.stealers.lock();
-        stealers.clear();
-        for _ in 0..workers {
-            let (q, s) = deque(LOCAL_QUEUE_CAP);
-            queues.push(q);
-            stealers.push(s);
-        }
-    }
     exec.workers.store(workers, Ordering::SeqCst);
     exec.live.store(n, Ordering::SeqCst);
     exec.parked.store(0, Ordering::SeqCst);
@@ -459,13 +451,13 @@ pub(crate) fn run_tasks(
     // on a finished run.
     let exited = Notifier::new();
     std::thread::scope(|scope| {
-        for (wid, q) in queues.into_iter().enumerate() {
+        for wid in 0..workers {
             let exec = Arc::clone(exec);
             let (fibers, payloads, exited) = (&fibers, &payloads, &exited);
             std::thread::Builder::new()
                 .name(format!("mim-exec-{wid}"))
                 .spawn_scoped(scope, move || {
-                    worker_loop(&exec, q, fibers, payloads);
+                    worker_loop(&exec, fibers, payloads);
                     exited.notify();
                 })
                 .unwrap_or_else(|e| panic!("failed to spawn executor worker: {e}"));
@@ -478,50 +470,27 @@ pub(crate) fn run_tasks(
     payloads.into_iter().map(Mutex::into_inner).collect()
 }
 
-/// Find the next runnable task: own queue (LIFO), then the injector, then
-/// steal from peers.  With a schedule policy installed, the policy picks
-/// instead.
-fn next_task(exec: &ExecShared, local: &mut WorkerQueue) -> Option<usize> {
+/// Find the next runnable task: the worker's run-next slot, then the run
+/// queue.  With a schedule policy installed, the policy picks instead.
+fn next_task(exec: &ExecShared, run_next: &mut Option<usize>) -> Option<usize> {
     if let Some(policy) = exec.policy.get() {
-        return next_task_policed(exec, local, policy);
+        return next_task_policed(exec, run_next, policy);
     }
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    if let Some(t) = exec.injector.pop() {
-        return Some(t);
-    }
-    let stealers = exec.stealers.lock();
-    loop {
-        let mut retry = false;
-        for s in stealers.iter() {
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
+    run_next.take().or_else(|| exec.injector.pop())
 }
 
 /// Deterministic dispatch under a schedule policy (the pool runs a single
-/// worker): gather every queued task — local queue first, then the injector
-/// in FIFO order — and let the policy pick which resumes.  The slate is
-/// offered in canonical dispatch order (index 0 = what the un-policed
-/// scheduler would run next); unchosen tasks return to the injector in
-/// slate order, so the next decision sees them in a stable order.
+/// worker): gather every queued task — the run-next slot first, then the
+/// injector in FIFO order — and let the policy pick which resumes.  The
+/// slate is offered in canonical dispatch order (index 0 = what the
+/// un-policed scheduler would run next); unchosen tasks return to the
+/// injector in slate order, so the next decision sees them in a stable order.
 fn next_task_policed(
     exec: &ExecShared,
-    local: &mut WorkerQueue,
+    run_next: &mut Option<usize>,
     policy: &PolicyHandle,
 ) -> Option<usize> {
-    let mut cands = Vec::new();
-    while let Some(t) = local.pop() {
-        cands.push(t);
-    }
+    let mut cands: Vec<usize> = run_next.take().into_iter().collect();
     while let Some(t) = exec.injector.pop() {
         cands.push(t);
     }
@@ -542,22 +511,17 @@ fn next_task_policed(
     }
 }
 
-fn enqueue(exec: &ExecShared, local: &mut WorkerQueue, task: usize) {
-    if let Err(t) = local.push(task) {
-        exec.injector.push(t);
-    }
-    exec.notifier.notify();
-}
-
 fn worker_loop(
     exec: &Arc<ExecShared>,
-    mut local: WorkerQueue,
     fibers: &[Mutex<Option<Fiber>>],
     payloads: &[Mutex<Option<Box<dyn std::any::Any + Send>>>],
 ) {
+    // The task this worker resumes next, ahead of the run queue (see
+    // `run_one`); visible to no other worker, and empty whenever it idles.
+    let mut run_next = None;
     loop {
         // Snapshot the wake epoch *before* every check (shutdown flag and
-        // work queues): any store-then-notify landing after the snapshot
+        // run queue): any store-then-notify landing after the snapshot
         // advances the epoch, so the wait below returns immediately — and a
         // snapshot taken after a notify is ordered after the store it
         // published, so the re-check on the next loop iteration sees it.
@@ -565,8 +529,8 @@ fn worker_loop(
         if exec.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if let Some(task) = next_task(exec, &mut local) {
-            run_one(exec, task, &mut local, fibers, payloads);
+        if let Some(task) = next_task(exec, &mut run_next) {
+            run_one(exec, task, &mut run_next, fibers, payloads);
             continue;
         }
         let idlers = exec.idle.fetch_add(1, Ordering::SeqCst) + 1;
@@ -583,7 +547,7 @@ fn worker_loop(
 fn run_one(
     exec: &ExecShared,
     task: usize,
-    local: &mut WorkerQueue,
+    run_next: &mut Option<usize>,
     fibers: &[Mutex<Option<Fiber>>],
     payloads: &[Mutex<Option<Box<dyn std::any::Any + Send>>>],
 ) {
@@ -629,16 +593,17 @@ fn run_one(
                     .is_err()
                 {
                     // A notify token landed while the task was still
-                    // Running: consume it and keep the task runnable.
+                    // Running: consume it and keep the task runnable — on
+                    // this worker, next, since its message is already there.
                     exec.parked.fetch_sub(1, Ordering::SeqCst);
                     slot.wake.store(WAKE_MESSAGE, Ordering::Release);
                     slot.state.store(RUNNABLE, Ordering::SeqCst);
-                    enqueue(exec, local, task);
+                    *run_next = Some(task);
                 }
             } else {
-                // Bare cooperative yield: to the *back* of the global queue
-                // (a local LIFO re-enqueue would run the yielder again
-                // first, defeating the fairness yield's whole point).
+                // Bare cooperative yield: to the *back* of the run queue
+                // (the run-next slot would run the yielder again first,
+                // defeating the fairness yield's whole point).
                 slot.state.store(RUNNABLE, Ordering::SeqCst);
                 exec.injector.push(task);
                 exec.notifier.notify();

@@ -2,8 +2,8 @@
 //!
 //! Every rank of a simulated job runs its body on one of two engines
 //! ([`ExecutorKind`]): an OS thread per rank, or an M:N rank task (a
-//! stackful fiber) on a fixed work-stealing pool — the engine that carries
-//! the 10k-rank universes, every bench and the ledger.  Both produce
+//! stackful fiber) on a fixed worker pool over one FIFO run queue — the
+//! engine that carries the 10k-rank universes, every bench and the ledger.  Both produce
 //! bit-identical virtual-time results.  Ranks exchange messages through
 //! per-rank mailboxes with MPI matching semantics (communicator, source,
 //! tag, wildcards, non-overtaking per channel).  Time is *virtual*: each

@@ -41,7 +41,7 @@ pub struct UniverseConfig {
     pub stack_size: usize,
     /// Which engine hosts rank code: one OS thread per rank
     /// ([`ExecutorKind::Threads`], the default and the equivalence oracle)
-    /// or M:N rank tasks on a fixed work-stealing pool
+    /// or M:N rank tasks on a fixed worker pool
     /// ([`ExecutorKind::Tasks`], the 10k-rank engine).  Defaults from
     /// `MIM_EXECUTOR`; both modes produce bit-identical virtual-time
     /// results (see `tests/executor_equivalence.rs`).
@@ -458,7 +458,7 @@ impl Universe {
     }
 
     /// M:N engine: wrap each rank body in a fiber task and run the lot on a
-    /// fixed work-stealing worker pool (`crate::exec`).  Blocking receives
+    /// fixed worker pool (`crate::exec`).  Blocking receives
     /// park the rank's *task* (the mailbox holds its `ParkerHandle`), so a
     /// handful of workers can carry a 10k-rank universe.
     fn run_ranks_as_tasks<B, R>(

@@ -10,7 +10,8 @@
 //!    pick any candidate.
 //! 2. **Task resume** ([`crate::exec`], `ExecutorKind::Tasks`): which
 //!    runnable rank task a worker resumes next.  The default is the
-//!    work-stealing order; a policy forces one worker and picks explicitly.
+//!    worker's run-next slot, then the run queue in FIFO order; a policy
+//!    forces one worker and picks explicitly.
 //! 3. **Wire delivery** (`Shared::post` in [`crate::runtime`], the funnel
 //!    below the [`crate::pml`] layer that every NIC delivery takes): the
 //!    order staged envelopes are released to their destination mailboxes.

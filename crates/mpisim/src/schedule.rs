@@ -2,7 +2,10 @@
 //!
 //! A schedule is the pure communication pattern of a collective — per rank,
 //! an ordered list of sends (with byte counts) and receives — detached from
-//! data movement.  Schedules serve two purposes:
+//! data movement.  The generators here do not imitate the live algorithms in
+//! [`crate::collectives`]: both read the same per-rank steps from
+//! `collectives::pattern`, the live algorithm walking its own rank's, the
+//! generator collecting every rank's.  Schedules serve two purposes:
 //!
 //! * [`execute`] replays a schedule on the live runtime with synthetic
 //!   payloads, so benchmarks can run paper-scale buffers (2·10⁸ ints)
@@ -19,7 +22,7 @@ use mim_analyze::{CommPlan, Op, Program, Report, Src, Tag, Verdict, WORLD};
 use mim_topology::Machine;
 use mim_trace::{TraceData, Tracer};
 
-use crate::collectives::binomial_peers;
+use crate::collectives::pattern;
 use crate::comm::Comm;
 use crate::envelope::{Ctx, MsgKind, Payload};
 use crate::runtime::{Rank, SrcSel, TagSel};
@@ -252,218 +255,73 @@ pub struct ChannelTotals {
 }
 
 // ---------------------------------------------------------------------------
-// Generators (mirror the live algorithms in `collectives`)
+// Generators: every rank's steps of the pattern the live algorithm walks
 // ---------------------------------------------------------------------------
+
+/// Collect `steps_of(me)` for every rank of `n`.
+fn every_rank<I: Iterator<Item = Step>>(n: usize, steps_of: impl Fn(usize) -> I) -> Schedule {
+    Schedule::new((0..n).map(|me| steps_of(me).collect()).collect())
+}
 
 /// Binomial-tree broadcast pattern.
 pub fn bcast_binomial(n: usize, root: usize, bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for vrank in 0..n {
-        let world = (vrank + root) % n;
-        let (parent, children) = binomial_peers(vrank, n);
-        let prog = &mut steps[world];
-        if let Some(p) = parent {
-            prog.push(Step::Recv { peer: (p + root) % n });
-        }
-        for c in children {
-            prog.push(Step::Send { peer: (c + root) % n, bytes });
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::bcast_binomial(me, n, root, bytes))
 }
 
-/// Binomial-tree reduce pattern (receives narrowest-child-first, mirroring
-/// [`crate::collectives::reduce_binomial`]).
+/// Binomial-tree reduce pattern (receives narrowest-child-first, as
+/// [`crate::collectives::reduce_binomial`] does).
 pub fn reduce_binomial(n: usize, root: usize, bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for vrank in 0..n {
-        let world = (vrank + root) % n;
-        let (parent, mut children) = binomial_peers(vrank, n);
-        children.reverse(); // narrowest first, like the mask loop
-        let prog = &mut steps[world];
-        for c in children {
-            prog.push(Step::Recv { peer: (c + root) % n });
-        }
-        if let Some(p) = parent {
-            prog.push(Step::Send { peer: (p + root) % n, bytes });
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::reduce_binomial(me, n, root, bytes))
 }
 
 /// Binary-tree broadcast pattern.
 pub fn bcast_binary(n: usize, root: usize, bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for vrank in 0..n {
-        let world = (vrank + root) % n;
-        let prog = &mut steps[world];
-        if vrank != 0 {
-            prog.push(Step::Recv { peer: ((vrank - 1) / 2 + root) % n });
-        }
-        for c in [2 * vrank + 1, 2 * vrank + 2] {
-            if c < n {
-                prog.push(Step::Send { peer: (c + root) % n, bytes });
-            }
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::bcast_binary(me, n, root, bytes))
 }
 
 /// Binary-tree reduce pattern (the paper's Fig 5a algorithm).
 pub fn reduce_binary(n: usize, root: usize, bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for vrank in 0..n {
-        let world = (vrank + root) % n;
-        let prog = &mut steps[world];
-        for c in [2 * vrank + 1, 2 * vrank + 2] {
-            if c < n {
-                prog.push(Step::Recv { peer: (c + root) % n });
-            }
-        }
-        if vrank != 0 {
-            prog.push(Step::Send { peer: ((vrank - 1) / 2 + root) % n, bytes });
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::reduce_binary(me, n, root, bytes))
 }
 
 /// Ring allgather pattern with `block_bytes` per contribution.
-#[allow(clippy::needless_range_loop)] // indices address several arrays at once
 pub fn allgather_ring(n: usize, block_bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for me in 0..n {
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        let prog = &mut steps[me];
-        for _step in 0..n.saturating_sub(1) {
-            prog.push(Step::Send { peer: right, bytes: block_bytes });
-            prog.push(Step::Recv { peer: left });
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::allgather_ring(me, n, block_bytes))
 }
 
-/// Bruck allgather pattern with `block_bytes` per contribution, mirroring
+/// Bruck allgather pattern with `block_bytes` per contribution, that of
 /// [`crate::collectives::allgather_bruck`]: ⌈log₂ n⌉ rounds, round `d`
 /// shipping `min(d, n − d)` blocks to the rank `d` below.
 pub fn allgather_bruck(n: usize, block_bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for (me, prog) in steps.iter_mut().enumerate() {
-        let mut d = 1;
-        while d < n {
-            let bytes = d.min(n - d) as u64 * block_bytes;
-            prog.push(Step::Send { peer: (me + n - d) % n, bytes });
-            prog.push(Step::Recv { peer: (me + d) % n });
-            d <<= 1;
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::allgather_bruck(me, n, block_bytes))
 }
 
 /// Dissemination barrier pattern (zero-byte messages).
-#[allow(clippy::needless_range_loop)] // indices address several arrays at once
 pub fn barrier_dissemination(n: usize) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for me in 0..n {
-        let mut dist = 1;
-        while dist < n {
-            steps[me].push(Step::Send { peer: (me + dist) % n, bytes: 0 });
-            steps[me].push(Step::Recv { peer: (me + n - dist) % n });
-            dist <<= 1;
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::barrier(me, n))
 }
 
 /// Recursive-doubling allreduce pattern with non-power-of-two folding,
-/// mirroring [`crate::collectives::allreduce_recursive_doubling`].
-#[allow(clippy::needless_range_loop)] // indices address several arrays at once
+/// that of [`crate::collectives::allreduce_recursive_doubling`].
 pub fn allreduce_recursive_doubling(n: usize, bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    if n == 1 {
-        return Schedule::new(steps);
-    }
-    let pow2 = n.next_power_of_two() >> usize::from(!n.is_power_of_two());
-    let rem = n - pow2;
-    let to_old = |r: usize| if r < rem { 2 * r + 1 } else { r + rem };
-    for me in 0..n {
-        let prog = &mut steps[me];
-        let newrank: Option<usize> = if me < 2 * rem {
-            if me % 2 == 0 {
-                prog.push(Step::Send { peer: me + 1, bytes });
-                None
-            } else {
-                prog.push(Step::Recv { peer: me - 1 });
-                Some(me / 2)
-            }
-        } else {
-            Some(me - rem)
-        };
-        if let Some(nr) = newrank {
-            let mut mask = 1;
-            while mask < pow2 {
-                let peer = to_old(nr ^ mask);
-                prog.push(Step::Send { peer, bytes });
-                prog.push(Step::Recv { peer });
-                mask <<= 1;
-            }
-        }
-        if me < 2 * rem {
-            if me % 2 == 0 {
-                prog.push(Step::Recv { peer: me + 1 });
-            } else {
-                prog.push(Step::Send { peer: me - 1, bytes });
-            }
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::allreduce_recursive_doubling(me, n, bytes))
 }
 
 /// Pairwise (ring-offset) all-to-all pattern with equal `chunk_bytes`
-/// chunks, mirroring [`crate::collectives::alltoall_pairwise`].
+/// chunks, that of [`crate::collectives::alltoall_pairwise`].
 pub fn alltoall_pairwise(n: usize, chunk_bytes: u64) -> Schedule {
-    let mut steps = vec![Vec::new(); n];
-    for (me, prog) in steps.iter_mut().enumerate() {
-        for step in 1..n {
-            let to = (me + step) % n;
-            let from = (me + n - step) % n;
-            prog.push(Step::Send { peer: to, bytes: chunk_bytes });
-            prog.push(Step::Recv { peer: from });
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::alltoall_pairwise(me, n, chunk_bytes))
 }
 
 /// Segmented (pipelined) binary-tree broadcast pattern: the payload is cut
 /// into `ceil(bytes / seg_bytes)` segments, each forwarded down the binary
 /// tree; interleaved so interior ranks forward segment `s` while `s+1` is
-/// in flight.  Mirrors [`crate::collectives::bcast_binary_segmented`]
-/// (without its tiny length-header message).  Used to quantify how much
+/// in flight.  The pattern of [`crate::collectives::bcast_binary_segmented`]
+/// without its tiny length-header message.  Used to quantify how much
 /// pipelining narrows the reordering gap in the Fig 5 discussion.
 pub fn bcast_binary_segmented(n: usize, root: usize, bytes: u64, seg_bytes: u64) -> Schedule {
     assert!(seg_bytes > 0, "segment size must be positive");
-    let mut steps = vec![Vec::new(); n];
-    let nsegs = bytes.div_ceil(seg_bytes).max(1);
-    for vrank in 0..n {
-        let world = (vrank + root) % n;
-        let parent = (vrank != 0).then(|| ((vrank - 1) / 2 + root) % n);
-        let children: Vec<usize> = [2 * vrank + 1, 2 * vrank + 2]
-            .into_iter()
-            .filter(|&c| c < n)
-            .map(|c| (c + root) % n)
-            .collect();
-        let prog = &mut steps[world];
-        for s in 0..nsegs {
-            let seg = if s + 1 == nsegs { bytes - (nsegs - 1) * seg_bytes } else { seg_bytes };
-            if let Some(p) = parent {
-                prog.push(Step::Recv { peer: p });
-            }
-            for &c in &children {
-                prog.push(Step::Send { peer: c, bytes: seg });
-            }
-        }
-    }
-    Schedule::new(steps)
+    every_rank(n, |me| pattern::bcast_binary_segmented(me, n, root, bytes, seg_bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -868,6 +726,46 @@ mod tests {
     }
 
     #[test]
+    fn generator_step_order_is_pinned() {
+        // Golden FNV-1a digest of every generator's exact step order, n =
+        // 1…33 and every root.  The value was taken from the ten hand-written
+        // generators of PR 18 (5da4ddd), which `collectives::pattern`
+        // replaced: message multisets and clocks are covered elsewhere, the
+        // order of each rank's steps — what every wire message, trace event
+        // and ledger digest follows from — only here.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        for n in 1..=33usize {
+            let mut all = vec![
+                allgather_ring(n, 24),
+                allgather_bruck(n, 24),
+                barrier_dissemination(n),
+                allreduce_recursive_doubling(n, 1000),
+                alltoall_pairwise(n, 40),
+            ];
+            for root in 0..n {
+                all.push(bcast_binomial(n, root, 4096));
+                all.push(reduce_binomial(n, root, 4096));
+                all.push(bcast_binary(n, root, 4096));
+                all.push(reduce_binary(n, root, 4096));
+                all.push(bcast_binary_segmented(n, root, 1000, 300));
+            }
+            for s in &all {
+                for r in 0..n {
+                    fold(s.rank_steps(r).len() as u64);
+                    for step in s.rank_steps(r) {
+                        match *step {
+                            Step::Send { peer, bytes } => [0, peer as u64, bytes].map(&mut fold),
+                            Step::Recv { peer } => [1, peer as u64, 0].map(&mut fold),
+                        };
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xe315_146e_c420_6519, "a generator's step order moved");
+    }
+
+    #[test]
     fn tree_message_counts() {
         // Any broadcast/reduce tree over n ranks moves exactly n-1 messages.
         for &n in NS {
@@ -935,10 +833,15 @@ mod tests {
         let machine = Machine::cluster(2, 2, 4);
         for schedule in [
             bcast_binomial(12, 0, 4096),
+            bcast_binary(12, 7, 4096),
+            reduce_binomial(12, 11, 1 << 16),
             reduce_binary(12, 5, 1 << 16),
             allgather_ring(12, 512),
+            allgather_bruck(12, 512),
             allreduce_recursive_doubling(12, 1000),
             barrier_dissemination(12),
+            alltoall_pairwise(12, 256),
+            bcast_binary_segmented(12, 3, 10_000, 3000),
         ] {
             let placement = Placement::packed(12);
             let rank_to_core: Vec<usize> = (0..12).map(|r| placement.core_of(r)).collect();

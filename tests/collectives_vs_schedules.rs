@@ -4,7 +4,7 @@
 //! sees collectives once decomposed into point-to-point messages".
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{schedule, Schedule, Universe, UniverseConfig};
+use mim_mpisim::{collectives, schedule, Schedule, Universe, UniverseConfig};
 use mim_topology::{CommMatrix, Machine, Placement};
 
 /// Run `coll` under a fresh session and return the (counts, sizes) matrices
@@ -57,16 +57,51 @@ fn check(n: usize, expected: &Schedule, counts: &CommMatrix, sizes: &CommMatrix)
     assert_eq!(monitored_multiset(counts, sizes), expected.message_multiset());
 }
 
+/// The live segmented broadcast opens with one eight-byte segment-count
+/// message per tree edge, which its schedule deliberately omits: take one
+/// such message off every pair that carried traffic.
+fn without_headers(mut counts: CommMatrix, mut sizes: CommMatrix) -> (CommMatrix, CommMatrix) {
+    for i in 0..counts.order() {
+        for j in 0..counts.order() {
+            if counts.get(i, j) > 0 {
+                counts.set(i, j, counts.get(i, j) - 1);
+                sizes.set(i, j, sizes.get(i, j) - 8);
+            }
+        }
+    }
+    (counts, sizes)
+}
+
 #[test]
 fn bcast_matches_schedule() {
     for n in [2usize, 5, 8, 13] {
         for root in [0, n - 1] {
             let payload = 1000usize;
+            let buffer = |world: &mim_mpisim::Comm| {
+                if world.rank() == root {
+                    vec![3u8; payload]
+                } else {
+                    vec![]
+                }
+            };
             let (counts, sizes) = monitor_collective(n, |rank, world| {
-                let mut v = if world.rank() == root { vec![3u8; payload] } else { vec![] };
-                rank.bcast(world, root, &mut v);
+                rank.bcast(world, root, &mut buffer(world));
             });
             check(n, &schedule::bcast_binomial(n, root, payload as u64), &counts, &sizes);
+
+            let (counts, sizes) = monitor_collective(n, |rank, world| {
+                collectives::bcast_binary(rank, world, root, &mut buffer(world));
+            });
+            check(n, &schedule::bcast_binary(n, root, payload as u64), &counts, &sizes);
+
+            // Four equal segments, so every message on a pair has one size.
+            let seg = payload / 4;
+            let (counts, sizes) = monitor_collective(n, |rank, world| {
+                assert_eq!(rank.bcast_segmented(world, root, &mut buffer(world), seg), 4);
+            });
+            let (counts, sizes) = without_headers(counts, sizes);
+            let expected = schedule::bcast_binary_segmented(n, root, payload as u64, seg as u64);
+            check(n, &expected, &counts, &sizes);
         }
     }
 }
@@ -79,6 +114,12 @@ fn reduce_matches_schedule() {
             rank.reduce(world, 0, &mine, |a, b| a + b);
         });
         check(n, &schedule::reduce_binomial(n, 0, 64 * 8), &counts, &sizes);
+
+        let (counts, sizes) = monitor_collective(n, |rank, world| {
+            let mine = vec![world.rank() as u64; 64];
+            collectives::reduce_binary(rank, world, n - 1, &mine, |a, b| a + b);
+        });
+        check(n, &schedule::reduce_binary(n, n - 1, 64 * 8), &counts, &sizes);
     }
 }
 
@@ -89,6 +130,13 @@ fn allgather_matches_schedule() {
             rank.allgather(world, &[world.rank() as u32; 25]);
         });
         check(n, &schedule::allgather_ring(n, 100), &counts, &sizes);
+
+        // The other exchange in which every rank ends up with a block from
+        // every rank: the pairwise all-to-all, 25 items per chunk.
+        let (counts, sizes) = monitor_collective(n, |rank, world| {
+            rank.alltoall(world, &vec![world.rank() as u32; 25 * n]);
+        });
+        check(n, &schedule::alltoall_pairwise(n, 100), &counts, &sizes);
     }
 }
 
@@ -96,7 +144,7 @@ fn allgather_matches_schedule() {
 fn allgather_bruck_matches_schedule() {
     for n in [2usize, 3, 6, 9, 16] {
         let (counts, sizes) = monitor_collective(n, |rank, world| {
-            mim_mpisim::collectives::allgather_bruck(rank, world, &[world.rank() as u32; 25]);
+            collectives::allgather_bruck(rank, world, &[world.rank() as u32; 25]);
         });
         check(n, &schedule::allgather_bruck(n, 100), &counts, &sizes);
     }
