@@ -1,49 +1,28 @@
-//! The analyzer: a deterministic replay of the plan's matching semantics
-//! plus a wait-for-graph post-mortem when the replay stalls.
+//! The analyzer: a deterministic replay of the plan under the canonical
+//! matching, plus a wait-for-graph post-mortem when the replay stalls.
 //!
-//! The replay mirrors the runtime's eager-send model: sends never block,
-//! each receive consumes the earliest-arrived matching message (per-channel
-//! FIFO, so a specific receive takes its channel's head; a wildcard receive
-//! takes the matching message with the globally smallest arrival sequence —
-//! the *canonical matching*), collectives and fences are barriers over
-//! their communicator.  When every rank runs to completion the plan is
-//! deadlock-free under the canonical matching; when the replay stalls, the
-//! blocked ranks form a wait-for graph whose cycle (found by DFS) *is* the
-//! deadlock, reported rank by rank.
+//! What executing an op *does* is the plan interpreter's ([`State`]); this
+//! module is one of its three drivers.  It owns the order — a LIFO worklist
+//! in which every rank runs until it blocks and a wildcard receive takes
+//! the earliest admissible arrival (the *canonical matching*) — and
+//! everything a [`Report`] says about the run: channel totals, the match
+//! log, one-sided epoch conflicts, collective agreement.  When every rank
+//! runs to completion the plan is deadlock-free under the canonical
+//! matching; when the replay stalls, the blocked ranks form a wait-for
+//! graph whose cycle (found by DFS) *is* the deadlock, reported rank by
+//! rank.
 //!
 //! Wildcard receives make matching nondeterministic, so any verdict in
 //! their presence is only canonical-matching-sound: completion becomes
 //! [`Verdict::PotentialDeadlock`], and a stall is reported as potential
 //! rather than definite (another matching might progress).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::diag::{ChannelUse, Code, Diag, Loc, Report, Severity, Verdict, WaitEdge};
+use crate::interp::{admits, ChanKey, State, Step, Sync};
 use crate::plan::{CollKind, CommId, CommPlan, Op, Program, Src, Tag, WinId};
 use crate::race::{self, Determinism, IndependenceMap};
-
-/// Matching-scope channel key: `(comm, src, dst, tag)`.
-type ChanKey = (CommId, usize, usize, u32);
-
-/// Why a rank is parked.
-#[derive(Debug, Clone, Copy)]
-enum Blocked {
-    /// At a `Recv` whose match has not arrived (details re-read from the op).
-    Recv,
-    /// At occurrence `occ` of a collective on `comm`.
-    Coll { comm: CommId, occ: usize },
-    /// At occurrence `occ` of a fence on `win`.
-    Fence { win: WinId, occ: usize },
-}
-
-/// One member's arrival at a collective/fence occurrence.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    rank: usize,
-    step: usize,
-    kind: CollKind,
-    root: Option<usize>,
-}
 
 /// One one-sided access inside the current epoch of a window.
 #[derive(Debug, Clone, Copy)]
@@ -144,21 +123,11 @@ fn check_well_formed(p: &Program, diags: &mut Vec<Diag>) {
 
 struct Replay<'p> {
     p: &'p Program,
-    pc: Vec<usize>,
-    blocked: Vec<Option<Blocked>>,
-    /// Per-channel FIFO of (arrival seq, the send op that produced it).
-    channels: HashMap<ChanKey, VecDeque<(u64, Loc)>>,
-    /// Per-destination pending messages in global arrival order.
-    arrivals: Vec<BTreeMap<u64, ChanKey>>,
-    next_seq: u64,
+    st: State<'p>,
+    /// Ranks asleep at a `Recv` whose match has not arrived; the next send
+    /// to them puts them back on the worklist.
+    asleep: Vec<bool>,
     totals: BTreeMap<ChanKey, (u64, u64)>,
-    /// Per comm: completed-or-open collective occurrences.
-    coll_occ: Vec<Vec<Vec<Arrival>>>,
-    /// Per comm, per rank: how many collectives this rank has completed.
-    coll_idx: Vec<Vec<usize>>,
-    /// Per win: fence occurrences / per-rank completed-fence counters.
-    fence_occ: Vec<Vec<Vec<Arrival>>>,
-    fence_idx: Vec<Vec<usize>>,
     /// Per win: one-sided accesses of the currently open epoch.
     epoch: Vec<Vec<Access>>,
     wildcard_sites: Vec<Loc>,
@@ -169,70 +138,16 @@ struct Replay<'p> {
 
 impl<'p> Replay<'p> {
     fn new(p: &'p Program) -> Self {
-        let n = p.nranks();
         Self {
             p,
-            pc: vec![0; n],
-            blocked: vec![None; n],
-            channels: HashMap::new(),
-            arrivals: vec![BTreeMap::new(); n],
-            next_seq: 0,
+            st: State::new(p),
+            asleep: vec![false; p.nranks()],
             totals: BTreeMap::new(),
-            coll_occ: vec![Vec::new(); p.ncomms()],
-            coll_idx: vec![vec![0; n]; p.ncomms()],
-            fence_occ: vec![Vec::new(); p.nwins()],
-            fence_idx: vec![vec![0; n]; p.nwins()],
             epoch: vec![Vec::new(); p.nwins()],
             wildcard_sites: Vec::new(),
             matches: Vec::new(),
             diags: Vec::new(),
         }
-    }
-
-    fn done(&self, r: usize) -> bool {
-        self.pc[r] == self.p.rank_ops(r).len()
-    }
-
-    /// Find the earliest-arrived pending message for a receive, returning
-    /// its `(seq, channel)` without consuming it.
-    fn find_match(&self, r: usize, comm: CommId, src: Src, tag: Tag) -> Option<(u64, ChanKey)> {
-        match (src, tag) {
-            (Src::Rank(s), Tag::Is(t)) => {
-                let key = (comm, s, r, t);
-                let head = self.channels.get(&key)?.front()?;
-                Some((head.0, key))
-            }
-            _ => self.arrivals[r]
-                .iter()
-                .find(|(_, &(c, s, _, t))| {
-                    c == comm
-                        && tag.admits(t)
-                        && match src {
-                            Src::Rank(want) => s == want,
-                            Src::Any => true,
-                        }
-                })
-                .map(|(&seq, &key)| (seq, key)),
-        }
-    }
-
-    /// Take the matched message off its channel and log the match.
-    fn consume(&mut self, recv: Loc, seq: u64, key: ChanKey) {
-        if let Some(q) = self.channels.get_mut(&key) {
-            let head = q.pop_front();
-            debug_assert_eq!(
-                head.map(|(s, _)| s),
-                Some(seq),
-                "wildcard match must take its channel's head"
-            );
-            if let Some((_, send)) = head {
-                self.matches.push((send, recv));
-            }
-            if q.is_empty() {
-                self.channels.remove(&key);
-            }
-        }
-        self.arrivals[recv.rank].remove(&seq);
     }
 
     /// Close the epoch of `win` at a completed fence: report conflicting
@@ -278,36 +193,49 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// Check kind/root agreement of a completed collective occurrence.
-    fn check_coll_agreement(&mut self, comm: CommId, occ: usize, arrivals: &[Arrival]) {
-        let first = arrivals[0];
-        for a in &arrivals[1..] {
-            if a.kind != first.kind {
+    /// Check kind/root agreement of a completed collective occurrence, each
+    /// member against the first to arrive.  Every member has just moved
+    /// past its `Coll` op, so that op sits one step behind its pc.
+    fn check_coll_agreement(&mut self, comm: CommId, occ: usize, arrivals: &[usize]) {
+        let calls: Vec<(Loc, CollKind, Option<usize>)> = arrivals
+            .iter()
+            .filter_map(|&rank| {
+                let step = self.st.pc(rank) - 1;
+                match self.p.rank_ops(rank)[step] {
+                    Op::Coll { kind, root, .. } => Some((Loc { rank, step }, kind, root)),
+                    _ => None,
+                }
+            })
+            .collect();
+        let Some(&(first, first_kind, first_root)) = calls.first() else { return };
+        for &(loc, kind, root) in &calls[1..] {
+            if kind != first_kind {
                 self.diags.push(Diag {
                     code: Code::A006,
                     severity: Severity::Error,
-                    loc: Some(Loc { rank: a.rank, step: a.step }),
+                    loc: Some(loc),
                     message: format!(
-                        "collective #{occ} on comm {}: rank {} calls {} but rank {} calls {}",
-                        comm.0, a.rank, a.kind, first.rank, first.kind
+                        "collective #{occ} on comm {}: rank {} calls {kind} but rank {} calls \
+                         {first_kind}",
+                        comm.0, loc.rank, first.rank
                     ),
                 });
-            } else if a.root != first.root {
+            } else if root != first_root {
                 let fmt_root = |r: Option<usize>| {
                     r.map_or_else(|| "no root".to_string(), |r| format!("root {r}"))
                 };
                 self.diags.push(Diag {
                     code: Code::A007,
                     severity: Severity::Error,
-                    loc: Some(Loc { rank: a.rank, step: a.step }),
+                    loc: Some(loc),
                     message: format!(
-                        "collective {} #{occ} on comm {}: rank {} uses {} but rank {} uses {}",
-                        first.kind,
+                        "collective {first_kind} #{occ} on comm {}: rank {} uses {} but rank {} \
+                         uses {}",
                         comm.0,
-                        a.rank,
-                        fmt_root(a.root),
+                        loc.rank,
+                        fmt_root(root),
                         first.rank,
-                        fmt_root(first.root)
+                        fmt_root(first_root)
                     ),
                 });
             }
@@ -317,133 +245,54 @@ impl<'p> Replay<'p> {
     /// Run rank `r` until it blocks or finishes; returns ranks to wake.
     fn step_rank(&mut self, r: usize) -> Vec<usize> {
         let mut wake = Vec::new();
-        while self.pc[r] < self.p.rank_ops(r).len() {
-            let step = self.pc[r];
-            match self.p.rank_ops(r)[step] {
+        while let Some(op) = self.st.op(r) {
+            let step = self.st.pc(r);
+            match op {
                 Op::Send { comm, dst, tag, bytes } => {
-                    let key = (comm, r, dst, tag);
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.channels.entry(key).or_default().push_back((seq, Loc { rank: r, step }));
-                    self.arrivals[dst].insert(seq, key);
-                    let t = self.totals.entry(key).or_default();
+                    let t = self.totals.entry((comm, r, dst, tag)).or_default();
                     t.0 += 1;
                     t.1 += bytes;
-                    if matches!(self.blocked[dst], Some(Blocked::Recv)) {
-                        self.blocked[dst] = None;
+                    if std::mem::take(&mut self.asleep[dst]) {
                         wake.push(dst);
                     }
                 }
-                Op::Recv { comm, src, tag } => {
-                    if matches!(src, Src::Any) || matches!(tag, Tag::Any) {
-                        let loc = Loc { rank: r, step };
-                        if self.wildcard_sites.last() != Some(&loc) {
-                            self.wildcard_sites.push(loc);
-                        }
-                    }
-                    match self.find_match(r, comm, src, tag) {
-                        Some((seq, key)) => self.consume(Loc { rank: r, step }, seq, key),
-                        None => {
-                            self.blocked[r] = Some(Blocked::Recv);
-                            return wake;
-                        }
+                Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. } => {
+                    let loc = Loc { rank: r, step };
+                    if self.wildcard_sites.last() != Some(&loc) {
+                        self.wildcard_sites.push(loc);
                     }
                 }
-                Op::Coll { comm, kind, root } => {
-                    let c = comm.0 as usize;
-                    let occ = self.coll_idx[c][r];
-                    if self.coll_occ[c].len() <= occ {
-                        self.coll_occ[c].resize(occ + 1, Vec::new());
-                    }
-                    self.coll_occ[c][occ].push(Arrival { rank: r, step, kind, root });
-                    // Well-formedness guarantees the comm exists; 0 never
-                    // equals a non-empty arrival count, so a (impossible)
-                    // miss simply parks the rank.
-                    let members = self.p.comm_members(comm).map_or(0, <[usize]>::len);
-                    if self.coll_occ[c][occ].len() == members {
-                        let arrivals = std::mem::take(&mut self.coll_occ[c][occ]);
-                        self.check_coll_agreement(comm, occ, &arrivals);
-                        for a in &arrivals {
-                            self.coll_idx[c][a.rank] = occ + 1;
-                            if a.rank != r {
-                                self.blocked[a.rank] = None;
-                                self.pc[a.rank] += 1;
-                                wake.push(a.rank);
-                            }
-                        }
-                    } else {
-                        self.blocked[r] = Some(Blocked::Coll { comm, occ });
-                        return wake;
-                    }
-                }
-                Op::Put { win, target, offset, bytes } => {
+                Op::Put { win, target, offset, bytes }
+                | Op::Get { win, target, offset, bytes }
+                | Op::Accumulate { win, target, offset, bytes } => {
                     self.epoch[win.0 as usize].push(Access {
                         origin: r,
                         step,
                         target,
                         offset,
                         bytes,
-                        write: true,
-                        accumulate: false,
+                        write: !matches!(op, Op::Get { .. }),
+                        accumulate: matches!(op, Op::Accumulate { .. }),
                     });
                 }
-                Op::Get { win, target, offset, bytes } => {
-                    self.epoch[win.0 as usize].push(Access {
-                        origin: r,
-                        step,
-                        target,
-                        offset,
-                        bytes,
-                        write: false,
-                        accumulate: false,
-                    });
+                Op::Recv { .. } | Op::Coll { .. } | Op::Fence { .. } => {}
+            }
+            match self.st.step(r, None) {
+                Step::Sent { .. } | Step::Local => {}
+                Step::Received { send, .. } => self.matches.push((send, Loc { rank: r, step })),
+                Step::Blocked => {
+                    self.asleep[r] = true;
+                    return wake;
                 }
-                Op::Accumulate { win, target, offset, bytes } => {
-                    self.epoch[win.0 as usize].push(Access {
-                        origin: r,
-                        step,
-                        target,
-                        offset,
-                        bytes,
-                        write: true,
-                        accumulate: true,
-                    });
-                }
-                Op::Fence { win } => {
-                    let w = win.0 as usize;
-                    let occ = self.fence_idx[w][r];
-                    if self.fence_occ[w].len() <= occ {
-                        self.fence_occ[w].resize(occ + 1, Vec::new());
+                Step::Parked => return wake,
+                Step::Released { on, occ, arrivals } => {
+                    match on {
+                        Sync::Coll(comm) => self.check_coll_agreement(comm, occ, &arrivals),
+                        Sync::Fence(win) => self.close_epoch(win),
                     }
-                    self.fence_occ[w][occ].push(Arrival {
-                        rank: r,
-                        step,
-                        kind: CollKind::Barrier,
-                        root: None,
-                    });
-                    let members = self
-                        .p
-                        .win_comm(win)
-                        .and_then(|c| self.p.comm_members(c))
-                        .map_or(0, <[usize]>::len);
-                    if self.fence_occ[w][occ].len() == members {
-                        let arrivals = std::mem::take(&mut self.fence_occ[w][occ]);
-                        self.close_epoch(win);
-                        for a in &arrivals {
-                            self.fence_idx[w][a.rank] = occ + 1;
-                            if a.rank != r {
-                                self.blocked[a.rank] = None;
-                                self.pc[a.rank] += 1;
-                                wake.push(a.rank);
-                            }
-                        }
-                    } else {
-                        self.blocked[r] = Some(Blocked::Fence { win, occ });
-                        return wake;
-                    }
+                    wake.extend(arrivals.into_iter().filter(|&m| m != r));
                 }
             }
-            self.pc[r] += 1;
         }
         wake
     }
@@ -452,13 +301,13 @@ impl<'p> Replay<'p> {
         let n = self.p.nranks();
         let mut runnable: Vec<usize> = (0..n).rev().collect();
         while let Some(r) = runnable.pop() {
-            if self.blocked[r].is_some() || self.done(r) {
+            if self.asleep[r] || self.st.parked(r).is_some() || self.st.done(r) {
                 continue;
             }
             let woken = self.step_rank(r);
             runnable.extend(woken);
         }
-        let stalled: Vec<usize> = (0..n).filter(|&r| !self.done(r)).collect();
+        let stalled: Vec<usize> = (0..n).filter(|&r| !self.st.done(r)).collect();
         let verdict =
             if stalled.is_empty() { self.finish_clean() } else { self.post_mortem(&stalled) };
         let channels = self
@@ -490,10 +339,7 @@ impl<'p> Replay<'p> {
     /// All ranks completed: flag leftover traffic and unclosed epochs, then
     /// classify by wildcard presence.
     fn finish_clean(&mut self) -> Verdict {
-        let mut leftover: Vec<(ChanKey, usize)> =
-            self.channels.iter().map(|(&k, q)| (k, q.len())).filter(|&(_, len)| len > 0).collect();
-        leftover.sort_unstable();
-        for ((comm, src, dst, tag), count) in leftover {
+        for ((comm, src, dst, tag), count) in self.st.in_flight() {
             self.diags.push(Diag {
                 code: Code::A003,
                 severity: Severity::Error,
@@ -542,13 +388,21 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// Does rank `s` still have a send matching `(comm, → dst, tag)` at or
-    /// after its current pc?
+    /// Does rank `s` still have a send the receive `(comm, → dst, tag)`
+    /// admits, at or after its current pc?
     fn has_future_send(&self, s: usize, comm: CommId, dst: usize, tag: Tag) -> bool {
-        self.p.rank_ops(s)[self.pc[s]..].iter().any(|op| {
+        self.p.rank_ops(s)[self.st.pc(s)..].iter().any(|op| {
             matches!(*op, Op::Send { comm: c, dst: d, tag: t, .. }
-                if c == comm && d == dst && tag.admits(t))
+                if d == dst && admits(comm, Src::Rank(s), tag, (c, s, d, t)))
         })
+    }
+
+    /// Is rank `r` stalled at a wildcard receive?
+    fn at_wildcard(&self, r: usize) -> bool {
+        matches!(
+            self.st.op(r),
+            Some(Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. })
+        )
     }
 
     /// The replay stalled: build the wait-for graph over the blocked ranks,
@@ -558,16 +412,11 @@ impl<'p> Replay<'p> {
         // blocked (a runnable rank would have been stepped).
         let mut edges: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
         for &r in stalled {
-            let step = self.pc[r];
+            let step = self.st.pc(r);
+            let loc = Some(Loc { rank: r, step });
             let mut out: Vec<(usize, String)> = Vec::new();
-            // A stalled rank is always blocked (a runnable one would have
-            // been stepped); a miss just contributes no wait edges.
-            let Some(blocked) = self.blocked[r] else { continue };
-            match blocked {
-                Blocked::Recv => {
-                    let Op::Recv { comm, src, tag } = self.p.rank_ops(r)[step] else {
-                        unreachable!("Blocked::Recv parks at a Recv op");
-                    };
+            match (self.st.op(r), self.st.parked(r)) {
+                (Some(Op::Recv { comm, src, tag }), _) => {
                     let tag_str = match tag {
                         Tag::Is(t) => format!("tag {t}"),
                         Tag::Any => "any tag".to_string(),
@@ -576,24 +425,22 @@ impl<'p> Replay<'p> {
                         Src::Rank(s) => vec![s],
                         Src::Any => (0..self.p.nranks()).filter(|&s| s != r).collect(),
                     };
-                    let mut live = Vec::new();
-                    for s in candidates {
-                        if !self.done(s) && self.has_future_send(s, comm, r, tag) {
-                            live.push(s);
-                        }
-                    }
+                    let live: Vec<usize> = candidates
+                        .into_iter()
+                        .filter(|&s| !self.st.done(s) && self.has_future_send(s, comm, r, tag))
+                        .collect();
                     if live.is_empty() {
                         let from = match src {
                             Src::Rank(s) => format!(
                                 "rank {s}{}",
-                                if self.done(s) { " (terminated)" } else { "" }
+                                if self.st.done(s) { " (terminated)" } else { "" }
                             ),
                             Src::Any => "any source".to_string(),
                         };
                         self.diags.push(Diag {
                             code: Code::A004,
                             severity: Severity::Error,
-                            loc: Some(Loc { rank: r, step }),
+                            loc,
                             message: format!(
                                 "orphan receive: rank {r} waits for a message from {from} \
                                  (comm {}, {tag_str}) that no remaining send can satisfy",
@@ -608,58 +455,49 @@ impl<'p> Replay<'p> {
                         ));
                     }
                 }
-                Blocked::Coll { comm, occ } => {
-                    let Op::Coll { kind, .. } = self.p.rank_ops(r)[step] else {
-                        unreachable!("Blocked::Coll parks at a Coll op");
+                // Parked at occurrence `occ` of a barrier: it waits for every
+                // member that is not parked there too; one that terminated
+                // will never come.
+                (Some(op), Some((on, occ))) => {
+                    let (comm, what, code, never) = match (on, op) {
+                        (Sync::Coll(comm), Op::Coll { kind, .. }) => (
+                            Some(comm),
+                            format!("collective {kind} #{occ} on comm {}", comm.0),
+                            Code::A006,
+                            "participating",
+                        ),
+                        (Sync::Fence(win), _) => (
+                            self.p.win_comm(win),
+                            format!("fence #{occ} on window {}", win.0),
+                            Code::A009,
+                            "fencing",
+                        ),
+                        (Sync::Coll(_), _) => continue,
                     };
-                    let arrived = move |b: Option<Blocked>| matches!(b, Some(Blocked::Coll { comm: c, occ: o }) if c == comm && o == occ);
-                    self.missing_members(comm, &arrived, &mut out, &mut |missing, done| {
-                        if done {
-                            Some(Diag {
-                                code: Code::A006,
-                                severity: Severity::Error,
-                                loc: Some(Loc { rank: r, step }),
-                                message: format!(
-                                    "collective {kind} #{occ} on comm {}: rank {missing} \
-                                     terminated without participating",
-                                    comm.0
-                                ),
-                            })
-                        } else {
-                            None
+                    for &m in comm.and_then(|c| self.p.comm_members(c)).unwrap_or_default() {
+                        if self.st.parked(m) == Some((on, occ)) {
+                            continue;
                         }
-                    });
-                    for (_, what) in &mut out {
-                        *what = format!("collective {kind} #{occ} on comm {}: {what}", comm.0);
+                        if self.st.done(m) {
+                            self.diags.push(Diag {
+                                code,
+                                severity: Severity::Error,
+                                loc,
+                                message: format!("{what}: rank {m} terminated without {never}"),
+                            });
+                        } else {
+                            out.push((m, format!("{what}: rank {m} has not arrived")));
+                        }
                     }
                 }
-                Blocked::Fence { win, occ } => {
-                    let Some(comm) = self.p.win_comm(win) else { continue };
-                    let arrived = move |b: Option<Blocked>| matches!(b, Some(Blocked::Fence { win: w, occ: o }) if w == win && o == occ);
-                    self.missing_members(comm, &arrived, &mut out, &mut |missing, done| {
-                        if done {
-                            Some(Diag {
-                                code: Code::A009,
-                                severity: Severity::Error,
-                                loc: Some(Loc { rank: r, step }),
-                                message: format!(
-                                    "fence #{occ} on window {}: rank {missing} terminated \
-                                     without fencing",
-                                    win.0
-                                ),
-                            })
-                        } else {
-                            None
-                        }
-                    });
-                    for (_, what) in &mut out {
-                        *what = format!("fence #{occ} on window {}: {what}", win.0);
-                    }
-                }
+                // A stalled rank is always asleep at a receive or parked at
+                // a barrier (a runnable one would have been stepped); a miss
+                // just contributes no wait edges.
+                _ => continue,
             }
             edges.insert(r, out);
         }
-        let chain = find_cycle(stalled, &edges, &self.pc);
+        let chain = find_cycle(stalled, &edges, &self.st);
         let closed = chain
             .last()
             .zip(chain.first())
@@ -671,15 +509,7 @@ impl<'p> Replay<'p> {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
-        if self.wildcard_sites.is_empty()
-            && !stalled.iter().any(|&r| {
-                matches!(self.blocked[r], Some(Blocked::Recv))
-                    && matches!(
-                        self.p.rank_ops(r)[self.pc[r]],
-                        Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. }
-                    )
-            })
-        {
+        if self.wildcard_sites.is_empty() && !stalled.iter().any(|&r| self.at_wildcard(r)) {
             if !chain.is_empty() {
                 self.diags.push(Diag {
                     code: Code::A002,
@@ -698,16 +528,9 @@ impl<'p> Replay<'p> {
         } else {
             let mut sites = self.wildcard_sites.clone();
             for &r in stalled {
-                if matches!(self.blocked[r], Some(Blocked::Recv))
-                    && matches!(
-                        self.p.rank_ops(r)[self.pc[r]],
-                        Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. }
-                    )
-                {
-                    let loc = Loc { rank: r, step: self.pc[r] };
-                    if !sites.contains(&loc) {
-                        sites.push(loc);
-                    }
+                let loc = Loc { rank: r, step: self.st.pc(r) };
+                if self.at_wildcard(r) && !sites.contains(&loc) {
+                    sites.push(loc);
                 }
             }
             self.diags.push(Diag {
@@ -723,31 +546,6 @@ impl<'p> Replay<'p> {
             Verdict::PotentialDeadlock { wildcard_sites: sites }
         }
     }
-
-    /// Append an edge per not-yet-arrived member of `comm`; `arrived` tests
-    /// whether a member's park state is *this* barrier occurrence, and
-    /// `on_missing` turns a terminated member into a diagnostic instead.
-    fn missing_members(
-        &mut self,
-        comm: CommId,
-        arrived: &dyn Fn(Option<Blocked>) -> bool,
-        out: &mut Vec<(usize, String)>,
-        on_missing: &mut dyn FnMut(usize, bool) -> Option<Diag>,
-    ) {
-        let Some(members) = self.p.comm_members(comm).map(<[usize]>::to_vec) else { return };
-        for m in members {
-            if arrived(self.blocked[m]) {
-                continue;
-            }
-            let done = self.done(m);
-            if let Some(d) = on_missing(m, done) {
-                self.diags.push(d);
-            }
-            if !done {
-                out.push((m, format!("rank {m} has not arrived")));
-            }
-        }
-    }
 }
 
 /// DFS for a cycle in the wait-for graph; returns the cycle as `WaitEdge`s
@@ -758,7 +556,7 @@ impl<'p> Replay<'p> {
 fn find_cycle(
     stalled: &[usize],
     edges: &HashMap<usize, Vec<(usize, String)>>,
-    pc: &[usize],
+    st: &State<'_>,
 ) -> Vec<WaitEdge> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
@@ -799,7 +597,7 @@ fn find_cycle(
                             .get(&n)
                             .and_then(|v| v.iter().find(|&&(w, _)| w == to))
                             .map_or_else(String::new, |(_, s)| s.clone());
-                        out.push(WaitEdge { rank: n, step: pc[n], waits_for: to, what });
+                        out.push(WaitEdge { rank: n, step: st.pc(n), waits_for: to, what });
                     }
                     return out;
                 }
@@ -817,7 +615,7 @@ fn find_cycle(
     let mut seen = vec![start];
     let mut node = start;
     while let Some((next, what)) = edges.get(&node).and_then(|v| v.first()).cloned() {
-        out.push(WaitEdge { rank: node, step: pc[node], waits_for: next, what });
+        out.push(WaitEdge { rank: node, step: st.pc(node), waits_for: next, what });
         if seen.contains(&next) || !edges.contains_key(&next) {
             break;
         }

@@ -354,19 +354,11 @@ fn decode_op(j: &Json) -> Result<Op, String> {
             Ok(Op::Recv { comm, src, tag })
         }
         "coll" => {
-            let kind = match j.get("kind").and_then(Json::as_str).ok_or("missing \"kind\"")? {
-                "barrier" => CollKind::Barrier,
-                "bcast" => CollKind::Bcast,
-                "reduce" => CollKind::Reduce,
-                "allreduce" => CollKind::Allreduce,
-                "allgather" => CollKind::Allgather,
-                "alltoall" => CollKind::Alltoall,
-                "gather" => CollKind::Gather,
-                "scatter" => CollKind::Scatter,
-                "reduce_scatter" => CollKind::ReduceScatter,
-                "scan" => CollKind::Scan,
-                other => return Err(format!("unknown collective kind {other:?}")),
-            };
+            let name = j.get("kind").and_then(Json::as_str).ok_or("missing \"kind\"")?;
+            let kind = CollKind::ALL
+                .into_iter()
+                .find(|k| k.as_str() == name)
+                .ok_or_else(|| format!("unknown collective kind {name:?}"))?;
             let root = j.get("root").map(|v| v.as_u64().ok_or("invalid \"root\"")).transpose()?;
             Ok(Op::Coll { comm, kind, root: root.map(|r| r as usize) })
         }

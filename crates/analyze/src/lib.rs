@@ -11,10 +11,13 @@
 //!    `mpisim` `Schedule`, the collective generators, the app kernels in
 //!    `mim-apps`, a JSON plan file) implements [`CommPlan`] and lowers
 //!    itself into a per-rank operation outline ([`Program`]);
-//! 2. [`analyze`] replays the outline under the runtime's matching
-//!    semantics — per-`(comm, src, dst, tag)` FIFO channels, eager sends,
-//!    blocking receives (wildcards take the earliest arrival), barrier
-//!    collectives and fences;
+//! 2. what executing one op of the outline *does* — per-`(comm, src, dst,
+//!    tag)` FIFO channels, eager sends, blocking receives (wildcards take
+//!    the earliest arrival unless told otherwise), collectives and fences
+//!    as barrier occurrences per communicator and per window — is the plan
+//!    interpreter, [`interp::State`].  It has three drivers, each with its
+//!    own scheduling order: [`analyze`]'s canonical replay ([`check`]),
+//!    the race pass of step 3, and `mim-explore`'s model executor;
 //! 3. a vector-clock happens-before pass ([`race`]) classifies every
 //!    wildcard receive as benign or racy, yielding a determinism verdict
 //!    (`Deterministic | SchedSensitive`) orthogonal to the deadlock
@@ -33,6 +36,7 @@
 
 pub mod check;
 pub mod diag;
+pub mod interp;
 pub mod json;
 pub mod plan;
 pub mod race;
@@ -342,6 +346,13 @@ mod tests {
         let r = analyze(&p);
         assert!(matches!(r.verdict, Verdict::PotentialDeadlock { .. }), "{r}");
         assert!(r.is_clean(), "{r}");
+        // Every collective kind decodes from the name it prints as.
+        for kind in CollKind::ALL {
+            let text =
+                format!(r#"{{"nranks": 1, "ranks": [[{{"op": "coll", "kind": "{kind}"}}]]}}"#);
+            let p = program_from_json(&text).unwrap();
+            assert_eq!(p.rank_ops(0), [Op::Coll { comm: WORLD, kind, root: None }]);
+        }
     }
 
     #[test]

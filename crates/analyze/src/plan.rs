@@ -81,9 +81,25 @@ pub enum CollKind {
     Scan,
 }
 
-impl fmt::Display for CollKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl CollKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [CollKind; 10] = [
+        CollKind::Barrier,
+        CollKind::Bcast,
+        CollKind::Reduce,
+        CollKind::Allreduce,
+        CollKind::Allgather,
+        CollKind::Alltoall,
+        CollKind::Gather,
+        CollKind::Scatter,
+        CollKind::ReduceScatter,
+        CollKind::Scan,
+    ];
+
+    /// The kind's one spelling: what reports and traces print and what a
+    /// JSON plan's `"kind"` field is looked up against.
+    pub fn as_str(self) -> &'static str {
+        match self {
             CollKind::Barrier => "barrier",
             CollKind::Bcast => "bcast",
             CollKind::Reduce => "reduce",
@@ -94,8 +110,13 @@ impl fmt::Display for CollKind {
             CollKind::Scatter => "scatter",
             CollKind::ReduceScatter => "reduce_scatter",
             CollKind::Scan => "scan",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CollKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

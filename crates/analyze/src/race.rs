@@ -3,7 +3,9 @@
 //! lets `mim-explore` prune its schedule search.
 //!
 //! Two happens-before relations are computed over the same per-op vector
-//! clocks:
+//! clocks, by a pass (`vc_pass`) that is one of the three drivers of the
+//! plan interpreter ([`crate::interp::State`]: which barrier occurrence an
+//! op belongs to and when it completes is the interpreter's to say):
 //!
 //! * the **static** relation — program order plus collective/fence barrier
 //!   edges only.  These edges hold under *every* schedule, so anything the
@@ -35,6 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::{Code, Diag, Loc, Severity};
+use crate::interp::{admits, ChanKey, State, Step};
 use crate::plan::{CommId, Op, Program, Src, Tag};
 
 /// The schedule-sensitivity axis of a report, orthogonal to the deadlock
@@ -122,15 +125,12 @@ impl Clocks {
     }
 }
 
-/// Barrier key: collectives per communicator, fences per window (mirroring
-/// the replay's separate occurrence counters).
-type BarrierKey = (bool, u32, usize);
-
-/// Compute per-op vector clocks by replaying the plan's *synchronization*
-/// only: sends and one-sided ops are local, collectives and fences are
-/// barriers (completion joins every member's clock), and — in canonical
-/// mode (`match_of_recv` present) — each matched receive additionally
-/// joins its sender's clock.
+/// Compute per-op vector clocks by running the plan's *synchronization*
+/// only: barrier ops are stepped on the interpreter ([`State`]; completion
+/// joins every member's clock), while sends, receives and one-sided ops are
+/// local here and skipped past — except that in canonical mode
+/// (`match_of_recv` present) each matched receive waits for, and joins, its
+/// sender's clock.
 ///
 /// Ranks parked forever (a barrier that never completes, an unmatched
 /// receive in canonical mode) get program-order-only clocks for their
@@ -143,93 +143,57 @@ fn vc_pass(p: &Program, match_of_recv: Option<&BTreeMap<(usize, usize), Loc>>) -
     let mut cur: Vec<Vec<u64>> = vec![vec![0; n]; n];
     let mut vc: Vec<Vec<Vec<u64>>> =
         (0..n).map(|r| vec![Vec::new(); p.rank_ops(r).len()]).collect();
-    let mut pc = vec![0usize; n];
-    let mut coll_idx: Vec<Vec<usize>> = vec![vec![0; n]; p.ncomms()];
-    let mut fence_idx: Vec<Vec<usize>> = vec![vec![0; n]; p.nwins()];
-    let mut arrived: BTreeMap<BarrierKey, Vec<usize>> = BTreeMap::new();
+    let mut st = State::new(p);
     let mut barrier_pairs = 0usize;
 
-    // One local (non-blocking) step of rank `r`.
+    // Stamp the op at `(r, step)` with rank `r`'s next clock value.
     let tick = |cur: &mut Vec<Vec<u64>>, vc: &mut Vec<Vec<Vec<u64>>>, r: usize, step: usize| {
         cur[r][r] += 1;
         vc[r][step] = cur[r].clone();
+    };
+    let join = |into: &mut Vec<u64>, from: &[u64]| {
+        for (i, &f) in into.iter_mut().zip(from) {
+            *i = (*i).max(f);
+        }
     };
 
     let mut progressed = true;
     while progressed {
         progressed = false;
         for r in 0..n {
-            'rank: while pc[r] < p.rank_ops(r).len() {
-                let step = pc[r];
-                let barrier: Option<(BarrierKey, CommId)> = match p.rank_ops(r)[step] {
-                    Op::Coll { comm, .. } => {
-                        Some(((false, comm.0, coll_idx[comm.0 as usize][r]), comm))
-                    }
-                    Op::Fence { win } => match p.win_comm(win) {
-                        Some(comm) => Some(((true, win.0, fence_idx[win.0 as usize][r]), comm)),
-                        None => break 'rank, // malformed: parked forever
-                    },
-                    Op::Recv { .. } => {
-                        if let Some(matches) = match_of_recv {
-                            match matches.get(&(r, step)) {
-                                Some(&s) => {
-                                    // Wait for the matched send's clock,
-                                    // then join it (the match edge).
-                                    if vc[s.rank][s.step].is_empty() {
-                                        break 'rank;
-                                    }
-                                    let send_vc = vc[s.rank][s.step].clone();
-                                    for (c, &sv) in cur[r].iter_mut().zip(&send_vc) {
-                                        *c = (*c).max(sv);
-                                    }
-                                    tick(&mut cur, &mut vc, r, step);
-                                    pc[r] += 1;
-                                    progressed = true;
-                                    continue 'rank;
-                                }
-                                // Canonically unmatched: parked forever.
-                                None => break 'rank,
-                            }
+            while let (Some(op), None) = (st.op(r), st.parked(r)) {
+                let step = st.pc(r);
+                match (op, match_of_recv) {
+                    (Op::Coll { .. } | Op::Fence { .. }, _) => {
+                        // Parked until the last member arrives; that arrival
+                        // joins every member's clock and advances them all.
+                        let Step::Released { arrivals, .. } = st.step(r, None) else { break };
+                        let mut joined = vec![0u64; n];
+                        for &m in &arrivals {
+                            join(&mut joined, &cur[m]);
                         }
+                        barrier_pairs += arrivals.len() * arrivals.len().saturating_sub(1);
+                        for &m in &arrivals {
+                            cur[m] = joined.clone();
+                            tick(&mut cur, &mut vc, m, st.pc(m) - 1);
+                        }
+                    }
+                    (Op::Recv { .. }, Some(matches)) => {
+                        // Wait for the matched send's clock, then join it
+                        // (the match edge); canonically unmatched receives
+                        // stay parked forever.
+                        let Some(s) = matches.get(&(r, step)) else { break };
+                        if vc[s.rank][s.step].is_empty() {
+                            break;
+                        }
+                        let send_vc = vc[s.rank][s.step].clone();
+                        join(&mut cur[r], &send_vc);
                         tick(&mut cur, &mut vc, r, step);
-                        pc[r] += 1;
-                        progressed = true;
-                        continue 'rank;
+                        st.skip(r);
                     }
                     _ => {
                         tick(&mut cur, &mut vc, r, step);
-                        pc[r] += 1;
-                        progressed = true;
-                        continue 'rank;
-                    }
-                };
-                let Some((key, comm)) = barrier else { break 'rank };
-                let members = p.comm_members(comm).map_or(&[][..], |m| m);
-                let waiting = arrived.entry(key).or_default();
-                if !waiting.contains(&r) {
-                    waiting.push(r);
-                }
-                if members.is_empty() || waiting.len() < members.len() {
-                    break 'rank; // parked in the barrier
-                }
-                // Barrier complete: join every member's clock, advance all.
-                let done = arrived.remove(&key).unwrap_or_default();
-                let mut joined = vec![0u64; n];
-                for &m in &done {
-                    for (j, &c) in joined.iter_mut().zip(&cur[m]) {
-                        *j = (*j).max(c);
-                    }
-                }
-                barrier_pairs += done.len() * done.len().saturating_sub(1);
-                for &m in &done {
-                    cur[m] = joined.clone();
-                    let mstep = pc[m];
-                    tick(&mut cur, &mut vc, m, mstep);
-                    pc[m] += 1;
-                    if key.0 {
-                        fence_idx[key.1 as usize][m] += 1;
-                    } else {
-                        coll_idx[key.1 as usize][m] += 1;
+                        st.skip(r);
                     }
                 }
                 progressed = true;
@@ -237,11 +201,9 @@ fn vc_pass(p: &Program, match_of_recv: Option<&BTreeMap<(usize, usize), Loc>>) -
         }
     }
     // Parked ranks: program-order-only clocks for whatever remains.
-    for (r, rank_pc) in pc.iter_mut().enumerate() {
-        while *rank_pc < p.rank_ops(r).len() {
-            let step = *rank_pc;
+    for r in 0..n {
+        for step in st.pc(r)..p.rank_ops(r).len() {
             tick(&mut cur, &mut vc, r, step);
-            *rank_pc += 1;
         }
     }
     (Clocks { vc }, barrier_pairs)
@@ -265,24 +227,16 @@ struct SendSite {
     tag: u32,
 }
 
-fn admits(w: &WildSite, s: &SendSite) -> bool {
-    s.dst == w.loc.rank
-        && s.comm == w.comm
-        && w.tag.admits(s.tag)
-        && match w.src {
-            Src::Any => true,
-            Src::Rank(want) => s.loc.rank == want,
-        }
+impl SendSite {
+    /// The channel the send travels on.
+    fn key(&self) -> ChanKey {
+        (self.comm, self.loc.rank, self.dst, self.tag)
+    }
 }
 
-/// Does the (possibly non-wildcard) receive pattern admit the send?
-fn recv_admits(comm: CommId, src: Src, tag: Tag, s: &SendSite) -> bool {
-    s.comm == comm
-        && tag.admits(s.tag)
-        && match src {
-            Src::Any => true,
-            Src::Rank(want) => s.loc.rank == want,
-        }
+/// Can the wildcard receive at `w` take the send `s`?
+fn takes(w: &WildSite, s: &SendSite) -> bool {
+    s.dst == w.loc.rank && admits(w.comm, w.src, w.tag, s.key())
 }
 
 /// Number of collectives on `comm` preceding `step` at `rank` — the
@@ -363,7 +317,7 @@ pub(crate) fn race_pass(
             j += 1;
         }
         let block = &wilds[i..j];
-        let adm: Vec<&SendSite> = sends.iter().filter(|&s| admits(&w, s)).collect();
+        let adm: Vec<&SendSite> = sends.iter().filter(|&s| takes(&w, s)).collect();
         let in_block = |l: Loc| {
             l.rank == w.loc.rank
                 && l.step >= block[0].loc.step
@@ -391,11 +345,8 @@ pub(crate) fn race_pass(
             continue;
         }
         // The racing set: admissible sends not provably after the receive.
-        let racing: Vec<SendSite> = sends
-            .iter()
-            .filter(|&s| admits(w, s) && !static_hb.hb(w.loc, s.loc))
-            .copied()
-            .collect();
+        let racing: Vec<SendSite> =
+            sends.iter().filter(|&s| takes(w, s) && !static_hb.hb(w.loc, s.loc)).copied().collect();
         let channels: BTreeSet<(usize, u32)> = racing.iter().map(|s| (s.loc.rank, s.tag)).collect();
         if channels.len() < 2 {
             // Zero or one channel: FIFO forces the match (or the receive
@@ -499,7 +450,7 @@ pub(crate) fn race_pass(
         let later_recv = p.rank_ops(w.loc.rank).iter().enumerate().skip(w.loc.step + 1).find_map(
             |(step, op)| match *op {
                 Op::Recv { comm, src, tag } => {
-                    racing.iter().find(|&s| recv_admits(comm, src, tag, s)).map(|s| (step, s.loc))
+                    racing.iter().find(|&s| admits(comm, src, tag, s.key())).map(|s| (step, s.loc))
                 }
                 _ => None,
             },
@@ -540,7 +491,7 @@ pub(crate) fn race_pass(
             let s1 = sends.iter().find(|s| s.loc == m1);
             let s2 = sends.iter().find(|s| s.loc == m2);
             let (Some(s1), Some(s2)) = (s1, s2) else { continue };
-            let cross = admits(w1, s2) && admits(w2, s1);
+            let cross = takes(w1, s2) && takes(w2, s1);
             let concurrent = !canon_hb.hb(m1, m2) && !canon_hb.hb(m2, m1);
             if cross && concurrent {
                 codes.insert(Code::A013);

@@ -14,9 +14,9 @@
 
 use std::process::ExitCode;
 
-use mim_analyze::{analyze_program, program_from_json, Program, Report, Verdict};
+use mim_analyze::{analyze_program, program_from_json, Report, Verdict};
 use mim_apps::builtin::{built_in, Shape, PLANS};
-use mim_explore::plans::{wildcard_clean, wildcard_race};
+use mim_bench::{resolve, WILDCARD_PLANS};
 
 const USAGE: &str = "usage: mim-analyze <plan> [options]
        mim-analyze --plan-file <file.json> [--json]
@@ -33,31 +33,6 @@ options:
   --quiet          only set the exit status, print nothing on success
 
 exit status: 0 clean, 1 problems found, 2 usage error";
-
-/// Wildcard demo plans (shared with `mim-explore`) that the built-in table
-/// does not know; named analysis accepts them so the determinism verdicts
-/// of both tools can be compared on the same programs.
-const WILDCARD_PLANS: &[&str] = &["wildcard_race", "wildcard_clean"];
-
-/// Resolve a plan name through the shared built-in table plus the
-/// wildcard demo plans.
-fn resolve(name: &str, s: &Shape) -> Result<Program, String> {
-    match name {
-        "wildcard_race" => {
-            if s.n < 3 {
-                return Err(format!("wildcard_race needs --n >= 3, got {}", s.n));
-            }
-            Ok(wildcard_race(s.n))
-        }
-        "wildcard_clean" => {
-            if s.n < 2 {
-                return Err(format!("wildcard_clean needs --n >= 2, got {}", s.n));
-            }
-            Ok(wildcard_clean(s.n))
-        }
-        other => built_in(other, s),
-    }
-}
 
 /// The `--races` pretty-mode breakdown: one line per wildcard receive site
 /// with its static classification.

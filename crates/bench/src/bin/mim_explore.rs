@@ -15,8 +15,8 @@
 use std::process::ExitCode;
 
 use mim_analyze::{analyze_program, Determinism, Program};
-use mim_apps::builtin::{built_in, Shape, PLANS};
-use mim_explore::plans::{wildcard_clean, wildcard_race};
+use mim_apps::builtin::{Shape, PLANS};
+use mim_bench::{resolve, WILDCARD_PLANS};
 use mim_explore::{explore, replay, Budget, Outcome, Witness};
 
 const USAGE: &str = "usage: mim-explore <plan> [options]
@@ -38,30 +38,6 @@ options:
 
 exit status: 0 every schedule clean (or replay reproduced its witness),
              1 deadlock witnessed, 2 usage error, 3 replay diverged";
-
-/// Plans only the explorer knows: wildcard patterns the analyzer can never
-/// call more than `PotentialDeadlock`.
-const EXPLORE_ONLY: &[&str] = &["wildcard_race", "wildcard_clean"];
-
-/// Resolve a plan name through the shared built-in table plus the
-/// explorer's own wildcard plans.
-fn resolve(name: &str, s: &Shape) -> Result<Program, String> {
-    match name {
-        "wildcard_race" => {
-            if s.n < 3 {
-                return Err(format!("wildcard_race needs --n >= 3, got {}", s.n));
-            }
-            Ok(wildcard_race(s.n))
-        }
-        "wildcard_clean" => {
-            if s.n < 2 {
-                return Err(format!("wildcard_clean needs --n >= 2, got {}", s.n));
-            }
-            Ok(wildcard_clean(s.n))
-        }
-        other => built_in(other, s),
-    }
-}
 
 /// Cross-check the static determinism verdict against both exploration
 /// passes.  Any violation is an internal error (exit 2), never a verdict.
@@ -291,7 +267,7 @@ fn run() -> Result<bool, String> {
     }
 
     if list {
-        for p in PLANS.iter().chain(EXPLORE_ONLY) {
+        for p in PLANS.iter().chain(WILDCARD_PLANS) {
             println!("{p}");
         }
         return Ok(true);
@@ -301,7 +277,7 @@ fn run() -> Result<bool, String> {
     }
     if all {
         let mut clean = true;
-        for name in PLANS.iter().chain(EXPLORE_ONLY) {
+        for name in PLANS.iter().chain(WILDCARD_PLANS) {
             let shape = Shape {
                 // The wildcard demos are defined for small n; clamp so
                 // --all works at any --n.

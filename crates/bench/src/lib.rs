@@ -23,6 +23,10 @@
 //! `coll_algorithms` and `treematch` are the design ablations DESIGN.md §4
 //! cites.
 
+use mim_analyze::Program;
+use mim_apps::builtin::{built_in, Shape};
+use mim_explore::plans::{wildcard_clean, wildcard_race};
+
 /// True when the `MIM_QUICK` environment variable requests reduced sweeps.
 pub fn quick_mode() -> bool {
     std::env::var_os("MIM_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
@@ -35,6 +39,25 @@ pub fn sweep<T: Clone>(full: &[T], quick: &[T]) -> Vec<T> {
     } else {
         full.to_vec()
     }
+}
+
+/// The wildcard demo plans the built-in table does not know.  Both plan
+/// CLIs (`mim-analyze`, `mim-explore`) accept them by name, so the two
+/// tools' verdicts can be compared on the same programs.
+pub const WILDCARD_PLANS: &[&str] = &["wildcard_race", "wildcard_clean"];
+
+/// Resolve a CLI plan name through the shared built-in table plus the
+/// wildcard demo plans (each defined from a smallest `--n` up).
+pub fn resolve(name: &str, s: &Shape) -> Result<Program, String> {
+    let (floor, plan): (usize, fn(usize) -> Program) = match name {
+        "wildcard_race" => (3, wildcard_race),
+        "wildcard_clean" => (2, wildcard_clean),
+        other => return built_in(other, s),
+    };
+    if s.n < floor {
+        return Err(format!("{name} needs --n >= {floor}, got {}", s.n));
+    }
+    Ok(plan(s.n))
 }
 
 #[cfg(test)]

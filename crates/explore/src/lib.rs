@@ -5,7 +5,9 @@
 //! moment a plan contains a wildcard receive: whether the program hangs
 //! then depends on which message the wildcard happens to match, i.e. on
 //! the *schedule*.  This crate closes that gap.  It re-executes the same
-//! per-rank [`Program`] outline under an explicit scheduler whose every
+//! per-rank [`Program`] outline — on the analyzer's own plan interpreter,
+//! `mim_analyze::interp::State`, so both tools read a plan one way —
+//! under an explicit scheduler whose every
 //! nondeterministic choice — which runnable rank resumes, which eligible
 //! channel a wildcard receive takes — is delegated to a pluggable
 //! [`policy::RecordingPolicy`], then searches the space of those choices:

@@ -3,22 +3,23 @@
 //! runtime has — which runnable rank resumes next, which eligible channel
 //! a wildcard receive consumes — as policy decisions.
 //!
-//! Semantics mirror the analyzer's replay (and the runtime's matching
-//! rules): sends are eager and arrive instantly, receives block, channels
-//! `(comm, src, dst, tag)` are FIFO (non-overtaking), collectives and
-//! fences are barriers keyed by `(comm, occurrence)`, one-sided operations
-//! complete locally.  Scheduling is run-to-block: the chosen rank executes
-//! until it cannot make progress, which keeps decision logs proportional
-//! to the number of genuine branch points, not to the op count.
+//! What executing an op *does* — eager sends, blocking receives, FIFO
+//! `(comm, src, dst, tag)` channels, barriers keyed by `(Sync, occurrence)`,
+//! one-sided operations completing locally — is the analyzer's
+//! [`mim_analyze::interp::State`]; this module is one of its three drivers.
+//! It owns the order (lowest runnable rank unless the policy says
+//! otherwise, run-to-block: the chosen rank executes until it cannot make
+//! progress, which keeps decision logs proportional to the number of
+//! genuine branch points, not to the op count), the race flags the policy
+//! sees, and the trace vocabulary.
 //!
 //! Every run is a pure function of `(program, policy decisions)`.  The
 //! normalized trace uses a logical step counter as its clock, so two runs
 //! that made the same decisions produce *byte-identical* output — the
 //! property witness replay rests on.
 
-use std::collections::BTreeMap;
-
-use mim_analyze::{CollKind, IndependenceMap, Op, Program, Src, Tag};
+use mim_analyze::interp::{State, Step, Sync};
+use mim_analyze::{IndependenceMap, Op, Program, Src, Tag};
 use mim_trace::{TraceData, Tracer};
 
 use crate::policy::{RecordingPolicy, ReplayPolicy};
@@ -72,32 +73,6 @@ impl RunOutput {
     }
 }
 
-/// An in-flight message: arrival order plus its matching coordinates.
-#[derive(Debug, Clone, Copy)]
-struct Msg {
-    comm: u32,
-    src: usize,
-    tag: u32,
-    bytes: u64,
-}
-
-/// Static vocabulary for the flight recorder (its `name` fields never
-/// allocate).
-fn coll_name(kind: CollKind) -> &'static str {
-    match kind {
-        CollKind::Barrier => "barrier",
-        CollKind::Bcast => "bcast",
-        CollKind::Reduce => "reduce",
-        CollKind::Allreduce => "allreduce",
-        CollKind::Allgather => "allgather",
-        CollKind::Alltoall => "alltoall",
-        CollKind::Gather => "gather",
-        CollKind::Scatter => "scatter",
-        CollKind::ReduceScatter => "reduce_scatter",
-        CollKind::Scan => "scan",
-    }
-}
-
 fn src_desc(src: Src) -> String {
     match src {
         Src::Rank(r) => r.to_string(),
@@ -117,17 +92,8 @@ struct Model<'a> {
     policy: &'a dyn ModelPolicy,
     tracer: Option<&'a std::sync::Arc<Tracer>>,
     tracks: Vec<Option<mim_trace::TraceHandle>>,
-    /// Per-destination in-flight messages, keyed by global arrival sequence.
-    inbox: Vec<BTreeMap<u64, Msg>>,
-    next_seq: u64,
-    /// Per-rank program counter.
-    pc: Vec<usize>,
-    /// Ranks currently parked inside a collective (pc points at it).
-    joined: Vec<bool>,
-    /// Per-(rank, comm) collective occurrence counters.
-    occ: Vec<Vec<usize>>,
-    /// Barrier membership: (comm, occurrence) → ranks arrived.
-    barriers: BTreeMap<(u32, usize), Vec<usize>>,
+    /// Where every rank is, what is in flight, who waits at which barrier.
+    st: State<'a>,
     /// Which ranks ever wildcard-receive *racily*, and on which (comm, tag)
     /// space — the match-graph side of the persistent-set computation.
     /// Sites the independence map proves benign are omitted.
@@ -167,12 +133,7 @@ impl<'a> Model<'a> {
             policy,
             tracer,
             tracks,
-            inbox: vec![BTreeMap::new(); n],
-            next_seq: 0,
-            pc: vec![0; n],
-            joined: vec![false; n],
-            occ: vec![vec![0; program.ncomms()]; n],
-            barriers: BTreeMap::new(),
+            st: State::new(program),
             wildcard_pats,
             imap,
             trace: Vec::new(),
@@ -193,10 +154,6 @@ impl<'a> Model<'a> {
         self.steps += 1;
     }
 
-    fn done(&self, r: usize) -> bool {
-        self.pc[r] >= self.program.rank_ops(r).len()
-    }
-
     /// Does some wildcard receive of `dst` admit a `(comm, tag)` message?
     /// Such sends are *racy*: their arrival order can steer the match.
     fn send_is_racy(&self, dst: usize, comm: u32, tag: u32) -> bool {
@@ -208,53 +165,22 @@ impl<'a> Model<'a> {
     /// errs toward exploring, never toward pruning a real race.  Wildcard
     /// sites the independence map proves benign do not count.
     fn rank_is_racy(&self, r: usize) -> bool {
-        self.program.rank_ops(r)[self.pc[r]..].iter().enumerate().any(|(j, op)| match *op {
+        let pc = self.st.pc(r);
+        self.program.rank_ops(r)[pc..].iter().enumerate().any(|(j, op)| match *op {
             Op::Send { comm, dst, tag, .. } => self.send_is_racy(dst, comm.0, tag),
             Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. } => {
-                !self.wildcard_is_benign(r, self.pc[r] + j)
+                !self.wildcard_is_benign(r, pc + j)
             }
             _ => false,
         })
     }
 
-    /// Matching channels for a receive, in head-arrival order (the slate a
-    /// wildcard decision ranges over).  One entry per distinct
-    /// `(comm, src, tag)` channel, carrying that channel's head sequence.
-    fn slate(&self, r: usize, comm: u32, src: Src, tag: Tag) -> Vec<(u64, Msg)> {
-        let mut seen: Vec<(usize, u32)> = Vec::new();
-        let mut out = Vec::new();
-        for (&seq, m) in &self.inbox[r] {
-            if m.comm != comm || !tag.admits(m.tag) {
-                continue;
-            }
-            if let Src::Rank(want) = src {
-                if m.src != want {
-                    continue;
-                }
-            }
-            if !seen.contains(&(m.src, m.tag)) {
-                seen.push((m.src, m.tag));
-                out.push((seq, *m));
-            }
-        }
-        out
-    }
-
-    /// Join rank `r`'s pending collective; returns true if that completed
-    /// the barrier (releasing every participant).
-    fn join_coll(&mut self, r: usize, comm: u32, members: &[usize], desc: String) -> bool {
-        let occ = self.occ[r][comm as usize];
-        let arrived = self.barriers.entry((comm, occ)).or_default();
-        arrived.push(r);
-        self.joined[r] = true;
-        if arrived.len() < members.len() {
-            return false;
-        }
-        let arrived = self.barriers.remove(&(comm, occ)).unwrap_or_default();
-        for &m in &arrived {
-            self.joined[m] = false;
-            self.pc[m] += 1;
-            self.occ[m][comm as usize] += 1;
+    /// Step rank `r` into its pending barrier; returns true if that
+    /// completed it (releasing every participant, each of which logs the
+    /// completing rank's description of the op).
+    fn join(&mut self, r: usize, desc: String) -> bool {
+        let Step::Released { occ, arrivals, .. } = self.st.step(r, None) else { return false };
+        for m in arrivals {
             let line = format!("t={} rank={m} {desc} occ={occ}", self.steps);
             self.record(
                 m,
@@ -267,17 +193,10 @@ impl<'a> Model<'a> {
 
     /// Execute ops of rank `r` until it blocks or finishes (run-to-block).
     fn burst(&mut self, r: usize) {
-        loop {
-            if self.done(r) {
-                return;
-            }
-            let op = self.program.rank_ops(r)[self.pc[r]];
+        while let Some(op) = self.st.op(r) {
             match op {
                 Op::Send { comm, dst, tag, bytes } => {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.inbox[dst].insert(seq, Msg { comm: comm.0, src: r, tag, bytes });
-                    self.pc[r] += 1;
+                    let Step::Sent { seq } = self.st.step(r, None) else { return };
                     let line = format!(
                         "t={} rank={r} send dst={dst} comm={} tag={tag} bytes={bytes} seq={seq}",
                         self.steps, comm.0
@@ -288,9 +207,11 @@ impl<'a> Model<'a> {
                         Some(TraceData::DesStep { rank: r, op: "send", peer: dst, bytes }),
                     );
                 }
-                Op::Recv { comm, src, tag } => {
-                    let slate = self.slate(r, comm.0, src, tag);
-                    let (seq, m) = match slate.len() {
+                Op::Recv { .. } => {
+                    // The slate a wildcard decision ranges over: the head of
+                    // each admissible channel, earliest arrival first.
+                    let slate = self.st.eligible(r);
+                    let (_, choice) = match slate.len() {
                         0 => return, // blocked
                         1 => slate[0],
                         n => {
@@ -298,7 +219,7 @@ impl<'a> Model<'a> {
                             // (logs stay byte-comparable) but flags every
                             // candidate non-racy, so the persistent set is
                             // empty and the DFS never backtracks here.
-                            let racy: Vec<bool> = if self.wildcard_is_benign(r, self.pc[r]) {
+                            let racy: Vec<bool> = if self.wildcard_is_benign(r, self.st.pc(r)) {
                                 vec![false; n]
                             } else {
                                 Vec::new()
@@ -307,35 +228,33 @@ impl<'a> Model<'a> {
                             slate[i.min(n - 1)]
                         }
                     };
-                    self.inbox[r].remove(&seq);
-                    self.pc[r] += 1;
+                    let Step::Received { seq, send, key: (comm, src, _, tag) } =
+                        self.st.step(r, Some(choice))
+                    else {
+                        return;
+                    };
+                    // Only the trace wants the size; the message in flight
+                    // does not carry it.
+                    let bytes = match self.program.rank_ops(send.rank)[send.step] {
+                        Op::Send { bytes, .. } => bytes,
+                        _ => 0,
+                    };
                     let line = format!(
-                        "t={} rank={r} recv src={} comm={} tag={} bytes={} seq={seq}",
-                        self.steps, m.src, m.comm, m.tag, m.bytes
+                        "t={} rank={r} recv src={src} comm={} tag={tag} bytes={bytes} seq={seq}",
+                        self.steps, comm.0
                     );
                     self.record(
                         r,
                         line,
-                        Some(TraceData::DesStep {
-                            rank: r,
-                            op: "recv",
-                            peer: m.src,
-                            bytes: m.bytes,
-                        }),
+                        Some(TraceData::DesStep { rank: r, op: "recv", peer: src, bytes }),
                     );
                 }
                 Op::Coll { comm, kind, root } => {
-                    let Some(members) = self.program.comm_members(comm).map(<[usize]>::to_vec)
-                    else {
-                        return; // malformed: treat as blocked forever
-                    };
                     let desc = match root {
-                        Some(root) => {
-                            format!("coll {} comm={} root={root}", coll_name(kind), comm.0)
-                        }
-                        None => format!("coll {} comm={}", coll_name(kind), comm.0),
+                        Some(root) => format!("coll {kind} comm={} root={root}", comm.0),
+                        None => format!("coll {kind} comm={}", comm.0),
                     };
-                    if !self.join_coll(r, comm.0, &members, desc) {
+                    if !self.join(r, desc) {
                         return; // parked in the barrier
                     }
                 }
@@ -347,7 +266,7 @@ impl<'a> Model<'a> {
                         Op::Get { .. } => "get",
                         _ => "accumulate",
                     };
-                    self.pc[r] += 1;
+                    self.st.step(r, None);
                     let line = format!(
                         "t={} rank={r} rma {verb} target={target} win={} bytes={bytes}",
                         self.steps, win.0
@@ -356,14 +275,9 @@ impl<'a> Model<'a> {
                 }
                 Op::Fence { win } => {
                     let Some(comm) = self.program.win_comm(win) else {
-                        return;
+                        return; // malformed: blocked forever
                     };
-                    let Some(members) = self.program.comm_members(comm).map(<[usize]>::to_vec)
-                    else {
-                        return;
-                    };
-                    let desc = format!("fence win={} comm={}", win.0, comm.0);
-                    if !self.join_coll(r, comm.0, &members, desc) {
+                    if !self.join(r, format!("fence win={} comm={}", win.0, comm.0)) {
                         return;
                     }
                 }
@@ -371,26 +285,9 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// Is `r` able to make progress right now?
-    fn runnable(&self, r: usize) -> bool {
-        if self.done(r) || self.joined[r] {
-            return false;
-        }
-        match self.program.rank_ops(r)[self.pc[r]] {
-            Op::Recv { comm, src, tag } => !self.slate(r, comm.0, src, tag).is_empty(),
-            // A reference to an unknown comm or window (a malformed plan
-            // the analyzer would reject) blocks forever instead of spinning.
-            Op::Coll { comm, .. } => self.program.comm_members(comm).is_some(),
-            Op::Fence { win } => {
-                self.program.win_comm(win).and_then(|c| self.program.comm_members(c)).is_some()
-            }
-            _ => true,
-        }
-    }
-
     /// Describe why `r` is not done (the normalized stuck dump).
     fn stuck_line(&self, r: usize) -> String {
-        let pc = self.pc[r];
+        let pc = self.st.pc(r);
         match self.program.rank_ops(r)[pc] {
             Op::Recv { comm, src, tag } => format!(
                 "rank {r} blocked at step {pc}: recv src={} tag={} comm={} (0 eligible)",
@@ -399,14 +296,13 @@ impl<'a> Model<'a> {
                 comm.0
             ),
             Op::Coll { comm, kind, .. } => {
-                let occ = self.occ[r][comm.0 as usize];
-                let arrived = self.barriers.get(&(comm.0, occ)).map_or(0, Vec::len);
+                let (occ, arrived) = self.st.pending(Sync::Coll(comm));
                 let members = self.program.comm_members(comm).map_or(0, <[usize]>::len);
                 format!(
-                    "rank {r} blocked at step {pc}: coll {} comm={} occ={occ} \
-                     ({arrived}/{members} arrived)",
-                    coll_name(kind),
-                    comm.0
+                    "rank {r} blocked at step {pc}: coll {kind} comm={} occ={occ} \
+                     ({}/{members} arrived)",
+                    comm.0,
+                    arrived.len()
                 )
             }
             Op::Fence { win } => format!("rank {r} blocked at step {pc}: fence win={}", win.0),
@@ -431,7 +327,7 @@ impl<'a> Model<'a> {
                      this is a bug in the model, not the plan"
                 ));
             }
-            let runnable: Vec<usize> = (0..n).filter(|&r| self.runnable(r)).collect();
+            let runnable: Vec<usize> = (0..n).filter(|&r| self.st.runnable(r)).collect();
             let chosen = match runnable.len() {
                 0 => break,
                 1 => runnable[0],
@@ -447,7 +343,7 @@ impl<'a> Model<'a> {
             return Err(err);
         }
         let stuck: Vec<String> =
-            (0..n).filter(|&r| !self.done(r)).map(|r| self.stuck_line(r)).collect();
+            (0..n).filter(|&r| !self.st.done(r)).map(|r| self.stuck_line(r)).collect();
         if let Some(t) = self.tracer {
             t.flush();
         }
@@ -482,7 +378,7 @@ pub fn run_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mim_analyze::{CommId, WORLD};
+    use mim_analyze::{CollKind, CommId, WORLD};
 
     fn send(dst: usize, tag: u32) -> Op {
         Op::Send { comm: WORLD, dst, tag, bytes: 8 }

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use mim_analyze::{analyze_program, Op, Program, Src, Tag, Verdict, WORLD};
+use mim_analyze::{
+    analyze_program, CollKind, CommId, Determinism, Op, Program, Src, Tag, Verdict, WinId, WORLD,
+};
 use mim_apps::builtin::{built_in, Shape, PLANS};
 use mim_explore::plans::{wildcard_clean, wildcard_race};
 use mim_explore::{
@@ -14,6 +16,7 @@ use mim_explore::{
 };
 use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
+use mim_util::prop::Gen;
 use mim_util::props;
 use mim_util::rng::splitmix64;
 
@@ -68,20 +71,41 @@ props! {
     fn definite_deadlocks_are_realized(g, cases = 8) {
         // A k-cycle of recv-then-send ranks: the textbook circular wait.
         let k = g.gen_range(2usize..7);
-        let mut p = Program::new("cycle", k);
+        let mut cycle = Program::new("cycle", k);
         for r in 0..k {
-            p.push(r, Op::Recv { comm: WORLD, src: Src::Rank((r + k - 1) % k), tag: Tag::Is(0) });
-            p.push(r, Op::Send { comm: WORLD, dst: (r + 1) % k, tag: 0, bytes: 8 });
+            cycle.push(r, Op::Recv { comm: WORLD, src: Src::Rank((r + k - 1) % k), tag: Tag::Is(0) });
+            cycle.push(r, Op::Send { comm: WORLD, dst: (r + 1) % k, tag: 0, bytes: 8 });
         }
-        let report = analyze_program(&p);
-        assert!(matches!(report.verdict, Verdict::DefiniteDeadlock { .. }), "{:?}", report.verdict);
-        let budget = Budget { max_schedules: 16, random: 0, seed: g.next_u64() };
-        let Outcome::DefiniteDeadlock { witness, schedules } = explore(&p, &budget, None).unwrap() else {
-            panic!("explorer missed the analyzer's definite deadlock");
-        };
-        assert_eq!(schedules, 1, "a wildcard-free wedge must show on the canonical schedule");
-        assert_eq!(witness.stuck.len(), k, "every rank is blocked");
-        replay(&p, &witness).unwrap();
+        // A fence is collective over its *window*: neither a collective on
+        // the window's communicator nor a fence on a second window over
+        // that communicator releases it.
+        let barrier = Op::Coll { comm: WORLD, kind: CollKind::Barrier, root: None };
+        let mut fence_vs_coll = Program::new("fence_vs_coll", 2);
+        let w = fence_vs_coll.add_window(WORLD);
+        fence_vs_coll.push(0, Op::Fence { win: w });
+        fence_vs_coll.push(1, barrier);
+        let mut two_windows = Program::new("two_windows", 2);
+        let (w0, w1) = (two_windows.add_window(WORLD), two_windows.add_window(WORLD));
+        two_windows.push(0, Op::Fence { win: w0 });
+        two_windows.push(1, Op::Fence { win: w1 });
+        for p in [cycle, fence_vs_coll, two_windows] {
+            let report = analyze_program(&p);
+            assert!(
+                matches!(report.verdict, Verdict::DefiniteDeadlock { .. }),
+                "{}: {:?}",
+                p.name(),
+                report.verdict
+            );
+            let budget = Budget { max_schedules: 16, random: 0, seed: g.next_u64() };
+            let Outcome::DefiniteDeadlock { witness, schedules } =
+                explore(&p, &budget, None).unwrap()
+            else {
+                panic!("{}: explorer missed the analyzer's definite deadlock", p.name());
+            };
+            assert_eq!(schedules, 1, "a wildcard-free wedge must show on the canonical schedule");
+            assert_eq!(witness.stuck.len(), p.nranks(), "{}: every rank is blocked", p.name());
+            replay(&p, &witness).unwrap();
+        }
     }
 
     /// Witness emission is deterministic and replay is byte-exact: the
@@ -262,4 +286,189 @@ fn decision_logs_drive_the_live_runtime() {
     let tags2 = run(rep.clone());
     assert_eq!(tags2, tags, "replaying the decision log must reproduce the run");
     assert_eq!(rep.divergence(), None);
+}
+
+/// One seeded random plan: 2–6 ranks, 0–2 sub-communicators, 0–2 windows,
+/// up to 24 events.  An event is a message (send and receive pushed in
+/// that order, either side occasionally dropped, the receive 30 %
+/// `ANY_SOURCE` / 25 % `ANY_TAG`), a collective over a communicator (one
+/// member occasionally absent, or disagreeing on kind or root), a
+/// one-sided access, or — with `fences` — a fence over a window (one member
+/// occasionally absent).  Always well-formed; a pure function of `seed`.
+fn random_plan(seed: u64, fences: bool) -> Program {
+    const KINDS: [(CollKind, bool); 4] = [
+        (CollKind::Barrier, false),
+        (CollKind::Allreduce, false),
+        (CollKind::Bcast, true),
+        (CollKind::Gather, true),
+    ];
+    let mut g = Gen::from_seed(seed);
+    let n = g.gen_range(2usize..7);
+    let mut p = Program::new(format!("random-{seed}"), n);
+    let mut comms: Vec<CommId> = vec![WORLD];
+    for _ in 0..g.gen_range(0usize..3) {
+        let mut members: Vec<usize> = (0..n).filter(|_| g.any_bool()).collect();
+        if members.len() < 2 {
+            members = vec![0, n - 1];
+        }
+        comms.push(p.add_comm(members));
+    }
+    let wins: Vec<WinId> =
+        (0..g.gen_range(0usize..3)).map(|_| p.add_window(*g.choose(&comms))).collect();
+    for _ in 0..g.gen_range(0usize..25) {
+        // 60 % messages, 18 % collectives, 22 % window events (12 % accesses,
+        // 10 % fences) — messages instead where the plan has no window.
+        let roll = g.gen_range(0u32..100);
+        if roll < 60 || wins.is_empty() && roll >= 78 {
+            let comm = *g.choose(&comms);
+            let members = p.comm_members(comm).expect("registered above").to_vec();
+            let (src, dst) = (*g.choose(&members), *g.choose(&members));
+            let tag = g.gen_range(0u32..3);
+            if !g.gen_bool(0.06) {
+                p.push(src, Op::Send { comm, dst, tag, bytes: 8 << g.gen_range(0u32..4) });
+            }
+            if !g.gen_bool(0.06) {
+                let src = if g.gen_bool(0.30) { Src::Any } else { Src::Rank(src) };
+                let tag = if g.gen_bool(0.25) { Tag::Any } else { Tag::Is(tag) };
+                p.push(dst, Op::Recv { comm, src, tag });
+            }
+        } else if roll < 78 {
+            let comm = *g.choose(&comms);
+            let members = p.comm_members(comm).expect("registered above").to_vec();
+            let (kind, rooted) = *g.choose(&KINDS);
+            let root = rooted.then(|| *g.choose(&members));
+            // One member may go missing, or disagree on kind or root.
+            let odd = g.gen_bool(0.12).then(|| (*g.choose(&members), g.gen_range(0u32..3)));
+            for &m in &members {
+                let op = match odd {
+                    Some((o, 0)) if o == m => continue,
+                    Some((o, 1)) if o == m => Op::Coll { comm, kind: CollKind::Scan, root: None },
+                    Some((o, _)) if o == m && rooted => {
+                        Op::Coll { comm, kind, root: Some(*g.choose(&members)) }
+                    }
+                    _ => Op::Coll { comm, kind, root },
+                };
+                p.push(m, op);
+            }
+        } else {
+            let win = *g.choose(&wins);
+            let comm = p.win_comm(win).expect("registered above");
+            let members = p.comm_members(comm).expect("registered above").to_vec();
+            if fences && roll >= 90 {
+                let absent = g.gen_bool(0.12).then(|| *g.choose(&members));
+                for &m in members.iter().filter(|&&m| Some(m) != absent) {
+                    p.push(m, Op::Fence { win });
+                }
+            } else {
+                let (origin, target) = (*g.choose(&members), *g.choose(&members));
+                let (offset, bytes) = (8 * g.gen_range(0u64..4), 8 * g.gen_range(1u64..3));
+                p.push(
+                    origin,
+                    match g.gen_range(0u32..3) {
+                        0 => Op::Put { win, target, offset, bytes },
+                        1 => Op::Get { win, target, offset, bytes },
+                        _ => Op::Accumulate { win, target, offset, bytes },
+                    },
+                );
+            }
+        }
+    }
+    p
+}
+
+/// FNV-1a over a byte stream, one string at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, s: &str) {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        // A separator no report or trace line contains, so line boundaries
+        // are part of the digest.
+        self.0 = (self.0 ^ 0xff).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Plans per golden corpus.
+const GOLDEN_PLANS: u64 = 6000;
+
+/// Golden FNV-1a digest of the analyzer's full JSON report over
+/// [`GOLDEN_PLANS`] seeded random plans, fences included.  The value was
+/// taken at PR 19 (a1b15f2) from the replay and happens-before pass that
+/// each kept their own copy of the matching and barrier rules; `interp.rs`
+/// replaced both copies and must reproduce every verdict, diagnostic,
+/// channel total and independence map byte for byte.
+#[test]
+fn analyzer_reports_are_pinned_on_random_plans() {
+    let mut h = Fnv::new();
+    let (mut free, mut definite, mut potential) = (0, 0, 0);
+    let (mut deterministic, mut sensitive) = (0, 0);
+    for seed in 0..GOLDEN_PLANS {
+        let report = analyze_program(&random_plan(seed, true));
+        match report.verdict {
+            Verdict::DeadlockFree => free += 1,
+            Verdict::DefiniteDeadlock { .. } => definite += 1,
+            Verdict::PotentialDeadlock { .. } => potential += 1,
+            Verdict::Malformed => panic!("seed {seed}: the generator emitted a malformed plan"),
+        }
+        match report.determinism {
+            Determinism::Deterministic => deterministic += 1,
+            Determinism::SchedSensitive { .. } => sensitive += 1,
+            Determinism::Unknown => panic!("seed {seed}: no determinism verdict"),
+        }
+        h.fold(&report.to_json());
+    }
+    // The corpus is not degenerate: every verdict the digest is meant to
+    // pin occurs often.
+    for (what, count) in [
+        ("deadlock_free", free),
+        ("definite_deadlock", definite),
+        ("potential_deadlock", potential),
+        ("deterministic", deterministic),
+        ("sched_sensitive", sensitive),
+    ] {
+        assert!(count >= 100, "only {count} {what} plans in the corpus");
+    }
+    assert_eq!(h.0, 0x8e64_7ff2_d965_775b, "an analyzer report changed");
+}
+
+/// Golden FNV-1a digest of the model executor's observable behaviour —
+/// normalized trace, stuck dump, decision log and each decision's
+/// persistent set — over [`GOLDEN_PLANS`] fence-free random plans, each run
+/// unpruned and with the analyzer's independence map, under a seeded random
+/// policy.  Taken at PR 19 (a1b15f2) from the model's own inbox and barrier
+/// bookkeeping, which `interp.rs` replaced.  Fence-free because fences are
+/// the one place the model's rule changed (a fence now synchronizes with
+/// its own window only; `definite_deadlocks_are_realized` holds that).
+#[test]
+fn model_runs_are_pinned_on_random_plans() {
+    let mut h = Fnv::new();
+    let (mut wedged, mut decisions) = (0, 0);
+    for seed in 0..GOLDEN_PLANS {
+        let p = random_plan(seed, false);
+        let report = analyze_program(&p);
+        for imap in [None, Some(&report.independence)] {
+            let policy = RecordingPolicy::random(Vec::new(), seed);
+            let out = run_model(&p, &policy, None, imap).unwrap();
+            for line in &out.trace {
+                h.fold(line);
+            }
+            for line in out.stuck.iter().flatten() {
+                h.fold(line);
+            }
+            h.fold(&policy.log());
+            for rec in policy.recs() {
+                h.fold(&format!("{:?}", rec.alts));
+            }
+            wedged += usize::from(out.deadlocked());
+            decisions += policy.recs().len();
+        }
+    }
+    assert!(wedged >= 100 && decisions >= 10_000, "{wedged} wedged runs, {decisions} decisions");
+    assert_eq!(h.0, 0x56e2_f207_acc2_d4a1, "a model run changed");
 }

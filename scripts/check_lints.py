@@ -27,10 +27,13 @@ Four rules, all scoped to library code with `#[cfg(test)]` items stripped:
    executor's idle workers and its starvation watchdog sleep.
 
 4. No library file under `crates/mpisim/src` — where every per-message
-   perf item on the ROADMAP lands — exceeds 600 counted lines (everything
-   from the first top-level `#[cfg(test)]` on dropped, blank and comment
-   lines excluded).  `runtime.rs` once reached 1413; each decision now
-   has a file of its own and none may quietly grow back.
+   perf item on the ROADMAP lands — `crates/analyze/src` or
+   `crates/explore/src` exceeds 600 counted lines (everything from the
+   first top-level `#[cfg(test)]` on dropped, blank and comment lines
+   excluded).  `runtime.rs` once reached 1413, and while the cap covered
+   `mpisim` alone the analyzer's `check.rs` grew to 728 in the crate next
+   door; each decision now has a file of its own and none may quietly
+   grow back.
 
 The allowlist is keyed by repo-relative path, and an entry no line
 matches fails the gate: a moved or deleted site must take its allowance
@@ -57,8 +60,8 @@ CLOCK_SCOPE = [
 # Rule 3: single files (not whole directories) held to both rules.
 EXEC_SUBSTRATE = ["crates/util/src/fiber.rs", "crates/util/src/deque.rs"]
 
-# Rule 4: the size cap and the tree it applies to.
-SIZE_SCOPE = "crates/mpisim/src"
+# Rule 4: the size cap and the trees it applies to.
+SIZE_SCOPE = ["crates/mpisim/src", "crates/analyze/src", "crates/explore/src"]
 SIZE_CAP = 600
 
 # (repo-relative path, code substring) pairs; the substring must appear on
@@ -152,7 +155,7 @@ def main() -> int:
                 continue
             rel = path.relative_to(REPO).as_posix()
             lines = path.read_text().splitlines()
-            if rel.startswith(SIZE_SCOPE + "/"):
+            if any(rel.startswith(scope + "/") for scope in SIZE_SCOPE):
                 sizes.append((counted_lines(lines), rel))
             for ln, line in strip_test_items(lines):
                 code = code_of(line)
@@ -185,9 +188,10 @@ def main() -> int:
         return 1
     print(
         f"lint gate OK: {len(ALLOWLIST)} allowlisted sites, all in use, no stray "
-        f"unwrap/expect or wall-clock calls, no {SIZE_SCOPE} file over {SIZE_CAP} counted lines"
+        f"unwrap/expect or wall-clock calls, no file under {', '.join(SIZE_SCOPE)} over "
+        f"{SIZE_CAP} counted lines"
     )
-    print("largest: " + ", ".join(f"{rel.removeprefix(SIZE_SCOPE + '/')} {n}" for n, rel in sizes[:5]))
+    print("largest: " + ", ".join(f"{rel.removeprefix('crates/')} {n}" for n, rel in sizes[:5]))
     return 0
 
 
