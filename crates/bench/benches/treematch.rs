@@ -5,7 +5,7 @@ use mim_util::bench::{black_box, Bench};
 
 use mim_topology::{CommMatrix, Machine, Placement};
 use mim_treematch::affinity::stencil2d;
-use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy};
+use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy, SparseAffinity};
 
 fn clustered_matrix(n: usize, clique: usize) -> CommMatrix {
     let mut m = CommMatrix::zeros(n);
@@ -41,16 +41,57 @@ fn bench_strategies(b: &mut Bench) {
     }
 }
 
+/// The cores a node-cyclic placement gives ranks `0..np`: the slot set
+/// dynamic reordering hands the mapper.
+fn node_cyclic_slots(machine: &Machine, np: usize) -> Vec<usize> {
+    Placement::cyclic_by_level(&machine.tree, np, machine.node_level).as_slice().to_vec()
+}
+
+/// One monitored iteration of `mim-apps`' stencil on a `side × side` process
+/// grid with 2048 × 4 blocks: 16 KiB to the ranks ± 1, 32 B to the ranks ±
+/// `side`.  `side = 32` is `mim-ledger`'s `stencil_loop` matrix.
+fn halo_pairs(side: usize) -> Vec<(usize, usize, u64)> {
+    let mut pairs = Vec::new();
+    for i in 0..side * side {
+        if (i + 1) % side != 0 {
+            pairs.push((i, i + 1, 16 << 10));
+        }
+        if i + side < side * side {
+            pairs.push((i, i + side, 32));
+        }
+    }
+    pairs
+}
+
 fn bench_constrained(b: &mut Bench) {
     for &np in &[48usize, 96, 192] {
         let machine = Machine::plafrim(np / 24);
-        let placement = Placement::cyclic_by_level(&machine.tree, np, machine.node_level);
-        let slots: Vec<usize> = (0..np).map(|r| placement.core_of(r)).collect();
+        let slots = node_cyclic_slots(&machine, np);
         let m = clustered_matrix(np, 8);
         b.iter("place_constrained", &np.to_string(), || {
             place_constrained(black_box(&machine), &slots, &m);
         });
     }
+    // What the reorder loop calls at scale (the two instances whose `sigma`
+    // `mim-treematch`'s golden test pins): the dense matrix rank 0 gathers at
+    // 1024 ranks, and the same stencil at 4096 as a sparse affinity.
+    let machine = Machine::cluster(16, 2, 32);
+    let slots = node_cyclic_slots(&machine, 1024);
+    let mut m = CommMatrix::zeros(1024);
+    for (i, j, bytes) in halo_pairs(32) {
+        m.set(i, j, bytes);
+        m.set(j, i, bytes);
+    }
+    b.iter("place_constrained", "stencil_dense/1024", || {
+        place_constrained(black_box(&machine), &slots, &m);
+    });
+    let machine = Machine::cluster(64, 2, 32);
+    let slots = node_cyclic_slots(&machine, 4096);
+    let affinity =
+        SparseAffinity::from_pairs(4096, halo_pairs(64).into_iter().map(|(i, j, b)| (i, j, 2 * b)));
+    b.iter("place_constrained", "stencil_sparse/4096", || {
+        place_constrained(black_box(&machine), &slots, &affinity);
+    });
 }
 
 fn main() {

@@ -29,7 +29,7 @@ impl Affinity for CommMatrix {
 
     fn pairs(&self) -> Vec<(usize, usize, u64)> {
         let n = CommMatrix::order(self);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(n);
         for i in 0..n {
             for j in (i + 1)..n {
                 let w = self.get(i, j) + self.get(j, i);

@@ -19,7 +19,9 @@
 //!   *constrained* case where processes may only occupy a given slot set
 //!   (the occupied cores of a live job — what dynamic rank reordering needs,
 //!   cf. TreeMatchConstraints).  Partitions at the most expensive level
-//!   first, honouring exact per-subtree occupancies.
+//!   first, honouring exact per-subtree occupancies; reads the affinity
+//!   through `Affinity::pairs()` only — one neighbour list per process,
+//!   no `weight(p, q)` over the members of a group.
 //!
 //! Baseline placements and mapping-cost evaluators live in [`cost`].
 
