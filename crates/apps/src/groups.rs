@@ -94,12 +94,10 @@ pub fn grouped_allgather_gain(
         let sched = schedule::allgather_ring(group_size, block_bytes);
         let mon = Monitoring::init(rank).unwrap();
         rank.barrier(&world);
-        let t0 = rank.now_ns();
         let outcome = monitored_reorder(rank, &mon, &group, Flags::COLL_ONLY, |comm| {
             schedule::execute(rank, comm, &sched)
         });
         rank.barrier(&world);
-        let _ = t0;
         mon.finalize(rank).unwrap();
         // t2 = the reordering machinery only; the monitored iteration
         // replaces one "before" iteration (the paper's init-phase trick).

@@ -74,14 +74,19 @@ fn bench_constrained(b: &mut Bench) {
     }
     // What the reorder loop calls at scale (the two instances whose `sigma`
     // `mim-treematch`'s golden test pins): the dense matrix rank 0 gathers at
-    // 1024 ranks, and the same stencil at 4096 as a sparse affinity.
+    // 1024 ranks, and the same stencil at 4096 — as a sparse affinity, and as
+    // the dense matrix `mim-reorder`'s mapping charge is calibrated on.
+    let dense = |side: usize| {
+        let mut m = CommMatrix::zeros(side * side);
+        for (i, j, bytes) in halo_pairs(side) {
+            m.set(i, j, bytes);
+            m.set(j, i, bytes);
+        }
+        m
+    };
     let machine = Machine::cluster(16, 2, 32);
     let slots = node_cyclic_slots(&machine, 1024);
-    let mut m = CommMatrix::zeros(1024);
-    for (i, j, bytes) in halo_pairs(32) {
-        m.set(i, j, bytes);
-        m.set(j, i, bytes);
-    }
+    let m = dense(32);
     b.iter("place_constrained", "stencil_dense/1024", || {
         place_constrained(black_box(&machine), &slots, &m);
     });
@@ -91,6 +96,10 @@ fn bench_constrained(b: &mut Bench) {
         SparseAffinity::from_pairs(4096, halo_pairs(64).into_iter().map(|(i, j, b)| (i, j, 2 * b)));
     b.iter("place_constrained", "stencil_sparse/4096", || {
         place_constrained(black_box(&machine), &slots, &affinity);
+    });
+    let m = dense(64);
+    b.iter("place_constrained", "stencil_dense/4096", || {
+        place_constrained(black_box(&machine), &slots, &m);
     });
 }
 

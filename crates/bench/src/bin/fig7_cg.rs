@@ -73,7 +73,6 @@ fn main() {
     let nps = mim_bench::sweep(&[(64usize, 3usize), (128, 6), (256, 11)], &[(64, 3)]);
     let classes = mim_bench::sweep(&["B", "C", "D"], &["B"]);
     let mappings = [Mapping::Random, Mapping::RoundRobin, Mapping::Standard];
-    let mut csv = Vec::new();
     let mut rows = Vec::new();
     for mapping in mappings {
         for &(np, nodes) in &nps {
@@ -83,13 +82,6 @@ fn main() {
                 let (t_opt, c_opt) = run(np, nodes, class, mapping, true);
                 let exec_ratio = t_base / t_opt;
                 let comm_ratio = c_base / c_opt;
-                csv.push(vec![
-                    mapping.label().to_string(),
-                    np.to_string(),
-                    class_name.to_string(),
-                    format!("{exec_ratio:.3}"),
-                    format!("{comm_ratio:.3}"),
-                ]);
                 rows.push(vec![
                     mapping.label().to_string(),
                     np.to_string(),
@@ -101,7 +93,7 @@ fn main() {
         }
     }
     let dir = results_dir();
-    write_csv(&dir.join("fig7_cg.csv"), "mapping,np,class,exec_ratio,comm_ratio", &csv);
+    write_csv(&dir.join("fig7_cg.csv"), "mapping,np,class,exec_ratio,comm_ratio", &rows);
     println!("Fig 7 — NAS CG reordering gain (ratio > 1: reordering is faster)");
     println!(
         "{}",

@@ -15,7 +15,6 @@
 //! communication pattern lands on topologically closer core pairs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use mim_core::{Flags, GatheredData, Monitoring};
 use mim_mpisim::{Comm, Rank, SrcSel, TagSel};
@@ -33,8 +32,6 @@ pub struct ReorderOutcome {
     /// broadcast + split), in nanoseconds — the `t2` of the paper's Fig. 6
     /// gain formula.
     pub reorder_cost_ns: f64,
-    /// Wall-clock time rank 0 spent inside TreeMatch (paper Table 1).
-    pub mapping_wall_s: f64,
 }
 
 /// Compute the reordering permutation `k` from a gathered byte matrix.
@@ -60,21 +57,42 @@ pub fn compute_mapping(
     inverse_permutation(&sigma)
 }
 
-/// The tail every reorder loop ends with: rank 0 of `comm` turns its matrix
-/// into the permutation `k` plus any trailer words (`root_maps`, which also
-/// charges the mapping's cost on the virtual clock), one broadcast ships
+/// What one TreeMatch call costs rank 0 on the virtual clock (part of the
+/// `t2` of Fig. 6's gain formula): a function of the matrix the mapper is
+/// handed and of nothing the host does, so the same run leaves the same
+/// clocks.  A call costs a fixed amount — its scratch vectors, touched
+/// cold in the middle of an application — and, at every level of the
+/// topology, searches every pair of groups by walking their members'
+/// non-zero entries: a number of walks per entry that grows with the order.
+/// Calibrated against `place_constrained` on dense matrices from 12 to 4096
+/// ranks (EXPERIMENTS.md, Fig 6).
+const MAPPING_CALL_NS: f64 = 9_000.0;
+const MAPPING_WALK_NS: f64 = 0.5;
+
+fn mapping_charge_ns(sizes: &CommMatrix) -> f64 {
+    MAPPING_CALL_NS + MAPPING_WALK_NS * (sizes.order() * sizes.nnz()) as f64
+}
+
+/// The tail every reorder loop ends with: rank 0 of `comm` turns `sizes`
+/// (the matrix it holds, or why it holds none; not read on the other ranks)
+/// into the permutation `k` plus any trailer words (`root_maps`) and is
+/// charged the mapping's cost on the virtual clock, one broadcast ships
 /// `k ‖ trailer`, and `comm_split` keyed by `k` builds the optimized
 /// communicator.  Returns it with `k` and the trailer as every rank
 /// received them; the wire shape is whatever the root built, so a loop
 /// with more to tell the others appends words instead of adding a path.
-fn map_and_split(
+fn map_and_split<E>(
     rank: &Rank,
     comm: &Comm,
-    root_maps: impl FnOnce() -> (Vec<usize>, Vec<u64>),
+    sizes: Result<&CommMatrix, E>,
+    root_maps: impl FnOnce(Result<&CommMatrix, E>) -> (Vec<usize>, Vec<u64>),
 ) -> (Comm, Vec<usize>, Vec<u64>) {
     let mut buf: Vec<u64> = Vec::new();
     if comm.rank() == 0 {
-        let (k, trailer) = root_maps();
+        // The mapping computation takes time on rank 0: charge it so the
+        // reordering cost is honest (Fig. 6).
+        rank.compute_ns(sizes.as_ref().map_or(0.0, |sizes| mapping_charge_ns(sizes)));
+        let (k, trailer) = root_maps(sizes);
         buf.extend(k.into_iter().map(|ki| ki as u64).chain(trailer));
     }
     rank.bcast(comm, 0, &mut buf);
@@ -86,24 +104,13 @@ fn map_and_split(
 
 /// [`map_and_split`] under the strict failure policy: TreeMatch on the
 /// byte matrix rank 0 holds (`None` elsewhere), no trailer, a mapping
-/// failure panics.  Also returns the wall-clock time rank 0 spent mapping.
-fn map_and_split_timed(
-    rank: &Rank,
-    comm: &Comm,
-    sizes: Option<CommMatrix>,
-) -> (Comm, Vec<usize>, f64) {
-    let mut mapping_wall_s = 0.0;
-    let (opt_comm, k, _) = map_and_split(rank, comm, || {
+/// failure panics.
+fn map_and_split_strict(rank: &Rank, comm: &Comm, sizes: Option<CommMatrix>) -> (Comm, Vec<usize>) {
+    let (opt_comm, k, _) = map_and_split(rank, comm, sizes.as_ref().ok_or(()), |sizes| {
         let sizes = sizes.expect("rank 0 holds the monitored matrix");
-        let wall = Instant::now();
-        let k = compute_mapping(rank.machine(), rank.placement(), comm.group(), &sizes);
-        mapping_wall_s = wall.elapsed().as_secs_f64();
-        // The mapping computation takes real time on rank 0: charge it on
-        // the virtual clock so the reordering cost is honest (Fig. 6).
-        rank.compute_ns(mapping_wall_s * 1e9);
-        (k, Vec::new())
+        (compute_mapping(rank.machine(), rank.placement(), comm.group(), sizes), Vec::new())
     });
-    (opt_comm, k, mapping_wall_s)
+    (opt_comm, k)
 }
 
 /// The paper's Fig. 1 algorithm: run `monitored` (typically the first
@@ -131,11 +138,10 @@ pub fn monitored_reorder(
     let t0 = rank.now_ns();
     let gathered =
         mon.rootgather_data(rank, id, 0, flags).expect("gather monitored matrix at rank 0");
-    let (opt_comm, k, mapping_wall_s) =
-        map_and_split_timed(rank, comm, gathered.map(|data| data.sizes));
+    let (opt_comm, k) = map_and_split_strict(rank, comm, gathered.map(|data| data.sizes));
     let reorder_cost_ns = rank.now_ns() - t0;
     mon.free(id).expect("free monitoring session");
-    ReorderOutcome { comm: opt_comm, k, reorder_cost_ns, mapping_wall_s }
+    ReorderOutcome { comm: opt_comm, k, reorder_cost_ns }
 }
 
 /// Windowed variant of [`monitored_reorder`]: the session stays **active**
@@ -175,27 +181,21 @@ pub fn monitored_reorder_windowed(
         gather_cost_ns += rank.now_ns() - t;
         if let (Some(acc), Some(data)) = (acc.as_mut(), gw.data) {
             for i in 0..n {
-                for j in 0..n {
-                    acc.set(i, j, acc.get(i, j) + data.sizes.get(i, j));
+                for (j, &bytes) in data.sizes.row(i).iter().enumerate() {
+                    if bytes != 0 {
+                        acc.add(i, j, bytes);
+                    }
                 }
             }
         }
     }
     let t0 = rank.now_ns();
-    let (opt_comm, k, mapping_wall_s) = map_and_split_timed(rank, comm, acc);
+    let (opt_comm, k) = map_and_split_strict(rank, comm, acc);
     let reorder_cost_ns = rank.now_ns() - t0 + gather_cost_ns;
     mon.suspend(id).expect("suspend monitoring session");
     mon.free(id).expect("free monitoring session");
-    ReorderOutcome { comm: opt_comm, k, reorder_cost_ns, mapping_wall_s }
+    ReorderOutcome { comm: opt_comm, k, reorder_cost_ns }
 }
-
-/// Deterministic virtual-time charge for the mapping computation in the
-/// resilient reorder path, per cell of the (possibly shrunk) matrix.  The
-/// strict path measures wall-clock TreeMatch time and charges that; the
-/// resilient path must replay bit-identically under a fixed chaos seed, so
-/// it charges this flat model instead (calibrated to the observed ~50 ns
-/// per matrix cell of the in-tree TreeMatch on small communicators).
-pub const MAPPING_CHARGE_PER_PAIR_NS: f64 = 50.0;
 
 /// How a resilient reordering degraded, if it did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,26 +302,25 @@ pub fn monitored_reorder_resilient(
     let work = if crashed.is_empty() { comm.clone() } else { rank.comm_shrink(comm, &alive) };
     let m = work.size();
 
-    // Resilient failure policy: identity instead of a panic, a flat
-    // deterministic charge, and a one-word identity-fallback flag trailing
-    // `k` so every survivor learns how the loop degraded.
+    // What the root maps: the survivors' submatrix, or why it has none.
+    let sub = match &gathered {
+        Ok(Some(data)) => {
+            let live: Vec<usize> = (0..comm.size()).filter(|&r| alive[r]).collect();
+            let rows = live.iter().flat_map(|&a| live.iter().map(move |&b| data.sizes.get(a, b)));
+            Ok(CommMatrix::from_row_major(m, rows.collect()))
+        }
+        Ok(None) => Err("no matrix at root".to_string()),
+        Err(why) => Err(why.clone()),
+    };
+    // Resilient failure policy: identity instead of a panic, and a one-word
+    // identity-fallback flag trailing `k` so every survivor learns how the
+    // loop degraded.
     let mut why = None;
-    let (opt_comm, k, flag) = map_and_split(rank, &work, || {
-        let (k, fail) = match &gathered {
-            Ok(Some(data)) => {
-                let live: Vec<usize> = (0..comm.size()).filter(|&r| alive[r]).collect();
-                let mut sub = CommMatrix::zeros(m);
-                for a in 0..m {
-                    for b in 0..m {
-                        sub.set(a, b, data.sizes.get(live[a], live[b]));
-                    }
-                }
-                mapping_or_identity(rank.machine(), rank.placement(), work.group(), &sub)
-            }
-            Ok(None) => ((0..m).collect(), Some("no matrix at root".into())),
+    let (opt_comm, k, flag) = map_and_split(rank, &work, sub.as_ref(), |sub| {
+        let (k, fail) = match sub {
+            Ok(sub) => mapping_or_identity(rank.machine(), rank.placement(), work.group(), sub),
             Err(why) => ((0..m).collect(), Some(why.clone())),
         };
-        rank.compute_ns(MAPPING_CHARGE_PER_PAIR_NS * (m * m) as f64);
         let flag = vec![u64::from(fail.is_some())];
         why = fail;
         (k, flag)
@@ -474,6 +473,44 @@ mod tests {
         }
     }
 
+    /// A matrix of the given order whose first `nnz` cells are non-zero.
+    fn with_nonzeros(order: usize, nnz: usize) -> CommMatrix {
+        let mut m = CommMatrix::zeros(order);
+        (0..nnz).for_each(|cell| m.set(cell / order, cell % order, 64));
+        m
+    }
+
+    #[test]
+    fn mapping_charge_is_pinned_at_the_calibration_sizes() {
+        // (order, non-zeros, charge in ns) of EXPERIMENTS.md's calibration
+        // table: Fig 6's 12-rank ring, the `treematch` harness's 8-cliques,
+        // Fig 7's CG at NP = 256 and the 1024- and 4096-rank halo exchanges.
+        for (order, nnz, charge_ns) in [
+            (12, 12, 9_072.0),
+            (48, 336, 17_064.0),
+            (96, 672, 41_256.0),
+            (192, 1344, 138_024.0),
+            (256, 2176, 287_528.0),
+            (1024, 3968, 2_040_616.0),
+            (4096, 16128, 33_039_144.0),
+        ] {
+            assert_eq!(mapping_charge_ns(&with_nonzeros(order, nnz)), charge_ns, "order {order}");
+        }
+    }
+
+    #[test]
+    fn mapping_charge_grows_with_order_and_with_nonzeros() {
+        for order in [2usize, 12, 64, 256] {
+            // With nothing to walk, a call costs what a call costs.
+            assert_eq!(mapping_charge_ns(&CommMatrix::zeros(order)), MAPPING_CALL_NS);
+            for nnz in [1, order, order * order - 1] {
+                let here = mapping_charge_ns(&with_nonzeros(order, nnz));
+                assert!(mapping_charge_ns(&with_nonzeros(order, nnz - 1)) < here, "{order} {nnz}");
+                assert!(mapping_charge_ns(&with_nonzeros(order + 1, nnz)) > here, "{order} {nnz}");
+            }
+        }
+    }
+
     #[test]
     fn monitored_reorder_improves_iteration_time() {
         let u = cyclic_universe();
@@ -621,6 +658,7 @@ mod tests {
     #[test]
     fn rank_dying_inside_the_gather_demotes_to_identity() {
         use mim_mpisim::{CrashPoint, ExecutorKind, FaultInjector, LinkCtx, SendOutcome};
+        use std::time::Instant;
 
         /// Rank 5 answers the liveness pings, then dies at its first wire
         /// operation of the gather: `start`'s barrier (a send and a receive

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI replay gates: fixed-seed runs must replay byte-for-byte.
 
-One harness, three gates.  Each runs its examples under a fixed
+One harness, four gates.  Each runs its examples under a fixed
 ``MIM_CHAOS_SEED`` with ``MIM_TRACE`` pointed at a fresh JSONL file per
 run, and requires that every run exits 0 (the examples assert their own
 protocol contracts), that stdout is byte-identical across all runs of an
@@ -22,13 +22,22 @@ event-count checks, and a clean ``check_trace.py`` pass where listed.
 ``elastic``   ``elastic_stencil`` twice per engine: rolling restart of
               rank 3, readmission, a latent slot joining, a 9-rank window
               matrix.  Per-engine replay AND threads-vs-tasks agreement.
+``figures``   ``stencil_reorder``, ``fig6_heatmap`` and ``fig7_cg`` under
+              ``MIM_QUICK=1``, twice per engine: the strict reorder loop
+              charges the mapping from a model of the matrix, not from the
+              host's clock, so stdout, traces and the CSVs a figure binary
+              writes are the same bytes on every run.
 
 Normalization, and why it is honest: threads append to the shared trace
 file as they go, so lines from different ranks interleave in wall-clock
-order — sorting restores a canonical order without touching content.
+order — traces are compared as multisets of lines, by a digest summed
+while the dump streams past (`fig7_cg` leaves 200 MB a run), which
+ignores the order without touching content.
 ``tid`` is the tracer's registration index, assigned in whatever order
-the rank threads start; each workload runs a single universe, so track
-*names* already identify ranks uniquely and ``tid`` is zeroed.  The
+the rank threads start; each example runs a single universe, so track
+*names* already identify ranks uniquely and ``tid`` is zeroed (the figure
+binaries run several, one after the other: their same-named tracks pool
+into one multiset, which every run must still reproduce).  The
 ``recv`` event's ``uq`` field reports how many envelopes happened to
 sit in the unexpected queue when the match landed, a function of OS
 scheduling even between two fault-free runs, so it is zeroed too.  Every
@@ -39,7 +48,9 @@ sizes, crash op counts, epochs, incarnations, per-track sequence numbers
 Usage: check_replay.py chaos    path/to/chaos_stencil [seed]
        check_replay.py executor path/to/quickstart path/to/chaos_stencil [seed]
        check_replay.py elastic  path/to/elastic_stencil [seed]
+       check_replay.py figures  path/to/stencil_reorder path/to/fig6_heatmap path/to/fig7_cg [seed]
 """
+import hashlib
 import os
 import re
 import subprocess
@@ -54,7 +65,8 @@ T1, T2, K1, K2 = ("threads", 1), ("threads", 2), ("tasks", 1), ("tasks", 2)
 # leave identical normalized traces; stdout markers (checked on the first
 # run); event-count checks on the first run's trace as
 # (what, needle, min, max or None); whether check_trace.py lints every
-# dump; and the closing line.
+# dump; the closing line; and, where the programs need it, `env`, added to
+# every run's environment.
 GATES = {
     "chaos": dict(
         examples=1,
@@ -107,21 +119,48 @@ GATES = {
         ok="seed {seed} replayed byte-identically on both executors; {events} trace "
         "events, restart + rejoin + scale-out verified 4x",
     ),
+    "figures": dict(
+        examples=3,
+        runs=[T1, T2, K1, K2],
+        same_trace=[(T1, T2), (K1, K2), (T1, K1)],
+        markers=[],
+        events=[],
+        lint=False,
+        env={"MIM_QUICK": "1"},
+        ok="seed {seed}: stdout, traces [{events} events] and CSVs of {names} "
+        "byte-identical twice per engine",
+    ),
 }
 
 
-def normalize(trace_path):
+def summarize(trace_path, needles):
+    """`(lines, digest)` of the normalized trace as a multiset of lines, and
+    how many lines contain each needle."""
+    lines = total = 0
+    counts = [0] * len(needles)
     with open(trace_path) as f:
-        lines = [
-            re.sub(r'"tid":\d+', '"tid":0', re.sub(r'"uq":\d+', '"uq":0', ln))
-            for ln in f
-            if ln.strip()
-        ]
-    return sorted(lines)
+        for ln in f:
+            if ln.strip():
+                ln = re.sub(r'"tid":\d+', '"tid":0', re.sub(r'"uq":\d+', '"uq":0', ln))
+                lines += 1
+                total += int.from_bytes(hashlib.blake2b(ln.encode(), digest_size=16).digest(), "big")
+                counts = [c + (needle in ln) for c, needle in zip(counts, needles)]
+    return (lines, total % (1 << 128)), counts
 
 
-def run_once(example, engine, seed, trace_path, problems):
-    env = dict(os.environ, MIM_CHAOS_SEED=seed, MIM_TRACE=trace_path)
+def take_results(results_dir):
+    """The files a run left in its results directory, removed from it."""
+    taken = {}
+    for name in sorted(os.listdir(results_dir)):
+        path = os.path.join(results_dir, name)
+        with open(path, "rb") as f:
+            taken[name] = f.read()
+        os.remove(path)
+    return taken
+
+
+def run_once(example, engine, seed, trace_path, problems, gate_env):
+    env = dict(os.environ, MIM_CHAOS_SEED=seed, MIM_TRACE=trace_path, **gate_env)
     if engine:
         env["MIM_EXECUTOR"] = engine
     env.pop("MIM_CHAOS_PLAN", None)  # the gates check the built-in plans
@@ -144,12 +183,32 @@ def check_example(gate, example, seed, tmp, problems):
     name = os.path.basename(example)
     here = os.path.dirname(os.path.abspath(__file__))
     first = gate["runs"][0]
-    traces = {
-        run: os.path.join(tmp, f"{name}.{run[0] or 'run'}{run[1]}.jsonl") for run in gate["runs"]
-    }
+    # All runs write their CSVs, if any, to one directory: its path is on a
+    # figure binary's stdout.
+    results_dir = os.path.join(tmp, f"{name}.results")
+    os.makedirs(results_dir)
+    env = dict(gate.get("env", {}), MIM_RESULTS_DIR=results_dir)
+    needles = [needle for _, needle, _, _ in gate["events"]]
+    outs, traces, counts, results = {}, {}, {}, {}
     before = len(problems)
-    outs = {run: run_once(example, run[0], seed, traces[run], problems) for run in gate["runs"]}
-    if len(problems) > before:
+    for run in gate["runs"]:
+        trace = os.path.join(tmp, f"{name}.{run[0] or 'run'}{run[1]}.jsonl")
+        outs[run] = run_once(example, run[0], seed, trace, problems, env)
+        if len(problems) > before:
+            continue
+        traces[run], counts[run] = summarize(trace, needles)
+        results[run] = take_results(results_dir)
+        if gate["lint"]:
+            r = subprocess.run(
+                [sys.executable, os.path.join(here, "check_trace.py"), trace],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+            if r.returncode != 0:
+                problems.append(f"check_trace.py rejected {trace}:\n{r.stdout}{r.stderr}")
+        os.remove(trace)
+    if len(traces) < len(gate["runs"]):
         return 0  # the example failed; replay checks would only add noise
     for marker in gate["markers"]:
         if marker not in outs[first]:
@@ -157,31 +216,24 @@ def check_example(gate, example, seed, tmp, problems):
     for run in gate["runs"][1:]:
         if outs[run] != outs[first]:
             problems.append(f"{name}: stdout of {run} diverged from {first} (seed {seed})")
-    norms = {run: normalize(t) for run, t in traces.items()}
+        moved = sorted(
+            f
+            for f in results[run].keys() | results[first].keys()
+            if results[run].get(f) != results[first].get(f)
+        )
+        if moved:
+            problems.append(f"{name}: {', '.join(moved)} of {run} diverged from {first}")
     for a, b in gate["same_trace"]:
-        if norms[a] != norms[b]:
-            diff = sum(x != y for x, y in zip(norms[a], norms[b]))
-            diff += abs(len(norms[a]) - len(norms[b]))
+        if traces[a] != traces[b]:
             problems.append(
                 f"{name}: normalized traces diverged between {a} and {b} "
-                f"({len(norms[a])} vs {len(norms[b])} lines, {diff} differing)"
+                f"({traces[a][0]} vs {traces[b][0]} lines, digests differ)"
             )
-    for what, needle, lo, hi in gate["events"]:
-        count = sum(needle in ln for ln in norms[first])
+    for (what, _, lo, hi), count in zip(gate["events"], counts[first]):
         if count < lo or (hi is not None and count > hi):
             want = f"exactly {lo}" if hi == lo else f"at least {lo}"
             problems.append(f"{name}: trace has {count} {what} events, want {want}")
-    if gate["lint"]:
-        for t in traces.values():
-            r = subprocess.run(
-                [sys.executable, os.path.join(here, "check_trace.py"), t],
-                capture_output=True,
-                text=True,
-                check=False,
-            )
-            if r.returncode != 0:
-                problems.append(f"check_trace.py rejected {t}:\n{r.stdout}{r.stderr}")
-    return len(norms[first])
+    return traces[first][0]
 
 
 def main():

@@ -2,8 +2,11 @@
 //! split → faster iterations, on a PlaFRIM-scale machine.
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{Comm, Rank, SrcSel, TagSel, Universe, UniverseConfig};
-use mim_reorder::{compute_mapping, monitored_reorder, redistribute};
+use mim_mpisim::{Comm, ExecutorKind, Rank, SrcSel, TagSel, Universe, UniverseConfig};
+use mim_reorder::{
+    compute_mapping, monitored_reorder, monitored_reorder_resilient, monitored_reorder_windowed,
+    redistribute, ReorderFallback,
+};
 use mim_topology::{inverse_permutation, CommMatrix, Machine, Placement};
 
 /// Rank-based pattern: neighbours in blocks of `width` exchange buffers.
@@ -125,4 +128,86 @@ fn redistribute_composes_with_reorder() {
         assert_eq!(new_data, vec![outcome.comm.rank() as u64; 8]);
         mon.finalize(rank).unwrap();
     });
+}
+
+/// The three spellings of the Fig. 1 loop.
+#[derive(Debug, Clone, Copy)]
+enum Loop {
+    Strict,
+    Windowed,
+    Resilient,
+}
+
+/// One fresh universe, one loop around one iteration of blocked exchanges
+/// plus an allreduce (so `ALL_COMM` maps a matrix with more non-zeros than
+/// `P2P_ONLY` does, from the very same traffic).  Per rank: the bits of
+/// `reorder_cost_ns`, `k`, and the bits of the clock after the loop.
+fn run_loop(
+    machine: &Machine,
+    placement: &Placement,
+    kind: ExecutorKind,
+    which: Loop,
+    flags: Flags,
+) -> Vec<(u64, Vec<usize>, u64)> {
+    let cfg = UniverseConfig::new(machine.clone(), placement.clone()).with_executor(kind);
+    Universe::new(cfg).launch(|rank| {
+        let world = rank.comm_world();
+        let mon = Monitoring::init(rank).unwrap();
+        let iteration = |comm: &Comm| {
+            block_exchange(rank, comm, 4, 1 << 16);
+            rank.allreduce(comm, &[comm.rank() as u64], |a, b| a + b);
+        };
+        let (cost_ns, k) = match which {
+            Loop::Strict => {
+                let out = monitored_reorder(rank, &mon, &world, flags, iteration);
+                (out.reorder_cost_ns, out.k)
+            }
+            Loop::Windowed => {
+                let out =
+                    monitored_reorder_windowed(rank, &mon, &world, flags, 1, |c, _| iteration(c));
+                (out.reorder_cost_ns, out.k)
+            }
+            Loop::Resilient => {
+                let out = monitored_reorder_resilient(rank, &mon, &world, flags, iteration);
+                assert_eq!(out.fallback, ReorderFallback::None);
+                (out.reorder_cost_ns, out.k)
+            }
+        };
+        mon.finalize(rank).unwrap();
+        (cost_ns.to_bits(), k, rank.now_ns().to_bits())
+    })
+}
+
+#[test]
+fn reorder_loops_run_on_one_deterministic_clock() {
+    let small = Machine::cluster(2, 1, 8);
+    let large = Machine::plafrim(3);
+    for (machine, np) in [(small, 8), (large, 64)] {
+        let placement = Placement::cyclic_by_level(&machine.tree, np, machine.node_level);
+        // What the mapping of the `ALL_COMM` matrix is charged over that of
+        // the `P2P_ONLY` one, per loop: the traffic, hence everything else
+        // on the clock, is the same.
+        let mut extra_charge_ns = Vec::new();
+        let mut ks = Vec::new();
+        for which in [Loop::Strict, Loop::Windowed, Loop::Resilient] {
+            let mut root_cost_ns = Vec::new();
+            for flags in [Flags::P2P_ONLY, Flags::ALL_COMM] {
+                let first = run_loop(&machine, &placement, ExecutorKind::Threads, which, flags);
+                for kind in [ExecutorKind::Threads, ExecutorKind::Tasks, ExecutorKind::Tasks] {
+                    let again = run_loop(&machine, &placement, kind, which, flags);
+                    assert_eq!(again, first, "{which:?} on {np} ranks, {kind:?}: clocks moved");
+                }
+                root_cost_ns.push(f64::from_bits(first[0].0));
+                ks.push(first[0].1.clone());
+            }
+            extra_charge_ns.push(root_cost_ns[1] - root_cost_ns[0]);
+        }
+        // Strict, windowed and fault-free resilient map alike and are
+        // charged alike.
+        assert!(ks.chunks(2).all(|of_loop| of_loop == &ks[..2]), "{np} ranks: {ks:?}");
+        assert!(extra_charge_ns[0] > 0.0, "{np} ranks: more non-zeros must cost more");
+        for extra in &extra_charge_ns[1..] {
+            assert!((extra - extra_charge_ns[0]).abs() < 1e-3, "{np} ranks: {extra_charge_ns:?}");
+        }
+    }
 }
