@@ -48,12 +48,11 @@ pub enum Json {
 impl Json {
     /// Parse a JSON document.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(v)
@@ -108,7 +107,7 @@ impl fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -118,7 +117,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -137,7 +136,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -234,9 +233,9 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
@@ -248,11 +247,9 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let s = &self.bytes[self.pos..];
-                    let text = unsafe { std::str::from_utf8_unchecked(s) };
-                    let c = text.chars().next().ok_or_else(|| self.err("bad utf8"))?;
+                    // Consume one UTF-8 scalar.
+                    let rest = self.text.get(self.pos..).ok_or_else(|| self.err("bad utf8"))?;
+                    let c = rest.chars().next().ok_or_else(|| self.err("bad utf8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -269,9 +266,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("bad number"))
+        // Only ASCII was consumed, so both ends are character boundaries.
+        self.text[start..self.pos].parse::<f64>().map(Json::Num).map_err(|_| self.err("bad number"))
     }
 }
 
@@ -375,5 +371,81 @@ fn decode_op(j: &Json) -> Result<Op, String> {
         }
         "fence" => Ok(Op::Fence { win: WinId(required("win")? as u32) }),
         other => Err(format!("unknown op {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn string(doc: &str) -> Result<String, ParseError> {
+        Json::parse(doc).map(|j| j.as_str().expect("a string document").to_string())
+    }
+
+    #[test]
+    fn multi_byte_scalars_survive_around_every_escape() {
+        // 2-, 3- and 4-byte scalars on both sides of each escape kind.
+        let escapes = [
+            ("\\\"", '"'),
+            ("\\\\", '\\'),
+            ("\\/", '/'),
+            ("\\n", '\n'),
+            ("\\t", '\t'),
+            ("\\r", '\r'),
+            ("\\b", '\u{8}'),
+            ("\\f", '\u{c}'),
+            ("\\u00e9", 'é'),
+            ("\\u20AC", '€'),
+        ];
+        for (esc, c) in escapes {
+            for (before, after) in [("é", "€"), ("€", "𝄞"), ("𝄞", "é"), ("", "𝄞"), ("é", "")]
+            {
+                let doc = format!("\"{before}{esc}{after}\"");
+                assert_eq!(string(&doc), Ok(format!("{before}{c}{after}")), "{doc}");
+            }
+        }
+        assert_eq!(string("\"héllo — 𝄞\""), Ok("héllo — 𝄞".to_string()));
+    }
+
+    #[test]
+    fn surrogates_become_the_replacement_character() {
+        assert_eq!(string(r#""a\ud800b""#), Ok("a\u{fffd}b".to_string()));
+        assert_eq!(string(r#""\ud83d\ude00""#), Ok("\u{fffd}\u{fffd}".to_string()));
+    }
+
+    #[test]
+    fn bad_escapes_are_errors_with_a_position() {
+        let err = |doc: &str| string(doc).expect_err(doc);
+        // Truncation inside an escape, at every length.
+        assert_eq!(err("\"ab\\").message, "unterminated escape");
+        assert_eq!(err("\"ab\\").pos, 4);
+        for doc in ["\"\\u", "\"\\u1", "\"\\u12", "\"\\u123", "\"é\\u12"] {
+            assert_eq!(err(doc).message, "bad \\u escape", "{doc}");
+        }
+        assert_eq!(err("\"\\u12").pos, 3);
+        // Four bytes that are not four hex digits: a sign, a multi-byte
+        // scalar inside the window, one straddling its end.
+        for doc in ["\"\\u+123\"", "\"\\u00é0\"", "\"\\u012é\"", "\"\\u01𝄞\""] {
+            assert_eq!(err(doc).message, "bad \\u escape", "{doc}");
+        }
+        // A multi-byte scalar as the escape character itself.
+        assert_eq!(err("\"\\é\"").message, "unknown escape");
+        assert_eq!(err("\"\\x41\"").message, "unknown escape");
+    }
+
+    #[test]
+    fn truncated_strings_are_errors_not_panics() {
+        for doc in ["\"", "\"abc", "\"é", "\"𝄞\\n", "{\"k\":\"v"] {
+            let e = Json::parse(doc).expect_err(doc);
+            assert_eq!((e.pos, e.message.as_str()), (doc.len(), "unterminated string"), "{doc}");
+        }
+        // A document cut inside a multi-byte character cannot reach the
+        // parser as `&str`; the nearest thing is every prefix of one that
+        // does, and none of them may panic.
+        let doc = "{\"né𝄞\\u00e9\":[\"€\\\"\",1.5e3,true,null]}";
+        for end in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            assert!(Json::parse(&doc[..end]).is_err(), "prefix {end}");
+        }
+        assert!(Json::parse(doc).is_ok());
     }
 }

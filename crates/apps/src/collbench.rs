@@ -9,7 +9,9 @@
 //! bandwidth-bound tree collectives placement-sensitive in the first place.
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{schedule, Schedule, Universe, UniverseConfig};
+use mim_mpisim::{
+    schedule, Schedule, Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
+};
 use mim_reorder::monitored_reorder;
 use mim_topology::{inverse_permutation, Machine, Placement};
 
@@ -105,14 +107,13 @@ pub fn collective_opt(
     // inv[r], whose core never moved.
     let cores_base: Vec<usize> = (0..np).map(|r| placement.core_of(r)).collect();
     let cores_opt: Vec<usize> = (0..np).map(|r| cores_base[inv[r]]).collect();
-    let cfg = UniverseConfig::new(machine.clone(), placement);
     let time = |cores: &[usize]| {
         let per_rank = schedule::evaluate_contended(
             &sched,
             &machine,
             cores,
-            cfg.send_overhead_ns,
-            cfg.recv_overhead_ns,
+            SEND_OVERHEAD_NS,
+            RECV_OVERHEAD_NS,
         );
         match kind {
             // Reduce: the paper plots the time at the root (schedule rank 0).

@@ -15,7 +15,9 @@
 //! once and extrapolates over the iteration axis (see EXPERIMENTS.md).
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{schedule, Schedule, Step, Universe, UniverseConfig};
+use mim_mpisim::{
+    schedule, Schedule, Step, Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
+};
 use mim_reorder::monitored_reorder;
 use mim_topology::{inverse_permutation, Machine, Placement};
 
@@ -83,7 +85,6 @@ pub fn grouped_allgather_gain(
     );
     let placement = Placement::cyclic_by_level(&machine.tree, nprocs, machine.node_level);
     let cfg = UniverseConfig::new(machine.clone(), placement.clone());
-    let (send_oh, recv_oh) = (cfg.send_overhead_ns, cfg.recv_overhead_ns);
     let u = Universe::new(cfg);
     let block_bytes = buf_ints * 4;
     // Live pipeline: each group monitors one allgather and reorders itself.
@@ -117,7 +118,7 @@ pub fn grouped_allgather_gain(
     }
     let combined = combined_ring_schedule(nprocs, group_size, block_bytes);
     let makespan = |cores: &[usize]| {
-        schedule::evaluate_contended(&combined, &machine, cores, send_oh, recv_oh)
+        schedule::evaluate_contended(&combined, &machine, cores, SEND_OVERHEAD_NS, RECV_OVERHEAD_NS)
             .into_iter()
             .fold(0.0f64, f64::max)
     };

@@ -29,17 +29,12 @@ impl CommPlan for StencilConfig {
         let (br, bc) = (self.block_rows() as u64, self.block_cols() as u64);
         let mut p = Program::new(self.plan_name(), n);
         for me in 0..n {
-            let (prow, pcol) = (me / self.pcols, me % self.pcols);
-            let neighbour = |dr: isize, dc: isize| -> Option<usize> {
-                let (nr, nc) = (prow as isize + dr, pcol as isize + dc);
-                (nr >= 0 && nc >= 0 && nr < self.prows as isize && nc < self.pcols as isize)
-                    .then(|| nr as usize * self.pcols + nc as usize)
-            };
+            let [up, down, left, right] = self.neighbours(me);
             let sides = [
-                (neighbour(-1, 0), bc * 8, 0u32),
-                (neighbour(1, 0), bc * 8, 0),
-                (neighbour(0, -1), br * 8, 0x1000),
-                (neighbour(0, 1), br * 8, 0x1000),
+                (up, bc * 8, 0u32),
+                (down, bc * 8, 0),
+                (left, br * 8, 0x1000),
+                (right, br * 8, 0x1000),
             ];
             for it in 0..self.iters {
                 let tag = HALO_TAG_BASE + it as u32;

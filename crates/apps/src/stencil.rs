@@ -35,6 +35,18 @@ impl StencilConfig {
         assert!(self.cols.is_multiple_of(self.pcols), "cols must divide evenly");
         self.cols / self.pcols
     }
+
+    /// The grid neighbours of rank `me` (row-major numbering) in the order
+    /// the kernel exchanges halos with them: up, down, left, right.
+    pub fn neighbours(&self, me: usize) -> [Option<usize>; 4] {
+        let (prow, pcol) = (me / self.pcols, me % self.pcols);
+        [
+            (prow > 0).then(|| me - self.pcols),
+            (prow + 1 < self.prows).then(|| me + self.pcols),
+            (pcol > 0).then(|| me - 1),
+            (pcol + 1 < self.pcols).then(|| me + 1),
+        ]
+    }
 }
 
 /// Per-rank outcome.
@@ -96,13 +108,7 @@ pub fn run_stencil(rank: &Rank, comm: &Comm, cfg: StencilConfig) -> (Vec<f64>, S
     let (br, bc) = (cfg.block_rows(), cfg.block_cols());
     let me = comm.rank();
     let (prow, pcol) = (me / cfg.pcols, me % cfg.pcols);
-    let neighbour = |dr: isize, dc: isize| -> Option<usize> {
-        let (nr, nc) = (prow as isize + dr, pcol as isize + dc);
-        (nr >= 0 && nc >= 0 && nr < cfg.prows as isize && nc < cfg.pcols as isize)
-            .then(|| nr as usize * cfg.pcols + nc as usize)
-    };
-    let (up, down, left, right) =
-        (neighbour(-1, 0), neighbour(1, 0), neighbour(0, -1), neighbour(0, 1));
+    let [up, down, left, right] = cfg.neighbours(me);
 
     let start_ns = rank.now_ns();
     let mut comm_ns = 0.0;

@@ -11,7 +11,7 @@ use mim_explore::plans::{wildcard_clean, wildcard_race};
 use mim_mpisim::schedule;
 
 fn main() {
-    let mut b = Bench::new("analyze_races");
+    let mut b = Bench::new();
 
     // All-benign: 255 wildcard sites in one block, every one proven
     // commuting (the benign-block detector's worst case).
@@ -33,6 +33,4 @@ fn main() {
     b.iter("analyze_races", "alltoall_skip_128", || {
         black_box(alltoall.analyze());
     });
-
-    b.finish();
 }

@@ -101,7 +101,7 @@ fn arm(b: &mut Bench, label: &str, inj: Option<Arc<dyn FaultInjector>>) -> f64 {
 }
 
 fn main() {
-    let mut b = Bench::new("chaos_overhead");
+    let mut b = Bench::new();
 
     // Injector-free: the send path with no seam code at all.
     let mut q = VecDeque::with_capacity(4);
@@ -130,7 +130,6 @@ fn main() {
         quiet - baseline,
         active - baseline
     );
-    b.finish();
     assert!(
         ratio <= 2.0,
         "an uninstalled injector seam costs {ratio:.3}x the seam-free send path (bar 2.0)"

@@ -26,7 +26,7 @@ fn main() {
         ("allgather_bruck", schedule::allgather_bruck(np, bytes / np as u64)),
         ("allreduce_rd", schedule::allreduce_recursive_doubling(np, bytes)),
     ];
-    let mut b = Bench::new("coll_algorithms");
+    let mut b = Bench::new();
     for (name, sched) in &schedules {
         b.iter("collective_makespan_eval", name, || {
             schedule::evaluate_contended(black_box(sched), &machine, &cores, 100.0, 50.0)
@@ -34,7 +34,6 @@ fn main() {
                 .fold(0.0f64, f64::max);
         });
     }
-    b.finish();
 
     // Report the ablation numbers once, for the record — and hold the two
     // orderings DESIGN §4 cites.  These are virtual times, the same on every

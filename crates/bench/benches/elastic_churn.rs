@@ -96,7 +96,7 @@ fn churn(kind: ExecutorKind, n: usize) -> u64 {
 }
 
 fn main() {
-    let mut b = Bench::new("elastic_churn");
+    let mut b = Bench::new();
 
     for n in [64usize, 256] {
         b.iter("derive", &format!("threads/{n}"), || {
@@ -121,6 +121,4 @@ fn main() {
     } else {
         eprintln!("elastic_churn: fiber backend unsupported on this target; tasks rungs skipped");
     }
-
-    b.finish();
 }

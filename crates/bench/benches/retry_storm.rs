@@ -43,7 +43,7 @@ fn storm(injector: Option<Arc<dyn FaultInjector>>) -> f64 {
 }
 
 fn main() {
-    let mut b = Bench::new("retry_storm");
+    let mut b = Bench::new();
 
     let arms: [(&str, Option<FaultPlan>); 4] = [
         ("stream_64/clean", None),
@@ -68,5 +68,4 @@ fn main() {
             t / clean
         );
     }
-    b.finish();
 }

@@ -79,7 +79,7 @@ fn record_site(trace: &Option<TraceHandle>, t_ns: f64, e: &Envelope, uq_depth: u
 }
 
 fn main() {
-    let mut b = Bench::new("trace_overhead");
+    let mut b = Bench::new();
 
     let specific = MatchPattern {
         comm_id: 7,
@@ -145,7 +145,6 @@ fn main() {
         "trace_overhead               disabled/baseline ratio: {ratio:.3} (bar 1.5, quiet 1.05)"
     );
     println!("trace_overhead               record site off/on: {site_ratio:.3} (bar 0.5)");
-    b.finish();
     assert!(ratio <= 1.5, "a disabled record site costs {ratio:.3}x the site-free receive path");
     assert!(site_ratio <= 0.5, "a disabled record site costs {site_ratio:.3} of an enabled one");
 }

@@ -104,9 +104,8 @@ fn bench_constrained(b: &mut Bench) {
 }
 
 fn main() {
-    let mut b = Bench::new("treematch");
+    let mut b = Bench::new();
     bench_tree_match(&mut b);
     bench_strategies(&mut b);
     bench_constrained(&mut b);
-    b.finish();
 }

@@ -15,8 +15,8 @@
 use std::process::ExitCode;
 
 use mim_analyze::{analyze_program, program_from_json, Report, Verdict};
-use mim_apps::builtin::{built_in, Shape, PLANS};
-use mim_bench::{resolve, WILDCARD_PLANS};
+use mim_apps::builtin::{built_in, PLANS};
+use mim_bench::{plan_cli, resolve, PlanArgs};
 
 const USAGE: &str = "usage: mim-analyze <plan> [options]
        mim-analyze --plan-file <file.json> [--json]
@@ -63,63 +63,39 @@ fn emit(report: &Report, races: bool, json: bool, quiet: bool) -> bool {
     clean
 }
 
-fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut plan_name: Option<String> = None;
-    let mut plan_file: Option<String> = None;
-    let mut all = false;
-    let mut list = false;
-    let mut races = false;
-    let mut json = false;
-    let mut quiet = false;
-    let mut shape = Shape { n: 8, root: 0, bytes: 4096, seg: 0 };
+/// The flags only this tool has.
+#[derive(Default)]
+struct Own {
+    plan_file: Option<String>,
+    races: bool,
+}
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--list" => list = true,
-            "--all" => all = true,
-            "--races" => races = true,
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--plan-file" => plan_file = Some(value("--plan-file")?.to_string()),
-            "--n" => shape.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--root" => {
-                shape.root = value("--root")?.parse().map_err(|e| format!("--root: {e}"))?;
-            }
-            "--bytes" => {
-                shape.bytes = value("--bytes")?.parse().map_err(|e| format!("--bytes: {e}"))?;
-            }
-            "--seg" => shape.seg = value("--seg")?.parse().map_err(|e| format!("--seg: {e}"))?,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
-            name if plan_name.is_none() => plan_name = Some(name.to_string()),
-            extra => return Err(format!("unexpected argument '{extra}'")),
-        }
+fn own_flag(
+    own: &mut Own,
+    flag: &str,
+    value: &mut dyn FnMut() -> Result<String, String>,
+) -> Result<bool, String> {
+    match flag {
+        "--races" => own.races = true,
+        "--plan-file" => own.plan_file = Some(value()?),
+        _ => return Ok(false),
     }
-    if shape.seg == 0 {
-        shape.seg = (shape.bytes / 4).max(1);
-    }
+    Ok(true)
+}
+
+fn run(args: &PlanArgs, own: Own) -> Result<bool, String> {
+    let PlanArgs { shape, json, quiet, .. } = *args;
+    let races = own.races;
     if shape.n == 0 {
         return Err("--n must be at least 1".into());
     }
-
-    if list {
-        for p in PLANS.iter().chain(WILDCARD_PLANS) {
-            println!("{p}");
-        }
-        return Ok(true);
-    }
-    if let Some(path) = plan_file {
+    if let Some(path) = own.plan_file {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let program = program_from_json(&text).map_err(|e| format!("{path}: {e}"))?;
         return Ok(emit(&analyze_program(&program), races, json, quiet));
     }
-    if all {
+    if args.all {
         let mut clean = true;
         let mut reports = Vec::new();
         for name in PLANS {
@@ -149,23 +125,12 @@ fn run() -> Result<bool, String> {
         }
         return Ok(clean);
     }
-    match plan_name {
-        Some(name) => Ok(emit(&analyze_program(&resolve(&name, &shape)?), races, json, quiet)),
+    match &args.plan {
+        Some(name) => Ok(emit(&analyze_program(&resolve(name, &shape)?), races, json, quiet)),
         None => Err(String::new()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
-        Err(msg) => {
-            if msg.is_empty() {
-                eprintln!("{USAGE}");
-            } else {
-                eprintln!("mim-analyze: {msg}");
-            }
-            ExitCode::from(2)
-        }
-    }
+    plan_cli("mim-analyze", USAGE, Own::default(), own_flag, run)
 }

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use mim_analyze::{analyze_program, Determinism, Program};
 use mim_apps::builtin::{Shape, PLANS};
-use mim_bench::{resolve, WILDCARD_PLANS};
+use mim_bench::{plan_cli, resolve, PlanArgs, WILDCARD_PLANS};
 use mim_explore::{explore, replay, Budget, Outcome, Witness};
 
 const USAGE: &str = "usage: mim-explore <plan> [options]
@@ -211,71 +211,40 @@ fn run_replay(path: &str, quiet: bool) -> Result<bool, String> {
     Ok(true)
 }
 
-fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut plan_name: Option<String> = None;
-    let mut replay_path: Option<String> = None;
-    let mut witness_path: Option<String> = None;
-    let mut all = false;
-    let mut list = false;
-    let mut json = false;
-    let mut quiet = false;
-    let mut shape = Shape { n: 8, root: 0, bytes: 4096, seg: 0 };
-    let mut budget = Budget { seed: 24301, ..Budget::default() };
+/// The flags only this tool has.
+struct Own {
+    replay_path: Option<String>,
+    witness_path: Option<String>,
+    budget: Budget,
+}
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--list" => list = true,
-            "--all" => all = true,
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--replay" => replay_path = Some(value("--replay")?.to_string()),
-            "--witness" => witness_path = Some(value("--witness")?.to_string()),
-            "--n" => shape.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--root" => {
-                shape.root = value("--root")?.parse().map_err(|e| format!("--root: {e}"))?;
-            }
-            "--bytes" => {
-                shape.bytes = value("--bytes")?.parse().map_err(|e| format!("--bytes: {e}"))?;
-            }
-            "--seg" => shape.seg = value("--seg")?.parse().map_err(|e| format!("--seg: {e}"))?,
-            "--schedules" => {
-                budget.max_schedules =
-                    value("--schedules")?.parse().map_err(|e| format!("--schedules: {e}"))?;
-            }
-            "--random" => {
-                budget.random = value("--random")?.parse().map_err(|e| format!("--random: {e}"))?;
-            }
-            "--seed" => {
-                budget.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
-            name if plan_name.is_none() => plan_name = Some(name.to_string()),
-            extra => return Err(format!("unexpected argument '{extra}'")),
-        }
+fn own_flag(
+    own: &mut Own,
+    flag: &str,
+    value: &mut dyn FnMut() -> Result<String, String>,
+) -> Result<bool, String> {
+    let mut count = || value()?.parse::<usize>().map_err(|e| format!("{flag}: {e}"));
+    match flag {
+        "--schedules" => own.budget.max_schedules = count()?,
+        "--random" => own.budget.random = count()?,
+        "--seed" => own.budget.seed = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
+        "--replay" => own.replay_path = Some(value()?),
+        "--witness" => own.witness_path = Some(value()?),
+        _ => return Ok(false),
     }
-    if shape.seg == 0 {
-        shape.seg = (shape.bytes / 4).max(1);
-    }
+    Ok(true)
+}
+
+fn run(args: &PlanArgs, own: Own) -> Result<bool, String> {
+    let PlanArgs { shape, json, quiet, .. } = *args;
+    let budget = own.budget;
     if budget.max_schedules == 0 {
         return Err("--schedules must be at least 1".into());
     }
-
-    if list {
-        for p in PLANS.iter().chain(WILDCARD_PLANS) {
-            println!("{p}");
-        }
-        return Ok(true);
-    }
-    if let Some(path) = replay_path {
+    if let Some(path) = own.replay_path {
         return run_replay(&path, quiet);
     }
-    if all {
+    if args.all {
         let mut clean = true;
         for name in PLANS.iter().chain(WILDCARD_PLANS) {
             let shape = Shape {
@@ -289,30 +258,20 @@ fn run() -> Result<bool, String> {
         }
         return Ok(clean);
     }
-    match plan_name {
+    match &args.plan {
         Some(name) => {
-            let program = resolve(&name, &shape)?;
-            run_plan(&name, &program, &budget, witness_path.as_deref(), &shape, json, quiet)
+            let program = resolve(name, &shape)?;
+            run_plan(name, &program, &budget, own.witness_path.as_deref(), &shape, json, quiet)
         }
         None => Err(String::new()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
-        Err(msg) => {
-            if msg.is_empty() {
-                eprintln!("{USAGE}");
-                ExitCode::from(2)
-            } else if msg.starts_with("replay diverged") {
-                eprintln!("mim-explore: {msg}");
-                ExitCode::from(3)
-            } else {
-                eprintln!("mim-explore: {msg}");
-                ExitCode::from(2)
-            }
-        }
-    }
+    let own = Own {
+        replay_path: None,
+        witness_path: None,
+        budget: Budget { seed: 24301, ..Budget::default() },
+    };
+    plan_cli("mim-explore", USAGE, own, own_flag, run)
 }

@@ -23,14 +23,15 @@
 //! `coll_algorithms` and `treematch` are the design ablations DESIGN.md §4
 //! cites.
 
+use std::fmt::Display;
+use std::process::ExitCode;
+use std::str::FromStr;
+
 use mim_analyze::Program;
-use mim_apps::builtin::{built_in, Shape};
+use mim_apps::builtin::{built_in, Shape, PLANS};
 use mim_explore::plans::{wildcard_clean, wildcard_race};
 
-/// True when the `MIM_QUICK` environment variable requests reduced sweeps.
-pub fn quick_mode() -> bool {
-    std::env::var_os("MIM_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
-}
+pub use mim_util::bench::quick_mode;
 
 /// Pick between the full and the quick variant of a sweep.
 pub fn sweep<T: Clone>(full: &[T], quick: &[T]) -> Vec<T> {
@@ -58,6 +59,92 @@ pub fn resolve(name: &str, s: &Shape) -> Result<Program, String> {
         return Err(format!("{name} needs --n >= {floor}, got {}", s.n));
     }
     Ok(plan(s.n))
+}
+
+/// What every plan tool's command line carries: the plan, its shape and
+/// the output switches.
+pub struct PlanArgs {
+    /// The named plan, when one was given.
+    pub plan: Option<String>,
+    /// `--n`, `--root`, `--bytes`, `--seg` (default `bytes / 4`).
+    pub shape: Shape,
+    /// `--all`: every plan of the table.
+    pub all: bool,
+    /// `--json`.
+    pub json: bool,
+    /// `--quiet`.
+    pub quiet: bool,
+}
+
+fn num<N: FromStr<Err: Display>>(flag: &str, raw: String) -> Result<N, String> {
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The front-end of the plan tools (`mim-analyze`, `mim-explore`): parses
+/// the plan name, the shape and the common switches, hands every other
+/// flag to `flag` (which takes the flag's operand, if it has one, from the
+/// closure it is given and says whether the flag was its own), answers
+/// `--list`, then calls `run` and turns its result into the exit status —
+/// 0 clean, 1 problems found, 2 usage error (an empty message prints
+/// `usage`), 3 a replay that diverged from its witness.
+pub fn plan_cli<T>(
+    tool: &str,
+    usage: &str,
+    mut own: T,
+    flag: impl Fn(&mut T, &str, &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String>,
+    run: impl FnOnce(&PlanArgs, T) -> Result<bool, String>,
+) -> ExitCode {
+    let parse_and_run = || {
+        let mut a = PlanArgs {
+            plan: None,
+            shape: Shape { n: 8, root: 0, bytes: 4096, seg: 0 },
+            all: false,
+            json: false,
+            quiet: false,
+        };
+        let mut list = false;
+        let mut it = std::env::args().skip(1);
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--help" | "-h" => return Err(String::new()),
+                "--list" => list = true,
+                "--all" => a.all = true,
+                "--json" => a.json = true,
+                "--quiet" => a.quiet = true,
+                "--n" => a.shape.n = num(&arg, value()?)?,
+                "--root" => a.shape.root = num(&arg, value()?)?,
+                "--bytes" => a.shape.bytes = num(&arg, value()?)?,
+                "--seg" => a.shape.seg = num(&arg, value()?)?,
+                _ if flag(&mut own, &arg, &mut value)? => {}
+                _ if arg.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
+                _ if a.plan.is_none() => a.plan = Some(arg),
+                _ => return Err(format!("unexpected argument '{arg}'")),
+            }
+        }
+        if a.shape.seg == 0 {
+            a.shape.seg = (a.shape.bytes / 4).max(1);
+        }
+        if list {
+            for p in PLANS.iter().chain(WILDCARD_PLANS) {
+                println!("{p}");
+            }
+            return Ok(true);
+        }
+        run(&a, own)
+    };
+    match parse_and_run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(msg) if msg.is_empty() => {
+            eprintln!("{usage}");
+            ExitCode::from(2)
+        }
+        Err(msg) => {
+            eprintln!("{tool}: {msg}");
+            ExitCode::from(if msg.starts_with("replay diverged") { 3 } else { 2 })
+        }
+    }
 }
 
 #[cfg(test)]

@@ -222,19 +222,13 @@ pub fn parse_log(log: &str) -> Result<Vec<(char, usize, usize)>, String> {
     Ok(out)
 }
 
-/// Map a live-runtime decision onto the policy's narrow interface.
-fn split<'a>(decision: &'a Decision<'a>) -> (char, usize, &'a [bool]) {
-    match decision {
-        Decision::TaskResume { candidates, racy } => ('r', candidates.len(), racy),
-        Decision::WildcardTake { candidates, .. } => ('w', candidates.len(), &[]),
-        Decision::WireDelivery { candidates } => ('d', candidates.len(), &[]),
-    }
-}
+// The live seams know nothing of races (only the model executor does), so
+// both policies hand `pick` an empty race slice: every candidate of a live
+// decision is an alternative.
 
 impl SchedulePolicy for RecordingPolicy {
     fn choose(&self, decision: Decision<'_>) -> usize {
-        let (kind, n, racy) = split(&decision);
-        self.pick(kind, n, racy)
+        self.pick(decision.kind_code(), decision.len(), &[])
     }
 
     fn decision_log(&self) -> Option<String> {
@@ -244,8 +238,7 @@ impl SchedulePolicy for RecordingPolicy {
 
 impl SchedulePolicy for ReplayPolicy {
     fn choose(&self, decision: Decision<'_>) -> usize {
-        let (kind, n, racy) = split(&decision);
-        self.pick(kind, n, racy)
+        self.pick(decision.kind_code(), decision.len(), &[])
     }
 
     fn decision_log(&self) -> Option<String> {

@@ -16,20 +16,17 @@ use mim_explore::{
 };
 use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
+use mim_util::bench::quick_mode;
 use mim_util::prop::Gen;
 use mim_util::props;
 use mim_util::rng::splitmix64;
-
-fn quick() -> bool {
-    std::env::var_os("MIM_QUICK").is_some()
-}
 
 props! {
     /// Every analyzer `DeadlockFree` verdict holds under exploration AND
     /// under a burst of random schedules: the 15 built-in plans complete
     /// on every schedule the budget reaches.
     fn deadlock_free_plans_survive_random_schedules(g, cases = 6) {
-        let n = g.gen_range(2usize..if quick() { 5 } else { 9 });
+        let n = g.gen_range(2usize..if quick_mode() { 5 } else { 9 });
         let shape = Shape {
             n,
             root: g.gen_range(0usize..n),
@@ -135,7 +132,7 @@ props! {
     /// `wildcard_clean` — in exactly one schedule, with the same outcome
     /// kind the unpruned search reaches.
     fn deterministic_plans_are_decided_in_one_schedule(g, cases = 4) {
-        let n = g.gen_range(2usize..if quick() { 5 } else { 8 });
+        let n = g.gen_range(2usize..if quick_mode() { 5 } else { 8 });
         let shape = Shape {
             n,
             root: g.gen_range(0usize..n),

@@ -77,6 +77,12 @@ impl Comm {
         Self { id, group, my_rank, epoch }
     }
 
+    /// The same group under another matching id: a private duplicate that
+    /// needs no exchange because `id` is already agreed (a window's fences).
+    pub(crate) fn with_id(&self, id: u64) -> Self {
+        Self { id, ..self.clone() }
+    }
+
     /// Build a communicator from raw parts, outside the runtime.
     ///
     /// Only meant for tests of code that stores communicators; a communicator

@@ -140,6 +140,11 @@ pub fn current_task() -> Option<TaskId> {
 /// for as long as its mailbox holds any (795 yields in 104 048 posts).
 const POST_BUDGET: u32 = 64;
 
+/// Stack size of a rank task's fiber.  Much smaller than a rank thread's:
+/// 10k ranks × this many bytes must fit comfortably in memory, and
+/// simulated rank bodies are shallow.
+const TASK_STACK_SIZE: usize = 256 << 10;
+
 thread_local! {
     /// Posts left to the task this worker is running.  Worker-local, so
     /// private to the one task a worker runs at a time and on no cache line
@@ -425,7 +430,6 @@ fn worker_count(n: usize) -> usize {
 pub(crate) fn run_tasks(
     exec: &Arc<ExecShared>,
     bodies: Vec<Box<dyn FnOnce() + Send>>,
-    stack_size: usize,
     deadline: Duration,
 ) -> Vec<Option<Box<dyn std::any::Any + Send>>> {
     let n = bodies.len();
@@ -434,7 +438,7 @@ pub(crate) fn run_tasks(
     // so the policy's resume choices are the *only* source of interleaving.
     let workers = if exec.policy.get().is_some() { 1 } else { worker_count(n) };
     let fibers: Vec<Mutex<Option<Fiber>>> =
-        bodies.into_iter().map(|b| Mutex::new(Some(Fiber::new(stack_size, b)))).collect();
+        bodies.into_iter().map(|b| Mutex::new(Some(Fiber::new(TASK_STACK_SIZE, b)))).collect();
     let payloads: Vec<Mutex<Option<Box<dyn std::any::Any + Send>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     exec.workers.store(workers, Ordering::SeqCst);
@@ -464,8 +468,7 @@ pub(crate) fn run_tasks(
         }
         // The launching thread has nothing to do until the workers are
         // done: it keeps watch.
-        let suspended = exec.policy.get().is_some_and(|p| p.virtual_watchdog());
-        watchdog_loop(exec, &exited, deadline, suspended);
+        watchdog_loop(exec, &exited, deadline);
     });
     payloads.into_iter().map(Mutex::into_inner).collect()
 }
@@ -498,10 +501,7 @@ fn next_task_policed(
         0 => None,
         1 => Some(cands[0]),
         n => {
-            let i = clamp_choice(
-                policy.choose(Decision::TaskResume { candidates: &cands, racy: &[] }),
-                n,
-            );
+            let i = clamp_choice(policy.choose(Decision::TaskResume { candidates: &cands }), n);
             let chosen = cands.remove(i);
             for t in cands {
                 exec.injector.push(t);
@@ -619,13 +619,13 @@ fn run_one(
 /// analogue of the deadline panic the waiting ranks would have raised under
 /// thread-per-rank.
 ///
-/// `suspended` disables the abort: an external [`crate::sched`] policy may
+/// An installed [`crate::sched`] policy suspends the abort: it may
 /// legitimately hold tasks parked (or a running task un-resumed) for many
 /// wall-clock deadlines while it explores a schedule, which is
 /// indistinguishable from starvation out here.  The deterministic stall
 /// resolver — virtual order, no wall clock — still fires deadline wakes, so
 /// real deadlocks keep surfacing as `deadlock:` panics.
-fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration, suspended: bool) {
+fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration) {
     loop {
         // Epoch before flag, as in `worker_loop`: a worker that returns
         // after the check has advanced the epoch by the time we sleep.
@@ -649,10 +649,7 @@ fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration, suspe
             .map(|(i, _)| i)
             .collect();
         let waiting = exec.parked.load(Ordering::SeqCst) > 0 || !exec.injector.is_empty();
-        if !running.is_empty() && waiting {
-            if suspended {
-                continue;
-            }
+        if !running.is_empty() && waiting && exec.policy.get().is_none() {
             eprintln!(
                 "mim-mpisim: starvation: rank task(s) {running:?} ran for {deadline:?} \
                  without yielding while other ranks wait; a fiber cannot be preempted \
@@ -707,7 +704,7 @@ mod tests {
                 }
             }));
         }
-        let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(30));
+        let payloads = run_tasks(&exec, bodies, Duration::from_secs(30));
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(*order.lock(), (0..N).collect::<Vec<_>>());
     }
@@ -738,7 +735,7 @@ mod tests {
             }));
         }
         let started = std::time::Instant::now();
-        let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(60));
+        let payloads = run_tasks(&exec, bodies, Duration::from_secs(60));
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(passes.load(Ordering::SeqCst), 4 * N);
         assert!(
@@ -850,7 +847,7 @@ mod tests {
                 }
             }));
         }
-        let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(30));
+        let payloads = run_tasks(&exec, bodies, Duration::from_secs(30));
         assert!(payloads.iter().all(|p| p.is_none()));
         // Smallest deadline first: rank N-1 parked with 1000 ms, and so on.
         assert_eq!(*wake_order.lock(), vec![3, 2, 1, 0]);
@@ -871,7 +868,7 @@ mod tests {
                 ran.fetch_add(1, Ordering::SeqCst);
             }));
         }
-        let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(30));
+        let payloads = run_tasks(&exec, bodies, Duration::from_secs(30));
         assert!(payloads[0].is_none());
         assert!(payloads[1].is_some());
         assert!(payloads[2].is_none());
@@ -896,7 +893,7 @@ mod tests {
                 sum.fetch_add(1, Ordering::SeqCst);
             }));
         }
-        let payloads = run_tasks(&exec, bodies, fiber::MIN_STACK, Duration::from_secs(60));
+        let payloads = run_tasks(&exec, bodies, Duration::from_secs(60));
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(sum.load(Ordering::SeqCst), N);
     }

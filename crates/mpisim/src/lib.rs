@@ -62,6 +62,7 @@ pub use osc::Window;
 pub use pml::{LocalPmlHook, PmlEvent, PmlHook};
 pub use runtime::{
     Rank, RankAborted, SrcSel, StaleEpoch, Status, TagSel, Universe, UniverseConfig,
+    RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
 };
 pub use sched::{CanonicalPolicy, Decision, PolicyHandle, SchedulePolicy};
 pub use schedule::{ChannelTotals, Schedule, Step};

@@ -11,7 +11,10 @@
 //! physically flows the other way, but the pair and the volume (what the
 //! monitoring matrix stores) are identical.  Synchronization follows the
 //! active-target fence model: operations are eager, [`Rank::fence`] is a
-//! barrier delimiting epochs.
+//! barrier delimiting epochs — on the window, not on its communicator: it
+//! runs under the window's own matching id, as `MPI_Win_create` duplicates
+//! the communicator it is given, so neither a collective on that
+//! communicator nor another window's fence can release it.
 
 use std::sync::Arc;
 
@@ -28,6 +31,8 @@ use crate::runtime::Rank;
 pub struct Window {
     id: u64,
     comm: Comm,
+    /// `comm`'s group under the window's id: where the fences synchronise.
+    sync: Comm,
     local: Arc<Mutex<Vec<u8>>>,
 }
 
@@ -52,7 +57,7 @@ impl Rank {
         let local = Arc::new(Mutex::new(local));
         self.shared().windows.lock().insert((id, comm.rank()), Arc::clone(&local));
         self.barrier(comm); // everyone's buffer is registered past this point
-        Window { id, comm: comm.clone(), local }
+        Window { id, comm: comm.clone(), sync: comm.with_id(id), local }
     }
 
     /// Collectively free a window.
@@ -144,17 +149,22 @@ impl Rank {
         guard[start..end].copy_from_slice(&T::to_bytes(&current));
     }
 
-    /// `MPI_Win_fence`: close the current access epoch (barrier).
+    /// `MPI_Win_fence`: close the current access epoch (a barrier among the
+    /// window's members, matched only by the same fence of the same window).
     pub fn fence(&self, win: &Window) {
-        self.barrier(&win.comm);
+        self.barrier(&win.sync);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
     use mim_topology::{Machine, Placement};
 
-    use crate::runtime::{Universe, UniverseConfig};
+    use crate::exec::ExecutorKind;
+    use crate::runtime::{Rank, Universe, UniverseConfig};
 
     fn universe(n: usize) -> Universe {
         Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(n)))
@@ -206,6 +216,50 @@ mod tests {
                 assert_eq!(total, 1 + 2 + 3 + 4);
             }
             rank.win_free(win);
+        });
+    }
+
+    /// Run `body` on two ranks under both engines and require the
+    /// `deadlock:` panic of the deadline.
+    fn assert_wedges(body: impl Fn(&Rank) + Sync) {
+        for executor in [ExecutorKind::Threads, ExecutorKind::Tasks] {
+            let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(2))
+                .with_executor(executor);
+            cfg.deadline = Duration::from_millis(200);
+            let u = Universe::new(cfg);
+            let payload = catch_unwind(AssertUnwindSafe(|| u.launch(&body)))
+                .expect_err("mismatched synchronisation must not complete");
+            let msg = payload.downcast_ref::<String>().expect("deadlock panics carry a String");
+            assert!(msg.contains("deadlock:"), "{executor:?}: unexpected panic: {msg}");
+        }
+    }
+
+    /// A barrier on the window's communicator does not release a fence: the
+    /// pair the analyzer calls `definite_deadlock` wedges live too.
+    #[test]
+    fn fence_is_not_released_by_a_barrier_on_its_communicator() {
+        assert_wedges(|rank| {
+            let world = rank.comm_world();
+            let win = rank.win_create(&world, vec![0u8; 8]);
+            if world.rank() == 0 {
+                rank.fence(&win);
+            } else {
+                rank.barrier(&world);
+            }
+        });
+    }
+
+    /// Two windows over one communicator fence independently: fencing them
+    /// in opposite orders is a deadlock, not a pair of crossed matches.
+    #[test]
+    fn fence_is_not_released_by_another_windows_fence() {
+        assert_wedges(|rank| {
+            let world = rank.comm_world();
+            let a = rank.win_create(&world, vec![0u8; 8]);
+            let b = rank.win_create(&world, vec![0u8; 8]);
+            for win in if world.rank() == 0 { [&a, &b] } else { [&b, &a] } {
+                rank.fence(win);
+            }
         });
     }
 

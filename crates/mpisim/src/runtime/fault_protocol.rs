@@ -14,7 +14,7 @@ use std::sync::Arc;
 use mim_trace::TraceData;
 
 use super::wire::{pattern, typed};
-use super::{Rank, SrcSel, Status};
+use super::{Rank, SrcSel, Status, SEND_OVERHEAD_NS};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::envelope::{Ctx, Envelope, MsgKind, Payload};
@@ -132,9 +132,7 @@ impl Rank {
                         break;
                     }
                     let backoff = fault::backoff_ns(attempt);
-                    self.clock.tick(
-                        self.shared.cfg.send_overhead_ns + plan.beta * bytes as f64 + backoff,
-                    );
+                    self.clock.tick(SEND_OVERHEAD_NS + plan.beta * bytes as f64 + backoff);
                     self.fault.retries.set(self.fault.retries.get() + 1);
                     self.shared.nic.count_retry(self.core);
                     if let Some(t) = &self.trace {
@@ -186,7 +184,7 @@ impl Rank {
     /// admission notices carry data: an incarnation, a serialized
     /// communicator.
     pub(super) fn fault_send(&self, dst_world: usize, tag: u32, payload: Payload) {
-        self.clock.tick(self.shared.cfg.send_overhead_ns);
+        self.clock.tick(SEND_OVERHEAD_NS);
         let now = self.clock.now_ns();
         let dst_core = self.shared.core_of(dst_world);
         let alpha = self.shared.cfg.machine.link_params(self.core, dst_core).alpha_ns;

@@ -25,7 +25,7 @@ pub use membership::StaleEpoch;
 pub(crate) use universe::Shared;
 pub use universe::{Universe, UniverseConfig};
 pub(crate) use wire::{pattern, typed};
-pub use wire::{RankAborted, SrcSel, Status, TagSel};
+pub use wire::{RankAborted, SrcSel, Status, TagSel, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

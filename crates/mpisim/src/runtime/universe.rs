@@ -22,6 +22,9 @@ use crate::nic::NicCounters;
 use crate::pml::PmlHook;
 use crate::sched::{clamp_choice, Decision, PolicyHandle};
 
+/// Stack size of rank threads (Threads mode).
+const THREAD_STACK_SIZE: usize = 4 << 20;
+
 /// Job configuration.
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
@@ -29,16 +32,10 @@ pub struct UniverseConfig {
     pub machine: Machine,
     /// Process → core placement; its length is the number of ranks.
     pub placement: Placement,
-    /// Virtual per-send overhead paid by the sender (ns).
-    pub send_overhead_ns: f64,
-    /// Virtual per-receive overhead paid by the receiver (ns).
-    pub recv_overhead_ns: f64,
     /// Per-message protocol header counted by the simulated NIC (bytes).
     pub nic_header_bytes: u64,
     /// Wall-clock bound on a single blocking receive (deadlock detector).
     pub deadline: Duration,
-    /// Stack size of rank threads.
-    pub stack_size: usize,
     /// Which engine hosts rank code: one OS thread per rank
     /// ([`ExecutorKind::Threads`], the default and the equivalence oracle)
     /// or M:N rank tasks on a fixed worker pool
@@ -46,10 +43,6 @@ pub struct UniverseConfig {
     /// `MIM_EXECUTOR`; both modes produce bit-identical virtual-time
     /// results (see `tests/executor_equivalence.rs`).
     pub executor: ExecutorKind,
-    /// Stack size of rank *task* fibers (Tasks mode only).  Much smaller
-    /// than `stack_size`: 10k ranks × this many bytes must fit comfortably
-    /// in memory, and simulated rank bodies are shallow.
-    pub task_stack_size: usize,
     /// Tracing subsystem: each rank records its wire events on a per-rank
     /// track (flight recorder + optional `MIM_TRACE` file sink).  `None`
     /// disables tracing entirely — every record site is a single
@@ -78,7 +71,7 @@ pub struct UniverseConfig {
 
 impl UniverseConfig {
     /// Standard configuration: one process per core of `machine`, packed
-    /// placement, default overheads.
+    /// placement.
     ///
     /// The deadlock-detector deadline defaults to 30 s of wall clock but can
     /// be raised (or lowered) via `MIM_DEADLINE_MS` — an overloaded CI
@@ -96,13 +89,9 @@ impl UniverseConfig {
         Self {
             machine,
             placement,
-            send_overhead_ns: 100.0,
-            recv_overhead_ns: 50.0,
             nic_header_bytes: 0,
             deadline,
-            stack_size: 4 << 20,
             executor: ExecutorKind::from_env(),
-            task_stack_size: 256 << 10,
             tracer: Tracer::global(),
             injector: None,
             sched: None,
@@ -443,7 +432,7 @@ impl Universe {
                 let shared = Arc::clone(&self.shared);
                 let handle = std::thread::Builder::new()
                     .name(format!("rank-{world_rank}"))
-                    .stack_size(self.shared.cfg.stack_size)
+                    .stack_size(THREAD_STACK_SIZE)
                     .spawn_scoped(scope, move || body(world_rank, shared, rx, slot))
                     .expect("failed to spawn rank thread");
                 handles.push(handle);
@@ -484,7 +473,7 @@ impl Universe {
             let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
             bodies.push(task);
         }
-        exec::run_tasks(exec, bodies, self.shared.cfg.task_stack_size, self.shared.cfg.deadline)
+        exec::run_tasks(exec, bodies, self.shared.cfg.deadline)
     }
 
     /// Run `f` once per rank — on its own OS thread or as an M:N rank task,

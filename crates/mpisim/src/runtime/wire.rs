@@ -16,6 +16,11 @@ use crate::envelope::{Ctx, Envelope, MsgKind, Payload};
 use crate::mailbox::{self, MatchPattern};
 use crate::pml::{LocalHookHandle, LocalPmlHook, PmlEvent};
 
+/// Virtual per-send overhead paid by the sender (ns).
+pub const SEND_OVERHEAD_NS: f64 = 100.0;
+/// Virtual per-receive overhead paid by the receiver (ns).
+pub const RECV_OVERHEAD_NS: f64 = 50.0;
+
 /// Source selector in *communicator ranks* (the public API counterpart of
 /// `MPI_ANY_SOURCE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +93,7 @@ impl Rank {
         let link = self.shared.cfg.machine.link_params(self.core, dst_core);
         let plan = self.judge_send(dst_world, bytes, link.beta_ns_per_byte);
         let busy = plan.beta * bytes as f64;
-        self.clock.tick(self.shared.cfg.send_overhead_ns + busy);
+        self.clock.tick(SEND_OVERHEAD_NS + busy);
         let sent_at = self.clock.now_ns();
         let cost = link.alpha_ns;
         let ev = PmlEvent {
@@ -231,7 +236,7 @@ impl Rank {
     /// receive overhead, record the `Recv` trace event.
     pub(super) fn finish_recv(&self, env: Envelope, uq_depth: usize) -> Envelope {
         self.clock.advance_to(env.arrival_ns);
-        self.clock.tick(self.shared.cfg.recv_overhead_ns);
+        self.clock.tick(RECV_OVERHEAD_NS);
         if let Some(t) = &self.trace {
             t.record(
                 self.clock.now_ns(),
@@ -436,16 +441,13 @@ mod tests {
     /// The one envelope constructor under its two fault-protocol callers,
     /// observed as raw envelopes in the receiver's mailbox: a death notice
     /// arrives the instant it is sent and costs the dying rank nothing; a
-    /// control send lands α after exactly one `send_overhead_ns` tick.
+    /// control send lands α after exactly one `SEND_OVERHEAD_NS` tick.
     /// Neither is sequenced, and both are addressed to the slot
     /// (incarnation 0) on the fault context.
     #[test]
     fn fault_notices_are_stamped_by_the_one_constructor() {
         let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 0 }));
-        let (overhead, alpha) = {
-            let cfg = u.config();
-            (cfg.send_overhead_ns, cfg.machine.link_params(1, 0).alpha_ns)
-        };
+        let (overhead, alpha) = (SEND_OVERHEAD_NS, u.config().machine.link_params(1, 0).alpha_ns);
         let results = u.launch_faulty(move |rank| {
             if rank.world_rank() == 1 {
                 rank.compute_ns(40.0);

@@ -32,14 +32,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub enum Decision<'a> {
     /// Which runnable task (by world rank) a worker resumes next.
-    /// `racy` — when non-empty, `racy[i]` marks candidates whose next
-    /// operation can affect a wildcard match (model-executor metadata for
-    /// DPOR pruning; the live executor passes an empty slice).
     TaskResume {
         /// Runnable task indices (world ranks) in canonical dispatch order.
         candidates: &'a [usize],
-        /// Per-candidate race relevance; empty when unknown.
-        racy: &'a [bool],
     },
     /// Which eligible `(src_world, tag)` channel a wildcard receive takes,
     /// in head-arrival order (index 0 = earliest arrival = MPI default).
@@ -61,7 +56,7 @@ impl Decision<'_> {
     /// Number of candidates on the slate.
     pub fn len(&self) -> usize {
         match self {
-            Decision::TaskResume { candidates, .. } => candidates.len(),
+            Decision::TaskResume { candidates } => candidates.len(),
             Decision::WildcardTake { candidates, .. } => candidates.len(),
             Decision::WireDelivery { candidates } => candidates.len(),
         }
@@ -101,13 +96,6 @@ pub trait SchedulePolicy: Send + Sync + std::fmt::Debug {
     fn decision_log(&self) -> Option<String> {
         None
     }
-
-    /// When true (the default), the starvation watchdog's abort is
-    /// suspended while this policy is installed: a policy deliberately
-    /// holding tasks parked is exploring a schedule, not starving.
-    fn virtual_watchdog(&self) -> bool {
-        true
-    }
 }
 
 /// The identity policy: always index 0, i.e. exactly the un-policed
@@ -145,8 +133,7 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(p.choose(d), 0);
         assert!(p.decision_log().is_none());
-        assert!(p.virtual_watchdog());
-        let r = Decision::TaskResume { candidates: &[0, 1], racy: &[] };
+        let r = Decision::TaskResume { candidates: &[0, 1] };
         assert_eq!(r.kind_code(), 'r');
         let w = Decision::WireDelivery { candidates: &[(0, 1)] };
         assert_eq!(w.kind_code(), 'd');

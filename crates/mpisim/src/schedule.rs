@@ -623,7 +623,7 @@ mod tests {
     use mim_topology::{Machine, Placement};
     use mim_util::prop::Gen;
 
-    use crate::runtime::{Universe, UniverseConfig};
+    use crate::runtime::{Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
 
     const NS: &[usize] = &[1, 2, 3, 4, 5, 7, 8, 12, 16];
 
@@ -846,8 +846,8 @@ mod tests {
             let placement = Placement::packed(12);
             let rank_to_core: Vec<usize> = (0..12).map(|r| placement.core_of(r)).collect();
             let cfg = UniverseConfig::new(machine.clone(), placement);
-            let (send_oh, recv_oh) = (cfg.send_overhead_ns, cfg.recv_overhead_ns);
-            let expect = evaluate(&schedule, &machine, &rank_to_core, send_oh, recv_oh);
+            let expect =
+                evaluate(&schedule, &machine, &rank_to_core, SEND_OVERHEAD_NS, RECV_OVERHEAD_NS);
             let u = Universe::new(cfg);
             let got = u.launch(|rank| {
                 let world = rank.comm_world();

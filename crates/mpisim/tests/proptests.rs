@@ -2,7 +2,9 @@
 
 use mim_core::{Flags, Monitoring};
 use mim_mpisim::trace::{TraceData, Tracer};
-use mim_mpisim::{schedule, Scalar, SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{
+    schedule, Scalar, SrcSel, TagSel, Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
+};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
 use mim_util::rng::Rng;
@@ -88,15 +90,13 @@ props! {
         let machine = Machine::cluster(2, 2, 2);
         let placement = Placement::packed(n);
         let cores: Vec<usize> = (0..n).map(|r| placement.core_of(r)).collect();
-        let cfg = UniverseConfig::new(machine.clone(), placement);
-        let (soh, roh) = (cfg.send_overhead_ns, cfg.recv_overhead_ns);
         for sched in [
             schedule::bcast_binomial(n, root, bytes),
             schedule::reduce_binary(n, root, bytes),
             schedule::allgather_ring(n, bytes),
             schedule::allgather_bruck(n, bytes),
         ] {
-            let expect = schedule::evaluate(&sched, &machine, &cores, soh, roh);
+            let expect = schedule::evaluate(&sched, &machine, &cores, SEND_OVERHEAD_NS, RECV_OVERHEAD_NS);
             let machine2 = machine.clone();
             let u = Universe::new(UniverseConfig::new(machine2, Placement::packed(n)));
             let got = u.launch(|rank| {

@@ -32,9 +32,8 @@
 //! replay gates.
 //!
 //! Env conventions (matching the rest of the workspace's `MIM_*` family):
-//! `MIM_TRACE=<path>` enables the global tracer with a file sink;
-//! `MIM_TRACE_RING=<n>` overrides the per-track ring capacity
-//! (default [`DEFAULT_RING_CAPACITY`]).
+//! `MIM_TRACE=<path>` enables the global tracer with a file sink and
+//! [`DEFAULT_RING_CAPACITY`]-event rings.
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
@@ -46,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 
 use mim_util::sync::{Mutex, RwLock};
 
-/// Default per-track ring capacity (overridable via `MIM_TRACE_RING`).
+/// Per-track ring capacity of every tracer built from the environment.
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Typed payload of one trace event.
@@ -278,15 +277,11 @@ impl Tracer {
     }
 
     /// Build a tracer from the environment: `Some` with a file sink when
-    /// `MIM_TRACE=<path>` is set (ring capacity from `MIM_TRACE_RING`,
-    /// default [`DEFAULT_RING_CAPACITY`]), `None` otherwise.
+    /// `MIM_TRACE=<path>` is set (ring capacity [`DEFAULT_RING_CAPACITY`]),
+    /// `None` otherwise.
     pub fn from_env() -> Option<Arc<Tracer>> {
         let path = std::env::var("MIM_TRACE").ok().filter(|p| !p.is_empty())?;
-        let capacity = std::env::var("MIM_TRACE_RING")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_RING_CAPACITY);
-        match Tracer::with_sink(capacity, &path) {
+        match Tracer::with_sink(DEFAULT_RING_CAPACITY, &path) {
             Ok(t) => Some(t),
             Err(e) => {
                 eprintln!("mim-trace: cannot open MIM_TRACE={path}: {e}; tracing disabled");

@@ -5,69 +5,49 @@
 //! reports the per-call median (plus mean and min) — median because sample
 //! noise on shared machines is one-sided.
 //!
-//! Results are printed as a table and written as one `bench_<name>.json`
-//! document into the results directory (`MIM_RESULTS_DIR`, default
-//! `results/`).  Nothing is compared against a committed number: a harness
+//! Results are printed as a table, one row per measurement.  Nothing is
+//! written and nothing is compared against a committed number: a harness
 //! that has a contract asserts it in-binary, as a ratio between arms of the
 //! same run, on the medians [`Bench::iter`] returns.
 //!
 //! `MIM_QUICK=1` shrinks warmup and sample counts for smoke runs, matching
 //! the convention used by the figure binaries.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// One finished measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark group (e.g. `tree_match`).
-    pub group: String,
-    /// Case label within the group (e.g. `stencil_greedy/1024`).
-    pub label: String,
-    /// Median wall time of one call (ns).
-    pub median_ns: f64,
-    /// Mean wall time of one call (ns).
-    pub mean_ns: f64,
-    /// Fastest observed per-call time (ns).
-    pub min_ns: f64,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Calls per sample (calibrated).
-    pub iters: u64,
-}
-
-/// A bench harness accumulating measurements for one binary.
+/// The sampling plan of one bench binary.
 pub struct Bench {
-    name: String,
     samples: usize,
     sample_target: Duration,
-    entries: Vec<Measurement>,
 }
 
-fn quick_mode() -> bool {
+/// True when the `MIM_QUICK` environment variable requests a reduced run
+/// (set, non-empty and not `0`): the one reading every figure binary,
+/// harness and property suite shares.
+pub fn quick_mode() -> bool {
     std::env::var_os("MIM_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
+impl Default for Bench {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Bench {
-    /// Start a harness named after the bench binary.
-    pub fn new(name: &str) -> Self {
-        let quick = quick_mode();
-        let samples = std::env::var("MIM_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if quick { 5 } else { 15 });
-        Self {
-            name: name.to_string(),
-            samples,
-            sample_target: if quick { Duration::from_millis(2) } else { Duration::from_millis(10) },
-            entries: Vec::new(),
+    /// The full plan (15 samples of 10 ms), or the quick one (5 of 2 ms).
+    pub fn new() -> Self {
+        if quick_mode() {
+            Self { samples: 5, sample_target: Duration::from_millis(2) }
+        } else {
+            Self { samples: 15, sample_target: Duration::from_millis(10) }
         }
     }
 
-    /// Measure `f`, storing and printing the result.  Returns the per-call
-    /// median in nanoseconds.
+    /// Measure `f` and print the result.  Returns the per-call median in
+    /// nanoseconds.
     pub fn iter(&mut self, group: &str, label: &str, mut f: impl FnMut()) -> f64 {
         // Calibrate: one untimed call, then size the per-sample batch.
         let t0 = Instant::now();
@@ -94,51 +74,7 @@ impl Bench {
             "{:<28} {:<28} median {:>12.1} ns  (mean {:.1}, min {:.1}, {}x{} calls)",
             group, label, median, mean, min, self.samples, iters
         );
-        self.entries.push(Measurement {
-            group: group.to_string(),
-            label: label.to_string(),
-            median_ns: median,
-            mean_ns: mean,
-            min_ns: min,
-            samples: self.samples,
-            iters,
-        });
         median
-    }
-
-    /// Write the JSON document (see module docs) and consume the harness.
-    pub fn finish(self) {
-        let json_lines: Vec<String> = self
-            .entries
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"harness\":\"{}\",\"group\":\"{}\",\"label\":\"{}\",\
-                     \"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\
-                     \"samples\":{},\"iters\":{}}}",
-                    self.name,
-                    m.group,
-                    m.label,
-                    m.median_ns,
-                    m.mean_ns,
-                    m.min_ns,
-                    m.samples,
-                    m.iters
-                )
-            })
-            .collect();
-        let dir =
-            PathBuf::from(std::env::var("MIM_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
-        let doc = format!(
-            "{{\"harness\":\"{}\",\"entries\":[\n{}\n]}}\n",
-            self.name,
-            json_lines.join(",\n")
-        );
-        let result = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(dir.join(format!("bench_{}.json", self.name)), doc));
-        if let Err(e) = result {
-            eprintln!("warning: could not write bench JSON: {e}");
-        }
     }
 }
 
@@ -148,14 +84,12 @@ mod tests {
 
     #[test]
     fn measures_something_positive() {
-        let mut b = Bench::new("selftest");
+        let mut b = Bench::new();
         b.samples = 3;
         b.sample_target = Duration::from_micros(200);
         let median = b.iter("group", "spin", || {
             black_box((0..100u64).sum::<u64>());
         });
         assert!(median > 0.0);
-        assert_eq!(b.entries.len(), 1);
-        assert!(b.entries[0].iters >= 1);
     }
 }

@@ -210,10 +210,7 @@ mod imp {
             let base = self.inner.stack.as_ptr() as usize;
             // SAFETY: reads the canary word written by `new`.
             let canary = unsafe { (((base + 7) & !7) as *const usize).read() };
-            assert!(
-                canary == CANARY,
-                "fiber stack overflow: canary clobbered (raise task_stack_size)"
-            );
+            assert!(canary == CANARY, "fiber stack overflow: canary clobbered");
             if self.inner.done {
                 Resume::Done
             } else {

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Repo-specific lint gate (stdlib only, no cargo needed).
 
-Four rules, all scoped to library code with `#[cfg(test)]` items stripped:
+Six rules; the first four are scoped to library code with `#[cfg(test)]`
+items stripped:
 
 1. No `.unwrap()` / `.expect(` in `mim-mpisim`, `mim-core`,
    `mim-analyze`, or `mim-explore` outside the explicit allowlist below.
@@ -37,7 +38,19 @@ Four rules, all scoped to library code with `#[cfg(test)]` items stripped:
    728 in the crate next door; each decision now has a file of its own
    and none may quietly grow back.
 
-The allowlist is keyed by repo-relative path, and an entry no line
+5. The environment is a declared surface: every `"MIM_*"` name in a
+   string literal under `crates/` (tests included — they set what the
+   library reads) has a row in README's environment table, and every row
+   names a variable the code still reads.  `MIM_STARVE_CHILD`, a test
+   talking to its own child process, is the one exception.  PR 24 found
+   two variables read in one place each and set nowhere; an undeclared
+   dial cannot come back without a README row a reviewer sees.
+
+6. `unsafe` appears only in the files listed in `UNSAFE_ALLOWED`, each
+   with its reason.  The one block outside them used to parse outside
+   input (`from_utf8_unchecked` in the analyzer's JSON reader).
+
+The allowlists are keyed by repo-relative path, and an entry no line
 matches fails the gate: a moved or deleted site must take its allowance
 with it.
 """
@@ -97,6 +110,19 @@ ALLOWLIST = [
     (MPISIM + "collectives/varcount.rs", 'expect("scatterv root must provide chunks")'),
 ]
 
+# Rule 5: names the README table need not carry.
+ENV_PRIVATE = {"MIM_STARVE_CHILD"}
+ENV_LITERAL_RE = re.compile(r'"(MIM_[A-Z0-9_]+)"')
+ENV_ROW_RE = re.compile(r"^\| `(MIM_[A-Z0-9_]+)`", re.M)
+
+# Rule 6: the only files that may say `unsafe`, and why.
+UNSAFE_ALLOWED = {
+    "crates/util/src/fiber.rs": "the context switch: hand-built stacks and the asm that swaps them",
+    "crates/mpisim/src/runtime/universe.rs": "lifetime erasure of rank bodies the scoped pool joins",
+    "crates/core/src/capi.rs": "`Send` for a rank task's monitoring environment, which migrates with its fiber",
+}
+UNSAFE_RE = re.compile(r"\bunsafe\b")
+
 UNWRAP_RE = re.compile(r"\.unwrap\(\)|\.expect\(")
 CLOCK_RE = re.compile(r"\bInstant::now\b|\bSystemTime::now\b")
 CFG_TEST_RE = re.compile(r"#\[cfg\(test\)\]")
@@ -149,6 +175,35 @@ def counted_lines(lines):
     return n
 
 
+def env_table():
+    """The `MIM_*` names heading a row of README's environment table."""
+    return set(ENV_ROW_RE.findall((REPO / "README.md").read_text()))
+
+
+def surface_problems():
+    """Rules 5 and 6, over every Rust file under `crates/`."""
+    problems = []
+    read, unsafe_in = {}, set()
+    for path in sorted((REPO / "crates").rglob("*.rs")):
+        rel = path.relative_to(REPO).as_posix()
+        for ln, line in enumerate(path.read_text().splitlines(), 1):
+            code = code_of(line)
+            for name in ENV_LITERAL_RE.findall(code):
+                read.setdefault(name, f"{rel}:{ln}")
+            if UNSAFE_RE.search(code):
+                unsafe_in.add(rel)
+                if rel not in UNSAFE_ALLOWED:
+                    problems.append(f"{rel}:{ln}: unsafe outside the allow-list: {line.strip()}")
+    table = env_table()
+    for name in sorted(set(read) - table - ENV_PRIVATE):
+        problems.append(f"{read[name]}: {name} is read but has no row in README's environment table")
+    for name in sorted((table | ENV_PRIVATE) - set(read)):
+        problems.append(f"{name} is declared (README table or ENV_PRIVATE) but nothing under crates/ reads it")
+    for rel in sorted(set(UNSAFE_ALLOWED) - unsafe_in):
+        problems.append(f"unsafe allow-list entry matches no line (moved or deleted?): {rel}")
+    return problems
+
+
 def main() -> int:
     problems = []
     used = set()
@@ -183,6 +238,7 @@ def main() -> int:
                         f"{rel}:{ln}: wall-clock source in deterministic code: "
                         f"{line.strip()}"
                     )
+    problems += surface_problems()
     for entry in ALLOWLIST:
         if entry not in used:
             problems.append(f"allowlist entry matches no line (moved or deleted?): {entry}")
@@ -198,7 +254,8 @@ def main() -> int:
     print(
         f"lint gate OK: {len(ALLOWLIST)} allowlisted sites, all in use, no stray "
         f"unwrap/expect or wall-clock calls, no file under {', '.join(SIZE_SCOPE)} over "
-        f"{SIZE_CAP} counted lines"
+        f"{SIZE_CAP} counted lines; {len(env_table())} environment variables, all in README's "
+        f"table and all read; unsafe only in {len(UNSAFE_ALLOWED)} allow-listed files"
     )
     print("largest: " + ", ".join(f"{rel.removeprefix('crates/')} {n}" for n, rel in sizes[:5]))
     return 0

@@ -1,12 +1,42 @@
 //! Integration of the stencil application with the full monitoring +
 //! reordering pipeline, including through the C-shaped API.
 
+use mim_analyze::{analyze, CommPlan};
 use mim_apps::stencil::{run_stencil, StencilConfig};
 use mim_core::capi::*;
 use mim_core::{Flags, Monitoring};
 use mim_mpisim::{Universe, UniverseConfig};
 use mim_reorder::monitored_reorder;
-use mim_topology::{Machine, Placement};
+use mim_topology::{CommMatrix, Machine, Placement};
+
+/// The plan the analyzer verifies is the kernel that runs: for every pair,
+/// the point-to-point messages and bytes a monitored run records equal the
+/// per-channel totals of the lowered plan.
+#[test]
+fn stencil_plan_predicts_the_monitored_matrices() {
+    for (prows, pcols) in [(1usize, 1usize), (2, 4), (3, 3)] {
+        let cfg = StencilConfig { rows: 6 * prows, cols: 5 * pcols, prows, pcols, iters: 3 };
+        let n = prows * pcols;
+        let u = Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 8), Placement::packed(n)));
+        let live = u.launch(move |rank| {
+            let world = rank.comm_world();
+            let mon = Monitoring::init(rank).unwrap();
+            let id = mon.start(rank, &world).unwrap();
+            run_stencil(rank, &world, cfg);
+            mon.suspend(id).unwrap();
+            let d = mon.allgather_data(rank, id, Flags::P2P_ONLY).unwrap();
+            mon.free(id).unwrap();
+            mon.finalize(rank).unwrap();
+            (d.counts, d.sizes)
+        });
+        let (mut counts, mut sizes) = (CommMatrix::zeros(n), CommMatrix::zeros(n));
+        for c in analyze(&cfg.lower()).channels {
+            counts.add(c.src, c.dst, c.messages);
+            sizes.add(c.src, c.dst, c.bytes);
+        }
+        assert_eq!(live[0], (counts, sizes), "{prows}x{pcols}");
+    }
+}
 
 #[test]
 fn stencil_reorder_preserves_physics_and_improves_halos() {
