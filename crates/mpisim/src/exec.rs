@@ -1,23 +1,42 @@
 //! The M:N rank executor: every simulated rank is a resumable *task* (a
 //! stackful fiber, `mim_util::fiber`) multiplexed onto a fixed pool of
-//! worker threads over **one FIFO run queue** (the locked
-//! `mim_util::deque::Injector`): launch, [`ExecShared::notify`], bare yields
-//! and stall wakes all push there and any worker pops it, so tasks migrate
-//! between workers.  The one thing a worker keeps to itself is a *run-next
-//! slot*: a task that asked to park after a notify token had already landed
-//! on it is resumed by the same worker straight away.  There is no work
-//! stealing.  PR 6 built per-worker Chase–Lev deques for it; counted over
-//! whole runs of the six live ledger workloads (seed 1, 3 s each, 2
-//! workers) they served 6 355 974 dispatches as 6 110 844 injector pops,
-//! 245 130 pops of the task the same worker had just pushed, and **0**
-//! steals, retries or spills — the deque was only ever this slot.
+//! worker threads, each with **its own FIFO run queue** (a
+//! `mim_util::deque::Injector`).
+//!
+//! # Home queues
+//!
+//! A task's *home* is the worker that last ran it.  At launch the homes are
+//! a block partition — task `i` of `n` on worker `i·W/n` — so ring and
+//! halo neighbours start on one worker.  [`ExecShared::notify`] and stall
+//! wakes push a task to the back of its home queue, and a fairness yield
+//! to the back of the yielder's own.  A worker runs its *run-next slot*
+//! first (a task that asked to park after a notify token had already
+//! landed on it), then the front of its own queue; with both empty it
+//! steals from the front of another worker's queue, and the stolen task's
+//! home becomes the thief.  Under a schedule policy the pool is one worker
+//! with one queue, so every queued task is on the policy's slate.
+//!
+//! So a wire message writes what belongs to its destination — the
+//! channel, the task slot and, when the task was parked, its home queue,
+//! which for a neighbour is the sender's own worker's — plus the global
+//! `parked` count (and the simulated NIC's per-node counters, which are
+//! the model's, not the executor's).  Nothing else is written by two workers:
+//! the watchdog heartbeat is one padded counter per worker, the wake epoch
+//! is a load on dispatch and advances only when a worker is idle, and the
+//! PML hooks and the NIC's event-log switch are read-only after launch.
+//! Each worker counts what it did in its own memory ([`ExecStats`], summed
+//! at join; `Universe::exec_stats`).  Over whole `mim-ledger` runs of the
+//! six live workloads (seed 1, 3 s each, 2 workers) they counted 8 017 008
+//! dispatches, 201 172 of them steals (2.5 %: 1–3 % per workload, 10.5 %
+//! on `farm_wildcard`'s fan-in), 222 946 run-next hits and 6 551 259 parks
+//! (EXPERIMENTS.md has the table).
 //!
 //! Thread-per-rank ([`ExecutorKind::Threads`]) remains the always-available
 //! equivalence oracle; this module only changes *where* rank code runs, not
 //! *what* it computes — the virtual-clock DES is scheduling-independent, so
 //! completion times, monitoring matrices, NIC counters and per-rank trace
-//! streams are bit-identical across the two modes (property-tested in
-//! `tests/executor_equivalence.rs`).
+//! streams are bit-identical across the two modes and every worker count
+//! (property-tested in `tests/executor_equivalence.rs`).
 //!
 //! # Park/unpark protocol
 //!
@@ -35,18 +54,18 @@
 //!    its own suspension.
 //! 3. **Sender side**: `Shared::post` delivers the envelope, then calls
 //!    `notify(dst)`, which CASes `Parked → Runnable` (pushing the task to
-//!    the injector and waking an idle worker) or `Running → Notified`.
-//!    `notify` never touches a `Notified` task, so a task is never enqueued
-//!    twice.
+//!    its home queue, and waking the idle workers if there are any) or
+//!    `Running → Notified`.  `notify` never touches a `Notified` task, so a
+//!    task is never enqueued twice.
 //!
 //! # Deterministic stall resolution
 //!
 //! Thread-per-rank relies on wall-clock `recv_timeout` to detect
 //! application deadlock.  Here, when every worker is idle — provably
 //! quiescent: notifications only originate from running task code — the
-//! last idler checks for a stall: all live tasks parked and the run queue
-//! empty (a worker only idles with an empty slot).  It then wakes exactly
-//! one task — smallest `(deadline, world rank)` — with
+//! last idler checks for a stall: all live tasks parked and every run
+//! queue empty (a worker only idles with an empty slot).  It then wakes
+//! exactly one task — smallest `(deadline, world rank)` — with
 //! [`ParkWake::Deadline`], which surfaces in the mailbox as the same
 //! `Timeout` the wall clock would have produced, minus the wait.
 //!
@@ -56,10 +75,12 @@
 //! runnable/parked tasks wait behind a spinning one — by aborting the
 //! process (exit 107): the honest analogue of the deadline panic a parked
 //! thread would have raised, for a fault that cannot be unwound from
-//! outside.  It sleeps whole deadlines and compares one counter; between
-//! one and two deadlines pass before a hog is reported.
+//! outside.  It sleeps whole deadlines and compares the sum of the
+//! workers' heartbeats; between one and two deadlines pass before a hog is
+//! reported.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -113,8 +134,7 @@ pub struct TaskId {
 thread_local! {
     /// The task this worker thread is currently running (`None` on
     /// non-worker threads and between tasks).
-    static CURRENT_TASK: std::cell::Cell<Option<TaskId>> =
-        const { std::cell::Cell::new(None) };
+    static CURRENT_TASK: Cell<Option<TaskId>> = const { Cell::new(None) };
 }
 
 /// The rank task the calling thread is executing, if any.  `None` under
@@ -125,7 +145,7 @@ thread_local! {
 /// an inlined thread-local read would reuse the first worker's slot address.
 #[inline(never)]
 pub fn current_task() -> Option<TaskId> {
-    CURRENT_TASK.with(std::cell::Cell::get)
+    CURRENT_TASK.with(Cell::get)
 }
 
 /// Envelopes a rank task may post per resume before a post to a queued peer
@@ -151,7 +171,7 @@ thread_local! {
     /// another worker writes (`TaskSlot`s sit four to a line under foreign
     /// CASes); [`run_one`] refills it at every resume, so it never carries
     /// over from the task that ran here before.
-    static POSTS_LEFT: std::cell::Cell<u32> = const { std::cell::Cell::new(POST_BUDGET) };
+    static POSTS_LEFT: Cell<u32> = const { Cell::new(POST_BUDGET) };
 }
 
 /// Count one post against the running task's budget; true once it is spent
@@ -166,6 +186,60 @@ fn post_budget_spent() -> bool {
         n == 0
     })
 }
+
+thread_local! {
+    /// This worker thread's index in its pool (`usize::MAX` on any thread
+    /// that never was a worker): whose heartbeat a notify bumps, and which
+    /// queue is "here" to the fairness yield.
+    static CURRENT_WORKER: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The pool index of the worker running the caller.  Never inlined, as
+/// [`current_task`].
+#[inline(never)]
+fn current_worker() -> usize {
+    CURRENT_WORKER.with(Cell::get)
+}
+
+/// What the tasks engine's scheduler did over one launch, summed over its
+/// workers when they join (`Universe::exec_stats`).  Each worker counts in
+/// its own memory, with no atomic on the dispatch path.  Scheduling, not
+/// virtual time: with two or more workers the counts vary from run to run;
+/// on one worker they repeat exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Task resumes.
+    pub dispatches: u64,
+    /// Parks a notify token beat: the task stayed runnable in its worker's
+    /// run-next slot (and, without a schedule policy, ran next).
+    pub run_next_hits: u64,
+    /// Resumes of a task taken from another worker's queue.
+    pub steals: u64,
+    /// Parks published: the task waits for a notify or a stall wake.
+    pub parks: u64,
+    /// Deadline wakes issued by the stall resolver.
+    pub stall_wakes: u64,
+    /// Fairness yields: a post made with the budget spent gave up the
+    /// worker to a destination queued on it.
+    pub fairness_yields: u64,
+}
+
+impl std::ops::AddAssign for ExecStats {
+    fn add_assign(&mut self, o: ExecStats) {
+        self.dispatches += o.dispatches;
+        self.run_next_hits += o.run_next_hits;
+        self.steals += o.steals;
+        self.parks += o.parks;
+        self.stall_wakes += o.stall_wakes;
+        self.fairness_yields += o.fairness_yields;
+    }
+}
+
+/// Alignment to a cache-line pair (adjacent-line prefetch fetches two), so
+/// what one worker writes shares no line with what another does.
+#[repr(align(128))]
+#[derive(Default)]
+struct Padded<T>(T);
 
 /// Allocator for [`TaskId::exec`].
 static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
@@ -202,6 +276,11 @@ struct TaskSlot {
     /// Set by the fiber just before suspending; consumed by the worker to
     /// distinguish a park request from a bare yield.
     park_pending: AtomicBool,
+    /// The worker whose queue a notify or stall wake pushes the task to:
+    /// the one that last ran it (written at dispatch, only when it moves).
+    /// `Relaxed`: the store precedes the resume that ends in a park, and a
+    /// notifier reads it after its CAS has read that park.
+    home: AtomicU32,
 }
 
 /// Scheduler state shared between the universe, its rank tasks (via
@@ -210,35 +289,55 @@ pub(crate) struct ExecShared {
     /// Process-unique scheduler id (the `exec` half of [`TaskId`]).
     id: u64,
     tasks: Vec<TaskSlot>,
-    injector: Injector,
-    /// Wakes idle workers (epoch-counted; see `mim_util::sync::Notifier`).
-    notifier: Notifier,
-    /// The starvation watchdog's one sign of life: bumped on every park,
-    /// completion and stall resolution, and on every
-    /// [`notify`](ExecShared::notify) *attempt*, whatever its outcome — a
+    /// Pool size, fixed when the universe is built.
+    workers: usize,
+    /// One FIFO run queue per worker (see the module doc).
+    queues: Box<[Padded<Injector>]>,
+    /// The starvation watchdog's signs of life: one counter per worker,
+    /// written by that worker alone — after every resume returns (park,
+    /// yield, completion), on every stall resolution, and on every
+    /// [`notify`](ExecShared::notify) *attempt*, whatever its outcome: a
     /// rank spin-sending to a starved peer is slow, not stuck; only a task
     /// burning its worker with *no* scheduler interaction at all is
-    /// starvation.  A plain counter the watchdog compares once per window:
-    /// nothing on the message path ever wakes that thread.
-    activity: AtomicU64,
-    parked: AtomicUsize,
+    /// starvation.  The watchdog sums them once per window: nothing on the
+    /// message path ever wakes that thread.
+    beats: Box<[Padded<AtomicU64>]>,
+    /// Wakes idle workers (epoch-counted; see `mim_util::sync::Notifier`).
+    notifier: Notifier,
+    parked: Padded<AtomicUsize>,
+    /// Workers between going idle and resuming work; read by every push
+    /// (see [`ExecShared::push`]).
+    idle: Padded<AtomicUsize>,
     live: AtomicUsize,
-    idle: AtomicUsize,
     shutdown: AtomicBool,
     /// Serialises stall checks (belt and braces: quiescence already makes
     /// them exclusive).
     stall_lock: Mutex<()>,
-    workers: AtomicUsize,
-    /// Installed schedule policy: dispatch becomes single-worker and every
-    /// resume choice with several queued tasks is the policy's.  Set once
-    /// before launch; `None` keeps the multi-worker FIFO default.
-    policy: OnceLock<PolicyHandle>,
+    /// Installed schedule policy: the pool is one worker and every resume
+    /// choice with several queued tasks is the policy's.  `None` keeps the
+    /// multi-worker FIFO default.
+    policy: Option<PolicyHandle>,
+    /// The pool's counters, summed when the launch joins.
+    stats: OnceLock<ExecStats>,
 }
 
 impl ExecShared {
     /// Scheduler state for `n` rank tasks (created with the universe so the
-    /// wire layer can hold it before launch).
-    pub(crate) fn new(n: usize) -> Arc<ExecShared> {
+    /// wire layer can hold it before launch).  Under a schedule `policy`
+    /// dispatch must be sequential — one worker — so the policy's resume
+    /// choices are the *only* source of interleaving.
+    pub(crate) fn new(n: usize, policy: Option<PolicyHandle>) -> Arc<ExecShared> {
+        let workers = if policy.is_some() { 1 } else { worker_count(n) };
+        ExecShared::with_workers(n, workers, policy)
+    }
+
+    /// [`ExecShared::new`] with the pool size given (tests pin it).
+    fn with_workers(n: usize, workers: usize, policy: Option<PolicyHandle>) -> Arc<ExecShared> {
+        // Worker indices are stored as `TaskSlot::home`.
+        assert!(
+            u32::try_from(workers).is_ok(),
+            "{workers} executor workers do not fit a u32 index"
+        );
         Arc::new(ExecShared {
             id: NEXT_EXEC_ID.fetch_add(1, Ordering::Relaxed),
             tasks: (0..n)
@@ -247,25 +346,26 @@ impl ExecShared {
                     wake: AtomicU8::new(WAKE_NONE),
                     deadline_ms: AtomicU64::new(u64::MAX),
                     park_pending: AtomicBool::new(false),
+                    home: AtomicU32::new(0),
                 })
                 .collect(),
-            injector: Injector::new(),
+            workers,
+            queues: (0..workers).map(|_| Padded::default()).collect(),
+            beats: (0..workers).map(|_| Padded::default()).collect(),
             notifier: Notifier::new(),
-            activity: AtomicU64::new(0),
-            parked: AtomicUsize::new(0),
+            parked: Padded::default(),
+            idle: Padded::default(),
             live: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             stall_lock: Mutex::new(()),
-            workers: AtomicUsize::new(0),
-            policy: OnceLock::new(),
+            policy,
+            stats: OnceLock::new(),
         })
     }
 
-    /// Install a schedule policy before launch (later calls are ignored —
-    /// a scheduler's policy cannot change mid-run).
-    pub(crate) fn set_policy(&self, policy: PolicyHandle) {
-        let _ = self.policy.set(policy);
+    /// The pool's counters once a launch has joined.
+    pub(crate) fn stats(&self) -> Option<ExecStats> {
+        self.stats.get().copied()
     }
 
     /// A park handle for task `index` (installed into its rank's mailbox).
@@ -277,7 +377,7 @@ impl ExecShared {
     /// Safe to call from any thread, any number of times; never lost, never
     /// double-enqueues (see the module-level protocol).
     pub(crate) fn notify(&self, dst: usize) {
-        self.activity.fetch_add(1, Ordering::Relaxed);
+        self.beat(current_worker());
         let slot = &self.tasks[dst];
         loop {
             match slot.state.load(Ordering::Acquire) {
@@ -288,9 +388,8 @@ impl ExecShared {
                         .is_ok()
                     {
                         slot.wake.store(WAKE_MESSAGE, Ordering::Release);
-                        self.parked.fetch_sub(1, Ordering::SeqCst);
-                        self.injector.push(dst);
-                        self.notifier.notify();
+                        self.parked.0.fetch_sub(1, Ordering::SeqCst);
+                        self.push(dst);
                         return;
                     }
                 }
@@ -311,40 +410,70 @@ impl ExecShared {
         }
     }
 
-    /// Whether task `dst` is queued waiting for a worker (racy snapshot;
-    /// used only as a fairness hint by [`maybe_yield_to`]).
+    /// Queue runnable `task` at the back of its home worker's queue, and
+    /// wake the idle workers if there are any (one may steal it).  `idle`
+    /// is read after the push; an idler raises it before its last look at
+    /// the queues (`worker_loop`), so either that look finds the task or
+    /// this read finds the idler and advances the epoch it sleeps on.
+    fn push(&self, task: usize) {
+        let home = self.tasks[task].home.load(Ordering::Relaxed) as usize;
+        self.queues[home].0.push(task);
+        if self.idle.0.load(Ordering::SeqCst) > 0 {
+            self.notifier.notify();
+        }
+    }
+
+    /// One sign of life from worker `wid` (no-op off the pool).  A plain
+    /// load and store: no other thread writes this counter.
+    fn beat(&self, wid: usize) {
+        if let Some(beat) = self.beats.get(wid) {
+            beat.0.store(beat.0.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
+        }
+    }
+
+    /// The sum of the workers' heartbeats.
+    fn heartbeat(&self) -> u64 {
+        self.beats.iter().map(|b| b.0.load(Ordering::Relaxed)).fold(0, u64::wrapping_add)
+    }
+
+    /// Whether task `dst` is queued waiting for *this* worker (racy
+    /// snapshot; used only as a fairness hint by [`maybe_yield_to`]).  A
+    /// peer queued on another worker gets its turn there whatever this
+    /// task does, so yielding to it would only cost this task its slice.
     ///
     /// [`maybe_yield_to`]: ExecShared::maybe_yield_to
-    fn is_queued(&self, dst: usize) -> bool {
-        self.tasks[dst].state.load(Ordering::Relaxed) == RUNNABLE
+    fn is_queued_here(&self, dst: usize) -> bool {
+        let slot = &self.tasks[dst];
+        slot.state.load(Ordering::Relaxed) == RUNNABLE
+            && slot.home.load(Ordering::Relaxed) as usize == current_worker()
     }
 
     /// Fairness yield, budgeted: a rank task may post [`POST_BUDGET`]
     /// envelopes per resume; the post that exhausts the budget — or any
-    /// later one — to a peer that is queued waiting for a worker gives up
-    /// this worker (to the *back* of the global queue) so the peer gets a
-    /// turn.  A send is not a context switch: yielding after *every* post
-    /// to a queued peer (the rule until PR 18) fired on ≈ 125 000 of the
-    /// 127 357 posts of one `stencil_loop` repetition — with 1024 ranks on
-    /// 2 workers every peer is always queued — and ran each rank's
-    /// iteration as four or five slices on a cold cache.  What the yield is
-    /// for survives: a send-and-never-block loop still cannot starve its
-    /// destination on a small pool (the fiber analogue of the OS preemption
-    /// thread-per-rank gets for free), and the backlog it can build unread
-    /// is bounded by the budget.  Purely a scheduling choice: virtual
-    /// clocks, matrices and traces are interleaving-independent.
+    /// later one — to a peer queued on this worker gives up the worker (to
+    /// the *back* of its own queue) so the peer gets a turn.  A send is not
+    /// a context switch: yielding after *every* post to a queued peer (the
+    /// rule until PR 18) fired on ≈ 125 000 of the 127 357 posts of one
+    /// `stencil_loop` repetition — with 1024 ranks on 2 workers every peer
+    /// is always queued — and ran each rank's iteration as four or five
+    /// slices on a cold cache.  What the yield is for survives: a
+    /// send-and-never-block loop still cannot starve its destination on a
+    /// small pool (the fiber analogue of the OS preemption thread-per-rank
+    /// gets for free), and the backlog it can build unread is bounded by
+    /// the budget.  Purely a scheduling choice: virtual clocks, matrices
+    /// and traces are interleaving-independent.
     pub(crate) fn maybe_yield_to(&self, dst: usize) {
-        if post_budget_spent() && self.is_queued(dst) && fiber::is_fiber() {
+        if post_budget_spent() && self.is_queued_here(dst) && fiber::is_fiber() {
             fiber::suspend();
         }
     }
 
     /// All-workers-idle stall check (runs quiescent: every notify source is
     /// task code, no task is running, and a worker only idles with an empty
-    /// run-next slot).  Shut down when nothing is live; otherwise, if every
-    /// live task is parked and the run queue is empty, resolve the stall by
-    /// waking one task with a deadline signal.
-    fn stall_check(&self) {
+    /// run-next slot), by worker `wid`.  Shut down when nothing is live;
+    /// otherwise, if every live task is parked and every run queue is
+    /// empty, resolve the stall by waking one task with a deadline signal.
+    fn stall_check(&self, wid: usize, stats: &mut ExecStats) {
         let _guard = self.stall_lock.lock();
         if self.shutdown.load(Ordering::Acquire) {
             return;
@@ -355,7 +484,7 @@ impl ExecShared {
             self.notifier.notify();
             return;
         }
-        if self.parked.load(Ordering::SeqCst) != live || !self.injector.is_empty() {
+        if self.parked.0.load(Ordering::SeqCst) != live || self.queued() {
             return;
         }
         // Deterministic order: smallest requested deadline, then smallest
@@ -377,12 +506,18 @@ impl ExecShared {
                 .is_ok()
             {
                 self.tasks[i].wake.store(WAKE_DEADLINE, Ordering::Release);
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-                self.injector.push(i);
-                self.activity.fetch_add(1, Ordering::Relaxed);
-                self.notifier.notify();
+                self.parked.0.fetch_sub(1, Ordering::SeqCst);
+                // This worker counts as idle, so the push wakes the pool.
+                self.push(i);
+                self.beat(wid);
+                stats.stall_wakes += 1;
             }
         }
+    }
+
+    /// Whether any run queue holds a task (racy; exact when quiescent).
+    fn queued(&self) -> bool {
+        self.queues.iter().any(|q| !q.0.is_empty())
     }
 }
 
@@ -434,124 +569,159 @@ pub(crate) fn run_tasks(
 ) -> Vec<Option<Box<dyn std::any::Any + Send>>> {
     let n = bodies.len();
     assert_eq!(n, exec.tasks.len(), "one body per task slot");
-    // Under a schedule policy dispatch must be sequential — one worker —
-    // so the policy's resume choices are the *only* source of interleaving.
-    let workers = if exec.policy.get().is_some() { 1 } else { worker_count(n) };
     let fibers: Vec<Mutex<Option<Fiber>>> =
         bodies.into_iter().map(|b| Mutex::new(Some(Fiber::new(TASK_STACK_SIZE, b)))).collect();
     let payloads: Vec<Mutex<Option<Box<dyn std::any::Any + Send>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
-    exec.workers.store(workers, Ordering::SeqCst);
     exec.live.store(n, Ordering::SeqCst);
-    exec.parked.store(0, Ordering::SeqCst);
-    exec.idle.store(0, Ordering::SeqCst);
+    exec.parked.0.store(0, Ordering::SeqCst);
+    exec.idle.0.store(0, Ordering::SeqCst);
     exec.shutdown.store(false, Ordering::SeqCst);
-    for i in 0..n {
-        exec.tasks[i].state.store(RUNNABLE, Ordering::SeqCst);
-        exec.injector.push(i);
+    for (i, slot) in exec.tasks.iter().enumerate() {
+        // A block partition: ring and halo neighbours share a home.
+        let home = i * exec.workers / n;
+        slot.home.store(home as u32, Ordering::Relaxed);
+        slot.state.store(RUNNABLE, Ordering::SeqCst);
+        exec.queues[home].0.push(i);
     }
     // Notified by each worker as it returns — which it only does once the
     // run is shut down — so the watchdog below never sleeps out its window
     // on a finished run.
     let exited = Notifier::new();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let exec = Arc::clone(exec);
-            let (fibers, payloads, exited) = (&fibers, &payloads, &exited);
-            std::thread::Builder::new()
-                .name(format!("mim-exec-{wid}"))
-                .spawn_scoped(scope, move || {
-                    worker_loop(&exec, fibers, payloads);
-                    exited.notify();
-                })
-                .unwrap_or_else(|e| panic!("failed to spawn executor worker: {e}"));
-        }
+    let stats = std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..exec.workers)
+            .map(|wid| {
+                let exec = Arc::clone(exec);
+                let (fibers, payloads, exited) = (&fibers, &payloads, &exited);
+                std::thread::Builder::new()
+                    .name(format!("mim-exec-{wid}"))
+                    .spawn_scoped(scope, move || {
+                        let stats = worker_loop(&exec, wid, fibers, payloads);
+                        exited.notify();
+                        stats
+                    })
+                    .unwrap_or_else(|e| panic!("failed to spawn executor worker: {e}"))
+            })
+            .collect();
         // The launching thread has nothing to do until the workers are
         // done: it keeps watch.
         watchdog_loop(exec, &exited, deadline);
+        let mut sum = ExecStats::default();
+        for worker in pool {
+            sum += worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
+        sum
     });
+    let _ = exec.stats.set(stats);
     payloads.into_iter().map(Mutex::into_inner).collect()
 }
 
-/// Find the next runnable task: the worker's run-next slot, then the run
-/// queue.  With a schedule policy installed, the policy picks instead.
-fn next_task(exec: &ExecShared, run_next: &mut Option<usize>) -> Option<usize> {
-    if let Some(policy) = exec.policy.get() {
-        return next_task_policed(exec, run_next, policy);
+/// Find worker `wid`'s next runnable task: its run-next slot, its own
+/// queue, then the oldest task of another worker's queue (a steal).  With a
+/// schedule policy installed, the policy picks instead.
+fn next_task(
+    exec: &ExecShared,
+    wid: usize,
+    run_next: &mut Option<usize>,
+    stats: &mut ExecStats,
+) -> Option<usize> {
+    if let Some(policy) = &exec.policy {
+        return next_task_policed(&exec.queues[wid].0, run_next, policy);
     }
-    run_next.take().or_else(|| exec.injector.pop())
+    if let Some(task) = run_next.take().or_else(|| exec.queues[wid].0.pop()) {
+        return Some(task);
+    }
+    let task = (1..exec.workers).find_map(|k| exec.queues[(wid + k) % exec.workers].0.pop())?;
+    stats.steals += 1;
+    Some(task)
 }
 
 /// Deterministic dispatch under a schedule policy (the pool runs a single
-/// worker): gather every queued task — the run-next slot first, then the
-/// injector in FIFO order — and let the policy pick which resumes.  The
-/// slate is offered in canonical dispatch order (index 0 = what the
-/// un-policed scheduler would run next); unchosen tasks return to the
-/// injector in slate order, so the next decision sees them in a stable order.
+/// worker with a single queue): gather every queued task — the run-next
+/// slot first, then the queue in FIFO order — and let the policy pick
+/// which resumes.  The slate is offered in canonical dispatch order (index
+/// 0 = what the un-policed scheduler would run next); unchosen tasks return
+/// to the queue in slate order, so the next decision sees them in a stable
+/// order.
 fn next_task_policed(
-    exec: &ExecShared,
+    queue: &Injector,
     run_next: &mut Option<usize>,
     policy: &PolicyHandle,
 ) -> Option<usize> {
     let mut cands: Vec<usize> = run_next.take().into_iter().collect();
-    while let Some(t) = exec.injector.pop() {
+    while let Some(t) = queue.pop() {
         cands.push(t);
     }
-    match cands.len() {
-        0 => None,
-        1 => Some(cands[0]),
-        n => {
-            let i = clamp_choice(policy.choose(Decision::TaskResume { candidates: &cands }), n);
-            let chosen = cands.remove(i);
-            for t in cands {
-                exec.injector.push(t);
-            }
-            Some(chosen)
-        }
+    let i = match cands.len() {
+        0 => return None,
+        1 => 0,
+        n => clamp_choice(policy.choose(Decision::TaskResume { candidates: &cands }), n),
+    };
+    let chosen = cands.remove(i);
+    for t in cands {
+        queue.push(t);
     }
+    Some(chosen)
 }
 
 fn worker_loop(
     exec: &Arc<ExecShared>,
+    wid: usize,
     fibers: &[Mutex<Option<Fiber>>],
     payloads: &[Mutex<Option<Box<dyn std::any::Any + Send>>>],
-) {
-    // The task this worker resumes next, ahead of the run queue (see
+) -> ExecStats {
+    CURRENT_WORKER.with(|w| w.set(wid));
+    let mut stats = ExecStats::default();
+    // The task this worker resumes next, ahead of its queue (see
     // `run_one`); visible to no other worker, and empty whenever it idles.
     let mut run_next = None;
     loop {
-        // Snapshot the wake epoch *before* every check (shutdown flag and
-        // run queue): any store-then-notify landing after the snapshot
-        // advances the epoch, so the wait below returns immediately — and a
-        // snapshot taken after a notify is ordered after the store it
-        // published, so the re-check on the next loop iteration sees it.
-        let seen = exec.notifier.epoch();
-        if exec.shutdown.load(Ordering::Acquire) {
-            return;
+        let mut task = next_task(exec, wid, &mut run_next, &mut stats);
+        if task.is_none() {
+            // Going idle.  Raise `idle` before the wake-epoch snapshot and
+            // the last look at the queues (see `ExecShared::push`), and
+            // snapshot the epoch before that look and the shutdown check:
+            // any store-then-notify landing after the snapshot advances the
+            // epoch, so the wait below returns at once.
+            let idlers = exec.idle.0.fetch_add(1, Ordering::SeqCst) + 1;
+            let seen = exec.notifier.epoch();
+            if exec.shutdown.load(Ordering::Acquire) {
+                exec.idle.0.fetch_sub(1, Ordering::SeqCst);
+                return stats;
+            }
+            task = next_task(exec, wid, &mut run_next, &mut stats);
+            if task.is_none() {
+                if idlers == exec.workers {
+                    exec.stall_check(wid, &mut stats);
+                }
+                exec.notifier.wait_while_epoch(seen);
+            }
+            exec.idle.0.fetch_sub(1, Ordering::SeqCst);
         }
-        if let Some(task) = next_task(exec, &mut run_next) {
-            run_one(exec, task, &mut run_next, fibers, payloads);
-            continue;
+        if let Some(task) = task {
+            run_one(exec, wid, task, &mut run_next, fibers, payloads, &mut stats);
         }
-        let idlers = exec.idle.fetch_add(1, Ordering::SeqCst) + 1;
-        if idlers == exec.workers.load(Ordering::SeqCst) {
-            exec.stall_check();
-        }
-        exec.notifier.wait_while_epoch(seen);
-        exec.idle.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Resume one task and publish its new state (see the module-level
-/// protocol: the publish happens strictly after the fiber switched out).
+/// Resume one task on worker `wid` and publish its new state (see the
+/// module-level protocol: the publish happens strictly after the fiber
+/// switched out).
 fn run_one(
     exec: &ExecShared,
+    wid: usize,
     task: usize,
     run_next: &mut Option<usize>,
     fibers: &[Mutex<Option<Fiber>>],
     payloads: &[Mutex<Option<Box<dyn std::any::Any + Send>>>],
+    stats: &mut ExecStats,
 ) {
+    stats.dispatches += 1;
     let slot = &exec.tasks[task];
+    // A task's home is where it last ran: a stolen one moves in here.
+    if slot.home.load(Ordering::Relaxed) as usize != wid {
+        slot.home.store(wid as u32, Ordering::Relaxed);
+    }
     slot.state.store(RUNNING, Ordering::SeqCst);
     let fiber = fibers[task].lock().take();
     let Some(mut fiber) = fiber else {
@@ -563,6 +733,7 @@ fn run_one(
     POSTS_LEFT.with(|left| left.set(POST_BUDGET));
     let resumed = fiber.resume();
     CURRENT_TASK.with(|c| c.set(None));
+    exec.beat(wid);
     match resumed {
         Resume::Done => {
             if let Some(p) = fiber.take_panic() {
@@ -570,7 +741,6 @@ fn run_one(
             }
             drop(fiber); // free the stack eagerly: 10k ranks, bounded RSS
             slot.state.store(DONE, Ordering::SeqCst);
-            exec.activity.fetch_add(1, Ordering::Relaxed);
             if exec.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 exec.shutdown.store(true, Ordering::Release);
                 exec.notifier.notify();
@@ -585,28 +755,30 @@ fn run_one(
                 // Count the park *before* publishing it, so the notifier's
                 // decrement (which can only follow a successful publish)
                 // never observes the counter early.
-                exec.parked.fetch_add(1, Ordering::SeqCst);
-                exec.activity.fetch_add(1, Ordering::Relaxed);
+                exec.parked.0.fetch_add(1, Ordering::SeqCst);
                 if slot
                     .state
                     .compare_exchange(RUNNING, PARKED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_err()
+                    .is_ok()
                 {
+                    stats.parks += 1;
+                } else {
                     // A notify token landed while the task was still
                     // Running: consume it and keep the task runnable — on
                     // this worker, next, since its message is already there.
-                    exec.parked.fetch_sub(1, Ordering::SeqCst);
+                    exec.parked.0.fetch_sub(1, Ordering::SeqCst);
                     slot.wake.store(WAKE_MESSAGE, Ordering::Release);
                     slot.state.store(RUNNABLE, Ordering::SeqCst);
                     *run_next = Some(task);
+                    stats.run_next_hits += 1;
                 }
             } else {
-                // Bare cooperative yield: to the *back* of the run queue
-                // (the run-next slot would run the yielder again first,
-                // defeating the fairness yield's whole point).
+                // Fairness yield: to the *back* of this worker's own queue
+                // (the task's home is here now; the run-next slot would run
+                // the yielder again first, defeating the yield's point).
+                stats.fairness_yields += 1;
                 slot.state.store(RUNNABLE, Ordering::SeqCst);
-                exec.injector.push(task);
-                exec.notifier.notify();
+                exec.push(task);
             }
         }
     }
@@ -630,15 +802,13 @@ fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration) {
         // Epoch before flag, as in `worker_loop`: a worker that returns
         // after the check has advanced the epoch by the time we sleep.
         let epoch = exited.epoch();
-        let seen = exec.activity.load(Ordering::Relaxed);
+        let seen = exec.heartbeat();
         if exec.shutdown.load(Ordering::Acquire) {
             return;
         }
         // A whole window asleep unless the run ends: no park, unpark or
         // completion wakes this thread, it only reads their count afterwards.
-        if exited.wait_timeout_epoch(epoch, deadline)
-            || exec.activity.load(Ordering::Relaxed) != seen
-        {
+        if exited.wait_timeout_epoch(epoch, deadline) || exec.heartbeat() != seen {
             continue;
         }
         let running: Vec<usize> = exec
@@ -648,8 +818,8 @@ fn watchdog_loop(exec: &ExecShared, exited: &Notifier, deadline: Duration) {
             .filter(|(_, t)| t.state.load(Ordering::SeqCst) == RUNNING)
             .map(|(i, _)| i)
             .collect();
-        let waiting = exec.parked.load(Ordering::SeqCst) > 0 || !exec.injector.is_empty();
-        if !running.is_empty() && waiting && exec.policy.get().is_none() {
+        let waiting = exec.parked.0.load(Ordering::SeqCst) > 0 || exec.queued();
+        if !running.is_empty() && waiting && exec.policy.is_none() {
             eprintln!(
                 "mim-mpisim: starvation: rank task(s) {running:?} ran for {deadline:?} \
                  without yielding while other ranks wait; a fiber cannot be preempted \
@@ -682,7 +852,7 @@ mod tests {
     #[test]
     fn park_notify_chain_runs_to_completion() {
         const N: usize = 8;
-        let exec = ExecShared::new(N);
+        let exec = ExecShared::new(N, None);
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for i in 0..N {
@@ -715,7 +885,7 @@ mod tests {
     #[test]
     fn finished_run_does_not_wait_out_the_watchdog_window() {
         const N: usize = 16;
-        let exec = ExecShared::new(N);
+        let exec = ExecShared::new(N, None);
         let passes = Arc::new(AtomicUsize::new(0));
         let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for i in 0..N {
@@ -824,12 +994,111 @@ mod tests {
         assert!(seen <= budget, "{seen} posts before the receiver ran: budget {budget} not held");
     }
 
+    /// A baton around a ring of `n` tasks, `laps` times: everyone parks
+    /// until its predecessor has passed it on, then wakes its successor.
+    fn baton_bodies(
+        exec: &Arc<ExecShared>,
+        n: usize,
+        laps: usize,
+    ) -> Vec<Box<dyn FnOnce() + Send>> {
+        let passes = Arc::new(AtomicUsize::new(0));
+        (0..n)
+            .map(|i| {
+                let exec = Arc::clone(exec);
+                let passes = Arc::clone(&passes);
+                Box::new(move || {
+                    let parker = exec.parker(i);
+                    for lap in 0..laps {
+                        while passes.load(Ordering::SeqCst) < lap * n + i {
+                            let _ = parker.park(Duration::from_secs(600));
+                        }
+                        passes.fetch_add(1, Ordering::SeqCst);
+                        exec.notify((i + 1) % n);
+                    }
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect()
+    }
+
+    /// One worker has nobody to steal from, and runs the same schedule
+    /// every time: its counters repeat exactly.
+    #[test]
+    fn one_worker_counts_repeat_and_never_steal() {
+        const N: usize = 12;
+        let run = || {
+            let exec = ExecShared::with_workers(N, 1, None);
+            let payloads = run_tasks(&exec, baton_bodies(&exec, N, 3), Duration::from_secs(60));
+            assert!(payloads.iter().all(|p| p.is_none()));
+            exec.stats().unwrap_or_else(|| panic!("a joined launch has counters"))
+        };
+        let first = run();
+        assert_eq!(first.steals, 0);
+        assert!(first.dispatches >= N as u64 && first.parks > 0, "{first:?}");
+        assert_eq!(first.dispatches, first.parks + first.run_next_hits + N as u64, "{first:?}");
+        for _ in 0..3 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    /// Launch homes are a block partition, and a worker whose queue is
+    /// empty steals the front of another's and becomes the task's home.
+    #[test]
+    fn an_idle_worker_steals_and_rehomes() {
+        let exec = ExecShared::with_workers(4, 2, None);
+        // Tasks 0, 1 start on worker 0 and 2, 3 on worker 1.  Task 0 holds
+        // its worker until task 1 has run, which takes the other worker:
+        // whichever worker runs task 0, the other must steal.
+        let ran_on: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..4).map(|_| AtomicUsize::new(usize::MAX)).collect());
+        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..4)
+            .map(|i| {
+                let ran_on = Arc::clone(&ran_on);
+                Box::new(move || {
+                    ran_on[i].store(current_worker(), Ordering::SeqCst);
+                    while i == 0 && ran_on[1].load(Ordering::SeqCst) == usize::MAX {
+                        std::thread::yield_now();
+                    }
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        let payloads = run_tasks(&exec, bodies, Duration::from_secs(60));
+        assert!(payloads.iter().all(|p| p.is_none()));
+        let stats = exec.stats().unwrap_or_else(|| panic!("a joined launch has counters"));
+        let ran_on: Vec<usize> = ran_on.iter().map(|w| w.load(Ordering::SeqCst)).collect();
+        let homes: Vec<usize> =
+            exec.tasks.iter().map(|t| t.home.load(Ordering::Relaxed) as usize).collect();
+        assert_eq!(homes, ran_on, "a task's home is the worker that ran it");
+        assert_ne!(ran_on[0], ran_on[1]);
+        let moved = ran_on.iter().zip([0, 0, 1, 1]).filter(|(w, launch)| **w != *launch).count();
+        assert!(stats.steals >= 1, "{stats:?}");
+        assert_eq!(stats.steals, moved as u64, "{stats:?}, ran on {ran_on:?}");
+        assert_eq!(stats.dispatches, 4);
+    }
+
+    /// The universe's view of the counters: `None` on the threads engine
+    /// and before a launch, the pool's sum after one.
+    #[test]
+    fn universe_reports_counters_of_the_tasks_engine_only() {
+        use mim_topology::{Machine, Placement};
+        let threads = Universe::new(
+            UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(4))
+                .with_executor(ExecutorKind::Threads),
+        );
+        threads.launch(|rank| rank.barrier(&rank.comm_world()));
+        assert_eq!(threads.exec_stats(), None);
+        let tasks = two_ranks_one_worker();
+        assert_eq!(tasks.exec_stats(), None);
+        tasks.launch(|rank| rank.barrier(&rank.comm_world()));
+        let stats = tasks.exec_stats().unwrap_or_else(|| panic!("tasks engine has counters"));
+        assert!(stats.dispatches >= 2 && stats.steals == 0, "{stats:?}");
+    }
+
     /// All tasks park forever: the stall resolver must wake them in
     /// (deadline, rank) order, each observing `ParkWake::Deadline`.
     #[test]
     fn stall_resolution_wakes_in_deadline_order() {
         const N: usize = 4;
-        let exec = ExecShared::new(N);
+        let exec = ExecShared::new(N, None);
         let wake_order = Arc::new(Mutex::new(Vec::new()));
         let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for i in 0..N {
@@ -851,12 +1120,13 @@ mod tests {
         assert!(payloads.iter().all(|p| p.is_none()));
         // Smallest deadline first: rank N-1 parked with 1000 ms, and so on.
         assert_eq!(*wake_order.lock(), vec![3, 2, 1, 0]);
+        assert_eq!(exec.stats().map(|s| s.stall_wakes), Some(N as u64));
     }
 
     /// A panicking task surfaces its payload in its own slot; others run on.
     #[test]
     fn panic_is_confined_to_its_task_slot() {
-        let exec = ExecShared::new(3);
+        let exec = ExecShared::new(3, None);
         let ran = Arc::new(AtomicUsize::new(0));
         let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for i in 0..3 {
@@ -880,7 +1150,7 @@ mod tests {
     #[test]
     fn thousand_tasks_on_default_pool() {
         const N: usize = 1000;
-        let exec = ExecShared::new(N);
+        let exec = ExecShared::new(N, None);
         let sum = Arc::new(AtomicUsize::new(0));
         let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for i in 0..N {

@@ -53,7 +53,7 @@ pub mod schedule;
 pub use comm::Comm;
 pub use datatype::Scalar;
 pub use envelope::{MsgKind, Payload};
-pub use exec::ExecutorKind;
+pub use exec::{ExecStats, ExecutorKind};
 pub use fault::{CrashPoint, FaultInjector, LinkCtx, PeerFailure, RankFailure, SendOutcome};
 pub use mailbox::{RecvWaitError, UnexpectedQueue};
 pub use nic::{NicCounters, NicEvent};

@@ -16,11 +16,10 @@
 //! thread or a parked/resumed task, which is why `executor_equivalence`
 //! can require bit-identical NIC totals across both engines.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use mim_util::sync::Mutex;
 
-use crate::envelope::MsgKind;
 use crate::pml::{PmlEvent, PmlHook};
 
 /// One timestamped counter increment, used by the Fig 2/3 sampling harness.
@@ -42,7 +41,10 @@ pub struct NicCounters {
     xmit_msgs: Vec<AtomicU64>,
     retries: Vec<AtomicU64>,
     header_bytes: u64,
-    events: Mutex<Option<Vec<NicEvent>>>,
+    /// Whether sends are logged to `events`: a flag every cross-node send
+    /// reads, so the log's mutex is taken only while logging is on.
+    logging: AtomicBool,
+    events: Mutex<Vec<NicEvent>>,
 }
 
 impl NicCounters {
@@ -56,18 +58,21 @@ impl NicCounters {
             xmit_msgs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             retries: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             header_bytes,
-            events: Mutex::new(None),
+            logging: AtomicBool::new(false),
+            events: Mutex::new(Vec::new()),
         }
     }
 
     /// Start recording timestamped events (for sampling experiments).
     pub fn enable_event_log(&self) {
-        *self.events.lock() = Some(Vec::new());
+        self.events.lock().clear();
+        self.logging.store(true, Ordering::Release);
     }
 
     /// Stop recording and return the log (sorted by virtual time).
     pub fn take_event_log(&self) -> Vec<NicEvent> {
-        let mut log = self.events.lock().take().unwrap_or_default();
+        self.logging.store(false, Ordering::Release);
+        let mut log = std::mem::take(&mut *self.events.lock());
         log.sort_by(|a, b| a.vtime_ns.total_cmp(&b.vtime_ns));
         log
     }
@@ -124,13 +129,12 @@ impl PmlHook for NicCounters {
         // One-sided gets travel target→origin on the wire but are *issued*
         // by the origin; the NIC still charges the node the data leaves from,
         // which for our eager model is the sender's node in every case.
-        let _ = MsgKind::OneSided;
         let wire = ev.bytes + self.header_bytes;
         self.xmit_bytes[src_node].fetch_add(wire, Ordering::Relaxed);
         self.xmit_msgs[src_node].fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.events.lock();
-        if let Some(log) = guard.as_mut() {
-            log.push(NicEvent { vtime_ns: ev.vtime_ns, node: src_node, wire_bytes: wire });
+        if self.logging.load(Ordering::Acquire) {
+            let event = NicEvent { vtime_ns: ev.vtime_ns, node: src_node, wire_bytes: wire };
+            self.events.lock().push(event);
         }
     }
 }
@@ -138,6 +142,7 @@ impl PmlHook for NicCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::MsgKind;
 
     fn ev(src_core: usize, dst_core: usize, bytes: u64, t: f64) -> PmlEvent {
         PmlEvent {

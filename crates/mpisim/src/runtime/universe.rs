@@ -3,12 +3,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use mim_trace::Tracer;
 use mim_util::channel::{unbounded, Receiver, Sender};
-use mim_util::sync::{Mutex, RwLock};
+use mim_util::sync::Mutex;
 
 use mim_topology::{Machine, Placement};
 
@@ -16,7 +16,7 @@ use super::membership::elastic_rank_body;
 use super::{Rank, RankAborted};
 use crate::comm::Group;
 use crate::envelope::Envelope;
-use crate::exec::{self, ExecShared, ExecutorKind};
+use crate::exec::{self, ExecShared, ExecStats, ExecutorKind};
 use crate::fault::{self, FaultInjector, RankFailure};
 use crate::nic::NicCounters;
 use crate::pml::PmlHook;
@@ -152,7 +152,9 @@ pub(crate) type WindowBuf = Arc<Mutex<Vec<u8>>>;
 pub(crate) struct Shared {
     pub(crate) cfg: UniverseConfig,
     pub(crate) senders: Vec<Sender<Envelope>>,
-    pub(crate) global_hooks: RwLock<Vec<Arc<dyn PmlHook>>>,
+    /// The global PML hooks, frozen at launch: every wire message reads
+    /// them, and nothing writes them while ranks run.
+    pub(crate) global_hooks: OnceLock<Box<[Arc<dyn PmlHook>]>>,
     next_comm_id: AtomicU64,
     /// One-sided window registry: (window id, comm rank) → shared buffer.
     pub(crate) windows: Mutex<HashMap<(u64, usize), WindowBuf>>,
@@ -290,6 +292,8 @@ impl Shared {
 pub struct Universe {
     shared: Arc<Shared>,
     receivers: Mutex<Option<Vec<Receiver<Envelope>>>>,
+    /// Global hooks registered so far; moved into `Shared` at launch.
+    hooks: Mutex<Vec<Arc<dyn PmlHook>>>,
 }
 
 impl Universe {
@@ -308,7 +312,11 @@ impl Universe {
             (0..cfg.machine.num_cores()).map(|c| cfg.machine.node_of_core(c)).collect();
         let nic = Arc::new(NicCounters::new(core_to_node, cfg.nic_header_bytes));
         let exec = match cfg.executor {
-            ExecutorKind::Tasks if mim_util::fiber::SUPPORTED => Some(ExecShared::new(n)),
+            // A schedule policy makes dispatch single-worker and resume
+            // order the policy's.
+            ExecutorKind::Tasks if mim_util::fiber::SUPPORTED => {
+                Some(ExecShared::new(n, cfg.sched.clone()))
+            }
             ExecutorKind::Tasks => {
                 eprintln!(
                     "mim-mpisim: MIM_EXECUTOR=tasks needs stackful fibers \
@@ -318,14 +326,9 @@ impl Universe {
             }
             ExecutorKind::Threads => None,
         };
-        if let (Some(exec), Some(policy)) = (&exec, &cfg.sched) {
-            // Hand the policy to the scheduler before launch: dispatch
-            // becomes single-worker and resume order is the policy's.
-            exec.set_policy(Arc::clone(policy));
-        }
         let shared = Arc::new(Shared {
             senders,
-            global_hooks: RwLock::new(vec![nic.clone() as Arc<dyn PmlHook>]),
+            global_hooks: OnceLock::new(),
             next_comm_id: AtomicU64::new(1), // id 0 is MPI_COMM_WORLD
             windows: Mutex::new(HashMap::new()),
             nic,
@@ -338,7 +341,8 @@ impl Universe {
             world_group: Group::new((0..cfg.initial()).collect()),
             cfg,
         });
-        Self { shared, receivers: Mutex::new(Some(receivers)) }
+        let hooks = Mutex::new(vec![Arc::clone(&shared.nic) as Arc<dyn PmlHook>]);
+        Self { shared, receivers: Mutex::new(Some(receivers)), hooks }
     }
 
     /// The simulated NIC counters (inspect after [`Universe::launch`]).
@@ -352,9 +356,25 @@ impl Universe {
         self.shared.alive.iter().map(|a| a.load(Ordering::Relaxed)).collect()
     }
 
-    /// Register an additional global PML hook (before launching).
+    /// Register an additional global PML hook.
+    ///
+    /// # Panics
+    /// Panics once the universe has been launched: the hooks are frozen at
+    /// launch, so the wire reads them without a lock.
     pub fn add_global_hook(&self, hook: Arc<dyn PmlHook>) {
-        self.shared.global_hooks.write().push(hook);
+        assert!(
+            self.shared.global_hooks.get().is_none(),
+            "add_global_hook on a launched universe: global PML hooks are frozen at launch; \
+             register them before Universe::launch"
+        );
+        self.hooks.lock().push(hook);
+    }
+
+    /// What the tasks engine's scheduler did over the launch — dispatches,
+    /// run-next hits, steals, parks, stall wakes, fairness yields — summed
+    /// over its workers.  `None` on the threads engine, and before launch.
+    pub fn exec_stats(&self) -> Option<ExecStats> {
+        self.shared.exec.as_ref()?.stats()
     }
 
     /// Job configuration.
@@ -388,6 +408,8 @@ impl Universe {
         R: Send,
     {
         let receivers = self.receivers.lock().take().expect("a universe can only be launched once");
+        let hooks = std::mem::take(&mut *self.hooks.lock());
+        let _ = self.shared.global_hooks.set(hooks.into_boxed_slice());
         let n = receivers.len();
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let payloads = match &self.shared.exec {
@@ -604,6 +626,19 @@ mod tests {
         let u = small_universe(1);
         u.launch(|_| ());
         u.launch(|_| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "add_global_hook on a launched universe")]
+    fn adding_a_global_hook_after_launch_panics() {
+        struct Nop;
+        impl PmlHook for Nop {
+            fn on_send(&self, _ev: &crate::pml::PmlEvent) {}
+        }
+        let u = small_universe(2);
+        u.add_global_hook(Arc::new(Nop));
+        u.launch(|_| ());
+        u.add_global_hook(Arc::new(Nop));
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl Rank {
             hooks.dispatch(ev);
         }
         drop(hooks);
-        for h in self.shared.global_hooks.read().iter() {
+        for h in self.shared.global_hooks.get().into_iter().flatten() {
             h.on_send(ev);
         }
     }

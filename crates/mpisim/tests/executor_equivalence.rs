@@ -8,10 +8,11 @@
 //! *wall-clock arrival order* into the unexpected queue, which is genuinely
 //! scheduling-dependent; it is zeroed on both sides before comparing.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mim_mpisim::trace::{TraceData, TraceEvent, Tracer};
-use mim_mpisim::{ExecutorKind, Rank, SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{ExecutorKind, PmlEvent, PmlHook, Rank, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
 use mim_util::rng::Rng;
@@ -129,17 +130,71 @@ fn engines_agree_across_three_topologies_and_three_seeds() {
     }
 }
 
+/// Bytes per (src, dst) world-rank pair as the PML layer sees them: the
+/// monitoring library's matrix, without the library.
+struct PairMatrix {
+    n: usize,
+    bytes: Vec<AtomicU64>,
+}
+
+impl PmlHook for PairMatrix {
+    fn on_send(&self, ev: &PmlEvent) {
+        self.bytes[ev.src_world * self.n + ev.dst_world].fetch_add(ev.bytes, Ordering::Relaxed);
+    }
+}
+
+/// Ring + allreduce rounds on 24 ranks over three nodes: at 3 or 5 workers
+/// every block of the launch partition has a neighbour on another worker,
+/// and the allreduce's tree crosses all of them, so tasks are notified
+/// across workers, queues run dry unevenly, and idle workers steal.
+/// Returns final clocks, results, the pair matrix and the NIC totals.
+fn ring_allreduce(kind: ExecutorKind) -> (Observables, Vec<u64>) {
+    const N: usize = 24;
+    let mut cfg = UniverseConfig::new(Machine::cluster(3, 2, 4), Placement::packed(N));
+    cfg.executor = kind;
+    cfg.tracer = None;
+    let u = Universe::new(cfg);
+    let matrix =
+        Arc::new(PairMatrix { n: N, bytes: (0..N * N).map(|_| AtomicU64::new(0)).collect() });
+    u.add_global_hook(matrix.clone());
+    let out = u.launch(|rank| {
+        let world = rank.comm_world();
+        let (me, n) = (world.rank(), world.size());
+        let mut acc = Vec::new();
+        for round in 0..20u32 {
+            rank.send(&world, (me + 1) % n, round, &[(me as i64) << round]);
+            let (v, _) =
+                rank.recv::<i64>(&world, SrcSel::Rank((me + n - 1) % n), TagSel::Is(round));
+            acc.push(rank.allreduce(&world, &v, |a, b| a + b)[0]);
+        }
+        (acc, rank.now_ns().to_bits())
+    });
+    if let Some(stats) = u.exec_stats() {
+        eprintln!("ring + allreduce on {kind:?}: {stats:?}");
+    }
+    let nic = (0..u.nic().num_nodes())
+        .map(|nd| (u.nic().xmit_bytes(nd), u.nic().xmit_msgs(nd), u.nic().retries(nd)))
+        .collect();
+    let (results, completion_bits) = out.into_iter().unzip();
+    let matrix = matrix.bytes.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+    (Observables { completion_bits, results, nic, traces: Vec::new() }, matrix)
+}
+
 /// Tasks mode must honor `MIM_WORKERS`: results are identical from a
-/// single-worker pool up to an oversubscribed one.
+/// single-worker pool up to an oversubscribed one, including uneven counts
+/// where tasks are stolen and re-homed mid-run.
 #[test]
 fn tasks_results_do_not_depend_on_worker_count() {
     let machine = Machine::cluster(2, 1, 8);
     let baseline = run(ExecutorKind::Threads, &machine, 8, 7);
-    for workers in ["1", "2", "13"] {
+    let ring_baseline = ring_allreduce(ExecutorKind::Threads);
+    for workers in ["1", "2", "3", "5", "13"] {
         std::env::set_var("MIM_WORKERS", workers);
         let tasks = run(ExecutorKind::Tasks, &machine, 8, 7);
+        let ring = ring_allreduce(ExecutorKind::Tasks);
         std::env::remove_var("MIM_WORKERS");
         assert_eq!(baseline, tasks, "diverged at MIM_WORKERS={workers}");
+        assert_eq!(ring_baseline, ring, "ring + allreduce diverged at MIM_WORKERS={workers}");
     }
 }
 

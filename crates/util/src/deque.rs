@@ -1,16 +1,21 @@
 //! Work-stealing deques (replace `crossbeam::deque`).
 //!
-//! A bounded single-owner Chase–Lev deque plus a shared FIFO injector — the
-//! two queue shapes the M:N rank executor needs.  The owner pushes and pops
-//! at the *bottom* (LIFO, cache-warm); thieves steal from the *top* (FIFO,
-//! oldest first).  Items are plain `usize` task indices, stored in
-//! `AtomicUsize` slots: the racy slot read in `steal` — the subtle part of
-//! Chase–Lev, where a thief may read a slot the owner is concurrently
-//! recycling — is an ordinary atomic load here, not a torn read of a
-//! generic `T`.  A stale value is discarded by the failed CAS on `top`.
+//! Two queue shapes.  The M:N rank executor uses only the [`Injector`], a
+//! locked FIFO: one per worker, which that worker pops from the front,
+//! any thread pushes to the back, and an idle worker steals from the front
+//! of.
 //!
-//! The deque is bounded (no growth protocol); [`WorkerQueue::push`] hands
-//! the item back when full and the executor spills it to the [`Injector`].
+//! The bounded single-owner Chase–Lev deque ([`deque`]) is no longer used
+//! by the executor; it stays for `mim-ledger`'s two probe rows
+//! (`util.deque.push_pop_ns`, `util.deque.steal_ns`) until a `benchmark`
+//! PR drops them.  Its owner pushes and pops at the *bottom* (LIFO,
+//! cache-warm); thieves steal from the *top* (FIFO, oldest first).  Items
+//! are plain `usize` task indices, stored in `AtomicUsize` slots: the racy
+//! slot read in `steal` — the subtle part of Chase–Lev, where a thief may
+//! read a slot the owner is concurrently recycling — is an ordinary atomic
+//! load here, not a torn read of a generic `T`.  A stale value is discarded
+//! by the failed CAS on `top`.  It is bounded (no growth protocol):
+//! [`WorkerQueue::push`] hands the item back when full.
 
 use std::sync::atomic::{fence, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -154,9 +159,8 @@ impl Stealer {
     }
 }
 
-/// Shared FIFO overflow/injection queue: new work and unparked tasks enter
-/// here; workers drain it when their own deque runs dry.  A plain locked
-/// ring — injection is off the per-message hot path.
+/// A locked FIFO of task indices: the executor keeps one per worker (see
+/// the module doc).
 #[derive(Default)]
 pub struct Injector {
     q: Mutex<VecDeque<usize>>,
@@ -176,11 +180,6 @@ impl Injector {
     /// Dequeue from the front.
     pub fn pop(&self) -> Option<usize> {
         self.q.lock().pop_front()
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.q.lock().len()
     }
 
     /// Whether the injector is empty.
@@ -307,7 +306,7 @@ mod tests {
         assert!(inj.is_empty());
         inj.push(1);
         inj.push(2);
-        assert_eq!(inj.len(), 2);
+        assert!(!inj.is_empty());
         assert_eq!(inj.pop(), Some(1));
         assert_eq!(inj.pop(), Some(2));
         assert_eq!(inj.pop(), None);

@@ -14,11 +14,14 @@ event-count checks, and a clean ``check_trace.py`` pass where listed.
               transmissions and crashes rank 3 at its 18th wire operation.
               Pins crash detection, seven survivors, shrink-and-remap.
 ``executor``  ``quickstart`` and ``chaos_stencil`` once per engine
-              (``MIM_EXECUTOR=threads`` / ``tasks``): the simulated
-              application cannot tell which engine ran it.  Under the task
-              engine the retry timers, duplicate deliveries and scheduled
-              crash all fire against *parked tasks*, so this pins the whole
-              park/unpark protocol, not just the happy path.
+              (``MIM_EXECUTOR=threads`` / ``tasks``), and on the task engine
+              again under ``MIM_WORKERS=1`` and ``MIM_WORKERS=3``: the
+              simulated application cannot tell which engine ran it, nor on
+              how many workers.  Under the task engine the retry timers,
+              duplicate deliveries and scheduled crash all fire against
+              *parked tasks*, so this pins the whole park/unpark protocol,
+              not just the happy path; three workers split the ranks
+              unevenly across their home queues.
 ``elastic``   ``elastic_stencil`` twice per engine: rolling restart of
               rank 3, readmission, a latent slot joining, a 9-rank window
               matrix.  Per-engine replay AND threads-vs-tasks agreement.
@@ -58,10 +61,13 @@ import sys
 import tempfile
 
 SEED = "42"
-T1, T2, K1, K2 = ("threads", 1), ("threads", 2), ("tasks", 1), ("tasks", 2)
+T1, T2, K1, K2 = ("threads", 1, ()), ("threads", 2, ()), ("tasks", 1, ()), ("tasks", 2, ())
+W1 = ("tasks", 1, (("MIM_WORKERS", "1"),))
+W3 = ("tasks", 1, (("MIM_WORKERS", "3"),))
 
 # Per gate: how many example paths it takes; the run matrix as
-# (MIM_EXECUTOR or None = inherit, repetition); which pairs of runs must
+# (MIM_EXECUTOR or None = inherit, repetition, extra environment as
+# (name, value) pairs); which pairs of runs must
 # leave identical normalized traces; stdout markers (checked on the first
 # run); event-count checks on the first run's trace as
 # (what, needle, min, max or None); whether check_trace.py lints every
@@ -70,8 +76,8 @@ T1, T2, K1, K2 = ("threads", 1), ("threads", 2), ("tasks", 1), ("tasks", 2)
 GATES = {
     "chaos": dict(
         examples=1,
-        runs=[(None, 1), (None, 2)],
-        same_trace=[((None, 1), (None, 2))],
+        runs=[(None, 1, ()), (None, 2, ())],
+        same_trace=[((None, 1, ()), (None, 2, ()))],
         markers=[
             "rank 3: DEAD",
             "survivors: 7/8",
@@ -88,13 +94,13 @@ GATES = {
     ),
     "executor": dict(
         examples=2,
-        runs=[T1, K1],
-        same_trace=[(T1, K1)],
+        runs=[T1, K1, W1, W3],
+        same_trace=[(T1, K1), (T1, W1), (T1, W3)],
         markers=[],
         events=[],
         lint=False,
-        ok="threads and tasks engines byte-identical on {names} "
-        "[{events} events], seed {seed}",
+        ok="threads and tasks engines (default, 1 and 3 workers) byte-identical on "
+        "{names} [{events} events], seed {seed}",
     ),
     "elastic": dict(
         examples=1,
@@ -159,8 +165,17 @@ def take_results(results_dir):
     return taken
 
 
-def run_once(example, engine, seed, trace_path, problems, gate_env):
+def label(run):
+    """A run's name in file names and messages: engine, repetition, extra
+    environment."""
+    engine, rep, extra = run
+    return f"{engine or 'run'}{rep}" + "".join(f".{k}={v}" for k, v in extra)
+
+
+def run_once(example, run, seed, trace_path, problems, gate_env):
+    engine, _, extra = run
     env = dict(os.environ, MIM_CHAOS_SEED=seed, MIM_TRACE=trace_path, **gate_env)
+    env.update(extra)
     if engine:
         env["MIM_EXECUTOR"] = engine
     env.pop("MIM_CHAOS_PLAN", None)  # the gates check the built-in plans
@@ -168,13 +183,12 @@ def run_once(example, engine, seed, trace_path, problems, gate_env):
     name = os.path.basename(example)
     if r.returncode != 0:
         problems.append(
-            f"{name} (seed {seed}, {engine or 'default engine'}) exited {r.returncode}:\n"
-            f"{r.stdout}{r.stderr}"
+            f"{name} (seed {seed}, {label(run)}) exited {r.returncode}:\n{r.stdout}{r.stderr}"
         )
     if engine == "tasks" and "using threads" in r.stderr:
         problems.append(f"{name}: task engine silently fell back to threads:\n{r.stderr}")
     if not os.path.exists(trace_path):
-        problems.append(f"{name} ({engine or 'default engine'}) produced no trace file")
+        problems.append(f"{name} ({label(run)}) produced no trace file")
     return r.stdout
 
 
@@ -192,8 +206,8 @@ def check_example(gate, example, seed, tmp, problems):
     outs, traces, counts, results = {}, {}, {}, {}
     before = len(problems)
     for run in gate["runs"]:
-        trace = os.path.join(tmp, f"{name}.{run[0] or 'run'}{run[1]}.jsonl")
-        outs[run] = run_once(example, run[0], seed, trace, problems, env)
+        trace = os.path.join(tmp, f"{name}.{label(run)}.jsonl")
+        outs[run] = run_once(example, run, seed, trace, problems, env)
         if len(problems) > before:
             continue
         traces[run], counts[run] = summarize(trace, needles)
@@ -215,18 +229,20 @@ def check_example(gate, example, seed, tmp, problems):
             problems.append(f"{name}: stdout is missing {marker!r}")
     for run in gate["runs"][1:]:
         if outs[run] != outs[first]:
-            problems.append(f"{name}: stdout of {run} diverged from {first} (seed {seed})")
+            problems.append(
+                f"{name}: stdout of {label(run)} diverged from {label(first)} (seed {seed})"
+            )
         moved = sorted(
             f
             for f in results[run].keys() | results[first].keys()
             if results[run].get(f) != results[first].get(f)
         )
         if moved:
-            problems.append(f"{name}: {', '.join(moved)} of {run} diverged from {first}")
+            problems.append(f"{name}: {', '.join(moved)} of {label(run)} diverged from {label(first)}")
     for a, b in gate["same_trace"]:
         if traces[a] != traces[b]:
             problems.append(
-                f"{name}: normalized traces diverged between {a} and {b} "
+                f"{name}: normalized traces diverged between {label(a)} and {label(b)} "
                 f"({traces[a][0]} vs {traces[b][0]} lines, digests differ)"
             )
     for (what, _, lo, hi), count in zip(gate["events"], counts[first]):
