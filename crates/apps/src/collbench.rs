@@ -5,13 +5,11 @@
 //! The monitoring → matrix → TreeMatch → `comm_split` pipeline runs live on
 //! the threaded runtime; the before/after collective *timings* come from the
 //! deterministic discrete-event evaluator with per-node NIC contention
-//! ([`mim_mpisim::schedule::evaluate_contended`]), which is what makes
+//! ([`mim_mpisim::schedule::simulate`] with `contention`), which is what makes
 //! bandwidth-bound tree collectives placement-sensitive in the first place.
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{
-    schedule, Schedule, Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
-};
+use mim_mpisim::{schedule, Schedule, Universe, UniverseConfig};
 use mim_reorder::monitored_reorder;
 use mim_topology::{inverse_permutation, Machine, Placement};
 
@@ -108,13 +106,7 @@ pub fn collective_opt(
     let cores_base: Vec<usize> = (0..np).map(|r| placement.core_of(r)).collect();
     let cores_opt: Vec<usize> = (0..np).map(|r| cores_base[inv[r]]).collect();
     let time = |cores: &[usize]| {
-        let per_rank = schedule::evaluate_contended(
-            &sched,
-            &machine,
-            cores,
-            SEND_OVERHEAD_NS,
-            RECV_OVERHEAD_NS,
-        );
+        let per_rank = schedule::simulate(&sched, &machine, cores, true);
         match kind {
             // Reduce: the paper plots the time at the root (schedule rank 0).
             CollectiveKind::ReduceBinary => per_rank[0],

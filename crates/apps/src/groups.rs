@@ -15,9 +15,7 @@
 //! once and extrapolates over the iteration axis (see EXPERIMENTS.md).
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{
-    schedule, Schedule, Step, Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
-};
+use mim_mpisim::{schedule, Schedule, Step, Universe, UniverseConfig};
 use mim_reorder::monitored_reorder;
 use mim_topology::{inverse_permutation, Machine, Placement};
 
@@ -118,9 +116,7 @@ pub fn grouped_allgather_gain(
     }
     let combined = combined_ring_schedule(nprocs, group_size, block_bytes);
     let makespan = |cores: &[usize]| {
-        schedule::evaluate_contended(&combined, &machine, cores, SEND_OVERHEAD_NS, RECV_OVERHEAD_NS)
-            .into_iter()
-            .fold(0.0f64, f64::max)
+        schedule::simulate(&combined, &machine, cores, true).into_iter().fold(0.0f64, f64::max)
     };
     GroupGain {
         per_iter_before_ns: makespan(&cores_base),

@@ -29,7 +29,7 @@ fn main() {
     let mut b = Bench::new();
     for (name, sched) in &schedules {
         b.iter("collective_makespan_eval", name, || {
-            schedule::evaluate_contended(black_box(sched), &machine, &cores, 100.0, 50.0)
+            schedule::simulate(black_box(sched), &machine, &cores, true)
                 .into_iter()
                 .fold(0.0f64, f64::max);
         });
@@ -47,9 +47,8 @@ fn main() {
     ];
     println!("\nanalytic makespans, {np} ranks cyclic on 4 nodes, 8 MB buffers:");
     for (name, sched) in &schedules {
-        let t = schedule::evaluate_contended(sched, &machine, &cores, 100.0, 50.0)
-            .into_iter()
-            .fold(0.0f64, f64::max);
+        let t =
+            schedule::simulate(sched, &machine, &cores, true).into_iter().fold(0.0f64, f64::max);
         let ms = format!("{:.2}", t / 1e6);
         println!("  {name:>16}: {ms} ms");
         if let Some((_, pinned)) = pinned_ms.iter().find(|(pinned, _)| pinned == name) {

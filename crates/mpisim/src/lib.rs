@@ -65,7 +65,7 @@ pub use runtime::{
     RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
 };
 pub use sched::{CanonicalPolicy, Decision, PolicyHandle, SchedulePolicy};
-pub use schedule::{ChannelTotals, Schedule, Step};
+pub use schedule::{Schedule, Step};
 
 /// The tracing subsystem (re-exported so downstream crates need no direct
 /// `mim-trace` dependency to inject a [`trace::Tracer`] into a universe).

@@ -167,7 +167,8 @@ pub(crate) struct Shared {
     /// born admitted; a latent slot flips when a sponsor admits it.  The
     /// sponsor's run epilogue retires every slot still unadmitted.
     pub(crate) admitted: Vec<AtomicBool>,
-    /// Set by `launch_faulty`: sends to a gone mailbox drop silently
+    /// Set by the recoverable launches (`launch_faulty`, `launch_elastic`):
+    /// sends to a gone mailbox drop silently
     /// instead of unwinding the sender (`RankAborted`).
     pub(crate) faulty: AtomicBool,
     /// M:N scheduler state, present iff the universe runs in
@@ -233,8 +234,9 @@ impl Shared {
     /// slates skip the policy call entirely.  A staged envelope can be
     /// released by a *concurrent* poster's drain loop, in which case its
     /// original poster reports success: the only false return is a send to
-    /// a gone mailbox (`launch_faulty` crash plans), which is not combined
-    /// with schedule exploration.
+    /// a gone mailbox under a recoverable launch (`launch_faulty` crash
+    /// plans, `launch_elastic` membership churn), which is not combined with
+    /// schedule exploration.
     fn post_policed(&self, policy: &PolicyHandle, dst: usize, env: Envelope) -> bool {
         let my_ticket = {
             let mut stage = self.stage.lock();

@@ -89,7 +89,7 @@ impl Rank {
         // message lands α later.  Shared per-*node* NIC contention cannot be
         // modelled soundly here (bookings would happen in wall-clock order
         // while virtual clocks drift); the deterministic, virtual-time-
-        // ordered variant lives in `schedule::evaluate_contended`.
+        // ordered variant is `schedule::simulate` with `contention`.
         let link = self.shared.cfg.machine.link_params(self.core, dst_core);
         let plan = self.judge_send(dst_world, bytes, link.beta_ns_per_byte);
         let busy = plan.beta * bytes as f64;

@@ -11,12 +11,11 @@
 //!   payloads, so benchmarks can run paper-scale buffers (2·10⁸ ints)
 //!   without allocating them while the PML hooks and the cost model see the
 //!   real sizes;
-//! * [`evaluate`] computes the virtual completion times analytically, with
+//! * [`simulate`] computes the virtual completion times analytically, with
 //!   the exact timing rules of the threaded runtime — tests cross-check the
 //!   two paths against each other.
 
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use mim_analyze::{CommPlan, Op, Program, Report, Src, Tag, Verdict, WORLD};
 use mim_topology::Machine;
@@ -25,7 +24,7 @@ use mim_trace::{TraceData, Tracer};
 use crate::collectives::pattern;
 use crate::comm::Comm;
 use crate::envelope::{Ctx, MsgKind, Payload};
-use crate::runtime::{Rank, SrcSel, TagSel};
+use crate::runtime::{Rank, SrcSel, TagSel, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
 
 /// One step of a rank's program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,25 +86,6 @@ impl Schedule {
     /// receive on the peer, in matching per-channel order, and the whole
     /// pattern can run to completion under the eager-send model.
     ///
-    /// # Errors
-    /// Returns the full diagnostic list (one per line, each with its
-    /// stable `MIM-Axxx` code) — not just the first failure.
-    pub fn validate(&self) -> Result<(), String> {
-        self.validate_totals().map(|_| ())
-    }
-
-    /// Full static-analysis report for this schedule: the deadlock-lattice
-    /// verdict, *all* diagnostics, and per-channel traffic totals.  This is
-    /// `mim-analyze` applied to the schedule's lowered [`Program`] — the
-    /// single matcher behind [`Schedule::validate`], the `mim-analyze` CLI,
-    /// and the CI analyzer gate.
-    pub fn analyze(&self) -> Report {
-        mim_analyze::analyze(self)
-    }
-
-    /// Like [`Schedule::validate`], reporting per-channel traffic totals on
-    /// success.
-    ///
     /// The analysis *replays* the schedule: sends are eager (never block),
     /// each receive consumes the head of its per-channel FIFO and blocks
     /// until one is available.  This rejects schedules the seed's
@@ -113,9 +93,14 @@ impl Schedule {
     /// order (a circular wait), which deadlock any real execution — and
     /// flags sends that are never received.  The wait-for-graph replay
     /// itself lives in `mim-analyze` (this method keeps only the
-    /// schedule-shaped `Result` wrapper); the pre-analyzer FIFO replay is
+    /// schedule-shaped `Result` wrapper; per-channel totals are
+    /// [`Schedule::analyze`]'s `channels`); the pre-analyzer FIFO replay is
     /// retained as a `#[cfg(test)]` oracle with an equivalence property.
-    pub fn validate_totals(&self) -> Result<Vec<ChannelTotals>, String> {
+    ///
+    /// # Errors
+    /// Returns the full diagnostic list (one per line, each with its
+    /// stable `MIM-Axxx` code) — not just the first failure.
+    pub fn validate(&self) -> Result<(), String> {
         let report = self.analyze();
         let mut problems: Vec<String> =
             report.errors().map(std::string::ToString::to_string).collect();
@@ -125,24 +110,33 @@ impl Schedule {
             // belt-and-braces fallback.
             problems.push(format!("schedule verdict: {}", report.verdict.kind()));
         }
-        if !problems.is_empty() {
-            return Err(problems.join("\n"));
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("\n"))
         }
-        // Schedule lowering uses one comm and one tag, so `(src, dst)`
-        // identifies a channel 1:1.
-        Ok(report
-            .channels
-            .iter()
-            .map(|c| ChannelTotals { src: c.src, dst: c.dst, messages: c.messages, bytes: c.bytes })
-            .collect())
+    }
+
+    /// Full static-analysis report for this schedule: the deadlock-lattice
+    /// verdict, *all* diagnostics, and per-channel traffic totals.  This is
+    /// `mim-analyze` applied to the schedule's lowered [`Program`] — the
+    /// single matcher behind [`Schedule::validate`], the `mim-analyze` CLI,
+    /// and the CI analyzer gate.  Schedule lowering uses one comm and one
+    /// tag, so `(src, dst)` identifies a channel 1:1.
+    pub fn analyze(&self) -> Report {
+        mim_analyze::analyze(self)
     }
 
     /// The seed's count-and-FIFO replay, retained verbatim as the
     /// equivalence oracle for the `mim-analyze` rebase: the
     /// `analyzer_matches_replay_reference` property compares the two on
-    /// random valid and corrupted schedules.  Not for production use.
+    /// random valid and corrupted schedules.  On success, the per-channel
+    /// `(src, dst, messages, bytes)` totals sorted by channel.  Not for
+    /// production use.
     #[cfg(test)]
-    pub(crate) fn validate_totals_replay_reference(&self) -> Result<Vec<ChannelTotals>, String> {
+    pub(crate) fn validate_replay_reference(
+        &self,
+    ) -> Result<Vec<(usize, usize, u64, u64)>, String> {
         let n = self.nranks();
         for (r, steps) in self.steps.iter().enumerate() {
             for s in steps {
@@ -201,11 +195,11 @@ impl Schedule {
         {
             return Err(format!("channel {src}→{dst} has {count} sends that are never received"));
         }
-        let mut report: Vec<ChannelTotals> = totals
+        let mut report: Vec<_> = totals
             .into_iter()
-            .map(|((src, dst), (messages, bytes))| ChannelTotals { src, dst, messages, bytes })
+            .map(|((src, dst), (messages, bytes))| (src, dst, messages, bytes))
             .collect();
-        report.sort_unstable_by_key(|c| (c.src, c.dst));
+        report.sort_unstable();
         Ok(report)
     }
 }
@@ -239,19 +233,6 @@ impl CommPlan for Schedule {
         }
         p
     }
-}
-
-/// Per-channel traffic totals reported by [`Schedule::validate_totals`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelTotals {
-    /// Sending rank.
-    pub src: usize,
-    /// Receiving rank.
-    pub dst: usize,
-    /// Messages on the channel.
-    pub messages: u64,
-    /// Total payload bytes on the channel.
-    pub bytes: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -355,54 +336,25 @@ pub fn execute(rank: &Rank, comm: &Comm, schedule: &Schedule) {
     }
 }
 
-/// Analytically compute per-rank completion times (ns) of a schedule, using
-/// the exact timing rules of the threaded runtime: a send occupies the
-/// sender for `send_overhead_ns + β·bytes` and the message lands `α` after
-/// that; a receive waits for arrival then pays `recv_overhead_ns`.
-/// `rank_to_core[r]` gives the core hosting communicator rank `r`.
-///
-/// # Panics
-/// Panics on a deadlocked (invalid) schedule.
-pub fn evaluate(
-    schedule: &Schedule,
-    machine: &Machine,
-    rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
-) -> Vec<f64> {
-    evaluate_traced(
-        schedule,
-        machine,
-        rank_to_core,
-        send_overhead_ns,
-        recv_overhead_ns,
-        false,
-        Tracer::global(),
-    )
+/// [`simulate`] without contention, kept for the `mim-ledger` benchmark
+/// (its `alltoall_plan` workload) alone: nothing else may call it.  The two
+/// overheads must be the runtime's constants.
+pub fn evaluate(s: &Schedule, m: &Machine, cores: &[usize], send: f64, recv: f64) -> Vec<f64> {
+    assert!(send == SEND_OVERHEAD_NS && recv == RECV_OVERHEAD_NS, "overheads are constants");
+    simulate(s, m, cores, false)
 }
 
-/// Like [`evaluate`] but with per-node NIC contention: cross-node sends of
-/// one node serialize on its shared link.  Events are processed in
-/// virtual-time order, so this variant is deterministic — which is why the
-/// model lives here and not in the live runtime (`Rank::wire_send` has no
-/// contention knob): there, link bookings would happen in wall-clock order
-/// while the ranks' virtual clocks drift.
+/// [`simulate`] with contention, kept for the `mim-ledger` benchmark alone,
+/// like [`evaluate`].
 pub fn evaluate_contended(
-    schedule: &Schedule,
-    machine: &Machine,
-    rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
+    s: &Schedule,
+    m: &Machine,
+    cores: &[usize],
+    send: f64,
+    recv: f64,
 ) -> Vec<f64> {
-    evaluate_traced(
-        schedule,
-        machine,
-        rank_to_core,
-        send_overhead_ns,
-        recv_overhead_ns,
-        true,
-        Tracer::global(),
-    )
+    assert!(send == SEND_OVERHEAD_NS && recv == RECV_OVERHEAD_NS, "overheads are constants");
+    simulate(s, m, cores, true)
 }
 
 /// Ready-queue entry ordered as a *min*-heap on `(clock, rank)` — the same
@@ -429,12 +381,22 @@ impl Ord for Ready {
     }
 }
 
-/// [`evaluate`] / [`evaluate_contended`] with an explicit tracer: each
-/// evaluator step is recorded as a `des` event on a dedicated track (tests
-/// inject a tracer here; the plain entry points use the `MIM_TRACE` global
-/// one).  The instrumentation only *observes* the engine — it performs no
-/// float arithmetic of its own — so results stay bit-identical to the
-/// untraced run and to the scan reference.
+/// Analytically compute per-rank completion times (ns) of a schedule, using
+/// the exact timing rules of the threaded runtime: a send occupies the
+/// sender for `SEND_OVERHEAD_NS + β·bytes` and the message lands `α` after
+/// that; a receive waits for arrival then pays `RECV_OVERHEAD_NS`.
+/// `rank_to_core[r]` gives the core hosting communicator rank `r`.
+///
+/// With `contention`, cross-node sends of one node serialize on its shared
+/// link.  Events are processed in virtual-time order, so this is
+/// deterministic — which is why the model lives here and not in the live
+/// runtime (`Rank::wire_send` has no contention knob): there, link bookings
+/// would happen in wall-clock order while the ranks' virtual clocks drift.
+///
+/// Each evaluator step is recorded as a `des` event on a dedicated track of
+/// the `MIM_TRACE` global tracer.  The instrumentation only *observes* the
+/// engine — it performs no float arithmetic of its own — so results stay
+/// bit-identical to the untraced run and to the scan reference.
 ///
 /// The discrete-event engine: repeatedly run the *ready* rank with the
 /// smallest clock for one step, so shared-resource bookings happen in
@@ -447,15 +409,16 @@ impl Ord for Ready {
 /// ready-scan, taking the whole evaluation from O(E·n) to O(E log n) — the
 /// difference between minutes and milliseconds at Table-1 / NP=256 scales
 /// and beyond.
-pub fn evaluate_traced(
+///
+/// # Panics
+/// Panics on a deadlocked (invalid) schedule.
+pub fn simulate(
     schedule: &Schedule,
     machine: &Machine,
     rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
     contention: bool,
-    tracer: Option<Arc<Tracer>>,
 ) -> Vec<f64> {
+    let tracer = Tracer::global();
     let n = schedule.nranks();
     assert_eq!(rank_to_core.len(), n, "rank/core mapping size mismatch");
     let trace = tracer.as_ref().map(|t| t.track("des".to_string()));
@@ -486,7 +449,7 @@ pub fn evaluate_traced(
                 let (src, dst) = (rank_to_core[r], rank_to_core[peer]);
                 let link = machine.link_params(src, dst);
                 let busy = link.beta_ns_per_byte * bytes as f64;
-                clock[r] += send_overhead_ns;
+                clock[r] += SEND_OVERHEAD_NS;
                 if contention && machine.crosses_network(src, dst) {
                     let node = machine.node_of_core(src);
                     let start = nic_free[node].max(clock[r]);
@@ -515,7 +478,7 @@ pub fn evaluate_traced(
                     }
                     continue;
                 };
-                clock[r] = clock[r].max(arrival) + recv_overhead_ns;
+                clock[r] = clock[r].max(arrival) + RECV_OVERHEAD_NS;
                 if let Some(t) = &trace {
                     t.record(clock[r], TraceData::DesStep { rank: r, op: "recv", peer, bytes: 0 });
                 }
@@ -533,29 +496,15 @@ pub fn evaluate_traced(
     clock
 }
 
-/// Max completion time over all ranks — the collective's virtual makespan.
-pub fn makespan(
-    schedule: &Schedule,
-    machine: &Machine,
-    rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
-) -> f64 {
-    evaluate(schedule, machine, rank_to_core, send_overhead_ns, recv_overhead_ns)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
-/// The seed's O(E·n) ready-scan evaluator, retained verbatim as the
-/// equivalence oracle for [`evaluate`]/[`evaluate_contended`]: the
-/// `heap_evaluator_matches_scan_reference` property compares against it.
+/// The seed's O(E·n) ready-scan evaluator, retained verbatim (bar the
+/// overheads, now the runtime's constants) as the equivalence oracle for
+/// [`simulate`]: the `heap_evaluator_matches_scan_reference` property
+/// compares against it.
 #[cfg(test)]
 pub(crate) fn evaluate_scan_reference(
     schedule: &Schedule,
     machine: &Machine,
     rank_to_core: &[usize],
-    send_overhead_ns: f64,
-    recv_overhead_ns: f64,
     contention: bool,
 ) -> Vec<f64> {
     let n = schedule.nranks();
@@ -588,7 +537,7 @@ pub(crate) fn evaluate_scan_reference(
                 let (src, dst) = (rank_to_core[r], rank_to_core[peer]);
                 let link = machine.link_params(src, dst);
                 let busy = link.beta_ns_per_byte * bytes as f64;
-                clock[r] += send_overhead_ns;
+                clock[r] += SEND_OVERHEAD_NS;
                 if contention && machine.crosses_network(src, dst) {
                     let node = machine.node_of_core(src);
                     let start = nic_free[node].max(clock[r]);
@@ -604,7 +553,7 @@ pub(crate) fn evaluate_scan_reference(
                     .get_mut(&(peer, r))
                     .and_then(VecDeque::pop_front)
                     .expect("readiness check guaranteed a message");
-                clock[r] = clock[r].max(arrival) + recv_overhead_ns;
+                clock[r] = clock[r].max(arrival) + RECV_OVERHEAD_NS;
             }
         }
         pc[r] += 1;
@@ -623,7 +572,7 @@ mod tests {
     use mim_topology::{Machine, Placement};
     use mim_util::prop::Gen;
 
-    use crate::runtime::{Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
+    use crate::runtime::{Universe, UniverseConfig};
 
     const NS: &[usize] = &[1, 2, 3, 4, 5, 7, 8, 12, 16];
 
@@ -846,8 +795,7 @@ mod tests {
             let placement = Placement::packed(12);
             let rank_to_core: Vec<usize> = (0..12).map(|r| placement.core_of(r)).collect();
             let cfg = UniverseConfig::new(machine.clone(), placement);
-            let expect =
-                evaluate(&schedule, &machine, &rank_to_core, SEND_OVERHEAD_NS, RECV_OVERHEAD_NS);
+            let expect = simulate(&schedule, &machine, &rank_to_core, false);
             let u = Universe::new(cfg);
             let got = u.launch(|rank| {
                 let world = rank.comm_world();
@@ -874,8 +822,9 @@ mod tests {
         let packed: Vec<usize> = (0..16).collect();
         let scattered: Vec<usize> =
             (0..16).map(|r| if r % 2 == 0 { r / 2 } else { 8 + r / 2 }).collect();
-        let t_packed = makespan(&sched, &machine, &packed, 100.0, 50.0);
-        let t_scattered = makespan(&sched, &machine, &scattered, 100.0, 50.0);
+        let makespan =
+            |cores| simulate(&sched, &machine, cores, false).into_iter().fold(0.0, f64::max);
+        let (t_packed, t_scattered) = (makespan(&packed), makespan(&scattered));
         assert!(t_packed < t_scattered, "packed {t_packed} should beat scattered {t_scattered}");
     }
 
@@ -890,9 +839,9 @@ mod tests {
         // deep cross-node path.
         let machine = Machine::cluster(2, 1, 8);
         let cores: Vec<usize> = (0..n).map(|r| (r % 2) * 8 + r / 2).collect();
-        let chunked = makespan(&s, &machine, &cores, 100.0, 50.0);
-        let whole =
-            makespan(&bcast_binary_segmented(n, 0, bytes, bytes), &machine, &cores, 100.0, 50.0);
+        let makespan = |s| simulate(s, &machine, &cores, false).into_iter().fold(0.0, f64::max);
+        let chunked = makespan(&s);
+        let whole = makespan(&bcast_binary_segmented(n, 0, bytes, bytes));
         assert!(chunked < whole, "pipelined {chunked} vs whole {whole}");
     }
 
@@ -924,12 +873,8 @@ mod tests {
         }
         let ratio = |seg: u64| {
             let s = bcast_binary_segmented(n, 0, bytes, seg);
-            let base = evaluate_contended(&s, &machine, &spread, 100.0, 50.0)
-                .into_iter()
-                .fold(0.0f64, f64::max);
-            let opt = evaluate_contended(&s, &machine, &packed, 100.0, 50.0)
-                .into_iter()
-                .fold(0.0f64, f64::max);
+            let base = simulate(&s, &machine, &spread, true).into_iter().fold(0.0f64, f64::max);
+            let opt = simulate(&s, &machine, &packed, true).into_iter().fold(0.0f64, f64::max);
             base / opt
         };
         let gap_whole = ratio(bytes);
@@ -970,7 +915,8 @@ mod tests {
     #[test]
     fn validate_reports_per_channel_bytes() {
         let s = allgather_ring(3, 128);
-        let totals = s.validate_totals().unwrap();
+        s.validate().unwrap();
+        let totals = s.analyze().channels;
         // Each rank sends n-1 = 2 blocks to its right neighbour.
         assert_eq!(totals.len(), 3);
         for t in &totals {
@@ -978,6 +924,8 @@ mod tests {
             assert_eq!(t.messages, 2);
             assert_eq!(t.bytes, 256);
         }
+        let oracle: Vec<_> = totals.iter().map(|c| (c.src, c.dst, c.messages, c.bytes)).collect();
+        assert_eq!(s.validate_replay_reference(), Ok(oracle));
         let unreceived = Schedule::new(vec![
             vec![Step::Send { peer: 1, bytes: 4 }, Step::Send { peer: 1, bytes: 4 }],
             vec![Step::Recv { peer: 0 }],
@@ -1011,14 +959,13 @@ mod tests {
             ];
             for s in schedules {
                 for contention in [false, true] {
-                    let scan =
-                        evaluate_scan_reference(&s, &machine, &cores, 100.0, 50.0, contention);
-                    let heap = if contention {
-                        evaluate_contended(&s, &machine, &cores, 100.0, 50.0)
-                    } else {
-                        evaluate(&s, &machine, &cores, 100.0, 50.0)
-                    };
+                    let scan = evaluate_scan_reference(&s, &machine, &cores, contention);
+                    let heap = simulate(&s, &machine, &cores, contention);
                     assert_eq!(scan, heap, "divergence (contention={contention})");
+                    // The ledger-only shims forward to the same engine.
+                    let shim = if contention { evaluate_contended } else { evaluate };
+                    let shimmed = shim(&s, &machine, &cores, 100.0, 50.0);
+                    assert_eq!(shimmed, heap, "shim divergence (contention={contention})");
                 }
             }
         }
@@ -1029,7 +976,7 @@ mod tests {
     fn evaluator_detects_deadlock() {
         let s = Schedule::new(vec![vec![Step::Recv { peer: 1 }], vec![Step::Recv { peer: 0 }]]);
         let machine = Machine::cluster(1, 1, 2);
-        evaluate(&s, &machine, &[0, 1], 0.0, 0.0);
+        simulate(&s, &machine, &[0, 1], false);
     }
 
     #[test]
@@ -1086,8 +1033,8 @@ mod tests {
     }
 
     mim_util::props! {
-        /// The analyzer-backed `validate_totals` must agree with the seed's
-        /// FIFO replay on random valid *and* corrupted schedules: same
+        /// The analyzer-backed `validate` and `analyze().channels` must agree
+        /// with the seed's FIFO replay on random valid *and* corrupted schedules: same
         /// accept/reject decision, identical per-channel totals on accept.
         fn analyzer_matches_replay_reference(g) {
             let n = g.gen_range(2usize..16);
@@ -1101,8 +1048,10 @@ mod tests {
             } else {
                 None
             };
-            let got = s.validate_totals();
-            let oracle = s.validate_totals_replay_reference();
+            let got = s.validate().map(|()| {
+                s.analyze().channels.iter().map(|c| (c.src, c.dst, c.messages, c.bytes)).collect::<Vec<_>>()
+            });
+            let oracle = s.validate_replay_reference();
             match (got, oracle) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "totals diverge ({corrupted:?})"),
                 (Err(_), Err(_)) => {}
@@ -1115,8 +1064,8 @@ mod tests {
         /// Every corruption kind (dropped recv/send, retargeted send,
         /// crossed-order injection) must be flagged; the pristine schedule
         /// must stay clean.  Cross-validates verdicts against the DES
-        /// evaluator: `DeadlockFree` ⇒ `evaluate` completes, and a definite
-        /// deadlock ⇒ `evaluate` panics (ISSUE 4 acceptance).
+        /// evaluator: `DeadlockFree` ⇒ `simulate` completes, and a definite
+        /// deadlock ⇒ `simulate` panics.
         fn corrupted_schedules_are_flagged_and_cross_validate(g, cases = 48) {
             let n = g.gen_range(2usize..12);
             let clean = random_generator_schedule(g, n);
@@ -1133,7 +1082,7 @@ mod tests {
             let cores: Vec<usize> = (0..n).collect();
             for (s, verdict) in [(&clean, clean.analyze().verdict), (&bad, report.verdict)] {
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    evaluate(s, &machine, &cores, 10.0, 10.0)
+                    simulate(s, &machine, &cores, false)
                 }));
                 match verdict {
                     Verdict::DeadlockFree => {

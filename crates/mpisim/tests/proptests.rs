@@ -2,9 +2,7 @@
 
 use mim_core::{Flags, Monitoring};
 use mim_mpisim::trace::{TraceData, Tracer};
-use mim_mpisim::{
-    schedule, Scalar, SrcSel, TagSel, Universe, UniverseConfig, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
-};
+use mim_mpisim::{schedule, Scalar, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
 use mim_util::rng::Rng;
@@ -45,7 +43,8 @@ props! {
         ] {
             // The replaying validator must accept every generator, and its
             // per-channel report must agree with the message multiset.
-            let totals = s.validate_totals().unwrap();
+            s.validate().unwrap();
+            let totals = s.analyze().channels;
             assert_eq!(
                 totals.iter().map(|t| t.messages as usize).sum::<usize>(),
                 s.total_messages()
@@ -73,8 +72,8 @@ props! {
         let machine = Machine::cluster(2, 1, 8);
         let cores: Vec<usize> = (0..n).map(|r| (r % 2) * 8 + r / 2).collect();
         let s = schedule::allgather_ring(n, bytes);
-        let free = schedule::evaluate(&s, &machine, &cores, 100.0, 50.0);
-        let cont = schedule::evaluate_contended(&s, &machine, &cores, 100.0, 50.0);
+        let free = schedule::simulate(&s, &machine, &cores, false);
+        let cont = schedule::simulate(&s, &machine, &cores, true);
         for (f, c) in free.iter().zip(&cont) {
             assert!(c >= f, "contention made a rank faster: {c} < {f}");
         }
@@ -96,7 +95,7 @@ props! {
             schedule::allgather_ring(n, bytes),
             schedule::allgather_bruck(n, bytes),
         ] {
-            let expect = schedule::evaluate(&sched, &machine, &cores, SEND_OVERHEAD_NS, RECV_OVERHEAD_NS);
+            let expect = schedule::simulate(&sched, &machine, &cores, false);
             let machine2 = machine.clone();
             let u = Universe::new(UniverseConfig::new(machine2, Placement::packed(n)));
             let got = u.launch(|rank| {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint gate (stdlib only, no cargo needed).
 
-Six rules; the first four are scoped to library code with `#[cfg(test)]`
+Seven rules; the first four are scoped to library code with `#[cfg(test)]`
 items stripped:
 
 1. No `.unwrap()` / `.expect(` in `mim-mpisim`, `mim-core`,
@@ -49,6 +49,13 @@ items stripped:
 6. `unsafe` appears only in the files listed in `UNSAFE_ALLOWED`, each
    with its reason.  The one block outside them used to parse outside
    input (`from_utf8_unchecked` in the analyzer's JSON reader).
+
+7. `schedule::evaluate` / `evaluate_contended` are ledger-only shims over
+   `schedule::simulate`: no call to either appears under `crates/`,
+   `tests/` or `examples/`, whose Rust files are all scanned — only the
+   two forwarding definitions in `schedule.rs`.  `mim-ledger` measures
+   them until it moves onto `simulate`; a caller that joined meanwhile
+   would keep alive what is meant to be deleted mechanically.
 
 The allowlists are keyed by repo-relative path, and an entry no line
 matches fails the gate: a moved or deleted site must take its allowance
@@ -122,6 +129,12 @@ UNSAFE_ALLOWED = {
     "crates/core/src/capi.rs": "`Send` for a rank task's monitoring environment, which migrates with its fiber",
 }
 UNSAFE_RE = re.compile(r"\bunsafe\b")
+
+# Rule 7: where the ledger-only shims may be named with a `(`, and how.
+SHIM_SCOPE = ["crates", "tests", "examples"]
+SHIM_RE = re.compile(r"\bevaluate(?:_contended)?\(")
+SHIM_DEFS = {("crates/mpisim/src/schedule.rs", "pub fn evaluate("),
+             ("crates/mpisim/src/schedule.rs", "pub fn evaluate_contended(")}
 
 UNWRAP_RE = re.compile(r"\.unwrap\(\)|\.expect\(")
 CLOCK_RE = re.compile(r"\bInstant::now\b|\bSystemTime::now\b")
@@ -204,6 +217,28 @@ def surface_problems():
     return problems
 
 
+def shim_problems():
+    """Rule 7, over every Rust file under `SHIM_SCOPE`."""
+    problems, defined = [], set()
+    for scope in SHIM_SCOPE:
+        for path in sorted((REPO / scope).rglob("*.rs")):
+            rel = path.relative_to(REPO).as_posix()
+            for ln, line in enumerate(path.read_text().splitlines(), 1):
+                code = code_of(line)
+                if not SHIM_RE.search(code):
+                    continue
+                entry = next((d for d in SHIM_DEFS if d[0] == rel and d[1] in code), None)
+                if entry:
+                    defined.add(entry)
+                else:
+                    problems.append(
+                        f"{rel}:{ln}: ledger-only shim called (use schedule::simulate): {line.strip()}"
+                    )
+    for rel, sig in sorted(SHIM_DEFS - defined):
+        problems.append(f"shim definition matches no line (moved or deleted?): {rel}: {sig}")
+    return problems
+
+
 def main() -> int:
     problems = []
     used = set()
@@ -239,6 +274,7 @@ def main() -> int:
                         f"{line.strip()}"
                     )
     problems += surface_problems()
+    problems += shim_problems()
     for entry in ALLOWLIST:
         if entry not in used:
             problems.append(f"allowlist entry matches no line (moved or deleted?): {entry}")
@@ -255,7 +291,8 @@ def main() -> int:
         f"lint gate OK: {len(ALLOWLIST)} allowlisted sites, all in use, no stray "
         f"unwrap/expect or wall-clock calls, no file under {', '.join(SIZE_SCOPE)} over "
         f"{SIZE_CAP} counted lines; {len(env_table())} environment variables, all in README's "
-        f"table and all read; unsafe only in {len(UNSAFE_ALLOWED)} allow-listed files"
+        f"table and all read; unsafe only in {len(UNSAFE_ALLOWED)} allow-listed files; "
+        f"the {len(SHIM_DEFS)} ledger-only shims called nowhere"
     )
     print("largest: " + ", ".join(f"{rel.removeprefix('crates/')} {n}" for n, rel in sizes[:5]))
     return 0

@@ -25,11 +25,13 @@ event-count checks, and a clean ``check_trace.py`` pass where listed.
 ``elastic``   ``elastic_stencil`` twice per engine: rolling restart of
               rank 3, readmission, a latent slot joining, a 9-rank window
               matrix.  Per-engine replay AND threads-vs-tasks agreement.
-``figures``   ``stencil_reorder``, ``fig6_heatmap`` and ``fig7_cg`` under
-              ``MIM_QUICK=1``, twice per engine: the strict reorder loop
-              charges the mapping from a model of the matrix, not from the
-              host's clock, so stdout, traces and the CSVs a figure binary
-              writes are the same bytes on every run.
+``figures``   ``stencil_reorder``, ``fig5_collectives``, ``fig6_heatmap`` and
+              ``fig7_cg`` under ``MIM_QUICK=1``, twice per engine: the strict
+              reorder loop charges the mapping from a model of the matrix,
+              not from the host's clock, and Fig 5's collective times are
+              the contended DES (``schedule::simulate``), so stdout, traces
+              and the CSVs a figure binary writes are the same bytes on
+              every run.
 
 Normalization, and why it is honest: threads append to the shared trace
 file as they go, so lines from different ranks interleave in wall-clock
@@ -51,7 +53,8 @@ sizes, crash op counts, epochs, incarnations, per-track sequence numbers
 Usage: check_replay.py chaos    path/to/chaos_stencil [seed]
        check_replay.py executor path/to/quickstart path/to/chaos_stencil [seed]
        check_replay.py elastic  path/to/elastic_stencil [seed]
-       check_replay.py figures  path/to/stencil_reorder path/to/fig6_heatmap path/to/fig7_cg [seed]
+       check_replay.py figures  path/to/stencil_reorder path/to/fig5_collectives
+                                path/to/fig6_heatmap path/to/fig7_cg [seed]
 """
 import hashlib
 import os
@@ -126,7 +129,7 @@ GATES = {
         "events, restart + rejoin + scale-out verified 4x",
     ),
     "figures": dict(
-        examples=3,
+        examples=4,
         runs=[T1, T2, K1, K2],
         same_trace=[(T1, T2), (K1, K2), (T1, K1)],
         markers=[],
