@@ -42,8 +42,8 @@ pub struct FaultPlan {
     degrade: Vec<(usize, usize, f64)>,
     crashes: Vec<(usize, CrashPoint)>,
     /// Ranks whose plan crash is followed by a rebirth (rolling restart,
-    /// `Universe::launch_elastic`).  Each restarts exactly once: only the
-    /// original incarnation's crash is covered.
+    /// honoured by `Universe::launch_faulty`).  Each restarts exactly once:
+    /// only the original incarnation's crash is covered.
     restarts: Vec<usize>,
     /// Join schedule: `(latent joiner world rank, sponsor op count)` pairs
     /// (see `FaultInjector::join_plan`).
@@ -113,8 +113,8 @@ impl FaultPlan {
 
     /// Rolling restart: crash `world` when its wire-operation counter
     /// reaches `ops`, then rebirth it (incarnation 1) under
-    /// `Universe::launch_elastic`.  Equivalent to `crash_at_ops` under the
-    /// non-elastic launchers.
+    /// `Universe::launch_faulty`.  The strict `Universe::launch` never
+    /// restarts: there the crash is a hard error, as with `crash_at_ops`.
     pub fn restart_at_ops(mut self, world: usize, ops: u64) -> Self {
         self.restarts.push(world);
         self.crash_at_ops(world, ops)

@@ -39,8 +39,8 @@ fn parent_pos(p: usize, arity: usize) -> usize {
 /// Every child is received with the failure-aware wait — its buffer or its
 /// death notice — so a listed rank that dies mid-gather is skipped rather
 /// than waited on: its subtree's frames evaporate with it, exactly as
-/// sends to a dead rank do under `launch_faulty`, and every other rank
-/// still returns.
+/// sends to a dead rank do under the recoverable `launch_faulty`, and
+/// every other rank still returns.
 ///
 /// # Errors
 /// At the root only: the listed ranks that contributed no frame, in rank

@@ -90,8 +90,8 @@ use mim_util::sync::{Mutex, Notifier};
 
 use crate::sched::{clamp_choice, Decision, PolicyHandle};
 
-/// Which engine a universe's launch family (`launch`, `launch_faulty`,
-/// `launch_elastic`) uses to host rank code.
+/// Which engine a universe's two launches (`launch`, `launch_faulty`) use
+/// to host the per-slot driver and the rank code it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// One OS thread per rank (the seed model; the equivalence oracle).

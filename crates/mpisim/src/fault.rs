@@ -12,8 +12,9 @@
 //! so the runtime carries no policy.
 //!
 //! Failure *handling* types also live here: [`RankFailure`] (what
-//! `Universe::launch_faulty` reports per rank) and [`PeerFailure`] (what
-//! `Rank::recv_or_failure` reports when the peer died), plus the internal
+//! `Universe::launch_faulty`, the one recoverable launch, reports per slot)
+//! and [`PeerFailure`] (what `Rank::recv_or_failure` reports when the peer
+//! died), plus the internal
 //! fault-protocol constants (death notices and liveness pings travel on a
 //! reserved communicator id and context so they can never match user traffic).
 //!
@@ -103,10 +104,11 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     }
 
     /// Rolling-restart schedule: should a rank crashed by this plan be
-    /// reborn (same world rank, incarnation + 1)?  Consulted by
-    /// `Universe::launch_elastic` after a plan crash unwinds the rank body;
-    /// `incarnation` is the incarnation that just died (0 for the original).
-    /// The default — never restart — keeps `launch_faulty` semantics.
+    /// reborn (same world rank, incarnation + 1)?  Consulted by the per-slot
+    /// driver under `Universe::launch_faulty` after a plan crash unwinds the
+    /// rank body; `incarnation` is the incarnation that just died (0 for the
+    /// original).  The default — never restart — leaves a crashed slot
+    /// `Crashed`; the strict `Universe::launch` never asks.
     fn restart_after_crash(&self, _world: usize, _incarnation: u32) -> bool {
         false
     }
@@ -121,7 +123,7 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     }
 }
 
-/// Why a rank failed, as reported by `Universe::launch_faulty`.
+/// Why a slot yielded no result, as reported by `Universe::launch_faulty`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RankFailure {
     /// The fault plan crashed this rank at the given virtual time after it
@@ -140,6 +142,9 @@ pub enum RankFailure {
     },
     /// The rank panicked for an unrelated reason (a real bug).
     Panicked(String),
+    /// A latent slot the sponsor never admitted: retired when world rank
+    /// 0's slot ended, it never ran the rank body.
+    Retired,
 }
 
 impl fmt::Display for RankFailure {
@@ -150,18 +155,27 @@ impl fmt::Display for RankFailure {
             }
             RankFailure::Aborted { dst } => write!(f, "aborted: peer rank {dst} unreachable"),
             RankFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
+            RankFailure::Retired => write!(f, "retired: latent slot never admitted"),
         }
     }
 }
 
-/// Internal panic payload used to unwind a rank thread killed by the plan.
-/// `Universe::launch_faulty` downcasts it back into [`RankFailure::Crashed`].
+/// Internal panic payload used to unwind a rank body killed by the plan.
+/// The per-slot driver restarts the slot when the plan says so;
+/// otherwise `Universe::launch_faulty` downcasts it back into
+/// [`RankFailure::Crashed`] and the strict `Universe::launch` reports it as
+/// a hard error.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RankCrashed {
     pub world: usize,
     pub at_ns: f64,
     pub ops: u64,
 }
+
+/// Internal panic payload of a latent slot retired before admission
+/// ([`RankFailure::Retired`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankRetired;
 
 impl RankFailure {
     /// Map a joined thread's panic payload to a failure report.
@@ -174,6 +188,9 @@ impl RankFailure {
             Ok(a) => return RankFailure::Aborted { dst: a.dst },
             Err(p) => p,
         };
+        if payload.is::<RankRetired>() {
+            return RankFailure::Retired;
+        }
         let payload = match payload.downcast::<String>() {
             Ok(s) => return RankFailure::Panicked(*s),
             Err(p) => p,
@@ -228,7 +245,8 @@ pub(crate) const FAULT_TAG_JOIN: u32 = 0x00FD_0003;
 /// grown communicator the joiner was admitted into).
 pub(crate) const FAULT_TAG_ADMIT: u32 = 0x00FD_0004;
 /// Tag of a retirement notice (sponsor → latent rank that will never be
-/// admitted: its slot returns `None` without running the rank body).
+/// admitted: its slot yields `RankFailure::Retired` without running the
+/// rank body).
 pub(crate) const FAULT_TAG_RETIRE: u32 = 0x00FD_0005;
 
 #[cfg(test)]
@@ -254,6 +272,11 @@ mod tests {
 
         let s: Box<dyn Any + Send> = Box::new("static boom");
         assert_eq!(RankFailure::classify(s), RankFailure::Panicked("static boom".to_string()));
+
+        let retired: Box<dyn Any + Send> = Box::new(RankRetired);
+        let retired = RankFailure::classify(retired);
+        assert_eq!(retired, RankFailure::Retired);
+        assert_eq!(retired.to_string(), "retired: latent slot never admitted");
 
         let opaque: Box<dyn Any + Send> = Box::new(17u32);
         assert_eq!(

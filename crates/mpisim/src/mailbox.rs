@@ -370,6 +370,12 @@ impl Mailbox {
         self.policy = Some((policy, world_rank));
     }
 
+    /// The channel receiver, for a reborn rank's mailbox: everything else —
+    /// the unexpected queue included — dies with this incarnation.
+    pub(crate) fn into_receiver(self) -> Receiver<Envelope> {
+        self.rx
+    }
+
     /// Hand back everything stashed in the unexpected queue, in arrival
     /// order.  A latent slot's parked wait stashes every envelope that is
     /// not its admission verdict; the stash transfers to the rank's real

@@ -8,7 +8,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mim_trace::TraceData;
@@ -152,16 +151,19 @@ impl Rank {
         plan
     }
 
-    /// Kill this rank: mark it dead, broadcast death notices so peers
-    /// blocked in [`Rank::recv_or_failure`] get a deterministic failure
-    /// signal (per-sender FIFO guarantees data sent before the crash is
-    /// still consumed first), and unwind with a typed payload that
-    /// `launch_faulty` maps to [`RankFailure::Crashed`].  `resume_unwind`
+    /// Kill this rank: broadcast death notices so peers blocked in
+    /// [`Rank::recv_or_failure`] get a deterministic failure signal
+    /// (per-sender FIFO guarantees data sent before the crash is still
+    /// consumed first), and unwind with a typed payload.  The per-slot
+    /// driver catches it: under `launch_faulty` it restarts the slot when
+    /// the plan says so, else the slot yields [`RankFailure::Crashed`];
+    /// the strict `launch` reports it as a hard error.  `resume_unwind`
     /// skips the panic hook, so a scheduled crash is silent on stderr.
+    ///
+    /// [`RankFailure::Crashed`]: crate::fault::RankFailure::Crashed
     fn crash_now(&self) -> ! {
         let now = self.clock.now_ns();
         let ops = self.fault.ops.get();
-        self.shared.alive[self.world_rank].store(false, Ordering::Relaxed);
         if let Some(t) = &self.trace {
             t.record(now, TraceData::RankCrash { ops });
         }

@@ -1,6 +1,7 @@
 //! Elastic membership: communicator epochs, the purely local shrink/grow
 //! id derivation, the admission wire codec, incarnations, the plan's join
-//! schedule and the per-slot driver of `Universe::launch_elastic`.  None of
+//! schedule and a latent slot's parked wait for admission (the per-slot
+//! driver that calls it lives beside the engines in `universe`).  None of
 //! it is on the communication path of a static universe: the wire reads
 //! two numbers from here (this body's incarnation, a peer's) and nothing
 //! else.
@@ -25,7 +26,7 @@ use crate::mailbox::{self, Mailbox};
 /// The membership-only state of a [`Rank`].
 pub(super) struct Membership {
     /// This body's incarnation: 0 for the original, bumped by each
-    /// plan-covered rebirth (`launch_elastic`'s restart loop).
+    /// plan-covered rebirth (the per-slot driver's restart loop).
     incarnation: u32,
     /// Latest incarnation observed per peer (via join notices consumed by
     /// `await_rejoin`); stamped onto outgoing envelopes as `dst_inc`.
@@ -64,85 +65,13 @@ impl Membership {
     }
 }
 
-/// Per-slot driver of [`Universe::launch_elastic`]: the restart loop of an
-/// initial rank, or the parked wait of a latent one.
-pub(super) fn elastic_rank_body<F, R>(
-    world_rank: usize,
-    shared: Arc<Shared>,
-    rx: Receiver<Envelope>,
-    f: &F,
-    slot: &mut Option<Option<R>>,
-) where
-    F: Fn(&Rank) -> R + Sync,
-    R: Send,
-{
-    let mut join = None;
-    let mut peer_incs = Vec::new();
-    let mut stash = Vec::new();
-    if world_rank >= shared.cfg.initial() {
-        // Latent slot: no `Rank` exists yet — park on the raw channel until
-        // the sponsor's admission (or retirement) notice arrives.
-        match wait_for_admission(world_rank, &shared, &rx) {
-            Some((comm, at, incs, pre)) => {
-                join = Some((comm, at));
-                peer_incs = incs;
-                stash = pre;
-            }
-            None => {
-                *slot = Some(None);
-                return;
-            }
-        }
-    }
-    let mut incarnation = 0u32;
-    loop {
-        let rank =
-            Rank::new_with(world_rank, Arc::clone(&shared), rx.clone(), incarnation, join.clone());
-        // The admission notice carried the members' incarnations: without
-        // them, envelopes toward a previously-reborn peer would be stamped
-        // `dst_inc 0` and stale-dropped by its mailbox.
-        if let Some((comm, _)) = &join {
-            rank.adopt_incarnations(comm.group(), &peer_incs);
-        }
-        // Messages that raced ahead of the admission notice were stashed by
-        // the parked wait; re-admit them before the first receive.
-        for env in stash.drain(..) {
-            rank.mailbox.borrow_mut().readmit(env);
-        }
-        if incarnation > 0 {
-            rank.announce_rejoin();
-        }
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&rank))) {
-            Ok(v) => {
-                if world_rank == 0 {
-                    rank.retire_latents();
-                }
-                *slot = Some(Some(v));
-                return;
-            }
-            Err(payload) => {
-                let restart = payload.downcast_ref::<fault::RankCrashed>().is_some()
-                    && shared
-                        .cfg
-                        .injector
-                        .as_ref()
-                        .is_some_and(|inj| inj.restart_after_crash(world_rank, incarnation));
-                if !restart {
-                    std::panic::resume_unwind(payload);
-                }
-                incarnation += 1;
-            }
-        }
-    }
-}
-
 /// Park a latent slot on its raw channel until the sponsor's verdict:
 /// `Some((comm, arrival_ns, incarnations, stash))` when admitted — `stash`
 /// holding, in arrival order, every envelope that raced ahead of the
 /// admission notice — `None` when retired.  The mailbox is allocated
 /// lazily, right here — a never-admitted slot never owns a `Rank`, a clock
 /// or a trace track.
-fn wait_for_admission(
+pub(super) fn wait_for_admission(
     world_rank: usize,
     shared: &Arc<Shared>,
     rx: &Receiver<Envelope>,
@@ -253,7 +182,7 @@ impl std::fmt::Display for StaleEpoch {
 
 impl Rank {
     /// This body's incarnation: 0 for the original; a rolling-restart plan
-    /// bumps it on each rebirth (`Universe::launch_elastic`).
+    /// bumps it on each rebirth (`Universe::launch_faulty`).
     pub fn incarnation(&self) -> u32 {
         self.membership.incarnation
     }
@@ -262,12 +191,6 @@ impl Rank {
     /// launch (`None` for initial-world ranks).
     pub fn join_comm(&self) -> Option<Comm> {
         self.membership.join_comm.clone()
-    }
-
-    /// Highest membership epoch this rank has derived or observed (see
-    /// [`Rank::send_checked`]).
-    pub fn membership_epoch(&self) -> u64 {
-        self.membership.epoch.get()
     }
 
     /// Envelopes this rank's mailbox dropped because they were addressed to
@@ -313,12 +236,10 @@ impl Rank {
 
     // ----- elastic membership ------------------------------------------------
 
-    /// A reborn body's prologue: come back alive and broadcast a join
-    /// notice (carrying the new incarnation) to every slot — the dual of
-    /// `crash_now`'s death notices.  Survivors consume it with
-    /// [`Rank::await_rejoin`].
+    /// A reborn body's prologue: broadcast a join notice (carrying the new
+    /// incarnation) to every slot — the dual of `crash_now`'s death
+    /// notices.  Survivors consume it with [`Rank::await_rejoin`].
     pub(crate) fn announce_rejoin(&self) {
-        self.shared.alive[self.world_rank].store(true, Ordering::Relaxed);
         self.record_trace(
             self.clock.now_ns(),
             TraceData::RankJoin { incarnation: self.incarnation() },
@@ -354,11 +275,10 @@ impl Rank {
     }
 
     /// Wait for an admission notice and return the grown communicator it
-    /// carries — the joiner half of [`Rank::admit`] /
-    /// [`Rank::send_admission`].  Used by a *reborn* rank to learn the
-    /// communicator its survivors grew for it; a latent slot's first
-    /// admission is consumed before the rank body even runs (its result is
-    /// [`Rank::join_comm`]).
+    /// carries — the joiner half of [`Rank::admit`].  Used by a *reborn*
+    /// rank to learn the communicator its survivors grew for it; a latent
+    /// slot's first admission is consumed before the rank body even runs
+    /// (its result is [`Rank::join_comm`]).
     pub fn recv_admission(&self) -> Comm {
         let pat = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
         let env = self.mailbox.borrow_mut().recv_match(&pat);
@@ -373,7 +293,7 @@ impl Rank {
     /// envelopes toward previously-reborn members are stamped correctly.
     /// Never lowers a known incarnation (a join notice may already have
     /// reported a newer one).
-    fn adopt_incarnations(&self, group: &[usize], incs: &[u32]) {
+    pub(super) fn adopt_incarnations(&self, group: &[usize], incs: &[u32]) {
         let mut peers = self.membership.peer_inc.borrow_mut();
         for (&w, &inc) in group.iter().zip(incs) {
             if w != self.world_rank && inc > peers.get(&w).copied().unwrap_or(0) {
@@ -382,20 +302,8 @@ impl Rank {
         }
     }
 
-    /// Send an admission notice for a grown communicator to a joiner
-    /// (fault-protocol traffic: no monitoring, no injection).  The grown
-    /// communicator must include the joiner.  Admission of *latent* slots
-    /// should be driven by the sponsor (world rank 0) so it cannot race the
-    /// sponsor's end-of-run retirement sweep.
-    pub fn send_admission(&self, grown: &Comm, joiner: usize) {
-        assert!(
-            grown.contains_world(joiner),
-            "admission notice must cover the joiner (rank {joiner} not in {:?})",
-            grown.group()
-        );
-        self.post_admission(grown.id(), grown.epoch(), grown.group(), joiner);
-    }
-
+    /// Send the admission notice for a grown communicator to a joiner
+    /// (fault-protocol traffic: no monitoring, no injection).
     fn post_admission(&self, id: u64, epoch: u64, group: &[usize], joiner: usize) {
         self.shared.admitted[joiner].store(true, Ordering::SeqCst);
         let incs: Vec<u32> = group
@@ -415,9 +323,10 @@ impl Rank {
         );
     }
 
-    /// Retire every latent slot never admitted (the sponsor's epilogue in
-    /// `launch_elastic`: a parked slot would otherwise wait out the
-    /// deadline).  Idempotent per slot.
+    /// Retire every latent slot never admitted (the sponsor's epilogue, run
+    /// by the per-slot driver when world rank 0's slot ends for good: a
+    /// parked slot would otherwise wait out the deadline).  Idempotent per
+    /// slot.
     pub(crate) fn retire_latents(&self) {
         for w in self.shared.cfg.initial()..self.capacity() {
             if !self.shared.admitted[w].swap(true, Ordering::SeqCst) {
@@ -512,9 +421,12 @@ impl Rank {
     /// [`Rank::comm_grow`] with the same arguments (deriving the identical
     /// communicator); the joiner receives it via [`Rank::join_comm`]
     /// (latent slot) or [`Rank::recv_admission`] (reborn rank).
+    ///
+    /// Admission of *latent* slots should be driven by the sponsor (world
+    /// rank 0), so it cannot race the sponsor's retirement sweep.
     pub fn admit(&self, comm: &Comm, joiner: usize) -> Comm {
         let grown = self.comm_grow(comm, &[joiner]);
-        self.send_admission(&grown, joiner);
+        self.post_admission(grown.id(), grown.epoch(), grown.group(), joiner);
         grown
     }
 }
@@ -597,7 +509,6 @@ mod tests {
             let grown = rank.comm_grow(&shrunk, &[5, 2]);
             assert_eq!(grown.id(), 0xe183_4776_89be_f829);
             assert_eq!((grown.epoch(), grown.group()), (2, &[0, 1, 3, 4, 2, 5][..]));
-            assert_eq!(rank.membership_epoch(), 2);
         });
     }
 
@@ -648,7 +559,7 @@ mod tests {
             let mut joiners: Vec<usize> = (n..n + spare).filter(|_| g.any_bool()).collect();
             joiners.push(n);
             let cfg = UniverseConfig::new(Machine::cluster(6, 2, 4), Placement::packed(n + spare));
-            Universe::new(cfg.with_latent_ranks(spare)).launch(move |rank| {
+            let results = Universe::new(cfg.with_latent_ranks(spare)).launch_faulty(move |rank| {
                 if rank.world_rank() != 0 {
                     return;
                 }
@@ -667,6 +578,10 @@ mod tests {
                     assert!(!ids[..i].contains(a), "derived ids collide: {ids:x?}");
                 }
             });
+            for (w, r) in results.into_iter().enumerate() {
+                let want = if w < n { Ok(()) } else { Err(fault::RankFailure::Retired) };
+                assert_eq!(r, want, "slot {w}");
+            }
         }
     }
 }

@@ -6,11 +6,11 @@
 //!   PML hooks → trace → envelope → post), the receive side and the typed
 //!   point-to-point surface;
 //! * `universe` — job configuration, `Shared` delivery (`post`), the two
-//!   rank engines and the `launch` family;
+//!   rank engines, the one per-slot driver and the two launches;
 //! * `fault_protocol` — crash points, retry/backoff, death notices,
 //!   control sends, the failure-aware wait, the liveness exchange;
 //! * `membership` — epochs, shrink/grow id derivation, the admission
-//!   codec, incarnations, the elastic per-slot driver.
+//!   codec, incarnations, a latent slot's wait for admission.
 //!
 //! The collective façade (`Rank::barrier`, `Rank::bcast`, …) lives beside
 //! the algorithms it names in [`crate::collectives`], `comm_split` /
@@ -79,11 +79,11 @@ pub struct Rank {
 }
 
 impl Rank {
-    /// Full constructor (elastic universes): `incarnation > 0` builds a
-    /// reborn body (its track is `rankN.I` and its mailbox filters stale
-    /// incarnations), and `join` carries a latent joiner's admission — the
-    /// grown communicator plus the notice's arrival time, which seeds the
-    /// joiner's clock.
+    /// The one constructor, called by the per-slot driver only:
+    /// `incarnation > 0` builds a reborn body (its track is `rankN.I` and
+    /// its mailbox filters stale incarnations), and `join` carries a latent
+    /// joiner's admission — the grown communicator plus the notice's
+    /// arrival time, which seeds the joiner's clock.
     pub(super) fn new_with(
         world_rank: usize,
         shared: Arc<Shared>,
@@ -315,7 +315,7 @@ pub(crate) mod tests {
     }
 
     /// Crash one rank at a wire-op count; everything else is clean.
-    #[derive(Debug)]
+    #[derive(Debug, Clone, Copy)]
     pub(super) struct CrashAtOps {
         pub(super) world: usize,
         pub(super) ops: u64,
@@ -326,6 +326,21 @@ pub(crate) mod tests {
         }
         fn crash_point(&self, world: usize) -> Option<CrashPoint> {
             (world == self.world).then_some(CrashPoint::OpCount(self.ops))
+        }
+    }
+
+    /// [`CrashAtOps`] followed by one rebirth of the crashed rank.
+    #[derive(Debug)]
+    pub(super) struct RestartAtOps(pub(super) CrashAtOps);
+    impl FaultInjector for RestartAtOps {
+        fn on_attempt(&self, link: &LinkCtx, attempt: u32) -> SendOutcome {
+            self.0.on_attempt(link, attempt)
+        }
+        fn crash_point(&self, world: usize) -> Option<CrashPoint> {
+            self.0.crash_point(world)
+        }
+        fn restart_after_crash(&self, world: usize, incarnation: u32) -> bool {
+            world == self.0.world && incarnation == 0
         }
     }
 

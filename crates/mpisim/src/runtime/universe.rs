@@ -1,7 +1,10 @@
 //! The universe: job configuration, the shared delivery stage every
-//! envelope is posted through, the two rank engines and the launch family.
+//! envelope is posted through, the two rank engines, the one per-slot
+//! driver they run and the two launches.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -12,7 +15,7 @@ use mim_util::sync::Mutex;
 
 use mim_topology::{Machine, Placement};
 
-use super::membership::elastic_rank_body;
+use super::membership::wait_for_admission;
 use super::{Rank, RankAborted};
 use crate::comm::Group;
 use crate::envelope::Envelope;
@@ -64,8 +67,9 @@ pub struct UniverseConfig {
     /// (`MPI_COMM_WORLD`) is the first `placement.len() - latent_ranks`
     /// ranks; latent slots are wired (channel + task/thread) at launch but
     /// stay parked — no `Rank`, no mailbox, no trace track — until a
-    /// sponsor admits them (see `Universe::launch_elastic`).  0 (the
-    /// default) is the classic static universe.
+    /// sponsor admits them (see [`Universe::launch_faulty`], the only
+    /// launch that hosts them).  0 (the default) is the classic static
+    /// universe.
     pub latent_ranks: usize,
 }
 
@@ -121,8 +125,9 @@ impl UniverseConfig {
     }
 
     /// Reserve the *last* `n` placement slots for latent joiners (builder
-    /// style; see the `latent_ranks` field).  Latent slots only come to life
-    /// under [`Universe::launch_elastic`].
+    /// style; see the `latent_ranks` field).  Only
+    /// [`Universe::launch_faulty`] runs such a universe; a strict
+    /// [`Universe::launch`] rejects it.
     pub fn with_latent_ranks(mut self, n: usize) -> Self {
         assert!(
             n < self.placement.len(),
@@ -161,15 +166,13 @@ pub(crate) struct Shared {
     /// The simulated NIC (also the first global hook); kept here so the
     /// wire layer can count retransmissions without a hook round-trip.
     pub(crate) nic: Arc<NicCounters>,
-    /// Per-rank liveness, cleared when a fault plan crashes a rank.
-    pub(crate) alive: Vec<AtomicBool>,
     /// Per-slot admission state (elastic universes): initial-world slots are
     /// born admitted; a latent slot flips when a sponsor admits it.  The
-    /// sponsor's run epilogue retires every slot still unadmitted.
+    /// sponsor's epilogue retires every slot still unadmitted.
     pub(crate) admitted: Vec<AtomicBool>,
-    /// Set by the recoverable launches (`launch_faulty`, `launch_elastic`):
-    /// sends to a gone mailbox drop silently
-    /// instead of unwinding the sender (`RankAborted`).
+    /// Set by the recoverable launch, `launch_faulty`: sends to a gone
+    /// mailbox drop silently instead of unwinding the sender
+    /// (`RankAborted`), and a plan crash may restart its slot.
     pub(crate) faulty: AtomicBool,
     /// M:N scheduler state, present iff the universe runs in
     /// [`ExecutorKind::Tasks`] mode.  Senders notify it after every
@@ -234,9 +237,9 @@ impl Shared {
     /// slates skip the policy call entirely.  A staged envelope can be
     /// released by a *concurrent* poster's drain loop, in which case its
     /// original poster reports success: the only false return is a send to
-    /// a gone mailbox under a recoverable launch (`launch_faulty` crash
-    /// plans, `launch_elastic` membership churn), which is not combined with
-    /// schedule exploration.
+    /// a gone mailbox under the recoverable launch (`launch_faulty`: crash
+    /// plans, membership churn), which is not combined with schedule
+    /// exploration.
     fn post_policed(&self, policy: &PolicyHandle, dst: usize, env: Envelope) -> bool {
         let my_ticket = {
             let mut stage = self.stage.lock();
@@ -303,13 +306,7 @@ impl Universe {
     pub fn new(cfg: UniverseConfig) -> Self {
         let n = cfg.nprocs();
         assert!(n > 0, "universe needs at least one rank");
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let core_to_node =
             (0..cfg.machine.num_cores()).map(|c| cfg.machine.node_of_core(c)).collect();
         let nic = Arc::new(NicCounters::new(core_to_node, cfg.nic_header_bytes));
@@ -334,7 +331,6 @@ impl Universe {
             next_comm_id: AtomicU64::new(1), // id 0 is MPI_COMM_WORLD
             windows: Mutex::new(HashMap::new()),
             nic,
-            alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
             admitted: (0..n).map(|i| AtomicBool::new(i < cfg.initial())).collect(),
             faulty: AtomicBool::new(false),
             exec,
@@ -350,12 +346,6 @@ impl Universe {
     /// The simulated NIC counters (inspect after [`Universe::launch`]).
     pub fn nic(&self) -> &NicCounters {
         &self.shared.nic
-    }
-
-    /// Per-rank liveness after a run: `false` for ranks killed by the fault
-    /// plan, `true` otherwise.
-    pub fn alive(&self) -> Vec<bool> {
-        self.shared.alive.iter().map(|a| a.load(Ordering::Relaxed)).collect()
     }
 
     /// Register an additional global PML hook.
@@ -384,42 +374,62 @@ impl Universe {
         &self.shared.cfg
     }
 
-    /// Run every rank body to completion — one OS thread per rank, or M:N
-    /// rank tasks on a worker pool, per `cfg.executor` — and pair each
-    /// rank's result with its own panic payload (by rank index).  The
-    /// shared engine under both [`Universe::launch`] (strict) and
-    /// [`Universe::launch_faulty`] (recoverable).
-    fn run_collect<F, R>(&self, f: F) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
+    /// Run the per-slot driver ([`run_slot`]) once per slot — on its own OS
+    /// thread or as an M:N rank task, per `cfg.executor` — and pair each
+    /// slot's result with its own panic payload (by slot index).  The one
+    /// engine under both launches.
+    fn run_slots<F, R>(&self, f: F) -> Vec<Result<R, Box<dyn Any + Send>>>
     where
         F: Fn(&Rank) -> R + Sync,
-        R: Send,
-    {
-        self.run_bodies(|world_rank, shared, rx, slot: &mut Option<R>| {
-            let rank = Rank::new_with(world_rank, shared, rx, 0, None);
-            *slot = Some(f(&rank));
-        })
-    }
-
-    /// The slot-body engine under [`Universe::run_collect`] and
-    /// [`Universe::launch_elastic`]: run one `body` per slot (thread-per-rank
-    /// or M:N tasks, per `cfg.executor`), pairing each slot's result with
-    /// its own panic payload (by slot index).
-    fn run_bodies<B, R>(&self, body: B) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
-    where
-        B: Fn(usize, Arc<Shared>, Receiver<Envelope>, &mut Option<R>) + Sync,
         R: Send,
     {
         let receivers = self.receivers.lock().take().expect("a universe can only be launched once");
         let hooks = std::mem::take(&mut *self.hooks.lock());
         let _ = self.shared.global_hooks.set(hooks.into_boxed_slice());
-        let n = receivers.len();
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let mut results: Vec<Option<R>> = receivers.iter().map(|_| None).collect();
+        let (shared, f) = (&self.shared, &f);
+        let slots = receivers.into_iter().zip(results.iter_mut()).enumerate().map(
+            |(world_rank, (rx, result))| {
+                // Cloned here, on the launching thread: cloned by the
+                // workers as their ranks start, the refcount's cache line
+                // bounces between them, which cost a 10k-rank bare ring
+                // ~10 % of its wall time on a 2-core host.
+                let shared = Arc::clone(shared);
+                move || run_slot(world_rank, shared, rx, f, result)
+            },
+        );
         let payloads = match &self.shared.exec {
+            // M:N engine: each slot is a fiber task on a fixed worker pool
+            // (`crate::exec`).  Blocking receives park the rank's *task* (the
+            // mailbox holds its `ParkerHandle`), so a handful of workers can
+            // carry a 10k-rank universe.
             Some(exec) => {
-                let exec = Arc::clone(exec);
-                self.run_ranks_as_tasks(&exec, &body, receivers, &mut results)
+                let tasks = slots.map(|slot| {
+                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(slot);
+                    // SAFETY: lifetime erasure only.  `exec::run_tasks` joins
+                    // its worker pool (a `thread::scope`) before returning,
+                    // and every fiber — run or not — is dropped inside it, so
+                    // no task (and no borrow of `f` or `results` it captures)
+                    // outlives this call.
+                    unsafe { std::mem::transmute::<_, Box<dyn FnOnce() + Send>>(task) }
+                });
+                exec::run_tasks(exec, tasks.collect(), self.shared.cfg.deadline)
             }
-            None => self.run_ranks_as_threads(&body, receivers, &mut results),
+            // Thread-per-rank engine: one scoped OS thread per slot, joined in
+            // slot order.
+            None => std::thread::scope(|scope| {
+                let threads: Vec<_> = slots
+                    .enumerate()
+                    .map(|(world_rank, slot)| {
+                        std::thread::Builder::new()
+                            .name(format!("rank-{world_rank}"))
+                            .stack_size(THREAD_STACK_SIZE)
+                            .spawn_scoped(scope, slot)
+                            .expect("failed to spawn rank thread")
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().err()).collect()
+            }),
         };
         if let Some(t) = &self.shared.cfg.tracer {
             t.flush();
@@ -434,86 +444,29 @@ impl Universe {
             .collect()
     }
 
-    /// Thread-per-rank engine: spawn `n` scoped OS threads and join them.
-    fn run_ranks_as_threads<B, R>(
-        &self,
-        body: &B,
-        receivers: Vec<Receiver<Envelope>>,
-        results: &mut [Option<R>],
-    ) -> Vec<Option<Box<dyn std::any::Any + Send>>>
-    where
-        B: Fn(usize, Arc<Shared>, Receiver<Envelope>, &mut Option<R>) + Sync,
-        R: Send,
-    {
-        let n = receivers.len();
-        let mut payloads: Vec<Option<Box<dyn std::any::Any + Send>>> =
-            (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (world_rank, (rx, slot)) in
-                receivers.into_iter().zip(results.iter_mut()).enumerate()
-            {
-                let shared = Arc::clone(&self.shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("rank-{world_rank}"))
-                    .stack_size(THREAD_STACK_SIZE)
-                    .spawn_scoped(scope, move || body(world_rank, shared, rx, slot))
-                    .expect("failed to spawn rank thread");
-                handles.push(handle);
-            }
-            for (i, h) in handles.into_iter().enumerate() {
-                if let Err(p) = h.join() {
-                    payloads[i] = Some(p);
-                }
-            }
-        });
-        payloads
-    }
-
-    /// M:N engine: wrap each rank body in a fiber task and run the lot on a
-    /// fixed worker pool (`crate::exec`).  Blocking receives
-    /// park the rank's *task* (the mailbox holds its `ParkerHandle`), so a
-    /// handful of workers can carry a 10k-rank universe.
-    fn run_ranks_as_tasks<B, R>(
-        &self,
-        exec: &Arc<ExecShared>,
-        body: &B,
-        receivers: Vec<Receiver<Envelope>>,
-        results: &mut [Option<R>],
-    ) -> Vec<Option<Box<dyn std::any::Any + Send>>>
-    where
-        B: Fn(usize, Arc<Shared>, Receiver<Envelope>, &mut Option<R>) + Sync,
-        R: Send,
-    {
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(receivers.len());
-        for (world_rank, (rx, slot)) in receivers.into_iter().zip(results.iter_mut()).enumerate() {
-            let shared = Arc::clone(&self.shared);
-            let task: Box<dyn FnOnce() + Send + '_> =
-                Box::new(move || body(world_rank, shared, rx, slot));
-            // SAFETY: lifetime erasure only.  `exec::run_tasks` joins its
-            // worker pool (a `thread::scope`) before returning, and every
-            // fiber — run or not — is dropped inside it, so no task (and no
-            // borrow of `body` or `results` it captures) outlives this call.
-            let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-            bodies.push(task);
-        }
-        exec::run_tasks(exec, bodies, self.shared.cfg.deadline)
-    }
-
     /// Run `f` once per rank — on its own OS thread or as an M:N rank task,
     /// per `cfg.executor` — and collect the per-rank results in rank order.
     ///
     /// # Panics
-    /// Panics if any rank panics (the first panic is propagated), or when
-    /// called a second time on the same universe.
+    /// Panics if any rank panics (the first panic is propagated; a plan
+    /// crash, restart plan or not, is reported as such), when the universe
+    /// declares latent slots, or when called a second time on the same
+    /// universe.  [`Universe::launch_faulty`] recovers from all but the
+    /// last.
     pub fn launch<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&Rank) -> R + Sync,
         R: Send,
     {
+        assert!(
+            self.shared.cfg.latent_ranks == 0,
+            "Universe::launch cannot host latent slots ({} declared): they park until \
+             admitted or retired, which only Universe::launch_faulty does",
+            self.shared.cfg.latent_ranks
+        );
         let mut results = Vec::new();
-        let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-        for r in self.run_collect(f) {
+        let mut panics: Vec<Box<dyn Any + Send>> = Vec::new();
+        for r in self.run_slots(f) {
             match r {
                 Ok(v) => results.push(v),
                 Err(p) => panics.push(p),
@@ -522,14 +475,12 @@ impl Universe {
         if !panics.is_empty() {
             // A plan-scheduled crash is an error in strict mode: report it
             // in the clear instead of unwinding an internal payload.
-            for p in &panics {
-                if let Some(c) = p.downcast_ref::<fault::RankCrashed>() {
-                    panic!(
-                        "rank {} crashed by fault injection at {:.0} ns after {} wire ops \
-                         (use Universe::launch_faulty to recover)",
-                        c.world, c.at_ns, c.ops
-                    );
-                }
+            if let Some(c) = panics.iter().find_map(|p| p.downcast_ref::<fault::RankCrashed>()) {
+                panic!(
+                    "rank {} crashed by fault injection at {:.0} ns after {} wire ops \
+                     (use Universe::launch_faulty to recover)",
+                    c.world, c.at_ns, c.ops
+                );
             }
             // Prefer the first payload that is not a secondary
             // `RankAborted` cascade, so the launcher reports the root cause
@@ -545,29 +496,18 @@ impl Universe {
                      exited without receiving (and without panicking)",
                     ab.src, ab.dst
                 ),
-                Err(p) => std::panic::resume_unwind(p),
+                Err(p) => resume_unwind(p),
             }
         }
         results
     }
 
-    /// Like [`Universe::launch`], but failures are *data*: each rank yields
-    /// `Ok(result)` or the [`RankFailure`] that took it down, and a send to
-    /// a dead rank's mailbox drops silently instead of unwinding the sender.
-    /// Survivors keep their results even when peers die — the recoverable
-    /// mode the self-healing reorder loop runs under.
-    pub fn launch_faulty<F, R>(&self, f: F) -> Vec<Result<R, RankFailure>>
-    where
-        F: Fn(&Rank) -> R + Sync,
-        R: Send,
-    {
-        self.shared.faulty.store(true, Ordering::Relaxed);
-        self.run_collect(f).into_iter().map(|r| r.map_err(RankFailure::classify)).collect()
-    }
-
-    /// Elastic launch: [`Universe::launch_faulty`] plus membership churn.
-    ///
-    /// Three behaviors stack on top of the recoverable mode:
+    /// The recoverable launch: failures are *data*.  Each slot yields
+    /// `Ok(result)` or the [`RankFailure`] that ended it, and a send to a
+    /// dead rank's mailbox drops silently instead of unwinding the sender,
+    /// so survivors keep their results when peers die — the mode the
+    /// self-healing reorder loop runs under.  What the plan and the config
+    /// state beyond crashes is honoured here too:
     ///
     /// - **Rolling restarts.**  A rank crashed by the plan whose
     ///   [`FaultInjector::restart_after_crash`] says so is reborn in place:
@@ -579,34 +519,88 @@ impl Universe {
     ///   [`UniverseConfig::with_latent_ranks`] park until a sponsor admits
     ///   them ([`Rank::admit`] or the plan's [`FaultInjector::join_plan`]);
     ///   an admitted slot runs `f` with [`Rank::join_comm`] set to the
-    ///   communicator it was admitted into.  When the sponsor (world rank 0)
-    ///   finishes, every slot never admitted is retired and yields
-    ///   `Ok(None)`.
+    ///   communicator it was admitted into.  When the sponsor's slot (world
+    ///   rank 0) ends for good — returned, or died without a restart —
+    ///   every slot never admitted is retired and yields
+    ///   [`RankFailure::Retired`].
     /// - **Stale-epoch hygiene.**  In-flight messages addressed to a dead
     ///   incarnation are dropped deterministically (see
     ///   [`Rank::stale_dropped`]), and [`Rank::send_checked`] rejects sends
     ///   on superseded communicators.
-    ///
-    /// Each completed rank yields `Ok(Some(result))`; a rank that died for
-    /// good yields `Err(RankFailure)`.
-    pub fn launch_elastic<F, R>(&self, f: F) -> Vec<Result<Option<R>, RankFailure>>
+    pub fn launch_faulty<F, R>(&self, f: F) -> Vec<Result<R, RankFailure>>
     where
         F: Fn(&Rank) -> R + Sync,
         R: Send,
     {
         self.shared.faulty.store(true, Ordering::Relaxed);
-        self.run_bodies(|world_rank, shared, rx, slot: &mut Option<Option<R>>| {
-            elastic_rank_body(world_rank, shared, rx, &f, slot);
-        })
-        .into_iter()
-        .map(|r| r.map_err(RankFailure::classify))
-        .collect()
+        self.run_slots(f).into_iter().map(|r| r.map_err(RankFailure::classify)).collect()
+    }
+}
+
+/// The one per-slot driver every launch runs.  A latent slot first parks
+/// until the sponsor admits it, or unwinds as retired.  Then each
+/// incarnation gets a fresh [`Rank`] and runs `f`; a plan crash the
+/// injector covers, under the recoverable launch, starts the next
+/// incarnation.  When world rank 0's slot ends for good — `f` returned, or
+/// died with no restart to follow — the sponsor's epilogue retires every
+/// latent slot still unadmitted, so none waits out the deadline.
+fn run_slot<F, R>(
+    world_rank: usize,
+    mut shared: Arc<Shared>,
+    mut rx: Receiver<Envelope>,
+    f: &F,
+    result: &mut Option<R>,
+) where
+    F: Fn(&Rank) -> R + Sync,
+{
+    let (join, peer_incs, mut stash) = if world_rank < shared.cfg.initial() {
+        (None, Vec::new(), Vec::new())
+    } else {
+        match wait_for_admission(world_rank, &shared, &rx) {
+            Some((comm, at_ns, incs, pre)) => (Some((comm, at_ns)), incs, pre),
+            None => resume_unwind(Box::new(fault::RankRetired)),
+        }
+    };
+    let mut incarnation = 0u32;
+    loop {
+        let rank = Rank::new_with(world_rank, shared, rx, incarnation, join.clone());
+        // The admission notice carried the members' incarnations: without
+        // them, envelopes toward a previously-reborn peer would be stamped
+        // `dst_inc 0` and stale-dropped by its mailbox.
+        if let Some((comm, _)) = &join {
+            rank.adopt_incarnations(comm.group(), &peer_incs);
+        }
+        // Messages that raced ahead of the admission notice were stashed by
+        // the parked wait; re-admit them before the first receive.
+        for env in stash.drain(..) {
+            rank.mailbox.borrow_mut().readmit(env);
+        }
+        if incarnation > 0 {
+            rank.announce_rejoin();
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| *result = Some(f(&rank))));
+        let crashed = outcome.as_ref().is_err_and(|p| p.is::<fault::RankCrashed>());
+        let injector = rank.shared.cfg.injector.as_ref();
+        let restart = crashed
+            && rank.shared.faulty.load(Ordering::Relaxed)
+            && injector.is_some_and(|i| i.restart_after_crash(world_rank, incarnation));
+        if !restart {
+            if world_rank == 0 {
+                rank.retire_latents();
+            }
+            return outcome.unwrap_or_else(|payload| resume_unwind(payload));
+        }
+        // The next incarnation takes over the slot's channel; the rest of
+        // this one's mailbox, unexpected queue included, dies with it.
+        shared = rank.shared;
+        rx = rank.mailbox.into_inner().into_receiver();
+        incarnation += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{faulty_universe, small_universe, CrashAtOps};
+    use super::super::tests::{faulty_universe, small_universe, CrashAtOps, RestartAtOps};
     use super::*;
 
     #[test]
@@ -661,20 +655,38 @@ mod tests {
         });
         assert_eq!(results[0], Ok(0));
         assert_eq!(results[1], Err(RankFailure::Crashed { at_ns: 0.0, ops: 0 }));
-        assert_eq!(u.alive(), vec![true, false]);
+    }
+
+    /// A plan crash is a hard error under the strict launch, with or
+    /// without a restart scheduled after it: only the recoverable launch
+    /// reboots a rank.
+    #[test]
+    fn strict_launch_rejects_scheduled_crash() {
+        let crash = CrashAtOps { world: 1, ops: 0 };
+        let plans: [Arc<dyn FaultInjector>; 2] = [Arc::new(crash), Arc::new(RestartAtOps(crash))];
+        for plan in plans {
+            let u = faulty_universe(2, plan);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                u.launch(|rank| {
+                    let world = rank.comm_world();
+                    if rank.world_rank() == 0 {
+                        let _ = rank.recv_or_failure::<u64>(&world, 1, 9);
+                    } else {
+                        rank.send(&world, 0, 9, &[1u64]);
+                    }
+                })
+            }))
+            .expect_err("a plan crash must fail the strict launch");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains("crashed by fault injection"), "{msg}");
+            assert!(msg.contains("use Universe::launch_faulty to recover"), "{msg}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "use Universe::launch_faulty to recover")]
-    fn strict_launch_rejects_scheduled_crash() {
-        let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 0 }));
-        u.launch(|rank| {
-            let world = rank.comm_world();
-            if rank.world_rank() == 0 {
-                let _ = rank.recv_or_failure::<u64>(&world, 1, 9);
-            } else {
-                rank.send(&world, 0, 9, &[1u64]);
-            }
-        });
+    #[should_panic(expected = "which only Universe::launch_faulty does")]
+    fn strict_launch_rejects_latent_slots() {
+        let cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(3));
+        Universe::new(cfg.with_latent_ranks(1)).launch(|_| ());
     }
 }

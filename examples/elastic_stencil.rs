@@ -30,7 +30,7 @@
 
 use mim_chaos::FaultPlan;
 use mim_core::{Flags, Monitoring, Msid};
-use mim_mpisim::{Comm, Rank, StaleEpoch, Universe, UniverseConfig};
+use mim_mpisim::{Comm, Rank, RankFailure, StaleEpoch, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 
 const N: usize = 8;
@@ -103,7 +103,7 @@ fn main() {
         .with_injector(plan.into_injector());
     let u = Universe::new(cfg);
 
-    let results = u.launch_elastic(|rank| {
+    let results = u.launch_faulty(|rank| {
         let mon = Monitoring::init(rank).expect("monitoring init");
         let mut first_failed = None;
         let mut stale = None;
@@ -208,7 +208,7 @@ fn main() {
     );
     for (w, r) in results.iter().enumerate() {
         match r {
-            Ok(Some(rep)) => {
+            Ok(rep) => {
                 let failed = rep.first_failed.map_or("-".to_string(), |i| i.to_string());
                 let stale = rep
                     .stale
@@ -224,11 +224,11 @@ fn main() {
                     rep.checksum
                 );
             }
-            Ok(None) => println!("slot {w}: latent, never admitted"),
+            Err(RankFailure::Retired) => println!("slot {w}: latent, never admitted"),
             Err(f) => println!("slot {w}: DEAD {f}"),
         }
     }
-    let root = results[0].as_ref().expect("root survives").as_ref().expect("root is initial");
+    let root = results[0].as_ref().expect("root survives");
     if let Some(row) = &root.row_a {
         println!("session A row at rank 0 (rebound across shrink+grow+grow): {row:?}");
     }
@@ -239,10 +239,8 @@ fn main() {
 
     if !custom {
         // The built-in plan's contract, checked so CI fails loudly.
-        let reports: Vec<&RankReport> = results
-            .iter()
-            .map(|r| r.as_ref().expect("every slot completes").as_ref().expect("every slot runs"))
-            .collect();
+        let reports: Vec<&RankReport> =
+            results.iter().map(|r| r.as_ref().expect("every slot completes")).collect();
         assert_eq!(reports.len(), N + 1);
         assert_eq!((reports[VICTIM].role, reports[VICTIM].incarnation), ("reborn", 1));
         assert_eq!((reports[LATENT].role, reports[LATENT].incarnation), ("joiner", 0));

@@ -13,13 +13,15 @@ event-count checks, and a clean ``check_trace.py`` pass where listed.
               self-healing reorder loop; the plan drops/duplicates wire
               transmissions and crashes rank 3 at its 18th wire operation.
               Pins crash detection, seven survivors, shrink-and-remap.
-``executor``  ``quickstart`` and ``chaos_stencil`` once per engine
-              (``MIM_EXECUTOR=threads`` / ``tasks``), and on the task engine
-              again under ``MIM_WORKERS=1`` and ``MIM_WORKERS=3``: the
-              simulated application cannot tell which engine ran it, nor on
-              how many workers.  Under the task engine the retry timers,
-              duplicate deliveries and scheduled crash all fire against
-              *parked tasks*, so this pins the whole park/unpark protocol,
+``executor``  ``quickstart``, ``chaos_stencil`` and ``elastic_stencil`` once
+              per engine (``MIM_EXECUTOR=threads`` / ``tasks``), and on the
+              task engine again under ``MIM_WORKERS=1`` and
+              ``MIM_WORKERS=3``: the simulated application cannot tell which
+              engine ran it, nor on how many workers.  Under the task engine
+              the retry timers, duplicate deliveries and scheduled crash all
+              fire against *parked tasks*, and ``elastic_stencil`` adds the
+              per-slot driver's restart loop and a latent slot parked before
+              it has a ``Rank``, so this pins the whole park/unpark protocol,
               not just the happy path; three workers split the ranks
               unevenly across their home queues.
 ``elastic``   ``elastic_stencil`` twice per engine: rolling restart of
@@ -51,7 +53,8 @@ sizes, crash op counts, epochs, incarnations, per-track sequence numbers
 — is compared exactly.
 
 Usage: check_replay.py chaos    path/to/chaos_stencil [seed]
-       check_replay.py executor path/to/quickstart path/to/chaos_stencil [seed]
+       check_replay.py executor path/to/quickstart path/to/chaos_stencil
+                                path/to/elastic_stencil [seed]
        check_replay.py elastic  path/to/elastic_stencil [seed]
        check_replay.py figures  path/to/stencil_reorder path/to/fig5_collectives
                                 path/to/fig6_heatmap path/to/fig7_cg [seed]
@@ -96,7 +99,7 @@ GATES = {
         "crash + shrink-and-remap verified twice",
     ),
     "executor": dict(
-        examples=2,
+        examples=3,
         runs=[T1, K1, W1, W3],
         same_trace=[(T1, K1), (T1, W1), (T1, W3)],
         markers=[],

@@ -3,18 +3,21 @@
 //!
 //! The properties pinned here are the elastic layer's contract:
 //!
-//! * a no-churn elastic run is **bit-identical** to the static universe on
-//!   both executors (elasticity is free until used);
+//! * a no-churn run of the recoverable launch is **bit-identical** to the
+//!   strict one on both executors (elasticity is free until used);
 //! * a fixed-seed rolling restart (crash → rejoin → `comm_grow`) converges
 //!   with the same monitoring totals whatever the chaos seed or topology;
 //! * traffic against a superseded membership epoch is rejected with a typed
 //!   error, deterministically;
 //! * a rank dying mid-epoch leaves no phantom rows in the next gathered
-//!   window, and the tree gather routes around absent ranks.
+//!   window, and the tree gather routes around absent ranks;
+//! * a latent slot never admitted is retired, even when the sponsor dies.
 
 use mim_chaos::FaultPlan;
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{ExecutorKind, Rank, SrcSel, StaleEpoch, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{
+    ExecutorKind, Rank, RankFailure, SrcSel, StaleEpoch, TagSel, Universe, UniverseConfig,
+};
 use mim_topology::{Machine, Placement};
 
 /// A monitored ring workload: deterministic traffic, per-rank row and the
@@ -45,13 +48,12 @@ fn no_churn_elastic_run_is_bit_identical_to_static() {
 
         let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(6));
         cfg.executor = kind;
-        let elastic = Universe::new(cfg).launch_elastic(monitored_ring);
+        let recoverable = Universe::new(cfg).launch_faulty(monitored_ring);
 
-        assert_eq!(oracle.len(), elastic.len());
-        for (w, (want, got)) in oracle.iter().zip(&elastic).enumerate() {
+        assert_eq!(oracle.len(), recoverable.len());
+        for (w, (want, got)) in oracle.iter().zip(&recoverable).enumerate() {
             let got = got.as_ref().expect("no churn: every rank completes");
-            let got = got.as_ref().expect("no latents: every slot runs the app");
-            assert_eq!(want, got, "rank {w} diverged from the static oracle ({kind:?})");
+            assert_eq!(want, got, "rank {w} diverged from the strict launch ({kind:?})");
         }
     }
 }
@@ -111,9 +113,9 @@ fn churn_run(machine: Machine, n: usize, seed: u64, kind: ExecutorKind) -> Churn
         UniverseConfig::new(machine, Placement::packed(n)).with_injector(plan.into_injector());
     cfg.executor = kind;
     Universe::new(cfg)
-        .launch_elastic(churn_app)
+        .launch_faulty(churn_app)
         .into_iter()
-        .map(|r| r.expect("restarted ranks complete").expect("no latent slots"))
+        .map(|r| r.expect("restarted ranks complete"))
         .collect()
 }
 
@@ -161,7 +163,7 @@ fn rolling_restart_is_reproducible_and_engine_independent() {
 fn stale_epoch_send_is_rejected_deterministically() {
     let cfg =
         UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(3)).with_latent_ranks(1);
-    let res = Universe::new(cfg).launch_elastic(|rank| {
+    let res = Universe::new(cfg).launch_faulty(|rank| {
         let world = rank.comm_world();
         let me = world.rank();
         // Growing (locally) supersedes the parent's membership epoch...
@@ -176,9 +178,7 @@ fn stale_epoch_send_is_rejected_deterministically() {
     });
     // Both original ranks observed the same typed rejection; the latent
     // slot was never admitted and retired cleanly.
-    assert_eq!(res[0].as_ref().unwrap(), &Some((0, 1)));
-    assert_eq!(res[1].as_ref().unwrap(), &Some((0, 1)));
-    assert_eq!(res[2].as_ref().unwrap(), &None);
+    assert_eq!(res, [Ok((0, 1)), Ok((0, 1)), Err(RankFailure::Retired)]);
 }
 
 #[test]
@@ -189,7 +189,7 @@ fn chaos_plan_admits_latent_rank_reproducibly() {
             .with_latent_ranks(1)
             .with_injector(plan.into_injector());
         cfg.executor = kind;
-        Universe::new(cfg).launch_elastic(|rank| {
+        Universe::new(cfg).launch_faulty(|rank| {
             let grown = match rank.join_comm() {
                 Some(c) => c,
                 None => {
@@ -217,17 +217,17 @@ fn chaos_plan_admits_latent_rank_reproducibly() {
     let t = run(5, ExecutorKind::Tasks);
     assert_eq!(a, t, "join runs agree across engines");
     for (w, r) in a.iter().enumerate() {
-        let (id, epoch, me, sum, _) = r.as_ref().unwrap().as_ref().unwrap();
+        let (id, epoch, me, sum, _) = r.as_ref().unwrap();
         assert!(*id & (1 << 63) != 0, "grown ids live outside the allocator range");
         assert_eq!((*epoch, *me, *sum), (1, w, 15), "all five ranks met on the grown world");
     }
 }
 
 #[test]
-fn unadmitted_latent_slots_retire_as_none() {
+fn unadmitted_latent_slots_are_retired() {
     let cfg =
         UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(6)).with_latent_ranks(2);
-    let res = Universe::new(cfg).launch_elastic(|rank| {
+    let res = Universe::new(cfg).launch_faulty(|rank| {
         let world = rank.comm_world();
         assert_eq!(world.size(), 4, "latent slots are not world members");
         assert_eq!(rank.capacity(), 6);
@@ -236,10 +236,32 @@ fn unadmitted_latent_slots_retire_as_none() {
     });
     assert_eq!(res.len(), 6);
     for (w, r) in res.iter().enumerate().take(4) {
-        assert_eq!(r.as_ref().unwrap(), &Some(w));
+        assert_eq!(r, &Ok(w));
     }
     for r in res.iter().skip(4) {
-        assert_eq!(r.as_ref().unwrap(), &None, "never-admitted slots retire");
+        assert_eq!(r, &Err(RankFailure::Retired), "never-admitted slots retire");
+    }
+}
+
+#[test]
+fn a_dead_sponsor_still_retires_latent_slots() {
+    // World rank 0 dies at its first wire op with no restart to follow: its
+    // slot has ended for good, so the latent slot is retired at once
+    // instead of waiting out the deadline and being blamed for it.
+    for kind in [ExecutorKind::Threads, ExecutorKind::Tasks] {
+        let plan = FaultPlan::new(1).crash_at_ops(0, 0);
+        let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4))
+            .with_latent_ranks(1)
+            .with_injector(plan.into_injector());
+        cfg.executor = kind;
+        let res = Universe::new(cfg).launch_faulty(|rank| {
+            if rank.world_rank() == 0 {
+                rank.send(&rank.comm_world(), 1, 0, &[0u64]);
+            }
+            rank.world_rank()
+        });
+        assert!(matches!(res[0], Err(RankFailure::Crashed { ops: 0, .. })), "{kind:?}: {res:?}");
+        assert_eq!(res[1..], [Ok(1), Ok(2), Err(RankFailure::Retired)], "{kind:?}");
     }
 }
 
@@ -330,7 +352,7 @@ fn session_rebind_carries_totals_across_growth() {
     // joiner's column starts recording.
     let cfg =
         UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4)).with_latent_ranks(1);
-    let res = Universe::new(cfg).launch_elastic(|rank| {
+    let res = Universe::new(cfg).launch_faulty(|rank| {
         if let Some(grown) = rank.join_comm() {
             // The joiner pings the sponsor; it runs no session of its own
             // (`start` is collective, and the incumbents' sessions predate
@@ -363,7 +385,7 @@ fn session_rebind_carries_totals_across_growth() {
         mon.finalize(rank).unwrap();
         row.counts
     });
-    let rows: Vec<_> = res.iter().map(|r| r.as_ref().unwrap().clone().unwrap()).collect();
+    let rows: Vec<_> = res.iter().map(|r| r.as_ref().unwrap().clone()).collect();
     // Initial ranks: 4 columns now (grown world), ring counts intact.
     assert_eq!(rows[0], vec![0, 1, 0, 1], "ring send kept + reply to the joiner");
     assert_eq!(rows[1], vec![0, 0, 1, 0], "pre-growth ring send remapped in place");
