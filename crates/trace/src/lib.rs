@@ -4,8 +4,9 @@
 //! The monitoring library observes the *application*; this crate observes
 //! the *simulator*: every wire send, receive completion (with the
 //! unexpected-queue depth behind it), collective decomposition span,
-//! monitoring-session transition and DES evaluator step can be recorded as
-//! a typed [`TraceEvent`] on a per-rank [`Track`].
+//! monitoring-session transition and sealed epoch window, fault event
+//! (retransmission, crash, join, membership-epoch bump) and DES evaluator
+//! step can be recorded as a typed [`TraceEvent`] on a per-rank [`Track`].
 //!
 //! Two consumers share the same events:
 //!
@@ -14,10 +15,14 @@
 //!   deadlock it calls [`Tracer::flight_report`] and appends the recent
 //!   history of *every* rank to the panic message, so the report shows how
 //!   the system got wedged rather than just the final pending pattern.
-//! * **Streaming export** — with a sink attached ([`Tracer::from_env`],
+//! * **Streaming export** — with a sink attached ([`Tracer::global`],
 //!   gated by `MIM_TRACE=<path>`), every event is also appended to a file:
 //!   native JSONL when the path ends in `.jsonl`, chrome-trace JSON
 //!   (loadable in `about:tracing` / Perfetto) otherwise.
+//!
+//! An event's output shape — its JSONL `type`, chrome category and ordered
+//! fields — is spelled once, in `TraceData::schema`; the JSONL line, the
+//! chrome event and the flight-report line are formatters over it.
 //!
 //! Tracing is opt-in per universe.  The disabled path is a
 //! branch-on-`Option` at each record site — no ring, no lock, no
@@ -33,7 +38,7 @@
 //!
 //! Env conventions (matching the rest of the workspace's `MIM_*` family):
 //! `MIM_TRACE=<path>` enables the global tracer with a file sink and
-//! [`DEFAULT_RING_CAPACITY`]-event rings.
+//! 256-event rings.
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
@@ -46,7 +51,7 @@ use std::sync::{Arc, OnceLock};
 use mim_util::sync::{Mutex, RwLock};
 
 /// Per-track ring capacity of every tracer built from the environment.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Typed payload of one trace event.
 ///
@@ -175,6 +180,109 @@ pub enum TraceData {
     },
 }
 
+/// One field value of an event: an integer or a fixed-vocabulary string.
+enum Value {
+    Int(u64),
+    Str(&'static str),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Str(s) => f.write_str(s),
+        }
+    }
+}
+
+/// A named field of an event, in output order.
+type Field = (&'static str, Value);
+
+impl TraceData {
+    /// The event schema: hands `out` the JSONL `type`, the chrome category
+    /// and the ordered fields of this event.  `Send`'s `coll` is left out
+    /// when `None`.  (`usize` → `u64` casts widen on every target.)
+    fn schema(&self, out: impl FnOnce(&'static str, &'static str, &[Field])) {
+        use Value::{Int, Str};
+        match *self {
+            Self::Send { dst, bytes, kind, comm, tag, coll } => {
+                let fields = [
+                    ("dst", Int(dst as u64)),
+                    ("bytes", Int(bytes)),
+                    ("kind", Str(kind)),
+                    ("comm", Int(comm)),
+                    ("tag", Int(tag.into())),
+                    ("coll", Int(coll.unwrap_or(0))),
+                ];
+                out("send", "wire", &fields[..5 + usize::from(coll.is_some())])
+            }
+            Self::SendFailed { dst } => out("send_failed", "wire", &[("dst", Int(dst as u64))]),
+            Self::Recv { src, bytes, comm, tag, uq_depth } => out(
+                "recv",
+                "wire",
+                &[
+                    ("src", Int(src as u64)),
+                    ("bytes", Int(bytes)),
+                    ("comm", Int(comm)),
+                    ("tag", Int(tag.into())),
+                    ("uq", Int(uq_depth as u64)),
+                ],
+            ),
+            Self::CollBegin { name, comm, id } => out(
+                "coll_begin",
+                "coll",
+                &[("name", Str(name)), ("comm", Int(comm)), ("id", Int(id))],
+            ),
+            Self::CollEnd { name, comm, id } => out(
+                "coll_end",
+                "coll",
+                &[("name", Str(name)), ("comm", Int(comm)), ("id", Int(id))],
+            ),
+            Self::Session { action, msid } => {
+                out("session", "session", &[("action", Str(action)), ("msid", Int(msid))])
+            }
+            Self::Window { msid, epoch, events, bytes } => out(
+                "window",
+                "window",
+                &[
+                    ("msid", Int(msid)),
+                    ("epoch", Int(epoch)),
+                    ("events", Int(events)),
+                    ("bytes", Int(bytes)),
+                ],
+            ),
+            Self::Retry { dst, attempt, backoff_ns } => out(
+                "retry",
+                "fault",
+                &[
+                    ("dst", Int(dst as u64)),
+                    ("attempt", Int(attempt.into())),
+                    ("backoff_ns", Int(backoff_ns)),
+                ],
+            ),
+            Self::RankCrash { ops } => out("rank_crash", "fault", &[("ops", Int(ops))]),
+            Self::RankJoin { incarnation } => {
+                out("rank_join", "fault", &[("incarnation", Int(incarnation.into()))])
+            }
+            Self::EpochBump { comm, epoch, size } => out(
+                "epoch_bump",
+                "fault",
+                &[("comm", Int(comm)), ("epoch", Int(epoch)), ("size", Int(size as u64))],
+            ),
+            Self::DesStep { rank, op, peer, bytes } => out(
+                "des",
+                "des",
+                &[
+                    ("rank", Int(rank as u64)),
+                    ("op", Str(op)),
+                    ("peer", Int(peer as u64)),
+                    ("bytes", Int(bytes)),
+                ],
+            ),
+        }
+    }
+}
+
 /// One recorded event: a per-track sequence number, a virtual timestamp and
 /// the typed payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,30 +384,24 @@ impl Tracer {
         }))
     }
 
-    /// Build a tracer from the environment: `Some` with a file sink when
-    /// `MIM_TRACE=<path>` is set (ring capacity [`DEFAULT_RING_CAPACITY`]),
-    /// `None` otherwise.
-    pub fn from_env() -> Option<Arc<Tracer>> {
-        let path = std::env::var("MIM_TRACE").ok().filter(|p| !p.is_empty())?;
-        match Tracer::with_sink(DEFAULT_RING_CAPACITY, &path) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("mim-trace: cannot open MIM_TRACE={path}: {e}; tracing disabled");
-                None
-            }
-        }
-    }
-
-    /// The process-wide tracer, built from the environment on first use
-    /// (later changes to `MIM_TRACE` are not observed).
+    /// The process-wide tracer, built from the environment on first use:
+    /// `Some` with a file sink when `MIM_TRACE=<path>` is set (ring capacity
+    /// 256), `None` otherwise.  Later changes to `MIM_TRACE` are not
+    /// observed.
     pub fn global() -> Option<Arc<Tracer>> {
         static GLOBAL: OnceLock<Option<Arc<Tracer>>> = OnceLock::new();
-        GLOBAL.get_or_init(Tracer::from_env).clone()
-    }
-
-    /// Sink path, when a file sink is attached.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        GLOBAL
+            .get_or_init(|| {
+                let path = std::env::var("MIM_TRACE").ok().filter(|p| !p.is_empty())?;
+                match Tracer::with_sink(DEFAULT_RING_CAPACITY, &path) {
+                    Ok(t) => Some(t),
+                    Err(e) => {
+                        eprintln!("mim-trace: cannot open MIM_TRACE={path}: {e}; tracing disabled");
+                        None
+                    }
+                }
+            })
+            .clone()
     }
 
     /// Total events recorded across all tracks.
@@ -394,7 +496,7 @@ impl Tracer {
                 }
             );
             for ev in ring.buf.iter().skip(ring.buf.len() - shown) {
-                let _ = writeln!(out, "    #{} t={:.0}ns {}", ev.seq, ev.t_ns, describe(&ev.data));
+                flight_line(&mut out, ev);
             }
         }
         out
@@ -441,39 +543,6 @@ impl TraceHandle {
     }
 }
 
-/// One-line human description of an event (flight-recorder report).
-fn describe(data: &TraceData) -> String {
-    match data {
-        TraceData::Send { dst, bytes, kind, comm, tag, coll } => match coll {
-            Some(id) => {
-                format!("send {kind} {bytes}B -> rank {dst} comm={comm} tag={tag} coll#{id}")
-            }
-            None => format!("send {kind} {bytes}B -> rank {dst} comm={comm} tag={tag}"),
-        },
-        TraceData::SendFailed { dst } => format!("SEND FAILED -> rank {dst} (peer thread gone)"),
-        TraceData::Recv { src, bytes, comm, tag, uq_depth } => {
-            format!("recv {bytes}B <- rank {src} comm={comm} tag={tag} uq={uq_depth}")
-        }
-        TraceData::CollBegin { name, comm, id } => format!("begin {name} comm={comm} coll#{id}"),
-        TraceData::CollEnd { name, comm, id } => format!("end   {name} comm={comm} coll#{id}"),
-        TraceData::Session { action, msid } => format!("session {action} msid={msid:#x}"),
-        TraceData::Window { msid, epoch, events, bytes } => {
-            format!("window #{epoch} sealed msid={msid:#x} {events} events {bytes}B")
-        }
-        TraceData::Retry { dst, attempt, backoff_ns } => {
-            format!("RETRY -> rank {dst} attempt {attempt} backoff {backoff_ns}ns")
-        }
-        TraceData::RankCrash { ops } => format!("RANK CRASH after {ops} wire ops"),
-        TraceData::RankJoin { incarnation } => format!("RANK JOIN incarnation {incarnation}"),
-        TraceData::EpochBump { comm, epoch, size } => {
-            format!("epoch bump comm={comm} epoch={epoch} size={size}")
-        }
-        TraceData::DesStep { rank, op, peer, bytes } => {
-            format!("des rank {rank} {op} peer {peer} {bytes}B")
-        }
-    }
-}
-
 /// Minimal JSON string escaping (track names are internal labels, but keep
 /// the output well-formed for any input).
 fn escape(s: &str) -> String {
@@ -491,141 +560,82 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Native JSONL schema: one flat object per event.  `tid` (the track's
-/// registration index) disambiguates same-named tracks — a process that
-/// launches several universes in sequence registers a fresh `rank0` per
-/// universe, and each restarts its clock and sequence numbers.
+/// Initial buffer of one sink line.  Lines run ~130 bytes; growing the
+/// buffer field by field costs more than formatting them.
+const LINE_CAPACITY: usize = 192;
+
+/// Native JSONL schema: one flat object per event, the common head, then
+/// `"type"` and every field.  `tid` (the track's registration index)
+/// disambiguates same-named tracks — a process that launches several
+/// universes in sequence registers a fresh `rank0` per universe, and each
+/// restarts its clock and sequence numbers.
 fn jsonl_line(track: &str, tid: usize, ev: &TraceEvent) -> String {
-    let mut s = format!(
+    let mut s = String::with_capacity(LINE_CAPACITY);
+    let _ = write!(
+        s,
         "{{\"track\":\"{}\",\"tid\":{},\"seq\":{},\"t_ns\":{:.3},",
         escape(track),
         tid,
         ev.seq,
         ev.t_ns
     );
-    match &ev.data {
-        TraceData::Send { dst, bytes, kind, comm, tag, coll } => {
-            let _ = write!(
-                s,
-                "\"type\":\"send\",\"dst\":{dst},\"bytes\":{bytes},\"kind\":\"{kind}\",\
-                 \"comm\":{comm},\"tag\":{tag}"
-            );
-            if let Some(id) = coll {
-                let _ = write!(s, ",\"coll\":{id}");
-            }
-        }
-        TraceData::SendFailed { dst } => {
-            let _ = write!(s, "\"type\":\"send_failed\",\"dst\":{dst}");
-        }
-        TraceData::Recv { src, bytes, comm, tag, uq_depth } => {
-            let _ = write!(
-                s,
-                "\"type\":\"recv\",\"src\":{src},\"bytes\":{bytes},\"comm\":{comm},\
-                 \"tag\":{tag},\"uq\":{uq_depth}"
-            );
-        }
-        TraceData::CollBegin { name, comm, id } => {
-            let _ = write!(
-                s,
-                "\"type\":\"coll_begin\",\"name\":\"{name}\",\"comm\":{comm},\"id\":{id}"
-            );
-        }
-        TraceData::CollEnd { name, comm, id } => {
-            let _ =
-                write!(s, "\"type\":\"coll_end\",\"name\":\"{name}\",\"comm\":{comm},\"id\":{id}");
-        }
-        TraceData::Session { action, msid } => {
-            let _ = write!(s, "\"type\":\"session\",\"action\":\"{action}\",\"msid\":{msid}");
-        }
-        TraceData::Window { msid, epoch, events, bytes } => {
-            let _ = write!(
-                s,
-                "\"type\":\"window\",\"msid\":{msid},\"epoch\":{epoch},\
-                 \"events\":{events},\"bytes\":{bytes}"
-            );
-        }
-        TraceData::Retry { dst, attempt, backoff_ns } => {
-            let _ = write!(
-                s,
-                "\"type\":\"retry\",\"dst\":{dst},\"attempt\":{attempt},\"backoff_ns\":{backoff_ns}"
-            );
-        }
-        TraceData::RankCrash { ops } => {
-            let _ = write!(s, "\"type\":\"rank_crash\",\"ops\":{ops}");
-        }
-        TraceData::RankJoin { incarnation } => {
-            let _ = write!(s, "\"type\":\"rank_join\",\"incarnation\":{incarnation}");
-        }
-        TraceData::EpochBump { comm, epoch, size } => {
-            let _ = write!(
-                s,
-                "\"type\":\"epoch_bump\",\"comm\":{comm},\"epoch\":{epoch},\"size\":{size}"
-            );
-        }
-        TraceData::DesStep { rank, op, peer, bytes } => {
-            let _ = write!(
-                s,
-                "\"type\":\"des\",\"rank\":{rank},\"op\":\"{op}\",\"peer\":{peer},\"bytes\":{bytes}"
-            );
-        }
-    }
+    ev.data.schema(|ty, _, fields| {
+        let _ = write!(s, "\"type\":\"{ty}\",");
+        json_fields(&mut s, fields);
+    });
     s.push_str("}\n");
     s
 }
 
-/// Chrome trace-event schema: instants (`ph:"i"`) for point events and
-/// begin/end pairs (`ph:"B"`/`"E"`) for collective spans, timestamps in µs.
+/// Chrome trace-event schema, timestamps in µs: an instant (`ph:"i"`)
+/// named by the event type, or for a collective span a begin/end pair
+/// (`ph:"B"`/`"E"`) named by the algorithm.  `args` holds every JSONL field.
 fn chrome_line(tid: usize, ev: &TraceEvent) -> String {
-    let ts = ev.t_ns / 1000.0;
-    let head = format!("{{\"pid\":0,\"tid\":{tid},\"ts\":{ts:.4},");
-    let body = match &ev.data {
-        TraceData::Send { dst, bytes, kind, comm, tag, coll } => format!(
-            "\"name\":\"send\",\"cat\":\"wire\",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\
-             \"dst\":{dst},\"bytes\":{bytes},\"kind\":\"{kind}\",\"comm\":{comm},\"tag\":{tag}{}}}",
-            coll.map(|id| format!(",\"coll\":{id}")).unwrap_or_default()
-        ),
-        TraceData::SendFailed { dst } => format!(
-            "\"name\":\"send_failed\",\"cat\":\"wire\",\"ph\":\"i\",\"s\":\"t\",\
-             \"args\":{{\"dst\":{dst}}}"
-        ),
-        TraceData::Recv { src, bytes, comm, tag, uq_depth } => format!(
-            "\"name\":\"recv\",\"cat\":\"wire\",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\
-             \"src\":{src},\"bytes\":{bytes},\"comm\":{comm},\"tag\":{tag},\"uq\":{uq_depth}}}"
-        ),
-        TraceData::CollBegin { name, comm, id } => format!(
-            "\"name\":\"{name}\",\"cat\":\"coll\",\"ph\":\"B\",\"args\":{{\"comm\":{comm},\"id\":{id}}}"
-        ),
-        TraceData::CollEnd { name, .. } => format!("\"name\":\"{name}\",\"cat\":\"coll\",\"ph\":\"E\""),
-        TraceData::Session { action, msid } => format!(
-            "\"name\":\"session_{action}\",\"cat\":\"session\",\"ph\":\"i\",\"s\":\"t\",\
-             \"args\":{{\"msid\":{msid}}}"
-        ),
-        TraceData::Window { msid, epoch, events, bytes } => format!(
-            "\"name\":\"window\",\"cat\":\"window\",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\
-             \"msid\":{msid},\"epoch\":{epoch},\"events\":{events},\"bytes\":{bytes}}}"
-        ),
-        TraceData::Retry { dst, attempt, backoff_ns } => format!(
-            "\"name\":\"retry\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\
-             \"dst\":{dst},\"attempt\":{attempt},\"backoff_ns\":{backoff_ns}}}"
-        ),
-        TraceData::RankCrash { ops } => format!(
-            "\"name\":\"rank_crash\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-             \"args\":{{\"ops\":{ops}}}"
-        ),
-        TraceData::RankJoin { incarnation } => format!(
-            "\"name\":\"rank_join\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-             \"args\":{{\"incarnation\":{incarnation}}}"
-        ),
-        TraceData::EpochBump { comm, epoch, size } => format!(
-            "\"name\":\"epoch_bump\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\
-             \"comm\":{comm},\"epoch\":{epoch},\"size\":{size}}}"
-        ),
-        TraceData::DesStep { rank, op, peer, bytes } => format!(
-            "\"name\":\"des_{op}\",\"cat\":\"des\",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\
-             \"rank\":{rank},\"peer\":{peer},\"bytes\":{bytes}}}"
-        ),
-    };
-    format!("{head}{body}}},\n")
+    let mut s = String::with_capacity(LINE_CAPACITY);
+    let _ = write!(s, "{{\"pid\":0,\"tid\":{tid},\"ts\":{:.4},", ev.t_ns / 1000.0);
+    ev.data.schema(|ty, cat, fields| {
+        let (name, ph) = match ev.data {
+            TraceData::CollBegin { name, .. } => (name, "\"B\""),
+            TraceData::CollEnd { name, .. } => (name, "\"E\""),
+            _ => (ty, "\"i\",\"s\":\"t\""),
+        };
+        let _ = write!(s, "\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":{ph},\"args\":{{");
+        json_fields(&mut s, fields);
+    });
+    s.push_str("}},\n");
+    s
+}
+
+/// Flight-report line: `#seq t=…ns <type> k=v …`.
+fn flight_line(out: &mut String, ev: &TraceEvent) {
+    let _ = write!(out, "    #{} t={:.0}ns ", ev.seq, ev.t_ns);
+    ev.data.schema(|ty, _, fields| {
+        out.push_str(ty);
+        for (k, v) in fields {
+            let _ = write!(out, " {k}={v}");
+        }
+    });
+    out.push('\n');
+}
+
+/// `"k":v` pairs, comma-separated; strings are fixed vocabularies and need
+/// no escaping.
+fn json_fields(s: &mut String, fields: &[Field]) {
+    for (i, (k, v)) in fields.iter().enumerate() {
+        s.push_str(if i == 0 { "\"" } else { ",\"" });
+        s.push_str(k);
+        s.push_str("\":");
+        match v {
+            Value::Int(n) => {
+                let _ = write!(s, "{n}");
+            }
+            Value::Str(t) => {
+                s.push('"');
+                s.push_str(t);
+                s.push('"');
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -757,5 +767,128 @@ mod tests {
         assert_eq!(escape("plain"), "plain");
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("x\ny"), "x\\u000ay");
+    }
+
+    /// One event of every variant (`Send` with and without its span id).
+    fn every_event() -> Vec<TraceData> {
+        vec![
+            TraceData::Send { dst: 1, bytes: 2, kind: "coll", comm: 3, tag: 4, coll: Some(5) },
+            TraceData::Send { dst: 1, bytes: 2, kind: "p2p", comm: 3, tag: 4, coll: None },
+            TraceData::SendFailed { dst: 6 },
+            TraceData::Recv { src: 7, bytes: 8, comm: 9, tag: 10, uq_depth: 11 },
+            TraceData::CollBegin { name: "bcast_binomial", comm: 12, id: 13 },
+            TraceData::CollEnd { name: "bcast_binomial", comm: 12, id: 13 },
+            TraceData::Session { action: "start", msid: 0x1_0000_0002 },
+            TraceData::Window { msid: 14, epoch: 15, events: 16, bytes: 17 },
+            TraceData::Retry { dst: 18, attempt: 19, backoff_ns: 20 },
+            TraceData::RankCrash { ops: 21 },
+            TraceData::RankJoin { incarnation: 22 },
+            TraceData::EpochBump { comm: 23, epoch: 24, size: 25 },
+            TraceData::DesStep { rank: 26, op: "park", peer: 27, bytes: 28 },
+        ]
+    }
+
+    /// Records [`every_event`] on one track, at times with a fraction so
+    /// the number formats are pinned too; returns the sink's lines.
+    fn export(tr: &Arc<Tracer>, path: &Path) -> Vec<String> {
+        let h = tr.track("rank0");
+        for (i, data) in every_event().into_iter().enumerate() {
+            h.record(1234.5678 * (i + 1) as f64, data);
+        }
+        tr.flush();
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        text.lines().map(str::to_owned).collect()
+    }
+
+    /// Every event's line in every format, exactly.  The JSONL lines are
+    /// the renderer's output from before the schema table existed.
+    #[test]
+    fn every_event_is_pinned_in_every_format() {
+        let dir = std::env::temp_dir().join("mim_trace_test_schema");
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let path = dir.join("out.jsonl");
+        let tr = Tracer::with_sink(16, &path).unwrap();
+        let head =
+            |seq: usize, t: &str| format!(r#"{{"track":"rank0","tid":0,"seq":{seq},"t_ns":{t},"#);
+        let jsonl = [
+            (
+                "1234.568",
+                r#""type":"send","dst":1,"bytes":2,"kind":"coll","comm":3,"tag":4,"coll":5}"#,
+            ),
+            ("2469.136", r#""type":"send","dst":1,"bytes":2,"kind":"p2p","comm":3,"tag":4}"#),
+            ("3703.703", r#""type":"send_failed","dst":6}"#),
+            ("4938.271", r#""type":"recv","src":7,"bytes":8,"comm":9,"tag":10,"uq":11}"#),
+            ("6172.839", r#""type":"coll_begin","name":"bcast_binomial","comm":12,"id":13}"#),
+            ("7407.407", r#""type":"coll_end","name":"bcast_binomial","comm":12,"id":13}"#),
+            ("8641.975", r#""type":"session","action":"start","msid":4294967298}"#),
+            ("9876.542", r#""type":"window","msid":14,"epoch":15,"events":16,"bytes":17}"#),
+            ("11111.110", r#""type":"retry","dst":18,"attempt":19,"backoff_ns":20}"#),
+            ("12345.678", r#""type":"rank_crash","ops":21}"#),
+            ("13580.246", r#""type":"rank_join","incarnation":22}"#),
+            ("14814.814", r#""type":"epoch_bump","comm":23,"epoch":24,"size":25}"#),
+            ("16049.381", r#""type":"des","rank":26,"op":"park","peer":27,"bytes":28}"#),
+        ];
+        let want: Vec<String> =
+            jsonl.iter().enumerate().map(|(i, (t, body))| head(i, t) + body).collect();
+        assert_eq!(export(&tr, &path), want);
+
+        let flight = tr.flight_report(16);
+        let lines: Vec<&str> = flight.lines().collect();
+        assert_eq!(lines[0], "  [rank0] 13 events recorded, showing last 13:");
+        let want = [
+            "#0 t=1235ns send dst=1 bytes=2 kind=coll comm=3 tag=4 coll=5",
+            "#1 t=2469ns send dst=1 bytes=2 kind=p2p comm=3 tag=4",
+            "#2 t=3704ns send_failed dst=6",
+            "#3 t=4938ns recv src=7 bytes=8 comm=9 tag=10 uq=11",
+            "#4 t=6173ns coll_begin name=bcast_binomial comm=12 id=13",
+            "#5 t=7407ns coll_end name=bcast_binomial comm=12 id=13",
+            "#6 t=8642ns session action=start msid=4294967298",
+            "#7 t=9877ns window msid=14 epoch=15 events=16 bytes=17",
+            "#8 t=11111ns retry dst=18 attempt=19 backoff_ns=20",
+            "#9 t=12346ns rank_crash ops=21",
+            "#10 t=13580ns rank_join incarnation=22",
+            "#11 t=14815ns epoch_bump comm=23 epoch=24 size=25",
+            "#12 t=16049ns des rank=26 op=park peer=27 bytes=28",
+        ];
+        assert_eq!(lines[1..].iter().map(|l| l.trim_start()).collect::<Vec<_>>(), want);
+
+        let path = dir.join("out.json");
+        let tr = Tracer::with_sink(16, &path).unwrap();
+        let instant = |t: &str, name: &str, cat: &str, args: &str| {
+            format!(
+                r#"{{"pid":0,"tid":0,"ts":{t},"name":"{name}","cat":"{cat}","ph":"i","s":"t","args":{{{args}}}}},"#
+            )
+        };
+        let span = |t: &str, ph: &str| {
+            format!(
+                r#"{{"pid":0,"tid":0,"ts":{t},"name":"bcast_binomial","cat":"coll","ph":"{ph}","args":{{"name":"bcast_binomial","comm":12,"id":13}}}},"#
+            )
+        };
+        let want = [
+            "[".to_owned(),
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rank0"}},"#
+                .to_owned(),
+            instant(
+                "1.2346",
+                "send",
+                "wire",
+                r#""dst":1,"bytes":2,"kind":"coll","comm":3,"tag":4,"coll":5"#,
+            ),
+            instant("2.4691", "send", "wire", r#""dst":1,"bytes":2,"kind":"p2p","comm":3,"tag":4"#),
+            instant("3.7037", "send_failed", "wire", r#""dst":6"#),
+            instant("4.9383", "recv", "wire", r#""src":7,"bytes":8,"comm":9,"tag":10,"uq":11"#),
+            span("6.1728", "B"),
+            span("7.4074", "E"),
+            instant("8.6420", "session", "session", r#""action":"start","msid":4294967298"#),
+            instant("9.8765", "window", "window", r#""msid":14,"epoch":15,"events":16,"bytes":17"#),
+            instant("11.1111", "retry", "fault", r#""dst":18,"attempt":19,"backoff_ns":20"#),
+            instant("12.3457", "rank_crash", "fault", r#""ops":21"#),
+            instant("13.5802", "rank_join", "fault", r#""incarnation":22"#),
+            instant("14.8148", "epoch_bump", "fault", r#""comm":23,"epoch":24,"size":25"#),
+            instant("16.0494", "des", "des", r#""rank":26,"op":"park","peer":27,"bytes":28"#),
+        ];
+        assert_eq!(export(&tr, &path), want);
     }
 }

@@ -14,7 +14,8 @@ misnamed file is still checked honestly):
 
 Checks, in order:
 
-1. every line parses and carries the fields its event type requires;
+1. every line parses and carries exactly its event type's fields
+   (``coll`` optional on sends), in both formats;
 2. per-track sequence numbers are strictly increasing (JSONL only — the
    chrome export drops ``seq``);
 3. timestamps never go backwards on a track.  The ``des`` track is the
@@ -33,18 +34,19 @@ import collections
 import json
 import sys
 
+# Each event type's fields; a trailing ``?`` marks an optional one.
 EVENT_FIELDS = {
-    "send": {"dst", "bytes", "kind", "comm", "tag"},
+    "send": {"dst", "bytes", "kind", "comm", "tag", "coll?"},
     "send_failed": {"dst"},
-    "retry": {"dst", "attempt", "backoff_ns"},
-    "rank_crash": {"ops"},
-    "rank_join": {"incarnation"},
-    "epoch_bump": {"comm", "epoch", "size"},
     "recv": {"src", "bytes", "comm", "tag", "uq"},
     "coll_begin": {"name", "comm", "id"},
     "coll_end": {"name", "comm", "id"},
     "session": {"action", "msid"},
     "window": {"msid", "epoch", "events", "bytes"},
+    "retry": {"dst", "attempt", "backoff_ns"},
+    "rank_crash": {"ops"},
+    "rank_join": {"incarnation"},
+    "epoch_bump": {"comm", "epoch", "size"},
     "des": {"rank", "op", "peer", "bytes"},
 }
 
@@ -56,6 +58,19 @@ def fail(errors, msg):
         errors.append("... (further errors suppressed)")
 
 
+def fields_ok(lineno, kind, fields, errors):
+    """Whether ``fields`` is exactly the field set of event type ``kind``."""
+    if kind not in EVENT_FIELDS:
+        fail(errors, f"line {lineno}: unknown event type {kind!r}")
+        return False
+    spec = EVENT_FIELDS[kind]
+    missing = {f for f in spec if not f.endswith("?")} - fields
+    extra = fields - {f.rstrip("?") for f in spec}
+    if missing or extra:
+        fail(errors, f"line {lineno}: {kind} missing {sorted(missing)}, extra {sorted(extra)}")
+    return not (missing or extra)
+
+
 def parse_jsonl(text, errors):
     """Yield (name, instance, seq, t_ns, type, event_dict) from a JSONL dump.
 
@@ -64,6 +79,7 @@ def parse_jsonl(text, errors):
     each restarts its clock and sequence numbers, so ordering contracts
     hold per instance, not per name.
     """
+    head = {"track", "tid", "seq", "t_ns", "type"}
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -73,32 +89,27 @@ def parse_jsonl(text, errors):
         except json.JSONDecodeError as e:
             fail(errors, f"line {lineno}: not valid JSON: {e}")
             continue
-        missing = {"track", "tid", "seq", "t_ns", "type"} - ev.keys()
+        missing = head - ev.keys()
         if missing:
             fail(errors, f"line {lineno}: missing {sorted(missing)}")
-            continue
-        kind = ev["type"]
-        if kind not in EVENT_FIELDS:
-            fail(errors, f"line {lineno}: unknown event type {kind!r}")
-            continue
-        missing = EVENT_FIELDS[kind] - ev.keys()
-        if missing:
-            fail(errors, f"line {lineno}: {kind} event missing {sorted(missing)}")
-            continue
-        events.append((ev["track"], ev["tid"], ev["seq"], ev["t_ns"], kind, ev))
+        elif fields_ok(lineno, ev["type"], ev.keys() - head, errors):
+            events.append((ev["track"], ev["tid"], ev["seq"], ev["t_ns"], ev["type"], ev))
     return events
 
 
 def parse_chrome(text, errors):
-    """Yield (track, seq, t_ns, type, event_dict) from a chrome dump.
+    """Yield (track, instance, None, t_ns, type, args) from a chrome dump.
 
     The writer emits ``[`` then one object per line, each ending in a
     comma, and never closes the array — the format about:tracing
     documents as acceptable.  Track names come from ``thread_name``
-    metadata records; timestamps are in microseconds.
+    metadata records, each written before its track's first event;
+    timestamps are in microseconds.  An instant is named by its event
+    type, a ``B``/``E`` pair is a collective span named by its algorithm,
+    and ``args`` holds the JSONL fields.
     """
     names = {}  # tid -> track name
-    raw = []
+    events = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line in ("", "[", "]"):
@@ -112,51 +123,14 @@ def parse_chrome(text, errors):
             if ev.get("name") == "thread_name":
                 names[ev.get("tid")] = ev.get("args", {}).get("name", "")
             continue
-        for field in ("tid", "ts", "ph", "name"):
-            if field not in ev:
-                fail(errors, f"line {lineno}: event missing {field!r}")
-                break
-        else:
-            raw.append((lineno, ev))
-    # Map the chrome shape back onto the JSONL one.
-    chrome_type = {
-        "send": "send",
-        "send_failed": "send_failed",
-        "retry": "retry",
-        "rank_crash": "rank_crash",
-        "rank_join": "rank_join",
-        "epoch_bump": "epoch_bump",
-        "recv": "recv",
-    }
-    events = []
-    for lineno, ev in raw:
-        name = names.get(ev["tid"], f"tid{ev['tid']}")
-        t_ns = ev["ts"] * 1000.0
-        args = dict(ev.get("args", {}))
-        cat = ev.get("cat", "")
-        if cat == "coll":
-            kind = "coll_begin" if ev["ph"] == "B" else "coll_end"
-            args.setdefault("name", ev["name"])
-            args.setdefault("comm", 0)
-            args.setdefault("id", 0)
-        elif cat == "session":
-            kind = "session"
-            args["action"] = ev["name"].removeprefix("session_")
-        elif cat == "window":
-            kind = "window"
-        elif cat == "des":
-            kind = "des"
-            args["op"] = ev["name"].removeprefix("des_")
-        elif ev["name"] in chrome_type:
-            kind = chrome_type[ev["name"]]
-        else:
-            fail(errors, f"line {lineno}: unknown chrome event {ev['name']!r}")
-            continue
-        missing = EVENT_FIELDS[kind] - args.keys()
+        missing = {"tid", "ts", "ph", "name", "args"} - ev.keys()
         if missing:
-            fail(errors, f"line {lineno}: {kind} event missing {sorted(missing)}")
+            fail(errors, f"line {lineno}: event missing {sorted(missing)}")
             continue
-        events.append((name, ev["tid"], None, t_ns, kind, args))
+        kind = {"B": "coll_begin", "E": "coll_end"}.get(ev["ph"], ev["name"])
+        if fields_ok(lineno, kind, ev["args"].keys(), errors):
+            name = names.get(ev["tid"], f"tid{ev['tid']}")
+            events.append((name, ev["tid"], None, ev["ts"] * 1000.0, kind, ev["args"]))
     return events
 
 

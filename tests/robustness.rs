@@ -64,7 +64,10 @@ fn deadlock_panic_includes_flight_recorder_dump() {
         msg.contains("[rank0]") && msg.contains("[rank1]"),
         "the dump must cover every rank's track: {msg}"
     );
-    assert!(msg.contains("send p2p 3B"), "the dump should show the recorded sends: {msg}");
+    assert!(
+        msg.contains("send dst=1 bytes=3 kind=p2p"),
+        "the dump should show the recorded sends: {msg}"
+    );
 }
 
 #[test]
