@@ -161,8 +161,11 @@ pub fn current_task() -> Option<TaskId> {
 const POST_BUDGET: u32 = 64;
 
 /// Stack size of a rank task's fiber.  Much smaller than a rank thread's:
-/// 10k ranks × this many bytes must fit comfortably in memory, and
-/// simulated rank bodies are shallow.
+/// simulated rank bodies are shallow, and every rank alive at once — all of
+/// them, in a bulk-synchronous phase — holds one.  A task takes its stack
+/// from `mim_util::fiber`'s pool at its first dispatch and returns it when
+/// it finishes, so a launch whose ranks end one after another runs on a
+/// handful of stacks, and the next launch faults in no fresh pages.
 const TASK_STACK_SIZE: usize = 256 << 10;
 
 thread_local! {
@@ -558,21 +561,42 @@ fn worker_count(n: usize) -> usize {
     w.clamp(1, n.max(1))
 }
 
-/// Run `bodies` (one per rank, indexed by world rank) to completion as
-/// fibers on the worker pool.  Returns each task's panic payload slot, in
-/// task order — the same shape `thread::JoinHandle::join` gives the
-/// thread-per-rank engine.
+/// A panic payload, as `thread::JoinHandle::join` returns it.
+type Payload = Box<dyn std::any::Any + Send>;
+
+/// Where a task's fiber is between dispatches.
+enum TaskFiber {
+    /// Never dispatched: no fiber and no stack yet.
+    Unmade,
+    /// Suspended, waiting for its next dispatch.
+    Suspended(Fiber),
+    /// Out with the worker resuming it.
+    Running,
+    /// Finished, with its panic payload if the body unwound.
+    Done(Option<Payload>),
+}
+
+/// One launch as its workers see it: the body every task runs, with its
+/// own index, and each task's fiber.
+struct Launch {
+    body: &'static (dyn Fn(usize) + Sync),
+    fibers: Vec<Mutex<TaskFiber>>,
+}
+
+/// Run tasks `0..n` (one per rank, indexed by world rank) to completion on
+/// the worker pool, task `i` running `body(i)` on a fiber made at its first
+/// dispatch.  Returns each task's panic payload slot, in task order — the
+/// same shape `thread::JoinHandle::join` gives the thread-per-rank engine.
+/// `body` must outlive nothing but this call: every fiber is dropped, and
+/// the pool joined, before it returns.
 pub(crate) fn run_tasks(
     exec: &Arc<ExecShared>,
-    bodies: Vec<Box<dyn FnOnce() + Send>>,
+    n: usize,
+    body: &'static (dyn Fn(usize) + Sync),
     deadline: Duration,
-) -> Vec<Option<Box<dyn std::any::Any + Send>>> {
-    let n = bodies.len();
-    assert_eq!(n, exec.tasks.len(), "one body per task slot");
-    let fibers: Vec<Mutex<Option<Fiber>>> =
-        bodies.into_iter().map(|b| Mutex::new(Some(Fiber::new(TASK_STACK_SIZE, b)))).collect();
-    let payloads: Vec<Mutex<Option<Box<dyn std::any::Any + Send>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+) -> Vec<Option<Payload>> {
+    assert_eq!(n, exec.tasks.len(), "one task per task slot");
+    let launch = Launch { body, fibers: (0..n).map(|_| Mutex::new(TaskFiber::Unmade)).collect() };
     exec.live.store(n, Ordering::SeqCst);
     exec.parked.0.store(0, Ordering::SeqCst);
     exec.idle.0.store(0, Ordering::SeqCst);
@@ -592,11 +616,11 @@ pub(crate) fn run_tasks(
         let pool: Vec<_> = (0..exec.workers)
             .map(|wid| {
                 let exec = Arc::clone(exec);
-                let (fibers, payloads, exited) = (&fibers, &payloads, &exited);
+                let (launch, exited) = (&launch, &exited);
                 std::thread::Builder::new()
                     .name(format!("mim-exec-{wid}"))
                     .spawn_scoped(scope, move || {
-                        let stats = worker_loop(&exec, wid, fibers, payloads);
+                        let stats = worker_loop(&exec, wid, launch);
                         exited.notify();
                         stats
                     })
@@ -613,7 +637,13 @@ pub(crate) fn run_tasks(
         sum
     });
     let _ = exec.stats.set(stats);
-    payloads.into_iter().map(Mutex::into_inner).collect()
+    // The run shut down with nothing live: every task finished.
+    (launch.fibers.into_iter().enumerate())
+        .map(|(task, fiber)| match fiber.into_inner() {
+            TaskFiber::Done(payload) => payload,
+            _ => panic!("executor: task {task} had not finished when the pool shut down"),
+        })
+        .collect()
 }
 
 /// Find worker `wid`'s next runnable task: its run-next slot, its own
@@ -664,12 +694,7 @@ fn next_task_policed(
     Some(chosen)
 }
 
-fn worker_loop(
-    exec: &Arc<ExecShared>,
-    wid: usize,
-    fibers: &[Mutex<Option<Fiber>>],
-    payloads: &[Mutex<Option<Box<dyn std::any::Any + Send>>>],
-) -> ExecStats {
+fn worker_loop(exec: &Arc<ExecShared>, wid: usize, launch: &Launch) -> ExecStats {
     CURRENT_WORKER.with(|w| w.set(wid));
     let mut stats = ExecStats::default();
     // The task this worker resumes next, ahead of its queue (see
@@ -699,21 +724,20 @@ fn worker_loop(
             exec.idle.0.fetch_sub(1, Ordering::SeqCst);
         }
         if let Some(task) = task {
-            run_one(exec, wid, task, &mut run_next, fibers, payloads, &mut stats);
+            run_one(exec, wid, task, &mut run_next, launch, &mut stats);
         }
     }
 }
 
-/// Resume one task on worker `wid` and publish its new state (see the
-/// module-level protocol: the publish happens strictly after the fiber
-/// switched out).
+/// Resume one task on worker `wid` — making its fiber, at its first
+/// dispatch — and publish its new state (see the module-level protocol: the
+/// publish happens strictly after the fiber switched out).
 fn run_one(
     exec: &ExecShared,
     wid: usize,
     task: usize,
     run_next: &mut Option<usize>,
-    fibers: &[Mutex<Option<Fiber>>],
-    payloads: &[Mutex<Option<Box<dyn std::any::Any + Send>>>],
+    launch: &Launch,
     stats: &mut ExecStats,
 ) {
     stats.dispatches += 1;
@@ -723,11 +747,17 @@ fn run_one(
         slot.home.store(wid as u32, Ordering::Relaxed);
     }
     slot.state.store(RUNNING, Ordering::SeqCst);
-    let fiber = fibers[task].lock().take();
-    let Some(mut fiber) = fiber else {
-        // A task id can only be queued once; a missing fiber means the
-        // protocol was violated.
-        panic!("executor: task {task} dispatched with no fiber");
+    let fiber = std::mem::replace(&mut *launch.fibers[task].lock(), TaskFiber::Running);
+    let mut fiber = match fiber {
+        TaskFiber::Suspended(fiber) => fiber,
+        TaskFiber::Unmade => {
+            let body = launch.body;
+            Fiber::new(TASK_STACK_SIZE, Box::new(move || body(task)))
+        }
+        // A task id can only be queued once, and never once it finished.
+        TaskFiber::Running | TaskFiber::Done(_) => {
+            panic!("executor: task {task} dispatched while running or after it finished")
+        }
     };
     CURRENT_TASK.with(|c| c.set(Some(TaskId { exec: exec.id, index: task })));
     POSTS_LEFT.with(|left| left.set(POST_BUDGET));
@@ -736,10 +766,12 @@ fn run_one(
     exec.beat(wid);
     match resumed {
         Resume::Done => {
-            if let Some(p) = fiber.take_panic() {
-                *payloads[task].lock() = Some(p);
-            }
-            drop(fiber); // free the stack eagerly: 10k ranks, bounded RSS
+            let payload = fiber.take_panic();
+            // The stack goes back to the pool now, for this worker's next
+            // first dispatch to take: a launch whose ranks end one after
+            // another runs on a few stacks, not one per rank.
+            drop(fiber);
+            *launch.fibers[task].lock() = TaskFiber::Done(payload);
             slot.state.store(DONE, Ordering::SeqCst);
             if exec.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 exec.shutdown.store(true, Ordering::Release);
@@ -750,7 +782,7 @@ fn run_one(
             // The fiber must be back in its slot before any publish: a
             // concurrent notify may re-dispatch the task to another worker
             // the instant the CAS lands.
-            *fibers[task].lock() = Some(fiber);
+            *launch.fibers[task].lock() = TaskFiber::Suspended(fiber);
             if slot.park_pending.swap(false, Ordering::AcqRel) {
                 // Count the park *before* publishing it, so the notifier's
                 // decrement (which can only follow a successful publish)
@@ -847,6 +879,17 @@ mod tests {
         std::env::remove_var("MIM_EXECUTOR");
     }
 
+    /// [`run_tasks`] over every task slot of `exec`.  The body must outlive
+    /// the launch, so it is leaked: a few bytes per test.
+    fn run(
+        exec: &Arc<ExecShared>,
+        deadline_s: u64,
+        body: impl Fn(usize) + Sync + 'static,
+    ) -> Vec<Option<Payload>> {
+        let n = exec.tasks.len();
+        run_tasks(exec, n, Box::leak(Box::new(body)), Duration::from_secs(deadline_s))
+    }
+
     /// The raw engine, no mailboxes: tasks park themselves and are woken by
     /// explicit notifies from other tasks — a pure protocol exercise.
     #[test]
@@ -854,27 +897,22 @@ mod tests {
         const N: usize = 8;
         let exec = ExecShared::new(N, None);
         let order = Arc::new(Mutex::new(Vec::new()));
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        for i in 0..N {
-            let exec = Arc::clone(&exec);
-            let order = Arc::clone(&order);
-            bodies.push(Box::new(move || {
-                // Every task > 0 parks until its predecessor wakes it.  The
-                // predecessor's notify may land before the park (token) or
-                // after (unpark): both must work.
-                if i > 0 {
-                    let parker = exec.parker(i);
-                    while !order.lock().contains(&(i - 1)) {
-                        let _ = parker.park(Duration::from_secs(600));
-                    }
+        let (e, o) = (Arc::clone(&exec), Arc::clone(&order));
+        let payloads = run(&exec, 30, move |i| {
+            // Every task > 0 parks until its predecessor wakes it.  The
+            // predecessor's notify may land before the park (token) or
+            // after (unpark): both must work.
+            if i > 0 {
+                let parker = e.parker(i);
+                while !o.lock().contains(&(i - 1)) {
+                    let _ = parker.park(Duration::from_secs(600));
                 }
-                order.lock().push(i);
-                if i + 1 < N {
-                    exec.notify(i + 1);
-                }
-            }));
-        }
-        let payloads = run_tasks(&exec, bodies, Duration::from_secs(30));
+            }
+            o.lock().push(i);
+            if i + 1 < N {
+                e.notify(i + 1);
+            }
+        });
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(*order.lock(), (0..N).collect::<Vec<_>>());
     }
@@ -886,26 +924,9 @@ mod tests {
     fn finished_run_does_not_wait_out_the_watchdog_window() {
         const N: usize = 16;
         let exec = ExecShared::new(N, None);
-        let passes = Arc::new(AtomicUsize::new(0));
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        for i in 0..N {
-            let exec = Arc::clone(&exec);
-            let passes = Arc::clone(&passes);
-            bodies.push(Box::new(move || {
-                // A baton around the ring, four laps: everyone parks until
-                // its predecessor has passed it on, then wakes its successor.
-                let parker = exec.parker(i);
-                for lap in 0..4 {
-                    while passes.load(Ordering::SeqCst) < lap * N + i {
-                        let _ = parker.park(Duration::from_secs(600));
-                    }
-                    passes.fetch_add(1, Ordering::SeqCst);
-                    exec.notify((i + 1) % N);
-                }
-            }));
-        }
+        let (body, passes) = baton(&exec, 4);
         let started = std::time::Instant::now();
-        let payloads = run_tasks(&exec, bodies, Duration::from_secs(60));
+        let payloads = run(&exec, 60, body);
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(passes.load(Ordering::SeqCst), 4 * N);
         assert!(
@@ -994,30 +1015,27 @@ mod tests {
         assert!(seen <= budget, "{seen} posts before the receiver ran: budget {budget} not held");
     }
 
-    /// A baton around a ring of `n` tasks, `laps` times: everyone parks
-    /// until its predecessor has passed it on, then wakes its successor.
-    fn baton_bodies(
+    /// A baton around a ring of every task of `exec`, `laps` times: everyone
+    /// parks until its predecessor has passed it on, then wakes its
+    /// successor.  Returns the body and the count of passes.
+    fn baton(
         exec: &Arc<ExecShared>,
-        n: usize,
         laps: usize,
-    ) -> Vec<Box<dyn FnOnce() + Send>> {
+    ) -> (impl Fn(usize) + Sync + 'static, Arc<AtomicUsize>) {
+        let n = exec.tasks.len();
         let passes = Arc::new(AtomicUsize::new(0));
-        (0..n)
-            .map(|i| {
-                let exec = Arc::clone(exec);
-                let passes = Arc::clone(&passes);
-                Box::new(move || {
-                    let parker = exec.parker(i);
-                    for lap in 0..laps {
-                        while passes.load(Ordering::SeqCst) < lap * n + i {
-                            let _ = parker.park(Duration::from_secs(600));
-                        }
-                        passes.fetch_add(1, Ordering::SeqCst);
-                        exec.notify((i + 1) % n);
-                    }
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect()
+        let (exec, p) = (Arc::clone(exec), Arc::clone(&passes));
+        let body = move |i| {
+            let parker = exec.parker(i);
+            for lap in 0..laps {
+                while p.load(Ordering::SeqCst) < lap * n + i {
+                    let _ = parker.park(Duration::from_secs(600));
+                }
+                p.fetch_add(1, Ordering::SeqCst);
+                exec.notify((i + 1) % n);
+            }
+        };
+        (body, passes)
     }
 
     /// One worker has nobody to steal from, and runs the same schedule
@@ -1025,18 +1043,18 @@ mod tests {
     #[test]
     fn one_worker_counts_repeat_and_never_steal() {
         const N: usize = 12;
-        let run = || {
+        let launch = || {
             let exec = ExecShared::with_workers(N, 1, None);
-            let payloads = run_tasks(&exec, baton_bodies(&exec, N, 3), Duration::from_secs(60));
+            let payloads = run(&exec, 60, baton(&exec, 3).0);
             assert!(payloads.iter().all(|p| p.is_none()));
             exec.stats().unwrap_or_else(|| panic!("a joined launch has counters"))
         };
-        let first = run();
+        let first = launch();
         assert_eq!(first.steals, 0);
         assert!(first.dispatches >= N as u64 && first.parks > 0, "{first:?}");
         assert_eq!(first.dispatches, first.parks + first.run_next_hits + N as u64, "{first:?}");
         for _ in 0..3 {
-            assert_eq!(run(), first);
+            assert_eq!(launch(), first);
         }
     }
 
@@ -1050,18 +1068,13 @@ mod tests {
         // whichever worker runs task 0, the other must steal.
         let ran_on: Arc<Vec<AtomicUsize>> =
             Arc::new((0..4).map(|_| AtomicUsize::new(usize::MAX)).collect());
-        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-            .map(|i| {
-                let ran_on = Arc::clone(&ran_on);
-                Box::new(move || {
-                    ran_on[i].store(current_worker(), Ordering::SeqCst);
-                    while i == 0 && ran_on[1].load(Ordering::SeqCst) == usize::MAX {
-                        std::thread::yield_now();
-                    }
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        let payloads = run_tasks(&exec, bodies, Duration::from_secs(60));
+        let r = Arc::clone(&ran_on);
+        let payloads = run(&exec, 60, move |i| {
+            r[i].store(current_worker(), Ordering::SeqCst);
+            while i == 0 && r[1].load(Ordering::SeqCst) == usize::MAX {
+                std::thread::yield_now();
+            }
+        });
         assert!(payloads.iter().all(|p| p.is_none()));
         let stats = exec.stats().unwrap_or_else(|| panic!("a joined launch has counters"));
         let ran_on: Vec<usize> = ran_on.iter().map(|w| w.load(Ordering::SeqCst)).collect();
@@ -1100,23 +1113,18 @@ mod tests {
         const N: usize = 4;
         let exec = ExecShared::new(N, None);
         let wake_order = Arc::new(Mutex::new(Vec::new()));
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        for i in 0..N {
-            let exec = Arc::clone(&exec);
-            let wake_order = Arc::clone(&wake_order);
-            bodies.push(Box::new(move || {
-                // Distinct deadlines, reverse of rank order.
-                let parker = exec.parker(i);
-                let deadline = Duration::from_millis(((N - i) * 1000) as u64);
-                loop {
-                    if parker.park(deadline) == ParkWake::Deadline {
-                        wake_order.lock().push(i);
-                        return;
-                    }
+        let (e, w) = (Arc::clone(&exec), Arc::clone(&wake_order));
+        let payloads = run(&exec, 30, move |i| {
+            // Distinct deadlines, reverse of rank order.
+            let parker = e.parker(i);
+            let deadline = Duration::from_millis(((N - i) * 1000) as u64);
+            loop {
+                if parker.park(deadline) == ParkWake::Deadline {
+                    w.lock().push(i);
+                    return;
                 }
-            }));
-        }
-        let payloads = run_tasks(&exec, bodies, Duration::from_secs(30));
+            }
+        });
         assert!(payloads.iter().all(|p| p.is_none()));
         // Smallest deadline first: rank N-1 parked with 1000 ms, and so on.
         assert_eq!(*wake_order.lock(), vec![3, 2, 1, 0]);
@@ -1128,17 +1136,13 @@ mod tests {
     fn panic_is_confined_to_its_task_slot() {
         let exec = ExecShared::new(3, None);
         let ran = Arc::new(AtomicUsize::new(0));
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        for i in 0..3 {
-            let ran = Arc::clone(&ran);
-            bodies.push(Box::new(move || {
-                if i == 1 {
-                    panic!("task 1 exploded");
-                }
-                ran.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        let payloads = run_tasks(&exec, bodies, Duration::from_secs(30));
+        let r = Arc::clone(&ran);
+        let payloads = run(&exec, 30, move |i| {
+            if i == 1 {
+                panic!("task 1 exploded");
+            }
+            r.fetch_add(1, Ordering::SeqCst);
+        });
         assert!(payloads[0].is_none());
         assert!(payloads[1].is_some());
         assert!(payloads[2].is_none());
@@ -1152,19 +1156,66 @@ mod tests {
         const N: usize = 1000;
         let exec = ExecShared::new(N, None);
         let sum = Arc::new(AtomicUsize::new(0));
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        for i in 0..N {
-            let exec = Arc::clone(&exec);
-            let sum = Arc::clone(&sum);
-            bodies.push(Box::new(move || {
-                // Ring notify: wake the next task, then park until woken
-                // (token or unpark), then finish.
-                exec.notify((i + 1) % N);
-                sum.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        let payloads = run_tasks(&exec, bodies, Duration::from_secs(60));
+        let (e, s) = (Arc::clone(&exec), Arc::clone(&sum));
+        let payloads = run(&exec, 60, move |i| {
+            // Ring notify: wake the next task, then park until woken
+            // (token or unpark), then finish.
+            e.notify((i + 1) % N);
+            s.fetch_add(1, Ordering::SeqCst);
+        });
         assert!(payloads.iter().all(|p| p.is_none()));
         assert_eq!(sum.load(Ordering::SeqCst), N);
+    }
+
+    /// One worker finishes each task at its first dispatch before it makes
+    /// the next, so the stack one task returns to the pool is the one the
+    /// next takes.  A task reads its stack from the page of a local, the
+    /// same frame on every task.  Other tests of this binary take and return
+    /// pool stacks meanwhile, which may hand a task one of theirs; an eager
+    /// launch would show one stack per task.
+    #[test]
+    fn tasks_that_finish_at_first_dispatch_reuse_a_few_stacks() {
+        const N: usize = 10_000;
+        const PAGE: usize = 4096;
+        let exec = ExecShared::with_workers(N, 1, None);
+        let pages = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let p = Arc::clone(&pages);
+        let payloads = run(&exec, 60, move |_| {
+            let local = 0u8;
+            let addr = std::hint::black_box(&local) as *const u8 as usize;
+            p.lock().insert(addr & !(PAGE - 1));
+        });
+        assert!(payloads.iter().all(|p| p.is_none()));
+        let stacks = pages.lock().len();
+        assert!(stacks <= N / 100, "{N} tasks that never parked ran on {stacks} stacks");
+    }
+
+    /// The first launch fills the stack pool and the second runs on it: the
+    /// clocks of a 4096-rank ring must not know which one they came from.
+    #[test]
+    fn back_to_back_ring_launches_give_identical_clocks() {
+        use mim_topology::{Machine, Placement};
+        const RANKS: usize = 4096;
+        let ring = || {
+            let cfg =
+                UniverseConfig::new(Machine::cluster(RANKS / 64, 1, 64), Placement::packed(RANKS))
+                    .with_executor(ExecutorKind::Tasks);
+            Universe::new(cfg).launch(|rank| {
+                let world = rank.comm_world();
+                let (me, size) = (world.rank(), world.size());
+                for round in 0..4 {
+                    rank.send_synthetic(&world, (me + 1) % size, round, 256);
+                    rank.recv_synthetic(
+                        &world,
+                        SrcSel::Rank((me + size - 1) % size),
+                        TagSel::Is(round),
+                    );
+                }
+                rank.now_ns().to_bits()
+            })
+        };
+        let first = ring();
+        assert!(first.iter().any(|&c| c != 0));
+        assert_eq!(ring(), first);
     }
 }

@@ -93,12 +93,13 @@ impl Rank {
     ) -> Self {
         let deadline = shared.cfg.deadline;
         let core = shared.core_of(world_rank);
-        let track = if incarnation > 0 {
-            format!("rank{world_rank}.{incarnation}")
-        } else {
-            format!("rank{world_rank}")
-        };
-        let trace = shared.cfg.tracer.as_ref().map(|t| t.track(track));
+        let trace = shared.cfg.tracer.as_ref().map(|t| {
+            t.track(if incarnation > 0 {
+                format!("rank{world_rank}.{incarnation}")
+            } else {
+                format!("rank{world_rank}")
+            })
+        });
         let mut mailbox = Mailbox::new(rx, deadline);
         mailbox.set_incarnation(incarnation);
         if let Some(t) = &trace {

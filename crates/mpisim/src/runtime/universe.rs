@@ -386,45 +386,53 @@ impl Universe {
         let receivers = self.receivers.lock().take().expect("a universe can only be launched once");
         let hooks = std::mem::take(&mut *self.hooks.lock());
         let _ = self.shared.global_hooks.set(hooks.into_boxed_slice());
-        let mut results: Vec<Option<R>> = receivers.iter().map(|_| None).collect();
-        let (shared, f) = (&self.shared, &f);
-        let slots = receivers.into_iter().zip(results.iter_mut()).enumerate().map(
-            |(world_rank, (rx, result))| {
-                // Cloned here, on the launching thread: cloned by the
-                // workers as their ranks start, the refcount's cache line
-                // bounces between them, which cost a 10k-rank bare ring
-                // ~10 % of its wall time on a 2-core host.
-                let shared = Arc::clone(shared);
-                move || run_slot(world_rank, shared, rx, f, result)
-            },
-        );
+        let n = receivers.len();
+        // Each slot's wiring, taken by its driver.  The `Arc`s are cloned
+        // here, on the launching thread: cloned by the workers as their
+        // ranks start, the refcount's cache line bounces between them,
+        // which cost a 10k-rank bare ring ~10 % of its wall time on a
+        // 2-core host.
+        let wiring: Vec<_> = receivers
+            .into_iter()
+            .map(|rx| Mutex::new(Some((Arc::clone(&self.shared), rx))))
+            .collect();
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // The one launch body: slot `world_rank`'s driver.
+        let body = |world_rank: usize| {
+            let Some((shared, rx)) = wiring[world_rank].lock().take() else {
+                panic!("slot {world_rank} started twice");
+            };
+            let result = run_slot(world_rank, shared, rx, &f);
+            *results[world_rank].lock() = Some(result);
+        };
+        let body: &(dyn Fn(usize) + Sync) = &body;
         let payloads = match &self.shared.exec {
             // M:N engine: each slot is a fiber task on a fixed worker pool
             // (`crate::exec`).  Blocking receives park the rank's *task* (the
             // mailbox holds its `ParkerHandle`), so a handful of workers can
             // carry a 10k-rank universe.
             Some(exec) => {
-                let tasks = slots.map(|slot| {
-                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(slot);
-                    // SAFETY: lifetime erasure only.  `exec::run_tasks` joins
-                    // its worker pool (a `thread::scope`) before returning,
-                    // and every fiber — run or not — is dropped inside it, so
-                    // no task (and no borrow of `f` or `results` it captures)
-                    // outlives this call.
-                    unsafe { std::mem::transmute::<_, Box<dyn FnOnce() + Send>>(task) }
-                });
-                exec::run_tasks(exec, tasks.collect(), self.shared.cfg.deadline)
+                // SAFETY: lifetime erasure only.  `exec::run_tasks` joins its
+                // worker pool (a `thread::scope`) before returning, and drops
+                // every fiber — each holding this reference — inside it, so
+                // no task outlives this call's borrow of `body` (nor of `f`,
+                // `wiring` or `results`).
+                let body = unsafe {
+                    std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
+                        body,
+                    )
+                };
+                exec::run_tasks(exec, n, body, self.shared.cfg.deadline)
             }
             // Thread-per-rank engine: one scoped OS thread per slot, joined in
             // slot order.
             None => std::thread::scope(|scope| {
-                let threads: Vec<_> = slots
-                    .enumerate()
-                    .map(|(world_rank, slot)| {
+                let threads: Vec<_> = (0..n)
+                    .map(|world_rank| {
                         std::thread::Builder::new()
                             .name(format!("rank-{world_rank}"))
                             .stack_size(THREAD_STACK_SIZE)
-                            .spawn_scoped(scope, slot)
+                            .spawn_scoped(scope, move || body(world_rank))
                             .expect("failed to spawn rank thread")
                     })
                     .collect();
@@ -436,6 +444,7 @@ impl Universe {
         }
         results
             .into_iter()
+            .map(Mutex::into_inner)
             .zip(payloads)
             .map(|(r, p)| match p {
                 Some(payload) => Err(payload),
@@ -543,14 +552,15 @@ impl Universe {
 /// injector covers, under the recoverable launch, starts the next
 /// incarnation.  When world rank 0's slot ends for good — `f` returned, or
 /// died with no restart to follow — the sponsor's epilogue retires every
-/// latent slot still unadmitted, so none waits out the deadline.
+/// latent slot still unadmitted, so none waits out the deadline.  Returns
+/// the last incarnation's result, or unwinds with what ended it.
 fn run_slot<F, R>(
     world_rank: usize,
     mut shared: Arc<Shared>,
     mut rx: Receiver<Envelope>,
     f: &F,
-    result: &mut Option<R>,
-) where
+) -> R
+where
     F: Fn(&Rank) -> R + Sync,
 {
     let (join, peer_incs, mut stash) = if world_rank < shared.cfg.initial() {
@@ -578,7 +588,7 @@ fn run_slot<F, R>(
         if incarnation > 0 {
             rank.announce_rejoin();
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| *result = Some(f(&rank))));
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&rank)));
         let crashed = outcome.as_ref().is_err_and(|p| p.is::<fault::RankCrashed>());
         let injector = rank.shared.cfg.injector.as_ref();
         let restart = crashed

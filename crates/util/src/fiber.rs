@@ -23,13 +23,24 @@
 //! an unwinding rank panic never crosses the assembly frame (which would be
 //! undefined behaviour).  The payload is carried back to the resumer via
 //! [`Fiber::take_panic`].
+//!
+//! Stacks: each is an anonymous `mmap` of its own, outside the malloc arena
+//! the code running on it allocates from.  A fiber that is dropped finished
+//! (or never started) hands its stack to one process-wide pool, and the
+//! next fiber of the same size takes it with its pages already faulted in;
+//! the pool keeps what it holds for the life of the process.  A fiber
+//! dropped while suspended still has frames on its stack, never to be
+//! unwound: that stack is unmapped, not reused, so anything left pointing
+//! into those frames faults instead of reading another fiber's.
 
 #[cfg(all(target_arch = "x86_64", target_family = "unix"))]
 mod imp {
     use std::any::Any;
     use std::cell::Cell;
-    use std::mem::MaybeUninit;
+    use std::ffi::{c_int, c_void};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use crate::sync::Mutex;
 
     /// Whether stackful fibers work on this target.
     pub const SUPPORTED: bool = true;
@@ -43,9 +54,89 @@ mod imp {
     /// corrupting the neighbouring allocation.
     const CANARY: usize = 0x5AFE_57AC_C0DE_CAFE;
 
+    /// Stack sizes are whole pages, so a stack's top is its mapping's end.
+    const PAGE: usize = 4096;
+
     extern "C" {
         fn mim_fiber_switch(save: *mut usize, load: usize);
         fn mim_fiber_start();
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    #[cfg(target_os = "linux")]
+    const MAP_ANONYMOUS: c_int = 0x20;
+    /// macOS and the BSDs.
+    #[cfg(not(target_os = "linux"))]
+    const MAP_ANONYMOUS: c_int = 0x1000;
+
+    /// A fiber's call stack: `len` bytes of an anonymous private mapping,
+    /// page-aligned at `base`.  The empty value (`len` 0) owns nothing.
+    #[derive(Default)]
+    struct Stack {
+        base: usize,
+        len: usize,
+    }
+
+    /// Stacks no frame lives on, kept for the next fiber of their size.
+    static POOL: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+
+    impl Stack {
+        /// A `len`-byte stack: the pool's most recently returned one of
+        /// that size, else a fresh mapping.
+        fn take(len: usize) -> Stack {
+            let pooled = {
+                let mut pool = POOL.lock();
+                pool.iter().rposition(|s| s.len == len).map(|i| pool.swap_remove(i))
+            };
+            pooled.unwrap_or_else(|| Stack::map(len))
+        }
+
+        fn map(len: usize) -> Stack {
+            // SAFETY: a new anonymous mapping; no existing memory is touched.
+            let base = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            if base as isize == -1 {
+                // What a failed allocation does: abort, not unwind out of
+                // the worker that was about to run this fiber.
+                eprintln!(
+                    "mim-util: fiber stack of {len} bytes: mmap failed: {}",
+                    std::io::Error::last_os_error()
+                );
+                std::process::abort();
+            }
+            Stack { base: base as usize, len }
+        }
+    }
+
+    impl Drop for Stack {
+        fn drop(&mut self) {
+            if self.len > 0 {
+                // SAFETY: `base..base + len` is a mapping this value owns,
+                // and no fiber runs on it (see `Fiber`'s drop).
+                unsafe {
+                    munmap(self.base as *mut c_void, self.len);
+                }
+            }
+        }
     }
 
     // System V x86-64 context switch.  `save` receives the current stack
@@ -102,9 +193,6 @@ mod imp {
         /// Panic payload captured by the entry shim, if the body unwound.
         panic: Option<Box<dyn Any + Send>>,
         done: bool,
-        /// The fiber's call stack.  Dropped only after `done`, when no
-        /// frame on it is live.
-        stack: Box<[MaybeUninit<u8>]>,
     }
 
     thread_local! {
@@ -141,6 +229,7 @@ mod imp {
     /// A suspended computation with its own stack.
     pub struct Fiber {
         inner: Box<FiberInner>,
+        stack: Stack,
     }
 
     // SAFETY: a fiber may hold non-Send state (Rc clocks, RefCell
@@ -155,25 +244,26 @@ mod imp {
 
     impl Fiber {
         /// Create a fiber that will run `body` on its own `stack_size`-byte
-        /// stack (clamped up to [`MIN_STACK`]) when first resumed.
+        /// stack (clamped up to [`MIN_STACK`], rounded up to a whole page)
+        /// when first resumed.  The stack is a pooled one of that size when
+        /// the pool has one (see the module doc).
         pub fn new(stack_size: usize, body: Box<dyn FnOnce() + Send>) -> Fiber {
-            let size = stack_size.max(MIN_STACK);
-            let stack = Box::new_uninit_slice(size);
+            let stack = Stack::take(stack_size.max(MIN_STACK).next_multiple_of(PAGE));
             let mut inner = Box::new(FiberInner {
                 resume_sp: 0,
                 parent_sp: 0,
                 body: Some(body),
                 panic: None,
                 done: false,
-                stack,
             });
-            let base = inner.stack.as_mut_ptr() as usize;
-            let top = (base + size) & !15; // 16-aligned stack top
-            let sp = top - 7 * 8; // six registers + the resume address
-                                  // SAFETY: all writes land inside the freshly allocated stack;
-                                  // the layout mirrors what `mim_fiber_switch` pops.
+            // Six registers and the resume address below the page-aligned top.
+            let sp = stack.base + stack.len - 7 * 8;
+            // SAFETY: all writes land inside the stack, which no frame uses
+            // (fresh, or returned by a fiber that finished or never ran); a
+            // recycled one gets its canary and first frame anew.  The layout
+            // mirrors what `mim_fiber_switch` pops.
             unsafe {
-                (((base + 7) & !7) as *mut usize).write(CANARY);
+                (stack.base as *mut usize).write(CANARY);
                 let p = sp as *mut usize;
                 p.write(0); // r15
                 p.add(1).write(0); // r14
@@ -184,7 +274,7 @@ mod imp {
                 p.add(6).write(mim_fiber_start as *const () as usize); // resume address
             }
             inner.resume_sp = sp;
-            Fiber { inner }
+            Fiber { inner, stack }
         }
 
         /// Run the fiber until it suspends or completes.  Must not be
@@ -207,9 +297,8 @@ mod imp {
                 mim_fiber_switch(&mut (*ptr).parent_sp, (*ptr).resume_sp);
             }
             CURRENT.with(|c| c.set(prev));
-            let base = self.inner.stack.as_ptr() as usize;
             // SAFETY: reads the canary word written by `new`.
-            let canary = unsafe { (((base + 7) & !7) as *const usize).read() };
+            let canary = unsafe { (self.stack.base as *const usize).read() };
             assert!(canary == CANARY, "fiber stack overflow: canary clobbered");
             if self.inner.done {
                 Resume::Done
@@ -227,6 +316,28 @@ mod imp {
         pub fn take_panic(&mut self) -> Option<Box<dyn Any + Send>> {
             self.inner.panic.take()
         }
+
+        /// The lowest address of this fiber's stack.
+        #[cfg(test)]
+        pub(super) fn stack_base(&self) -> usize {
+            self.stack.base
+        }
+    }
+
+    impl Drop for Fiber {
+        /// The stack goes back to the pool when no frame lives on it — the
+        /// body finished, or never started — and is unmapped otherwise.
+        fn drop(&mut self) {
+            if self.inner.done || self.inner.body.is_some() {
+                POOL.lock().push(std::mem::take(&mut self.stack));
+            }
+        }
+    }
+
+    /// How many stacks of `len` bytes the pool holds.
+    #[cfg(test)]
+    pub(super) fn pooled(len: usize) -> usize {
+        POOL.lock().iter().filter(|s| s.len == len).count()
     }
 
     /// Suspend the currently running fiber, returning control to whoever
@@ -468,5 +579,69 @@ mod tests {
         assert_eq!(out.load(Ordering::SeqCst), 42);
         assert_eq!(outer.resume(), Resume::Done);
         assert_eq!(out.load(Ordering::SeqCst), 43);
+    }
+
+    /// The pool matches stacks by size: each test below asks for a size no
+    /// other test does, so the pool's stacks of it are that test's alone.
+    const PAGE: usize = 4096;
+
+    #[test]
+    fn a_recycled_stack_runs_a_fiber_like_a_fresh_one() {
+        const SIZE: usize = MIN_STACK + 3 * PAGE;
+        // The first fiber finishes with its canary clobbered, as an
+        // overflow would leave it, and its stack goes back to the pool.
+        let mut first = Fiber::new(SIZE, Box::new(|| {}));
+        let base = first.stack_base();
+        // SAFETY: the canary word at the stack's base; nothing runs there.
+        unsafe { (base as *mut usize).write(0) };
+        let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| first.resume()));
+        assert!(overflow.is_err(), "a clobbered canary must fail the resume");
+        assert!(first.is_done());
+        drop(first);
+        assert_eq!(imp::pooled(SIZE), 1);
+        // The next fiber of that size takes the same stack, with a canary
+        // and a first frame of its own: it runs its body from the top,
+        // suspends, migrates, and its panic is captured.
+        let sum = Arc::new(AtomicUsize::new(0));
+        let s = Arc::clone(&sum);
+        let mut second = Fiber::new(
+            SIZE,
+            Box::new(move || {
+                s.fetch_add(1, Ordering::SeqCst);
+                suspend();
+                s.fetch_add(2, Ordering::SeqCst);
+                suspend();
+                panic!("boom on a recycled stack");
+            }),
+        );
+        assert_eq!(second.stack_base(), base, "the pooled stack is reused");
+        assert_eq!(imp::pooled(SIZE), 0);
+        assert_eq!(second.resume(), Resume::Suspended);
+        let mut second = std::thread::spawn(move || {
+            assert_eq!(second.resume(), Resume::Suspended);
+            second
+        })
+        .join()
+        .unwrap_or_else(|_| panic!("migration thread panicked"));
+        assert_eq!(second.resume(), Resume::Done);
+        assert_eq!(sum.load(Ordering::SeqCst), 3);
+        let payload = second.take_panic();
+        let msg = payload.as_ref().and_then(|p| p.downcast_ref::<&str>().copied());
+        assert_eq!(msg, Some("boom on a recycled stack"));
+        drop(second);
+        assert_eq!(imp::pooled(SIZE), 1);
+    }
+
+    /// A stack with live frames on it is never handed to another fiber;
+    /// one that never ran a frame is.
+    #[test]
+    fn only_a_stack_without_live_frames_is_pooled() {
+        const SIZE: usize = MIN_STACK + 5 * PAGE;
+        let mut suspended = Fiber::new(SIZE, Box::new(suspend));
+        assert_eq!(suspended.resume(), Resume::Suspended);
+        drop(suspended);
+        assert_eq!(imp::pooled(SIZE), 0, "a suspended fiber's stack was pooled");
+        drop(Fiber::new(SIZE, Box::new(|| {})));
+        assert_eq!(imp::pooled(SIZE), 1, "a never-started fiber's stack was not pooled");
     }
 }
