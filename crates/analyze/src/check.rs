@@ -17,7 +17,7 @@
 //! [`Verdict::PotentialDeadlock`], and a stall is reported as potential
 //! rather than definite (another matching might progress).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::diag::{ChannelUse, Code, Diag, Loc, Report, Severity, Verdict, WaitEdge};
 use crate::interp::{admits, ChanKey, State, Step, Sync};
@@ -67,8 +67,24 @@ pub fn analyze_program(p: &Program) -> Report {
 /// A001 pass: every rank/handle an op references must exist and be in
 /// scope.  Replay assumes this (it indexes unchecked), so analysis stops
 /// here when anything fails.
+///
+/// Membership is one bitmap per communicator, `n` bits each, so an op
+/// costs O(1) whatever the communicator's size.  A listed member ≥ `n`
+/// sets no bit: no rank can be it, and a peer that large is reported as
+/// out of range before membership is asked.
 fn check_well_formed(p: &Program, diags: &mut Vec<Diag>) {
     let n = p.nranks();
+    let words = n.div_ceil(64);
+    let mut bits = vec![0u64; p.ncomms() * words];
+    for c in 0..p.ncomms() {
+        for &m in p.comm_members(CommId(c as u32)).unwrap_or_default() {
+            if m < n {
+                bits[c * words + m / 64] |= 1 << (m % 64);
+            }
+        }
+    }
+    let member =
+        |comm: CommId, r: usize| bits[comm.0 as usize * words + r / 64] & (1 << (r % 64)) != 0;
     let mut push = |rank: usize, step: usize, msg: String| {
         diags.push(Diag {
             code: Code::A001,
@@ -103,17 +119,17 @@ fn check_well_formed(p: &Program, diags: &mut Vec<Diag>) {
                 },
             };
             let Some(comm) = comm else { continue };
-            let Some(members) = p.comm_members(comm) else {
+            if comm.0 as usize >= p.ncomms() {
                 push(r, i, format!("unknown communicator id {}", comm.0));
                 continue;
-            };
-            if !members.contains(&r) {
+            }
+            if !member(comm, r) {
                 push(r, i, format!("rank {r} is not a member of comm {}", comm.0));
             }
             if let Some(peer) = peer {
                 if peer >= n {
                     push(r, i, format!("peer rank {peer} is out of range (nranks = {n})"));
-                } else if !members.contains(&peer) {
+                } else if !member(comm, peer) {
                     push(r, i, format!("peer rank {peer} is not a member of comm {}", comm.0));
                 }
             }
@@ -127,7 +143,6 @@ struct Replay<'p> {
     /// Ranks asleep at a `Recv` whose match has not arrived; the next send
     /// to them puts them back on the worklist.
     asleep: Vec<bool>,
-    totals: BTreeMap<ChanKey, (u64, u64)>,
     /// Per win: one-sided accesses of the currently open epoch.
     epoch: Vec<Vec<Access>>,
     wildcard_sites: Vec<Loc>,
@@ -142,7 +157,6 @@ impl<'p> Replay<'p> {
             p,
             st: State::new(p),
             asleep: vec![false; p.nranks()],
-            totals: BTreeMap::new(),
             epoch: vec![Vec::new(); p.nwins()],
             wildcard_sites: Vec::new(),
             matches: Vec::new(),
@@ -248,10 +262,7 @@ impl<'p> Replay<'p> {
         while let Some(op) = self.st.op(r) {
             let step = self.st.pc(r);
             match op {
-                Op::Send { comm, dst, tag, bytes } => {
-                    let t = self.totals.entry((comm, r, dst, tag)).or_default();
-                    t.0 += 1;
-                    t.1 += bytes;
+                Op::Send { dst, .. } => {
                     if std::mem::take(&mut self.asleep[dst]) {
                         wake.push(dst);
                     }
@@ -310,18 +321,7 @@ impl<'p> Replay<'p> {
         let stalled: Vec<usize> = (0..n).filter(|&r| !self.st.done(r)).collect();
         let verdict =
             if stalled.is_empty() { self.finish_clean() } else { self.post_mortem(&stalled) };
-        let channels = self
-            .totals
-            .iter()
-            .map(|(&(comm, src, dst, tag), &(messages, bytes))| ChannelUse {
-                comm,
-                src,
-                dst,
-                tag,
-                messages,
-                bytes,
-            })
-            .collect();
+        let channels = channel_totals(self.p, &self.st);
         preexisting.append(&mut self.diags);
         let (determinism, independence) = race::race_pass(self.p, &self.matches, &mut preexisting);
         Report {
@@ -546,6 +546,32 @@ impl<'p> Replay<'p> {
             Verdict::PotentialDeadlock { wildcard_sites: sites }
         }
     }
+}
+
+/// Per-channel traffic of the sends the replay executed (each rank's sends
+/// before its final pc), in channel order: one sort and merge at the end
+/// instead of a tree insert per message.
+fn channel_totals(p: &Program, st: &State<'_>) -> Vec<ChannelUse> {
+    let mut sent: Vec<(ChanKey, u64)> = Vec::new();
+    for r in 0..p.nranks() {
+        for op in &p.rank_ops(r)[..st.pc(r)] {
+            if let Op::Send { comm, dst, tag, bytes } = *op {
+                sent.push(((comm, r, dst, tag), bytes));
+            }
+        }
+    }
+    sent.sort_unstable_by_key(|&(key, _)| key);
+    let mut channels: Vec<ChannelUse> = Vec::new();
+    for ((comm, src, dst, tag), bytes) in sent {
+        match channels.last_mut() {
+            Some(c) if (c.comm, c.src, c.dst, c.tag) == (comm, src, dst, tag) => {
+                c.messages += 1;
+                c.bytes += bytes;
+            }
+            _ => channels.push(ChannelUse { comm, src, dst, tag, messages: 1, bytes }),
+        }
+    }
+    channels
 }
 
 /// DFS for a cycle in the wait-for graph; returns the cycle as `WaitEdge`s

@@ -293,6 +293,89 @@ mod tests {
     }
 
     #[test]
+    fn subcommunicator_membership_errors_are_pinned() {
+        // 70 ranks, so membership spans two bitmap words; `sub` lists world
+        // rank 130, which does not exist and must not leak into `pair`.
+        let mut p = Program::new("members", 70);
+        let sub = p.add_comm(vec![130, 65, 2, 1]);
+        let pair = p.add_comm(vec![0, 1]);
+        let on = |comm, dst| Op::Send { comm, dst, tag: 0, bytes: 8 };
+        p.push(0, on(sub, 1)); // rank 0 is no member
+        p.push(1, on(sub, 66)); // nor is its peer, 66 (bit 2 of word 1)
+        p.push(2, Op::Recv { comm: sub, src: Src::Rank(130), tag: Tag::Is(0) });
+        p.push(2, on(pair, 1));
+        p.push(65, on(sub, 2)); // fine: both members
+        let r = analyze(&p);
+        assert_eq!(r.verdict, Verdict::Malformed);
+        let got: Vec<_> = r.diags.iter().map(|d| (d.code, d.loc, d.message.as_str())).collect();
+        let at = |rank, step| Some(Loc { rank, step });
+        assert_eq!(
+            got,
+            [
+                (Code::A001, at(0, 0), "rank 0 is not a member of comm 1"),
+                (Code::A001, at(1, 0), "peer rank 66 is not a member of comm 1"),
+                (Code::A001, at(2, 0), "peer rank 130 is out of range (nranks = 70)"),
+                (Code::A001, at(2, 1), "rank 2 is not a member of comm 2"),
+            ]
+        );
+    }
+
+    #[test]
+    fn channel_totals_are_merged_per_comm_and_tag() {
+        let mut p = Program::new("totals", 3);
+        let sub = p.add_comm(vec![0, 1]);
+        let send = |comm, dst, tag, bytes| Op::Send { comm, dst, tag, bytes };
+        let recv = |comm, src, tag| Op::Recv { comm, src: Src::Rank(src), tag: Tag::Is(tag) };
+        for op in [
+            send(WORLD, 1, 5, 10),
+            send(sub, 1, 0, 20),
+            send(WORLD, 1, 5, 30),
+            send(WORLD, 2, 0, 1),
+            send(sub, 1, 0, 40),
+            send(WORLD, 1, 0, 2),
+            recv(WORLD, 2, 3),
+            recv(WORLD, 2, 3),
+        ] {
+            p.push(0, op);
+        }
+        for op in [recv(sub, 0, 0), recv(WORLD, 0, 5), recv(sub, 0, 0), recv(WORLD, 0, 5)] {
+            p.push(1, op);
+        }
+        p.push(1, recv(WORLD, 0, 0));
+        for op in [send(WORLD, 0, 3, 7), recv(WORLD, 0, 0), send(WORLD, 0, 3, 7)] {
+            p.push(2, op);
+        }
+        let r = analyze(&p);
+        assert!(r.is_clean(), "{r}");
+        let use_ = |comm, src, dst, tag, messages, bytes| ChannelUse {
+            comm,
+            src,
+            dst,
+            tag,
+            messages,
+            bytes,
+        };
+        assert_eq!(
+            r.channels,
+            [
+                use_(WORLD, 0, 1, 0, 1, 2),
+                use_(WORLD, 0, 1, 5, 2, 40),
+                use_(WORLD, 0, 2, 0, 1, 1),
+                use_(WORLD, 2, 0, 3, 2, 14),
+                use_(sub, 0, 1, 0, 2, 60),
+            ]
+        );
+        // A stalled replay counts only the sends it executed.
+        let p = two_rank(
+            vec![send(WORLD, 1, 0, 8), recv(WORLD, 1, 0), send(WORLD, 1, 0, 8)],
+            vec![recv(WORLD, 0, 1)],
+        );
+        let r = analyze(&p);
+        assert!(matches!(r.verdict, Verdict::DefiniteDeadlock { .. }), "{r}");
+        assert_eq!(r.channels, [use_(WORLD, 0, 1, 0, 1, 8)]);
+    }
+
+    #[test]
     fn report_renders_both_formats() {
         let p = two_rank(vec![recv(1), send(1)], vec![recv(0), send(0)]);
         let r = analyze(&p);

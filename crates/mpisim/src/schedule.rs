@@ -15,7 +15,9 @@
 //!   the exact timing rules of the threaded runtime — tests cross-check the
 //!   two paths against each other.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::BinaryHeap;
+#[cfg(test)]
+use std::collections::{HashMap, VecDeque};
 
 use mim_analyze::{CommPlan, Op, Program, Report, Src, Tag, Verdict, WORLD};
 use mim_topology::Machine;
@@ -57,29 +59,32 @@ impl Schedule {
         &self.steps[r]
     }
 
+    /// Every send as a (src, dst, bytes) triple, rank by rank in step order.
+    fn sends(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.steps.iter().enumerate().flat_map(|(src, steps)| {
+            steps.iter().filter_map(move |s| match *s {
+                Step::Send { peer, bytes } => Some((src, peer, bytes)),
+                Step::Recv { .. } => None,
+            })
+        })
+    }
+
     /// Multiset of messages as (src, dst, bytes) triples, sorted — the
     /// ground truth the monitoring library must reproduce.
     pub fn message_multiset(&self) -> Vec<(usize, usize, u64)> {
-        let mut msgs = Vec::new();
-        for (src, steps) in self.steps.iter().enumerate() {
-            for s in steps {
-                if let Step::Send { peer, bytes } = *s {
-                    msgs.push((src, peer, bytes));
-                }
-            }
-        }
+        let mut msgs: Vec<_> = self.sends().collect();
         msgs.sort_unstable();
         msgs
     }
 
     /// Total bytes on the wire.
     pub fn total_bytes(&self) -> u64 {
-        self.message_multiset().iter().map(|&(_, _, b)| b).sum()
+        self.sends().map(|(_, _, b)| b).sum()
     }
 
     /// Total number of messages.
     pub fn total_messages(&self) -> usize {
-        self.message_multiset().len()
+        self.sends().count()
     }
 
     /// Check the schedule is self-consistent: every send has a matching
@@ -381,6 +386,76 @@ impl Ord for Ready {
     }
 }
 
+/// A schedule's channels, indexed once per [`simulate`] call.  Steps are
+/// numbered rank by rank (rank `r`'s step `i` is `first[r] + i`), and the
+/// k-th receive from `src` at `dst` takes the k-th send from `src` to `dst`.
+struct Wiring {
+    /// Where each rank's steps start in the flat numbering.
+    first: Vec<usize>,
+    /// For a send, the step that receives it; `usize::MAX` for a send nobody
+    /// receives and for every receive.
+    recv_at: Vec<usize>,
+}
+
+impl Wiring {
+    fn new(schedule: &Schedule) -> Self {
+        let n = schedule.nranks();
+        let mut first = Vec::with_capacity(n);
+        let mut total = 0;
+        // Bucket every send by its destination (a counting sort): each bucket
+        // lists its sends by source, then in send order, so channel
+        // (src, dst) is one contiguous run of bucket `dst`.
+        let mut start = vec![0usize; n + 1];
+        for steps in &schedule.steps {
+            first.push(total);
+            total += steps.len();
+            for s in steps {
+                if let Step::Send { peer, .. } = *s {
+                    start[peer + 1] += 1;
+                }
+            }
+        }
+        for d in 0..n {
+            start[d + 1] += start[d];
+        }
+        let mut bucketed = vec![(0usize, 0usize); start[n]];
+        let mut fill = start.clone();
+        for (src, steps) in schedule.steps.iter().enumerate() {
+            for (i, s) in steps.iter().enumerate() {
+                if let Step::Send { peer, .. } = *s {
+                    bucketed[fill[peer]] = (src, first[src] + i);
+                    fill[peer] += 1;
+                }
+            }
+        }
+        // Walk each destination's receives in step order, each taking the
+        // next send of its channel's run: `next[src]` is the run's first
+        // unmatched entry while `dst`'s bucket is open, and the run is used
+        // up once that entry names another source.
+        let mut recv_at = vec![usize::MAX; total];
+        let mut next = vec![0usize; n];
+        for (dst, steps) in schedule.steps.iter().enumerate() {
+            let bucket = &bucketed[start[dst]..start[dst + 1]];
+            for (i, &(src, _)) in bucket.iter().enumerate().rev() {
+                next[src] = i;
+            }
+            for (i, s) in steps.iter().enumerate() {
+                let Step::Recv { peer } = *s else { continue };
+                if let Some(&(src, send)) = next.get(peer).and_then(|&k| bucket.get(k)) {
+                    if src == peer {
+                        recv_at[send] = first[dst] + i;
+                        next[peer] += 1;
+                    }
+                }
+            }
+            for &(src, _) in bucket {
+                next[src] = 0;
+            }
+        }
+        Wiring { first, recv_at }
+    }
+}
+
 /// Analytically compute per-rank completion times (ns) of a schedule, using
 /// the exact timing rules of the threaded runtime: a send occupies the
 /// sender for `SEND_OVERHEAD_NS + β·bytes` and the message lands `α` after
@@ -410,6 +485,12 @@ impl Ord for Ready {
 /// difference between minutes and milliseconds at Table-1 / NP=256 scales
 /// and beyond.
 ///
+/// Channels are indexed once per call ([`Wiring`]): every send knows the
+/// receive step that takes it, and writes its arrival time into that step's
+/// slot, so a receive reads its arrival in its own step order and a step
+/// costs no hashing.  A receiver parks on at most one peer, so
+/// `waiting[dst] == Some(src)` is the whole parking record.
+///
 /// # Panics
 /// Panics on a deadlocked (invalid) schedule.
 pub fn simulate(
@@ -422,14 +503,16 @@ pub fn simulate(
     let n = schedule.nranks();
     assert_eq!(rank_to_core.len(), n, "rank/core mapping size mismatch");
     let trace = tracer.as_ref().map(|t| t.track("des".to_string()));
+    let Wiring { first, recv_at } = Wiring::new(schedule);
     let mut clock = vec![0.0f64; n];
     let mut pc = vec![0usize; n];
-    let mut channels: HashMap<(usize, usize), VecDeque<f64>> = HashMap::new();
+    // Per receive step, the arrival time of its message once sent.
+    let mut arrivals: Vec<Option<f64>> = vec![None; recv_at.len()];
     let mut nic_free = vec![0.0f64; machine.num_nodes()];
-    // Channels with a receiver currently parked on them (the parked rank is
-    // the channel's dst; it holds no heap entry while parked).
-    let mut parked: HashSet<(usize, usize)> = HashSet::new();
-    let mut remaining: usize = (0..n).map(|r| schedule.steps[r].len()).sum();
+    // The peer each parked receiver waits for (it holds no heap entry while
+    // parked).
+    let mut waiting: Vec<Option<usize>> = vec![None; n];
+    let mut remaining = recv_at.len();
     let mut heap = BinaryHeap::with_capacity(n);
     for (r, steps) in schedule.steps.iter().enumerate() {
         if !steps.is_empty() {
@@ -444,6 +527,7 @@ pub fn simulate(
             };
             panic!("schedule deadlocked during evaluation{flight}");
         };
+        let g = first[r] + pc[r];
         match schedule.steps[r][pc[r]] {
             Step::Send { peer, bytes } => {
                 let (src, dst) = (rank_to_core[r], rank_to_core[peer]);
@@ -458,8 +542,12 @@ pub fn simulate(
                 } else {
                     clock[r] += busy;
                 }
-                channels.entry((r, peer)).or_default().push_back(clock[r] + link.alpha_ns);
-                if parked.remove(&(r, peer)) {
+                // A send nobody receives stores nothing: no step would read it.
+                if let Some(slot) = arrivals.get_mut(recv_at[g]) {
+                    *slot = Some(clock[r] + link.alpha_ns);
+                }
+                if waiting[peer] == Some(r) {
+                    waiting[peer] = None;
                     heap.push(Ready(clock[peer], peer));
                 }
                 if let Some(t) = &trace {
@@ -467,9 +555,8 @@ pub fn simulate(
                 }
             }
             Step::Recv { peer } => {
-                let Some(arrival) = channels.get_mut(&(peer, r)).and_then(VecDeque::pop_front)
-                else {
-                    parked.insert((peer, r));
+                let Some(arrival) = arrivals[g] else {
+                    waiting[r] = Some(peer);
                     if let Some(t) = &trace {
                         t.record(
                             clock[r],
@@ -968,6 +1055,98 @@ mod tests {
                     assert_eq!(shimmed, heap, "shim divergence (contention={contention})");
                 }
             }
+        }
+    }
+
+    /// Rank-by-rank concatenation of two schedules' steps: every channel the
+    /// two share carries several messages, in FIFO order.
+    fn concatenated(a: &Schedule, b: &Schedule) -> Schedule {
+        Schedule::new(
+            (0..a.nranks()).map(|r| [a.rank_steps(r), b.rank_steps(r)].concat()).collect(),
+        )
+    }
+
+    mim_util::props! {
+        /// The channel index must not change a clock, whatever traffic a
+        /// schedule carries beyond the generators' one-message channels: a
+        /// trailing send nobody receives, several messages per channel, a
+        /// rank sending to itself.
+        fn indexed_evaluator_matches_scan_reference_on_extra_traffic(g) {
+            let n = g.gen_range(2usize..16);
+            let machine = Machine::cluster(2, 2, 4);
+            let cores: Vec<usize> = {
+                let mut p = g.permutation(16);
+                p.truncate(n);
+                p
+            };
+            let base = random_generator_schedule(g, n);
+            let other = random_generator_schedule(g, n);
+            let bytes = g.gen_range(1u64..100_000);
+            let mut steps: Vec<Vec<Step>> = (0..n).map(|r| base.rank_steps(r).to_vec()).collect();
+            let (lost, me) = (g.index(n), g.index(n));
+            steps[lost].push(Step::Send { peer: g.index(n), bytes });
+            steps[me].insert(0, Step::Recv { peer: me });
+            steps[me].insert(0, Step::Send { peer: me, bytes });
+            let root = g.index(n);
+            for s in [
+                Schedule::new(steps),
+                bcast_binary_segmented(n, root, bytes, (bytes / 5).max(1)),
+                concatenated(&base, &other),
+            ] {
+                for contention in [false, true] {
+                    let scan = evaluate_scan_reference(&s, &machine, &cores, contention);
+                    let indexed = simulate(&s, &machine, &cores, contention);
+                    assert_eq!(scan, indexed, "divergence (contention={contention})");
+                }
+            }
+        }
+
+        /// `total_messages` / `total_bytes` count sends directly; on every
+        /// generator they must still be the multiset's length and byte sum.
+        fn totals_equal_the_message_multiset(g) {
+            let n = g.gen_range(1usize..24);
+            let root = g.index(n);
+            let bytes = g.gen_range(1u64..10_000);
+            for s in [
+                bcast_binomial(n, root, bytes),
+                bcast_binary(n, root, bytes),
+                reduce_binomial(n, root, bytes),
+                reduce_binary(n, root, bytes),
+                allgather_ring(n, bytes),
+                allgather_bruck(n, bytes),
+                barrier_dissemination(n),
+                allreduce_recursive_doubling(n, bytes),
+                alltoall_pairwise(n, bytes),
+                bcast_binary_segmented(n, root, bytes, (bytes / 3).max(1)),
+            ] {
+                let msgs = s.message_multiset();
+                assert_eq!(s.total_messages(), msgs.len());
+                assert_eq!(s.total_bytes(), msgs.iter().map(|&(_, _, b)| b).sum::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_evaluator_panics_on_deadlock() {
+        let crossed_order = Schedule::new(vec![
+            vec![Step::Recv { peer: 1 }, Step::Send { peer: 1, bytes: 4 }],
+            vec![Step::Recv { peer: 0 }, Step::Send { peer: 0, bytes: 4 }],
+            vec![],
+        ]);
+        // Rank 2 waits for silent rank 1; rank 0's message, sent first, is
+        // on another channel and must not satisfy it.
+        let silent_peer = Schedule::new(vec![
+            vec![Step::Send { peer: 2, bytes: 4 }],
+            vec![],
+            vec![Step::Recv { peer: 1 }],
+        ]);
+        for s in [crossed_order, silent_peer] {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                simulate(&s, &Machine::cluster(1, 1, 3), &[0, 1, 2], true)
+            }))
+            .expect_err("a deadlocked schedule must not evaluate");
+            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.starts_with("schedule deadlocked during evaluation"), "{msg}");
         }
     }
 
