@@ -17,7 +17,10 @@
 //!   `mim-explore` command-line front-ends;
 //! * [`stats`] — means, confidence intervals, Welch's t-test (Fig 4's
 //!   statistics);
-//! * [`output`] — CSV and ASCII-chart emitters for the benchmark harness.
+//! * [`output`] — CSV and ASCII-chart emitters for the benchmark harness;
+//! * [`scenario`] — the bodies of the `quickstart`, `stencil_reorder`,
+//!   `chaos_stencil` and `elastic_stencil` examples, which the determinism
+//!   tests run on both engines.
 
 pub mod builtin;
 pub mod cg;
@@ -26,6 +29,7 @@ pub mod groups;
 pub mod netpredict;
 pub mod output;
 pub mod plan;
+pub mod scenario;
 pub mod sparse;
 pub mod stats;
 pub mod stencil;

@@ -7,8 +7,8 @@
 //! decision is a pure function of `(seed, src, dst, op_index, attempt)`,
 //! folded through the in-tree splitmix64 mixer; wall-clock time is never
 //! consulted, so a fixed seed replays the exact same fault sequence on
-//! every run — the property the chaos CI gate
-//! (`scripts/check_replay.py chaos`) verifies byte-for-byte.
+//! every run — the property `chaos_stencil_replays_byte_identically`
+//! (`crates/apps/tests/determinism.rs`) verifies byte-for-byte.
 //!
 //! Plans come from builder calls or from the environment:
 //!

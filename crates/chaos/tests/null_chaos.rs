@@ -11,18 +11,18 @@ use mim_chaos::FaultPlan;
 use mim_core::{Flags, GatheredData, Monitoring};
 use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
-use mim_trace::{TraceData, TraceEvent, Tracer};
+use mim_trace::{TraceDigest, Tracer};
 use mim_util::props;
 
 const N: usize = 4;
 
 /// One full monitored run: random traffic, a collective, a gather.
-/// Returns everything an observer could compare.
-#[allow(clippy::type_complexity)]
+/// Returns everything an observer could compare; the trace as its
+/// [`TraceDigest`], every virtual-time field exact.
 fn run(
     msgs: &Arc<Vec<(usize, usize, u64)>>,
     plan: Option<FaultPlan>,
-) -> (Vec<f64>, GatheredData, u64, Vec<(String, Vec<TraceEvent>)>) {
+) -> (Vec<f64>, GatheredData, TraceDigest) {
     let tracer = Tracer::new(4096);
     let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(N));
     cfg.tracer = Some(Arc::clone(&tracer));
@@ -56,21 +56,7 @@ fn run(
     let (times, mut matrices): (Vec<f64>, Vec<GatheredData>) = results.into_iter().unzip();
     let gathered = matrices.pop().expect("allgather puts the matrices everywhere");
     assert!(matrices.iter().all(|m| *m == gathered));
-    // Track registration order races across threads; compare by name.  The
-    // Recv event's uq_depth reports how many envelopes happened to sit in
-    // the unexpected queue when the match landed — a function of OS thread
-    // scheduling, racy even between two injector-free runs — so it is
-    // normalized out; every virtual-time field is compared exactly.
-    let mut snap = tracer.snapshot();
-    snap.sort_by(|a, b| a.0.cmp(&b.0));
-    for (_, evs) in &mut snap {
-        for e in evs {
-            if let TraceData::Recv { uq_depth, .. } = &mut e.data {
-                *uq_depth = 0;
-            }
-        }
-    }
-    (times, gathered, tracer.events_total(), snap)
+    (times, gathered, tracer.digest())
 }
 
 fn arb_msgs(g: &mut mim_util::prop::Gen) -> Arc<Vec<(usize, usize, u64)>> {
@@ -86,8 +72,7 @@ props! {
         let null = run(&msgs, Some(FaultPlan::new(seed)));
         assert_eq!(clean.0, null.0, "virtual completion times diverged");
         assert_eq!(clean.1, null.1, "monitoring matrices diverged");
-        assert_eq!(clean.2, null.2, "trace event totals diverged");
-        assert_eq!(clean.3, null.3, "trace contents diverged");
+        assert_eq!(clean.2, null.2, "traces diverged");
     }
 
     /// Same, through the environment-grammar path with explicit zeros.
@@ -98,6 +83,6 @@ props! {
         let null = run(&msgs, Some(plan));
         assert_eq!(clean.0, null.0, "virtual completion times diverged");
         assert_eq!(clean.1, null.1, "monitoring matrices diverged");
-        assert_eq!(clean.3, null.3, "trace contents diverged");
+        assert_eq!(clean.2, null.2, "traces diverged");
     }
 }

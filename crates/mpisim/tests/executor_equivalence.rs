@@ -4,14 +4,15 @@
 //! per-rank trace streams are bit-identical across execution engines — on
 //! any seed, any topology, any worker count.
 //!
-//! The one normalization: `Recv.uq_depth` (and nothing else) measures
+//! Traces are compared as their [`TraceDigest`]: `Recv.uq_depth` measures
 //! *wall-clock arrival order* into the unexpected queue, which is genuinely
-//! scheduling-dependent; it is zeroed on both sides before comparing.
+//! scheduling-dependent, and track registration order follows thread start
+//! order; every other field is compared exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mim_mpisim::trace::{TraceData, TraceEvent, Tracer};
+use mim_mpisim::trace::{TraceDigest, Tracer};
 use mim_mpisim::{ExecutorKind, PmlEvent, PmlHook, Rank, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
@@ -25,7 +26,7 @@ struct Observables {
     completion_bits: Vec<u64>,
     results: Vec<Vec<i64>>,
     nic: Vec<(u64, u64, u64)>,
-    traces: Vec<(String, Vec<TraceEvent>)>,
+    trace: TraceDigest,
 }
 
 /// A deterministic mixed workload (p2p ring + collectives + communicator
@@ -91,16 +92,7 @@ fn run(kind: ExecutorKind, machine: &Machine, n: usize, seed: u64) -> Observable
     let nic = (0..u.nic().num_nodes())
         .map(|nd| (u.nic().xmit_bytes(nd), u.nic().xmit_msgs(nd), u.nic().retries(nd)))
         .collect();
-    let mut traces = tracer.snapshot();
-    traces.sort_by(|a, b| a.0.cmp(&b.0));
-    for (_, evs) in &mut traces {
-        for e in evs.iter_mut() {
-            if let TraceData::Recv { uq_depth, .. } = &mut e.data {
-                *uq_depth = 0;
-            }
-        }
-    }
-    Observables { completion_bits, results, nic, traces }
+    Observables { completion_bits, results, nic, trace: tracer.digest() }
 }
 
 fn assert_equivalent(machine: &Machine, n: usize, seed: u64) {
@@ -177,7 +169,7 @@ fn ring_allreduce(kind: ExecutorKind) -> (Observables, Vec<u64>) {
         .collect();
     let (results, completion_bits) = out.into_iter().unzip();
     let matrix = matrix.bytes.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-    (Observables { completion_bits, results, nic, traces: Vec::new() }, matrix)
+    (Observables { completion_bits, results, nic, trace: TraceDigest::default() }, matrix)
 }
 
 /// Tasks mode must honor `MIM_WORKERS`: results are identical from a

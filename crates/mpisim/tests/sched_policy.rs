@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mim_mpisim::trace::{TraceData, TraceEvent, Tracer};
+use mim_mpisim::trace::{TraceDigest, Tracer};
 use mim_mpisim::{
     CanonicalPolicy, Decision, ExecutorKind, Rank, SchedulePolicy, SrcSel, TagSel, Universe,
     UniverseConfig,
@@ -65,7 +65,7 @@ struct Observables {
     completion_bits: Vec<u64>,
     results: Vec<Vec<i64>>,
     nic: Vec<(u64, u64, u64)>,
-    traces: Vec<(String, Vec<TraceEvent>)>,
+    trace: TraceDigest,
 }
 
 /// Deterministic mixed workload (specific-source ring + collectives) — no
@@ -115,16 +115,7 @@ fn run(kind: ExecutorKind, n: usize, seed: u64, policed: bool) -> Observables {
     let nic = (0..u.nic().num_nodes())
         .map(|nd| (u.nic().xmit_bytes(nd), u.nic().xmit_msgs(nd), u.nic().retries(nd)))
         .collect();
-    let mut traces = tracer.snapshot();
-    traces.sort_by(|a, b| a.0.cmp(&b.0));
-    for (_, evs) in &mut traces {
-        for e in evs.iter_mut() {
-            if let TraceData::Recv { uq_depth, .. } = &mut e.data {
-                *uq_depth = 0;
-            }
-        }
-    }
-    Observables { completion_bits, results, nic, traces }
+    Observables { completion_bits, results, nic, trace: tracer.digest() }
 }
 
 props! {

@@ -32,9 +32,9 @@
 //! registers its track at launch and holds the `Arc<Track>` in its own
 //! state, so under the M:N executor a task migrating across worker
 //! threads keeps appending to the same track and per-track sequence
-//! numbers stay dense.  The registration *index* (`tid` in chrome export)
-//! does follow start order and is therefore normalized away by the CI
-//! replay gates.
+//! numbers stay dense.  The registration *index* (`tid`) does follow start
+//! order and is therefore normalised away by [`TraceDigest`], the one
+//! trace comparison of the determinism tests.
 //!
 //! Env conventions (matching the rest of the workspace's `MIM_*` family):
 //! `MIM_TRACE=<path>` enables the global tracer with a file sink and
@@ -43,7 +43,7 @@
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -475,6 +475,25 @@ impl Tracer {
             .collect()
     }
 
+    /// The [`TraceDigest`] of every event recorded so far, rendered as the
+    /// JSONL sink would write it.
+    ///
+    /// # Panics
+    /// Panics if a track's ring dropped events: a digest of what is left
+    /// would not cover the run.  Size the ring to the run, or digest the
+    /// sink with [`TraceDigest::of_jsonl`].
+    pub fn digest(&self) -> TraceDigest {
+        let mut digest = TraceDigest::default();
+        for t in self.tracks.read().iter() {
+            let ring = t.ring.lock();
+            assert_eq!(ring.dropped, 0, "track {} dropped events from its ring", t.name);
+            for ev in &ring.buf {
+                digest.add(&jsonl_line(&t.name, t.tid, ev));
+            }
+        }
+        digest
+    }
+
     /// Human-readable dump of the last `last_n` events of every track — the
     /// flight-recorder report appended to deadlock panics.
     pub fn flight_report(&self, last_n: usize) -> String {
@@ -541,6 +560,64 @@ impl TraceHandle {
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
     }
+}
+
+/// A trace normalised for comparison: its line count and a multiset digest
+/// of its JSONL lines, each with `tid` and `uq` zeroed.  Two runs of one
+/// seed must have equal digests, across runs, engines and worker counts.
+///
+/// Lines are summed, so the order in which ranks' lines interleave in a
+/// sink does not count, and their content does.  `tid` is a track's
+/// registration index, which follows the order ranks start in; the track
+/// *name* identifies the rank.  A `recv`'s `uq` is the unexpected-queue
+/// depth when the match landed, which depends on host scheduling even
+/// between two fault-free runs.  Every virtual-time field (timestamps,
+/// sizes, retries, crash op counts, epochs, incarnations, sequence
+/// numbers) counts exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceDigest {
+    /// Number of lines (events).
+    pub lines: u64,
+    /// Wrapping sum of the normalised lines' 128-bit FNV-1a hashes.
+    sum: u128,
+}
+
+impl TraceDigest {
+    /// Add one JSONL line (a trailing newline is ignored).
+    fn add(&mut self, line: &str) {
+        let line = zeroed(&zeroed(line.trim_end_matches('\n'), "\"tid\":"), "\"uq\":");
+        let hash = line.bytes().fold(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d_u128, |h, b| {
+            (h ^ u128::from(b)).wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b)
+        });
+        self.lines += 1;
+        self.sum = self.sum.wrapping_add(hash);
+    }
+
+    /// The digest of a JSONL stream (a `.jsonl` sink): every non-blank line.
+    pub fn of_jsonl(reader: impl BufRead) -> std::io::Result<TraceDigest> {
+        let mut digest = TraceDigest::default();
+        for line in reader.lines() {
+            let line = line?;
+            if !line.trim().is_empty() {
+                digest.add(&line);
+            }
+        }
+        Ok(digest)
+    }
+}
+
+/// `line` with the integer after each `key` replaced by `0`.
+fn zeroed(line: &str, key: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(i) = rest.find(key) {
+        let (head, tail) = rest.split_at(i + key.len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Minimal JSON string escaping (track names are internal labels, but keep
@@ -760,6 +837,48 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].1.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(snap[1].1.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0]);
+    }
+
+    /// Line order, `tid` and `uq` do not count; every other byte does; the
+    /// ring digest is the sink's.
+    #[test]
+    fn digest_is_a_multiset_of_normalised_lines() {
+        let recv = |uq_depth| TraceData::Recv { src: 1, bytes: 8, comm: 0, tag: 2, uq_depth };
+        let path = std::env::temp_dir().join("mim_trace_test_digest.jsonl");
+        let a = Tracer::with_sink(8, &path).unwrap();
+        let (a0, a1) = (a.track("rank0"), a.track("rank1"));
+        a0.record(1.0, recv(3));
+        a1.record(2.0, send(0, 8));
+        a.flush();
+        let sink = TraceDigest::of_jsonl(std::io::BufReader::new(File::open(&path).unwrap()));
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(sink.unwrap(), a.digest());
+        assert_eq!(a.digest().lines, 2);
+
+        // The other registration order, another queue depth.
+        let b = Tracer::new(8);
+        let (b1, b0) = (b.track("rank1"), b.track("rank0"));
+        b1.record(2.0, send(0, 8));
+        b0.record(1.0, recv(0));
+        assert_eq!(a.digest(), b.digest());
+
+        b0.record(3.0, recv(0));
+        assert_ne!(a.digest(), b.digest(), "an extra event must count");
+        let c = Tracer::new(8);
+        c.track("rank0").record(1.0, recv(0));
+        c.track("rank1").record(2.0, send(0, 9));
+        assert_ne!(a.digest(), c.digest(), "a changed field must count");
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped events")]
+    fn digest_refuses_a_ring_that_dropped_events() {
+        let tr = Tracer::new(2);
+        let h = tr.track("rank0");
+        for i in 0..3 {
+            h.record(i as f64, send(1, 1));
+        }
+        tr.digest();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Demonstrates the core loop of the library: start a session, run some
 //! communication (here a collective, which the runtime decomposes into
 //! point-to-point messages below the monitoring probe), suspend, and read
-//! the per-pair matrices back.
+//! the per-pair matrices back.  The body is `mim_apps::scenario::quickstart`.
 //!
 //! Run with: `cargo run -p mim-apps --example quickstart`
 //!
@@ -13,47 +13,10 @@
 //! (a non-`.jsonl` path gets chrome trace-event JSON for `about:tracing`;
 //! see the "Observability" section of the README).
 
-use mim_core::{Flags, Monitoring};
-use mim_mpisim::{Universe, UniverseConfig};
-use mim_topology::{Machine, Placement};
+use mim_apps::scenario;
+use mim_mpisim::trace::Tracer;
+use mim_mpisim::ExecutorKind;
 
 fn main() {
-    // A 2-node machine, 8 ranks packed onto the first cores of each node.
-    let machine = Machine::cluster(2, 1, 4);
-    let universe = Universe::new(UniverseConfig::new(machine, Placement::packed(8)));
-
-    let matrices = universe.launch(|rank| {
-        let world = rank.comm_world();
-        // MPI_M_init — plug the recorder into the PML layer.
-        let mon = Monitoring::init(rank).expect("init monitoring");
-        // MPI_M_start — begin watching MPI_COMM_WORLD.
-        let session = mon.start(rank, &world).expect("start session");
-
-        // The code under observation: a binomial broadcast of 1 MiB.
-        let mut payload = if world.rank() == 0 { vec![7u8; 1 << 20] } else { Vec::new() };
-        rank.bcast(&world, 0, &mut payload);
-        assert_eq!(payload.len(), 1 << 20);
-
-        // MPI_M_suspend — freeze the session so its data can be read.
-        mon.suspend(session).expect("suspend session");
-        // MPI_M_allgather_data — everyone receives the full matrices.
-        let data =
-            mon.allgather_data(rank, session, Flags::COLL_ONLY).expect("gather monitored data");
-        mon.free(session).expect("free session");
-        mon.finalize(rank).expect("finalize monitoring");
-        data
-    });
-
-    // Every rank got the same view; print rank 0's.
-    let data = &matrices[0];
-    println!("message counts (sender row -> receiver column):");
-    print!("{}", data.counts.to_csv());
-    println!("\nbytes:");
-    print!("{}", data.sizes.to_csv());
-    println!(
-        "\nA binomial broadcast over 8 ranks used {} point-to-point messages \
-         carrying {} bytes total — the decomposition PMPI-level tools cannot see.",
-        data.counts.total(),
-        data.sizes.total()
-    );
+    print!("{}", scenario::quickstart(ExecutorKind::from_env(), Tracer::global()).text);
 }

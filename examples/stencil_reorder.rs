@@ -3,61 +3,15 @@
 //! A 2-D Jacobi solver's nearest-neighbour pattern is the textbook case for
 //! topology-aware placement: on a node-cyclic initial mapping, every halo
 //! crosses the network; after monitoring one iteration and reordering with
-//! TreeMatch, neighbouring blocks sit on neighbouring cores.
+//! TreeMatch, neighbouring blocks sit on neighbouring cores.  The body is
+//! `mim_apps::scenario::stencil_reorder`.
 //!
 //! Run with: `cargo run --release -p mim-apps --example stencil_reorder`
 
-use mim_apps::output::fmt_ns;
-use mim_apps::stencil::{run_stencil, StencilConfig};
-use mim_core::{Flags, Monitoring};
-use mim_mpisim::{Universe, UniverseConfig};
-use mim_reorder::monitored_reorder;
-use mim_topology::{Machine, Placement};
-
-fn run(reorder: bool) -> (f64, f64, f64) {
-    // Wide, shallow blocks: 80 000-column halos (640 KB per exchange) put
-    // the pattern in the bandwidth-bound regime where placement matters —
-    // with latency-bound halos the iteration pipeline is gated by the single
-    // slowest edge, which any mapping has.
-    let cfg = StencilConfig { rows: 24, cols: 80_000, prows: 6, pcols: 8, iters: 100 };
-    let n = cfg.prows * cfg.pcols; // 48 ranks
-    let machine = Machine::plafrim(2);
-    let placement = Placement::cyclic_by_level(&machine.tree, n, machine.node_level);
-    let universe = Universe::new(UniverseConfig::new(machine, placement));
-    let stats = universe.launch(move |rank| {
-        let world = rank.comm_world();
-        if !reorder {
-            let (_, s) = run_stencil(rank, &world, cfg);
-            return (s.checksum, s.total_ns, s.comm_ns);
-        }
-        let mon = Monitoring::init(rank).unwrap();
-        let warmup = StencilConfig { iters: 1, ..cfg };
-        let outcome = monitored_reorder(rank, &mon, &world, Flags::P2P_ONLY, |comm| {
-            run_stencil(rank, comm, warmup);
-        });
-        let (_, s) = run_stencil(rank, &outcome.comm, cfg);
-        mon.finalize(rank).unwrap();
-        (s.checksum, s.total_ns + outcome.reorder_cost_ns, s.comm_ns)
-    });
-    stats[0]
-}
+use mim_apps::scenario;
+use mim_mpisim::trace::Tracer;
+use mim_mpisim::ExecutorKind;
 
 fn main() {
-    let (sum_base, total_base, comm_base) = run(false);
-    let (sum_opt, total_opt, comm_opt) = run(true);
-    println!("2-D Jacobi, 24x80000 grid on a 6x8 process grid, 48 ranks cyclic over 2 nodes\n");
-    println!("                checksum    exec time   halo-exchange time");
-    println!(
-        "no reordering   {sum_base:9.3}   {:>9}   {:>9}",
-        fmt_ns(total_base),
-        fmt_ns(comm_base)
-    );
-    println!("with reordering {sum_opt:9.3}   {:>9}   {:>9}", fmt_ns(total_opt), fmt_ns(comm_opt));
-    assert_eq!(sum_base, sum_opt, "reordering must not change the physics");
-    println!(
-        "\nexecution ratio {:.2}   halo-exchange ratio {:.2}",
-        total_base / total_opt,
-        comm_base / comm_opt
-    );
-    println!("(identical checksums: only the rank labels moved, not the data)");
+    print!("{}", scenario::stencil_reorder(ExecutorKind::from_env(), Tracer::global()).text);
 }
