@@ -70,18 +70,22 @@ pub fn monitored_permutation(
     sched: &Schedule,
 ) -> Vec<usize> {
     let u = Universe::new(UniverseConfig::new(machine.clone(), placement.clone()));
-    let ks = u.launch(|rank| {
-        let world = rank.comm_world();
-        let mon = Monitoring::init(rank).unwrap();
-        let outcome = monitored_reorder(rank, &mon, &world, Flags::COLL_ONLY, |comm| {
-            schedule::execute(rank, comm, sched)
-        });
-        mon.finalize(rank).unwrap();
-        // Sanity: the optimized communicator really assigns rank k[me].
-        assert_eq!(outcome.comm.rank(), outcome.k[world.rank()]);
-        outcome.k
-    });
-    ks.into_iter().next().unwrap()
+    let (new_ranks, mut ks): (Vec<usize>, Vec<Vec<usize>>) = u
+        .launch(|rank| {
+            let world = rank.comm_world();
+            let mon = Monitoring::init(rank).unwrap();
+            let outcome = monitored_reorder(rank, &mon, &world, Flags::COLL_ONLY, |comm| {
+                schedule::execute(rank, comm, sched)
+            });
+            mon.finalize(rank).unwrap();
+            (outcome.comm.rank(), outcome.k)
+        })
+        .into_iter()
+        .unzip();
+    let k = ks.swap_remove(0);
+    // Sanity: the optimized communicator really assigns old rank i rank k[i].
+    assert_eq!(new_ranks, k);
+    k
 }
 
 /// Run the full pipeline for one `(np, buffer)` point: time the collective

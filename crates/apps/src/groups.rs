@@ -100,7 +100,7 @@ pub fn grouped_allgather_gain(
         mon.finalize(rank).unwrap();
         // t2 = the reordering machinery only; the monitored iteration
         // replaces one "before" iteration (the paper's init-phase trick).
-        (outcome.reorder_cost_ns, outcome.k[group.rank()])
+        (outcome.reorder_cost_ns, outcome.comm.rank())
     });
     let reorder_ns = results.iter().map(|r| r.0).fold(0.0f64, f64::max);
     // Assemble the world-level new rank→core mapping: within group g, new

@@ -267,7 +267,7 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
             retries: rank.retry_count(),
             new_rank: work.rank(),
             shrunk_size: work.size(),
-            k: outcome.k.clone(),
+            k: outcome.k,
             alive: outcome.alive.clone(),
             fallback: format!("{:?}", outcome.fallback),
             checksum,
@@ -299,7 +299,8 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
         "survivors: {}/{N}  alive={:?}  fallback={}",
         rep.shrunk_size, rep.alive, rep.fallback
     );
-    let _ = writeln!(out, "k = {:?}", rep.k);
+    let root_k = results.iter().flatten().map(|r| &r.k).find(|k| !k.is_empty());
+    let _ = writeln!(out, "k = {:?}", root_k.expect("the shrunk communicator's rank 0 holds k"));
     let root = results[0].as_ref().expect("root survives in this demo");
     if let Some(csv) = &root.gathered_csv {
         out.push_str("partial byte matrix at root (dead rows zeroed):\n");

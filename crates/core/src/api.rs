@@ -1,5 +1,6 @@
 //! The public monitoring API (the paper's `MPI_M_*` functions).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -575,11 +576,9 @@ impl Monitoring {
     /// observe: `scope` selects the rows and `alive` the membership (`None`
     /// ≡ everyone).  Each rank ships its row as sparse `(dst, count, bytes)`
     /// triples sorted by destination, zero pairs omitted, along a k-ary
-    /// tree laid over [`topology_order`] restricted to the live ranks — the
-    /// root stays first because [`check_root`] requires it alive.  Every
-    /// rank gets its epoch back, the root additionally the matrices — or,
-    /// when a listed rank died before its row arrived, the paper's
-    /// `MPI_M_INTERNAL_FAIL`.
+    /// tree laid over the [`live_order`].  Every rank gets its epoch back,
+    /// the root additionally the matrices — or, when a listed rank died
+    /// before its row arrived, the paper's `MPI_M_INTERNAL_FAIL`.
     fn tree_gather(
         &self,
         rank: &Rank,
@@ -624,11 +623,8 @@ impl Monitoring {
         };
         // The table borrow is dropped around the collective (the hook
         // re-enters it for sessions that are not muted).
-        let mut order = topology_order(rank, &comm, root);
-        if let Some(alive) = alive {
-            order.retain(|&r| alive[r]);
-        }
-        let rows = rank.gather_tree(&comm, root, GATHER_ARITY, &order, &buf);
+        let order = rank.topology_order(&comm, root);
+        let rows = rank.gather_tree(&comm, root, GATHER_ARITY, &live_order(&order, alive), &buf);
         // Unmute (a no-op after a `Total` gather, which never muted).
         if let Ok(s) = self.state.borrow_mut().get_mut(msid) {
             s.muted = false;
@@ -661,20 +657,15 @@ impl Monitoring {
     }
 }
 
-/// Rank order for the gather tree: communicator ranks sorted by machine
-/// position — `(node, core, rank)` — with the root sorted to the front, so
-/// each node's members form a contiguous run that aggregates locally before
-/// one rank forwards across the network.  Deterministic, and identical on
-/// every rank (machine and placement are universe-global state).
-fn topology_order(rank: &Rank, comm: &Comm, root: usize) -> Vec<usize> {
-    let machine = rank.machine();
-    let placement = rank.placement();
-    let mut order: Vec<usize> = (0..comm.size()).collect();
-    order.sort_by_key(|&r| {
-        let core = placement.core_of(comm.world_rank_of(r));
-        (r != root, machine.node_of_core(core), core, r)
-    });
-    order
+/// The gather tree's rank order: the communicator's shared topology order
+/// ([`Rank::topology_order`]), restricted to the live ranks when a liveness
+/// bitmap is given — the only case that copies it.  The root stays first
+/// because [`check_root`] requires it alive.
+fn live_order<'a>(order: &'a [usize], alive: Option<&[bool]>) -> Cow<'a, [usize]> {
+    match alive {
+        None => Cow::Borrowed(order),
+        Some(alive) => Cow::Owned(order.iter().copied().filter(|&r| alive[r]).collect()),
+    }
 }
 
 /// Root validation shared by every rooted gather: `root` must be a member

@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use mim_mpisim::{Comm, ExecutorKind, PmlEvent, Rank, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement, TopologyTree};
@@ -12,7 +13,7 @@ use crate::flags::Flags;
 use crate::session::{MemberMapOracle, Msid};
 
 use super::GatheredWindow;
-use super::Monitoring;
+use super::{live_order, Monitoring};
 
 fn universe(n: usize) -> Universe {
     Universe::new(UniverseConfig::new(Machine::cluster(2, 2, 4), Placement::packed(n)))
@@ -741,4 +742,54 @@ fn get_info_reports_comm_size() {
         mon.free(id).unwrap();
         mon.finalize(rank).unwrap();
     });
+}
+
+/// The gather order as every rank sorted it for itself before the order
+/// was shared: communicator ranks by `(node, core, rank)`, root first.
+fn per_rank_topology_order(rank: &Rank, comm: &Comm, root: usize) -> Vec<usize> {
+    let (machine, placement) = (rank.machine(), rank.placement());
+    let mut order: Vec<usize> = (0..comm.size()).collect();
+    order.sort_by_key(|&r| {
+        let core = placement.core_of(comm.world_rank_of(r));
+        (r != root, machine.node_of_core(core), core, r)
+    });
+    order
+}
+
+props! {
+    /// The shared gather order equals the per-rank sort it replaced, on the
+    /// world and on a split, for every root, with and without a liveness
+    /// bitmap — and every member of a communicator holds the same copy.
+    fn shared_gather_order_equals_the_per_rank_sort(g, cases = 8) {
+        let machine = Machine::cluster(3, 2, 4);
+        let n = g.gen_range(2usize..=machine.num_cores());
+        let placement = Placement::random(&machine.tree, n, g.any_u64());
+        let colors = g.gen_range(1usize..4);
+        let listed: Vec<bool> = (0..n).map(|_| g.any_bool()).collect();
+        let u = Universe::new(UniverseConfig::new(machine, placement));
+        let copies = u.launch(|rank| {
+            let world = rank.comm_world();
+            let me = world.rank();
+            let sub = rank.comm_split(&world, (me % colors) as i64, -(me as i64));
+            for comm in [&world, &sub] {
+                for root in 0..comm.size() {
+                    let order = rank.topology_order(comm, root);
+                    let oracle = per_rank_topology_order(rank, comm, root);
+                    assert_eq!(live_order(&order, None), &oracle[..]);
+                    let alive: Vec<bool> =
+                        (0..comm.size()).map(|r| r == root || listed[r]).collect();
+                    let live: Vec<usize> = oracle.into_iter().filter(|&r| alive[r]).collect();
+                    assert_eq!(live_order(&order, Some(&alive)), &live[..]);
+                }
+            }
+            rank.barrier(&world);
+            let addr = |comm: &Comm| Arc::as_ptr(&rank.topology_order(comm, 0)).cast::<usize>() as usize;
+            (me % colors, addr(&world), addr(&sub))
+        });
+        for (color, world_copy, sub_copy) in &copies {
+            assert_eq!(*world_copy, copies[0].1, "one world order");
+            let first = copies.iter().find(|c| c.0 == *color).unwrap();
+            assert_eq!(*sub_copy, first.2, "one order per split group");
+        }
+    }
 }

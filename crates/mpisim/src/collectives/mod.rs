@@ -37,6 +37,8 @@ pub use helpers::{binomial_peers, combine, vrank_of, world_of_vrank};
 pub use tree::gather_tree_kary;
 pub use varcount::{allgatherv, gatherv, scatterv};
 
+use std::sync::Arc;
+
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::envelope::{Ctx, MsgKind, Payload};
@@ -356,6 +358,25 @@ impl Rank {
         );
         let _span = self.coll_span("gather_tree_kary", comm);
         gather_tree_kary(self, comm, root, arity, order, data)
+    }
+
+    /// Communicator ranks sorted by machine position — `(node, core, rank)`
+    /// — with `root` first: the order the monitoring plane lays its
+    /// [`Rank::gather_tree`] over, so each node's members form a contiguous
+    /// run that aggregates locally before one rank forwards across the
+    /// network.  A function of the group, the machine and the placement
+    /// alone, so it is built once per group and root and every member
+    /// shares it.
+    pub fn topology_order(&self, comm: &Comm, root: usize) -> Arc<[usize]> {
+        comm.shared_group().order_for(root, || {
+            let (machine, placement) = (self.machine(), self.placement());
+            let mut order: Vec<usize> = (0..comm.size()).collect();
+            order.sort_by_key(|&r| {
+                let core = placement.core_of(comm.world_rank_of(r));
+                (r != root, machine.node_of_core(core), core, r)
+            });
+            order
+        })
     }
 
     /// Allgather equal-size contributions (ring).

@@ -1,6 +1,9 @@
 //! Communicators: ordered groups of world ranks with a private matching id.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
+
+use mim_util::sync::Mutex;
 
 use crate::collectives::{allgather_bruck, bcast_binomial};
 use crate::runtime::Rank;
@@ -12,12 +15,18 @@ use crate::runtime::Rank;
 /// carry no table: the inverse is one compare.  Any other group keeps its
 /// communicator ranks sorted by world rank, so a lookup is a binary search —
 /// O(log n), 4 bytes per member, no hashing.
+///
+/// Every member of a communicator shares one `Group`: the world's lives in
+/// `Shared`, every other one in the universe's [`Groups`] registry.
 #[derive(Debug)]
 pub(crate) struct Group {
     members: Vec<usize>,
     /// Communicator ranks ordered by their world rank; empty for identity
     /// groups.
     by_world: Vec<u32>,
+    /// The gather orders asked of this group so far, one per root (see
+    /// [`Rank::topology_order`]).
+    orders: Mutex<Vec<(usize, Arc<[usize]>)>>,
 }
 
 impl Group {
@@ -35,15 +44,82 @@ impl Group {
                 "a world rank appears twice in {members:?}"
             );
         }
-        Arc::new(Self { members, by_world })
+        Arc::new(Self { members, by_world, orders: Mutex::new(Vec::new()) })
     }
 
-    fn rank_of_world(&self, world: usize) -> Option<usize> {
+    /// The order cached for `root`, or the one `build` makes, cached for
+    /// every later caller.
+    pub(crate) fn order_for(
+        &self,
+        root: usize,
+        build: impl FnOnce() -> Vec<usize>,
+    ) -> Arc<[usize]> {
+        let mut orders = self.orders.lock();
+        if let Some((_, order)) = orders.iter().find(|(r, _)| *r == root) {
+            return Arc::clone(order);
+        }
+        let order: Arc<[usize]> = build().into();
+        orders.push((root, Arc::clone(&order)));
+        order
+    }
+
+    pub(crate) fn rank_of_world(&self, world: usize) -> Option<usize> {
         if self.by_world.is_empty() {
             return (world < self.members.len()).then_some(world);
         }
         let i = self.by_world.binary_search_by_key(&world, |&r| self.members[r as usize]).ok()?;
         Some(self.by_world[i] as usize)
+    }
+}
+
+/// Smallest registry size at which [`Groups`] sweeps out dead entries.
+const SWEEP_FLOOR: usize = 64;
+
+/// The universe's registry of non-world groups: one `Arc<Group>` per
+/// communicator id, so the n members of a communicator hold one member
+/// table between them, not n.  Entries are weak, so a group dies with the
+/// last communicator handle on it; dead entries are swept once the map
+/// holds twice the entries the last sweep kept (and at least
+/// [`SWEEP_FLOOR`]).
+#[derive(Debug)]
+pub(crate) struct Groups(Mutex<Registry>);
+
+#[derive(Debug)]
+struct Registry {
+    by_id: HashMap<u64, Weak<Group>>,
+    sweep_at: usize,
+}
+
+impl Default for Groups {
+    fn default() -> Self {
+        Self(Mutex::new(Registry { by_id: HashMap::new(), sweep_at: SWEEP_FLOOR }))
+    }
+}
+
+impl Groups {
+    /// The group of communicator `id`: the first member to ask builds it
+    /// from `members`, every later one shares it (and, in debug builds,
+    /// checks that its own member list agrees).
+    pub(crate) fn get_or_build(&self, id: u64, members: impl FnOnce() -> Vec<usize>) -> Arc<Group> {
+        let mut reg = self.0.lock();
+        if let Some(group) = reg.by_id.get(&id).and_then(Weak::upgrade) {
+            drop(reg);
+            debug_assert_eq!(group.members, members(), "two member lists for communicator {id}");
+            return group;
+        }
+        let group = Group::new(members());
+        if reg.by_id.len() >= reg.sweep_at {
+            reg.by_id.retain(|_, g| g.strong_count() > 0);
+            reg.sweep_at = (2 * reg.by_id.len()).max(SWEEP_FLOOR);
+        }
+        reg.by_id.insert(id, Arc::downgrade(&group));
+        group
+    }
+
+    /// Entries held, live or dead.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().by_id.len()
     }
 }
 
@@ -75,6 +151,11 @@ impl Comm {
     pub(crate) fn new_at_epoch(id: u64, group: Arc<Group>, my_rank: usize, epoch: u64) -> Self {
         debug_assert!(my_rank < group.members.len());
         Self { id, group, my_rank, epoch }
+    }
+
+    /// The shared group behind this handle.
+    pub(crate) fn shared_group(&self) -> &Group {
+        &self.group
     }
 
     /// The same group under another matching id: a private duplicate that
@@ -147,26 +228,28 @@ impl Rank {
         // log-step exchange, not the ring.
         let all = allgather_bruck(self, comm, &[color, key]);
         let n = comm.size();
-        let mut distinct: Vec<i64> = (0..n).map(|r| all[2 * r]).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
+        let (colors, color_idx) = {
+            let mut distinct: Vec<i64> = (0..n).map(|r| all[2 * r]).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            (distinct.len(), distinct.binary_search(&color).unwrap())
+        };
         // Rank 0 allocates one globally unique id per color group; everyone
         // derives its own from the broadcast base.
-        let mut base = vec![if comm.rank() == 0 {
-            self.shared().alloc_ids(distinct.len() as u64) as i64
-        } else {
-            0
-        }];
+        let mut base =
+            vec![if comm.rank() == 0 { self.shared().alloc_ids(colors as u64) as i64 } else { 0 }];
         bcast_binomial(self, comm, 0, &mut base);
-        let color_idx = distinct.binary_search(&color).unwrap();
         let id = base[0] as u64 + color_idx as u64;
-        // Build my group, ordered by (key, parent rank).
-        let mut members: Vec<(i64, usize)> =
-            (0..n).filter(|&r| all[2 * r] == color).map(|r| (all[2 * r + 1], r)).collect();
-        members.sort_unstable();
-        let group: Vec<usize> = members.iter().map(|&(_, r)| comm.world_rank_of(r)).collect();
-        let my_rank = members.iter().position(|&(_, r)| r == comm.rank()).unwrap();
-        Comm::new(id, Group::new(group), my_rank)
+        // The first member of my color to get here builds the group, ordered
+        // by (key, parent rank); every other member shares it.
+        let group = self.shared().groups.get_or_build(id, || {
+            let mut members: Vec<(i64, usize)> =
+                (0..n).filter(|&r| all[2 * r] == color).map(|r| (all[2 * r + 1], r)).collect();
+            members.sort_unstable();
+            members.into_iter().map(|(_, r)| comm.world_rank_of(r)).collect()
+        });
+        let my_rank = group.rank_of_world(self.world_rank()).expect("a member of its own color");
+        Comm::new(id, group, my_rank)
     }
 
     /// Duplicate a communicator (same group, fresh matching id).
@@ -314,6 +397,59 @@ mod tests {
             let n = n as u64;
             assert_eq!(count.0.load(Ordering::Relaxed), n * rounds + (n - 1), "n={n}");
         }
+    }
+
+    #[test]
+    fn members_of_one_color_share_one_group() {
+        let u = small_universe(12);
+        let seen = u.launch(|rank| {
+            let world = rank.comm_world();
+            let me = world.rank();
+            let sub = rank.comm_split(&world, (me % 3) as i64, -(me as i64));
+            let shrunk = (me != 5).then(|| {
+                let alive: Vec<bool> = (0..12).map(|r| r != 5).collect();
+                rank.comm_shrink(&world, &alive)
+            });
+            // Every handle is still held here, so no group can have died.
+            rank.barrier(&world);
+            let shrunk = shrunk.map(|c| c.group().as_ptr() as usize);
+            (me % 3, sub.group().as_ptr() as usize, shrunk)
+        });
+        for (color, group, shrunk) in &seen {
+            for (other_color, other, other_shrunk) in &seen {
+                assert_eq!(
+                    color == other_color,
+                    group == other,
+                    "colors {color} and {other_color}"
+                );
+                if let (Some(a), Some(b)) = (shrunk, other_shrunk) {
+                    assert_eq!(a, b, "one shrunk group");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn comm_dups_in_a_loop_leave_the_registry_bounded() {
+        let u = small_universe(2);
+        u.launch(|rank| {
+            let world = rank.comm_world();
+            for _ in 0..10_000 {
+                let dup = rank.comm_dup(&world);
+                assert_eq!(dup.group(), world.group());
+            }
+            let held = rank.shared().groups.len();
+            assert!(held <= SWEEP_FLOOR, "{held} registry entries after 10 000 dups");
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two member lists for communicator 7")]
+    fn registry_hit_checks_the_members() {
+        let groups = Groups::default();
+        let _held = groups.get_or_build(7, || vec![0, 1, 2]);
+        let _ = groups.get_or_build(7, || vec![0, 2, 1]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use mim_util::channel::Receiver;
 use super::fault_protocol::fault_pat;
 use super::universe::Shared;
 use super::Rank;
-use crate::comm::{Comm, Group};
+use crate::comm::{Comm, Groups};
 use crate::datatype::Scalar;
 use crate::envelope::{Envelope, Payload};
 use crate::fault::{self, FaultInjector};
@@ -84,7 +84,7 @@ pub(super) fn wait_for_admission(
     let retire = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_RETIRE);
     match mb.recv_first(&[&admit, &retire]) {
         Ok((env, 0)) => {
-            let (comm, incs) = decode_admission(&env.payload, world_rank);
+            let (comm, incs) = decode_admission(&shared.groups, &env.payload, world_rank);
             Some((comm, env.arrival_ns, incs, mb.drain_unexpected()))
         }
         Ok(_) => None,
@@ -134,8 +134,9 @@ fn encode_comm(comm_id: u64, epoch: u64, group: &[usize], incs: &[u32]) -> Vec<u
     u64::to_bytes(&words)
 }
 
-/// Inverse of [`encode_comm`], positioned at `my_world`'s communicator rank.
-fn decode_admission(payload: &Payload, my_world: usize) -> (Comm, Vec<u32>) {
+/// Inverse of [`encode_comm`], positioned at `my_world`'s communicator rank;
+/// the group comes from the universe's registry, under the carried id.
+fn decode_admission(groups: &Groups, payload: &Payload, my_world: usize) -> (Comm, Vec<u32>) {
     let Payload::Bytes(b) = payload else {
         panic!("admission notice must carry a serialized communicator");
     };
@@ -143,12 +144,13 @@ fn decode_admission(payload: &Payload, my_world: usize) -> (Comm, Vec<u32>) {
     let words = u64::from_bytes(b);
     let (id, epoch, len) = (words[0], words[1], words[2] as usize);
     assert_eq!(b.len(), 8 * (3 + 2 * len), "malformed admission payload");
-    let group: Vec<usize> = words[3..3 + len].iter().map(|&w| w as usize).collect();
+    let members = &words[3..3 + len];
+    let group = groups.get_or_build(id, || members.iter().map(|&w| w as usize).collect());
     let incs: Vec<u32> = words[3 + len..].iter().map(|&w| w as u32).collect();
-    let Some(my_rank) = group.iter().position(|&w| w == my_world) else {
-        panic!("admission notice for rank {my_world} does not include it (group {group:?})");
+    let Some(my_rank) = group.rank_of_world(my_world) else {
+        panic!("admission notice for rank {my_world} does not include it (group {members:?})");
     };
-    (Comm::new_at_epoch(id, Group::new(group), my_rank, epoch), incs)
+    (Comm::new_at_epoch(id, group, my_rank, epoch), incs)
 }
 
 /// Parse the incarnation carried by a join notice.
@@ -283,7 +285,7 @@ impl Rank {
         let pat = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
         let env = self.mailbox.borrow_mut().recv_match(&pat);
         self.clock.advance_to(env.arrival_ns);
-        let (comm, incs) = decode_admission(&env.payload, self.world_rank);
+        let (comm, incs) = decode_admission(&self.shared.groups, &env.payload, self.world_rank);
         self.adopt_incarnations(comm.group(), &incs);
         self.note_epoch(comm.epoch());
         comm
@@ -404,11 +406,12 @@ impl Rank {
     }
 
     /// The shared tail of [`Rank::comm_shrink`] and [`Rank::comm_grow`]:
-    /// raise the epoch watermark, build the derived communicator and record
-    /// the bump on this rank's track.
+    /// raise the epoch watermark, take the derived communicator's group from
+    /// the registry and record the bump on this rank's track.
     fn derive_comm(&self, id: u64, group: Vec<usize>, my_rank: usize, epoch: u64) -> Comm {
         self.note_epoch(epoch);
-        let derived = Comm::new_at_epoch(id, Group::new(group), my_rank, epoch);
+        let group = self.shared.groups.get_or_build(id, || group);
+        let derived = Comm::new_at_epoch(id, group, my_rank, epoch);
         self.record_trace(
             self.clock.now_ns(),
             TraceData::EpochBump { comm: derived.id(), epoch, size: derived.size() },
@@ -487,7 +490,8 @@ mod tests {
     fn admission_notice_golden_bytes() {
         let bytes = encode_comm(0x8000_0000_dead_beef, 3, &[0, 1, 2, 4, 8], &[0, 2, 0, 1, 0]);
         assert_eq!(bytes, GOLDEN_NOTICE);
-        let (comm, incs) = decode_admission(&Payload::Bytes(GOLDEN_NOTICE.to_vec()), 4);
+        let (comm, incs) =
+            decode_admission(&Groups::default(), &Payload::Bytes(GOLDEN_NOTICE.to_vec()), 4);
         assert_eq!((comm.id(), comm.epoch(), comm.rank()), (0x8000_0000_dead_beef, 3, 3));
         assert_eq!(comm.group(), [0, 1, 2, 4, 8]);
         assert_eq!(incs, [0, 2, 0, 1, 0]);
@@ -515,19 +519,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "malformed admission payload")]
     fn admission_rejects_ragged_length() {
-        decode_admission(&Payload::Bytes(GOLDEN_NOTICE[..101].to_vec()), 4);
+        decode_admission(&Groups::default(), &Payload::Bytes(GOLDEN_NOTICE[..101].to_vec()), 4);
     }
 
     #[test]
     #[should_panic(expected = "malformed admission payload")]
     fn admission_rejects_length_disagreeing_with_header() {
-        decode_admission(&Payload::Bytes(GOLDEN_NOTICE[..96].to_vec()), 4);
+        decode_admission(&Groups::default(), &Payload::Bytes(GOLDEN_NOTICE[..96].to_vec()), 4);
     }
 
     #[test]
     #[should_panic(expected = "does not include it")]
     fn admission_rejects_absent_joiner() {
-        decode_admission(&Payload::Bytes(GOLDEN_NOTICE.to_vec()), 3);
+        decode_admission(&Groups::default(), &Payload::Bytes(GOLDEN_NOTICE.to_vec()), 3);
     }
 
     mim_util::props! {
@@ -540,8 +544,9 @@ mod tests {
             let incs: Vec<u32> = group.iter().map(|_| g.any_u32() >> g.gen_range(0u32..32)).collect();
             let (id, epoch) = (g.any_u64(), g.any_u64());
             let notice = Payload::Bytes(encode_comm(id, epoch, &group, &incs));
+            let groups = Groups::default();
             for (r, &w) in group.iter().enumerate() {
-                let (comm, got) = decode_admission(&notice, w);
+                let (comm, got) = decode_admission(&groups, &notice, w);
                 assert_eq!((comm.id(), comm.epoch(), comm.rank()), (id, epoch, r));
                 assert_eq!(comm.group(), group);
                 assert_eq!(got, incs);

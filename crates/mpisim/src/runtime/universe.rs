@@ -17,7 +17,7 @@ use mim_topology::{Machine, Placement};
 
 use super::membership::wait_for_admission;
 use super::{Rank, RankAborted};
-use crate::comm::Group;
+use crate::comm::{Group, Groups};
 use crate::envelope::Envelope;
 use crate::exec::{self, ExecShared, ExecStats, ExecutorKind};
 use crate::fault::{self, FaultInjector, RankFailure};
@@ -187,6 +187,9 @@ pub(crate) struct Shared {
     /// `MPI_COMM_WORLD`'s group, built once: every rank's world
     /// communicator shares it.
     pub(super) world_group: Arc<Group>,
+    /// Every other communicator's group, one per id (`comm_split`,
+    /// `comm_shrink`, `comm_grow`, admission).
+    pub(crate) groups: Groups,
 }
 
 impl Shared {
@@ -337,6 +340,7 @@ impl Universe {
             stage: Mutex::new(VecDeque::new()),
             stage_ticket: AtomicU64::new(0),
             world_group: Group::new((0..cfg.initial()).collect()),
+            groups: Groups::default(),
             cfg,
         });
         let hooks = Mutex::new(vec![Arc::clone(&shared.nic) as Arc<dyn PmlHook>]);

@@ -11,6 +11,9 @@
 //! ("any useful data is sent from rank `k[i]` to rank `i` in the original
 //! communicator").
 //!
+//! Only rank 0 keeps `k`: every other rank reads its own entry as its rank
+//! in the optimized communicator, whose one group all members share.
+//!
 //! Processes never move: only the rank labels rotate, so a rank-based
 //! communication pattern lands on topologically closer core pairs.
 
@@ -25,8 +28,9 @@ use mim_treematch::place_constrained;
 pub struct ReorderOutcome {
     /// The optimized communicator (old rank `i` → new rank `k[i]`).
     pub comm: Comm,
-    /// The permutation: `k[i]` is the new rank of the process holding old
-    /// rank `i`.
+    /// The permutation at rank 0 of the reordered communicator: `k[i]` is
+    /// the new rank of the process holding old rank `i`.  Empty on every
+    /// other rank, whose own entry is `comm.rank()`.
     pub k: Vec<usize>,
     /// Virtual time spent on the whole reordering step (gather + mapping +
     /// broadcast + split), in nanoseconds — the `t2` of the paper's Fig. 6
@@ -78,8 +82,9 @@ fn mapping_charge_ns(sizes: &CommMatrix) -> f64 {
 /// into the permutation `k` plus any trailer words (`root_maps`) and is
 /// charged the mapping's cost on the virtual clock, one broadcast ships
 /// `k ‖ trailer`, and `comm_split` keyed by `k` builds the optimized
-/// communicator.  Returns it with `k` and the trailer as every rank
-/// received them; the wire shape is whatever the root built, so a loop
+/// communicator.  Returns it with `k` (rank 0 only, empty elsewhere: a
+/// rank keeps its own key, not the broadcast copy) and the trailer every
+/// rank received; the wire shape is whatever the root built, so a loop
 /// with more to tell the others appends words instead of adding a path.
 fn map_and_split<E>(
     rank: &Rank,
@@ -88,17 +93,20 @@ fn map_and_split<E>(
     root_maps: impl FnOnce(Result<&CommMatrix, E>) -> (Vec<usize>, Vec<u64>),
 ) -> (Comm, Vec<usize>, Vec<u64>) {
     let mut buf: Vec<u64> = Vec::new();
+    let mut k = Vec::new();
     if comm.rank() == 0 {
         // The mapping computation takes time on rank 0: charge it so the
         // reordering cost is honest (Fig. 6).
         rank.compute_ns(sizes.as_ref().map_or(0.0, |sizes| mapping_charge_ns(sizes)));
-        let (k, trailer) = root_maps(sizes);
-        buf.extend(k.into_iter().map(|ki| ki as u64).chain(trailer));
+        let (root_k, trailer) = root_maps(sizes);
+        buf.extend(root_k.iter().map(|&ki| ki as u64).chain(trailer));
+        k = root_k;
     }
     rank.bcast(comm, 0, &mut buf);
     let trailer = buf.split_off(comm.size());
-    let k: Vec<usize> = buf.into_iter().map(|v| v as usize).collect();
-    let opt_comm = rank.comm_split(comm, 0, k[comm.rank()] as i64);
+    let key = buf[comm.rank()] as i64;
+    drop(buf);
+    let opt_comm = rank.comm_split(comm, 0, key);
     (opt_comm, k, trailer)
 }
 
@@ -218,8 +226,10 @@ pub enum ReorderFallback {
 pub struct ResilientOutcome {
     /// The optimized communicator over the surviving ranks.
     pub comm: Comm,
-    /// The permutation over the *working* (possibly shrunk) communicator:
-    /// `k[i]` is the new rank of the process holding working rank `i`.
+    /// The permutation over the *working* (possibly shrunk) communicator,
+    /// at its rank 0: `k[i]` is the new rank of the process holding working
+    /// rank `i`.  Empty on every other rank, whose own entry is
+    /// `comm.rank()`.
     pub k: Vec<usize>,
     /// Liveness by original communicator rank, as agreed by the survivors.
     pub alive: Vec<bool>,
@@ -385,26 +395,43 @@ pub fn grow_mapping(k: &[usize], new_n: usize) -> Vec<usize> {
 /// Redistribute per-role data after a reordering: old rank `i` receives the
 /// data of its new role `k[i]` from old rank `k[i]`, and ships its own to
 /// old rank `k⁻¹[i]` (paper: "data is sent from rank `k[i]` to rank `i` in
-/// the original communicator").
+/// the original communicator").  `reordered` is the communicator the
+/// reordering split from `original_comm` ([`ReorderOutcome::comm`]), so no
+/// rank needs `k` itself.
+///
+/// # Panics
+/// Panics when `reordered` does not hold `original_comm`'s members.
 pub fn redistribute<T: mim_mpisim::Scalar>(
     rank: &Rank,
     original_comm: &Comm,
-    k: &[usize],
+    reordered: &Comm,
     data: Vec<T>,
 ) -> Vec<T> {
     let me = original_comm.rank();
-    let inv = inverse_permutation(k);
-    if k[me] == me && inv[me] == me {
+    let (from, to) = redistribute_partners(original_comm, reordered);
+    if (from, to) == (me, me) {
         return data;
     }
     const REDIST_TAG: u32 = 0x00F1_0000;
-    rank.send(original_comm, inv[me], REDIST_TAG, &data);
-    let (new_data, _) = rank.recv::<T>(original_comm, SrcSel::Rank(k[me]), TagSel::Is(REDIST_TAG));
+    rank.send(original_comm, to, REDIST_TAG, &data);
+    let (new_data, _) = rank.recv::<T>(original_comm, SrcSel::Rank(from), TagSel::Is(REDIST_TAG));
     new_data
+}
+
+/// `(k[i], k⁻¹[i])` for this process's old rank `i`: `k[i]` is its rank in
+/// `reordered`, and `k⁻¹[i]` the old rank of whoever holds new rank `i` —
+/// one O(log n) member lookup.
+fn redistribute_partners(original: &Comm, reordered: &Comm) -> (usize, usize) {
+    assert_eq!(original.size(), reordered.size(), "redistribute: not a reordering");
+    let holder = reordered.world_rank_of(original.rank());
+    let to = original.rank_of_world(holder).expect("redistribute: not a reordering");
+    (reordered.rank(), to)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use mim_mpisim::{Universe, UniverseConfig};
     use mim_topology::TopologyTree;
@@ -547,20 +574,47 @@ mod tests {
         );
     }
 
+    /// Every loop: `k` is a full permutation at rank 0, empty on every
+    /// other rank, and each rank's new rank is its entry of the root's `k`.
     #[test]
     fn opt_comm_assigns_rank_k() {
-        let u = cyclic_universe();
-        u.launch(|rank| {
-            let world = rank.comm_world();
-            let mon = Monitoring::init(rank).unwrap();
-            let outcome = monitored_reorder(rank, &mon, &world, Flags::P2P_ONLY, |comm| {
-                pair_exchange(rank, comm, 1024)
+        for which in 0..3 {
+            let u = cyclic_universe();
+            let results = u.launch(|rank| {
+                let world = rank.comm_world();
+                let mon = Monitoring::init(rank).unwrap();
+                let iteration = |comm: &Comm| pair_exchange(rank, comm, 1 << 20);
+                let flags = Flags::P2P_ONLY;
+                let (comm, k, cost_ns) = match which {
+                    0 => {
+                        let out = monitored_reorder(rank, &mon, &world, flags, iteration);
+                        (out.comm, out.k, out.reorder_cost_ns)
+                    }
+                    1 => {
+                        let out =
+                            monitored_reorder_windowed(rank, &mon, &world, flags, 2, |c, _| {
+                                iteration(c)
+                            });
+                        (out.comm, out.k, out.reorder_cost_ns)
+                    }
+                    _ => {
+                        let out = monitored_reorder_resilient(rank, &mon, &world, flags, iteration);
+                        (out.comm, out.k, out.reorder_cost_ns)
+                    }
+                };
+                assert_eq!(comm.size(), world.size());
+                assert!(cost_ns > 0.0);
+                mon.finalize(rank).unwrap();
+                (comm.rank(), k)
             });
-            assert_eq!(outcome.comm.size(), world.size());
-            assert_eq!(outcome.comm.rank(), outcome.k[world.rank()]);
-            assert!(outcome.reorder_cost_ns > 0.0);
-            mon.finalize(rank).unwrap();
-        });
+            let root_k = &results[0].1;
+            let _ = inverse_permutation(root_k);
+            assert_eq!(root_k.len(), 8, "loop {which}");
+            for (i, (new_rank, k)) in results.iter().enumerate() {
+                assert_eq!(*new_rank, root_k[i], "loop {which}, old rank {i}");
+                assert!(i == 0 || k.is_empty(), "loop {which}: rank {i} holds k = {k:?}");
+            }
+        }
     }
 
     #[test]
@@ -582,7 +636,7 @@ mod tests {
                     pair_exchange(rank, comm, bytes)
                 });
             assert_eq!(windowed.k, strict.k, "one window of the same traffic must map alike");
-            assert_eq!(windowed.comm.rank(), windowed.k[world.rank()]);
+            assert_eq!(windowed.comm.rank(), strict.comm.rank());
             assert!(windowed.reorder_cost_ns > 0.0);
             mon.finalize(rank).unwrap();
         });
@@ -600,22 +654,22 @@ mod tests {
                 monitored_reorder_windowed(rank, &mon, &world, Flags::P2P_ONLY, 3, |comm, _w| {
                     pair_exchange(rank, comm, 1 << 20)
                 });
-            let _ = inverse_permutation(&outcome.k);
             assert_eq!(outcome.comm.size(), world.size());
-            assert_eq!(outcome.comm.rank(), outcome.k[world.rank()]);
             // The pattern pairs must land on shared nodes, as in the strict
             // path's mapping test.
-            let inv = inverse_permutation(&outcome.k);
-            let machine = rank.machine();
-            let placement = rank.placement();
-            for i in (0..8).step_by(2) {
-                assert_eq!(
-                    machine.node_of_core(placement.core_of(inv[i])),
-                    machine.node_of_core(placement.core_of(inv[i + 1])),
-                    "pattern pair ({i}, {}) split across nodes; k = {:?}",
-                    i + 1,
-                    outcome.k
-                );
+            if world.rank() == 0 {
+                let inv = inverse_permutation(&outcome.k);
+                let machine = rank.machine();
+                let placement = rank.placement();
+                for i in (0..8).step_by(2) {
+                    assert_eq!(
+                        machine.node_of_core(placement.core_of(inv[i])),
+                        machine.node_of_core(placement.core_of(inv[i + 1])),
+                        "pattern pair ({i}, {}) split across nodes; k = {:?}",
+                        i + 1,
+                        outcome.k
+                    );
+                }
             }
             mon.finalize(rank).unwrap();
         });
@@ -634,9 +688,6 @@ mod tests {
             assert_eq!(outcome.fallback, ReorderFallback::None);
             assert_eq!(outcome.alive, vec![true; 8]);
             assert_eq!(outcome.comm.size(), world.size());
-            // k is a permutation assigning this process its new rank.
-            let _ = inverse_permutation(&outcome.k);
-            assert_eq!(outcome.comm.rank(), outcome.k[world.rank()]);
             assert!(outcome.reorder_cost_ns > 0.0);
             if world.rank() == 0 {
                 let g = outcome.gathered.as_ref().expect("root holds the matrices");
@@ -651,6 +702,7 @@ mod tests {
                 pair_exchange(rank, comm, 4 << 20)
             });
             assert_eq!(outcome.k, strict.k, "fault-free resilient k must equal the strict k");
+            assert_eq!(outcome.comm.rank(), strict.comm.rank());
             mon.finalize(rank).unwrap();
         });
     }
@@ -704,7 +756,8 @@ mod tests {
                     assert!(why.contains("incomplete gather"), "unexpected reason: {why}");
                 }
                 assert_eq!(alive, &(0..8).map(|r| r != 5).collect::<Vec<_>>());
-                assert_eq!((k, *size, *sum), (&(0..7).collect::<Vec<_>>(), 7, 28 - 5));
+                let root_k: Vec<usize> = if w == 0 { (0..7).collect() } else { Vec::new() };
+                assert_eq!((k, *size, *sum), (&root_k, 7, 28 - 5));
             }
         }
     }
@@ -731,8 +784,9 @@ mod tests {
             let me = world.rank();
             // A fixed non-trivial permutation.
             let k: Vec<usize> = vec![3, 0, 1, 2, 5, 4, 7, 6];
+            let reordered = rank.comm_split(&world, 0, k[me] as i64);
             let data = vec![me as u64; 4];
-            let new_data = redistribute(rank, &world, &k, data);
+            let new_data = redistribute(rank, &world, &reordered, data);
             // I now perform role k[me], whose data lived at old rank k[me].
             assert_eq!(new_data, vec![k[me] as u64; 4]);
         });
@@ -743,10 +797,36 @@ mod tests {
         let u = cyclic_universe();
         u.launch(|rank| {
             let world = rank.comm_world();
-            let k: Vec<usize> = (0..8).collect();
+            let same = rank.comm_dup(&world);
             let data = vec![world.rank() as u32];
-            assert_eq!(redistribute(rank, &world, &k, data.clone()), data);
+            assert_eq!(redistribute(rank, &world, &same, data.clone()), data);
         });
+    }
+
+    mim_util::props! {
+        /// The partners `redistribute` finds from the two communicators
+        /// are the ones the permutation names: `k[i]` and `k⁻¹[i]`, for
+        /// every old rank of a random group under a random permutation and
+        /// under the identity.
+        fn redistribute_partners_follow_k(g) {
+            let n = g.gen_range(1usize..40);
+            let universe = n + g.gen_range(0usize..20);
+            let mut group = g.permutation(universe);
+            group.truncate(n);
+            for k in [g.permutation(n), (0..n).collect()] {
+                let inv = inverse_permutation(&k);
+                let mut reordered_group = vec![0; n];
+                for (i, &ki) in k.iter().enumerate() {
+                    reordered_group[ki] = group[i];
+                }
+                let (group, reordered_group) = (Arc::new(group.clone()), Arc::new(reordered_group));
+                for i in 0..n {
+                    let original = Comm::from_raw(1, Arc::clone(&group), i);
+                    let reordered = Comm::from_raw(2, Arc::clone(&reordered_group), k[i]);
+                    assert_eq!(redistribute_partners(&original, &reordered), (k[i], inv[i]), "k = {k:?}");
+                }
+            }
+        }
     }
     #[test]
     fn elastic_placement_follows_the_matrix() {

@@ -110,7 +110,7 @@ ALLOWLIST = [
     (MPISIM + "runtime/universe.rs", 'expect("rank produced no result")'),
     # comm_split: the color/rank were inserted into these very collections.
     (MPISIM + "comm.rs", "distinct.binary_search(&color).unwrap()"),
-    (MPISIM + "comm.rs", "position(|&(_, r)| r == comm.rank()).unwrap()"),
+    (MPISIM + "comm.rs", 'rank_of_world(self.world_rank()).expect("a member of its own color")'),
     # Collectives: a scatter's root brings the data (documented on the
     # public entry); nobody else's argument is read.
     (MPISIM + "collectives/mod.rs", 'expect("scatter root must provide data")'),
