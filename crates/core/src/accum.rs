@@ -3,11 +3,13 @@
 //! The paper's library keeps one dense row per kind per session — O(n)
 //! memory per rank, O(n²) across the job — which the AMG2023 / Kripke /
 //! Laghos communication-pattern studies show is almost entirely zeros:
-//! real applications touch O(n) pairs, not O(n²).  [`PairAccum`] is the
-//! hybrid replacement: **dense** below [`PairAccum::DEFAULT_DENSE_LIMIT`]
-//! members (small worlds; the paper's figures run there, and staying dense
-//! keeps them bit-identical at zero risk) and **hash-sparse** above it
-//! (one cell per destination actually touched).
+//! real applications touch O(n) pairs, not O(n²).  [`PairAccum`] keeps one
+//! [`PairCell`] per destination in one of two containers: a **dense**
+//! vector indexed by destination below [`PairAccum::DEFAULT_DENSE_LIMIT`]
+//! members (small worlds; the paper's figures run there) and a **hash map**
+//! of the destinations actually touched above it.  Every reader walks the
+//! touched cells and every writer goes through one cell, so the two
+//! containers differ only in where a cell lives.
 //!
 //! Counters are exact integers and addition commutes, so the two
 //! representations are observationally identical — pinned by the
@@ -29,8 +31,13 @@ pub struct PairCell {
 }
 
 impl PairCell {
-    fn is_zero(&self) -> bool {
-        self.counts == [0; 3] && self.sizes == [0; 3]
+    /// (messages, bytes) summed over the kinds selected by `flags`.
+    pub fn sum(&self, flags: Flags) -> (u64, u64) {
+        flags.selected_indices().fold((0, 0), |(c, s), k| (c + self.counts[k], s + self.sizes[k]))
+    }
+
+    pub(crate) fn is_zero(&self) -> bool {
+        *self == PairCell::default()
     }
 }
 
@@ -39,21 +46,19 @@ impl PairCell {
 pub struct PairEntry {
     /// Destination communicator rank.
     pub dst: usize,
-    /// Per-kind message counts.
-    pub counts: [u64; 3],
-    /// Per-kind byte totals.
-    pub sizes: [u64; 3],
+    /// Per-kind counters toward `dst`.
+    pub cell: PairCell,
 }
 
 enum Repr {
-    /// One slot per destination per kind (the paper's literal layout).
-    Dense { counts: [Vec<u64>; 3], sizes: [Vec<u64>; 3] },
+    /// One cell per destination, indexed by destination.
+    Dense(Vec<PairCell>),
     /// One cell per destination actually touched.
-    Sparse { cells: HashMap<usize, PairCell> },
+    Sparse(HashMap<usize, PairCell>),
 }
 
 /// Hybrid dense/sparse per-destination traffic accumulator for one rank of
-/// one session (or one epoch window of one).
+/// one session.
 pub struct PairAccum {
     n: usize,
     repr: Repr,
@@ -61,27 +66,18 @@ pub struct PairAccum {
 
 impl PairAccum {
     /// Communicator sizes up to this stay dense: the paper's experiments
-    /// (and anything else "small-world") keep the exact seed layout; only
+    /// (and anything else "small-world") index a flat array; only
     /// at-scale sessions pay the hash-map constant factor.
     pub const DEFAULT_DENSE_LIMIT: usize = 256;
 
     /// Accumulator for a communicator of `n` members, dense iff
-    /// `n <= DEFAULT_DENSE_LIMIT`.
-    pub fn new(n: usize) -> Self {
-        Self::with_dense_limit(n, Self::DEFAULT_DENSE_LIMIT)
-    }
-
-    /// Accumulator with an explicit dense/sparse threshold (benchmarks and
-    /// equivalence tests force one representation with `limit = usize::MAX`
-    /// or `limit = 0`).
+    /// `n <= limit` (benchmarks and equivalence tests force one
+    /// representation with `limit = usize::MAX` or `limit = 0`).
     pub fn with_dense_limit(n: usize, limit: usize) -> Self {
         let repr = if n <= limit {
-            Repr::Dense {
-                counts: [vec![0; n], vec![0; n], vec![0; n]],
-                sizes: [vec![0; n], vec![0; n], vec![0; n]],
-            }
+            Repr::Dense(vec![PairCell::default(); n])
         } else {
-            Repr::Sparse { cells: HashMap::new() }
+            Repr::Sparse(HashMap::new())
         };
         Self { n, repr }
     }
@@ -93,7 +89,28 @@ impl PairAccum {
 
     /// True when the dense representation is in use.
     pub fn is_dense(&self) -> bool {
-        matches!(self.repr, Repr::Dense { .. })
+        matches!(self.repr, Repr::Dense(_))
+    }
+
+    /// The cell of `dst`, created zeroed if sparse and untouched (inlined:
+    /// it is the whole of [`PairAccum::record`]'s hot path).
+    #[inline]
+    fn cell_mut(&mut self, dst: usize) -> &mut PairCell {
+        match &mut self.repr {
+            Repr::Dense(cells) => &mut cells[dst],
+            Repr::Sparse(cells) => cells.entry(dst).or_default(),
+        }
+    }
+
+    /// Visit every destination with recorded traffic (in destination order
+    /// when dense, in hash order when sparse).
+    fn walk(&self, mut f: impl FnMut(usize, &PairCell)) {
+        match &self.repr {
+            Repr::Dense(cells) => {
+                cells.iter().enumerate().filter(|(_, c)| !c.is_zero()).for_each(|(d, c)| f(d, c))
+            }
+            Repr::Sparse(cells) => cells.iter().for_each(|(&d, c)| f(d, c)),
+        }
     }
 
     /// Record one message of `bytes` bytes toward `dst` with kind index `k`.
@@ -103,73 +120,26 @@ impl PairAccum {
     /// communicator membership upstream).
     pub fn record(&mut self, dst: usize, k: usize, bytes: u64) {
         assert!(dst < self.n, "destination {dst} outside communicator of {}", self.n);
-        match &mut self.repr {
-            Repr::Dense { counts, sizes } => {
-                counts[k][dst] += 1;
-                sizes[k][dst] += bytes;
-            }
-            Repr::Sparse { cells } => {
-                let cell = cells.entry(dst).or_default();
-                cell.counts[k] += 1;
-                cell.sizes[k] += bytes;
-            }
-        }
+        let cell = self.cell_mut(dst);
+        cell.counts[k] += 1;
+        cell.sizes[k] += bytes;
     }
 
     /// Zero everything (sparse drops its cells entirely).
     pub fn reset(&mut self) {
         match &mut self.repr {
-            Repr::Dense { counts, sizes } => {
-                for k in 0..3 {
-                    counts[k].fill(0);
-                    sizes[k].fill(0);
-                }
-            }
-            Repr::Sparse { cells } => cells.clear(),
+            Repr::Dense(cells) => cells.fill(PairCell::default()),
+            Repr::Sparse(cells) => cells.clear(),
         }
-    }
-
-    /// Copy-free row access for the single-kind dense fast path: the
-    /// per-kind slices can be handed out as-is, with no summing and no
-    /// allocation.  `None` when sparse or when `flags` selects several
-    /// kinds — callers fall back to [`PairAccum::row`].
-    pub fn row_ref(&self, flags: Flags) -> Option<(&[u64], &[u64])> {
-        let Repr::Dense { counts, sizes } = &self.repr else { return None };
-        let mut selected = flags.selected_indices();
-        let k = selected.next()?;
-        if selected.next().is_some() {
-            return None;
-        }
-        Some((&counts[k], &sizes[k]))
     }
 
     /// Dense (counts, sizes) rows summed over the kinds selected by `flags`
-    /// — the `MPI_M_get_data` shape.  Allocates two `n`-vectors; hot paths
-    /// use [`PairAccum::row_ref`] or [`PairAccum::sparse_row`] instead.
+    /// — the `MPI_M_get_data` shape.  Allocates two `n`-vectors; the gather
+    /// uses [`PairAccum::sparse_row`] instead.
     pub fn row(&self, flags: Flags) -> (Vec<u64>, Vec<u64>) {
-        if let Some((c, s)) = self.row_ref(flags) {
-            return (c.to_vec(), s.to_vec());
-        }
         let mut counts = vec![0u64; self.n];
         let mut sizes = vec![0u64; self.n];
-        match &self.repr {
-            Repr::Dense { counts: kc, sizes: ks } => {
-                for k in flags.selected_indices() {
-                    for d in 0..self.n {
-                        counts[d] += kc[k][d];
-                        sizes[d] += ks[k][d];
-                    }
-                }
-            }
-            Repr::Sparse { cells } => {
-                for (&d, cell) in cells {
-                    for k in flags.selected_indices() {
-                        counts[d] += cell.counts[k];
-                        sizes[d] += cell.sizes[k];
-                    }
-                }
-            }
-        }
+        self.walk(|d, cell| (counts[d], sizes[d]) = cell.sum(flags));
         (counts, sizes)
     }
 
@@ -180,81 +150,22 @@ impl PairAccum {
     /// sparse row reproduces the dense row bit for bit.
     pub fn sparse_row(&self, flags: Flags) -> Vec<(u64, u64, u64)> {
         let mut out = Vec::new();
-        match &self.repr {
-            Repr::Dense { counts, sizes } => {
-                // Single-kind selections walk the shared slices directly
-                // (the row_ref fast path) instead of materializing summed
-                // rows first.
-                if let Some((c, s)) = self.row_ref(flags) {
-                    for d in 0..self.n {
-                        if c[d] != 0 || s[d] != 0 {
-                            out.push((d as u64, c[d], s[d]));
-                        }
-                    }
-                } else {
-                    for d in 0..self.n {
-                        let (mut cnt, mut sz) = (0u64, 0u64);
-                        for k in flags.selected_indices() {
-                            cnt += counts[k][d];
-                            sz += sizes[k][d];
-                        }
-                        if cnt != 0 || sz != 0 {
-                            out.push((d as u64, cnt, sz));
-                        }
-                    }
-                }
+        self.walk(|d, cell| {
+            let (count, bytes) = cell.sum(flags);
+            if count != 0 || bytes != 0 {
+                out.push((d as u64, count, bytes));
             }
-            Repr::Sparse { cells } => {
-                for (&d, cell) in cells {
-                    let (mut cnt, mut sz) = (0u64, 0u64);
-                    for k in flags.selected_indices() {
-                        cnt += cell.counts[k];
-                        sz += cell.sizes[k];
-                    }
-                    if cnt != 0 || sz != 0 {
-                        out.push((d as u64, cnt, sz));
-                    }
-                }
-                out.sort_unstable_by_key(|&(d, _, _)| d);
-            }
-        }
+        });
+        out.sort_unstable_by_key(|&(d, _, _)| d);
         out
     }
 
-    /// Sorted per-destination entries of everything recorded so far, without
-    /// touching the accumulator — [`PairAccum::drain_entries`] minus the
-    /// zeroing, used when the data must survive the walk (reindexing).
+    /// Per-destination entries of everything recorded so far, sorted by
+    /// destination.
     pub fn entries(&self) -> Vec<PairEntry> {
         let mut out = Vec::new();
-        match &self.repr {
-            Repr::Dense { counts, sizes } => {
-                for d in 0..self.n {
-                    let cell = PairCell {
-                        counts: [counts[0][d], counts[1][d], counts[2][d]],
-                        sizes: [sizes[0][d], sizes[1][d], sizes[2][d]],
-                    };
-                    if !cell.is_zero() {
-                        out.push(PairEntry { dst: d, counts: cell.counts, sizes: cell.sizes });
-                    }
-                }
-            }
-            Repr::Sparse { cells } => {
-                out.extend(cells.iter().map(|(&d, c)| PairEntry {
-                    dst: d,
-                    counts: c.counts,
-                    sizes: c.sizes,
-                }));
-                out.sort_unstable_by_key(|e| e.dst);
-            }
-        }
-        out
-    }
-
-    /// Drain this accumulator into sorted per-destination entries, leaving
-    /// it zeroed — how an epoch window is sealed.
-    pub fn drain_entries(&mut self) -> Vec<PairEntry> {
-        let out = self.entries();
-        self.reset();
+        self.walk(|dst, &cell| out.push(PairEntry { dst, cell }));
+        out.sort_unstable_by_key(|e| e.dst);
         out
     }
 
@@ -272,34 +183,12 @@ impl PairAccum {
     pub fn reindex(&self, map: &[Option<usize>], new_n: usize, limit: usize) -> PairAccum {
         assert_eq!(map.len(), self.n, "reindex map must cover every old destination");
         let mut out = Self::with_dense_limit(new_n, limit);
-        for e in self.entries() {
-            let Some(dst) = map[e.dst] else { continue };
+        self.walk(|d, cell| {
+            let Some(dst) = map[d] else { return };
             assert!(dst < new_n, "reindex target {dst} outside new communicator of {new_n}");
-            for k in 0..3 {
-                out.add(dst, k, e.counts[k], e.sizes[k]);
-            }
-        }
+            *out.cell_mut(dst) = *cell;
+        });
         out
-    }
-
-    /// Bulk-add `count` messages of `bytes` total toward `dst` with kind
-    /// index `k` (the reindex transfer primitive; [`PairAccum::record`] is
-    /// the one-message hot path).
-    fn add(&mut self, dst: usize, k: usize, count: u64, bytes: u64) {
-        if count == 0 && bytes == 0 {
-            return;
-        }
-        match &mut self.repr {
-            Repr::Dense { counts, sizes } => {
-                counts[k][dst] += count;
-                sizes[k][dst] += bytes;
-            }
-            Repr::Sparse { cells } => {
-                let cell = cells.entry(dst).or_default();
-                cell.counts[k] += count;
-                cell.sizes[k] += bytes;
-            }
-        }
     }
 
     /// Approximate heap footprint in bytes — what the
@@ -307,12 +196,8 @@ impl PairAccum {
     /// `core.accum.mem_bytes` row compare between the dense and sparse planes.
     pub fn mem_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Dense { counts, sizes } => counts
-                .iter()
-                .chain(sizes.iter())
-                .map(|v| v.capacity() * std::mem::size_of::<u64>())
-                .sum(),
-            Repr::Sparse { cells } => {
+            Repr::Dense(cells) => cells.capacity() * std::mem::size_of::<PairCell>(),
+            Repr::Sparse(cells) => {
                 // Entry payload + the table's ~1/0.875 load-factor slack;
                 // close enough for an order-of-magnitude comparison.
                 cells.capacity()
@@ -338,8 +223,9 @@ mod tests {
 
     #[test]
     fn representation_follows_the_limit() {
-        assert!(PairAccum::new(PairAccum::DEFAULT_DENSE_LIMIT).is_dense());
-        assert!(!PairAccum::new(PairAccum::DEFAULT_DENSE_LIMIT + 1).is_dense());
+        let limit = PairAccum::DEFAULT_DENSE_LIMIT;
+        assert!(PairAccum::with_dense_limit(limit, limit).is_dense());
+        assert!(!PairAccum::with_dense_limit(limit + 1, limit).is_dense());
     }
 
     #[test]
@@ -349,16 +235,6 @@ mod tests {
             assert_eq!(d.row(flags), s.row(flags), "{flags:?}");
             assert_eq!(d.sparse_row(flags), s.sparse_row(flags), "{flags:?}");
         }
-    }
-
-    #[test]
-    fn row_ref_is_the_single_kind_dense_fast_path() {
-        let d = filled(usize::MAX);
-        let (c, s) = d.row_ref(Flags::P2P_ONLY).expect("dense single-kind");
-        assert_eq!(c, &[0, 2, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(s, &[0, 150, 0, 0, 0, 0, 0, 0]);
-        assert!(d.row_ref(Flags::ALL_COMM).is_none(), "multi-kind needs summing");
-        assert!(filled(0).row_ref(Flags::P2P_ONLY).is_none(), "sparse has no slices");
     }
 
     #[test]
@@ -372,16 +248,17 @@ mod tests {
     fn drain_seals_and_zeroes() {
         for limit in [usize::MAX, 0] {
             let mut a = filled(limit);
-            let entries = a.drain_entries();
+            let entry = |dst, counts, sizes| PairEntry { dst, cell: PairCell { counts, sizes } };
             assert_eq!(
-                entries,
+                a.entries(),
                 vec![
-                    PairEntry { dst: 1, counts: [2, 0, 0], sizes: [150, 0, 0] },
-                    PairEntry { dst: 3, counts: [0, 1, 0], sizes: [0, 7, 0] },
-                    PairEntry { dst: 7, counts: [0, 0, 1], sizes: [0, 0, 0] },
+                    entry(1, [2, 0, 0], [150, 0, 0]),
+                    entry(3, [0, 1, 0], [0, 7, 0]),
+                    entry(7, [0, 0, 1], [0, 0, 0]),
                 ]
             );
-            assert!(a.drain_entries().is_empty(), "drained accumulator is empty");
+            a.reset();
+            assert!(a.entries().is_empty(), "reset accumulator is empty");
             assert_eq!(a.row(Flags::ALL_COMM).0, vec![0; 8]);
         }
     }
@@ -431,7 +308,7 @@ mod tests {
 
     props! {
         /// Random traffic, both representations, every flag selection:
-        /// rows, sparse rows and sealed windows are identical.
+        /// rows, sparse rows and entries are identical.
         fn dense_sparse_equivalence(g) {
             let n = g.gen_range(1usize..40);
             let events: Vec<(usize, usize, u64)> = g.vec(0..64, |g| {
@@ -448,7 +325,7 @@ mod tests {
                 assert_eq!(dense.row(flags), sparse.row(flags));
                 assert_eq!(dense.sparse_row(flags), sparse.sparse_row(flags));
             }
-            assert_eq!(dense.drain_entries(), sparse.drain_entries());
+            assert_eq!(dense.entries(), sparse.entries());
         }
     }
 }

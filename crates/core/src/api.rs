@@ -315,8 +315,8 @@ impl Monitoring {
             events: s.events,
             bytes: s.bytes,
             epoch: s.epoch,
-            window_events: s.window_events,
-            window_bytes: s.window_bytes,
+            window_events: s.events - s.sealed_events,
+            window_bytes: s.bytes - s.sealed_bytes,
             max_unexpected_depth: rank.max_unexpected_depth(),
         })
     }
@@ -607,11 +607,7 @@ impl Monitoring {
                     let delta = s.advance_window();
                     self.trace_window(msid, &delta);
                     for e in &delta.entries {
-                        let (mut count, mut bytes) = (0u64, 0u64);
-                        for k in flags.selected_indices() {
-                            count += e.counts[k];
-                            bytes += e.sizes[k];
-                        }
+                        let (count, bytes) = e.cell.sum(flags);
                         if count != 0 || bytes != 0 {
                             buf.extend([e.dst as u64, count, bytes]);
                         }

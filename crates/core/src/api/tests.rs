@@ -545,6 +545,16 @@ impl Watched {
         self.oracle.borrow_mut().rebind(old, new);
     }
 
+    /// Require the open-window counters to equal the oracle's, then seal
+    /// the window on both sides and require equal deltas.
+    fn seal_and_compare(&self, rank: &Rank) {
+        let c = self.mon.trace_counters(rank, self.id).unwrap();
+        let who = format!("rank {}", rank.world_rank());
+        assert_eq!((c.window_events, c.window_bytes), self.oracle.borrow().open_window(), "{who}");
+        let d = self.mon.advance_window(self.id).unwrap();
+        assert_eq!((d.entries, d.events, d.bytes), self.oracle.borrow_mut().advance(), "{who}");
+    }
+
     /// Suspend, stop the oracle, and require the session's row to equal the
     /// oracle's under every flag selection; returns those rows.
     fn suspend_and_compare(&self, rank: &Rank) -> Vec<(Vec<u64>, Vec<u64>)> {
@@ -601,7 +611,8 @@ props! {
     /// per-session `HashMap` it replaced: sessions on (a) world, (b) a
     /// permuted split of world, (c) the even/odd halves with cross traffic
     /// on world, and (d) world rebound across a shrink and a re-grow all
-    /// yield the oracle's matrices, for every flag selection.
+    /// yield the oracle's matrices, for every flag selection; (d) also
+    /// yields the oracle's sealed windows and open-window counters.
     fn sessions_match_the_member_map_oracle(g, cases = 6) {
         let n = g.gen_range(4usize..13);
         let pairs = |g: &mut mim_util::prop::Gen| -> Vec<(usize, usize, u64)> {
@@ -651,12 +662,14 @@ props! {
         // (d): survivors rebind to the shrunk, then to the re-grown
         // communicator (both derived locally); the dropped ranks keep
         // talking on world, so the sessions see traffic toward departed
-        // members, then toward re-admitted ones.
+        // members, then toward re-admitted ones.  A window is sealed after
+        // each phase, so the marks cross both rebinds.
         universe(n).launch(move |rank| {
             let world = rank.comm_world();
             let survivor = alive[world.rank()];
             let w = Watched::start(rank, &world);
             mixed_traffic(rank, &world, None, &events[0], root);
+            w.seal_and_compare(rank);
             let mut comm = world.clone();
             if survivor {
                 let shrunk = rank.comm_shrink(&comm, &alive);
@@ -664,11 +677,13 @@ props! {
                 comm = shrunk;
             }
             mixed_traffic(rank, &world, survivor.then_some(&comm), &events[1], root);
+            w.seal_and_compare(rank);
             if survivor && !joiners.is_empty() {
                 let grown = rank.comm_grow(&comm, &joiners);
                 w.rebind(&comm, &grown);
             }
             mixed_traffic(rank, &world, None, &events[2], root);
+            w.seal_and_compare(rank);
             w.suspend_and_compare(rank);
             w.finish(rank);
         });

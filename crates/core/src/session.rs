@@ -78,19 +78,19 @@ pub(crate) struct SessionData {
     /// Everything recorded since start/reset (what the suspended-data
     /// accessors read).
     total: PairAccum,
-    /// The current (unsealed) epoch window: recorded in parallel with
-    /// `total`, drained by [`SessionData::advance_window`].
-    window: PairAccum,
+    /// `total.entries()` as of the last seal: the open epoch window is
+    /// what `total` gained since.
+    mark: Vec<PairEntry>,
     /// Number of sealed windows since start/reset.
     pub(crate) epoch: u64,
     /// Total recorded events (all kinds), for the trace-counters API.
     pub(crate) events: u64,
     /// Total recorded bytes (all kinds), same.
     pub(crate) bytes: u64,
-    /// Events recorded in the current window.
-    pub(crate) window_events: u64,
-    /// Bytes recorded in the current window.
-    pub(crate) window_bytes: u64,
+    /// `events` as of the last seal.
+    pub(crate) sealed_events: u64,
+    /// `bytes` as of the last seal.
+    pub(crate) sealed_bytes: u64,
     /// While set, [`SessionData::record`] drops events: the monitoring
     /// plane mutes a session around its own control traffic (e.g. the
     /// tree gather of a live window) so it does not observe itself.
@@ -105,7 +105,7 @@ impl SessionData {
         Self::with_dense_limit(comm, PairAccum::DEFAULT_DENSE_LIMIT)
     }
 
-    /// Session with an explicit dense/sparse threshold for its accumulators
+    /// Session with an explicit dense/sparse threshold for its accumulator
     /// (the `dense_limit` of the owning [`crate::Monitoring`]).
     pub(crate) fn with_dense_limit(comm: Comm, limit: usize) -> Self {
         let n = comm.size();
@@ -113,12 +113,12 @@ impl SessionData {
             comm,
             state: SessionState::Active,
             total: PairAccum::with_dense_limit(n, limit),
-            window: PairAccum::with_dense_limit(n, limit),
+            mark: Vec::new(),
             epoch: 0,
             events: 0,
             bytes: 0,
-            window_events: 0,
-            window_bytes: 0,
+            sealed_events: 0,
+            sealed_bytes: 0,
             muted: false,
         }
     }
@@ -138,41 +138,54 @@ impl SessionData {
         if !self.comm.contains_world(ev.src_world) {
             return;
         }
-        let k = Flags::kind_index(ev.kind);
-        self.total.record(dst, k, ev.bytes);
-        self.window.record(dst, k, ev.bytes);
+        self.total.record(dst, Flags::kind_index(ev.kind), ev.bytes);
         self.events += 1;
         self.bytes += ev.bytes;
-        self.window_events += 1;
-        self.window_bytes += ev.bytes;
     }
 
     /// Zero all recorded data, including the current window and the epoch
     /// counter.
     pub(crate) fn reset(&mut self) {
         self.total.reset();
-        self.window.reset();
+        self.mark.clear();
         self.epoch = 0;
         self.events = 0;
         self.bytes = 0;
-        self.window_events = 0;
-        self.window_bytes = 0;
+        self.sealed_events = 0;
+        self.sealed_bytes = 0;
     }
 
-    /// Seal the current epoch window: drain its entries, bump the epoch, and
-    /// start recording the next window.  Legal in any session state — the
+    /// Seal the current epoch window: return what the totals gained since
+    /// the mark (one merge of two destination-sorted lists; totals never
+    /// shrink between seals, so every marked destination is still present),
+    /// bump the epoch, and move the mark.  Legal in any session state — the
     /// whole point is that it needs no suspend barrier.
     pub(crate) fn advance_window(&mut self) -> WindowDelta {
         self.epoch += 1;
-        let entries = self.window.drain_entries();
+        let now = self.total.entries();
+        let mut marked = self.mark.iter().peekable();
+        let entries = now
+            .iter()
+            .filter_map(|e| {
+                let mut cell = e.cell;
+                if let Some(m) = marked.next_if(|m| m.dst == e.dst) {
+                    for k in 0..3 {
+                        cell.counts[k] -= m.cell.counts[k];
+                        cell.sizes[k] -= m.cell.sizes[k];
+                    }
+                }
+                (!cell.is_zero()).then_some(PairEntry { dst: e.dst, cell })
+            })
+            .collect();
         let delta = WindowDelta {
             epoch: self.epoch,
             entries,
-            events: self.window_events,
-            bytes: self.window_bytes,
+            events: self.events - self.sealed_events,
+            bytes: self.bytes - self.sealed_bytes,
         };
-        self.window_events = 0;
-        self.window_bytes = 0;
+        self.mark = now;
+        self.sealed_events = self.events;
+        self.sealed_bytes = self.bytes;
         delta
     }
 
@@ -182,13 +195,14 @@ impl SessionData {
     /// identity across membership epochs), departed destinations' columns
     /// are dropped, and joiners start at zero.  Totals, the open window and
     /// the epoch counter all survive — a rebind is a change of coordinates,
-    /// not a reset.
+    /// not a reset — so the mark moves through the same map as the totals.
     pub(crate) fn rebind(&mut self, new_comm: Comm, limit: usize) {
         let map: Vec<Option<usize>> =
             self.comm.group().iter().map(|&w| new_comm.rank_of_world(w)).collect();
-        let n = new_comm.size();
-        self.total = self.total.reindex(&map, n, limit);
-        self.window = self.window.reindex(&map, n, limit);
+        self.total = self.total.reindex(&map, new_comm.size(), limit);
+        self.mark =
+            self.mark.iter().filter_map(|e| Some(PairEntry { dst: map[e.dst]?, ..*e })).collect();
+        self.mark.sort_unstable_by_key(|e| e.dst);
         self.comm = new_comm;
     }
 
@@ -208,12 +222,19 @@ impl SessionData {
 /// rank before communicators carried their own index, with the membership
 /// filter and the rebind mapping written against it — retained verbatim as
 /// the oracle for [`SessionData::record`] / [`SessionData::rebind`]
-/// (`api::tests::sessions_match_the_member_map_oracle`).
+/// (`api::tests::sessions_match_the_member_map_oracle`).  Its open window
+/// is a dense snapshot of the cells at the last seal, subtracted cell by
+/// cell — the oracle for [`SessionData::advance_window`]'s sorted merge.
 #[cfg(test)]
 pub(crate) struct MemberMapOracle {
     members: std::collections::HashMap<usize, usize>,
     /// `cells[dst][kind]` = (messages, bytes).
     cells: Vec<[(u64, u64); 3]>,
+    /// `cells` as of the last seal.
+    mark: Vec<[(u64, u64); 3]>,
+    /// (messages, bytes) recorded in total and as of the last seal.
+    recorded: (u64, u64),
+    sealed: (u64, u64),
 }
 
 #[cfg(test)]
@@ -223,7 +244,18 @@ impl MemberMapOracle {
     }
 
     pub(crate) fn new(comm: &Comm) -> Self {
-        Self { members: Self::member_map(comm), cells: vec![[(0, 0); 3]; comm.size()] }
+        Self { members: Self::member_map(comm), ..Self::zeros(comm.size()) }
+    }
+
+    fn zeros(n: usize) -> Self {
+        let cells = vec![[(0, 0); 3]; n];
+        Self {
+            members: Default::default(),
+            mark: cells.clone(),
+            cells,
+            recorded: (0, 0),
+            sealed: (0, 0),
+        }
     }
 
     pub(crate) fn record(&mut self, ev: &PmlEvent) {
@@ -234,18 +266,55 @@ impl MemberMapOracle {
         let cell = &mut self.cells[dst][Flags::kind_index(ev.kind)];
         cell.0 += 1;
         cell.1 += ev.bytes;
+        self.recorded.0 += 1;
+        self.recorded.1 += ev.bytes;
     }
 
     pub(crate) fn rebind(&mut self, old_comm: &Comm, new_comm: &Comm) {
         let members = Self::member_map(new_comm);
-        let mut cells = vec![[(0, 0); 3]; new_comm.size()];
-        for (r, &w) in old_comm.group().iter().enumerate() {
-            if let Some(&new_r) = members.get(&w) {
-                cells[new_r] = self.cells[r];
+        let remap = |old: &[[(u64, u64); 3]]| {
+            let mut cells = vec![[(0, 0); 3]; new_comm.size()];
+            for (r, &w) in old_comm.group().iter().enumerate() {
+                if let Some(&new_r) = members.get(&w) {
+                    cells[new_r] = old[r];
+                }
+            }
+            cells
+        };
+        self.cells = remap(&self.cells);
+        self.mark = remap(&self.mark);
+        self.members = members;
+    }
+
+    /// Zero everything, like [`SessionData::reset`].
+    pub(crate) fn reset(&mut self) {
+        *self =
+            Self { members: std::mem::take(&mut self.members), ..Self::zeros(self.cells.len()) };
+    }
+
+    /// (messages, bytes) recorded since the last seal.
+    pub(crate) fn open_window(&self) -> (u64, u64) {
+        (self.recorded.0 - self.sealed.0, self.recorded.1 - self.sealed.1)
+    }
+
+    /// Seal the window: its nonzero per-destination cells, events and
+    /// bytes, like [`SessionData::advance_window`].
+    pub(crate) fn advance(&mut self) -> (Vec<PairEntry>, u64, u64) {
+        let mut entries = Vec::new();
+        for (dst, (now, then)) in self.cells.iter().zip(&self.mark).enumerate() {
+            let mut cell = crate::accum::PairCell::default();
+            for k in 0..3 {
+                cell.counts[k] = now[k].0 - then[k].0;
+                cell.sizes[k] = now[k].1 - then[k].1;
+            }
+            if now != then {
+                entries.push(PairEntry { dst, cell });
             }
         }
-        self.members = members;
-        self.cells = cells;
+        let (events, bytes) = self.open_window();
+        self.mark = self.cells.clone();
+        self.sealed = self.recorded;
+        (entries, events, bytes)
     }
 
     /// (counts, sizes) summed over the selected kinds, like
@@ -367,6 +436,8 @@ impl SessionTable {
 mod tests {
     use super::*;
     use mim_mpisim::MsgKind;
+    use mim_util::prop::Gen;
+    use mim_util::props;
     use std::sync::Arc;
 
     fn comm3() -> Comm {
@@ -471,7 +542,7 @@ mod tests {
         assert_eq!(w1.events, 1);
         assert_eq!(w1.bytes, 10);
         assert_eq!(w1.entries.len(), 1);
-        assert_eq!((w1.entries[0].dst, w1.entries[0].sizes[0]), (1, 10));
+        assert_eq!((w1.entries[0].dst, w1.entries[0].cell.sizes[0]), (1, 10));
 
         s.record(&ev(4, 30, MsgKind::Collective));
         let w2 = s.advance_window();
@@ -511,7 +582,7 @@ mod tests {
         let w2 = s.advance_window();
         assert_eq!(w2.epoch, 2);
         assert_eq!(w2.entries.len(), 1, "open window remapped, not reset");
-        assert_eq!((w2.entries[0].dst, w2.entries[0].sizes[0]), (1, 5));
+        assert_eq!((w2.entries[0].dst, w2.entries[0].cell.sizes[0]), (1, 5));
         // Joiner traffic records under the new coordinates.
         s.record(&ev(6, 9, MsgKind::P2pUser));
         assert_eq!(s.row(Flags::P2P_ONLY).1, vec![0, 5, 9]);
@@ -574,5 +645,82 @@ mod tests {
         t.get_mut(a).unwrap().state = SessionState::Suspended;
         t.get_mut(b).unwrap().state = SessionState::Suspended;
         assert!(!t.any_active());
+    }
+
+    /// One step of a random session history.
+    #[derive(Clone)]
+    enum Op {
+        Record {
+            dst_world: usize,
+            bytes: u64,
+            kind: MsgKind,
+        },
+        Seal,
+        Reset,
+        /// Rebind to this world-rank group (it contains world rank 0).
+        Rebind(Vec<usize>),
+    }
+
+    /// A random group of the ten-rank world that contains world rank 0 (the
+    /// recording process), in random order.
+    fn random_group(g: &mut Gen) -> Vec<usize> {
+        g.permutation(10).into_iter().filter(|&w| w == 0 || g.any_bool()).collect()
+    }
+
+    fn comm_of(id: u64, group: &[usize]) -> Comm {
+        let me = group.iter().position(|&w| w == 0).expect("groups contain world rank 0");
+        Comm::from_raw(id, Arc::new(group.to_vec()), me)
+    }
+
+    props! {
+        /// Random record / seal / reset / rebind histories, replayed at
+        /// both dense limits: every sealed window, the open-window counters
+        /// and the totals equal the oracle's after every step.
+        fn windows_match_the_member_map_oracle(g) {
+            let start = random_group(g);
+            let ops: Vec<Op> = g.vec(1..80, |g| match g.index(10) {
+                0 => Op::Reset,
+                1 | 2 => Op::Seal,
+                3 => Op::Rebind(random_group(g)),
+                _ => Op::Record {
+                    dst_world: g.index(10),
+                    bytes: g.gen_range(0u64..1000),
+                    kind: *g.choose(&[MsgKind::P2pUser, MsgKind::Collective, MsgKind::OneSided]),
+                },
+            });
+            for limit in [0, usize::MAX] {
+                let mut comm = comm_of(1, &start);
+                let mut s = SessionData::with_dense_limit(comm.clone(), limit);
+                let mut oracle = MemberMapOracle::new(&comm);
+                for (step, op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Record { dst_world, bytes, kind } => {
+                            let e = ev(*dst_world, *bytes, *kind);
+                            s.record(&e);
+                            oracle.record(&e);
+                        }
+                        Op::Seal => {
+                            let d = s.advance_window();
+                            assert_eq!((d.entries, d.events, d.bytes), oracle.advance(), "step {step}");
+                        }
+                        Op::Reset => {
+                            s.reset();
+                            oracle.reset();
+                        }
+                        Op::Rebind(group) => {
+                            let new = comm_of(step as u64 + 2, group);
+                            s.rebind(new.clone(), limit);
+                            oracle.rebind(&comm, &new);
+                            comm = new;
+                        }
+                    }
+                    let open = (s.events - s.sealed_events, s.bytes - s.sealed_bytes);
+                    assert_eq!(open, oracle.open_window(), "step {step}");
+                    for flags in [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::ALL_COMM] {
+                        assert_eq!(s.row(flags), oracle.row(flags), "step {step}");
+                    }
+                }
+            }
+        }
     }
 }
