@@ -4,8 +4,8 @@
 use mim_util::bench::{black_box, Bench};
 
 use mim_topology::{CommMatrix, Machine, Placement};
-use mim_treematch::affinity::stencil2d;
-use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy, SparseAffinity};
+use mim_treematch::affinity::{from_pairs, stencil2d};
+use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy};
 
 fn clustered_matrix(n: usize, clique: usize) -> CommMatrix {
     let mut m = CommMatrix::zeros(n);
@@ -73,9 +73,10 @@ fn bench_constrained(b: &mut Bench) {
         });
     }
     // What the reorder loop calls at scale (the two instances whose `sigma`
-    // `mim-treematch`'s golden test pins): the dense matrix rank 0 gathers at
-    // 1024 ranks, and the same stencil at 4096 — as a sparse affinity, and as
-    // the dense matrix `mim-reorder`'s mapping charge is calibrated on.
+    // `mim-treematch`'s golden test pins): the matrix rank 0 gathers at 1024
+    // ranks, both directions of every halo stored ("dense"), and the same
+    // stencil at 4096 — built from its pair list ("sparse", one direction),
+    // and as gathered.
     let dense = |side: usize| {
         let mut m = CommMatrix::zeros(side * side);
         for (i, j, bytes) in halo_pairs(side) {
@@ -92,8 +93,7 @@ fn bench_constrained(b: &mut Bench) {
     });
     let machine = Machine::cluster(64, 2, 32);
     let slots = node_cyclic_slots(&machine, 4096);
-    let affinity =
-        SparseAffinity::from_pairs(4096, halo_pairs(64).into_iter().map(|(i, j, b)| (i, j, 2 * b)));
+    let affinity = from_pairs(4096, halo_pairs(64).into_iter().map(|(i, j, b)| (i, j, 2 * b)));
     b.iter("place_constrained", "stencil_sparse/4096", || {
         place_constrained(black_box(&machine), &slots, &affinity);
     });

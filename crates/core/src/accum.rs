@@ -146,8 +146,8 @@ impl PairAccum {
     /// Flag-summed `(dst, count, bytes)` triples for every destination with
     /// any recorded traffic under `flags`, sorted by destination — the
     /// gather wire format.  Zero-valued destinations are skipped; the
-    /// receiving side's matrix cells default to zero, so densifying a
-    /// sparse row reproduces the dense row bit for bit.
+    /// receiving side's matrix cells default to zero, so a sparse row
+    /// builds the same matrix row as the dense one, bit for bit.
     pub fn sparse_row(&self, flags: Flags) -> Vec<(u64, u64, u64)> {
         let mut out = Vec::new();
         self.walk(|d, cell| {

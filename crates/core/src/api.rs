@@ -433,7 +433,7 @@ impl Monitoring {
         // One collective moves both rows; the session being read is
         // suspended, so it does not observe its own gather.
         let gathered = rank.allgather(&comm, &buf);
-        Ok(unpack_dense(&gathered, comm.size()))
+        Ok(gathered_from_dense(&gathered, comm.size()))
     }
 
     /// Like [`Monitoring::allgather_data`] but only `root` receives the data
@@ -469,7 +469,7 @@ impl Monitoring {
         let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
         check_root(root, comm.size(), None)?;
         let gathered = rank.gather(&comm, root, &buf);
-        Ok(gathered.map(|g| unpack_dense(&g, comm.size())))
+        Ok(gathered.map(|g| gathered_from_dense(&g, comm.size())))
     }
 
     /// Fault-tolerant variant of [`Monitoring::rootgather_data`]: gather
@@ -562,7 +562,7 @@ impl Monitoring {
 
     /// [`Monitoring::row_and_comm`] in the dense gather wire format: the
     /// row's counts followed by its sizes, `2 * comm.size()` words that
-    /// [`unpack_dense`] reads back.
+    /// [`gathered_from_dense`] reads back.
     fn dense_row_and_comm(&self, msid: Msid, flags: Flags) -> Result<(Vec<u64>, Comm)> {
         let (row, comm) = self.row_and_comm(msid, flags)?;
         let mut buf = row.counts;
@@ -630,7 +630,10 @@ impl Monitoring {
                 "incomplete gather: no row from live rank(s) {missing:?}"
             ))
         })?;
-        Ok(GatheredWindow { epoch, data: rows.map(|rows| densify(&rows, comm.size(), alive)) })
+        Ok(GatheredWindow {
+            epoch,
+            data: rows.map(|rows| gathered_from_triples(&rows, comm.size(), alive)),
+        })
     }
 
     fn for_each(
@@ -676,9 +679,9 @@ fn check_root(root: usize, n: usize, alive: Option<&[bool]>) -> Result<()> {
 
 /// Unpack `n` dense rows of `counts ‖ sizes` (see
 /// [`Monitoring::dense_row_and_comm`]), one per communicator rank, into the
-/// matrices of [`GatheredData`] (the dense gathers have no liveness
+/// sparse matrices of [`GatheredData`] (the dense gathers have no liveness
 /// bitmap: every member contributed).
-fn unpack_dense(gathered: &[u64], n: usize) -> GatheredData {
+fn gathered_from_dense(gathered: &[u64], n: usize) -> GatheredData {
     let mut counts = CommMatrix::zeros(n);
     let mut sizes = CommMatrix::zeros(n);
     for i in 0..n {
@@ -690,12 +693,16 @@ fn unpack_dense(gathered: &[u64], n: usize) -> GatheredData {
     GatheredData { counts, sizes, liveness: vec![true; n] }
 }
 
-/// Expand per-rank sparse `(dst, count, bytes)` triples into the dense
-/// matrices of [`GatheredData`].  Unmentioned cells stay zero, which is
-/// exactly what the dense representation recorded for them — the reason
-/// sparse and dense gathers are bit-identical.  Ranks marked dead in `alive`
-/// shipped no row, so theirs stay zero too.
-fn densify(rows: &[Vec<u64>], n: usize, alive: Option<&[bool]>) -> GatheredData {
+/// Build the sparse matrices of [`GatheredData`] from per-rank
+/// `(dst, count, bytes)` triples.  Unmentioned cells are zero, which is
+/// exactly what the sender recorded for them — the reason sparse and dense
+/// gathers are bit-identical.  Ranks marked dead in `alive` shipped no row,
+/// so theirs stay zero too.
+///
+/// # Panics
+/// Panics on a destination outside the communicator: a corrupt triple fails
+/// here instead of landing in another rank's row.
+fn gathered_from_triples(rows: &[Vec<u64>], n: usize, alive: Option<&[bool]>) -> GatheredData {
     let mut counts = CommMatrix::zeros(n);
     let mut sizes = CommMatrix::zeros(n);
     for (i, row) in rows.iter().enumerate() {

@@ -177,12 +177,18 @@ fn copy_out(
     let Some(data) = data else {
         return Ok(());
     };
-    let n2 = data.counts.order() * data.counts.order();
-    if matrix_counts.len() < n2 || matrix_sizes.len() < n2 {
+    let n = data.counts.order();
+    if matrix_counts.len() < n * n || matrix_sizes.len() < n * n {
         return Err(MonError::InternalFail("output buffer too small".into()));
     }
-    matrix_counts[..n2].copy_from_slice(data.counts.as_row_major());
-    matrix_sizes[..n2].copy_from_slice(data.sizes.as_row_major());
+    for (out, matrix) in [(matrix_counts, &data.counts), (matrix_sizes, &data.sizes)] {
+        out[..n * n].fill(0);
+        for i in 0..n {
+            for &(j, v) in matrix.row(i) {
+                out[i * n + j] = v;
+            }
+        }
+    }
     Ok(())
 }
 

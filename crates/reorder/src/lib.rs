@@ -189,10 +189,8 @@ pub fn monitored_reorder_windowed(
         gather_cost_ns += rank.now_ns() - t;
         if let (Some(acc), Some(data)) = (acc.as_mut(), gw.data) {
             for i in 0..n {
-                for (j, &bytes) in data.sizes.row(i).iter().enumerate() {
-                    if bytes != 0 {
-                        acc.add(i, j, bytes);
-                    }
+                for &(j, bytes) in data.sizes.row(i) {
+                    acc.add(i, j, bytes);
                 }
             }
         }
@@ -316,8 +314,17 @@ pub fn monitored_reorder_resilient(
     let sub = match &gathered {
         Ok(Some(data)) => {
             let live: Vec<usize> = (0..comm.size()).filter(|&r| alive[r]).collect();
-            let rows = live.iter().flat_map(|&a| live.iter().map(move |&b| data.sizes.get(a, b)));
-            Ok(CommMatrix::from_row_major(m, rows.collect()))
+            // Working rank = position in the ascending `live`; the dead's
+            // columns find no position and drop out.
+            let mut sub = CommMatrix::zeros(m);
+            for (a, &r) in live.iter().enumerate() {
+                for &(c, bytes) in data.sizes.row(r) {
+                    if let Ok(b) = live.binary_search(&c) {
+                        sub.set(a, b, bytes);
+                    }
+                }
+            }
+            Ok(sub)
         }
         Ok(None) => Err("no matrix at root".to_string()),
         Err(why) => Err(why.clone()),

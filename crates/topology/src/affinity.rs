@@ -1,108 +1,106 @@
-//! Dense process-affinity (communication) matrices.
+//! Process-affinity (communication) matrices.
 //!
 //! The monitoring library produces these (messages / bytes exchanged per
 //! ordered pair of processes) and TreeMatch consumes them.
 
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
-/// A dense `n × n` matrix of `u64` (row-major): `m[i][j]` is the traffic
-/// process `i` sent to process `j`.
+/// An `n × n` matrix of `u64` stored as sorted sparse rows: `m[i][j]` is
+/// the traffic process `i` sent to process `j`.  A row holds only its
+/// non-zero cells, so a nearest-neighbour pattern costs O(nnz), not O(n²),
+/// and the derived `Eq` is matrix equality.  `get`, `set` and `add` panic
+/// on an index outside `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommMatrix {
-    n: usize,
-    data: Vec<u64>,
+    /// `rows[i]` = `(j, m[i][j])` for every non-zero cell, ascending `j`.
+    rows: Vec<Vec<(usize, u64)>>,
 }
 
 impl CommMatrix {
     /// Zero matrix of order `n`.
     pub fn zeros(n: usize) -> Self {
-        Self { n, data: vec![0; n * n] }
-    }
-
-    /// Build from a row-major buffer.
-    ///
-    /// # Panics
-    /// Panics when `data.len() != n * n`.
-    pub fn from_row_major(n: usize, data: Vec<u64>) -> Self {
-        assert_eq!(data.len(), n * n, "matrix buffer length mismatch");
-        Self { n, data }
-    }
-
-    /// Build by concatenating per-process rows (the shape `allgather_data`
-    /// produces).
-    pub fn from_rows(rows: &[Vec<u64>]) -> Self {
-        let n = rows.len();
-        let mut data = Vec::with_capacity(n * n);
-        for r in rows {
-            assert_eq!(r.len(), n, "row length must equal matrix order");
-            data.extend_from_slice(r);
-        }
-        Self { n, data }
+        Self { rows: vec![Vec::new(); n] }
     }
 
     /// Matrix order.
     pub fn order(&self) -> usize {
-        self.n
+        self.rows.len()
+    }
+
+    /// Where column `j` sits in row `i`: `Ok(pos)` when stored, `Err(pos)`
+    /// where it would go.
+    ///
+    /// # Panics
+    /// Panics when `i` or `j` is out of range.
+    fn find(&self, i: usize, j: usize) -> Result<usize, usize> {
+        assert!(j < self.order(), "column {j} out of range for order {}", self.order());
+        self.rows[i].binary_search_by_key(&j, |&(c, _)| c)
     }
 
     /// Entry `(i, j)`.
     pub fn get(&self, i: usize, j: usize) -> u64 {
-        self.data[i * self.n + j]
+        self.find(i, j).map_or(0, |pos| self.rows[i][pos].1)
     }
 
-    /// Set entry `(i, j)`.
+    /// Set entry `(i, j)`; setting 0 removes the cell.
     pub fn set(&mut self, i: usize, j: usize, v: u64) {
-        self.data[i * self.n + j] = v;
+        match (self.find(i, j), v) {
+            (Ok(pos), 0) => {
+                self.rows[i].remove(pos);
+            }
+            (Ok(pos), v) => self.rows[i][pos].1 = v,
+            (Err(_), 0) => {}
+            (Err(pos), v) => self.rows[i].insert(pos, (j, v)),
+        }
     }
 
     /// Add `v` to entry `(i, j)`.
     pub fn add(&mut self, i: usize, j: usize, v: u64) {
-        self.data[i * self.n + j] += v;
+        match self.find(i, j) {
+            Ok(pos) => self.rows[i][pos].1 += v,
+            Err(pos) if v != 0 => self.rows[i].insert(pos, (j, v)),
+            Err(_) => {}
+        }
     }
 
-    /// Row `i` as a slice.
-    pub fn row(&self, i: usize) -> &[u64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// The raw row-major buffer.
-    pub fn as_row_major(&self) -> &[u64] {
-        &self.data
+    /// Row `i`'s non-zero cells `(j, m[i][j])`, ascending `j`.
+    pub fn row(&self, i: usize) -> &[(usize, u64)] {
+        &self.rows[i]
     }
 
     /// Sum of all entries.
     pub fn total(&self) -> u64 {
-        self.data.iter().sum()
+        self.rows.iter().flatten().map(|&(_, v)| v).sum()
     }
 
     /// Number of nonzero entries.
     pub fn nnz(&self) -> usize {
-        self.data.iter().filter(|&&v| v != 0).count()
+        self.rows.iter().map(Vec::len).sum()
     }
 
-    /// Symmetrized matrix `m + mᵀ` — TreeMatch works on undirected affinity.
-    pub fn symmetrized(&self) -> Self {
-        let mut out = Self::zeros(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                out.set(i, j, self.get(i, j) + self.get(j, i));
+    /// The undirected traffic TreeMatch works on: every `(i, j, m[i][j] +
+    /// m[j][i])` with `i < j` and a non-zero sum, sorted by `(i, j)`; the
+    /// diagonal is dropped.  Each pair is emitted once, from row `i` when
+    /// `m[i][j]` is stored, else from row `j`; the first kind comes out
+    /// sorted, so only the second is sorted in.  O(nnz log nnz) at worst.
+    pub fn pairs(&self) -> Vec<(usize, usize, u64)> {
+        let mut out = Vec::with_capacity(self.nnz());
+        let mut lower_only = Vec::new();
+        for (i, row) in self.rows.iter().enumerate() {
+            for &(j, v) in row {
+                match j.cmp(&i) {
+                    Ordering::Greater => out.push((i, j, v + self.get(j, i))),
+                    Ordering::Less if self.get(j, i) == 0 => lower_only.push((j, i, v)),
+                    _ => {}
+                }
             }
         }
-        out
-    }
-
-    /// Matrix after renaming process `i` to `k[i]` (the rank-reordering view:
-    /// `out[k[i]][k[j]] = m[i][j]`).
-    ///
-    /// # Panics
-    /// Panics when `k` is not a permutation of `0..order()`.
-    pub fn permuted(&self, k: &[usize]) -> Self {
-        assert_eq!(k.len(), self.n, "permutation size mismatch");
-        let mut out = Self::zeros(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                out.set(k[i], k[j], self.get(i, j));
-            }
+        if !lower_only.is_empty() {
+            lower_only.sort_unstable();
+            out.extend(lower_only);
+            // Two sorted runs: the stable sort merges them in one pass.
+            out.sort();
         }
         out
     }
@@ -110,8 +108,8 @@ impl CommMatrix {
     /// CSV rendering (one row per line).
     pub fn to_csv(&self) -> String {
         let mut s = String::new();
-        for i in 0..self.n {
-            for j in 0..self.n {
+        for i in 0..self.order() {
+            for j in 0..self.order() {
                 if j > 0 {
                     s.push(',');
                 }
@@ -137,42 +135,36 @@ mod tests {
         assert_eq!(m.get(0, 1), 7);
         assert_eq!(m.total(), 16);
         assert_eq!(m.nnz(), 2);
-        assert_eq!(m.row(0), &[0, 7, 0]);
-    }
-
-    #[test]
-    fn from_rows_matches_row_major() {
-        let m = CommMatrix::from_rows(&[vec![1, 2], vec![3, 4]]);
-        assert_eq!(m, CommMatrix::from_row_major(2, vec![1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn symmetrization() {
-        let m = CommMatrix::from_row_major(2, vec![0, 3, 1, 0]);
-        let s = m.symmetrized();
-        assert_eq!(s.get(0, 1), 4);
-        assert_eq!(s.get(1, 0), 4);
-        assert_eq!(s.total(), 8);
-    }
-
-    #[test]
-    fn permutation_moves_entries() {
-        let m = CommMatrix::from_row_major(3, vec![0, 9, 0, 0, 0, 0, 0, 0, 0]);
-        // Rename 0→2, 1→0, 2→1: the 0→1 traffic becomes 2→0 traffic.
-        let p = m.permuted(&[2, 0, 1]);
-        assert_eq!(p.get(2, 0), 9);
-        assert_eq!(p.total(), 9);
+        assert_eq!(m.row(0), &[(1, 7)]);
+        m.set(2, 0, 0);
+        assert_eq!(m.nnz(), 1, "a zero is never stored");
     }
 
     #[test]
     fn csv_shape() {
-        let m = CommMatrix::from_row_major(2, vec![1, 2, 3, 4]);
+        let mut m = CommMatrix::zeros(2);
+        for (i, j, v) in [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)] {
+            m.set(i, j, v);
+        }
         assert_eq!(m.to_csv(), "1,2\n3,4\n");
     }
 
     #[test]
-    #[should_panic]
-    fn bad_buffer_rejected() {
-        CommMatrix::from_row_major(2, vec![1, 2, 3]);
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_column_rejected() {
+        // Column 2 of an order-2 matrix must not alias m[1][0].
+        CommMatrix::zeros(2).get(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_set_rejected() {
+        CommMatrix::zeros(2).set(0, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_add_rejected() {
+        CommMatrix::zeros(2).add(0, 2, 0);
     }
 }

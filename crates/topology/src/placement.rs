@@ -94,22 +94,6 @@ impl Placement {
     pub fn as_slice(&self) -> &[usize] {
         &self.proc_to_core
     }
-
-    /// Placement in which process `p` takes the core previously used by
-    /// process `sigma[p]` — i.e. the placement whose cost TreeMatch evaluates
-    /// when it proposes assignment `sigma`.
-    ///
-    /// # Panics
-    /// Panics when `sigma` is not a permutation of `0..len()`.
-    pub fn apply_permutation(&self, sigma: &[usize]) -> Self {
-        assert_eq!(sigma.len(), self.len(), "permutation size mismatch");
-        let mut seen = vec![false; sigma.len()];
-        for &s in sigma {
-            assert!(s < sigma.len() && !seen[s], "not a permutation");
-            seen[s] = true;
-        }
-        Self { proc_to_core: sigma.iter().map(|&s| self.proc_to_core[s]).collect() }
-    }
 }
 
 /// Inverse of a permutation: `inverse(k)[k[i]] == i`.
@@ -169,13 +153,6 @@ mod tests {
     #[should_panic]
     fn explicit_rejects_collision() {
         Placement::explicit(vec![0, 1, 1]);
-    }
-
-    #[test]
-    fn permutation_application() {
-        let p = Placement::explicit(vec![10, 20, 30]);
-        let q = p.apply_permutation(&[2, 0, 1]);
-        assert_eq!(q.as_slice(), &[30, 10, 20]);
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl TopologyTree {
     pub fn distance(&self, a: usize, b: usize) -> usize {
         2 * (self.depth() - self.lca_depth(a, b))
     }
-
-    /// The per-level path of a leaf: index of the child taken at each level.
-    pub fn leaf_path(&self, leaf: usize) -> Vec<usize> {
-        debug_assert!(leaf < self.num_leaves());
-        (0..self.depth()).map(|d| (leaf / self.subtree_leaves[d + 1]) % self.arities[d]).collect()
-    }
-
-    /// True when both leaves sit under the same subtree rooted at `level`.
-    pub fn same_subtree(&self, a: usize, b: usize, level: usize) -> bool {
-        self.ancestor(a, level) == self.ancestor(b, level)
-    }
 }
 
 #[cfg(test)]
@@ -157,23 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn leaf_path_roundtrip() {
-        let t = plafrim4();
-        for leaf in 0..t.num_leaves() {
-            let path = t.leaf_path(leaf);
-            assert_eq!(path.len(), 3);
-            let rebuilt = path[0] * t.subtree_leaves(1) + path[1] * t.subtree_leaves(2) + path[2];
-            assert_eq!(rebuilt, leaf);
-        }
-    }
-
-    #[test]
     fn ancestor_consistency() {
         let t = plafrim4();
         assert_eq!(t.ancestor(25, 1), 1); // core 25 lives on node 1
         assert_eq!(t.ancestor(25, 2), 2); // ... socket 2 (global numbering)
-        assert!(t.same_subtree(24, 47, 1));
-        assert!(!t.same_subtree(23, 24, 1));
+        assert_eq!(t.ancestor(24, 1), t.ancestor(47, 1));
+        assert_ne!(t.ancestor(23, 1), t.ancestor(24, 1));
     }
 
     #[test]

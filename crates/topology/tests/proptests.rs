@@ -9,10 +9,6 @@ fn arb_tree(g: &mut Gen) -> TopologyTree {
     TopologyTree::new((0..depth).map(|_| g.gen_range(1usize..6)).collect())
 }
 
-fn arb_entries(g: &mut Gen, n: usize, max: usize) -> Vec<(usize, usize, u64)> {
-    g.vec(0..max, |g| (g.index(n), g.index(n), g.gen_range(1u64..1000)))
-}
-
 props! {
     fn lca_is_symmetric_and_bounded(g) {
         let tree = arb_tree(g);
@@ -82,36 +78,40 @@ props! {
         assert_eq!(back, perm);
     }
 
-    fn matrix_permutation_preserves_mass(g) {
-        let entries = arb_entries(g, 6, 20);
-        let perm = g.permutation(6);
-        let mut m = CommMatrix::zeros(6);
-        for &(i, j, w) in &entries {
-            m.add(i, j, w);
-        }
-        let p = m.permuted(&perm);
-        assert_eq!(p.total(), m.total());
-        assert_eq!(p.nnz(), m.nnz());
-        // Spot-check an entry mapping.
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(p.get(perm[i], perm[j]), m.get(i, j));
+    /// The sparse rows against a dense `n × n` buffer fed the same random
+    /// `set` / `add` sequence, writes of 0 included; `pairs()` against the
+    /// dense `i < j` scan it replaced.
+    fn sparse_matrix_equals_dense_reference(g) {
+        let n = g.gen_range(1usize..9);
+        let mut m = CommMatrix::zeros(n);
+        let mut dense = vec![0u64; n * n];
+        for _ in 0..g.gen_range(0..4 * n * n) {
+            let (i, j) = (g.index(n), g.index(n));
+            let v = *g.choose(&[0u64, 1, 7, 1000]);
+            if g.any_bool() {
+                m.set(i, j, v);
+                dense[i * n + j] = v;
+            } else {
+                m.add(i, j, v);
+                dense[i * n + j] += v;
             }
         }
-    }
-
-    fn symmetrized_total_doubles(g) {
-        let entries = arb_entries(g, 5, 15);
-        let mut m = CommMatrix::zeros(5);
-        for &(i, j, w) in &entries {
-            m.add(i, j, w);
+        for i in 0..n {
+            let row: Vec<(usize, u64)> =
+                (0..n).map(|j| (j, dense[i * n + j])).filter(|&(_, v)| v != 0).collect();
+            assert_eq!(m.row(i), &row[..], "row {i}");
         }
-        let s = m.symmetrized();
-        assert_eq!(s.total(), 2 * m.total());
-        for i in 0..5 {
-            for j in 0..5 {
-                assert_eq!(s.get(i, j), s.get(j, i));
+        assert_eq!(m.total(), dense.iter().sum::<u64>());
+        assert_eq!(m.nnz(), dense.iter().filter(|&&v| v != 0).count());
+        let mut scan = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                let w = dense[i * n + j] + dense[j * n + i];
+                if w > 0 {
+                    scan.push((i, j, w));
+                }
             }
         }
+        assert_eq!(m.pairs(), scan);
     }
 }

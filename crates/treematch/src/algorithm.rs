@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use crate::affinity::{Affinity, SparseAffinity};
+use mim_topology::CommMatrix;
+
 use crate::grouping::{group_exhaustive, group_greedy};
 
 /// How each level's grouping problem is solved.
@@ -25,14 +26,14 @@ pub enum GroupingStrategy {
 ///
 /// # Panics
 /// Panics when the affinity has more processes than the tree has leaves.
-pub fn tree_match(arities: &[usize], affinity: &impl Affinity) -> Vec<usize> {
+pub fn tree_match(arities: &[usize], affinity: &CommMatrix) -> Vec<usize> {
     tree_match_with(arities, affinity, GroupingStrategy::Auto)
 }
 
 /// [`tree_match`] with an explicit grouping strategy.
 pub fn tree_match_with(
     arities: &[usize],
-    affinity: &impl Affinity,
+    affinity: &CommMatrix,
     strategy: GroupingStrategy,
 ) -> Vec<usize> {
     let leaves: usize = arities.iter().product();
@@ -52,10 +53,7 @@ pub fn tree_match_with(
             continue; // degenerate level: nothing to group
         }
         let groups = match resolve_strategy(strategy, k, a) {
-            GroupingStrategy::Exhaustive => {
-                let view = SparseAffinity::from_pairs(k, pairs.iter().copied());
-                group_exhaustive(k, a, &view)
-            }
+            GroupingStrategy::Exhaustive => group_exhaustive(k, a, &pairs),
             _ => group_greedy(k, a, &pairs),
         };
         // Fold member lists into their group, preserving group order (this
@@ -126,7 +124,7 @@ fn combinations_at_most(n: usize, k: usize, bound: u128) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::{stencil2d, SparseAffinity};
+    use crate::affinity::{from_pairs, stencil2d};
     use crate::cost::mapping_distance_cost;
     use mim_topology::{CommMatrix, TopologyTree};
 
@@ -239,7 +237,7 @@ mod tests {
             (1, 4, 3),
             (6, 7, 2),
         ];
-        let aff = SparseAffinity::from_pairs(8, pairs);
+        let aff = from_pairs(8, pairs);
         let arities = [2usize, 2, 2];
         let tree = TopologyTree::new(arities.to_vec());
         let g = tree_match_with(&arities, &aff, GroupingStrategy::Greedy);

@@ -22,9 +22,7 @@
 
 use std::cmp::Reverse;
 
-use mim_topology::{Machine, TopologyTree};
-
-use crate::affinity::Affinity;
+use mim_topology::{CommMatrix, Machine, TopologyTree};
 
 /// Assign each process to one of `slots` (core ids, all distinct):
 /// returns `sigma` with `sigma[p]` = index into `slots`.
@@ -34,11 +32,7 @@ use crate::affinity::Affinity;
 ///
 /// # Panics
 /// Panics when there are more processes than slots.
-pub fn place_constrained(
-    machine: &Machine,
-    slots: &[usize],
-    affinity: &impl Affinity,
-) -> Vec<usize> {
+pub fn place_constrained(machine: &Machine, slots: &[usize], affinity: &CommMatrix) -> Vec<usize> {
     let n = affinity.order();
     assert!(n <= slots.len(), "{n} processes cannot fit in {} slots", slots.len());
     let mut partitioner = Partitioner::new(&machine.tree, slots, n, &affinity.pairs());
@@ -318,12 +312,17 @@ impl<'a> Partitioner<'a> {
 /// [`place_constrained`] must equal element for element.
 #[cfg(test)]
 mod oracle {
-    use super::{Affinity, Machine};
+    use super::{CommMatrix, Machine};
+
+    /// The symmetric weight the member walk asks for.
+    fn weight(affinity: &CommMatrix, i: usize, j: usize) -> u64 {
+        affinity.get(i, j) + affinity.get(j, i)
+    }
 
     pub fn place_constrained(
         machine: &Machine,
         slots: &[usize],
-        affinity: &impl Affinity,
+        affinity: &CommMatrix,
     ) -> Vec<usize> {
         let n = affinity.order();
         let mut sigma = vec![usize::MAX; n];
@@ -336,7 +335,7 @@ mod oracle {
     fn recurse(
         machine: &Machine,
         slots: &[usize],
-        affinity: &impl Affinity,
+        affinity: &CommMatrix,
         level: usize,
         procs: Vec<usize>,
         slot_idx: Vec<usize>,
@@ -390,13 +389,13 @@ mod oracle {
 
     /// Kernighan–Lin-style pairwise refinement: swap processes across groups
     /// while any swap reduces the weight cut by the partition.
-    fn refine_partition(affinity: &impl Affinity, groups: &mut [(Vec<usize>, Vec<usize>)]) {
+    fn refine_partition(affinity: &CommMatrix, groups: &mut [(Vec<usize>, Vec<usize>)]) {
         if groups.len() < 2 {
             return;
         }
         // Connection of process p to group g.
         let conn = |p: usize, g: &[usize]| -> i64 {
-            g.iter().map(|&q| if q == p { 0 } else { affinity.weight(p, q) as i64 }).sum()
+            g.iter().map(|&q| if q == p { 0 } else { weight(affinity, p, q) as i64 }).sum()
         };
         let max_passes = 4;
         for _ in 0..max_passes {
@@ -410,7 +409,7 @@ mod oracle {
                             let d_a = conn(a, &groups[gb].0) - conn(a, &groups[ga].0);
                             for (ib, &b) in groups[gb].0.iter().enumerate() {
                                 let d_b = conn(b, &groups[ga].0) - conn(b, &groups[gb].0);
-                                let gain = d_a + d_b - 2 * affinity.weight(a, b) as i64;
+                                let gain = d_a + d_b - 2 * weight(affinity, a, b) as i64;
                                 if gain > 0 && best.is_none_or(|(g, _, _)| gain > g) {
                                     best = Some((gain, ia, ib));
                                 }
@@ -433,7 +432,7 @@ mod oracle {
     /// Remove and return a group of `size` processes from `pool`, grown greedily
     /// around the heaviest internal edge to maximize intra-group affinity.
     fn extract_cohesive_group(
-        affinity: &impl Affinity,
+        affinity: &CommMatrix,
         pool: &mut Vec<usize>,
         size: usize,
     ) -> Vec<usize> {
@@ -447,7 +446,7 @@ mod oracle {
         let mut seed = (pool[0], None, 0u64);
         for (x, &i) in pool.iter().enumerate() {
             for &j in &pool[x + 1..] {
-                let w = affinity.weight(i, j);
+                let w = weight(affinity, i, j);
                 if w > seed.2 {
                     seed = (i, Some(j), w);
                 }
@@ -466,7 +465,7 @@ mod oracle {
             let (pos, _) = pool
                 .iter()
                 .enumerate()
-                .map(|(pos, &p)| (pos, group.iter().map(|&g| affinity.weight(p, g)).sum::<u64>()))
+                .map(|(pos, &p)| (pos, group.iter().map(|&g| weight(affinity, p, g)).sum::<u64>()))
                 .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
                 .expect("pool cannot be empty while group is short");
             group.push(pool.remove(pos));
@@ -483,7 +482,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::SparseAffinity;
+    use crate::affinity::from_pairs;
     use crate::cost::mapping_distance_cost;
     use mim_topology::{CommMatrix, Machine, Placement};
     use mim_util::props;
@@ -588,7 +587,8 @@ mod tests {
         /// The tentpole's equivalence oracle: random machines, scattered
         /// slot sets and matrices — weights from `{1}`, `1..=3` and
         /// `1..=1000`, because ties are where a neighbour walk and a member
-        /// walk can diverge — place identically, dense or sparse.
+        /// walk can diverge — place identically, as built or rebuilt from
+        /// its pairs.
         fn adjacency_walk_equals_member_walk_oracle(g, cases = 256) {
             let machine =
                 Machine::cluster(g.gen_range(1usize..6), g.gen_range(1usize..4), g.gen_range(1usize..7));
@@ -604,7 +604,7 @@ mod tests {
                     dense.add(i, j, g.gen_range(1..max_w + 1));
                 }
             }
-            let sparse = SparseAffinity::from_pairs(n, Affinity::pairs(&dense));
+            let sparse = from_pairs(n, dense.pairs());
             let expected = oracle::place_constrained(&machine, slots, &dense);
             assert_eq!(place_constrained(&machine, slots, &dense), expected, "dense input");
             assert_eq!(place_constrained(&machine, slots, &sparse), expected, "sparse input");
@@ -618,7 +618,7 @@ mod tests {
         prows: usize,
         pcols: usize,
         nodes: usize,
-    ) -> (Machine, Vec<usize>, SparseAffinity) {
+    ) -> (Machine, Vec<usize>, CommMatrix) {
         let machine = Machine::cluster(nodes, 2, 32);
         let n = prows * pcols;
         let slots =
@@ -632,7 +632,7 @@ mod tests {
                 pairs.push((i, i + pcols, 2 * 32));
             }
         }
-        (machine, slots, SparseAffinity::from_pairs(n, pairs))
+        (machine, slots, from_pairs(n, pairs))
     }
 
     /// FNV-1a over `sigma`, eight little-endian bytes per element.

@@ -1,32 +1,17 @@
-//! Mapping-cost evaluators and baseline comparisons.
+//! The mapping-cost evaluator TreeMatch's results are compared by.
 
-use mim_topology::{Machine, TopologyTree};
-
-use crate::affinity::Affinity;
+use mim_topology::{CommMatrix, TopologyTree};
 
 /// Hop-distance cost of a mapping: `Σ w(i, j) · distance(core_i, core_j)`
 /// over unordered pairs.  `cores[p]` is the core (leaf) hosting process `p`.
 /// This is the objective TreeMatch minimizes.
-pub fn mapping_distance_cost(
-    tree: &TopologyTree,
-    cores: &[usize],
-    affinity: &impl Affinity,
-) -> u64 {
+pub fn mapping_distance_cost(tree: &TopologyTree, cores: &[usize], affinity: &CommMatrix) -> u64 {
     affinity.pairs().into_iter().map(|(i, j, w)| w * tree.distance(cores[i], cores[j]) as u64).sum()
-}
-
-/// Hockney-model cost of a mapping in nanoseconds:
-/// `Σ α(lca) + β(lca) · w(i, j)` over unordered pairs, treating the affinity
-/// weight as bytes.  A physically meaningful variant of the objective, used
-/// to compare placements in experiment output.
-pub fn mapping_comm_time_ns(machine: &Machine, cores: &[usize], affinity: &impl Affinity) -> f64 {
-    affinity.pairs().into_iter().map(|(i, j, w)| machine.message_ns(cores[i], cores[j], w)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mim_topology::CommMatrix;
 
     #[test]
     fn distance_cost_counts_hops() {
@@ -36,16 +21,6 @@ mod tests {
         // Same subtree: distance 2; across the root: distance 4.
         assert_eq!(mapping_distance_cost(&tree, &[0, 1], &m), 20);
         assert_eq!(mapping_distance_cost(&tree, &[0, 2], &m), 40);
-    }
-
-    #[test]
-    fn time_cost_prefers_local() {
-        let machine = Machine::cluster(2, 1, 2);
-        let mut m = CommMatrix::zeros(2);
-        m.set(0, 1, 1 << 20);
-        let local = mapping_comm_time_ns(&machine, &[0, 1], &m);
-        let remote = mapping_comm_time_ns(&machine, &[0, 2], &m);
-        assert!(local < remote);
     }
 
     #[test]

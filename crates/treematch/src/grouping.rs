@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::affinity::Affinity;
+use mim_topology::CommMatrix;
 
 /// Disjoint-set union with size tracking.
 pub(crate) struct Dsu {
@@ -105,22 +105,25 @@ pub fn group_greedy(k: usize, a: usize, pairs: &[(usize, usize, u64)]) -> Vec<Ve
 
 /// Exhaustive "best disjoint groups" grouping (TreeMatch's original small-
 /// instance kernel): enumerate all `C(k, a)` groups, sort by intra-group
-/// weight, greedily pick disjoint ones.
+/// weight, greedily pick disjoint ones.  Reads the same undirected pair
+/// list as [`group_greedy`] (duplicates summed, self-pairs ignored).
 ///
 /// # Panics
 /// Panics when `k % a != 0`, or when the instance is too large
 /// (`C(k, a) > 200_000`) — use [`group_greedy`] there.
-#[allow(clippy::needless_range_loop)] // indices address several arrays at once
-pub fn group_exhaustive(k: usize, a: usize, affinity: &impl Affinity) -> Vec<Vec<usize>> {
+pub fn group_exhaustive(k: usize, a: usize, pairs: &[(usize, usize, u64)]) -> Vec<Vec<usize>> {
     assert!(a > 0 && k.is_multiple_of(a), "{k} objects cannot form groups of {a}");
     assert!(n_choose_k(k, a) <= 200_000, "exhaustive grouping infeasible for C({k}, {a})");
-    // Total affinity of each object, for the external-traffic tie-break.
+    // The symmetric k × k weight table, and each object's total affinity
+    // for the external-traffic tie-break.
+    let mut weight = vec![0u64; k * k];
     let mut degree = vec![0u64; k];
-    for i in 0..k {
-        for j in 0..k {
-            if i != j {
-                degree[i] += affinity.weight(i, j);
-            }
+    for &(i, j, w) in pairs {
+        if i != j {
+            weight[i * k + j] += w;
+            weight[j * k + i] += w;
+            degree[i] += w;
+            degree[j] += w;
         }
     }
     // (intra weight, external weight, members): rank by most internal
@@ -134,7 +137,7 @@ pub fn group_exhaustive(k: usize, a: usize, affinity: &impl Affinity) -> Vec<Vec
             .iter()
             .enumerate()
             .flat_map(|(x, &i)| combo[x + 1..].iter().map(move |&j| (i, j)))
-            .map(|(i, j)| affinity.weight(i, j))
+            .map(|(i, j)| weight[i * k + j])
             .sum();
         let ext: u64 = combo.iter().map(|&i| degree[i]).sum::<u64>() - 2 * w;
         groups.push((w, ext, combo.clone()));
@@ -189,20 +192,20 @@ fn n_choose_k(n: usize, k: usize) -> u128 {
 }
 
 /// Intra-group affinity captured by a grouping (higher is better).
-pub fn grouping_value(groups: &[Vec<usize>], affinity: &impl Affinity) -> u64 {
+pub fn grouping_value(groups: &[Vec<usize>], affinity: &CommMatrix) -> u64 {
     groups
         .iter()
         .flat_map(|g| {
             g.iter().enumerate().flat_map(move |(x, &i)| g[x + 1..].iter().map(move |&j| (i, j)))
         })
-        .map(|(i, j)| affinity.weight(i, j))
+        .map(|(i, j)| affinity.get(i, j) + affinity.get(j, i))
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::SparseAffinity;
+    use crate::affinity::from_pairs;
 
     fn check_partition(groups: &[Vec<usize>], k: usize, a: usize) {
         assert_eq!(groups.len(), k / a);
@@ -218,12 +221,12 @@ mod tests {
     }
 
     /// 8 objects in 4 obvious pairs with strong internal traffic.
-    fn paired_affinity() -> SparseAffinity {
+    fn paired_affinity() -> CommMatrix {
         let mut pairs = vec![(0, 1, 100), (2, 3, 100), (4, 5, 100), (6, 7, 100)];
         // Weak noise across pairs.
         pairs.push((1, 2, 1));
         pairs.push((5, 6, 1));
-        SparseAffinity::from_pairs(8, pairs)
+        from_pairs(8, pairs)
     }
 
     #[test]
@@ -237,7 +240,7 @@ mod tests {
     #[test]
     fn exhaustive_finds_obvious_pairs() {
         let aff = paired_affinity();
-        let groups = group_exhaustive(8, 2, &aff);
+        let groups = group_exhaustive(8, 2, &aff.pairs());
         check_partition(&groups, 8, 2);
         assert_eq!(grouping_value(&groups, &aff), 400);
     }
@@ -271,9 +274,9 @@ mod tests {
             (3, 4, 8),
             (2, 5, 5),
         ];
-        let aff = SparseAffinity::from_pairs(6, pairs.clone());
+        let aff = from_pairs(6, pairs);
         let g = group_greedy(6, 2, &aff.pairs());
-        let e = group_exhaustive(6, 2, &aff);
+        let e = group_exhaustive(6, 2, &aff.pairs());
         assert!(grouping_value(&e, &aff) >= grouping_value(&g, &aff));
     }
 

@@ -20,10 +20,11 @@
 //!   (the occupied cores of a live job — what dynamic rank reordering needs,
 //!   cf. TreeMatchConstraints).  Partitions at the most expensive level
 //!   first, honouring exact per-subtree occupancies; reads the affinity
-//!   through `Affinity::pairs()` only — one neighbour list per process,
+//!   through `CommMatrix::pairs()` only — one neighbour list per process,
 //!   no `weight(p, q)` over the members of a group.
 //!
-//! Baseline placements and mapping-cost evaluators live in [`cost`].
+//! Both read a `mim_topology::CommMatrix`, the one traffic matrix type; the
+//! mapping-cost evaluator lives in [`cost`].
 
 pub mod affinity;
 pub mod algorithm;
@@ -31,7 +32,6 @@ pub mod constrained;
 pub mod cost;
 pub mod grouping;
 
-pub use affinity::{Affinity, SparseAffinity};
 pub use algorithm::{tree_match, tree_match_with, GroupingStrategy};
 pub use constrained::place_constrained;
-pub use cost::{mapping_comm_time_ns, mapping_distance_cost};
+pub use cost::mapping_distance_cost;

@@ -1,17 +1,16 @@
 //! Property-based tests for TreeMatch and the constrained partitioner.
 
 use mim_topology::{CommMatrix, Machine};
+use mim_treematch::affinity::from_pairs;
 use mim_treematch::grouping::{group_greedy, grouping_value};
-use mim_treematch::{
-    place_constrained, tree_match_with, Affinity, GroupingStrategy, SparseAffinity,
-};
+use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy};
 use mim_util::prop::Gen;
 use mim_util::props;
 use mim_util::rng::Rng;
 
-fn arb_sparse(g: &mut Gen, n: usize, max_edges: usize) -> SparseAffinity {
+fn arb_sparse(g: &mut Gen, n: usize, max_edges: usize) -> CommMatrix {
     let pairs = g.vec(0..max_edges, |g| (g.index(n), g.index(n), g.gen_range(1u64..10_000)));
-    SparseAffinity::from_pairs(n, pairs.into_iter().filter(|&(i, j, _)| i != j))
+    from_pairs(n, pairs.into_iter().filter(|&(i, j, _)| i != j))
 }
 
 fn assert_injective(sigma: &[usize], slots: usize) {
@@ -95,17 +94,21 @@ props! {
         assert!(grouping_value(&groups, &aff) <= total);
     }
 
+    /// A matrix with traffic both ways and the one `from_pairs` builds
+    /// from its pair list are the same affinity to TreeMatch.
     fn dense_and_sparse_affinity_agree(g) {
         let entries = g.vec(0..15, |g| (g.index(6), g.index(6), g.gen_range(1u64..100)));
         let mut m = CommMatrix::zeros(6);
         for &(i, j, w) in &entries {
             m.add(i, j, w);
         }
-        let sparse = SparseAffinity::from_pairs(6, Affinity::pairs(&m));
+        let sparse = from_pairs(6, m.pairs());
+        assert_eq!(sparse.pairs(), m.pairs());
         for i in 0..6 {
             for j in 0..6 {
                 if i != j {
-                    assert_eq!(Affinity::weight(&m, i, j), sparse.weight(i, j));
+                    let weight = |a: &CommMatrix| a.get(i, j) + a.get(j, i);
+                    assert_eq!(weight(&m), weight(&sparse));
                 }
             }
         }

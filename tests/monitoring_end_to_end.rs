@@ -3,7 +3,7 @@
 
 use mim_core::{Flags, MonError, Monitoring, Msid};
 use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
-use mim_topology::{Machine, Placement};
+use mim_topology::{CommMatrix, Machine, Placement};
 
 fn universe(np: usize) -> Universe {
     Universe::new(UniverseConfig::new(Machine::plafrim(2), Placement::packed(np)))
@@ -42,8 +42,9 @@ fn forty_eight_ranks_mixed_traffic() {
         assert_eq!(all.sizes.total(), p2p.sizes.total() + coll.sizes.total());
         // Row consistency: the gathered matrix row i equals rank i's own row.
         let row = mon.get_data(id, Flags::ALL_COMM).unwrap();
-        assert_eq!(all.counts.row(me), &row.counts[..]);
-        assert_eq!(all.sizes.row(me), &row.sizes[..]);
+        let dense_row = |m: &CommMatrix| (0..np).map(|j| m.get(me, j)).collect::<Vec<_>>();
+        assert_eq!(dense_row(&all.counts), row.counts);
+        assert_eq!(dense_row(&all.sizes), row.sizes);
 
         mon.free(id).unwrap();
         mon.finalize(rank).unwrap();

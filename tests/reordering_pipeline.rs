@@ -96,9 +96,8 @@ fn mapping_never_worse_than_identity_on_clustered_patterns() {
     let k = compute_mapping(&machine, &placement, &group, &m);
     let inv = inverse_permutation(&k);
     let cost = |assign: &dyn Fn(usize) -> usize| -> u64 {
-        use mim_treematch::{mapping_distance_cost, Affinity};
+        use mim_treematch::mapping_distance_cost;
         let cores: Vec<usize> = (0..np).map(|r| placement.core_of(assign(r))).collect();
-        let _ = m.pairs();
         mapping_distance_cost(&machine.tree, &cores, &m)
     };
     // Pattern role r runs on the process with old rank inv[r].
