@@ -33,9 +33,9 @@
 //! [`Outcome::ExploredClean`] (with the number of schedules that survived).
 //!
 //! The same [`policy`] types implement `mim_mpisim::SchedulePolicy`, so a
-//! recorded decision log can also steer the *live* threaded runtime
-//! through its scheduling seams (task resume order, wildcard matching,
-//! wire-delivery order).
+//! recorded decision log can also steer the *live* runtime through its
+//! scheduling seams (task resume order, wildcard matching); a policed
+//! universe always runs the serialised (one-worker) tasks engine.
 //!
 //! [`PotentialDeadlock`]: mim_analyze::Verdict::PotentialDeadlock
 //! [`Program`]: mim_analyze::Program

@@ -28,7 +28,8 @@ use crate::policy::{RecordingPolicy, ReplayPolicy};
 ///
 /// The narrow `(kind, slate size, race flags)` view matches what the live
 /// runtime's `SchedulePolicy` seams expose, so one decision log drives
-/// both executors.
+/// both this executor and the live runtime, which under a policy always
+/// runs the serialised (one-worker) tasks engine.
 pub trait ModelPolicy {
     /// Choose an index in `0..n` for a decision of `kind`.
     fn pick(&self, kind: char, n: usize, racy: &[bool]) -> usize;

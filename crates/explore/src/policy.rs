@@ -2,11 +2,11 @@
 //! strict replay, plus the compact decision-log wire format.
 //!
 //! A *decision* is one consultation of the scheduler at a nondeterminism
-//! seam: kind `'r'` (task resume order), `'w'` (wildcard channel choice)
-//! or `'d'` (wire delivery order — live runtime only; the model executor
-//! delivers eagerly and never emits one).  Policies see only the slate
-//! size and per-candidate race flags, never the candidates themselves, so
-//! the same log steers both the model executor and the live runtime.
+//! seam: kind `'r'` (task resume order) or `'w'` (wildcard channel
+//! choice).  Policies see only the slate size and per-candidate race
+//! flags, never the candidates themselves, so the same log steers both the
+//! model executor and the live runtime, which under a policy always runs
+//! the serialised (one-worker) tasks engine.
 //!
 //! The log serializes as `"{kind}:{chosen}/{n};"` per decision —
 //! `"r:1/3;w:0/2;"` — which is what the runtime's deadline panic appends
@@ -31,7 +31,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// and the unexplored alternatives of its persistent set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rec {
-    /// Seam kind code (`'r'` / `'w'` / `'d'`).
+    /// Seam kind code (`'r'` resume / `'w'` wildcard).
     pub kind: char,
     /// Slate size at the decision.
     pub n: usize,
@@ -207,7 +207,7 @@ pub fn parse_log(log: &str) -> Result<Vec<(char, usize, usize)>, String> {
         let err = || format!("decision #{i} malformed: {item:?}");
         let (kind, rest) = item.split_at(item.chars().next().map_or(0, char::len_utf8));
         let kind = kind.chars().next().ok_or_else(err)?;
-        if !matches!(kind, 'r' | 'w' | 'd') {
+        if !matches!(kind, 'r' | 'w') {
             return Err(format!("decision #{i} has unknown kind {kind:?}"));
         }
         let rest = rest.strip_prefix(':').ok_or_else(err)?;
@@ -261,6 +261,7 @@ mod tests {
         assert_eq!(parse_log(&log).unwrap(), vec![('r', 1, 3), ('w', 0, 2), ('w', 0, 4)]);
         assert!(parse_log("r:3/3;").is_err());
         assert!(parse_log("x:0/1;").is_err());
+        assert!(parse_log("d:0/2;").is_err());
         assert!(parse_log("r:/1;").is_err());
     }
 

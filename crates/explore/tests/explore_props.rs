@@ -14,7 +14,7 @@ use mim_explore::plans::{wildcard_clean, wildcard_race};
 use mim_explore::{
     explore, replay, run_model, Budget, Outcome, RecordingPolicy, ReplayPolicy, Witness,
 };
-use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{CanonicalPolicy, ExecutorKind, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 use mim_util::bench::quick_mode;
 use mim_util::prop::Gen;
@@ -283,6 +283,78 @@ fn decision_logs_drive_the_live_runtime() {
     let tags2 = run(rep.clone());
     assert_eq!(tags2, tags, "replaying the decision log must reproduce the run");
     assert_eq!(rep.divergence(), None);
+}
+
+/// One probe → record → replay cycle of the test above, on a config that
+/// requests `executor`.  True when the scripted choice steered the match
+/// and the strict replay reproduced the run without diverging.
+fn record_replay_cycle(executor: ExecutorKind) -> bool {
+    let run = |policy: Arc<dyn mim_mpisim::SchedulePolicy>| {
+        let cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(2))
+            .with_executor(executor)
+            .with_schedule_policy(policy);
+        Universe::new(cfg).launch(|rank| {
+            let world = rank.comm_world();
+            if rank.world_rank() == 1 {
+                rank.send(&world, 0, 5, &[1i64]);
+                rank.send(&world, 0, 6, &[2i64]);
+            }
+            rank.barrier(&world);
+            if rank.world_rank() == 0 {
+                let (_, a) = rank.recv::<i64>(&world, SrcSel::Any, TagSel::Any);
+                let (_, b) = rank.recv::<i64>(&world, SrcSel::Any, TagSel::Any);
+                vec![a.tag, b.tag]
+            } else {
+                Vec::new()
+            }
+        })
+    };
+    let probe = Arc::new(RecordingPolicy::canonical());
+    run(probe.clone());
+    let Some(first_w) = probe.recs().iter().position(|r| r.kind == 'w') else {
+        return false;
+    };
+    let mut script = vec![0; first_w];
+    script.push(1);
+    let rec = Arc::new(RecordingPolicy::scripted(script));
+    let tags = run(rec.clone());
+    let rep = Arc::new(ReplayPolicy::from_log(&rec.log()).expect("a recorded log parses"));
+    tags[0] == [6, 5] && run(rep.clone()) == tags && rep.divergence().is_none()
+}
+
+/// The replay contract holds whatever engine a policed config requests: a
+/// schedule policy runs the single-worker tasks engine, so which questions
+/// a run asks, and how many, depends on the answers alone.  A decision
+/// count that depends on OS-thread timing shows in under one cycle in a
+/// hundred, so each engine runs a thousand cycles, four at a time: rank
+/// threads then contend for cores as they do on a busy test runner.
+#[test]
+fn decision_logs_replay_whatever_executor_is_requested() {
+    if !mim_util::fiber::SUPPORTED {
+        return;
+    }
+    const CYCLES: usize = 1000;
+    const LANES: usize = 4;
+    let failed = [ExecutorKind::Threads, ExecutorKind::Tasks].map(|kind| {
+        let lane = move || (0..CYCLES / LANES).filter(|_| !record_replay_cycle(kind)).count();
+        let n: usize = std::thread::scope(|s| {
+            let lanes: Vec<_> = (0..LANES).map(|_| s.spawn(lane)).collect();
+            lanes.into_iter().map(|h| h.join().expect("a cycle panicked")).sum()
+        });
+        (kind, n)
+    });
+    assert!(
+        failed.iter().all(|&(_, n)| n == 0),
+        "failed record → replay cycles, of {CYCLES} per engine: {failed:?}"
+    );
+    let cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(2))
+        .with_executor(ExecutorKind::Threads)
+        .with_schedule_policy(Arc::new(CanonicalPolicy));
+    assert_eq!(
+        Universe::new(cfg).config().executor,
+        ExecutorKind::Tasks,
+        "a schedule policy must select the tasks engine"
+    );
 }
 
 /// One seeded random plan: 2–6 ranks, 0–2 sub-communicators, 0–2 windows,

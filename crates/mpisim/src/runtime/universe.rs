@@ -1,9 +1,9 @@
-//! The universe: job configuration, the shared delivery stage every
+//! The universe: job configuration, the shared delivery funnel every
 //! envelope is posted through, the two rank engines, the one per-slot
 //! driver they run and the two launches.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -23,7 +23,7 @@ use crate::exec::{self, ExecShared, ExecStats, ExecutorKind};
 use crate::fault::{self, FaultInjector, RankFailure};
 use crate::nic::NicCounters;
 use crate::pml::PmlHook;
-use crate::sched::{clamp_choice, Decision, PolicyHandle};
+use crate::sched::PolicyHandle;
 
 /// Stack size of rank threads (Threads mode).
 const THREAD_STACK_SIZE: usize = 4 << 20;
@@ -44,7 +44,9 @@ pub struct UniverseConfig {
     /// or M:N rank tasks on a fixed worker pool
     /// ([`ExecutorKind::Tasks`], the 10k-rank engine).  Defaults from
     /// `MIM_EXECUTOR`; both modes produce bit-identical virtual-time
-    /// results (see `tests/executor_equivalence.rs`).
+    /// results (see `tests/executor_equivalence.rs`).  A schedule policy
+    /// (`sched`) overrides it: [`Universe::new`] sets it to `Tasks`, and
+    /// `MIM_EXECUTOR` is ignored.
     pub executor: ExecutorKind,
     /// Tracing subsystem: each rank records its wire events on a per-rank
     /// track (flight recorder + optional `MIM_TRACE` file sink).  `None`
@@ -57,10 +59,13 @@ pub struct UniverseConfig {
     /// (measured by the `chaos_overhead` microbench).
     pub injector: Option<Arc<dyn FaultInjector>>,
     /// Optional schedule policy (see [`crate::sched`] and the `mim-explore`
-    /// crate): takes over the runtime's three nondeterminism points —
-    /// wildcard matching, task resume order, wire-delivery order.  `None`
-    /// keeps every hook a single branch-on-`Option`; the canonical policy
-    /// is bit-identical to `None`.
+    /// crate): takes over the runtime's two nondeterminism points —
+    /// wildcard matching and task resume order.  A policy overrides
+    /// `executor`: the universe runs the tasks engine on one worker, so
+    /// the policy's answers are the only source of interleaving, and
+    /// [`Universe::new`] panics where stackful fibers are not supported.
+    /// `None` keeps every hook a single branch-on-`Option`; the canonical
+    /// policy is bit-identical to `None`.
     pub sched: Option<PolicyHandle>,
     /// Elastic universes: the number of trailing placement slots reserved
     /// for ranks that may *join* the universe mid-run.  The initial world
@@ -116,9 +121,15 @@ impl UniverseConfig {
     }
 
     /// Install a schedule policy (builder style): the policy decides
-    /// wildcard matches, task resume order (Tasks mode, forced to one
-    /// worker) and wire-delivery order, and its decision log rides along in
-    /// deadlock panics.
+    /// wildcard matches and task resume order, and its decision log rides
+    /// along in deadlock panics.  It overrides `executor`: a policed
+    /// universe runs the tasks engine on one worker, whatever
+    /// [`with_executor`](Self::with_executor) or `MIM_EXECUTOR` says.
+    ///
+    /// # Panics
+    /// [`Universe::new`] panics on a policed config where stackful fibers
+    /// are not supported (`mim_util::fiber::SUPPORTED` is false): schedule
+    /// policies need the tasks engine, which runs on x86_64 unix only.
     pub fn with_schedule_policy(mut self, policy: PolicyHandle) -> Self {
         self.sched = Some(policy);
         self
@@ -178,12 +189,6 @@ pub(crate) struct Shared {
     /// [`ExecutorKind::Tasks`] mode.  Senders notify it after every
     /// delivery so a parked destination task gets rescheduled.
     pub(crate) exec: Option<Arc<ExecShared>>,
-    /// Wire-delivery staging area, used only under a schedule policy:
-    /// posted envelopes wait here as `(ticket, dst, env)` until the policy
-    /// releases them (see [`Shared::post`]).
-    stage: Mutex<VecDeque<(u64, usize, Envelope)>>,
-    /// Ticket allocator for staged deliveries.
-    stage_ticket: AtomicU64,
     /// `MPI_COMM_WORLD`'s group, built once: every rank's world
     /// communicator shares it.
     pub(super) world_group: Arc<Group>,
@@ -206,20 +211,12 @@ impl Shared {
     /// executor, wake `dst`'s task if it is parked.  Every wire-layer send
     /// must go through here — a bare `senders[dst].send` would leave a
     /// parked destination asleep until the stall resolver falsely times it
-    /// out.  Returns whether the channel accepted the envelope.
+    /// out.  Returns whether the channel accepted the envelope.  What a post
+    /// costs the host is proportional to the message: the channel and the
+    /// executor issue a condvar wake only to a thread that is asleep (no
+    /// rank task ever is), and the sender keeps its worker unless this post
+    /// spends its per-resume budget on a queued peer.
     pub(crate) fn post(&self, dst: usize, env: Envelope) -> bool {
-        match &self.cfg.sched {
-            Some(policy) => self.post_policed(policy, dst, env),
-            None => self.post_direct(dst, env),
-        }
-    }
-
-    /// The un-policed delivery: send, then wake a parked destination task.
-    /// What a post costs the host is proportional to the message: the
-    /// channel and the executor issue a condvar wake only to a thread that
-    /// is asleep (no rank task ever is), and the sender keeps its worker
-    /// unless this post spends its per-resume budget on a queued peer.
-    fn post_direct(&self, dst: usize, env: Envelope) -> bool {
         let delivered = self.senders[dst].send(env).is_ok();
         if delivered {
             if let Some(exec) = &self.exec {
@@ -231,53 +228,6 @@ impl Shared {
             }
         }
         delivered
-    }
-
-    /// Policed delivery: stage the envelope, then release staged envelopes
-    /// in policy-chosen order until the stage drains.  The slate is offered
-    /// in posting (FIFO) order, so the canonical index-0 answer releases
-    /// exactly as [`Shared::post_direct`] would — bit-identical; singleton
-    /// slates skip the policy call entirely.  A staged envelope can be
-    /// released by a *concurrent* poster's drain loop, in which case its
-    /// original poster reports success: the only false return is a send to
-    /// a gone mailbox under the recoverable launch (`launch_faulty`: crash
-    /// plans, membership churn), which is not combined with schedule
-    /// exploration.
-    fn post_policed(&self, policy: &PolicyHandle, dst: usize, env: Envelope) -> bool {
-        let my_ticket = {
-            let mut stage = self.stage.lock();
-            let t = self.stage_ticket.fetch_add(1, Ordering::Relaxed);
-            stage.push_back((t, dst, env));
-            t
-        };
-        let mut my_result = true;
-        // Pop under the lock, deliver outside it: `post_direct` may suspend
-        // the calling fiber in its fairness yield, and a suspended fiber
-        // must never hold the stage.
-        while let Some((ticket, d, e)) = self.stage_pop(policy) {
-            let delivered = self.post_direct(d, e);
-            if ticket == my_ticket {
-                my_result = delivered;
-            }
-        }
-        my_result
-    }
-
-    /// Take one staged envelope, consulting the policy when several are
-    /// pending.  The slate is in posting (FIFO) order.
-    fn stage_pop(&self, policy: &PolicyHandle) -> Option<(u64, usize, Envelope)> {
-        let mut stage = self.stage.lock();
-        match stage.len() {
-            0 => None,
-            1 => stage.pop_front(),
-            n => {
-                let slate: Vec<(usize, usize)> =
-                    stage.iter().map(|(_, d, e)| (e.src_world, *d)).collect();
-                let i =
-                    clamp_choice(policy.choose(Decision::WireDelivery { candidates: &slate }), n);
-                stage.remove(i)
-            }
-        }
     }
 }
 
@@ -305,10 +255,21 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Wire a universe for `cfg.nprocs()` ranks.
-    pub fn new(cfg: UniverseConfig) -> Self {
+    /// Wire a universe for `cfg.nprocs()` ranks.  A schedule policy selects
+    /// the tasks engine: [`Universe::config`] then reports
+    /// [`ExecutorKind::Tasks`], whatever `cfg.executor` said.
+    ///
+    /// # Panics
+    /// Panics on an empty placement, and on a config with a schedule
+    /// policy where stackful fibers are not supported.
+    pub fn new(mut cfg: UniverseConfig) -> Self {
         let n = cfg.nprocs();
         assert!(n > 0, "universe needs at least one rank");
+        if cfg.sched.is_some() {
+            // Replay needs a run's questions to depend on its answers
+            // alone: only one rank may run at a time.
+            cfg.executor = ExecutorKind::Tasks;
+        }
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let core_to_node =
             (0..cfg.machine.num_cores()).map(|c| cfg.machine.node_of_core(c)).collect();
@@ -320,6 +281,10 @@ impl Universe {
                 Some(ExecShared::new(n, cfg.sched.clone()))
             }
             ExecutorKind::Tasks => {
+                assert!(
+                    cfg.sched.is_none(),
+                    "schedule policies need the tasks engine (stackful fibers: x86_64 unix only)"
+                );
                 eprintln!(
                     "mim-mpisim: MIM_EXECUTOR=tasks needs stackful fibers \
                      (x86_64 unix only); falling back to thread-per-rank"
@@ -337,8 +302,6 @@ impl Universe {
             admitted: (0..n).map(|i| AtomicBool::new(i < cfg.initial())).collect(),
             faulty: AtomicBool::new(false),
             exec,
-            stage: Mutex::new(VecDeque::new()),
-            stage_ticket: AtomicU64::new(0),
             world_group: Group::new((0..cfg.initial()).collect()),
             groups: Groups::default(),
             cfg,

@@ -1,7 +1,7 @@
-//! Schedule-control seam: the three nondeterminism points of the runtime,
+//! Schedule-control seam: the two nondeterminism points of the runtime,
 //! each consulting an injectable [`SchedulePolicy`].
 //!
-//! A virtual-time simulation is deterministic *given* a schedule, but three
+//! A virtual-time simulation is deterministic *given* a schedule, but two
 //! places let real-machine scheduling leak into which schedule runs:
 //!
 //! 1. **Wildcard take** ([`crate::mailbox`]): when an `ANY_SOURCE`/`ANY_TAG`
@@ -12,10 +12,14 @@
 //!    runnable rank task a worker resumes next.  The default is the
 //!    worker's run-next slot, then the run queue in FIFO order; a policy
 //!    forces one worker and picks explicitly.
-//! 3. **Wire delivery** (`Shared::post` in [`crate::runtime`], the funnel
-//!    below the [`crate::pml`] layer that every NIC delivery takes): the
-//!    order staged envelopes are released to their destination mailboxes.
-//!    The default releases in posting (FIFO) order.
+//!
+//! A policy always runs on that one-worker tasks engine, whatever executor
+//! the config asks for (`Universe::new` selects it).  Wire delivery is
+//! therefore not a third point: one rank runs at a time, so each post
+//! reaches its destination mailbox before any other rank runs, in the
+//! order the resume decisions put the ranks in.  Which questions a run
+//! asks, and how many, then depends on the answers alone, which is what
+//! lets a recorded decision log replay a live run.
 //!
 //! With no policy installed nothing changes — the hooks are a single
 //! `Option` test, and the canonical policy (always index 0) is bit-identical
@@ -44,12 +48,6 @@ pub enum Decision<'a> {
         /// Eligible channels in head-arrival order.
         candidates: &'a [(usize, u32)],
     },
-    /// Which staged wire delivery `(src_world, dst_world)` is released to
-    /// its destination mailbox next, in posting (FIFO) order.
-    WireDelivery {
-        /// Staged deliveries in posting order.
-        candidates: &'a [(usize, usize)],
-    },
 }
 
 impl Decision<'_> {
@@ -58,7 +56,6 @@ impl Decision<'_> {
         match self {
             Decision::TaskResume { candidates } => candidates.len(),
             Decision::WildcardTake { candidates, .. } => candidates.len(),
-            Decision::WireDelivery { candidates } => candidates.len(),
         }
     }
 
@@ -68,12 +65,11 @@ impl Decision<'_> {
     }
 
     /// Single-letter kind code used in serialized decision logs
-    /// (`r` resume, `w` wildcard, `d` delivery).
+    /// (`r` resume, `w` wildcard).
     pub fn kind_code(&self) -> char {
         match self {
             Decision::TaskResume { .. } => 'r',
             Decision::WildcardTake { .. } => 'w',
-            Decision::WireDelivery { .. } => 'd',
         }
     }
 }
@@ -135,8 +131,6 @@ mod tests {
         assert!(p.decision_log().is_none());
         let r = Decision::TaskResume { candidates: &[0, 1] };
         assert_eq!(r.kind_code(), 'r');
-        let w = Decision::WireDelivery { candidates: &[(0, 1)] };
-        assert_eq!(w.kind_code(), 'd');
         assert_eq!(clamp_choice(5, 2), 1);
         assert_eq!(clamp_choice(0, 2), 0);
     }
