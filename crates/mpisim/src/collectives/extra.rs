@@ -5,7 +5,7 @@
 //! MPI libraries never ship an 800 MB buffer as one message — they chunk it
 //! so tree levels pipeline, which changes how much a bad rank order hurts.
 
-use super::{bcast_walk, combine, crecv, csend, pattern};
+use super::{bcast_walk, crecv, csend, pattern};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::runtime::Rank;
@@ -52,9 +52,7 @@ pub fn reduce_scatter_block<T: Scalar>(
             ((lo * block)..(mid * block), (mid * block)..(hi * block))
         };
         csend(rank, comm, peer, tag, &acc[send_range]);
-        let other: Vec<T> = crecv(rank, comm, peer, tag);
-        let keep = keep_range.clone();
-        combine(&mut acc[keep], &other, &op);
+        T::fold_bytes(&mut acc[keep_range], &crecv(rank, comm, peer, tag), &op);
         if me & mask == 0 {
             hi = mid;
         } else {
@@ -80,11 +78,8 @@ pub fn scan_inclusive<T: Scalar>(
     let me = comm.rank();
     let mut acc = data.to_vec();
     if me > 0 {
-        let prefix: Vec<T> = crecv(rank, comm, me - 1, tag);
         // acc = op(prefix, mine): fold the predecessor's prefix in front.
-        let mut merged = prefix;
-        combine(&mut merged, &acc, &op);
-        acc = merged;
+        T::fold_bytes(&mut acc, &crecv(rank, comm, me - 1, tag), |mine, pre| op(pre, mine));
     }
     if me + 1 < n {
         csend(rank, comm, me + 1, tag, &acc);
@@ -116,24 +111,22 @@ pub fn bcast_binary_segmented<T: Scalar>(
     // One binary-tree broadcast after another under the one tag: first of
     // the segment count, which only the root knows (a tiny header message
     // per tree edge; elsewhere the initial value is replaced on arrival),
-    // then of each segment in turn.
+    // then of each segment in turn, which lands on the tail of a non-root's
+    // `data` and is forwarded from there.
     let tree = || pattern::bcast_binary(me, n, root, 0);
     let mut hdr = vec![data.len().div_ceil(seg_items).max(1) as u64];
-    bcast_walk(rank, comm, tag, tree(), &mut hdr);
+    bcast_walk(rank, comm, tag, tree(), &mut hdr, 0..1);
     let nsegs = hdr[0] as usize;
     if me != root {
         data.clear();
     }
     for s in 0..nsegs {
-        let mut seg = if me == root {
-            data[s * seg_items..((s + 1) * seg_items).min(data.len())].to_vec()
+        let span = if me == root {
+            s * seg_items..((s + 1) * seg_items).min(data.len())
         } else {
-            Vec::new()
+            data.len()..data.len()
         };
-        bcast_walk(rank, comm, tag, tree(), &mut seg);
-        if me != root {
-            data.extend(seg);
-        }
+        bcast_walk(rank, comm, tag, tree(), data, span);
     }
     nsegs
 }

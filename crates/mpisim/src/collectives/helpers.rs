@@ -1,5 +1,5 @@
 //! Shared helpers for tree-structured collectives: rank rotation around the
-//! root, the two trees' links, and the reduce combine.
+//! root and the two trees' links.
 
 /// Virtual rank relative to the root: the root gets vrank 0.
 pub fn vrank_of(rank: usize, root: usize, n: usize) -> usize {
@@ -9,17 +9,6 @@ pub fn vrank_of(rank: usize, root: usize, n: usize) -> usize {
 /// Inverse of [`vrank_of`].
 pub fn world_of_vrank(vrank: usize, root: usize, n: usize) -> usize {
     (vrank + root) % n
-}
-
-/// Element-wise in-place combine: `acc[i] = op(acc[i], other[i])`.
-///
-/// # Panics
-/// Panics when the slices differ in length (mismatched reduce contributions).
-pub fn combine<T: Copy>(acc: &mut [T], other: &[T], op: impl Fn(T, T) -> T) {
-    assert_eq!(acc.len(), other.len(), "reduce contributions differ in length");
-    for (a, &b) in acc.iter_mut().zip(other) {
-        *a = op(*a, b);
-    }
 }
 
 /// Parent of virtual rank `v` in the binomial tree rooted at vrank 0: `v`
@@ -65,20 +54,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn combine_applies_elementwise() {
-        let mut a = vec![1, 2, 3];
-        combine(&mut a, &[10, 20, 30], |x, y| x + y);
-        assert_eq!(a, vec![11, 22, 33]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn combine_rejects_mismatch() {
-        let mut a = vec![1];
-        combine(&mut a, &[1, 2], |x, _| x);
     }
 
     #[test]

@@ -33,10 +33,11 @@ mod tree;
 mod varcount;
 
 pub use extra::{bcast_binary_segmented, reduce_scatter_block, scan_inclusive};
-pub use helpers::{binomial_peers, combine, vrank_of, world_of_vrank};
+pub use helpers::{binomial_peers, vrank_of, world_of_vrank};
 pub use tree::gather_tree_kary;
 pub use varcount::{allgatherv, gatherv, scatterv};
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::comm::Comm;
@@ -45,28 +46,19 @@ use crate::envelope::{Ctx, MsgKind, Payload};
 use crate::runtime::{Rank, SrcSel, TagSel};
 use crate::schedule::Step;
 
+/// Post already-encoded `bytes` on the collective context.
+fn cpost(rank: &Rank, comm: &Comm, dst: usize, tag: u32, bytes: Vec<u8>) {
+    rank.wire_send(comm, dst, tag, Ctx::Coll, MsgKind::Collective, Payload::Bytes(bytes));
+}
+
 fn csend<T: Scalar>(rank: &Rank, comm: &Comm, dst: usize, tag: u32, data: &[T]) {
-    rank.wire_send(
-        comm,
-        dst,
-        tag,
-        Ctx::Coll,
-        MsgKind::Collective,
-        Payload::Bytes(T::to_bytes(data)),
-    );
+    cpost(rank, comm, dst, tag, T::to_bytes(data));
 }
 
-fn crecv<T: Scalar>(rank: &Rank, comm: &Comm, src: usize, tag: u32) -> Vec<T> {
-    let env = rank.wire_recv(comm, SrcSel::Rank(src), TagSel::Is(tag), Ctx::Coll);
-    T::from_bytes(&env.payload.expect_bytes())
-}
-
-fn csend_zero(rank: &Rank, comm: &Comm, dst: usize, tag: u32) {
-    rank.wire_send(comm, dst, tag, Ctx::Coll, MsgKind::Collective, Payload::Bytes(Vec::new()));
-}
-
-fn crecv_zero(rank: &Rank, comm: &Comm, src: usize, tag: u32) {
-    rank.wire_recv(comm, SrcSel::Rank(src), TagSel::Is(tag), Ctx::Coll);
+/// The envelope's bytes, undecoded: each data rule decodes them once,
+/// where the data ends up.
+fn crecv(rank: &Rank, comm: &Comm, src: usize, tag: u32) -> Vec<u8> {
+    rank.wire_recv(comm, SrcSel::Rank(src), TagSel::Is(tag), Ctx::Coll).payload.expect_bytes()
 }
 
 /// Dissemination barrier: ⌈log₂ n⌉ rounds of zero-byte messages
@@ -75,25 +67,31 @@ pub fn barrier(rank: &Rank, comm: &Comm) {
     let tag = rank.next_coll_tag(comm);
     for step in pattern::barrier(comm.rank(), comm.size()) {
         match step {
-            Step::Send { peer, .. } => csend_zero(rank, comm, peer, tag),
-            Step::Recv { peer } => crecv_zero(rank, comm, peer, tag),
+            Step::Send { peer, .. } => cpost(rank, comm, peer, tag, Vec::new()),
+            Step::Recv { peer } => drop(crecv(rank, comm, peer, tag)),
         }
     }
 }
 
-/// A broadcast's data rule over one tree's `steps`: what arrives replaces
-/// the buffer, which then goes to each child.
+/// A broadcast's data rule over one tree's `steps`, on the part `span` of
+/// `data`: what arrives replaces `data` from `span.start` on, decoded into
+/// its capacity, and the span then goes to each child.
 fn bcast_walk<T: Scalar>(
     rank: &Rank,
     comm: &Comm,
     tag: u32,
     steps: impl Iterator<Item = Step>,
     data: &mut Vec<T>,
+    mut span: Range<usize>,
 ) {
     for step in steps {
         match step {
-            Step::Recv { peer } => *data = crecv(rank, comm, peer, tag),
-            Step::Send { peer, .. } => csend(rank, comm, peer, tag, data),
+            Step::Recv { peer } => {
+                data.truncate(span.start);
+                data.extend(T::decode(&crecv(rank, comm, peer, tag)));
+                span.end = data.len();
+            }
+            Step::Send { peer, .. } => csend(rank, comm, peer, tag, &data[span.clone()]),
         }
     }
 }
@@ -112,7 +110,7 @@ fn reduce_walk<T: Scalar>(
     let mut acc = data.to_vec();
     for step in steps {
         match step {
-            Step::Recv { peer } => combine(&mut acc, &crecv::<T>(rank, comm, peer, tag), &op),
+            Step::Recv { peer } => T::fold_bytes(&mut acc, &crecv(rank, comm, peer, tag), &op),
             Step::Send { peer, .. } => {
                 csend(rank, comm, peer, tag, &acc);
                 return None;
@@ -124,14 +122,14 @@ fn reduce_walk<T: Scalar>(
 
 /// Binomial-tree broadcast from `root` (the algorithm of the paper's Fig 5b).
 pub fn bcast_binomial<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
-    let tag = rank.next_coll_tag(comm);
-    bcast_walk(rank, comm, tag, pattern::bcast_binomial(comm.rank(), comm.size(), root, 0), data);
+    let steps = pattern::bcast_binomial(comm.rank(), comm.size(), root, 0);
+    bcast_walk(rank, comm, rank.next_coll_tag(comm), steps, data, 0..data.len());
 }
 
 /// Binary-tree broadcast from `root` (ablation partner of the binomial tree).
 pub fn bcast_binary<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
-    let tag = rank.next_coll_tag(comm);
-    bcast_walk(rank, comm, tag, pattern::bcast_binary(comm.rank(), comm.size(), root, 0), data);
+    let steps = pattern::bcast_binary(comm.rank(), comm.size(), root, 0);
+    bcast_walk(rank, comm, rank.next_coll_tag(comm), steps, data, 0..data.len());
 }
 
 /// Binomial-tree reduce to `root` with a commutative `op`; returns the
@@ -176,8 +174,10 @@ pub fn allreduce_recursive_doubling<T: Scalar>(
     for step in pattern::allreduce_recursive_doubling(me, n, 0) {
         match step {
             Step::Send { peer, .. } => csend(rank, comm, peer, tag, &acc),
-            Step::Recv { peer } if sits_out => acc = crecv(rank, comm, peer, tag),
-            Step::Recv { peer } => combine(&mut acc, &crecv::<T>(rank, comm, peer, tag), &op),
+            Step::Recv { peer } if sits_out => {
+                T::fold_bytes(&mut acc, &crecv(rank, comm, peer, tag), |_, got| got)
+            }
+            Step::Recv { peer } => T::fold_bytes(&mut acc, &crecv(rank, comm, peer, tag), &op),
         }
     }
     acc
@@ -212,24 +212,31 @@ pub fn scatter_linear<T: Scalar>(
 }
 
 /// The equal-size contract of the allgathers, checked on every received
-/// message — in release builds too, where a short contribution would
-/// otherwise silently shift every later block.
-fn check_blocks<T>(algo: &str, comm: &Comm, got: &[T], blocks: usize, block: usize) {
+/// message (`got` items) — in release builds too, where a short
+/// contribution would otherwise silently shift every later block.
+fn check_blocks(algo: &str, comm: &Comm, got: usize, blocks: usize, block: usize) {
     assert_eq!(
-        got.len(),
+        got,
         blocks * block,
         "{algo}: allgather contributions must be equal-sized: communicator rank {} expected \
-         {blocks} block(s) of {block} items and received {} items",
+         {blocks} block(s) of {block} items and received {got} items",
         comm.rank(),
-        got.len()
     );
 }
 
 /// Ring allgather of equal-size contributions: `n-1` steps, each rank
-/// forwarding one block to its right neighbour.
+/// forwarding one block to its right neighbour.  Every block has its place
+/// from the start — zeroed, which `calloc` skips on fresh pages — and is
+/// decoded there as it arrives.
 pub fn allgather_ring<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
-    let check = |got: &[T]| check_blocks("allgather_ring", comm, got, 1, data.len());
-    varcount::ring_blocks(rank, comm, data, check).concat()
+    let block = data.len();
+    let mut out = vec![T::default(); comm.size() * block];
+    out[comm.rank() * block..][..block].copy_from_slice(data);
+    varcount::ring(rank, comm, data, |src, got| {
+        check_blocks("allgather_ring", comm, T::decode(got).len(), 1, block);
+        T::fold_bytes(&mut out[src * block..][..block], got, |_, got| got);
+    });
+    out
 }
 
 /// Bruck allgather of equal-size contributions, for any `n`: in round
@@ -255,9 +262,9 @@ pub fn allgather_bruck<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T
                 csend(rank, comm, peer, tag, &held[..count * block]);
             }
             Step::Recv { peer } => {
-                let got: Vec<T> = crecv(rank, comm, peer, tag);
-                check_blocks("allgather_bruck", comm, &got, count, block);
-                held.extend(got);
+                let got = crecv(rank, comm, peer, tag);
+                check_blocks("allgather_bruck", comm, T::decode(&got).len(), count, block);
+                held.extend(T::decode(&got));
             }
         }
     }
@@ -274,15 +281,18 @@ pub fn alltoall_pairwise<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec
     assert!(data.len().is_multiple_of(n), "alltoall buffer not divisible by communicator size");
     let chunk = data.len() / n;
     let chunk_of = |r: usize| &data[r * chunk..(r + 1) * chunk];
-    let mut out = vec![Vec::new(); n];
-    out[me] = chunk_of(me).to_vec();
+    let mut out = vec![T::default(); data.len()];
+    out[me * chunk..][..chunk].copy_from_slice(chunk_of(me));
     for step in pattern::alltoall_pairwise(me, n, 0) {
         match step {
             Step::Send { peer, .. } => csend(rank, comm, peer, tag, chunk_of(peer)),
-            Step::Recv { peer } => out[peer] = crecv(rank, comm, peer, tag),
+            Step::Recv { peer } => {
+                let got = crecv(rank, comm, peer, tag);
+                T::fold_bytes(&mut out[peer * chunk..][..chunk], &got, |_, got| got);
+            }
         }
     }
-    out.concat()
+    out
 }
 
 // ----- the collective façade: `Rank` methods over the algorithms above ------

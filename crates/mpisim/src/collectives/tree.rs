@@ -90,7 +90,7 @@ pub fn gather_tree_kary(
     let first_child = pos * arity + 1;
     for &child_rank in order.iter().skip(first_child).take(arity) {
         if let Ok(env) = rank.recv_or_death(comm, child_rank, tag, Ctx::Coll) {
-            buf.extend(u64::from_bytes(&env.payload.expect_bytes()));
+            buf.extend(u64::decode(&env.payload.expect_bytes()));
         }
     }
 

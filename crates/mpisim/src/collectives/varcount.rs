@@ -5,7 +5,7 @@
 //! count arrays are needed on the receive side — the API stays idiomatic
 //! while the wire traffic matches the MPI originals.
 
-use super::{crecv, csend, pattern};
+use super::{cpost, crecv, csend, pattern};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::runtime::Rank;
@@ -35,7 +35,7 @@ pub fn gatherv<T: Scalar>(
         if r == root {
             out.extend_from_slice(data);
         } else {
-            out.extend(crecv::<T>(rank, comm, r, tag));
+            out.extend(T::decode(&crecv(rank, comm, r, tag)));
         }
     }
     Some((out, displs))
@@ -65,50 +65,63 @@ pub fn scatterv<T: Scalar>(
         }
         chunks[root].to_vec()
     } else {
-        crecv(rank, comm, root, tag)
+        T::from_bytes(&crecv(rank, comm, root, tag))
     }
 }
 
-/// The one ring walk, for blocks of any size: what arrives is the next
-/// thing forwarded, `check`ed first.  Returns every rank's block, in rank
-/// order.
-pub(super) fn ring_blocks<T: Scalar>(
+/// The one ring walk, for blocks of any size: `n − 1` times, forward the
+/// block last received (at first, `data`) to the right neighbour and take
+/// the next from the left.  The blocks arrive from ranks `me − 1, me − 2,
+/// …` (mod `n`); each is handed to `land` with its rank, then goes on in
+/// the bytes it came in — what encoding its decoded copy would give,
+/// without the copy.
+pub(super) fn ring<T: Scalar>(
     rank: &Rank,
     comm: &Comm,
     data: &[T],
-    check: impl Fn(&[T]),
-) -> Vec<Vec<T>> {
+    mut land: impl FnMut(usize, &[u8]),
+) {
     let tag = rank.next_coll_tag(comm);
     let (me, n) = (comm.rank(), comm.size());
-    let mut blocks = Vec::with_capacity(n);
-    blocks.push(data.to_vec());
+    let (mut src, mut last) = (me, None);
     for step in pattern::allgather_ring(me, n, 0) {
         match step {
-            Step::Send { peer, .. } => csend(rank, comm, peer, tag, &blocks[blocks.len() - 1]),
+            Step::Send { peer, .. } => match last.take() {
+                None => csend(rank, comm, peer, tag, data),
+                Some(bytes) => cpost(rank, comm, peer, tag, bytes),
+            },
             Step::Recv { peer } => {
-                let got: Vec<T> = crecv(rank, comm, peer, tag);
-                check(&got);
-                blocks.push(got);
+                let got = crecv(rank, comm, peer, tag);
+                src = (src + n - 1) % n;
+                land(src, &got);
+                last = Some(got);
             }
         }
     }
-    // Blocks arrived from ranks me, me − 1, …, me + 1 (mod n): reversed
-    // they run me + 1, …, me, which rotating by me + 1 puts in rank order.
-    blocks.reverse();
-    blocks.rotate_right((me + 1) % n);
-    blocks
 }
 
 /// Allgather of variable-size contributions: everyone receives the
 /// rank-ordered concatenation and the per-rank displacements.
 /// Ring algorithm; the equal-count [`super::allgather_ring`] is the same
-/// walk with a size check on every block.
+/// walk with a size check on every block.  No block's place is known
+/// before the last arrives, so the walk stages the bytes in arrival order
+/// (one growing buffer) and each block is decoded once, in rank order,
+/// straight into the result.
 pub fn allgatherv<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> (Vec<T>, Vec<usize>) {
-    let mut out = Vec::new();
+    let (mut staged, mut spans) = (Vec::new(), vec![0..0; comm.size()]);
+    ring(rank, comm, data, |src, got| {
+        spans[src] = staged.len()..staged.len() + got.len();
+        staged.extend_from_slice(got);
+    });
+    let mut out = Vec::with_capacity(data.len() + staged.len() / T::SIZE);
     let mut displs = Vec::with_capacity(comm.size());
-    for b in ring_blocks(rank, comm, data, |_| {}) {
+    for (r, span) in spans.into_iter().enumerate() {
         displs.push(out.len());
-        out.extend(b);
+        if r == comm.rank() {
+            out.extend_from_slice(data);
+        } else {
+            out.extend(T::decode(&staged[span]));
+        }
     }
     (out, displs)
 }
