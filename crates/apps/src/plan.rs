@@ -210,6 +210,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "prows: 0, pcols: 2, iters: 1 }: every block needs a row")]
+    fn stencil_plan_rejects_an_empty_process_grid() {
+        StencilConfig { rows: 8, cols: 8, prows: 0, pcols: 2, iters: 1 }.lower();
+    }
+
+    #[test]
     fn grouped_plan_scopes_channels_per_group() {
         let p = GroupedAllgatherPlan { nprocs: 8, group_size: 4, block_bytes: 64 }.lower();
         assert_eq!(p.ncomms(), 3); // world + two groups

@@ -25,14 +25,29 @@ pub struct StencilConfig {
 
 impl StencilConfig {
     /// Block height per process.
+    ///
+    /// # Panics
+    /// Panics, naming the config, when the process grid has no row, a block
+    /// would have none, or `rows` does not divide evenly.
     pub fn block_rows(&self) -> usize {
-        assert!(self.rows.is_multiple_of(self.prows), "rows must divide evenly");
+        assert!(
+            self.prows > 0 && self.rows >= self.prows,
+            "{self:?}: every block needs a row (rows ≥ prows > 0)"
+        );
+        assert!(self.rows.is_multiple_of(self.prows), "{self:?}: rows must divide evenly");
         self.rows / self.prows
     }
 
     /// Block width per process.
+    ///
+    /// # Panics
+    /// As [`StencilConfig::block_rows`], for columns.
     pub fn block_cols(&self) -> usize {
-        assert!(self.cols.is_multiple_of(self.pcols), "cols must divide evenly");
+        assert!(
+            self.pcols > 0 && self.cols >= self.pcols,
+            "{self:?}: every block needs a column (cols ≥ pcols > 0)"
+        );
+        assert!(self.cols.is_multiple_of(self.pcols), "{self:?}: cols must divide evenly");
         self.cols / self.pcols
     }
 
@@ -97,21 +112,24 @@ pub(crate) const HALO_TAG_BASE: u32 = 0x00A0_0000;
 
 /// Run the distributed Jacobi sweep over `comm` (process grid
 /// `prows × pcols`, row-major rank numbering).  Returns this rank's block
-/// and its statistics; the checksum is globally reduced so every rank can
-/// verify agreement.
+/// (row-major) and its statistics; the checksum is globally reduced so every
+/// rank can verify agreement.
 ///
-/// Memory: the block is swept in place in one buffer of
-/// `(block_rows + 1) · block_cols` values, the block plus one spare row
-/// (see `sweep`).  The four halos are the only other per-iteration data;
-/// they are built or received for one sweep and dropped when it ends,
-/// before the next exchange begins.
+/// Memory: the block is held column-major in one buffer of
+/// `block_rows · block_cols` values (see `Columns`) and swept in place,
+/// with no spare row or column.  A column halo is sent straight from the
+/// buffer; the two row halos are gathered across the columns and die with
+/// their send.  The received halos live for one sweep.  The row-major block
+/// returned is built after the last sweep, and the column buffer is freed,
+/// before the checksum's allreduce: a rank still copying after the
+/// allreduce would hold up whatever its communicator does next.
 ///
 /// # Panics
-/// Panics when the communicator size does not match the process grid, or
-/// the grid does not divide evenly.
+/// Panics when a block would be empty, the grid does not divide evenly, or
+/// the communicator size does not match the process grid.
 pub fn run_stencil(rank: &Rank, comm: &Comm, cfg: StencilConfig) -> (Vec<f64>, StencilStats) {
-    assert_eq!(comm.size(), cfg.prows * cfg.pcols, "communicator size vs process grid");
     let (br, bc) = (cfg.block_rows(), cfg.block_cols());
+    assert_eq!(comm.size(), cfg.prows * cfg.pcols, "communicator size vs process grid");
     let me = comm.rank();
     let [up, down, left, right] = cfg.neighbours(me);
     // Where the block meets the global edge its halo is the boundary value;
@@ -123,33 +141,30 @@ pub fn run_stencil(rank: &Rank, comm: &Comm, cfg: StencilConfig) -> (Vec<f64>, S
 
     let start_ns = rank.now_ns();
     let mut comm_ns = 0.0;
-    // The block's rows start at row `off` of `u`; the other row is spare.
-    let mut u = vec![0.0f64; (br + 1) * bc];
-    let mut off = 0;
+    let mut cols = Columns { u: vec![0.0f64; br * bc], br, bc, rot: 0 };
     for it in 0..cfg.iters {
         let tag = HALO_TAG_BASE + it as u32;
-        let block = &u[off * bc..(off + br) * bc];
         // Exchange halos with the four neighbours (nonblocking).
         let t0 = rank.now_ns();
         let mut reqs = Vec::new();
+        // A row halo is gathered for the neighbour that exists and dies with
+        // its send: nothing this rank built stays alive while it waits.
         if let Some(p) = up {
-            rank.isend(comm, p, tag, &block[0..bc]).wait(rank);
+            let row: Vec<f64> = (0..bc).map(|c| cols.col(c)[0]).collect();
+            rank.isend(comm, p, tag, &row).wait(rank);
             reqs.push((0, rank.irecv(comm, SrcSel::Rank(p), TagSel::Is(tag))));
         }
         if let Some(p) = down {
-            rank.isend(comm, p, tag, &block[(br - 1) * bc..]).wait(rank);
+            let row: Vec<f64> = (0..bc).map(|c| cols.col(c)[br - 1]).collect();
+            rank.isend(comm, p, tag, &row).wait(rank);
             reqs.push((1, rank.irecv(comm, SrcSel::Rank(p), TagSel::Is(tag))));
         }
-        // A column halo is gathered for the neighbour that exists and dies
-        // with its send: nothing this rank built stays alive while it waits.
         if let Some(p) = left {
-            let col: Vec<f64> = (0..br).map(|i| block[i * bc]).collect();
-            rank.isend(comm, p, tag + 0x1000, &col).wait(rank);
+            rank.isend(comm, p, tag + 0x1000, cols.col(0)).wait(rank);
             reqs.push((2, rank.irecv(comm, SrcSel::Rank(p), TagSel::Is(tag + 0x1000))));
         }
         if let Some(p) = right {
-            let col: Vec<f64> = (0..br).map(|i| block[i * bc + bc - 1]).collect();
-            rank.isend(comm, p, tag + 0x1000, &col).wait(rank);
+            rank.isend(comm, p, tag + 0x1000, cols.col(bc - 1)).wait(rank);
             reqs.push((3, rank.irecv(comm, SrcSel::Rank(p), TagSel::Is(tag + 0x1000))));
         }
         // Up, down, left, right: the row above and below the block, the
@@ -164,68 +179,109 @@ pub fn run_stencil(rank: &Rank, comm: &Comm, cfg: StencilConfig) -> (Vec<f64>, S
             halos[side] = req.wait::<f64>(rank).0;
         }
         comm_ns += rank.now_ns() - t0;
-        off = sweep(&mut u, off, bc, &halos);
+        cols.sweep(halos);
         // Charge the sweep: 4 flops per point at the CG crate's flop speed.
         rank.compute_ns(4.0 * (br * bc) as f64 * 0.5);
     }
-    if off == 1 {
-        u.copy_within(bc.., 0);
-    }
-    u.truncate(br * bc);
+    let block = cols.into_row_major();
     let t0 = rank.now_ns();
-    let local_sum: f64 = u.iter().sum();
+    let local_sum: f64 = block.iter().sum();
     let checksum = rank.allreduce(comm, &[local_sum], |a, b| a + b)[0];
     comm_ns += rank.now_ns() - t0;
     let stats = StencilStats { checksum, total_ns: rank.now_ns() - start_ns, comm_ns };
-    (u, stats)
+    (block, stats)
 }
 
-/// One Jacobi sweep in place (the shifted-buffer form).  `u` holds a block
-/// of `bc`-wide rows at row offset `off ∈ {0, 1}` plus one spare row; the
-/// new block is written at the other offset, which is returned.  Each new
-/// row goes into the slot of the old row it reads last:
-///
-/// * from `off = 0`, bottom-up, new row `i` into slot `i + 1`, which holds
-///   old row `i + 1`, its south (the spare slot takes the south halo first);
-/// * from `off = 1`, top-down, new row `i` into slot `i`, which holds old
-///   row `i − 1`, its north (the spare slot takes the north halo first).
-///
-/// Slots not yet written hold old rows, so every point adds the same four
-/// old values as the two-buffer sweep, in the same order (IEEE addition
-/// commutes exactly), and nothing is copied per row.
-fn sweep(u: &mut [f64], off: usize, bc: usize, [hu, hd, hl, hr]: &[Vec<f64>; 4]) -> usize {
-    let br = u.len() / bc - 1;
-    if off == 0 {
-        u[br * bc..].copy_from_slice(hd);
-        for i in (0..br).rev() {
-            let (old, out) = u.split_at_mut((i + 1) * bc);
-            let north = if i == 0 { &hu[..] } else { &old[(i - 1) * bc..i * bc] };
-            sweep_row(&mut out[..bc], north, &old[i * bc..], hl[i], hr[i]);
+/// A rank's block, column-major in one buffer of `bc` slots of `br` values:
+/// column `c` is in slot `(c + rot) mod bc`, so a sweep moves all columns
+/// but one by changing `rot`, not by copying them.  One buffer for the
+/// whole block keeps the memory a rank frees at the end in one piece, which
+/// the next rank's row-major block reuses.
+struct Columns {
+    u: Vec<f64>,
+    br: usize,
+    bc: usize,
+    rot: usize,
+}
+
+impl Columns {
+    /// The slot of column `c ≤ bc` (column `bc` wraps to column 0).
+    fn slot(&self, c: usize) -> usize {
+        let s = c + self.rot;
+        if s < self.bc {
+            s
+        } else {
+            s - self.bc
         }
-        1
-    } else {
-        u[..bc].copy_from_slice(hu);
-        for i in 0..br {
-            let (out, old) = u.split_at_mut((i + 1) * bc);
-            let south = if i == br - 1 { &hd[..] } else { &old[bc..2 * bc] };
-            sweep_row(&mut out[i * bc..], south, &old[..bc], hl[i], hr[i]);
+    }
+
+    /// Column `c`, contiguous.
+    fn col(&self, c: usize) -> &[f64] {
+        let s = self.slot(c) * self.br;
+        &self.u[s..s + self.br]
+    }
+
+    /// One Jacobi sweep in place, west to east down the columns.  New column
+    /// `c` is written over old column `c − 1`, its west, which nothing reads
+    /// after it; new column 0 over the west halo.  New column `c ≥ 1` then
+    /// sits one slot west of old column `c`, so `rot` drops by one, and new
+    /// column 0 is copied into the slot of old column `bc − 1`: one column
+    /// copied per sweep.  Columns not yet written hold old values, so every
+    /// point adds the same four old values as the reference, in its order.
+    fn sweep(&mut self, [hu, hd, mut west, hr]: [Vec<f64>; 4]) {
+        let (br, bc) = (self.br, self.bc);
+        let east = if bc > 1 { self.col(1) } else { &hr };
+        sweep_column(&mut west, self.col(0), east, hu[0], hd[0]);
+        for c in 1..bc {
+            // The output slot (column `c − 1`'s) splits the buffer; columns
+            // `c` and `c + 1` lie on either side of it.
+            let [o, s, e] = [c - 1, c, c + 1].map(|k| self.slot(k));
+            let (before, rest) = self.u.split_at_mut(o * br);
+            let (out, after) = rest.split_at_mut(br);
+            let col = |s: usize| {
+                if s < o {
+                    &before[s * br..(s + 1) * br]
+                } else {
+                    &after[(s - o - 1) * br..(s - o) * br]
+                }
+            };
+            let east = if c + 1 < bc { col(e) } else { &hr };
+            sweep_column(out, col(s), east, hu[c], hd[c]);
         }
-        0
+        self.rot = self.slot(bc - 1);
+        let s = self.rot * br;
+        self.u[s..s + br].copy_from_slice(&west);
+    }
+
+    /// The block in row-major order, the order of the reference.
+    fn into_row_major(self) -> Vec<f64> {
+        let cols: Vec<&[f64]> = (0..self.bc).map(|c| self.col(c)).collect();
+        let mut block = Vec::with_capacity(self.u.len());
+        for i in 0..self.br {
+            for col in &cols {
+                block.push(col[i]);
+            }
+        }
+        block
     }
 }
 
-/// `out[j] ← ¼ (out[j] + other[j] + west + east)`, where `out` and `other`
-/// hold the old rows above and below `row` (in either order) and the west
-/// and east values are `row`'s neighbours, or the column halos `w`, `e` at
-/// its ends.
+/// `out[i] ← ¼ (((north + south) + out[i]) + east[i])`: `out` holds the old
+/// column west of `col`, and the north and south values are `col`'s
+/// neighbours, or the row halo values `n`, `s` at its ends.
 #[inline(always)]
-fn sweep_row(out: &mut [f64], other: &[f64], row: &[f64], w: f64, e: f64) {
-    let bc = row.len();
-    for j in 0..bc {
-        let west = if j == 0 { w } else { row[j - 1] };
-        let east = if j == bc - 1 { e } else { row[j + 1] };
-        out[j] = 0.25 * (out[j] + other[j] + west + east);
+fn sweep_column(out: &mut [f64], col: &[f64], east: &[f64], n: f64, s: f64) {
+    let br = col.len();
+    let (out, east) = (&mut out[..br], &east[..br]);
+    if br == 1 {
+        out[0] = 0.25 * (((n + s) + out[0]) + east[0]);
+        return;
     }
+    out[0] = 0.25 * (((n + col[1]) + out[0]) + east[0]);
+    for i in 1..br - 1 {
+        out[i] = 0.25 * (((col[i - 1] + col[i + 1]) + out[i]) + east[i]);
+    }
+    out[br - 1] = 0.25 * (((col[br - 2] + s) + out[br - 1]) + east[br - 1]);
 }
 
 #[cfg(test)]
@@ -271,10 +327,21 @@ mod tests {
         }
     }
 
+    /// One-row and one-column blocks at 41 iterations: a lone column's west
+    /// and east are both halos, and a lone row's north and south are.
+    #[test]
+    fn single_row_and_single_column_blocks_match_sequential() {
+        for (prows, pcols, br, bc) in [(3, 2, 1, 4), (2, 3, 64, 1), (2, 2, 1, 1)] {
+            for iters in [40, 41] {
+                let (rows, cols) = (prows * br, pcols * bc);
+                assert_matches_reference(StencilConfig { rows, cols, prows, pcols, iters });
+            }
+        }
+    }
+
     mim_util::props! {
-        /// Block sides down to one row or column, and both parities of the
-        /// iteration count: an even count ends the in-place sweep at row
-        /// offset 0, an odd one at 1.
+        /// Block sides down to one row or column, and 0–9 iterations, which
+        /// end the column rotation at every offset.
         fn in_place_sweep_matches_reference_on_random_grids(g, cases = 32) {
             let (prows, pcols) = (g.gen_range(1usize..=4), g.gen_range(1usize..=4));
             let (br, bc) = (g.gen_range(1usize..=6), g.gen_range(1usize..=6));
@@ -284,6 +351,45 @@ mod tests {
                 assert_matches_reference(StencilConfig { rows, cols, prows, pcols, iters });
             }
         }
+
+        /// Tall, narrow blocks at 40 and 41 iterations: the contiguous
+        /// column loop's interior runs on values that round.
+        fn tall_blocks_match_reference_on_random_grids(g, cases = 16) {
+            let (prows, pcols) = (g.gen_range(1usize..=3), g.gen_range(1usize..=3));
+            let (br, bc) = (g.gen_range(1usize..=64), g.gen_range(1usize..=4));
+            for iters in [40, 41] {
+                let (rows, cols) = (prows * br, pcols * bc);
+                assert_matches_reference(StencilConfig { rows, cols, prows, pcols, iters });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rows: 0, cols: 8, prows: 2, pcols: 1, iters: 1 }: every block needs a row"
+    )]
+    fn empty_blocks_are_rejected_by_name() {
+        StencilConfig { rows: 0, cols: 8, prows: 2, pcols: 1, iters: 1 }.block_rows();
+    }
+
+    #[test]
+    #[should_panic(expected = "pcols: 0, iters: 1 }: every block needs a column")]
+    fn an_empty_process_grid_is_rejected_by_name() {
+        StencilConfig { rows: 8, cols: 8, prows: 1, pcols: 0, iters: 1 }.block_cols();
+    }
+
+    #[test]
+    #[should_panic(expected = "prows: 0, pcols: 1, iters: 1 }: every block needs a row")]
+    fn run_stencil_names_the_config_before_the_communicator() {
+        let cfg = StencilConfig { rows: 8, cols: 8, prows: 0, pcols: 1, iters: 1 };
+        let u = Universe::new(UniverseConfig::new(Machine::cluster(1, 1, 1), Placement::packed(1)));
+        u.launch(move |rank| run_stencil(rank, &rank.comm_world(), cfg));
+    }
+
+    #[test]
+    #[should_panic(expected = "cols: 5, prows: 1, pcols: 2, iters: 3 }: cols must divide evenly")]
+    fn uneven_blocks_are_rejected_by_name() {
+        StencilConfig { rows: 4, cols: 5, prows: 1, pcols: 2, iters: 3 }.block_cols();
     }
 
     #[test]

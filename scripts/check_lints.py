@@ -129,6 +129,8 @@ UNSAFE_ALLOWED = {
     "crates/core/src/capi.rs": "`Send` for a rank task's monitoring environment, which migrates with its fiber",
     "crates/mpisim/tests/alloc_budget.rs": "a counting global allocator (a `GlobalAlloc` impl) that "
                                            "forwards every call to `System`",
+    "crates/apps/tests/alloc_budget.rs": "a counting global allocator (a `GlobalAlloc` impl) that "
+                                         "forwards every call to `System`",
 }
 UNSAFE_RE = re.compile(r"\bunsafe\b")
 
