@@ -1,0 +1,344 @@
+//! The repository's own rules, read off its source text (std only, no
+//! subprocess), one `#[test]` per rule so that a failure names the rule.
+//! Rules 1–4 read library code with its test items stripped.
+//!
+//! 1. No `.unwrap()` / `.expect(` in `mim-mpisim`, `mim-core`,
+//!    `mim-analyze` or `mim-explore` outside [`ALLOWLIST`]. Rank threads run
+//!    user workloads: a stray unwrap turns a recoverable condition into a
+//!    cascade of rank panics. Allowlisted sites are invariant-backed (the
+//!    message names the invariant) and reviewed by hand.
+//! 2. No wall-clock source (`Instant::now`, `SystemTime::now`) in those four
+//!    crates, `mim-treematch` or `mim-reorder`. The simulator is a
+//!    virtual-time machine, the analyzer a pure function, the explorer's
+//!    schedules must replay byte-for-byte, the mapper is a pure function of
+//!    (machine, slots, matrix) and the reorder loops charge it from a model
+//!    of that matrix: determinism is the whole point. Sanctioned wall-clock
+//!    use lives in `mim-util` (channel timeouts, the bench timer), with one
+//!    exception:
+//! 3. The M:N executor's substrate (`mim-util`'s `fiber.rs`, `deque.rs`) is
+//!    held to rules 1 and 2. It runs on the scheduler hot path under every
+//!    parked rank: an unwrap there takes down a worker's whole task set, and
+//!    a wall-clock read would let scheduling order leak into behaviour.
+//!    Blocking wall-clock waits belong in `sync.rs` (the Notifier).
+//! 4. No library file of `mim-mpisim` (where every per-message perf item
+//!    lands), `mim-analyze`, `mim-explore` or `mim-treematch` exceeds 600
+//!    counted lines (test items, blank and comment lines excluded).
+//!    `runtime.rs` once reached 1413, and while the cap covered `mpisim`
+//!    alone the analyzer's `check.rs` grew to 728: each decision has a file
+//!    of its own, and none may quietly grow back.
+//! 5. Every `"MIM_*"` name in a string literal under `crates/` (tests too:
+//!    they set what the library reads) has a row in README's environment
+//!    table, and every row names a variable the code still reads. Two
+//!    variables were once read in one place each and set nowhere; an
+//!    undeclared dial cannot come back without a README row a reviewer sees.
+//! 6. `unsafe` appears only in the files of [`UNSAFE_ALLOWED`], each under
+//!    its reason. The one block outside them used to parse outside input
+//!    (`from_utf8_unchecked` in the analyzer's JSON reader).
+//! 7. `schedule::evaluate` / `evaluate_contended` are ledger-only shims over
+//!    `schedule::simulate`: no Rust file under `crates/`, `tests/` or
+//!    `examples/` calls them. `mim-ledger` measures them until it moves onto
+//!    `simulate`; a caller that joined meanwhile would keep alive what is
+//!    meant to be deleted mechanically.
+//!
+//! Hermeticity: `cargo build --offline` works from a clean checkout with an
+//! empty registry cache while no lock file has a `source = ` line (a
+//! registry or git package). `mim-ledger/Cargo.lock` is not committed; it
+//! is read where a ledger build has written it.
+//!
+//! An allowance no line uses fails its rule: a moved or deleted site takes
+//! its allowance with it. Comments are cut at the first `//`, string-naively:
+//! no pattern here appears inside a string literal of the scanned code.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+const UNWRAP_SCOPE: [&str; 4] = ["mpisim", "core", "analyze", "explore"];
+const CLOCK_SCOPE: [&str; 6] = ["mpisim", "core", "analyze", "explore", "treematch", "reorder"];
+/// Rule 3: single files, not whole crates.
+const EXEC_SUBSTRATE: [&str; 2] = ["crates/util/src/fiber.rs", "crates/util/src/deque.rs"];
+const SIZE_SCOPE: [&str; 4] = ["mpisim", "analyze", "explore", "treematch"];
+const SIZE_CAP: usize = 600;
+
+/// Rule 1: (file under `crates/mpisim/src/`, code substring) pairs; the
+/// substring must appear on the offending line for it to pass.
+const ALLOWLIST: [(&str, &str); 11] = [
+    // Matching index and FIFO non-emptiness are the mailbox's own invariants.
+    ("mailbox.rs", r#"expect("channel key came from the index")"#),
+    ("mailbox.rs", r#"expect("empty channels are pruned")"#),
+    // Envelope sources were translated through the same communicator.
+    ("runtime/wire.rs", r#"expect("sender not in communicator")"#),
+    // Window exposure is checked before any one-sided op is admitted.
+    ("osc.rs", r#"expect("window not exposed on target"#),
+    // Launch-once and thread-spawn failures are unrecoverable by design.
+    ("runtime/universe.rs", r#"expect("a universe can only be launched once")"#),
+    ("runtime/universe.rs", r#"expect("failed to spawn rank thread")"#),
+    ("runtime/universe.rs", r#"expect("rank produced no result")"#),
+    // comm_split: the color/rank were inserted into these very collections.
+    ("comm.rs", "distinct.binary_search(&color).unwrap()"),
+    ("comm.rs", r#"rank_of_world(self.world_rank()).expect("a member of its own color")"#),
+    // Collectives: a scatter's root brings the data (documented on the
+    // public entry); nobody else's argument is read.
+    ("collectives/mod.rs", r#"expect("scatter root must provide data")"#),
+    ("collectives/varcount.rs", r#"expect("scatterv root must provide chunks")"#),
+];
+
+/// Rule 5: a test talking to its own child process; no README row needed.
+const ENV_PRIVATE: [&str; 1] = ["MIM_STARVE_CHILD"];
+
+/// Rule 6: the only files that may say `unsafe`.
+const UNSAFE_ALLOWED: [&str; 5] = [
+    // The context switch: hand-built stacks, the asm that swaps them, and
+    // the `mmap` / `munmap` it declares for the stack pool.
+    "crates/util/src/fiber.rs",
+    // Lifetime erasure of the one launch body.
+    "crates/mpisim/src/runtime/universe.rs",
+    // `Send` for a rank task's monitoring environment, which migrates with
+    // its fiber.
+    "crates/core/src/capi.rs",
+    // Counting global allocators (`GlobalAlloc` impls) that forward every
+    // call to `System`.
+    "crates/mpisim/tests/alloc_budget.rs",
+    "crates/apps/tests/alloc_budget.rs",
+];
+
+/// Rule 7: the shims, the one file that may name them with a `(` (to define
+/// them), and the trees scanned.
+const SHIMS: [&str; 2] = ["evaluate", "evaluate_contended"];
+const SHIM_HOME: &str = "crates/mpisim/src/schedule.rs";
+const SHIM_SCOPE: [&str; 3] = ["crates", "tests", "examples"];
+
+/// Hermeticity: the lock files of the root workspace and of `mim-ledger`.
+const LOCK_FILES: [&str; 2] = ["Cargo.lock", "mim-ledger/Cargo.lock"];
+
+fn repo() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn src(crates: &[&str]) -> Vec<String> {
+    crates.iter().map(|c| format!("crates/{c}/src")).collect()
+}
+
+/// `(repo-relative path, text)` of every `.rs` file at or under `paths`;
+/// with `library`, skipping `tests.rs` files and `tests/` directories
+/// (`#[cfg(test)] mod tests;` bodies, gated in their parent module).
+fn rust_files(paths: &[impl AsRef<str>], library: bool) -> Vec<(String, String)> {
+    let root = repo();
+    let mut todo: Vec<PathBuf> = paths.iter().map(|p| root.join(p.as_ref())).collect();
+    let mut files = Vec::new();
+    while let Some(path) = todo.pop() {
+        if path.is_dir() {
+            let entries = fs::read_dir(&path).expect("a readable directory");
+            todo.extend(entries.map(|e| e.expect("a directory entry").path()));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(&root).expect("a path under the repo");
+            let rel = rel.to_string_lossy().into_owned();
+            if !(library && (rel.ends_with("/tests.rs") || rel.contains("/tests/"))) {
+                files.push((rel, fs::read_to_string(&path).expect("a UTF-8 source file")));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// `(path, line number, trimmed line)` of every line of [`rust_files`]
+/// whose code (comment cut) matches `pred`; with `library`, test items
+/// stripped first.
+fn lines(paths: &[impl AsRef<str>], library: bool, pred: fn(&str) -> bool) -> Vec<Line> {
+    let mut lines = Vec::new();
+    for (rel, text) in rust_files(paths, library) {
+        let kept = if library { strip_test_items(&text) } else { text.lines().zip(1..).collect() };
+        let found = kept.into_iter().filter(|(l, _)| pred(code_of(l)));
+        lines.extend(found.map(|(l, n)| (rel.clone(), n, l.trim().to_owned())));
+    }
+    lines
+}
+
+type Line = (String, usize, String);
+
+fn at((rel, n, line): &Line) -> String {
+    format!("{rel}:{n}: {line}")
+}
+
+/// Every line no allowance covers, then every allowance no line uses. A
+/// line uses the first allowance that is `ok` with the line's path and code.
+fn stray<A: Debug>(lines: &[Line], allow: &[A], ok: fn(&A, &str, &str) -> bool) -> Vec<String> {
+    let (mut problems, mut used) = (Vec::new(), vec![false; allow.len()]);
+    for line in lines {
+        match allow.iter().position(|a| ok(a, &line.0, code_of(&line.2))) {
+            Some(i) => used[i] = true,
+            None => problems.push(at(line)),
+        }
+    }
+    let unused = allow.iter().zip(used).filter(|(_, used)| !used);
+    problems.extend(unused.map(|(a, _)| format!("no line uses (moved or deleted?): {a:?}")));
+    problems
+}
+
+/// The line with any trailing `//` comment removed.
+fn code_of(line: &str) -> &str {
+    line.find("//").map_or(line, |i| &line[..i])
+}
+
+/// Whether `hay` contains `word`, with a regex `\b` at each end of `word`
+/// that is a word character.
+fn has_word(hay: &str, word: &str) -> bool {
+    let w = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let (head, tail) = (w(word.chars().next()), w(word.chars().next_back()));
+    hay.match_indices(word).any(|(i, _)| {
+        let (before, after) = (hay[..i].chars().next_back(), hay[i + word.len()..].chars().next());
+        !((head && w(before)) || (tail && w(after)))
+    })
+}
+
+/// The name of a `quote`-delimited `MIM_[A-Z0-9_]+` at the start of `s`.
+fn quoted_mim(s: &str, quote: char) -> Option<&str> {
+    let body = s.strip_prefix(quote)?;
+    let name = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    let len = body.find(|c| !name(c)).unwrap_or(body.len());
+    (body.starts_with("MIM_") && len > 4 && body[len..].starts_with(quote)).then(|| &body[..len])
+}
+
+/// `(line, line number)` for every line outside the items gated by
+/// `#[cfg(test)]` or `#[cfg(all(test, …))]`.
+///
+/// Brace tracking from the attribute to the end of the following item:
+/// good enough for rustfmt-formatted code, where the attribute sits on its
+/// own line directly above the `mod`/`fn` it gates. An item that opens no
+/// brace before its `;` (`use x;`, `mod tests;`) ends there.
+fn strip_test_items(text: &str) -> Vec<(&str, usize)> {
+    let mut kept = Vec::new();
+    let mut lines = text.lines().zip(1..);
+    while let Some((line, n)) = lines.next() {
+        if !line.contains("#[cfg(test)]") && !line.contains("#[cfg(all(test,") {
+            kept.push((line, n));
+            continue;
+        }
+        let (mut depth, mut started) = (0, false);
+        for (line, _) in lines.by_ref() {
+            let code = code_of(line);
+            depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+            started |= code.contains('{');
+            if (started && depth <= 0) || (!started && code.trim_end().ends_with(';')) {
+                break;
+            }
+        }
+    }
+    kept
+}
+
+/// Code lines outside test items, blank and comment-only lines excluded:
+/// the count the size cap is stated in.
+fn counted_lines(text: &str) -> usize {
+    let counted = |l: &str| !l.is_empty() && !l.starts_with("//");
+    strip_test_items(text).into_iter().filter(|(l, _)| counted(l.trim())).count()
+}
+
+fn is_unwrap(code: &str) -> bool {
+    code.contains(".unwrap()") || code.contains(".expect(")
+}
+
+fn is_clock(code: &str) -> bool {
+    has_word(code, "Instant::now") || has_word(code, "SystemTime::now")
+}
+
+fn pass(rule: &str, problems: impl IntoIterator<Item = String>) {
+    let problems: Vec<String> = problems.into_iter().collect();
+    assert!(problems.is_empty(), "{rule}:\n  {}", problems.join("\n  "));
+}
+
+#[test]
+fn test_items_are_stripped_and_not_counted() {
+    // A braceless gated item ends at its `;`, so the function after it is
+    // still scanned and counted; a gated block is skipped wherever it sits.
+    let fixture = "#[cfg(test)]\nuse std::fmt;\nfn f() {\n    x.unwrap();\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn g() {}\n}\nfn h() {}";
+    let kept: Vec<usize> = strip_test_items(fixture).into_iter().map(|(_, n)| n).collect();
+    assert_eq!(kept, [3, 4, 5, 10]);
+    assert_eq!(counted_lines(fixture), 4);
+    // `fiber.rs` gates its tests with `#[cfg(all(test, …))]`.
+    let all = "#[cfg(all(test, unix))]\nmod tests {\n    fn g() { x.unwrap(); }\n}\nfn h() {}";
+    assert_eq!(strip_test_items(all), [("fn h() {}", 5)]);
+    assert_eq!(counted_lines(all), 1);
+}
+
+#[test]
+fn rule1_unwrap_and_expect_only_at_allowlisted_sites() {
+    let found = lines(&src(&UNWRAP_SCOPE), true, is_unwrap);
+    let ok = |(file, site): &(&str, &str), rel: &str, code: &str| {
+        rel.strip_prefix("crates/mpisim/src/") == Some(*file) && code.contains(site)
+    };
+    let rule = "rule 1: unwrap/expect in library code (return a Result or allowlist the site)";
+    pass(rule, stray(&found, &ALLOWLIST, ok));
+}
+
+#[test]
+fn rule2_no_wall_clock_in_deterministic_crates() {
+    pass("rule 2: wall-clock source", lines(&src(&CLOCK_SCOPE), true, is_clock).iter().map(at));
+}
+
+#[test]
+fn rule3_executor_substrate_has_no_unwrap_and_no_wall_clock() {
+    let found = lines(&EXEC_SUBSTRATE, true, |code| is_unwrap(code) || is_clock(code));
+    pass("rule 3: unwrap/expect or wall clock in the executor substrate", found.iter().map(at));
+}
+
+#[test]
+fn rule4_no_library_file_over_the_size_cap() {
+    let files = rust_files(&src(&SIZE_SCOPE), true).into_iter();
+    let mut sizes: Vec<(usize, String)> = files.map(|(rel, t)| (counted_lines(&t), rel)).collect();
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    let largest: Vec<String> = sizes[..5].iter().map(|(n, rel)| format!("{rel} {n}")).collect();
+    println!("largest: {}", largest.join(", "));
+    let over = sizes.into_iter().filter(|(n, _)| *n > SIZE_CAP);
+    pass("rule 4: over the size cap", over.map(|(n, rel)| format!("{rel}: {n} counted lines")));
+}
+
+#[test]
+fn rule5_mim_variables_match_the_readme_table() {
+    let mut read = BTreeMap::new();
+    for (rel, n, line) in lines(&["crates"], false, |code| code.contains("\"MIM_")) {
+        let code = code_of(&line);
+        for name in code.match_indices('"').filter_map(|(i, _)| quoted_mim(&code[i..], '"')) {
+            read.entry(name.to_owned()).or_insert(format!("{rel}:{n}"));
+        }
+    }
+    let readme = fs::read_to_string(repo().join("README.md")).expect("README.md");
+    let rows = readme.lines().filter_map(|l| quoted_mim(l.strip_prefix("| ")?, '`'));
+    let declared: BTreeSet<&str> = rows.chain(ENV_PRIVATE).collect();
+    let undeclared = read.iter().filter(|(name, _)| !declared.contains(name.as_str()));
+    let unread = declared.iter().filter(|name| !read.contains_key(**name));
+    let problems = undeclared.map(|(name, at)| format!("{at}: {name} has no README row"));
+    let unread = unread.map(|name| format!("{name} has a README row or ENV_PRIVATE, no reader"));
+    pass("rule 5: the MIM_* environment table", problems.chain(unread));
+}
+
+#[test]
+fn rule6_unsafe_only_in_allowed_files() {
+    let found = lines(&["crates"], false, |code| has_word(code, "unsafe"));
+    let ok = |file: &&str, rel: &str, _: &str| rel == *file;
+    pass("rule 6: unsafe outside UNSAFE_ALLOWED", stray(&found, &UNSAFE_ALLOWED, ok));
+}
+
+#[test]
+fn rule7_ledger_only_shims_are_called_nowhere() {
+    let found = lines(&SHIM_SCOPE, false, |c| SHIMS.iter().any(|s| has_word(c, &format!("{s}("))));
+    let ok = |s: &&str, rel: &str, c: &str| rel == SHIM_HOME && c.contains(&format!("pub fn {s}("));
+    pass("rule 7: ledger-only DES shim called", stray(&found, &SHIMS, ok));
+}
+
+#[test]
+fn every_dependency_is_a_path_dependency() {
+    let mut problems = Vec::new();
+    for lock in LOCK_FILES {
+        let Ok(text) = fs::read_to_string(repo().join(lock)) else {
+            assert_ne!(lock, "Cargo.lock", "the root workspace's lock file is committed");
+            continue;
+        };
+        let sources = text.lines().zip(1..).filter(|(l, _)| l.starts_with("source = "));
+        problems.extend(sources.map(|(l, n)| format!("{lock}:{n}: {l}")));
+    }
+    pass("hermeticity: a package from a registry or git", problems);
+}
