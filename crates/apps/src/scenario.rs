@@ -222,9 +222,10 @@ struct ChaosReport {
 /// op of iteration 3, right after the monitoring barrier (6 ops) plus
 /// three 4-op iterations.  Neighbours detect the death through
 /// `recv_or_failure`, substitute a zero halo, and finish; the reorder loop
-/// then agrees on liveness, shrinks the communicator ULFM-style, computes
-/// a mapping over the surviving submatrix, and the 7 survivors run more
-/// iterations plus an allreduce on the shrunk, reordered communicator.
+/// then agrees on liveness, shrinks the communicator ULFM-style, rebinds
+/// the session onto it, gathers and maps the survivors' matrix, and the 7
+/// survivors run more iterations plus an allreduce on the shrunk,
+/// reordered communicator.
 pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Chaos) -> Transcript {
     let builtin = matches!(chaos, Chaos::Builtin(_));
     let plan = match chaos {
@@ -303,7 +304,7 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
     let _ = writeln!(out, "k = {:?}", root_k.expect("the shrunk communicator's rank 0 holds k"));
     let root = results[0].as_ref().expect("root survives in this demo");
     if let Some(csv) = &root.gathered_csv {
-        out.push_str("partial byte matrix at root (dead rows zeroed):\n");
+        out.push_str("survivors' byte matrix at root (shrunk communicator):\n");
         out.push_str(csv);
     }
 
@@ -336,6 +337,17 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
             results.iter().flatten().map(|r| r.retries).sum::<u64>() > 0,
             "a 10% drop plan must retry at least once"
         );
+        // The plan's seed moves drops, duplicates and retries, never the
+        // data: the mapping, the new ranks and the physics are pinned.
+        assert_eq!(root_k, Some(&vec![4, 5, 6, 0, 1, 2, 3]), "the survivors' mapping moved");
+        let new_ranks: Vec<_> =
+            results.iter().map(|r| r.as_ref().ok().map(|r| r.new_rank)).collect();
+        let expect_ranks = [Some(4), Some(5), Some(6), None, Some(0), Some(1), Some(2), Some(3)];
+        assert_eq!(new_ranks, expect_ranks, "the survivors' new ranks moved");
+        assert_eq!(root.checksum.to_bits(), 0x402b_0059_e603_82fc, "checksum {}", root.checksum);
+        let survivor_bytes = "0,48,0,0,0,0,0\n48,0,48,0,0,0,0\n0,48,0,0,0,0,0\n0,0,0,0,48,0,0\n\
+                              0,0,0,48,0,48,0\n0,0,0,0,48,0,48\n0,0,0,0,0,48,0\n";
+        assert_eq!(root.gathered_csv.as_deref(), Some(survivor_bytes), "the survivors' matrix");
         let _ = writeln!(
             out,
             "crash at iteration {} recovered by shrink-and-remap; all checks passed",
@@ -476,10 +488,7 @@ pub fn elastic_stencil(
         }
         let checksum = rank.allreduce(&grown2, &[x], |a, b| a + b)[0];
 
-        let all_alive = vec![true; grown2.size()];
-        let window = mon
-            .gather_window_partial(rank, session_b, 0, Flags::ALL_COMM, &all_alive)
-            .expect("window gather");
+        let window = mon.gather_window(rank, session_b, 0, Flags::ALL_COMM).expect("window gather");
         mon.suspend(session_b).expect("suspend B");
         mon.free(session_b).expect("free B");
 

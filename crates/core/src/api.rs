@@ -1,6 +1,5 @@
 //! The public monitoring API (the paper's `MPI_M_*` functions).
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -64,11 +63,6 @@ pub struct GatheredData {
     pub counts: CommMatrix,
     /// `sizes[i][j]` = bytes sent from communicator rank `i` to `j`.
     pub sizes: CommMatrix,
-    /// `liveness[i]` = whether communicator rank `i` contributed its row.
-    /// All-true for the full gathers; a partial gather
-    /// ([`Monitoring::rootgather_partial`]) zeroes the rows of dead ranks
-    /// and marks them here instead of failing the whole collection.
-    pub liveness: Vec<bool>,
 }
 
 /// Per-session introspection counters returned by
@@ -101,9 +95,9 @@ pub struct GatheredWindow {
     /// when every window is advanced through the same collective calls).
     pub epoch: u64,
     /// The window's traffic matrices — `Some` at the gathering root, `None`
-    /// elsewhere.  `liveness` is all-true from [`Monitoring::gather_window`];
-    /// [`Monitoring::gather_window_partial`] zeroes dead ranks' rows and
-    /// marks them here instead.
+    /// elsewhere.  One row per member of the session's communicator: after
+    /// a rank died, shrink the communicator and
+    /// [`Monitoring::rebind_session`] before gathering.
     pub data: Option<GatheredData>,
 }
 
@@ -353,31 +347,7 @@ impl Monitoring {
         root: usize,
         flags: Flags,
     ) -> Result<GatheredWindow> {
-        self.tree_gather(rank, msid, root, flags, Scope::Window, None)
-    }
-
-    /// Fault-tolerant variant of [`Monitoring::gather_window`] for sessions
-    /// riding out membership churn: seal the window and gather it from the
-    /// ranks marked alive in `alive` (indexed by communicator rank), routing
-    /// the k-ary tree over the **live membership only** so no frame ever
-    /// waits on a dead or departed interior rank.  Dead ranks' rows come
-    /// back zeroed with `liveness[i] == false` — the window analogue of
-    /// [`Monitoring::rootgather_partial`]'s contract, so a rank dying
-    /// mid-epoch cannot leave phantom rows in the next window.  Collective
-    /// over the live members only; dead ranks must not call it.
-    ///
-    /// # Errors
-    /// [`MonError::InvalidRoot`] when `root` is out of range, marked dead,
-    /// or `alive` is not exactly one flag per member.
-    pub fn gather_window_partial(
-        &self,
-        rank: &Rank,
-        msid: Msid,
-        root: usize,
-        flags: Flags,
-        alive: &[bool],
-    ) -> Result<GatheredWindow> {
-        self.tree_gather(rank, msid, root, flags, Scope::Window, Some(alive))
+        self.tree_gather(rank, msid, root, flags, Scope::Window)
     }
 
     /// Re-attach a session to a grown or shrunk communicator (elastic
@@ -452,7 +422,7 @@ impl Monitoring {
         root: usize,
         flags: Flags,
     ) -> Result<Option<GatheredData>> {
-        Ok(self.tree_gather(rank, msid, root, flags, Scope::Total, None)?.data)
+        Ok(self.tree_gather(rank, msid, root, flags, Scope::Total)?.data)
     }
 
     /// The seed's star gather — every rank sends its dense row straight to
@@ -467,35 +437,9 @@ impl Monitoring {
     ) -> Result<Option<GatheredData>> {
         self.check_init()?;
         let (buf, comm) = self.dense_row_and_comm(msid, flags)?;
-        check_root(root, comm.size(), None)?;
+        check_root(root, comm.size())?;
         let gathered = rank.gather(&comm, root, &buf);
         Ok(gathered.map(|g| gathered_from_dense(&g, comm.size())))
-    }
-
-    /// Fault-tolerant variant of [`Monitoring::rootgather_data`]: gather
-    /// the matrices from the ranks marked alive in `alive` (indexed by
-    /// communicator rank of the session's communicator), routing the k-ary
-    /// tree over the **live membership only**, and report the dead ranks'
-    /// rows as zeros with `liveness[i] == false`, instead of failing the
-    /// whole collection with `MPI_M_INTERNAL_FAIL` because one peer
-    /// crashed.  Collective over the *live* members only; dead ranks must
-    /// not call it (they are dead).
-    ///
-    /// # Errors
-    /// [`MonError::InvalidRoot`] when `root` is out of range, marked dead,
-    /// or `alive` is not exactly one flag per member.
-    /// [`MonError::InternalFail`] at the root when a rank marked alive died
-    /// before its row arrived (every gather entry point answers an
-    /// incomplete gather this way; the other ranks return normally).
-    pub fn rootgather_partial(
-        &self,
-        rank: &Rank,
-        msid: Msid,
-        root: usize,
-        flags: Flags,
-        alive: &[bool],
-    ) -> Result<Option<GatheredData>> {
-        Ok(self.tree_gather(rank, msid, root, flags, Scope::Total, Some(alive))?.data)
     }
 
     /// Each process writes its own row to `"{filename}.{rank}.prof"`
@@ -570,15 +514,14 @@ impl Monitoring {
         Ok((buf, comm))
     }
 
-    /// The one tree gather behind [`Monitoring::rootgather_data`],
-    /// [`Monitoring::rootgather_partial`], [`Monitoring::gather_window`] and
-    /// [`Monitoring::gather_window_partial`], parameterised by what it can
-    /// observe: `scope` selects the rows and `alive` the membership (`None`
-    /// ≡ everyone).  Each rank ships its row as sparse `(dst, count, bytes)`
-    /// triples sorted by destination, zero pairs omitted, along a k-ary
-    /// tree laid over the [`live_order`].  Every rank gets its epoch back,
-    /// the root additionally the matrices — or, when a listed rank died
-    /// before its row arrived, the paper's `MPI_M_INTERNAL_FAIL`.
+    /// The one tree gather behind [`Monitoring::rootgather_data`] and
+    /// [`Monitoring::gather_window`]: `scope` selects the rows, and the
+    /// session's communicator is who takes part.  Each rank ships its row as
+    /// sparse `(dst, count, bytes)` triples sorted by destination, zero
+    /// pairs omitted, along a k-ary tree laid over the communicator's
+    /// [`Rank::topology_order`].  Every rank gets its epoch back, the root
+    /// additionally the matrices — or, when a member died before its row
+    /// arrived, the paper's `MPI_M_INTERNAL_FAIL`.
     fn tree_gather(
         &self,
         rank: &Rank,
@@ -586,7 +529,6 @@ impl Monitoring {
         root: usize,
         flags: Flags,
         scope: Scope,
-        alive: Option<&[bool]>,
     ) -> Result<GatheredWindow> {
         self.check_init()?;
         let (epoch, buf, comm) = {
@@ -595,7 +537,7 @@ impl Monitoring {
             if scope == Scope::Total && s.state != SessionState::Suspended {
                 return Err(MonError::SessionNotSuspended);
             }
-            check_root(root, s.comm.size(), alive)?;
+            check_root(root, s.comm.size())?;
             let mut buf = Vec::new();
             let epoch = match scope {
                 Scope::Total => {
@@ -620,19 +562,17 @@ impl Monitoring {
         // The table borrow is dropped around the collective (the hook
         // re-enters it for sessions that are not muted).
         let order = rank.topology_order(&comm, root);
-        let rows = rank.gather_tree(&comm, root, GATHER_ARITY, &live_order(&order, alive), &buf);
+        let rows = rank.gather_tree(&comm, root, GATHER_ARITY, &order, &buf);
         // Unmute (a no-op after a `Total` gather, which never muted).
         if let Ok(s) = self.state.borrow_mut().get_mut(msid) {
             s.muted = false;
         }
         let rows = rows.map_err(|missing| {
-            MonError::InternalFail(format!(
-                "incomplete gather: no row from live rank(s) {missing:?}"
-            ))
+            MonError::InternalFail(format!("incomplete gather: no row from rank(s) {missing:?}"))
         })?;
         Ok(GatheredWindow {
             epoch,
-            data: rows.map(|rows| gathered_from_triples(&rows, comm.size(), alive)),
+            data: rows.map(|rows| gathered_from_triples(&rows, comm.size())),
         })
     }
 
@@ -656,22 +596,9 @@ impl Monitoring {
     }
 }
 
-/// The gather tree's rank order: the communicator's shared topology order
-/// ([`Rank::topology_order`]), restricted to the live ranks when a liveness
-/// bitmap is given — the only case that copies it.  The root stays first
-/// because [`check_root`] requires it alive.
-fn live_order<'a>(order: &'a [usize], alive: Option<&[bool]>) -> Cow<'a, [usize]> {
-    match alive {
-        None => Cow::Borrowed(order),
-        Some(alive) => Cow::Owned(order.iter().copied().filter(|&r| alive[r]).collect()),
-    }
-}
-
-/// Root validation shared by every rooted gather: `root` must be a member
-/// and, under a liveness bitmap, the bitmap must hold exactly one flag per
-/// member with the root alive.
-fn check_root(root: usize, n: usize, alive: Option<&[bool]>) -> Result<()> {
-    if root >= n || alive.is_some_and(|a| a.len() != n || !a[root]) {
+/// Root validation shared by every rooted gather: `root` must be a member.
+fn check_root(root: usize, n: usize) -> Result<()> {
+    if root >= n {
         return Err(MonError::InvalidRoot);
     }
     Ok(())
@@ -679,8 +606,7 @@ fn check_root(root: usize, n: usize, alive: Option<&[bool]>) -> Result<()> {
 
 /// Unpack `n` dense rows of `counts ‖ sizes` (see
 /// [`Monitoring::dense_row_and_comm`]), one per communicator rank, into the
-/// sparse matrices of [`GatheredData`] (the dense gathers have no liveness
-/// bitmap: every member contributed).
+/// sparse matrices of [`GatheredData`].
 fn gathered_from_dense(gathered: &[u64], n: usize) -> GatheredData {
     let mut counts = CommMatrix::zeros(n);
     let mut sizes = CommMatrix::zeros(n);
@@ -690,19 +616,18 @@ fn gathered_from_dense(gathered: &[u64], n: usize) -> GatheredData {
             sizes.set(i, j, gathered[i * 2 * n + n + j]);
         }
     }
-    GatheredData { counts, sizes, liveness: vec![true; n] }
+    GatheredData { counts, sizes }
 }
 
 /// Build the sparse matrices of [`GatheredData`] from per-rank
 /// `(dst, count, bytes)` triples.  Unmentioned cells are zero, which is
 /// exactly what the sender recorded for them — the reason sparse and dense
-/// gathers are bit-identical.  Ranks marked dead in `alive` shipped no row,
-/// so theirs stay zero too.
+/// gathers are bit-identical.
 ///
 /// # Panics
 /// Panics on a destination outside the communicator: a corrupt triple fails
 /// here instead of landing in another rank's row.
-fn gathered_from_triples(rows: &[Vec<u64>], n: usize, alive: Option<&[bool]>) -> GatheredData {
+fn gathered_from_triples(rows: &[Vec<u64>], n: usize) -> GatheredData {
     let mut counts = CommMatrix::zeros(n);
     let mut sizes = CommMatrix::zeros(n);
     for (i, row) in rows.iter().enumerate() {
@@ -711,7 +636,7 @@ fn gathered_from_triples(rows: &[Vec<u64>], n: usize, alive: Option<&[bool]>) ->
             sizes.set(i, t[0] as usize, t[2]);
         }
     }
-    GatheredData { counts, sizes, liveness: alive.map_or_else(|| vec![true; n], <[bool]>::to_vec) }
+    GatheredData { counts, sizes }
 }
 
 fn write_row(w: &mut impl Write, my_rank: usize, row: &SessionRow) -> std::io::Result<()> {

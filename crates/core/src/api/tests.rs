@@ -12,8 +12,7 @@ use crate::error::MonError;
 use crate::flags::Flags;
 use crate::session::{MemberMapOracle, Msid};
 
-use super::GatheredWindow;
-use super::{live_order, Monitoring};
+use super::Monitoring;
 
 fn universe(n: usize) -> Universe {
     Universe::new(UniverseConfig::new(Machine::cluster(2, 2, 4), Placement::packed(n)))
@@ -402,76 +401,6 @@ fn check_equivalence(
     });
 }
 
-/// The projection the gather core relies on: a gather with no liveness
-/// bitmap and the same gather under an all-true bitmap are one operation.
-/// Runs the seeded p2p workload twice on identical universes — once
-/// gathering through the liveness-`None` entry points, once through the
-/// bitmap ones — and requires, on every rank, identical results (matrices,
-/// epoch, `liveness`) for both scopes and every flag selection, and a
-/// bit-identical final virtual clock.
-fn check_liveness_projection(
-    machine: &Machine,
-    placement: &Placement,
-    n: usize,
-    kind: ExecutorKind,
-    events: &[(usize, usize, u64)],
-    gather_root: usize,
-) {
-    let run = |bitmap: bool| {
-        let cfg = UniverseConfig::new(machine.clone(), placement.clone()).with_executor(kind);
-        Universe::new(cfg).launch(|rank| {
-            let world = rank.comm_world();
-            let me = world.rank();
-            let all_true = vec![true; n];
-            let alive = bitmap.then_some(all_true.as_slice());
-            let mon = Monitoring::init(rank).unwrap();
-            let id = mon.start(rank, &world).unwrap();
-            let mut got: Vec<GatheredWindow> = Vec::new();
-            let flag_sets = [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::OSC_ONLY, Flags::ALL_COMM];
-            // Window scope, on the ACTIVE session, through the public
-            // projections: one window of traffic per flag selection.
-            for flags in flag_sets {
-                for &(src, dst, bytes) in events {
-                    if me == src {
-                        rank.send(&world, dst, 7, &vec![0u8; bytes as usize]);
-                    } else if me == dst {
-                        rank.recv::<u8>(&world, SrcSel::Rank(src), TagSel::Is(7));
-                    }
-                }
-                rank.barrier(&world);
-                got.push(match alive {
-                    None => mon.gather_window(rank, id, gather_root, flags).unwrap(),
-                    Some(a) => mon.gather_window_partial(rank, id, gather_root, flags, a).unwrap(),
-                });
-            }
-            // Total scope, on the suspended session, through the public
-            // projections too: `rootgather_partial` rides the same tree as
-            // `rootgather_data`, which is what keeps the clocks equal.
-            mon.suspend(id).unwrap();
-            let epoch = mon.trace_counters(rank, id).unwrap().epoch;
-            for flags in flag_sets {
-                let data = match alive {
-                    None => mon.rootgather_data(rank, id, gather_root, flags).unwrap(),
-                    Some(a) => mon.rootgather_partial(rank, id, gather_root, flags, a).unwrap(),
-                };
-                got.push(GatheredWindow { epoch, data });
-            }
-            mon.free(id).unwrap();
-            mon.finalize(rank).unwrap();
-            (rank.now_ns().to_bits(), got)
-        })
-    };
-    let (plain, bitmap) = (run(false), run(true));
-    for (r, (p, b)) in plain.iter().zip(&bitmap).enumerate() {
-        assert_eq!(p.1, b.1, "rank {r}: None vs all-true bitmap gathers differ");
-        assert_eq!(p.0, b.0, "rank {r}: None vs all-true bitmap left different virtual clocks");
-        assert_eq!(p.1.iter().all(|w| w.data.is_some()), r == gather_root);
-    }
-    let root = &plain[gather_root].1;
-    assert!(root.iter().all(|w| w.data.as_ref().is_some_and(|d| d.liveness == vec![true; n])));
-    assert_eq!(root.iter().map(|w| w.epoch).collect::<Vec<_>>(), [1, 2, 3, 4, 4, 4, 4, 4]);
-}
-
 props! {
     /// Sparse-vs-dense accumulators and tree-vs-star gathers are
     /// bit-identical across 3 machine topologies and both executors, on a
@@ -511,7 +440,6 @@ props! {
                     bcast_root,
                     gather_root,
                 );
-                check_liveness_projection(&machine, &placement, n, kind, &events, gather_root);
             }
         }
     }
@@ -775,14 +703,13 @@ fn per_rank_topology_order(rank: &Rank, comm: &Comm, root: usize) -> Vec<usize> 
 
 props! {
     /// The shared gather order equals the per-rank sort it replaced, on the
-    /// world and on a split, for every root, with and without a liveness
-    /// bitmap — and every member of a communicator holds the same copy.
+    /// world and on a split, for every root — and every member of a
+    /// communicator holds the same copy.
     fn shared_gather_order_equals_the_per_rank_sort(g, cases = 8) {
         let machine = Machine::cluster(3, 2, 4);
         let n = g.gen_range(2usize..=machine.num_cores());
         let placement = Placement::random(&machine.tree, n, g.any_u64());
         let colors = g.gen_range(1usize..4);
-        let listed: Vec<bool> = (0..n).map(|_| g.any_bool()).collect();
         let u = Universe::new(UniverseConfig::new(machine, placement));
         let copies = u.launch(|rank| {
             let world = rank.comm_world();
@@ -791,12 +718,7 @@ props! {
             for comm in [&world, &sub] {
                 for root in 0..comm.size() {
                     let order = rank.topology_order(comm, root);
-                    let oracle = per_rank_topology_order(rank, comm, root);
-                    assert_eq!(live_order(&order, None), &oracle[..]);
-                    let alive: Vec<bool> =
-                        (0..comm.size()).map(|r| r == root || listed[r]).collect();
-                    let live: Vec<usize> = oracle.into_iter().filter(|&r| alive[r]).collect();
-                    assert_eq!(live_order(&order, Some(&alive)), &live[..]);
+                    assert_eq!(order[..], per_rank_topology_order(rank, comm, root)[..]);
                 }
             }
             rank.barrier(&world);

@@ -335,22 +335,24 @@ impl Rank {
     }
 
     /// Gather variable-size `u64` contributions at `root` along a k-ary
-    /// tree laid over an explicit rank `order` (`order[0]` must be `root`;
-    /// all ranks must pass identical `order` and `arity`).  Returns one row
-    /// per communicator rank at the root, `None` elsewhere.  Used by the
-    /// monitoring plane to aggregate sparse traffic rows along the machine
-    /// topology instead of funnelling every row through the root's mailbox.
+    /// tree laid over an explicit rank `order` (a permutation of the
+    /// communicator's ranks with `order[0] == root`; all ranks must pass
+    /// identical `order` and `arity`).  Returns one row per communicator
+    /// rank at the root, `None` elsewhere.  Used by the monitoring plane to
+    /// aggregate sparse traffic rows along the machine topology instead of
+    /// funnelling every row through the root's mailbox.
     ///
     /// # Errors
-    /// At the root, the listed ranks whose frame did not arrive because
-    /// they, or a rank on their path to the root, died mid-gather (see
+    /// At the root, the ranks whose frame did not arrive because they, or a
+    /// rank on their path to the root, died mid-gather (see
     /// [`gather_tree_kary`]).
     ///
     /// # Panics
     /// Panics when `arity < 2` — validated *here*, before the collective
     /// allocates its tag or opens its span, so a bad arity fails every rank
     /// with the same message instead of desynchronizing the collective
-    /// sequence mid-flight.
+    /// sequence mid-flight — and when `order` is not a permutation starting
+    /// with `root`.
     pub fn gather_tree(
         &self,
         comm: &Comm,

@@ -28,30 +28,24 @@ fn parent_pos(p: usize, arity: usize) -> usize {
 /// forwards the lot to its parent; the root returns `Ok(Some(rows))` with
 /// `rows[r]` = rank `r`'s contribution, everyone else `Ok(None)`.
 ///
-/// `order` may list a **subset** of the communicator — the current live
-/// membership under churn — as long as it is duplicate-free and starts with
-/// the root.  A caller whose rank is absent from `order` returns `None`
-/// immediately (it neither sends nor receives); at the root, rows for
-/// absent ranks come back empty, mirroring `rootgather_partial`'s
-/// zeroed-dead-rows contract.  Dead or departed ranks simply must not be
-/// listed; they never have to call at all.
+/// `order` lists every rank of the communicator exactly once: membership
+/// is the communicator, so a gather over survivors runs on a shrunk one.
 ///
 /// Every child is received with the failure-aware wait — its buffer or its
-/// death notice — so a listed rank that dies mid-gather is skipped rather
-/// than waited on: its subtree's frames evaporate with it, exactly as
-/// sends to a dead rank do under the recoverable `launch_faulty`, and
-/// every other rank still returns.
+/// death notice — so a rank that dies mid-gather is skipped rather than
+/// waited on: its subtree's frames evaporate with it, exactly as sends to
+/// a dead rank do under the recoverable `launch_faulty`, and every other
+/// rank still returns.
 ///
 /// # Errors
-/// At the root only: the listed ranks that contributed no frame, in rank
-/// order (the dead rank and whatever part of its subtree it had not
-/// forwarded).
+/// At the root only: the ranks that contributed no frame, in rank order
+/// (the dead rank and whatever part of its subtree it had not forwarded).
 ///
 /// # Panics
-/// Panics when `arity < 2`, `order` repeats or overflows the communicator,
-/// the root is not first, or (at the root) a contribution frame is
-/// malformed — all programming errors of the caller, which must pass
-/// identical `order`/`arity` on every participating rank.
+/// Panics when `arity < 2`, `order` is not a permutation of the
+/// communicator's ranks, the root is not first, or (at the root) a
+/// contribution frame is malformed — all programming errors of the caller,
+/// which must pass identical `order`/`arity` on every rank.
 pub fn gather_tree_kary(
     rank: &Rank,
     comm: &Comm,
@@ -64,21 +58,14 @@ pub fn gather_tree_kary(
     let n = comm.size();
     let me = comm.rank();
     assert!(arity >= 2, "gather tree arity must be at least 2");
-    assert!(!order.is_empty() && order.len() <= n, "order must list 1..={n} live ranks");
-    assert_eq!(order[0], root, "order[0] must be the gather root");
     let mut pos_of = vec![usize::MAX; n];
     for (p, &r) in order.iter().enumerate() {
-        assert!(r < n && pos_of[r] == usize::MAX, "order must list distinct ranks below {n}");
+        assert!(r < n && pos_of[r] == usize::MAX, "order must be a permutation of 0..{n}");
         pos_of[r] = p;
     }
+    assert_eq!(order.len(), n, "order must be a permutation of 0..{n}");
+    assert_eq!(order[0], root, "order[0] must be the gather root");
     let pos = pos_of[me];
-    if pos == usize::MAX {
-        // Not part of the live membership this gather covers: contribute
-        // nothing and touch no channel.  (The coll tag above was still
-        // consumed, keeping this rank's tag stream aligned with peers that
-        // may include it in a later window.)
-        return Ok(None);
-    }
 
     // Own frame first, then each child's subtree buffer in position order —
     // a deterministic concatenation, so the traffic shape is identical on
@@ -108,13 +95,11 @@ pub fn gather_tree_kary(
         let len = buf[at + 1] as usize;
         at += 2;
         assert!(src < n && rows[src].is_none(), "duplicate or out-of-range gather frame");
-        assert!(pos_of[src] != usize::MAX, "gather frame from rank {src} absent from order");
         assert!(at + len <= buf.len(), "truncated gather frame payload");
         rows[src] = Some(buf[at..at + len].to_vec());
         at += len;
     }
-    let missing: Vec<usize> =
-        (0..n).filter(|&r| pos_of[r] != usize::MAX && rows[r].is_none()).collect();
+    let missing: Vec<usize> = (0..n).filter(|&r| rows[r].is_none()).collect();
     if !missing.is_empty() {
         return Err(missing);
     }

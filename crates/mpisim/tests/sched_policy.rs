@@ -4,6 +4,7 @@
 //! and deadline panics carry the policy's decision log.
 
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -211,6 +212,29 @@ fn gather_tree_rejects_arity_below_two() {
         let world = rank.comm_world();
         let order = vec![0, 1];
         rank.gather_tree(&world, 0, 1, &order, &[rank.world_rank() as u64])
+    });
+}
+
+/// `Rank::gather_tree` gathers over the whole communicator: an order that
+/// repeats a rank, or skips one, fails on every rank before a frame moves.
+#[test]
+#[should_panic(expected = "order must be a permutation of 0..3")]
+fn gather_tree_rejects_an_order_that_is_not_a_permutation() {
+    let universe =
+        || Universe::new(UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(3)));
+    let caught = universe().launch(|rank| {
+        let world = rank.comm_world();
+        let repeat = [0, 1, 1];
+        let p = catch_unwind(AssertUnwindSafe(|| rank.gather_tree(&world, 0, 2, &repeat, &[1])))
+            .expect_err("a repeated rank must panic");
+        p.downcast_ref::<String>().cloned().unwrap_or_default()
+    });
+    for (r, msg) in caught.iter().enumerate() {
+        assert!(msg.contains("order must be a permutation of 0..3"), "rank {r}: {msg:?}");
+    }
+    universe().launch(|rank| {
+        let world = rank.comm_world();
+        rank.gather_tree(&world, 0, 2, &[0, 2], &[1])
     });
 }
 

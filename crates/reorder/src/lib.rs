@@ -208,11 +208,12 @@ pub fn monitored_reorder_windowed(
 pub enum ReorderFallback {
     /// The full reordering went through: every rank alive, mapping computed.
     None,
-    /// The gather or the mapping failed; the loop fell back to the identity
-    /// permutation (the optimized communicator equals the working one —
-    /// shrunk when a rank died inside the gather; see
-    /// [`ResilientOutcome::alive`]).  Carries the reason — on non-root ranks a generic marker, since only
-    /// the root observes the failure.
+    /// The gather or the mapping failed — a rank died inside the gather, or
+    /// TreeMatch panicked; the loop fell back to the identity permutation
+    /// (the optimized communicator equals the working one, shrunk around
+    /// every dead rank; see [`ResilientOutcome::alive`]).  Carries the
+    /// reason — on non-root ranks a generic marker, since only the root
+    /// observes the failure.
     Identity(String),
     /// Ranks crashed: reordering proceeded ULFM-style on the shrunk
     /// communicator.  `crashed` holds their *original* communicator ranks.
@@ -235,7 +236,8 @@ pub struct ResilientOutcome {
     pub reorder_cost_ns: f64,
     /// Whether and how the loop degraded.
     pub fallback: ReorderFallback,
-    /// The gathered (possibly partial) matrices — root only.
+    /// The survivors' matrices, one row and column per rank of the working
+    /// communicator — root only, and only when the gather succeeded.
     pub gathered: Option<GatheredData>,
 }
 
@@ -266,15 +268,15 @@ fn mapping_or_identity(
 /// hardened so that neither a crashed rank nor a failed gather/mapping can
 /// take the application down with it.
 ///
-/// After the monitored section the survivors agree on a liveness bitmap
-/// (`Rank::liveness_exchange`), gather the matrices *partially* — dead
-/// ranks' rows zeroed, flagged in `GatheredData::liveness` — agree once
-/// more (a rank that died inside the gather fails it at the root and must
-/// not be a member of what follows) and, when anyone died, shrink the
-/// communicator ULFM-style (`Rank::comm_shrink`) before computing the
-/// mapping over the surviving submatrix.  A gather or TreeMatch failure
-/// demotes the permutation to identity instead of panicking.  The returned
-/// communicator is always usable.
+/// After the monitored section the survivors agree on who is alive
+/// (`Rank::liveness_exchange`); when anyone died they shrink the
+/// communicator ULFM-style (`Rank::comm_shrink`) and rebind the session
+/// onto it (`Monitoring::rebind_session`, which drops the dead ranks'
+/// columns), so the gather runs over the survivors alone and hands the root
+/// their matrix.  They then agree once more: a rank that died inside the
+/// gather fails it, and the tail must not run over a dead member.  A gather
+/// or TreeMatch failure demotes the permutation to identity instead of
+/// panicking.  The returned communicator is always usable.
 ///
 /// The `monitored` closure must itself be fault-aware when running under
 /// fault injection (use `Rank::recv_or_failure` rather than plain `recv`),
@@ -295,47 +297,40 @@ pub fn monitored_reorder_resilient(
     mon.suspend(id).expect("suspend monitoring session");
     let t0 = rank.now_ns();
 
-    // Partial gather on the ORIGINAL communicator (its member list still
-    // names the dead, which is exactly what the liveness bitmap indexes).
+    // Membership is the communicator: shrink around the dead and rebind
+    // the session before gathering.
     let listed = rank.liveness_exchange(comm);
-    let gathered = mon
-        .rootgather_partial(rank, id, 0, flags, &listed)
-        .map_err(|e| format!("partial gather failed: {e}"));
-    // A listed rank can still die inside the gather — the root then holds
-    // the error, everyone else nothing — so the survivors agree once more:
-    // the tail below must never run over a dead member.
+    let gather_comm = if listed.iter().all(|&a| a) {
+        comm.clone()
+    } else {
+        let shrunk = rank.comm_shrink(comm, &listed);
+        mon.rebind_session(id, &shrunk).expect("rebind the session to the survivors");
+        shrunk
+    };
+    let gathered = mon.rootgather_data(rank, id, 0, flags);
+    // A rank can still die inside the gather — the root then holds the
+    // error, everyone else nothing — so the survivors agree once more.
     let alive = rank.liveness_exchange(comm);
     let crashed: Vec<usize> = (0..comm.size()).filter(|&r| !alive[r]).collect();
-
-    let work = if crashed.is_empty() { comm.clone() } else { rank.comm_shrink(comm, &alive) };
+    let died_in_gather = alive != listed;
+    let work = if died_in_gather { rank.comm_shrink(comm, &alive) } else { gather_comm };
     let m = work.size();
 
-    // What the root maps: the survivors' submatrix, or why it has none.
-    let sub = match &gathered {
-        Ok(Some(data)) => {
-            let live: Vec<usize> = (0..comm.size()).filter(|&r| alive[r]).collect();
-            // Working rank = position in the ascending `live`; the dead's
-            // columns find no position and drop out.
-            let mut sub = CommMatrix::zeros(m);
-            for (a, &r) in live.iter().enumerate() {
-                for &(c, bytes) in data.sizes.row(r) {
-                    if let Ok(b) = live.binary_search(&c) {
-                        sub.set(a, b, bytes);
-                    }
-                }
-            }
-            Ok(sub)
-        }
+    // What the root maps: the survivors' matrix, or why it has none.
+    let gathered = match gathered {
+        Ok(Some(_)) if died_in_gather => Err("a rank died inside the gather".to_string()),
+        Ok(Some(data)) => Ok(data),
         Ok(None) => Err("no matrix at root".to_string()),
-        Err(why) => Err(why.clone()),
+        Err(e) => Err(format!("gather failed: {e}")),
     };
     // Resilient failure policy: identity instead of a panic, and a one-word
     // identity-fallback flag trailing `k` so every survivor learns how the
     // loop degraded.
     let mut why = None;
-    let (opt_comm, k, flag) = map_and_split(rank, &work, sub.as_ref(), |sub| {
-        let (k, fail) = match sub {
-            Ok(sub) => mapping_or_identity(rank.machine(), rank.placement(), work.group(), sub),
+    let sizes = gathered.as_ref().map(|data| &data.sizes);
+    let (opt_comm, k, flag) = map_and_split(rank, &work, sizes, |sizes| {
+        let (k, fail) = match sizes {
+            Ok(sizes) => mapping_or_identity(rank.machine(), rank.placement(), work.group(), sizes),
             Err(why) => ((0..m).collect(), Some(why.clone())),
         };
         let flag = vec![u64::from(fail.is_some())];
@@ -352,7 +347,7 @@ pub fn monitored_reorder_resilient(
     } else {
         ReorderFallback::None
     };
-    let gathered = gathered.ok().flatten();
+    let gathered = gathered.ok();
     ResilientOutcome { comm: opt_comm, k, alive, reorder_cost_ns, fallback, gathered }
 }
 
@@ -698,7 +693,6 @@ mod tests {
             assert!(outcome.reorder_cost_ns > 0.0);
             if world.rank() == 0 {
                 let g = outcome.gathered.as_ref().expect("root holds the matrices");
-                assert_eq!(g.liveness, vec![true; 8]);
                 assert!((0..8).any(|i| (0..8).any(|j| g.sizes.get(i, j) > 0)));
             } else {
                 assert!(outcome.gathered.is_none());

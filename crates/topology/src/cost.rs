@@ -50,11 +50,6 @@ impl CostModel {
         self.params[lca_depth.min(self.params.len() - 1)]
     }
 
-    /// All link classes, most remote first.
-    pub fn params(&self) -> &[LinkParams] {
-        &self.params
-    }
-
     /// Message time in nanoseconds between two cores with the given LCA depth.
     pub fn message_ns(&self, lca_depth: usize, bytes: u64) -> f64 {
         self.params_at(lca_depth).message_ns(bytes)

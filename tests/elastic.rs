@@ -267,9 +267,10 @@ fn a_dead_sponsor_still_retires_latent_slots() {
 
 #[test]
 fn dead_rank_leaves_no_phantom_rows_in_windows() {
-    // Satellite regression: a rank dying mid-epoch must not leave phantom
-    // rows in the next gathered window — dead rows come back zeroed and
-    // flagged, and a traffic-free follow-up window is empty everywhere.
+    // A rank dying mid-epoch must not leave phantom rows in the next
+    // gathered window: the survivors shrink around it, rebind the session
+    // and gather over themselves — their rows come back intact, and a
+    // traffic-free follow-up window is empty everywhere.
     let plan = FaultPlan::new(7).crash_at_ops(3, 7);
     let cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4))
         .with_injector(plan.into_injector());
@@ -285,18 +286,15 @@ fn dead_rank_leaves_no_phantom_rows_in_windows() {
         }
         let alive = rank.liveness_exchange(&world);
         assert_eq!(alive, vec![true, true, true, false]);
-        let w1 = mon.gather_window_partial(rank, id, 0, Flags::P2P_ONLY, &alive).unwrap();
-        let w2 = mon.gather_window_partial(rank, id, 0, Flags::P2P_ONLY, &alive).unwrap();
+        let work = rank.comm_shrink(&world, &alive);
+        mon.rebind_session(id, &work).unwrap();
+        let w1 = mon.gather_window(rank, id, 0, Flags::P2P_ONLY).unwrap();
+        let w2 = mon.gather_window(rank, id, 0, Flags::P2P_ONLY).unwrap();
         assert_eq!((w1.epoch, w2.epoch), (1, 2));
         if let Some(data) = &w1.data {
-            assert_eq!(data.liveness, alive);
-            for j in 0..n {
-                assert_eq!(data.counts.get(3, j), 0, "dead rank's row must be zero");
-            }
-            // The survivors' rows are intact — including the columns of
-            // traffic they sent toward the rank before it died.
+            assert_eq!(data.counts.order(), 3, "one row per survivor");
             assert_eq!(data.counts.get(0, 1), 4);
-            assert_eq!(data.counts.get(2, 3), 4, "pre-death traffic toward the victim");
+            assert_eq!(data.counts.get(1, 2), 4);
             assert!(data.sizes.get(1, 2) > 0);
         } else {
             assert_ne!(me, 0, "the root must get the window data");
@@ -304,11 +302,7 @@ fn dead_rank_leaves_no_phantom_rows_in_windows() {
         if let Some(data) = &w2.data {
             // No phantom rows: with the gather's own control traffic muted
             // and no app traffic in between, window 2 is empty everywhere.
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(data.counts.get(i, j), 0, "phantom row in a sealed window");
-                }
-            }
+            assert_eq!(data.counts.total(), 0, "phantom row in a sealed window");
         }
         mon.suspend(id).unwrap();
         mon.free(id).unwrap();
@@ -319,30 +313,6 @@ fn dead_rank_leaves_no_phantom_rows_in_windows() {
     for r in res.iter().take(3) {
         assert!(r.is_ok());
     }
-}
-
-#[test]
-fn tree_gather_skips_absent_ranks() {
-    // Satellite: `gather_tree` over a live *subset* — excluded ranks return
-    // `None` immediately, absent rows come back empty at the root.
-    let u = Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(6)));
-    let rows = u.launch(|rank| {
-        let world = rank.comm_world();
-        let me = world.rank();
-        let order = [0usize, 2, 4, 5];
-        let data = [me as u64 * 10 + 1];
-        rank.gather_tree(&world, 0, 2, &order, &data).expect("every listed rank is alive")
-    });
-    for (w, r) in rows.iter().enumerate().skip(1) {
-        assert!(r.is_none(), "rank {w} is not the root");
-    }
-    let root = rows[0].as_ref().expect("root gets the rows");
-    assert_eq!(root.len(), 6);
-    assert_eq!(root[0], vec![1]);
-    assert_eq!(root[2], vec![21]);
-    assert_eq!(root[4], vec![41]);
-    assert_eq!(root[5], vec![51]);
-    assert!(root[1].is_empty() && root[3].is_empty(), "absent ranks contribute empty rows");
 }
 
 #[test]

@@ -8,13 +8,14 @@
 //!    cascade of rank panics. Allowlisted sites are invariant-backed (the
 //!    message names the invariant) and reviewed by hand.
 //! 2. No wall-clock source (`Instant::now`, `SystemTime::now`) in those four
-//!    crates, `mim-treematch` or `mim-reorder`. The simulator is a
-//!    virtual-time machine, the analyzer a pure function, the explorer's
-//!    schedules must replay byte-for-byte, the mapper is a pure function of
-//!    (machine, slots, matrix) and the reorder loops charge it from a model
-//!    of that matrix: determinism is the whole point. Sanctioned wall-clock
-//!    use lives in `mim-util` (channel timeouts, the bench timer), with one
-//!    exception:
+//!    crates, `mim-treematch`, `mim-reorder`, `mim-chaos` or
+//!    `mim-topology`. The simulator is a virtual-time machine, the analyzer
+//!    a pure function, the explorer's schedules must replay byte-for-byte,
+//!    the mapper is a pure function of (machine, slots, matrix), the reorder
+//!    loops charge it from a model of that matrix, and fault verdicts and
+//!    the cost model feed every virtual clock: determinism is the whole
+//!    point. Sanctioned wall-clock use lives in `mim-util` (channel
+//!    timeouts, the bench timer), with one exception:
 //! 3. The M:N executor's substrate (`mim-util`'s `fiber.rs`, `deque.rs`) is
 //!    held to rules 1 and 2. It runs on the scheduler hot path under every
 //!    parked rank: an unwrap there takes down a worker's whole task set, and
@@ -55,7 +56,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const UNWRAP_SCOPE: [&str; 4] = ["mpisim", "core", "analyze", "explore"];
-const CLOCK_SCOPE: [&str; 6] = ["mpisim", "core", "analyze", "explore", "treematch", "reorder"];
+const CLOCK_SCOPE: [&str; 8] =
+    ["mpisim", "core", "analyze", "explore", "treematch", "reorder", "chaos", "topology"];
 /// Rule 3: single files, not whole crates.
 const EXEC_SUBSTRATE: [&str; 2] = ["crates/util/src/fiber.rs", "crates/util/src/deque.rs"];
 const SIZE_SCOPE: [&str; 4] = ["mpisim", "analyze", "explore", "treematch"];
