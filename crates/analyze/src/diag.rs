@@ -86,28 +86,6 @@ impl Code {
             Code::A016 => "MIM-A016",
         }
     }
-
-    /// One-line summary of what the code means.
-    pub fn summary(self) -> &'static str {
-        match self {
-            Code::A001 => "malformed plan",
-            Code::A002 => "definite deadlock (circular wait)",
-            Code::A003 => "unmatched send",
-            Code::A004 => "orphan receive",
-            Code::A005 => "wildcard receive (nondeterministic matching)",
-            Code::A006 => "collective mismatch",
-            Code::A007 => "collective root mismatch",
-            Code::A008 => "conflicting one-sided accesses",
-            Code::A009 => "epoch/fence error",
-            Code::A010 => "potential deadlock under wildcard nondeterminism",
-            Code::A011 => "wildcard match race (racing sends)",
-            Code::A012 => "tag collision on a wildcard channel",
-            Code::A013 => "nondeterministic delivery reorders observable receives",
-            Code::A014 => "collective/point-to-point interleaving hazard",
-            Code::A015 => "send unordered with a crossing wildcard",
-            Code::A016 => "race outcome feeds a later match (result-visible)",
-        }
-    }
 }
 
 impl fmt::Display for Code {

@@ -88,11 +88,6 @@ impl EwmaPredictor {
         e
     }
 
-    /// Current predicted bandwidth (bytes/s); `None` before any sample.
-    pub fn predicted(&self) -> Option<f64> {
-        self.estimate
-    }
-
     /// True when the predicted utilization is below the idle threshold —
     /// a good moment to schedule background transfers.
     pub fn network_idle(&self) -> bool {
@@ -113,12 +108,12 @@ mod tests {
     #[test]
     fn ewma_converges_to_constant_signal() {
         let mut p = EwmaPredictor::new(0.3, 10.0);
-        assert!(p.predicted().is_none());
+        assert!(p.estimate.is_none());
         assert!(!p.network_idle());
         for i in 0..50 {
             p.observe(sample(i as f64, 100.0));
         }
-        assert!((p.predicted().unwrap() - 100.0).abs() < 1e-6);
+        assert!((p.estimate.unwrap() - 100.0).abs() < 1e-6);
         assert!(!p.network_idle());
     }
 
@@ -130,7 +125,7 @@ mod tests {
         for i in 1..12 {
             p.observe(sample(i as f64, 0.0));
         }
-        assert!(p.network_idle(), "estimate {:?}", p.predicted());
+        assert!(p.network_idle(), "estimate {:?}", p.estimate);
     }
 
     #[test]

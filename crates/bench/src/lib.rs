@@ -15,13 +15,14 @@
 //! sweeps for a fast smoke run.
 //!
 //! The repository's benchmark is `mim-ledger/` (with `BENCHMARK.json`), not
-//! this crate.  The seven `benches/` harnesses (on `mim_util::bench`) are
+//! this crate.  The six `benches/` harnesses (on `mim_util::bench`) are
 //! what it has no twin for, and none is compared against a recorded number:
 //! `trace_overhead` and `chaos_overhead` assert their own in-run
 //! disabled/baseline ratio; `retry_storm`, `elastic_churn` and
-//! `analyze_races` are diagnostics a smoke run must complete;
-//! `coll_algorithms` and `treematch` are the design ablations DESIGN.md §4
-//! cites.
+//! `analyze_races` are diagnostics a smoke run must complete; `treematch`
+//! is the grouping ablation DESIGN.md §4 cites.  The collective-algorithm
+//! makespans §4 also cites are a `mim-mpisim` unit test
+//! (`schedule::tests::design_ablation_makespans_are_pinned`).
 
 use std::fmt::Display;
 use std::process::ExitCode;

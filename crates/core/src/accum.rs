@@ -82,11 +82,6 @@ impl PairAccum {
         Self { n, repr }
     }
 
-    /// Communicator size this accumulator was built for.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// True when the dense representation is in use.
     pub fn is_dense(&self) -> bool {
         matches!(self.repr, Repr::Dense(_))
@@ -274,7 +269,7 @@ mod tests {
             map[7] = Some(2);
             map[0] = Some(1); // untouched destinations move silently
             let b = a.reindex(&map, 4, usize::MAX);
-            assert_eq!(b.order(), 4);
+            assert_eq!(b.n, 4);
             assert!(b.is_dense(), "representation re-chosen under the new limit");
             assert_eq!(b.row(Flags::ALL_COMM).0, vec![2, 0, 1, 0]);
             assert_eq!(b.row(Flags::ALL_COMM).1, vec![150, 0, 0, 0]);

@@ -117,7 +117,6 @@ pub struct GatheredWindow {
 pub struct Monitoring {
     state: Rc<RefCell<SessionTable>>,
     hook: LocalHookHandle,
-    world_rank: usize,
     finalized: std::cell::Cell<bool>,
     /// Dense/sparse threshold for session accumulators: communicators up
     /// to `dense_limit` members store dense rows (the paper's literal
@@ -143,7 +142,6 @@ impl Monitoring {
         let this = Self {
             state,
             hook,
-            world_rank: rank.world_rank(),
             finalized: std::cell::Cell::new(false),
             dense_limit: PairAccum::DEFAULT_DENSE_LIMIT,
             trace: rank.trace_handle().map(|t| (t, rank.clock_shared())),
@@ -482,11 +480,6 @@ impl Monitoring {
                 .map_err(|e| MonError::InternalFail(format!("write {path}: {e}")))?;
         }
         Ok(())
-    }
-
-    /// World rank of the process owning this environment.
-    pub fn world_rank(&self) -> usize {
-        self.world_rank
     }
 
     // -- internals ------------------------------------------------------------

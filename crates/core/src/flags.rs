@@ -19,11 +19,6 @@ impl Flags {
     /// All communications (`MPI_M_ALL_COMM`).
     pub const ALL_COMM: Flags = Flags(7);
 
-    /// True when no kind is selected.
-    pub fn is_empty(self) -> bool {
-        self.0 & Self::ALL_COMM.0 == 0
-    }
-
     /// True when `other`'s kinds are all selected.
     pub fn contains(self, other: Flags) -> bool {
         self.0 & other.0 == other.0

@@ -35,12 +35,6 @@ pub(super) fn binary_children(v: usize, n: usize) -> impl Iterator<Item = usize>
     [2 * v + 1, 2 * v + 2].into_iter().filter(move |&c| c < n)
 }
 
-/// `(parent, children)` of a rank in the binomial tree, in *virtual* ranks,
-/// children widest subtree first.
-pub fn binomial_peers(vrank: usize, n: usize) -> (Option<usize>, Vec<usize>) {
-    (binomial_parent(vrank), binomial_children(vrank, n).rev().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,18 +56,16 @@ mod tests {
         for n in [1usize, 2, 3, 4, 6, 7, 8, 13, 16] {
             let mut seen_as_child = vec![0usize; n];
             for v in 0..n {
-                let (parent, children) = binomial_peers(v, n);
-                if v == 0 {
-                    assert!(parent.is_none());
-                } else {
-                    let p = parent.expect("non-root must have a parent");
-                    let (_, pc) = binomial_peers(p, n);
-                    assert!(pc.contains(&v), "parent {p} of {v} must list it (n={n})");
+                match binomial_parent(v) {
+                    None => assert_eq!(v, 0),
+                    Some(p) => assert!(
+                        binomial_children(p, n).any(|c| c == v),
+                        "parent {p} of {v} must list it (n={n})"
+                    ),
                 }
-                for &c in &children {
+                for c in binomial_children(v, n) {
                     seen_as_child[c] += 1;
-                    let (cp, _) = binomial_peers(c, n);
-                    assert_eq!(cp, Some(v));
+                    assert_eq!(binomial_parent(c), Some(v));
                 }
             }
             assert_eq!(seen_as_child[0], 0);

@@ -30,12 +30,10 @@ mod extra;
 mod helpers;
 pub(crate) mod pattern;
 mod tree;
-mod varcount;
 
 pub use extra::{bcast_binary_segmented, reduce_scatter_block, scan_inclusive};
-pub use helpers::{binomial_peers, vrank_of, world_of_vrank};
+pub use helpers::{vrank_of, world_of_vrank};
 pub use tree::gather_tree_kary;
-pub use varcount::{allgatherv, gatherv, scatterv};
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -190,7 +188,21 @@ pub fn gather_linear<T: Scalar>(
     root: usize,
     data: &[T],
 ) -> Option<Vec<T>> {
-    gatherv(rank, comm, root, data).map(|(out, _)| out)
+    let tag = rank.next_coll_tag(comm);
+    let n = comm.size();
+    if comm.rank() != root {
+        csend(rank, comm, root, tag, data);
+        return None;
+    }
+    let mut out = Vec::with_capacity(n * data.len());
+    for r in 0..n {
+        if r == root {
+            out.extend_from_slice(data);
+        } else {
+            out.extend(T::decode(&crecv(rank, comm, r, tag)));
+        }
+    }
+    Some(out)
 }
 
 /// Linear scatter of equal-size chunks from `root`; `data` must be
@@ -201,14 +213,18 @@ pub fn scatter_linear<T: Scalar>(
     root: usize,
     data: Option<&[T]>,
 ) -> Vec<T> {
+    let tag = rank.next_coll_tag(comm);
     let n = comm.size();
-    let chunks: Option<Vec<&[T]>> = (comm.rank() == root).then(|| {
-        let data = data.expect("scatter root must provide data");
-        assert!(data.len().is_multiple_of(n), "scatter buffer not divisible by communicator size");
-        let chunk = data.len() / n;
-        (0..n).map(|r| &data[r * chunk..(r + 1) * chunk]).collect()
-    });
-    scatterv(rank, comm, root, chunks.as_deref())
+    if comm.rank() != root {
+        return T::from_bytes(&crecv(rank, comm, root, tag));
+    }
+    let data = data.expect("scatter root must provide data");
+    assert!(data.len().is_multiple_of(n), "scatter buffer not divisible by communicator size");
+    let chunk = data.len() / n;
+    for r in (0..n).filter(|&r| r != root) {
+        csend(rank, comm, r, tag, &data[r * chunk..(r + 1) * chunk]);
+    }
+    data[root * chunk..(root + 1) * chunk].to_vec()
 }
 
 /// The equal-size contract of the allgathers, checked on every received
@@ -224,18 +240,35 @@ fn check_blocks(algo: &str, comm: &Comm, got: usize, blocks: usize, block: usize
     );
 }
 
-/// Ring allgather of equal-size contributions: `n-1` steps, each rank
-/// forwarding one block to its right neighbour.  Every block has its place
-/// from the start — zeroed, which `calloc` skips on fresh pages — and is
-/// decoded there as it arrives.
+/// Ring allgather of equal-size contributions: `n − 1` times, forward the
+/// block last received (at first, `data`) to the right neighbour and take
+/// the next from the left, so the blocks arrive from ranks `me − 1,
+/// me − 2, …` (mod `n`).  Every block has its place from the start —
+/// zeroed, which `calloc` skips on fresh pages — is decoded there as it
+/// arrives, and goes on in the bytes it came in: what encoding its decoded
+/// copy would give, without the copy.
 pub fn allgather_ring<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
+    let tag = rank.next_coll_tag(comm);
+    let (me, n) = (comm.rank(), comm.size());
     let block = data.len();
-    let mut out = vec![T::default(); comm.size() * block];
-    out[comm.rank() * block..][..block].copy_from_slice(data);
-    varcount::ring(rank, comm, data, |src, got| {
-        check_blocks("allgather_ring", comm, T::decode(got).len(), 1, block);
-        T::fold_bytes(&mut out[src * block..][..block], got, |_, got| got);
-    });
+    let mut out = vec![T::default(); n * block];
+    out[me * block..][..block].copy_from_slice(data);
+    let (mut src, mut last) = (me, None);
+    for step in pattern::allgather_ring(me, n, 0) {
+        match step {
+            Step::Send { peer, .. } => match last.take() {
+                None => csend(rank, comm, peer, tag, data),
+                Some(bytes) => cpost(rank, comm, peer, tag, bytes),
+            },
+            Step::Recv { peer } => {
+                let got = crecv(rank, comm, peer, tag);
+                src = (src + n - 1) % n;
+                check_blocks("allgather_ring", comm, T::decode(&got).len(), 1, block);
+                T::fold_bytes(&mut out[src * block..][..block], &got, |_, got| got);
+                last = Some(got);
+            }
+        }
+    }
     out
 }
 
@@ -395,12 +428,6 @@ impl Rank {
     pub fn allgather<T: Scalar>(&self, comm: &Comm, data: &[T]) -> Vec<T> {
         let _span = self.coll_span("allgather_ring", comm);
         allgather_ring(self, comm, data)
-    }
-
-    /// Scatter equal-size chunks from `root` (linear).
-    pub fn scatter<T: Scalar>(&self, comm: &Comm, root: usize, data: Option<&[T]>) -> Vec<T> {
-        let _span = self.coll_span("scatter_linear", comm);
-        scatter_linear(self, comm, root, data)
     }
 
     /// All-to-all personalized exchange (ring-offset pairwise).

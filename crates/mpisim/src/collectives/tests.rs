@@ -132,14 +132,27 @@ fn scatter_distributes_chunks() {
         let u = universe(n);
         u.launch(|rank| {
             let world = rank.comm_world();
-            let root = 0;
-            let data: Option<Vec<i32>> =
-                (world.rank() == root).then(|| (0..(3 * n) as i32).collect());
-            let mine = scatter_linear(rank, &world, root, data.as_deref());
-            let me = world.rank() as i32;
-            assert_eq!(mine, vec![3 * me, 3 * me + 1, 3 * me + 2], "n={n}");
+            for root in [0, n / 2] {
+                let data: Option<Vec<i32>> =
+                    (world.rank() == root).then(|| (0..(3 * n) as i32).collect());
+                let mine = scatter_linear(rank, &world, root, data.as_deref());
+                let me = world.rank() as i32;
+                assert_eq!(mine, vec![3 * me, 3 * me + 1, 3 * me + 2], "n={n} root={root}");
+            }
         });
     }
+}
+
+#[test]
+fn empty_contributions_are_fine() {
+    let u = universe(4);
+    u.launch(|rank| {
+        let world = rank.comm_world();
+        assert!(allgather_ring::<u64>(rank, &world, &[]).is_empty());
+        let out = gather_linear::<u64>(rank, &world, 2, &[]);
+        assert_eq!(out, (world.rank() == 2).then(Vec::new));
+        assert!(scatter_linear::<u64>(rank, &world, 2, Some(&[])).is_empty());
+    });
 }
 
 #[test]

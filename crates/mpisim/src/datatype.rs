@@ -5,9 +5,9 @@
 //! envelope's payload all the way to the receiver.  A collective receiver
 //! then makes one decode copy, straight into its result, and no allocation:
 //! it appends with [`Scalar::decode`], or folds or decodes in place with
-//! [`Scalar::fold_bytes`].  Only a point-to-point `recv` / `wait` and
-//! `scatterv`, whose result is a fresh vector, pay an allocation for it
-//! ([`Scalar::from_bytes`]).
+//! [`Scalar::fold_bytes`].  Only a point-to-point `recv` / `wait` and a
+//! scatter's receiver, whose result is a fresh vector, pay an allocation
+//! for it ([`Scalar::from_bytes`]).
 
 /// A fixed-size scalar that can be serialized to/from little-endian bytes.
 ///

@@ -85,6 +85,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use mim_util::deque::Injector;
+use mim_util::env_u64;
 use mim_util::fiber::{self, Fiber, Resume};
 use mim_util::sync::{Mutex, Notifier};
 
@@ -553,11 +554,11 @@ impl ParkerHandle {
     }
 }
 
-/// Worker count for an `n`-task run: every core (`MIM_WORKERS` overrides),
-/// never more workers than tasks.
+/// Worker count for an `n`-task run: every core (`MIM_WORKERS` overrides;
+/// a malformed value panics), never more workers than tasks.
 fn worker_count(n: usize) -> usize {
     let cpus = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let w = std::env::var("MIM_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(cpus);
+    let w = env_u64("MIM_WORKERS").map_or(cpus, |w| w as usize);
     w.clamp(1, n.max(1))
 }
 

@@ -57,7 +57,7 @@ pub use exec::{ExecStats, ExecutorKind};
 pub use fault::{CrashPoint, FaultInjector, LinkCtx, PeerFailure, RankFailure, SendOutcome};
 pub use mailbox::{RecvWaitError, UnexpectedQueue};
 pub use nic::{NicCounters, NicEvent};
-pub use nonblocking::{waitall_recv, RecvRequest, SendRequest};
+pub use nonblocking::{RecvRequest, SendRequest};
 pub use osc::Window;
 pub use pml::{LocalPmlHook, PmlEvent, PmlHook};
 pub use runtime::{

@@ -26,11 +26,6 @@ pub struct SendRequest {
 impl SendRequest {
     /// Complete the send (a no-op under the eager model).
     pub fn wait(self, _rank: &Rank) {}
-
-    /// True — eager sends are complete at post time.
-    pub fn test(&self, _rank: &Rank) -> bool {
-        true
-    }
 }
 
 /// Handle of a posted nonblocking receive.
@@ -53,12 +48,6 @@ impl RecvRequest {
     pub fn test(&self, rank: &Rank) -> bool {
         rank.mailbox_iprobe(&self.pat)
     }
-}
-
-/// Complete a batch of receive requests in order (`MPI_Waitall` for
-/// homogeneous element types); returns data and status per request.
-pub fn waitall_recv<T: Scalar>(rank: &Rank, reqs: Vec<RecvRequest>) -> Vec<(Vec<T>, Status)> {
-    reqs.into_iter().map(|r| r.wait::<T>(rank)).collect()
 }
 
 impl Rank {
@@ -183,8 +172,7 @@ mod tests {
                 .filter(|&src| src != me)
                 .map(|src| rank.irecv(&world, SrcSel::Rank(src), TagSel::Is(2)))
                 .collect();
-            let results = waitall_recv::<u16>(rank, reqs);
-            let got: Vec<u16> = results.iter().map(|(v, _)| v[0]).collect();
+            let got: Vec<u16> = reqs.into_iter().map(|r| r.wait::<u16>(rank).0[0]).collect();
             let expect: Vec<u16> = (0..4).filter(|&s| s != me).map(|s| s as u16).collect();
             assert_eq!(got, expect);
         });

@@ -37,11 +37,6 @@ pub struct Window {
 }
 
 impl Window {
-    /// The communicator the window was created on.
-    pub fn comm(&self) -> &Comm {
-        &self.comm
-    }
-
     /// Window id (unique per universe).
     pub fn id(&self) -> u64 {
         self.id

@@ -11,6 +11,7 @@ use std::time::Duration;
 
 use mim_trace::Tracer;
 use mim_util::channel::{unbounded, Receiver, Sender};
+use mim_util::env_u64;
 use mim_util::sync::Mutex;
 
 use mim_topology::{Machine, Placement};
@@ -86,15 +87,17 @@ impl UniverseConfig {
     /// be raised (or lowered) via `MIM_DEADLINE_MS` — an overloaded CI
     /// runner can stall a rank thread long enough to trip a fixed deadline
     /// and report a false "deadlock".
+    ///
+    /// # Panics
+    /// Panics when the placement outnumbers the machine's cores, and on a
+    /// `MIM_DEADLINE_MS` that is not a decimal or `0x`-hex number.
     pub fn new(machine: Machine, placement: Placement) -> Self {
         assert!(
             placement.len() <= machine.num_cores(),
             "placement has more processes than the machine has cores"
         );
-        let deadline = std::env::var("MIM_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map_or(Duration::from_secs(30), Duration::from_millis);
+        let deadline =
+            env_u64("MIM_DEADLINE_MS").map_or(Duration::from_secs(30), Duration::from_millis);
         Self {
             machine,
             placement,

@@ -974,6 +974,29 @@ mod tests {
     }
 
     #[test]
+    fn design_ablation_makespans_are_pinned() {
+        // DESIGN §4's two orderings on the Fig 5 instance: the binary tree
+        // beats the binomial one for an 8 MB broadcast, and Bruck beats the
+        // ring for a latency-bound allgather.  Virtual times, the same on
+        // every host, pinned to the printed 10 µs.
+        let machine = Machine::plafrim(4);
+        let np = 96;
+        let placement = Placement::cyclic_by_level(&machine.tree, np, machine.node_level);
+        let cores: Vec<usize> = (0..np).map(|r| placement.core_of(r)).collect();
+        let bytes = 8_000_000;
+        let pinned = [
+            ("bcast_binary", bcast_binary(np, 0, bytes), "16.01"),
+            ("bcast_binomial", bcast_binomial(np, 0, bytes), "31.72"),
+            ("allgather_bruck", allgather_bruck(np, bytes / np as u64), "0.81"),
+            ("allgather_ring", allgather_ring(np, bytes / np as u64), "15.20"),
+        ];
+        for (name, sched, ms) in pinned {
+            let t = simulate(&sched, &machine, &cores, true).into_iter().fold(0.0f64, f64::max);
+            assert_eq!(format!("{:.2}", t / 1e6), ms, "{name}: analytic makespan (ms) moved");
+        }
+    }
+
+    #[test]
     fn invalid_schedule_detected() {
         let s = Schedule::new(vec![vec![Step::Send { peer: 1, bytes: 4 }], vec![]]);
         assert!(s.validate().is_err());

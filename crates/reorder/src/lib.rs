@@ -351,49 +351,6 @@ pub fn monitored_reorder_resilient(
     ResilientOutcome { comm: opt_comm, k, alive, reorder_cost_ns, fallback, gathered }
 }
 
-/// Compute a fresh placement for an *elastic* reconfiguration (the paper's
-/// Sec 7 use-case after Cores et al., VECPAR'16): the number of computing
-/// resources changed, processes will be migrated/respawned, and their new
-/// homes should follow the monitored communication matrix and the topology.
-///
-/// `available_cores` are the cores of the surviving allocation; the matrix
-/// order gives the (possibly shrunken or grown) process count.  Returns the
-/// placement to relaunch with.
-///
-/// # Panics
-/// Panics when more processes than cores are requested.
-pub fn elastic_placement(
-    machine: &Machine,
-    available_cores: &[usize],
-    sizes: &CommMatrix,
-) -> Placement {
-    let sigma = place_constrained(machine, available_cores, sizes);
-    Placement::explicit(sigma.into_iter().map(|s| available_cores[s]).collect())
-}
-
-/// Extend a reordering permutation over a **grown** communicator: the first
-/// `k.len()` ranks keep the mapping computed on the pre-growth membership
-/// and every joiner (appended by `Rank::comm_grow` after the existing
-/// members) maps to itself — joiners have no monitored history yet, so
-/// identity is the only defensible placement until the next reorder round
-/// observes them.  The result is a permutation of `0..new_n` whenever `k`
-/// was one of `0..k.len()`.
-///
-/// Together with `Monitoring::rebind_session`, this is how the Fig. 1 loop
-/// rides out elastic growth: shrink handled inside
-/// [`monitored_reorder_resilient`], growth by rebinding the session to the
-/// grown communicator and extending the last permutation with this helper.
-///
-/// # Panics
-/// Panics when `new_n < k.len()` — growing cannot lose members (that is
-/// what `comm_shrink` is for).
-pub fn grow_mapping(k: &[usize], new_n: usize) -> Vec<usize> {
-    assert!(new_n >= k.len(), "grow_mapping cannot shrink: {} -> {new_n}", k.len());
-    let mut out = k.to_vec();
-    out.extend(k.len()..new_n);
-    out
-}
-
 /// Redistribute per-role data after a reordering: old rank `i` receives the
 /// data of its new role `k[i]` from old rank `k[i]`, and ships its own to
 /// old rank `k⁻¹[i]` (paper: "data is sent from rank `k[i]` to rank `i` in
@@ -454,22 +411,6 @@ mod tests {
         let peer = if me.is_multiple_of(2) { me + 1 } else { me - 1 };
         rank.send_synthetic(comm, peer, 9, bytes);
         rank.recv_synthetic(comm, SrcSel::Rank(peer), TagSel::Is(9));
-    }
-
-    #[test]
-    fn grow_mapping_extends_with_identity() {
-        let k = vec![2, 0, 1, 3];
-        assert_eq!(grow_mapping(&k, 6), vec![2, 0, 1, 3, 4, 5]);
-        // Still a permutation (inverse_permutation asserts that).
-        let _ = inverse_permutation(&grow_mapping(&k, 6));
-        // Growing by zero is the identity transformation.
-        assert_eq!(grow_mapping(&k, 4), k);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_mapping_rejects_shrinking() {
-        let _ = grow_mapping(&[0, 1, 2], 2);
     }
 
     #[test]
@@ -828,29 +769,5 @@ mod tests {
                 }
             }
         }
-    }
-    #[test]
-    fn elastic_placement_follows_the_matrix() {
-        // A 12-process job shrinks to 6 processes on node 1 plus 2 cores of
-        // node 0; the heavy pairs must land close together.
-        let machine = Machine::cluster(2, 1, 8);
-        let available = vec![0, 1, 8, 9, 10, 11, 12, 13];
-        let mut m = CommMatrix::zeros(6);
-        for i in (0..6).step_by(2) {
-            m.set(i, i + 1, 1 << 20);
-        }
-        let p = elastic_placement(&machine, &available, &m);
-        assert_eq!(p.len(), 6);
-        for i in (0..6).step_by(2) {
-            assert_eq!(
-                machine.node_of_core(p.core_of(i)),
-                machine.node_of_core(p.core_of(i + 1)),
-                "pair ({i}, {}) split across nodes: {:?}",
-                i + 1,
-                p.as_slice()
-            );
-        }
-        // Every assigned core comes from the available set.
-        assert!(p.as_slice().iter().all(|c| available.contains(c)));
     }
 }

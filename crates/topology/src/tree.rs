@@ -39,11 +39,6 @@ impl TopologyTree {
         self.arities.len()
     }
 
-    /// Arity of each level, root first.
-    pub fn arities(&self) -> &[usize] {
-        &self.arities
-    }
-
     /// Total number of leaves (cores).
     pub fn num_leaves(&self) -> usize {
         self.subtree_leaves[0]

@@ -17,10 +17,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-/// Error returned by [`Receiver::recv`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
 /// Error returned by [`Receiver::recv_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
@@ -120,22 +116,6 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Blocking receive.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut st = self.inner.state();
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(RecvError);
-            }
-            st.sleepers += 1;
-            st = self.inner.readable.wait(st).unwrap_or_else(PoisonError::into_inner);
-            st.sleepers -= 1;
-        }
-    }
-
     /// Blocking receive with a wall-clock bound.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
@@ -175,16 +155,6 @@ impl<T> Receiver<T> {
             Err(TryRecvError::Empty)
         }
     }
-
-    /// Number of messages currently queued (diagnostic; racy by nature).
-    pub fn len(&self) -> usize {
-        self.inner.state().queue.len()
-    }
-
-    /// True when no message is queued (diagnostic; racy by nature).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -211,7 +181,7 @@ mod tests {
             tx.send(i).unwrap();
         }
         for i in 0..100 {
-            assert_eq!(rx.recv(), Ok(i));
+            assert_eq!(rx.try_recv(), Ok(i));
         }
     }
 
@@ -248,14 +218,14 @@ mod tests {
         assert_eq!(h.join().unwrap(), Err(RecvTimeoutError::Disconnected));
     }
 
-    /// Wakes are gated, never lost: with two receivers asleep — one in each
-    /// blocking receive — two sends deliver a value to each.  (Every other
-    /// test here sends with nobody asleep, the path that skips the condvar.)
+    /// Wakes are gated, never lost: with two receivers asleep, two sends
+    /// deliver a value to each.  (Every other test here sends with nobody
+    /// asleep, the path that skips the condvar.)
     #[test]
     fn gated_wake_reaches_every_sleeping_receiver() {
         let (tx, rx) = unbounded::<u8>();
         let rx2 = rx.clone();
-        let a = std::thread::spawn(move || rx.recv());
+        let a = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(30)));
         let b = std::thread::spawn(move || rx2.recv_timeout(Duration::from_secs(30)));
         await_sleepers(&tx, 2);
         tx.send(1).unwrap();
@@ -272,9 +242,9 @@ mod tests {
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

@@ -167,11 +167,6 @@ pub struct Injector {
 }
 
 impl Injector {
-    /// An empty injector.
-    pub fn new() -> Injector {
-        Injector { q: Mutex::new(VecDeque::new()) }
-    }
-
     /// Enqueue at the back.
     pub fn push(&self, item: usize) {
         self.q.lock().push_back(item);
@@ -238,7 +233,7 @@ mod tests {
         const ITEMS: usize = 20_000;
         const THIEVES: usize = 3;
         let (mut w, s) = deque(256);
-        let injector = Injector::new();
+        let injector = Injector::default();
         let done = AtomicBool::new(false);
         let stolen: Vec<Mutex<Vec<usize>>> = (0..THIEVES).map(|_| Mutex::new(Vec::new())).collect();
         let mut popped = Vec::new();
@@ -302,7 +297,7 @@ mod tests {
 
     #[test]
     fn injector_is_fifo() {
-        let inj = Injector::new();
+        let inj = Injector::default();
         assert!(inj.is_empty());
         inj.push(1);
         inj.push(2);

@@ -308,7 +308,8 @@ mod imp {
         }
 
         /// Whether the body has finished.
-        pub fn is_done(&self) -> bool {
+        #[cfg(test)]
+        pub(super) fn is_done(&self) -> bool {
             self.inner.done
         }
 
@@ -412,11 +413,6 @@ mod imp {
 
         /// Unreachable on this target.
         pub fn resume(&mut self) -> Resume {
-            match self.never {}
-        }
-
-        /// Unreachable on this target.
-        pub fn is_done(&self) -> bool {
             match self.never {}
         }
 

@@ -24,6 +24,7 @@
 use std::ops::{Deref, DerefMut, Range};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+use crate::env_u64;
 use crate::rng::{splitmix64, Rng};
 
 /// Cases per property when not overridden in `props!` or by `MIM_PROP_CASES`.
@@ -100,17 +101,12 @@ impl DerefMut for Gen {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| {
-        v.strip_prefix("0x").map(|h| u64::from_str_radix(h, 16)).unwrap_or_else(|| v.parse()).ok()
-    })
-}
-
 /// Run `property` for `cases` seeded cases (see the module docs for the
 /// replay workflow).
 ///
 /// # Panics
-/// Re-raises the property's panic after reporting the failing seed.
+/// Re-raises the property's panic after reporting the failing seed; panics
+/// up front on a malformed `MIM_PROP_CASES` or `MIM_PROP_SEED`.
 pub fn check<F: FnMut(&mut Gen)>(cases: u64, mut property: F) {
     let cases = env_u64("MIM_PROP_CASES").unwrap_or(cases).max(1);
     let fixed_seed = env_u64("MIM_PROP_SEED");

@@ -87,15 +87,6 @@ impl Rng {
         p
     }
 
-    /// Normal-ish draw (Box–Muller) with the given mean and standard
-    /// deviation; used to jitter synthetic workloads.
-    pub fn normal(&mut self, mean: f64, sd: f64) -> f64 {
-        // Avoid ln(0) by nudging the first uniform away from zero.
-        let u1 = self.next_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        mean + sd * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Draw in `0..span` via the widening-multiply bound trick.
     fn bounded(&mut self, span: u64) -> u64 {
         debug_assert!(span > 0);
@@ -191,14 +182,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, (0..50).collect::<Vec<_>>(), "50! leaves no room for luck");
-    }
-
-    #[test]
-    fn normal_centers_on_mean() {
-        let mut rng = Rng::seed_from_u64(11);
-        let n = 4000;
-        let mean = (0..n).map(|_| rng.normal(5.0, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.2, "sample mean {mean}");
     }
 
     #[test]

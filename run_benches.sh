@@ -32,12 +32,11 @@ done
 # The harnesses without a ledger twin ride along, so a smoke run proves each
 # still completes: trace_overhead and chaos_overhead assert their in-run
 # disabled/baseline ratio in-binary, elastic_churn its membership count,
-# coll_algorithms the analytic makespans behind DESIGN §4's binary-vs-binomial
-# and Bruck-vs-ring orderings, treematch the greedy-vs-exhaustive ablation
-# that keeps GroupingStrategy and the place_constrained timings the reorder
-# loop's mapping charge is calibrated on; the others are diagnostics.
+# treematch the greedy-vs-exhaustive ablation that keeps GroupingStrategy and
+# the place_constrained timings the reorder loop's mapping charge is
+# calibrated on; the others are diagnostics.
 # Everything else is measured by mim-ledger.
-for bench in trace_overhead chaos_overhead retry_storm analyze_races elastic_churn coll_algorithms treematch; do
+for bench in trace_overhead chaos_overhead retry_storm analyze_races elastic_churn treematch; do
   echo "===== bench $bench start $(date +%T)"
   if cargo bench --offline -p mim-bench --bench "$bench" \
       > "$results_dir/logs/bench_$bench.log" 2>&1; then
