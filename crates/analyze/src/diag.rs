@@ -66,7 +66,7 @@ pub enum Code {
 
 impl Code {
     /// The stable `MIM-Axxx` identifier.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Code::A001 => "MIM-A001",
             Code::A002 => "MIM-A002",
@@ -107,7 +107,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lower-case label used in both output formats.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",

@@ -33,7 +33,7 @@ pub type ChanKey = (CommId, usize, usize, u32);
 /// Does a receive posted with `(comm, src, tag)` admit messages of channel
 /// `key`?  (The destination is the caller's to check: a rank only ever
 /// looks at channels that end at it.)
-pub fn admits(comm: CommId, src: Src, tag: Tag, key: ChanKey) -> bool {
+pub(crate) fn admits(comm: CommId, src: Src, tag: Tag, key: ChanKey) -> bool {
     key.0 == comm
         && tag.admits(key.3)
         && match src {
@@ -147,7 +147,7 @@ impl<'p> State<'p> {
     }
 
     /// The barrier occurrence rank `r` is waiting in, if any.
-    pub fn parked(&self, r: usize) -> Option<(Sync, usize)> {
+    pub(crate) fn parked(&self, r: usize) -> Option<(Sync, usize)> {
         self.parked[r].map(|on| (on, self.pending(on).0))
     }
 
@@ -162,7 +162,7 @@ impl<'p> State<'p> {
 
     /// Channels with sends nobody has received, with their queue depth,
     /// sorted by key.
-    pub fn in_flight(&self) -> Vec<(ChanKey, usize)> {
+    pub(crate) fn in_flight(&self) -> Vec<(ChanKey, usize)> {
         let mut left: Vec<(ChanKey, usize)> =
             self.channels.iter().map(|(&key, queue)| (key, queue.len())).collect();
         left.sort_unstable();
@@ -243,7 +243,7 @@ impl<'p> State<'p> {
     /// Move rank `r` past its next op without executing it — for a driver
     /// that treats the op as local (the happens-before pass orders message
     /// ops by its own match edges, not by channel contents).
-    pub fn skip(&mut self, r: usize) {
+    pub(crate) fn skip(&mut self, r: usize) {
         self.pc[r] += 1;
     }
 

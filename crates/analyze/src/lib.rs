@@ -16,9 +16,9 @@
 //!    the earliest arrival unless told otherwise), collectives and fences
 //!    as barrier occurrences per communicator and per window — is the plan
 //!    interpreter, [`interp::State`].  It has three drivers, each with its
-//!    own scheduling order: [`analyze`]'s canonical replay ([`check`]),
+//!    own scheduling order: [`analyze`]'s canonical replay (`check`),
 //!    the race pass of step 3, and `mim-explore`'s model executor;
-//! 3. a vector-clock happens-before pass ([`race`]) classifies every
+//! 3. a vector-clock happens-before pass (`race`) classifies every
 //!    wildcard receive as benign or racy, yielding a determinism verdict
 //!    (`Deterministic | SchedSensitive`) orthogonal to the deadlock
 //!    lattice plus the [`IndependenceMap`] `mim-explore` uses to prune
@@ -34,15 +34,15 @@
 //! evaluator completes and a `DefiniteDeadlock` verdict reproduces the
 //! runtime's deadline panic.
 
-pub mod check;
+mod check;
 pub mod diag;
 pub mod interp;
 pub mod json;
-pub mod plan;
-pub mod race;
+mod plan;
+mod race;
 
 pub use check::{analyze, analyze_program};
-pub use diag::{ChannelUse, Code, Diag, Loc, Report, Severity, Verdict, WaitEdge};
+pub use diag::{Code, Report, Verdict};
 pub use json::{program_from_json, Json};
 pub use plan::{CollKind, CommId, CommPlan, Op, Program, Src, Tag, WinId, WORLD};
 pub use race::{Determinism, IndependenceMap};
@@ -50,6 +50,7 @@ pub use race::{Determinism, IndependenceMap};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::{ChannelUse, Loc, Severity};
 
     fn two_rank(ops0: Vec<Op>, ops1: Vec<Op>) -> Program {
         let mut p = Program::new("test", 2);

@@ -98,7 +98,7 @@ impl CollKind {
 
     /// The kind's one spelling: what reports and traces print and what a
     /// JSON plan's `"kind"` field is looked up against.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CollKind::Barrier => "barrier",
             CollKind::Bcast => "bcast",
@@ -277,7 +277,7 @@ impl Program {
     }
 
     /// Number of registered windows.
-    pub fn nwins(&self) -> usize {
+    pub(crate) fn nwins(&self) -> usize {
         self.wins.len()
     }
 

@@ -94,7 +94,7 @@ pub struct IndependenceMap {
 
 impl IndependenceMap {
     /// The empty relation (no wildcard sites classified).
-    pub fn empty(nranks: usize) -> Self {
+    pub(crate) fn empty(nranks: usize) -> Self {
         IndependenceMap { nranks, benign: BTreeSet::new(), racy: BTreeSet::new(), hb_edges: 0 }
     }
 

@@ -24,7 +24,7 @@ pub enum CollectiveKind {
 
 impl CollectiveKind {
     /// The collective's point-to-point schedule for `n` ranks rooted at 0.
-    pub fn schedule(self, n: usize, bytes: u64) -> Schedule {
+    pub(crate) fn schedule(self, n: usize, bytes: u64) -> Schedule {
         match self {
             CollectiveKind::ReduceBinary => schedule::reduce_binary(n, 0, bytes),
             CollectiveKind::BcastBinomial => schedule::bcast_binomial(n, 0, bytes),
@@ -64,7 +64,7 @@ impl CollOptPoint {
 /// Compute the reordering permutation for a collective's monitored
 /// decomposition: runs the live pipeline (session → gather at rank 0 →
 /// TreeMatch → broadcast → split) and returns `k`.
-pub fn monitored_permutation(
+pub(crate) fn monitored_permutation(
     machine: &Machine,
     placement: &Placement,
     sched: &Schedule,

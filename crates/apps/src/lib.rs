@@ -11,7 +11,7 @@
 //! * [`collbench`] — the collective-optimization pipeline of Sec 6.3 (Fig 5);
 //! * [`netpredict`] — network-utilization sampling and prediction (the
 //!   paper's Sec 7 outlook);
-//! * [`plan`] — static communication plans: the app kernels lowered into
+//! * `plan` — static communication plans: the app kernels lowered into
 //!   `mim-analyze` programs for ahead-of-run verification;
 //! * [`builtin`] — the named plan table shared by the `mim-analyze` and
 //!   `mim-explore` command-line front-ends;
@@ -28,7 +28,7 @@ pub mod collbench;
 pub mod groups;
 pub mod netpredict;
 pub mod output;
-pub mod plan;
+mod plan;
 pub mod scenario;
 pub mod sparse;
 pub mod stats;

@@ -19,7 +19,7 @@ impl Csr {
     }
 
     /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.vals.len()
     }
 
@@ -30,7 +30,7 @@ impl Csr {
     }
 
     /// `y = A·x` over rows `rows` only (the owning rank's block).
-    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n, "input vector length mismatch");
         assert_eq!(y.len(), rows.len(), "output block length mismatch");
         for (out, i) in y.iter_mut().zip(rows) {
@@ -44,7 +44,7 @@ impl Csr {
     }
 
     /// Full `y = A·x`.
-    pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn spmv(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n];
         self.spmv_rows(0..self.n, x, &mut y);
         y
@@ -148,7 +148,7 @@ pub fn cg_reference(a: &Csr, b: &[f64], max_iters: usize, tol: f64) -> (Vec<f64>
 }
 
 /// Dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }

@@ -29,7 +29,7 @@ impl StencilConfig {
     /// # Panics
     /// Panics, naming the config, when the process grid has no row, a block
     /// would have none, or `rows` does not divide evenly.
-    pub fn block_rows(&self) -> usize {
+    pub(crate) fn block_rows(&self) -> usize {
         assert!(
             self.prows > 0 && self.rows >= self.prows,
             "{self:?}: every block needs a row (rows ≥ prows > 0)"
@@ -42,7 +42,7 @@ impl StencilConfig {
     ///
     /// # Panics
     /// As [`StencilConfig::block_rows`], for columns.
-    pub fn block_cols(&self) -> usize {
+    pub(crate) fn block_cols(&self) -> usize {
         assert!(
             self.pcols > 0 && self.cols >= self.pcols,
             "{self:?}: every block needs a column (cols ≥ pcols > 0)"
@@ -53,7 +53,7 @@ impl StencilConfig {
 
     /// The grid neighbours of rank `me` (row-major numbering) in the order
     /// the kernel exchanges halos with them: up, down, left, right.
-    pub fn neighbours(&self, me: usize) -> [Option<usize>; 4] {
+    pub(crate) fn neighbours(&self, me: usize) -> [Option<usize>; 4] {
         let (prow, pcol) = (me / self.pcols, me % self.pcols);
         [
             (prow > 0).then(|| me - self.pcols),
@@ -82,7 +82,8 @@ fn boundary_top() -> f64 {
 }
 
 /// Sequential reference implementation (same sweep, same boundaries).
-pub fn jacobi_reference(cfg: StencilConfig) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn jacobi_reference(cfg: StencilConfig) -> Vec<f64> {
     let (r, c) = (cfg.rows, cfg.cols);
     let mut u = vec![0.0f64; r * c];
     let mut next = u.clone();

@@ -106,7 +106,7 @@ impl FaultPlan {
     }
 
     /// Crash `world` at virtual timestamp `at_ns`.
-    pub fn crash_at_time(mut self, world: usize, at_ns: f64) -> Self {
+    pub(crate) fn crash_at_time(mut self, world: usize, at_ns: f64) -> Self {
         self.crashes.push((world, CrashPoint::VirtualTimeNs(at_ns)));
         self
     }

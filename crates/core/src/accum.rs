@@ -32,7 +32,7 @@ pub struct PairCell {
 
 impl PairCell {
     /// (messages, bytes) summed over the kinds selected by `flags`.
-    pub fn sum(&self, flags: Flags) -> (u64, u64) {
+    pub(crate) fn sum(&self, flags: Flags) -> (u64, u64) {
         flags.selected_indices().fold((0, 0), |(c, s), k| (c + self.counts[k], s + self.sizes[k]))
     }
 
@@ -83,7 +83,8 @@ impl PairAccum {
     }
 
     /// True when the dense representation is in use.
-    pub fn is_dense(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_dense(&self) -> bool {
         matches!(self.repr, Repr::Dense(_))
     }
 
@@ -121,7 +122,7 @@ impl PairAccum {
     }
 
     /// Zero everything (sparse drops its cells entirely).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         match &mut self.repr {
             Repr::Dense(cells) => cells.fill(PairCell::default()),
             Repr::Sparse(cells) => cells.clear(),
@@ -157,7 +158,7 @@ impl PairAccum {
 
     /// Per-destination entries of everything recorded so far, sorted by
     /// destination.
-    pub fn entries(&self) -> Vec<PairEntry> {
+    pub(crate) fn entries(&self) -> Vec<PairEntry> {
         let mut out = Vec::new();
         self.walk(|dst, &cell| out.push(PairEntry { dst, cell }));
         out.sort_unstable_by_key(|e| e.dst);
@@ -175,7 +176,7 @@ impl PairAccum {
     /// # Panics
     /// Panics when `map` does not cover every old destination or maps one
     /// out of `0..new_n` — programming errors of the membership layer.
-    pub fn reindex(&self, map: &[Option<usize>], new_n: usize, limit: usize) -> PairAccum {
+    pub(crate) fn reindex(&self, map: &[Option<usize>], new_n: usize, limit: usize) -> PairAccum {
         assert_eq!(map.len(), self.n, "reindex map must cover every old destination");
         let mut out = Self::with_dense_limit(new_n, limit);
         self.walk(|d, cell| {

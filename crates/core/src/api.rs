@@ -287,7 +287,7 @@ impl Monitoring {
 
     /// Session metadata (`MPI_M_get_info`) — the one call the paper allows
     /// from a single process.
-    pub fn get_info(&self, msid: Msid) -> Result<SessionInfo> {
+    pub(crate) fn get_info(&self, msid: Msid) -> Result<SessionInfo> {
         self.check_init()?;
         let st = self.state.borrow();
         let s = st.get(msid)?;
@@ -442,7 +442,7 @@ impl Monitoring {
 
     /// Each process writes its own row to `"{filename}.{rank}.prof"`
     /// (`MPI_M_flush`; `rank` is the communicator rank).
-    pub fn flush(&self, msid: Msid, filename: &str, flags: Flags) -> Result<()> {
+    pub(crate) fn flush(&self, msid: Msid, filename: &str, flags: Flags) -> Result<()> {
         self.check_init()?;
         let (row, comm) = self.row_and_comm(msid, flags)?;
         let path = format!("{filename}.{}.prof", comm.rank());

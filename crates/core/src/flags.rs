@@ -30,7 +30,7 @@ impl Flags {
     }
 
     /// The flag class of a wire-message kind.
-    pub fn from_kind(kind: MsgKind) -> Flags {
+    pub(crate) fn from_kind(kind: MsgKind) -> Flags {
         match kind {
             MsgKind::P2pUser => Flags::P2P_ONLY,
             MsgKind::Collective => Flags::COLL_ONLY,

@@ -16,7 +16,7 @@
 //! * [`Monitoring::reset`] zeroes a suspended session,
 //!   [`Monitoring::free`] destroys it;
 //! * data access ([`Monitoring::get_data`], [`Monitoring::allgather_data`],
-//!   [`Monitoring::rootgather_data`], [`Monitoring::flush`],
+//!   [`Monitoring::rootgather_data`], `Monitoring::flush`,
 //!   [`Monitoring::rootflush`]) is only legal while suspended.
 //!
 //! Sessions are fully independent: they may overlap, nest, and watch the
@@ -52,15 +52,15 @@
 //! provides the exact function names (`MPI_M_init`, `MPI_M_continue`, …)
 //! and constants on top of this API.
 
-pub mod accum;
-pub mod api;
+mod accum;
+mod api;
 pub mod capi;
-pub mod error;
-pub mod flags;
+mod error;
+mod flags;
 pub mod session;
 
-pub use accum::{PairAccum, PairCell, PairEntry};
-pub use api::{GatheredData, GatheredWindow, Monitoring, SessionInfo, SessionRow, TraceCounters};
+pub use accum::PairAccum;
+pub use api::{GatheredData, Monitoring};
 pub use error::{MonError, Result};
 pub use flags::Flags;
-pub use session::{Msid, WindowDelta};
+pub use session::Msid;

@@ -50,8 +50,8 @@ pub enum SessionState {
 }
 
 /// One sealed epoch window of a session: everything this process recorded
-/// between the previous [`advance`](SessionData::advance_window) and this
-/// one.  Produced by [`crate::Monitoring::advance_window`] and shipped by
+/// between the previous `advance_window` and this one.  Produced by
+/// [`crate::Monitoring::advance_window`] and shipped by
 /// [`crate::Monitoring::gather_window`] — the unit of live (no-suspend)
 /// introspection.
 #[derive(Debug, Clone, PartialEq, Eq)]

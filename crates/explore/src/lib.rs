@@ -32,19 +32,20 @@
 //! [`Outcome::DefiniteDeadlock`] (with the witness) or
 //! [`Outcome::ExploredClean`] (with the number of schedules that survived).
 //!
-//! The same [`policy`] types implement `mim_mpisim::SchedulePolicy`, so a
-//! recorded decision log can also steer the *live* runtime through its
-//! scheduling seams (task resume order, wildcard matching); a policed
-//! universe always runs the serialised (one-worker) tasks engine.
+//! The same policy types ([`RecordingPolicy`], [`ReplayPolicy`]) implement
+//! `mim_mpisim::SchedulePolicy`, so a recorded decision log can also steer
+//! the *live* runtime through its scheduling seams (task resume order,
+//! wildcard matching); a policed universe always runs the serialised
+//! (one-worker) tasks engine.
 //!
 //! [`PotentialDeadlock`]: mim_analyze::Verdict::PotentialDeadlock
 //! [`Program`]: mim_analyze::Program
 
 pub mod explore;
-pub mod model;
+mod model;
 pub mod plans;
-pub mod policy;
+mod policy;
 
 pub use explore::{explore, replay, Budget, Outcome, Witness};
 pub use model::{run_model, RunOutput};
-pub use policy::{parse_log, RecordingPolicy, ReplayPolicy};
+pub use policy::{RecordingPolicy, ReplayPolicy};

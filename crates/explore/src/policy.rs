@@ -104,7 +104,7 @@ impl RecordingPolicy {
     ///
     /// `racy[i]` marks candidates whose selection can change the outcome;
     /// an empty slice means "all of them can" (wildcard slates).
-    pub fn pick(&self, kind: char, n: usize, racy: &[bool]) -> usize {
+    pub(crate) fn pick(&self, kind: char, n: usize, racy: &[bool]) -> usize {
         let mut inner = lock(&self.inner);
         let at = inner.recs.len();
         let chosen = match inner.script.get(at) {
@@ -144,7 +144,7 @@ pub struct ReplayPolicy {
 
 impl ReplayPolicy {
     /// Replay a parsed decision log.
-    pub fn new(log: Vec<(char, usize, usize)>) -> Self {
+    pub(crate) fn new(log: Vec<(char, usize, usize)>) -> Self {
         ReplayPolicy { log, at: Mutex::new(0), diverged: Mutex::new(None) }
     }
 
@@ -167,7 +167,7 @@ impl ReplayPolicy {
     }
 
     /// Answer one decision from the log, flagging any mismatch.
-    pub fn pick(&self, kind: char, n: usize, _racy: &[bool]) -> usize {
+    pub(crate) fn pick(&self, kind: char, n: usize, _racy: &[bool]) -> usize {
         let at = {
             let mut at = lock(&self.at);
             let v = *at;
@@ -192,7 +192,7 @@ impl ReplayPolicy {
 }
 
 /// Serialize a decision list to the compact log format.
-pub fn serialize_log(recs: &[Rec]) -> String {
+pub(crate) fn serialize_log(recs: &[Rec]) -> String {
     let mut s = String::with_capacity(recs.len() * 6);
     for r in recs {
         let _ = write!(s, "{}:{}/{};", r.kind, r.chosen, r.n);
@@ -201,7 +201,7 @@ pub fn serialize_log(recs: &[Rec]) -> String {
 }
 
 /// Parse the compact log format back to `(kind, chosen, n)` triples.
-pub fn parse_log(log: &str) -> Result<Vec<(char, usize, usize)>, String> {
+pub(crate) fn parse_log(log: &str) -> Result<Vec<(char, usize, usize)>, String> {
     let mut out = Vec::new();
     for (i, item) in log.split_terminator(';').enumerate() {
         let err = || format!("decision #{i} malformed: {item:?}");

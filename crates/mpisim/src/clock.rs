@@ -4,7 +4,7 @@ use std::cell::Cell;
 
 /// A monotone virtual clock owned by one rank (nanoseconds as `f64`).
 ///
-/// The clock only ever moves forward: [`VirtualClock::advance_to`] is a
+/// The clock only ever moves forward: `VirtualClock::advance_to` is a
 /// no-op when the target is in the past, which is exactly the
 /// `max(local, arrival)` rule of conservative timestamping.
 #[derive(Debug, Default)]
@@ -14,7 +14,7 @@ pub struct VirtualClock {
 
 impl VirtualClock {
     /// A clock starting at virtual time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { now_ns: Cell::new(0.0) }
     }
 
@@ -24,18 +24,18 @@ impl VirtualClock {
     }
 
     /// Current virtual time in seconds.
-    pub fn now_s(&self) -> f64 {
+    pub(crate) fn now_s(&self) -> f64 {
         self.now_ns.get() * 1e-9
     }
 
     /// Advance the clock by `delta_ns` (must be non-negative).
-    pub fn tick(&self, delta_ns: f64) {
+    pub(crate) fn tick(&self, delta_ns: f64) {
         debug_assert!(delta_ns >= 0.0, "clock cannot move backwards");
         self.now_ns.set(self.now_ns.get() + delta_ns);
     }
 
     /// Move the clock forward to `target_ns` if it is in the future.
-    pub fn advance_to(&self, target_ns: f64) {
+    pub(crate) fn advance_to(&self, target_ns: f64) {
         if target_ns > self.now_ns.get() {
             self.now_ns.set(target_ns);
         }

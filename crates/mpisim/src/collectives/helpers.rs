@@ -2,12 +2,12 @@
 //! root and the two trees' links.
 
 /// Virtual rank relative to the root: the root gets vrank 0.
-pub fn vrank_of(rank: usize, root: usize, n: usize) -> usize {
+pub(crate) fn vrank_of(rank: usize, root: usize, n: usize) -> usize {
     (rank + n - root) % n
 }
 
 /// Inverse of [`vrank_of`].
-pub fn world_of_vrank(vrank: usize, root: usize, n: usize) -> usize {
+pub(crate) fn world_of_vrank(vrank: usize, root: usize, n: usize) -> usize {
     (vrank + root) % n
 }
 

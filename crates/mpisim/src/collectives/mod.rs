@@ -16,13 +16,13 @@
 //!
 //! Algorithms follow the classic MPICH/Open MPI implementations:
 //!
-//! * [`barrier`] — dissemination (zero-byte messages);
-//! * [`bcast_binomial`] / [`bcast_binary`] — binomial / binary broadcast tree;
+//! * `barrier` — dissemination (zero-byte messages);
+//! * `bcast_binomial` / [`bcast_binary`] — binomial / binary broadcast tree;
 //! * [`reduce_binomial`] / [`reduce_binary`] — mirrored reduce trees
 //!   (the paper's Fig 5a uses the binary tree);
 //! * [`allreduce_recursive_doubling`] — with the standard fold-in step for
 //!   non-power-of-two rank counts;
-//! * [`gather_linear`], [`scatter_linear`], [`alltoall_pairwise`];
+//! * `gather_linear`, `scatter_linear`, `alltoall_pairwise`;
 //! * [`allgather_ring`] for payloads (`Rank::allgather`), [`allgather_bruck`]
 //!   for the small fixed-size exchange inside `Rank::comm_split`.
 
@@ -32,8 +32,7 @@ pub(crate) mod pattern;
 mod tree;
 
 pub use extra::{bcast_binary_segmented, reduce_scatter_block, scan_inclusive};
-pub use helpers::{vrank_of, world_of_vrank};
-pub use tree::gather_tree_kary;
+use tree::gather_tree_kary;
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -61,7 +60,7 @@ fn crecv(rank: &Rank, comm: &Comm, src: usize, tag: u32) -> Vec<u8> {
 
 /// Dissemination barrier: ⌈log₂ n⌉ rounds of zero-byte messages
 /// (the zero-length point-to-point messages the paper warns about).
-pub fn barrier(rank: &Rank, comm: &Comm) {
+pub(crate) fn barrier(rank: &Rank, comm: &Comm) {
     let tag = rank.next_coll_tag(comm);
     for step in pattern::barrier(comm.rank(), comm.size()) {
         match step {
@@ -119,7 +118,7 @@ fn reduce_walk<T: Scalar>(
 }
 
 /// Binomial-tree broadcast from `root` (the algorithm of the paper's Fig 5b).
-pub fn bcast_binomial<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
+pub(crate) fn bcast_binomial<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
     let steps = pattern::bcast_binomial(comm.rank(), comm.size(), root, 0);
     bcast_walk(rank, comm, rank.next_coll_tag(comm), steps, data, 0..data.len());
 }
@@ -182,7 +181,7 @@ pub fn allreduce_recursive_doubling<T: Scalar>(
 }
 
 /// Linear gather of equal-size contributions; `Some(concatenation)` at root.
-pub fn gather_linear<T: Scalar>(
+pub(crate) fn gather_linear<T: Scalar>(
     rank: &Rank,
     comm: &Comm,
     root: usize,
@@ -207,7 +206,7 @@ pub fn gather_linear<T: Scalar>(
 
 /// Linear scatter of equal-size chunks from `root`; `data` must be
 /// `Some(n·chunk)` at the root and is ignored elsewhere.
-pub fn scatter_linear<T: Scalar>(
+pub(crate) fn scatter_linear<T: Scalar>(
     rank: &Rank,
     comm: &Comm,
     root: usize,
@@ -308,7 +307,7 @@ pub fn allgather_bruck<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T
 /// Pairwise (ring-offset) all-to-all: step `i` exchanges chunk with the
 /// ranks at offset `±i` — chunk `peer` of `data` goes to `peer`, and what
 /// `peer` sends lands as chunk `peer` of the result.
-pub fn alltoall_pairwise<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
+pub(crate) fn alltoall_pairwise<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
     let tag = rank.next_coll_tag(comm);
     let (me, n) = (comm.rank(), comm.size());
     assert!(data.len().is_multiple_of(n), "alltoall buffer not divisible by communicator size");
@@ -378,7 +377,7 @@ impl Rank {
     /// # Errors
     /// At the root, the ranks whose frame did not arrive because they, or a
     /// rank on their path to the root, died mid-gather (see
-    /// [`gather_tree_kary`]).
+    /// `gather_tree_kary`).
     ///
     /// # Panics
     /// Panics when `arity < 2` — validated *here*, before the collective

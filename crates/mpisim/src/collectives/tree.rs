@@ -46,7 +46,7 @@ fn parent_pos(p: usize, arity: usize) -> usize {
 /// communicator's ranks, the root is not first, or (at the root) a
 /// contribution frame is malformed — all programming errors of the caller,
 /// which must pass identical `order`/`arity` on every rank.
-pub fn gather_tree_kary(
+pub(crate) fn gather_tree_kary(
     rank: &Rank,
     comm: &Comm,
     root: usize,

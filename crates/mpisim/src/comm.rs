@@ -178,7 +178,7 @@ impl Comm {
         self.id
     }
 
-    /// Membership epoch (0 = never churned; see [`Comm::new_at_epoch`]'s
+    /// Membership epoch (0 = never churned; see `Comm::new_at_epoch`'s
     /// field docs and `Rank::send_checked`).
     pub fn epoch(&self) -> u64 {
         self.epoch

@@ -19,7 +19,7 @@ pub enum MsgKind {
 
 impl MsgKind {
     /// Short stable label used by the trace event schema.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             MsgKind::P2pUser => "p2p",
             MsgKind::Collective => "coll",
@@ -65,7 +65,7 @@ impl Payload {
     }
 
     /// The real bytes; panics on a synthetic payload.
-    pub fn expect_bytes(self) -> Vec<u8> {
+    pub(crate) fn expect_bytes(self) -> Vec<u8> {
         match self {
             Payload::Bytes(b) => b,
             Payload::Synthetic(_) => panic!("expected real payload, got synthetic"),

@@ -7,7 +7,7 @@
 //!
 //! A task's *home* is the worker that last ran it.  At launch the homes are
 //! a block partition — task `i` of `n` on worker `i·W/n` — so ring and
-//! halo neighbours start on one worker.  [`ExecShared::notify`] and stall
+//! halo neighbours start on one worker.  `ExecShared::notify` and stall
 //! wakes push a task to the back of its home queue, and a fairness yield
 //! to the back of the yielder's own.  A worker runs its *run-next slot*
 //! first (a task that asked to park after a notify token had already
@@ -42,12 +42,12 @@
 //!
 //! A rank that blocks in its mailbox parks its *task*, not a thread:
 //!
-//! 1. **Fiber side** ([`ParkerHandle::park`]): record the requested
+//! 1. **Fiber side** (`ParkerHandle::park`): record the requested
 //!    deadline, raise `park_pending`, and `fiber::suspend()` back to the
 //!    worker.
 //! 2. **Worker side** (scheduler-side publish): only after the fiber has
 //!    fully switched out does the worker publish the parked state with
-//!    `CAS(Running → Parked)`.  A concurrent [`ExecShared::notify`] that
+//!    `CAS(Running → Parked)`.  A concurrent `ExecShared::notify` that
 //!    caught the task still `Running` left a `Notified` token instead; the
 //!    failed CAS observes it and the worker keeps the task in its run-next
 //!    slot — the wakeup is never lost, and a resumed fiber can never race
@@ -66,7 +66,7 @@
 //! last idler checks for a stall: all live tasks parked and every run
 //! queue empty (a worker only idles with an empty slot).  It then wakes
 //! exactly one task — smallest `(deadline, world rank)` — with
-//! [`ParkWake::Deadline`], which surfaces in the mailbox as the same
+//! `ParkWake::Deadline`, which surfaces in the mailbox as the same
 //! `Timeout` the wall clock would have produced, minus the wait.
 //!
 //! A task that never parks cannot be preempted (fibers are cooperative), so
@@ -126,7 +126,7 @@ impl ExecutorKind {
 /// park is found again after the task resumes on a different worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId {
-    /// Process-unique id of the owning scheduler ([`ExecShared`]).
+    /// Process-unique id of the owning scheduler (`ExecShared`).
     pub exec: u64,
     /// Task index == world rank within that scheduler.
     pub index: usize,

@@ -23,9 +23,9 @@
 //! a single interposition point, the [`pml`] layer, which mirrors the
 //! position of Open MPI's `pml_monitoring` MCA component: below the
 //! collective engine, above the wire.  Monitoring libraries (`mim-core`)
-//! and the simulated NIC hardware counters ([`nic`]) subscribe there.  In
+//! and the simulated NIC hardware counters (`nic`) subscribe there.  In
 //! the code that point is one function, `Rank::wire_send`
-//! (`runtime/wire.rs`); [`runtime`] is split one module per decision around
+//! (`runtime/wire.rs`); `runtime` is split one module per decision around
 //! it — wire, universe and delivery, the fault protocol, membership — so
 //! each can change alone.
 //!
@@ -36,35 +36,33 @@
 
 pub mod clock;
 pub mod collectives;
-pub mod comm;
-pub mod datatype;
+mod comm;
+mod datatype;
 pub mod envelope;
 pub mod exec;
 pub mod fault;
 pub mod mailbox;
-pub mod nic;
-pub mod nonblocking;
-pub mod osc;
+mod nic;
+mod nonblocking;
+mod osc;
 pub mod pml;
-pub mod runtime;
-pub mod sched;
+mod runtime;
+mod sched;
 pub mod schedule;
 
 pub use comm::Comm;
 pub use datatype::Scalar;
 pub use envelope::{MsgKind, Payload};
 pub use exec::{ExecStats, ExecutorKind};
-pub use fault::{CrashPoint, FaultInjector, LinkCtx, PeerFailure, RankFailure, SendOutcome};
-pub use mailbox::{RecvWaitError, UnexpectedQueue};
-pub use nic::{NicCounters, NicEvent};
-pub use nonblocking::{RecvRequest, SendRequest};
+pub use fault::{CrashPoint, FaultInjector, LinkCtx, RankFailure, SendOutcome};
+pub use mailbox::UnexpectedQueue;
 pub use osc::Window;
-pub use pml::{LocalPmlHook, PmlEvent, PmlHook};
+pub use pml::{PmlEvent, PmlHook};
 pub use runtime::{
-    Rank, RankAborted, SrcSel, StaleEpoch, Status, TagSel, Universe, UniverseConfig,
-    RECV_OVERHEAD_NS, SEND_OVERHEAD_NS,
+    Rank, RankAborted, SrcSel, StaleEpoch, TagSel, Universe, UniverseConfig, RECV_OVERHEAD_NS,
+    SEND_OVERHEAD_NS,
 };
-pub use sched::{CanonicalPolicy, Decision, PolicyHandle, SchedulePolicy};
+pub use sched::{CanonicalPolicy, Decision, SchedulePolicy};
 pub use schedule::{Schedule, Step};
 
 /// The tracing subsystem (re-exported so downstream crates need no direct

@@ -123,13 +123,8 @@ impl UnexpectedQueue {
     }
 
     /// Number of queued envelopes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Append an envelope in arrival order.
@@ -149,7 +144,7 @@ impl UnexpectedQueue {
     /// Remove every queued envelope in arrival order — how a latent slot's
     /// temporary mailbox hands its pre-admission stash to the rank's real
     /// mailbox instead of dropping it.
-    pub fn drain_in_order(&mut self) -> Vec<Envelope> {
+    pub(crate) fn drain_in_order(&mut self) -> Vec<Envelope> {
         let mut all: Vec<(u64, Envelope)> =
             self.groups.drain().flat_map(|(_, g)| g.chans.into_values().flatten()).collect();
         all.sort_unstable_by_key(|&(seq, _)| seq);
@@ -222,7 +217,7 @@ impl UnexpectedQueue {
     }
 
     /// Is any queued envelope matching `pat` (no removal)?
-    pub fn contains_match(&self, pat: &MatchPattern) -> bool {
+    pub(crate) fn contains_match(&self, pat: &MatchPattern) -> bool {
         let Some(group) = self.groups.get(&(pat.comm_id, pat.ctx)) else { return false };
         match (pat.src, pat.tag) {
             (SrcSel::World(src), TagSel::Is(tag)) => group.chans.contains_key(&(src, tag)),
@@ -232,7 +227,7 @@ impl UnexpectedQueue {
 
     /// Human-readable dump of up to `limit` queued envelopes in arrival
     /// order (deadlock diagnostics).
-    pub fn dump(&self, limit: usize) -> String {
+    pub(crate) fn dump(&self, limit: usize) -> String {
         let mut all: Vec<(u64, &Envelope)> = self
             .groups
             .values()
@@ -329,7 +324,7 @@ pub struct Mailbox {
 
 impl Mailbox {
     /// Wrap a channel receiver. `deadline` bounds any single blocking receive.
-    pub fn new(rx: Receiver<Envelope>, deadline: Duration) -> Self {
+    pub(crate) fn new(rx: Receiver<Envelope>, deadline: Duration) -> Self {
         Self {
             rx,
             unexpected: UnexpectedQueue::new(),
@@ -359,14 +354,14 @@ impl Mailbox {
 
     /// Attach the owning rank's trace track (flight-recorder dumps on
     /// deadlock panics).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = Some(trace);
     }
 
     /// Install a schedule policy: wildcard receives with several eligible
     /// channels consult it, and deadlock panics append its decision log so
     /// a deadlock found mid-exploration stays replayable.
-    pub fn set_policy(&mut self, policy: PolicyHandle, world_rank: usize) {
+    pub(crate) fn set_policy(&mut self, policy: PolicyHandle, world_rank: usize) {
         self.policy = Some((policy, world_rank));
     }
 
@@ -503,7 +498,7 @@ impl Mailbox {
     /// With a data pattern ahead of a death-notice pattern this is the
     /// failure detector's wait: per-channel FIFO guarantees data sent
     /// before a crash is consumed before the death notice.
-    pub fn recv_first(
+    pub(crate) fn recv_first(
         &mut self,
         pats: &[&MatchPattern],
     ) -> Result<(Envelope, usize), RecvWaitError> {
@@ -527,7 +522,7 @@ impl Mailbox {
     /// # Panics
     /// Panics if no matching message arrives within the wall-clock deadline
     /// (deadlock detector) or if all senders disconnected.
-    pub fn recv_match(&mut self, pat: &MatchPattern) -> Envelope {
+    pub(crate) fn recv_match(&mut self, pat: &MatchPattern) -> Envelope {
         match self.recv_first(&[pat]) {
             Ok((env, _)) => env,
             Err(RecvWaitError::Timeout) => panic!(
@@ -551,7 +546,7 @@ impl Mailbox {
 
     /// Non-blocking probe: is a matching message already available?
     /// Drains the channel into the unexpected queue first.
-    pub fn iprobe(&mut self, pat: &MatchPattern) -> bool {
+    pub(crate) fn iprobe(&mut self, pat: &MatchPattern) -> bool {
         while let Ok(env) = self.rx.try_recv() {
             if let Some(env) = self.admit(env) {
                 self.queue_unexpected(env);
@@ -561,23 +556,23 @@ impl Mailbox {
     }
 
     /// Envelopes dropped by the duplicate-delivery filter.
-    pub fn duplicates_dropped(&self) -> u64 {
+    pub(crate) fn duplicates_dropped(&self) -> u64 {
         self.dup_dropped
     }
 
     /// Envelopes dropped by the incarnation filter (stale-incarnation
     /// traffic across a crash/restart boundary).
-    pub fn stale_dropped(&self) -> u64 {
+    pub(crate) fn stale_dropped(&self) -> u64 {
         self.stale_dropped
     }
 
     /// Number of queued unexpected messages (diagnostic).
-    pub fn unexpected_len(&self) -> usize {
+    pub(crate) fn unexpected_len(&self) -> usize {
         self.unexpected.len()
     }
 
     /// High-water mark of the unexpected queue over the mailbox's lifetime.
-    pub fn max_unexpected_depth(&self) -> usize {
+    pub(crate) fn max_unexpected_depth(&self) -> usize {
         self.uq_high
     }
 }
@@ -648,7 +643,7 @@ mod tests {
         assert_eq!((got.src_world, got.tag), (5, 1));
         let got = q.take(&pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(1))).unwrap();
         assert_eq!((got.src_world, got.tag), (3, 1));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -983,7 +978,7 @@ mod tests {
                     }
                 }
             }
-            assert!(indexed.is_empty());
+            assert_eq!(indexed.len(), 0);
         }
     }
 }

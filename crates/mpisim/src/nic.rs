@@ -50,7 +50,7 @@ pub struct NicCounters {
 impl NicCounters {
     /// Build counters for a machine with the given per-core node mapping and
     /// per-message header overhead (bytes added by the wire protocol).
-    pub fn new(core_to_node: Vec<usize>, header_bytes: u64) -> Self {
+    pub(crate) fn new(core_to_node: Vec<usize>, header_bytes: u64) -> Self {
         let nodes = core_to_node.iter().copied().max().map_or(0, |m| m + 1);
         Self {
             core_to_node,
@@ -104,7 +104,7 @@ impl NicCounters {
     /// cross-node traffic), retries count at *every* link: the retransmit
     /// timer lives in the sender's protocol engine, which fires whether or
     /// not the bytes would have left the node.
-    pub fn count_retry(&self, src_core: usize) {
+    pub(crate) fn count_retry(&self, src_core: usize) {
         self.retries[self.core_to_node[src_core]].fetch_add(1, Ordering::Relaxed);
     }
 

@@ -1,5 +1,5 @@
 //! Nonblocking point-to-point operations (`MPI_Isend` / `MPI_Irecv` /
-//! `MPI_Wait` / `MPI_Iprobe`).
+//! `MPI_Wait`).
 //!
 //! Sends are buffered-eager in this runtime, so an `isend` completes
 //! immediately — its request exists for API symmetry.  An `irecv` captures
@@ -43,11 +43,6 @@ impl RecvRequest {
     pub fn wait<T: Scalar>(self, rank: &Rank) -> (Vec<T>, Status) {
         typed(&self.comm, rank.mailbox_recv(&self.pat))
     }
-
-    /// Nonblocking completion test: is a matching message already here?
-    pub fn test(&self, rank: &Rank) -> bool {
-        rank.mailbox_iprobe(&self.pat)
-    }
 }
 
 impl Rank {
@@ -58,14 +53,9 @@ impl Rank {
         SendRequest { _private: () }
     }
 
-    /// Post a nonblocking receive; complete it with [`RecvRequest::wait`].
+    /// Post a nonblocking receive; complete it with `RecvRequest::wait`.
     pub fn irecv(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> RecvRequest {
         RecvRequest { comm: comm.clone(), pat: pattern(comm, src, tag, Ctx::Pt2pt) }
-    }
-
-    /// `MPI_Iprobe`: is a matching user message pending?
-    pub fn iprobe(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> bool {
-        self.mailbox_iprobe(&pattern(comm, src, tag, Ctx::Pt2pt))
     }
 }
 
@@ -111,26 +101,6 @@ mod tests {
             let (v, _) = rreq.wait::<u32>(rank);
             sreq.wait(rank);
             assert_eq!(v, vec![peer as u32; 1000]);
-        });
-    }
-
-    #[test]
-    fn test_and_iprobe_observe_arrival() {
-        let u = universe(2);
-        u.launch(|rank| {
-            let world = rank.comm_world();
-            if world.rank() == 0 {
-                // Wait for the go-signal so the probe definitely ran first.
-                rank.recv::<u8>(&world, SrcSel::Rank(1), TagSel::Is(0));
-                rank.send(&world, 1, 7, &[9u8]);
-            } else {
-                let req = rank.irecv(&world, SrcSel::Rank(0), TagSel::Is(7));
-                assert!(!req.test(rank), "nothing sent yet");
-                assert!(!rank.iprobe(&world, SrcSel::Any, TagSel::Is(7)));
-                rank.send(&world, 0, 0, &[0u8]); // go
-                let (v, _) = req.wait::<u8>(rank);
-                assert_eq!(v, vec![9]);
-            }
         });
     }
 

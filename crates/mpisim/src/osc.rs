@@ -36,13 +36,6 @@ pub struct Window {
     local: Arc<Mutex<Vec<u8>>>,
 }
 
-impl Window {
-    /// Window id (unique per universe).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
 impl Rank {
     /// Collectively create a window exposing `local` on every member of `comm`.
     pub fn win_create(&self, comm: &Comm, local: Vec<u8>) -> Window {

@@ -24,8 +24,9 @@ mod wire;
 pub use membership::StaleEpoch;
 pub(crate) use universe::Shared;
 pub use universe::{Universe, UniverseConfig};
+pub(crate) use wire::Status;
 pub(crate) use wire::{pattern, typed};
-pub use wire::{RankAborted, SrcSel, Status, TagSel, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
+pub use wire::{RankAborted, SrcSel, TagSel, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -154,7 +155,7 @@ impl Rank {
     }
 
     /// Core hosting this process.
-    pub fn core(&self) -> usize {
+    pub(crate) fn core(&self) -> usize {
         self.core
     }
 

@@ -59,7 +59,7 @@ pub struct UniverseConfig {
     /// fast path: the injector check is a single branch-on-`Option`
     /// (measured by the `chaos_overhead` microbench).
     pub injector: Option<Arc<dyn FaultInjector>>,
-    /// Optional schedule policy (see [`crate::sched`] and the `mim-explore`
+    /// Optional schedule policy (see [`crate::SchedulePolicy`] and the `mim-explore`
     /// crate): takes over the runtime's two nondeterminism points —
     /// wildcard matching and task resume order.  A policy overrides
     /// `executor`: the universe runs the tasks engine on one worker, so
@@ -154,13 +154,13 @@ impl UniverseConfig {
     }
 
     /// Number of rank slots in the job (initial world + latent joiners).
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         self.placement.len()
     }
 
     /// Size of the initial world (`MPI_COMM_WORLD`): every slot that is not
     /// a latent joiner.
-    pub fn initial(&self) -> usize {
+    pub(crate) fn initial(&self) -> usize {
         self.nprocs() - self.latent_ranks
     }
 }

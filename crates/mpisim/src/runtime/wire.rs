@@ -252,11 +252,6 @@ impl Rank {
         env
     }
 
-    /// Nonblocking probe against a raw pattern (no time cost).
-    pub(crate) fn mailbox_iprobe(&self, pat: &MatchPattern) -> bool {
-        self.mailbox.borrow_mut().iprobe(pat)
-    }
-
     // ----- point-to-point ----------------------------------------------------
 
     /// Blocking typed send (buffered-eager: never blocks on the receiver).

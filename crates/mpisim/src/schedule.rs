@@ -50,7 +50,7 @@ impl Schedule {
     }
 
     /// Number of ranks.
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.steps.len()
     }
 
@@ -294,7 +294,7 @@ pub fn allreduce_recursive_doubling(n: usize, bytes: u64) -> Schedule {
 }
 
 /// Pairwise (ring-offset) all-to-all pattern with equal `chunk_bytes`
-/// chunks, that of [`crate::collectives::alltoall_pairwise`].
+/// chunks, that of `collectives::alltoall_pairwise`.
 pub fn alltoall_pairwise(n: usize, chunk_bytes: u64) -> Schedule {
     every_rank(n, |me| pattern::alltoall_pairwise(me, n, chunk_bytes))
 }
@@ -485,7 +485,7 @@ impl Wiring {
 /// difference between minutes and milliseconds at Table-1 / NP=256 scales
 /// and beyond.
 ///
-/// Channels are indexed once per call ([`Wiring`]): every send knows the
+/// Channels are indexed once per call (`Wiring`): every send knows the
 /// receive step that takes it, and writes its arrival time into that step's
 /// slot, so a receive reads its arrival in its own step order and a step
 /// costs no hashing.  A receiver parks on at most one peer, so

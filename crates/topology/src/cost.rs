@@ -13,12 +13,12 @@ pub struct LinkParams {
 
 impl LinkParams {
     /// Build from a latency in microseconds and a bandwidth in GB/s.
-    pub fn from_latency_bandwidth(latency_us: f64, bandwidth_gbs: f64) -> Self {
+    pub(crate) fn from_latency_bandwidth(latency_us: f64, bandwidth_gbs: f64) -> Self {
         Self { alpha_ns: latency_us * 1e3, beta_ns_per_byte: 1.0 / bandwidth_gbs }
     }
 
     /// Transfer time for a message of `bytes` bytes, in nanoseconds.
-    pub fn message_ns(&self, bytes: u64) -> f64 {
+    pub(crate) fn message_ns(&self, bytes: u64) -> f64 {
         self.alpha_ns + self.beta_ns_per_byte * bytes as f64
     }
 }
@@ -39,24 +39,30 @@ impl CostModel {
     ///
     /// # Panics
     /// Panics when `params` is empty.
-    pub fn new(params: Vec<LinkParams>) -> Self {
+    pub(crate) fn new(params: Vec<LinkParams>) -> Self {
         assert!(!params.is_empty(), "cost model needs at least one link class");
         Self { params }
     }
 
     /// Parameters for a given LCA depth (clamped to the deepest class, so a
     /// model with fewer classes than the tree depth still works).
-    pub fn params_at(&self, lca_depth: usize) -> LinkParams {
+    pub(crate) fn params_at(&self, lca_depth: usize) -> LinkParams {
         self.params[lca_depth.min(self.params.len() - 1)]
     }
 
     /// Message time in nanoseconds between two cores with the given LCA depth.
-    pub fn message_ns(&self, lca_depth: usize, bytes: u64) -> f64 {
+    pub(crate) fn message_ns(&self, lca_depth: usize, bytes: u64) -> f64 {
         self.params_at(lca_depth).message_ns(bytes)
     }
 
     /// Message time between two *cores* of `tree`.
-    pub fn message_between_ns(&self, tree: &TopologyTree, a: usize, b: usize, bytes: u64) -> f64 {
+    pub(crate) fn message_between_ns(
+        &self,
+        tree: &TopologyTree,
+        a: usize,
+        b: usize,
+        bytes: u64,
+    ) -> f64 {
         self.message_ns(tree.lca_depth(a, b), bytes)
     }
 
@@ -67,7 +73,7 @@ impl CostModel {
     /// * cross-socket within a node: 0.5 µs + 20 GB/s,
     /// * within a socket: 0.25 µs + 40 GB/s,
     /// * self: 0.1 µs + 80 GB/s.
-    pub fn cluster_default() -> Self {
+    pub(crate) fn cluster_default() -> Self {
         Self::new(vec![
             LinkParams::from_latency_bandwidth(1.5, 12.5),
             LinkParams::from_latency_bandwidth(0.5, 20.0),
@@ -77,7 +83,7 @@ impl CostModel {
     }
 
     /// Model for the paper's 2-node Infiniband EDR testbed (~100 Gb/s).
-    pub fn edr_default() -> Self {
+    pub(crate) fn edr_default() -> Self {
         Self::new(vec![
             LinkParams::from_latency_bandwidth(1.0, 12.0),
             LinkParams::from_latency_bandwidth(0.4, 24.0),

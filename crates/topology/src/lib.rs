@@ -11,21 +11,20 @@
 //!
 //! * [`TopologyTree`] — a balanced tree described by its per-level arities,
 //!   with O(depth) LCA queries between leaves;
-//! * [`CostModel`] / [`Machine`] — a Hockney (`α + β·m`) link model keyed by
+//! * `CostModel` / [`Machine`] — a Hockney (`α + β·m`) link model keyed by
 //!   LCA depth, bundled with a tree into a named machine preset;
 //! * [`Placement`] — an injective map from process id to core (leaf) with the
 //!   standard initial layouts used in the paper's experiments (packed /
 //!   "round-robin", cyclic-by-node, random) and permutation support for rank
 //!   reordering.
 
-pub mod affinity;
-pub mod cost;
-pub mod machine;
-pub mod placement;
-pub mod tree;
+mod affinity;
+mod cost;
+mod machine;
+mod placement;
+mod tree;
 
 pub use affinity::CommMatrix;
-pub use cost::{CostModel, LinkParams};
 pub use machine::Machine;
 pub use placement::{inverse_permutation, Placement};
 pub use tree::TopologyTree;

@@ -48,26 +48,6 @@ impl Machine {
         }
     }
 
-    /// Parse a machine spec of the form `"NODESxSOCKETSxCORES"`
-    /// (e.g. `"4x2x12"`), used by benchmark command lines.
-    ///
-    /// # Errors
-    /// Returns a description of the problem for malformed specs.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = spec.split('x').collect();
-        if parts.len() != 3 {
-            return Err(format!("expected NODESxSOCKETSxCORES, got {spec:?}"));
-        }
-        let mut dims = [0usize; 3];
-        for (d, p) in dims.iter_mut().zip(&parts) {
-            *d = p.trim().parse().map_err(|e| format!("bad dimension {p:?} in {spec:?}: {e}"))?;
-            if *d == 0 {
-                return Err(format!("zero dimension in {spec:?}"));
-            }
-        }
-        Ok(Self::cluster(dims[0], dims[1], dims[2]))
-    }
-
     /// Number of cores in the machine.
     pub fn num_cores(&self) -> usize {
         self.tree.num_leaves()
@@ -139,16 +119,5 @@ mod tests {
     fn intra_node_is_faster() {
         let m = Machine::plafrim(2);
         assert!(m.message_ns(0, 24, 1 << 20) > m.message_ns(0, 1, 1 << 20));
-    }
-
-    #[test]
-    fn spec_parsing() {
-        let m = Machine::parse("4x2x12").unwrap();
-        assert_eq!(m.num_cores(), 96);
-        assert_eq!(m.num_nodes(), 4);
-        assert!(Machine::parse("4x2").is_err());
-        assert!(Machine::parse("4x0x12").is_err());
-        assert!(Machine::parse("axbxc").is_err());
-        assert_eq!(Machine::parse(" 2 x 1 x 8 ").unwrap().num_cores(), 16);
     }
 }

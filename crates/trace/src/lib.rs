@@ -6,7 +6,7 @@
 //! unexpected-queue depth behind it), collective decomposition span,
 //! monitoring-session transition and sealed epoch window, fault event
 //! (retransmission, crash, join, membership-epoch bump) and DES evaluator
-//! step can be recorded as a typed [`TraceEvent`] on a per-rank [`Track`].
+//! step can be recorded as a typed [`TraceEvent`] on a per-rank `Track`.
 //!
 //! Two consumers share the same events:
 //!

@@ -111,7 +111,11 @@ pub fn group_greedy(k: usize, a: usize, pairs: &[(usize, usize, u64)]) -> Vec<Ve
 /// # Panics
 /// Panics when `k % a != 0`, or when the instance is too large
 /// (`C(k, a) > 200_000`) — use [`group_greedy`] there.
-pub fn group_exhaustive(k: usize, a: usize, pairs: &[(usize, usize, u64)]) -> Vec<Vec<usize>> {
+pub(crate) fn group_exhaustive(
+    k: usize,
+    a: usize,
+    pairs: &[(usize, usize, u64)],
+) -> Vec<Vec<usize>> {
     assert!(a > 0 && k.is_multiple_of(a), "{k} objects cannot form groups of {a}");
     assert!(n_choose_k(k, a) <= 200_000, "exhaustive grouping infeasible for C({k}, {a})");
     // The symmetric k × k weight table, and each object's total affinity

@@ -24,12 +24,12 @@
 //!   no `weight(p, q)` over the members of a group.
 //!
 //! Both read a `mim_topology::CommMatrix`, the one traffic matrix type; the
-//! mapping-cost evaluator lives in [`cost`].
+//! mapping-cost evaluator is [`mapping_distance_cost`].
 
 pub mod affinity;
-pub mod algorithm;
-pub mod constrained;
-pub mod cost;
+mod algorithm;
+mod constrained;
+mod cost;
 pub mod grouping;
 
 pub use algorithm::{tree_match, tree_match_with, GroupingStrategy};

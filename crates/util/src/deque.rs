@@ -112,18 +112,6 @@ impl WorkerQueue {
         }
         Some(item)
     }
-
-    /// Number of items currently queued (owner's view).
-    pub fn len(&self) -> usize {
-        let b = self.inner.bottom.load(Ordering::Relaxed);
-        let t = self.inner.top.load(Ordering::Relaxed);
-        b.wrapping_sub(t).max(0) as usize
-    }
-
-    /// Whether the deque is empty (owner's view).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Stealer {
@@ -148,14 +136,6 @@ impl Stealer {
             return Steal::Retry;
         }
         Steal::Success(item)
-    }
-
-    /// Whether the deque currently looks empty (racy; for stall checks run
-    /// under quiescence, where it is exact).
-    pub fn is_empty(&self) -> bool {
-        let t = self.inner.top.load(Ordering::Acquire);
-        let b = self.inner.bottom.load(Ordering::Acquire);
-        t >= b
     }
 }
 

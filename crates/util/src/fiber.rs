@@ -244,7 +244,7 @@ mod imp {
 
     impl Fiber {
         /// Create a fiber that will run `body` on its own `stack_size`-byte
-        /// stack (clamped up to [`MIN_STACK`], rounded up to a whole page)
+        /// stack (clamped up to `MIN_STACK`, rounded up to a whole page)
         /// when first resumed.  The stack is a pooled one of that size when
         /// the pool has one (see the module doc).
         pub fn new(stack_size: usize, body: Box<dyn FnOnce() + Send>) -> Fiber {
@@ -387,9 +387,6 @@ mod imp {
     /// Whether stackful fibers work on this target.
     pub const SUPPORTED: bool = false;
 
-    /// Smallest stack a fiber will be given (unused on this target).
-    pub const MIN_STACK: usize = 64 * 1024;
-
     /// Why [`Fiber::resume`] returned.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Resume {
@@ -433,10 +430,11 @@ mod imp {
     }
 }
 
-pub use imp::{is_fiber, suspend, Fiber, Resume, MIN_STACK, SUPPORTED};
+pub use imp::{is_fiber, suspend, Fiber, Resume, SUPPORTED};
 
 #[cfg(all(test, target_arch = "x86_64", target_family = "unix"))]
 mod tests {
+    use super::imp::MIN_STACK;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;

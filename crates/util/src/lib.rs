@@ -10,7 +10,7 @@
 //! | [`channel`] | `crossbeam::channel` | the mpisim mailbox wiring |
 //! | [`sync`] | `parking_lot` | NIC counters, one-sided windows, runtime |
 //! | [`prop`] | `proptest` | every `proptests.rs` suite |
-//! | [`bench`] | `criterion` | the `crates/bench` microbenchmarks |
+//! | [`bench`](mod@bench) | `criterion` | the `crates/bench` microbenchmarks |
 //! | [`deque`] | `crossbeam::deque` | the mpisim M:N rank executor |
 //! | [`fiber`] | `corosensei` | the mpisim M:N rank executor |
 //!

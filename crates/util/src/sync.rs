@@ -36,11 +36,6 @@ impl<T> Mutex<T> {
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A readers–writer lock whose accessors never fail (poison is stripped).
@@ -62,11 +57,6 @@ impl<T> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// An epoch-counting condition variable: the blocking seam of the M:N rank
@@ -86,7 +76,7 @@ impl<T> RwLock<T> {
 /// at the epoch under the mutex; a notifier advances the epoch, then looks
 /// at `sleepers`, and takes the mutex to wake the condvar only when it
 /// reads a sleeper.  That is the store-buffering (Dekker) pattern: with
-/// both raises and both looks `SeqCst` ([`BUMP`], [`LOOK`]) at least one
+/// both raises and both looks `SeqCst` (`BUMP`, `LOOK`) at least one
 /// side sees the other's raise — either the notifier wakes the waiter, or
 /// the waiter sees the new epoch and never sleeps.  A notifier that reads
 /// a sleeper takes the mutex the sleeper holds from its look until the
@@ -514,6 +504,6 @@ mod tests {
         assert_eq!(*a + *b, 10);
         drop((a, b));
         *l.write() = 6;
-        assert_eq!(l.into_inner(), 6);
+        assert_eq!(*l.read(), 6);
     }
 }

@@ -40,6 +40,16 @@
 //!    `examples/` calls them. `mim-ledger` measures them until it moves onto
 //!    `simulate`; a caller that joined meanwhile would keep alive what is
 //!    meant to be deleted mechanically.
+//! 8. `pub` means another target uses it: every `pub fn`, `pub mod` and
+//!    `pub use` name in a crate's library sources (`crates/*/src`, not
+//!    `src/bin/`, test items stripped) appears in some file outside that
+//!    library — another crate's `src`, any `tests/`, `benches/`, `src/bin/`
+//!    or `examples/`, or `mim-ledger/src` — or is kept on purpose in
+//!    [`KEPT_PUBLIC`]. What only its own crate calls is `pub(crate)`, where
+//!    clippy's `dead_code` catches the next orphan. A census by hand once
+//!    left four orphans in place and missed seven more that the compiler
+//!    then reported. Any mention counts, comments too, so a name collision
+//!    can only let an item pass wrongly, never fail wrongly.
 //!
 //! Hermeticity: `cargo build --offline` works from a clean checkout with an
 //! empty registry cache while no lock file has a `source = ` line (a
@@ -109,6 +119,18 @@ const UNSAFE_ALLOWED: [&str; 5] = [
 const SHIMS: [&str; 2] = ["evaluate", "evaluate_contended"];
 const SHIM_HOME: &str = "crates/mpisim/src/schedule.rs";
 const SHIM_SCOPE: [&str; 3] = ["crates", "tests", "examples"];
+
+/// Rule 8: public items no other target names, kept on purpose:
+/// `(file, name, reason)`; a name ending in `*` is a prefix. An entry that
+/// matches no public item fails the rule.
+const KEPT_PUBLIC: [(&str, &str, &str); 4] = [
+    ("crates/core/src/capi.rs", "MPI_M_*", "the paper's API, name for name"),
+    // The one-sided operations `OSC_ONLY` monitors and the analyzer's
+    // `get` / `acc` ops model; only their unit tests call them.
+    ("crates/mpisim/src/osc.rs", "win_local", "a window's own buffer, read back"),
+    ("crates/mpisim/src/osc.rs", "accumulate", "one-sided accumulate"),
+    ("crates/mpisim/src/osc.rs", "get", "one-sided get"),
+];
 
 /// Hermeticity: the lock files of the root workspace and of `mim-ledger`.
 const LOCK_FILES: [&str; 2] = ["Cargo.lock", "mim-ledger/Cargo.lock"];
@@ -328,6 +350,119 @@ fn rule7_ledger_only_shims_are_called_nowhere() {
     let found = lines(&SHIM_SCOPE, false, |c| SHIMS.iter().any(|s| has_word(c, &format!("{s}("))));
     let ok = |s: &&str, rel: &str, c: &str| rel == SHIM_HOME && c.contains(&format!("pub fn {s}("));
     pass("rule 7: ledger-only DES shim called", stray(&found, &SHIMS, ok));
+}
+
+/// Rule 8: the crate whose library `rel` belongs to (`crates/<c>/src`, not
+/// `src/bin/`); `None` for every other target.
+fn library_of(rel: &str) -> Option<&str> {
+    let (krate, rest) = rel.strip_prefix("crates/")?.split_once('/')?;
+    (rest.starts_with("src/") && !rest.starts_with("src/bin/")).then_some(krate)
+}
+
+/// The names a library line declares public: `pub fn` / `pub const fn`,
+/// `pub mod`, and each name a `pub use` brings in (`as` alias or last path
+/// segment; globs bring none).
+fn public_names(code: &str) -> Vec<&str> {
+    fn ident(s: &str) -> &str {
+        let s = s.trim();
+        &s[..s.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(s.len())]
+    }
+    let code = code.trim_start();
+    if let Some(used) = code.strip_prefix("pub use ") {
+        let leaves = used.split(['{', '}', ',', ';']).map(|leaf| match leaf.split_once(" as ") {
+            Some((_, alias)) => ident(alias),
+            None => ident(leaf.rsplit("::").next().unwrap_or(leaf)),
+        });
+        return leaves.filter(|name| !name.is_empty()).collect();
+    }
+    let decl = ["pub fn ", "pub const fn ", "pub mod "].iter().find_map(|p| code.strip_prefix(p));
+    decl.map(ident).into_iter().collect()
+}
+
+/// Rule 8 over `(path, text)` files: every public library item no file
+/// outside its library names and no [`KEPT_PUBLIC`]-shaped entry of `kept`
+/// covers, then every entry that matches no public item.
+fn unnamed_public_items(files: &[(String, String)], kept: &[(&str, &str, &str)]) -> Vec<String> {
+    let mut named: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for (rel, text) in files {
+        let words = text.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        for word in words.filter(|w| !w.is_empty()) {
+            named.entry(word).or_default().insert(library_of(rel));
+        }
+    }
+    let (mut problems, mut used) = (Vec::new(), vec![false; kept.len()]);
+    for (rel, text) in files {
+        let Some(krate) = library_of(rel) else { continue };
+        if rel.ends_with("/tests.rs") || rel.contains("/tests/") {
+            continue;
+        }
+        let mut library_lines = strip_test_items(text).into_iter();
+        while let Some((line, n)) = library_lines.next() {
+            let mut code = code_of(line).to_owned();
+            // A `pub use` list may span lines: read on to its `;`.
+            while code.trim_start().starts_with("pub use ") && !code.contains(';') {
+                let Some((next, _)) = library_lines.next() else { break };
+                code.push_str(code_of(next));
+            }
+            for name in public_names(&code) {
+                let covers = |(file, pat, _): &(&str, &str, &str)| {
+                    rel == file
+                        && pat.strip_suffix('*').map_or(name == *pat, |p| name.starts_with(p))
+                };
+                let outside =
+                    |owners: &BTreeSet<Option<&str>>| owners.iter().any(|o| *o != Some(krate));
+                if let Some(i) = kept.iter().position(covers) {
+                    used[i] = true;
+                } else if !named.get(name).is_some_and(outside) {
+                    problems.push(format!("{rel}:{n}: `{name}` is named by no other target"));
+                }
+            }
+        }
+    }
+    let stale = kept.iter().zip(used).filter(|(_, used)| !used);
+    problems.extend(
+        stale.map(|(k, _)| format!("matches no public item (narrowed or deleted?): {k:?}")),
+    );
+    problems
+}
+
+#[test]
+fn rule8_public_items_are_named_by_another_target() {
+    let mut files = rust_files(&["crates", "tests", "examples", "mim-ledger/src"], false);
+    files.retain(|(rel, _)| rel != "tests/repo_rules.rs");
+    let rule = "rule 8: public item only its own crate names (make it pub(crate) or delete it)";
+    pass(rule, unnamed_public_items(&files, &KEPT_PUBLIC));
+}
+
+#[test]
+fn rule8_census_reads_other_targets_and_skips_test_items() {
+    let file = |rel: &str, text: &str| (rel.to_owned(), text.to_owned());
+    let files = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn called() {}\npub fn lonely() {}\n#[cfg(test)]\npub fn helper() {}\n\
+             pub fn kept() {}\npub use m::{Used,\n    Unused};\npub mod m;",
+        ),
+        // Its own crate's sources (unit tests too) are not another target.
+        file("crates/a/src/m.rs", "pub struct Used;\npub struct Unused;\nfn f() { lonely(); }"),
+        file("crates/a/src/m/tests.rs", "fn t() { lonely(); }"),
+        // Another crate's library and its own crate's bin both are.
+        file("crates/b/src/lib.rs", "fn g() { a::called(); a::Used; }"),
+        file("crates/a/src/bin/tool.rs", "fn main() { a::m::Used; }"),
+    ];
+    let kept =
+        [("crates/a/src/lib.rs", "kept", "on purpose"), ("crates/a/src/lib.rs", "gone", "stale")];
+    assert_eq!(
+        unnamed_public_items(&files, &kept),
+        [
+            "crates/a/src/lib.rs:2: `lonely` is named by no other target",
+            "crates/a/src/lib.rs:6: `Unused` is named by no other target",
+            "matches no public item (narrowed or deleted?): (\"crates/a/src/lib.rs\", \"gone\", \"stale\")",
+        ]
+    );
+    assert_eq!(public_names("pub use mim_trace as trace;"), ["trace"]);
+    assert_eq!(public_names("    pub const fn new(value: T) -> Self {"), ["new"]);
+    assert_eq!(public_names("pub(crate) fn inner() {}"), Vec::<&str>::new());
 }
 
 #[test]
