@@ -11,7 +11,7 @@ use mim_mpisim::trace::{TraceData, TraceHandle};
 use mim_mpisim::{Comm, PmlEvent, Rank};
 use mim_topology::CommMatrix;
 
-use crate::accum::PairAccum;
+use crate::accum::{flag_sums, PairEntry};
 use crate::error::{MonError, Result};
 use crate::flags::Flags;
 use crate::session::{Msid, SessionData, SessionState, SessionTable, WindowDelta, MAX_SESSIONS};
@@ -118,12 +118,6 @@ pub struct Monitoring {
     state: Rc<RefCell<SessionTable>>,
     hook: LocalHookHandle,
     finalized: std::cell::Cell<bool>,
-    /// Dense/sparse threshold for session accumulators: communicators up
-    /// to `dense_limit` members store dense rows (the paper's literal
-    /// layout), larger ones one hash cell per destination actually touched.
-    /// The two representations are observationally identical; only the
-    /// equivalence tests move it off [`PairAccum::DEFAULT_DENSE_LIMIT`].
-    dense_limit: usize,
     /// The owning rank's trace track and clock, for recording session
     /// lifecycle transitions on that rank's timeline (`None` when tracing
     /// is off).  The clock is shared because suspend/resume/reset/free are
@@ -143,19 +137,9 @@ impl Monitoring {
             state,
             hook,
             finalized: std::cell::Cell::new(false),
-            dense_limit: PairAccum::DEFAULT_DENSE_LIMIT,
             trace: rank.trace_handle().map(|t| (t, rank.clock_shared())),
         };
         this.trace_session("init", Msid::ALL);
-        Ok(this)
-    }
-
-    /// [`Monitoring::init`] with an explicit dense/sparse threshold: the
-    /// equivalence tests force one representation with `0` / `usize::MAX`.
-    #[cfg(test)]
-    pub(crate) fn init_with_dense_limit(rank: &Rank, dense_limit: usize) -> Result<Self> {
-        let mut this = Self::init(rank)?;
-        this.dense_limit = dense_limit;
         Ok(this)
     }
 
@@ -202,10 +186,7 @@ impl Monitoring {
     pub fn start(&self, rank: &Rank, comm: &Comm) -> Result<Msid> {
         self.check_init()?;
         rank.barrier(comm);
-        let msid = self
-            .state
-            .borrow_mut()
-            .insert(SessionData::with_dense_limit(comm.clone(), self.dense_limit))?;
+        let msid = self.state.borrow_mut().insert(SessionData::new(comm.clone()))?;
         // Recorded *after* the barrier and the insert, so everything past
         // this marker on the track is traffic the session could observe —
         // the trace/monitoring cross-check property relies on that.
@@ -362,7 +343,7 @@ impl Monitoring {
     /// [`Rank::comm_grow`]: mim_mpisim::Rank::comm_grow
     pub fn rebind_session(&self, msid: Msid, new_comm: &Comm) -> Result<()> {
         self.check_init()?;
-        self.state.borrow_mut().get_mut(msid)?.rebind(new_comm.clone(), self.dense_limit);
+        self.state.borrow_mut().get_mut(msid)?.rebind(new_comm.clone());
         self.trace_session("rebind", msid);
         Ok(())
     }
@@ -532,21 +513,19 @@ impl Monitoring {
             }
             check_root(root, s.comm.size())?;
             let mut buf = Vec::new();
+            let mut ship = |entries: &[PairEntry]| {
+                buf.extend(flag_sums(entries, flags).flat_map(|(d, c, b)| [d, c, b]))
+            };
             let epoch = match scope {
                 Scope::Total => {
-                    buf.extend(s.sparse_row(flags).into_iter().flat_map(|(d, c, b)| [d, c, b]));
+                    ship(s.entries());
                     s.epoch
                 }
                 Scope::Window => {
                     s.muted = true;
                     let delta = s.advance_window();
                     self.trace_window(msid, &delta);
-                    for e in &delta.entries {
-                        let (count, bytes) = e.cell.sum(flags);
-                        if count != 0 || bytes != 0 {
-                            buf.extend([e.dst as u64, count, bytes]);
-                        }
-                    }
+                    ship(&delta.entries);
                     delta.epoch
                 }
             };

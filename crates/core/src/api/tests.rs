@@ -327,10 +327,9 @@ fn all_msid_suspends_everything() {
 }
 
 /// The equivalence harness behind the `props!` below: run one seeded
-/// workload on one topology under one executor, with a dense-forced and a
-/// sparse-forced monitoring environment watching side by side, and assert
-/// that every combination of {dense, sparse} × {star oracle, tree gather}
-/// produces bit-identical matrices for every flag selection.
+/// workload on one topology under one executor and assert that the tree
+/// gather and the star oracle produce bit-identical matrices for every flag
+/// selection.
 fn check_equivalence(
     machine: Machine,
     placement: Placement,
@@ -344,17 +343,8 @@ fn check_equivalence(
     Universe::new(cfg).launch(move |rank| {
         let world = rank.comm_world();
         let me = world.rank();
-        // Two environments observe the same traffic: one forced dense (the
-        // seed's literal layout), one forced sparse.
-        let dense = Monitoring::init_with_dense_limit(rank, usize::MAX).unwrap();
-        let sparse = Monitoring::init_with_dense_limit(rank, 0).unwrap();
-        let id_d = dense.start(rank, &world).unwrap();
-        // The dense session must not record the sparse session's start
-        // barrier (a session never records its own start): park it across
-        // the second start so both observe exactly the same traffic.
-        dense.suspend(id_d).unwrap();
-        let id_s = sparse.start(rank, &world).unwrap();
-        dense.resume(id_d).unwrap();
+        let mon = Monitoring::init(rank).unwrap();
+        let id = mon.start(rank, &world).unwrap();
 
         // Seeded workload covering all three kinds: random matched p2p
         // pairs, a broadcast + barrier, and a one-sided put.
@@ -373,39 +363,26 @@ fn check_equivalence(
         }
         rank.fence(&win);
 
-        dense.suspend(id_d).unwrap();
-        sparse.suspend(id_s).unwrap();
+        mon.suspend(id).unwrap();
         for flags in [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::OSC_ONLY, Flags::ALL_COMM] {
-            // Local rows agree between representations.
-            assert_eq!(dense.get_data(id_d, flags).unwrap(), sparse.get_data(id_s, flags).unwrap());
-            // Star gather on the dense environment is the seed oracle ...
-            let oracle = dense.rootgather_data_star(rank, id_d, gather_root, flags).unwrap();
-            // ... and tree/star × dense/sparse all reproduce it bit for bit.
-            let tree_d = dense.rootgather_data(rank, id_d, gather_root, flags).unwrap();
-            let tree_s = sparse.rootgather_data(rank, id_s, gather_root, flags).unwrap();
-            let star_s = sparse.rootgather_data_star(rank, id_s, gather_root, flags).unwrap();
-            assert_eq!(tree_d, oracle, "dense/tree vs dense/star");
-            assert_eq!(tree_s, oracle, "sparse/tree vs dense/star");
-            assert_eq!(star_s, oracle, "sparse/star vs dense/star");
+            // The star gather of dense rows is the seed oracle; the tree
+            // gather of sparse rows reproduces it bit for bit.
+            let oracle = mon.rootgather_data_star(rank, id, gather_root, flags).unwrap();
+            let tree = mon.rootgather_data(rank, id, gather_root, flags).unwrap();
+            assert_eq!(tree, oracle, "tree vs star");
             assert_eq!(oracle.is_some(), me == gather_root);
         }
-        let cd = dense.trace_counters(rank, id_d).unwrap();
-        let cs = sparse.trace_counters(rank, id_s).unwrap();
-        assert_eq!((cd.events, cd.bytes), (cs.events, cs.bytes));
 
-        dense.free(id_d).unwrap();
-        sparse.free(id_s).unwrap();
-        dense.finalize(rank).unwrap();
-        sparse.finalize(rank).unwrap();
+        mon.free(id).unwrap();
+        mon.finalize(rank).unwrap();
         rank.win_free(win);
     });
 }
 
 props! {
-    /// Sparse-vs-dense accumulators and tree-vs-star gathers are
-    /// bit-identical across 3 machine topologies and both executors, on a
-    /// random workload per case (3 cases ≙ 3 seeds; replay with
-    /// MIM_PROP_SEED).
+    /// Tree and star gathers are bit-identical across 3 machine topologies
+    /// and both executors, on a random workload per case (3 cases ≙ 3
+    /// seeds; replay with MIM_PROP_SEED).
     fn monitoring_equivalence_across_topologies_and_executors(g, cases = 3) {
         // (machine, placement, n): two packed clusters of different shape
         // and awkward size, plus a cyclic placement that splits every

@@ -2,7 +2,7 @@
 
 use mim_mpisim::{Comm, PmlEvent};
 
-use crate::accum::{PairAccum, PairEntry};
+use crate::accum::{remap, PairAccum, PairEntry};
 use crate::error::{MonError, Result};
 use crate::flags::Flags;
 
@@ -98,21 +98,13 @@ pub(crate) struct SessionData {
 }
 
 impl SessionData {
-    /// Session with the default threshold (test convenience; the live path
-    /// goes through [`SessionData::with_dense_limit`]).
-    #[cfg(test)]
+    /// Active session on `comm` with nothing recorded.
     pub(crate) fn new(comm: Comm) -> Self {
-        Self::with_dense_limit(comm, PairAccum::DEFAULT_DENSE_LIMIT)
-    }
-
-    /// Session with an explicit dense/sparse threshold for its accumulator
-    /// (the `dense_limit` of the owning [`crate::Monitoring`]).
-    pub(crate) fn with_dense_limit(comm: Comm, limit: usize) -> Self {
         let n = comm.size();
         Self {
             comm,
             state: SessionState::Active,
-            total: PairAccum::with_dense_limit(n, limit),
+            total: PairAccum::new(n),
             mark: Vec::new(),
             epoch: 0,
             events: 0,
@@ -183,7 +175,7 @@ impl SessionData {
             events: self.events - self.sealed_events,
             bytes: self.bytes - self.sealed_bytes,
         };
-        self.mark = now;
+        self.mark = now.to_vec();
         self.sealed_events = self.events;
         self.sealed_bytes = self.bytes;
         delta
@@ -196,13 +188,11 @@ impl SessionData {
     /// are dropped, and joiners start at zero.  Totals, the open window and
     /// the epoch counter all survive — a rebind is a change of coordinates,
     /// not a reset — so the mark moves through the same map as the totals.
-    pub(crate) fn rebind(&mut self, new_comm: Comm, limit: usize) {
+    pub(crate) fn rebind(&mut self, new_comm: Comm) {
         let map: Vec<Option<usize>> =
             self.comm.group().iter().map(|&w| new_comm.rank_of_world(w)).collect();
-        self.total = self.total.reindex(&map, new_comm.size(), limit);
-        self.mark =
-            self.mark.iter().filter_map(|e| Some(PairEntry { dst: map[e.dst]?, ..*e })).collect();
-        self.mark.sort_unstable_by_key(|e| e.dst);
+        self.total = self.total.reindex(&map, new_comm.size());
+        self.mark = remap(&self.mark, &map);
         self.comm = new_comm;
     }
 
@@ -211,10 +201,9 @@ impl SessionData {
         self.total.row(flags)
     }
 
-    /// Flag-summed sparse row of the session's total data (the gather wire
-    /// format; see [`PairAccum::sparse_row`]).
-    pub(crate) fn sparse_row(&self, flags: Flags) -> Vec<(u64, u64, u64)> {
-        self.total.sparse_row(flags)
+    /// Everything recorded since start/reset, sorted by destination.
+    pub(crate) fn entries(&self) -> &[PairEntry] {
+        self.total.entries()
     }
 }
 
@@ -435,6 +424,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum::flag_sums;
     use mim_mpisim::MsgKind;
     use mim_util::prop::Gen;
     use mim_util::props;
@@ -508,7 +498,8 @@ mod tests {
         assert_eq!(s.row(Flags::OSC_ONLY).1, vec![0, 0, 40]);
         assert_eq!(s.row(Flags::P2P_ONLY | Flags::COLL_ONLY).1, vec![0, 30, 0]);
         assert_eq!(s.row(Flags::ALL_COMM).0, vec![0, 2, 1]);
-        assert_eq!(s.sparse_row(Flags::ALL_COMM), vec![(1, 2, 30), (2, 1, 40)]);
+        let triples: Vec<_> = flag_sums(s.entries(), Flags::ALL_COMM).collect();
+        assert_eq!(triples, vec![(1, 2, 30), (2, 1, 40)]);
     }
 
     #[test]
@@ -575,7 +566,7 @@ mod tests {
         s.record(&ev(4, 5, MsgKind::P2pUser)); // lands in window 2
 
         // World 2 departs, world 6 joins: [0, 4, 6].
-        s.rebind(Comm::from_raw(12, Arc::new(vec![0, 4, 6]), 0), PairAccum::DEFAULT_DENSE_LIMIT);
+        s.rebind(Comm::from_raw(12, Arc::new(vec![0, 4, 6]), 0));
         assert_eq!(s.row(Flags::ALL_COMM).1, vec![0, 35, 0], "world 4 now comm rank 1");
         assert_eq!(s.row(Flags::ALL_COMM).0, vec![0, 2, 0], "world 2's column dropped");
         assert_eq!(s.epoch, 1, "epoch counter survives the rebind");
@@ -673,9 +664,9 @@ mod tests {
     }
 
     props! {
-        /// Random record / seal / reset / rebind histories, replayed at
-        /// both dense limits: every sealed window, the open-window counters
-        /// and the totals equal the oracle's after every step.
+        /// Random record / seal / reset / rebind histories: every sealed
+        /// window, the open-window counters and the totals equal the
+        /// oracle's after every step.
         fn windows_match_the_member_map_oracle(g) {
             let start = random_group(g);
             let ops: Vec<Op> = g.vec(1..80, |g| match g.index(10) {
@@ -688,37 +679,35 @@ mod tests {
                     kind: *g.choose(&[MsgKind::P2pUser, MsgKind::Collective, MsgKind::OneSided]),
                 },
             });
-            for limit in [0, usize::MAX] {
-                let mut comm = comm_of(1, &start);
-                let mut s = SessionData::with_dense_limit(comm.clone(), limit);
-                let mut oracle = MemberMapOracle::new(&comm);
-                for (step, op) in ops.iter().enumerate() {
-                    match op {
-                        Op::Record { dst_world, bytes, kind } => {
-                            let e = ev(*dst_world, *bytes, *kind);
-                            s.record(&e);
-                            oracle.record(&e);
-                        }
-                        Op::Seal => {
-                            let d = s.advance_window();
-                            assert_eq!((d.entries, d.events, d.bytes), oracle.advance(), "step {step}");
-                        }
-                        Op::Reset => {
-                            s.reset();
-                            oracle.reset();
-                        }
-                        Op::Rebind(group) => {
-                            let new = comm_of(step as u64 + 2, group);
-                            s.rebind(new.clone(), limit);
-                            oracle.rebind(&comm, &new);
-                            comm = new;
-                        }
+            let mut comm = comm_of(1, &start);
+            let mut s = SessionData::new(comm.clone());
+            let mut oracle = MemberMapOracle::new(&comm);
+            for (step, op) in ops.iter().enumerate() {
+                match op {
+                    Op::Record { dst_world, bytes, kind } => {
+                        let e = ev(*dst_world, *bytes, *kind);
+                        s.record(&e);
+                        oracle.record(&e);
                     }
-                    let open = (s.events - s.sealed_events, s.bytes - s.sealed_bytes);
-                    assert_eq!(open, oracle.open_window(), "step {step}");
-                    for flags in [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::ALL_COMM] {
-                        assert_eq!(s.row(flags), oracle.row(flags), "step {step}");
+                    Op::Seal => {
+                        let d = s.advance_window();
+                        assert_eq!((d.entries, d.events, d.bytes), oracle.advance(), "step {step}");
                     }
+                    Op::Reset => {
+                        s.reset();
+                        oracle.reset();
+                    }
+                    Op::Rebind(group) => {
+                        let new = comm_of(step as u64 + 2, group);
+                        s.rebind(new.clone());
+                        oracle.rebind(&comm, &new);
+                        comm = new;
+                    }
+                }
+                let open = (s.events - s.sealed_events, s.bytes - s.sealed_bytes);
+                assert_eq!(open, oracle.open_window(), "step {step}");
+                for flags in [Flags::P2P_ONLY, Flags::COLL_ONLY, Flags::ALL_COMM] {
+                    assert_eq!(s.row(flags), oracle.row(flags), "step {step}");
                 }
             }
         }

@@ -228,7 +228,7 @@ pub(crate) fn parse_log(log: &str) -> Result<Vec<(char, usize, usize)>, String> 
 
 impl SchedulePolicy for RecordingPolicy {
     fn choose(&self, decision: Decision<'_>) -> usize {
-        self.pick(decision.kind_code(), decision.len(), &[])
+        self.pick(decision.kind_code(), decision.slate_size(), &[])
     }
 
     fn decision_log(&self) -> Option<String> {
@@ -238,7 +238,7 @@ impl SchedulePolicy for RecordingPolicy {
 
 impl SchedulePolicy for ReplayPolicy {
     fn choose(&self, decision: Decision<'_>) -> usize {
-        self.pick(decision.kind_code(), decision.len(), &[])
+        self.pick(decision.kind_code(), decision.slate_size(), &[])
     }
 
     fn decision_log(&self) -> Option<String> {

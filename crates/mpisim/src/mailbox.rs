@@ -840,7 +840,7 @@ mod tests {
             let pick = self.script.get(*at).copied().unwrap_or(0);
             *at += 1;
             let mut log = self.log.lock().unwrap();
-            let _ = write!(log, "{}:{}/{};", decision.kind_code(), pick, decision.len());
+            let _ = write!(log, "{}:{}/{};", decision.kind_code(), pick, decision.slate_size());
             pick
         }
 

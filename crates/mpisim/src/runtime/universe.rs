@@ -70,9 +70,9 @@ pub struct UniverseConfig {
     pub sched: Option<PolicyHandle>,
     /// Elastic universes: the number of trailing placement slots reserved
     /// for ranks that may *join* the universe mid-run.  The initial world
-    /// (`MPI_COMM_WORLD`) is the first `placement.len() - latent_ranks`
-    /// ranks; latent slots are wired (channel + task/thread) at launch but
-    /// stay parked — no `Rank`, no mailbox, no trace track — until a
+    /// (`MPI_COMM_WORLD`) is every placement slot but the last
+    /// `latent_ranks`; latent slots are wired (channel + task/thread) at
+    /// launch but stay parked — no `Rank`, no mailbox, no trace track — until a
     /// sponsor admits them (see [`Universe::launch_faulty`], the only
     /// launch that hosts them).  0 (the default) is the classic static
     /// universe.
@@ -93,7 +93,7 @@ impl UniverseConfig {
     /// `MIM_DEADLINE_MS` that is not a decimal or `0x`-hex number.
     pub fn new(machine: Machine, placement: Placement) -> Self {
         assert!(
-            placement.len() <= machine.num_cores(),
+            placement.as_slice().len() <= machine.num_cores(),
             "placement has more processes than the machine has cores"
         );
         let deadline =
@@ -144,10 +144,10 @@ impl UniverseConfig {
     /// [`Universe::launch`] rejects it.
     pub fn with_latent_ranks(mut self, n: usize) -> Self {
         assert!(
-            n < self.placement.len(),
+            n < self.nprocs(),
             "latent_ranks ({n}) must leave at least one initial rank \
              (placement has {} slots)",
-            self.placement.len()
+            self.nprocs()
         );
         self.latent_ranks = n;
         self
@@ -155,7 +155,7 @@ impl UniverseConfig {
 
     /// Number of rank slots in the job (initial world + latent joiners).
     pub(crate) fn nprocs(&self) -> usize {
-        self.placement.len()
+        self.placement.as_slice().len()
     }
 
     /// Size of the initial world (`MPI_COMM_WORLD`): every slot that is not

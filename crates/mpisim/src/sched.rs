@@ -52,16 +52,11 @@ pub enum Decision<'a> {
 
 impl Decision<'_> {
     /// Number of candidates on the slate.
-    pub fn len(&self) -> usize {
+    pub fn slate_size(&self) -> usize {
         match self {
             Decision::TaskResume { candidates } => candidates.len(),
             Decision::WildcardTake { candidates, .. } => candidates.len(),
         }
-    }
-
-    /// True when the slate is empty (never offered by the runtime).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Single-letter kind code used in serialized decision logs
@@ -125,8 +120,7 @@ mod tests {
         let cands = [(1usize, 0u32), (2, 0)];
         let d = Decision::WildcardTake { rank: 0, candidates: &cands };
         assert_eq!(d.kind_code(), 'w');
-        assert_eq!(d.len(), 2);
-        assert!(!d.is_empty());
+        assert_eq!(d.slate_size(), 2);
         assert_eq!(p.choose(d), 0);
         assert!(p.decision_log().is_none());
         let r = Decision::TaskResume { candidates: &[0, 1] };

@@ -49,7 +49,7 @@ impl SchedulePolicy for Scripted {
             "{}:{}/{};",
             decision.kind_code(),
             pick,
-            decision.len()
+            decision.slate_size()
         );
         pick
     }

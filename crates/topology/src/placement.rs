@@ -75,16 +75,6 @@ impl Placement {
         Self { proc_to_core: cores }
     }
 
-    /// Number of placed processes.
-    pub fn len(&self) -> usize {
-        self.proc_to_core.len()
-    }
-
-    /// True when no process is placed.
-    pub fn is_empty(&self) -> bool {
-        self.proc_to_core.is_empty()
-    }
-
     /// Core hosting process `proc`.
     pub fn core_of(&self, proc: usize) -> usize {
         self.proc_to_core[proc]

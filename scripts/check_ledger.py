@@ -42,7 +42,11 @@ CHECKS = {
         ("util.channel.send_recv_ns", "<=", 130,
          "a condvar wake per send with nobody asleep (31-44 ns today, 170-215 before PR 18)"),
     ]),
-    "ring_monitored": (3, []),
+    "ring_monitored": (3, [
+        ("core.accum.mem_bytes", "<=", 4096,
+         "a traffic row that grows with the communicator, not with the peers touched: 8 peers "
+         "of a 4096-member row hold 448 B sorted (896 B hashed, 196 608 B as a dense row)"),
+    ]),
     "farm_wildcard": (3, [
         ("mpisim.mailbox.match_wildcard_ns", "<=", 5000,
          "a linear matcher: one scan of the 10k-deep queue is >= 10 us (~400 ns today)"),
@@ -65,6 +69,9 @@ CHECKS = {
         ("comm_gain", "==", 1.937142857142857, "exact simulated value, seed 1"),
         ("mpisim.mailbox.match_specific_ns", "<=", 5000,
          "a linear matcher on the specific pattern (10 us per scan; ~200 ns today)"),
+        ("core.accum.mem_bytes", "<=", 4096,
+         "a traffic row that grows with the communicator, not with the peers touched: 8 peers "
+         "of a 4096-member row hold 448 B sorted (896 B hashed, 196 608 B as a dense row)"),
     ]),
     "cg_windowed": (1, [
         ("comm_gain", "==", 2.789489384974892, "exact simulated value, seed 1"),
