@@ -17,7 +17,7 @@
 //! [`Verdict::PotentialDeadlock`], and a stall is reported as potential
 //! rather than definite (another matching might progress).
 
-use std::collections::HashMap;
+use mim_util::hash::IdMap;
 
 use crate::diag::{ChannelUse, Code, Diag, Loc, Report, Severity, Verdict, WaitEdge};
 use crate::interp::{admits, ChanKey, State, Step, Sync};
@@ -410,7 +410,7 @@ impl<'p> Replay<'p> {
     fn post_mortem(&mut self, stalled: &[usize]) -> Verdict {
         // Adjacency: r → (waits_for, description).  All stalled ranks are
         // blocked (a runnable rank would have been stepped).
-        let mut edges: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
+        let mut edges: IdMap<usize, Vec<(usize, String)>> = IdMap::default();
         for &r in stalled {
             let step = self.st.pc(r);
             let loc = Some(Loc { rank: r, step });
@@ -581,7 +581,7 @@ fn channel_totals(p: &Program, st: &State<'_>) -> Vec<ChannelUse> {
 /// show *why* nothing moves.
 fn find_cycle(
     stalled: &[usize],
-    edges: &HashMap<usize, Vec<(usize, String)>>,
+    edges: &IdMap<usize, Vec<(usize, String)>>,
     st: &State<'_>,
 ) -> Vec<WaitEdge> {
     #[derive(Clone, Copy, PartialEq)]
@@ -590,7 +590,7 @@ fn find_cycle(
         Grey,
         Black,
     }
-    let mut color: HashMap<usize, Color> = stalled.iter().map(|&r| (r, Color::White)).collect();
+    let mut color: IdMap<usize, Color> = stalled.iter().map(|&r| (r, Color::White)).collect();
     // Iterative DFS keeping the grey path; on a grey hit, the path suffix
     // from that node is the cycle.
     for &start in stalled {

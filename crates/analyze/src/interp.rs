@@ -22,7 +22,9 @@
 //! (`race.rs`) and `mim-explore`'s model executor — because under wildcards
 //! the order defines the matching every one of their reports is pinned to.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+
+use mim_util::hash::IdMap;
 
 use crate::diag::Loc;
 use crate::plan::{CommId, Op, Program, Src, Tag, WinId};
@@ -105,7 +107,7 @@ pub struct State<'p> {
     p: &'p Program,
     pc: Vec<usize>,
     /// Per-channel FIFO of (arrival seq, the send op that produced it).
-    channels: HashMap<ChanKey, VecDeque<(u64, Loc)>>,
+    channels: IdMap<ChanKey, VecDeque<(u64, Loc)>>,
     /// Per-destination pending messages in global arrival order.
     arrivals: Vec<BTreeMap<u64, ChanKey>>,
     next_seq: u64,
@@ -122,7 +124,7 @@ impl<'p> State<'p> {
         State {
             p,
             pc: vec![0; n],
-            channels: HashMap::new(),
+            channels: IdMap::default(),
             arrivals: vec![BTreeMap::new(); n],
             next_seq: 0,
             colls: vec![Barrier::default(); p.ncomms()],

@@ -40,6 +40,7 @@
 use std::cell::RefCell;
 
 use mim_mpisim::{exec, Comm, Rank};
+use mim_util::hash::IdMap;
 
 use crate::api::{GatheredData, Monitoring};
 use crate::error::MonError;
@@ -103,9 +104,8 @@ unsafe impl Send for TaskEnv {}
 /// Task-keyed twin of [`ENV`].  Entries are taken out for the duration of
 /// each capi call (never locked across user code, which may park the task)
 /// and reinserted afterwards.
-static TASK_ENVS: std::sync::LazyLock<
-    std::sync::Mutex<std::collections::HashMap<exec::TaskId, TaskEnv>>,
-> = std::sync::LazyLock::new(|| std::sync::Mutex::new(std::collections::HashMap::new()));
+static TASK_ENVS: std::sync::LazyLock<std::sync::Mutex<IdMap<exec::TaskId, TaskEnv>>> =
+    std::sync::LazyLock::new(|| std::sync::Mutex::new(IdMap::default()));
 
 /// Run `f` on the calling rank's environment slot — the fiber task's
 /// registry entry under the M:N executor, the thread-local otherwise.

@@ -1,8 +1,8 @@
 //! Communicators: ordered groups of world ranks with a private matching id.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
+use mim_util::hash::IdMap;
 use mim_util::sync::Mutex;
 
 use crate::collectives::{allgather_bruck, bcast_binomial};
@@ -86,13 +86,13 @@ pub(crate) struct Groups(Mutex<Registry>);
 
 #[derive(Debug)]
 struct Registry {
-    by_id: HashMap<u64, Weak<Group>>,
+    by_id: IdMap<u64, Weak<Group>>,
     sweep_at: usize,
 }
 
 impl Default for Groups {
     fn default() -> Self {
-        Self(Mutex::new(Registry { by_id: HashMap::new(), sweep_at: SWEEP_FLOOR }))
+        Self(Mutex::new(Registry { by_id: IdMap::default(), sweep_at: SWEEP_FLOOR }))
     }
 }
 

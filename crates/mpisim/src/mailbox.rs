@@ -10,12 +10,13 @@
 //! MPI's non-overtaking rule exactly (per-channel FIFOs never reorder, and
 //! the sequence stamp restores global arrival order across channels).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use mim_trace::TraceHandle;
 use mim_util::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use mim_util::hash::IdMap;
 
 use crate::envelope::{Ctx, Envelope};
 use crate::exec::{ParkWake, ParkerHandle};
@@ -86,7 +87,7 @@ impl MatchPattern {
 #[derive(Default)]
 struct Group {
     /// `(src_world, tag)` → FIFO of `(arrival seq, env)`.
-    chans: HashMap<(usize, u32), VecDeque<(u64, Envelope)>>,
+    chans: IdMap<(usize, u32), VecDeque<(u64, Envelope)>>,
     /// Head arrival seq → channel.  Walking this in order visits channels
     /// by earliest eligible message, so a wildcard take stops at the first
     /// channel passing its src/tag filter — O(log k) for `ANY/ANY` instead
@@ -111,7 +112,7 @@ fn chan_matches(pat: &MatchPattern, (src, tag): (usize, u32)) -> bool {
 /// channels in the measured loop.
 #[derive(Default)]
 pub struct UnexpectedQueue {
-    groups: HashMap<(u64, Ctx), Group>,
+    groups: IdMap<(u64, Ctx), Group>,
     next_seq: u64,
     len: usize,
 }
@@ -306,7 +307,7 @@ pub struct Mailbox {
     /// (fault-injection dedup).  A newer sender incarnation replaces the
     /// entry, so a reborn sender's wire sequence restarting at 0 is
     /// admitted instead of being mistaken for a stale duplicate.
-    last_wire_seq: HashMap<usize, (u32, u64)>,
+    last_wire_seq: IdMap<usize, (u32, u64)>,
     /// Envelopes dropped as duplicate deliveries.
     dup_dropped: u64,
     /// Envelopes dropped as stale-incarnation traffic (addressed to, or
@@ -332,7 +333,7 @@ impl Mailbox {
             uq_high: 0,
             trace: None,
             incarnation: 0,
-            last_wire_seq: HashMap::new(),
+            last_wire_seq: IdMap::default(),
             dup_dropped: 0,
             stale_dropped: 0,
             parker: None,

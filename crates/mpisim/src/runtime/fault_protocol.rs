@@ -7,10 +7,10 @@
 //! away from the fault-free wire path.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mim_trace::TraceData;
+use mim_util::hash::IdMap;
 
 use super::wire::{pattern, typed};
 use super::{Rank, SrcSel, Status, SEND_OVERHEAD_NS};
@@ -33,11 +33,11 @@ pub(super) struct FaultState {
     /// Retransmissions this rank issued (drop faults recovered by backoff).
     retries: Cell<u64>,
     /// Next wire sequence per destination world rank (duplicate dedup).
-    link_op: RefCell<HashMap<usize, u64>>,
+    link_op: RefCell<IdMap<usize, u64>>,
     /// Peers whose death notices this rank has consumed: world rank → the
     /// virtual time of death carried by the notice (`Rank::await_rejoin`
     /// forgets a reborn peer's).
-    pub(super) failed_peers: RefCell<HashMap<usize, f64>>,
+    pub(super) failed_peers: RefCell<IdMap<usize, f64>>,
 }
 
 impl FaultState {

@@ -7,12 +7,12 @@
 //! else.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mim_trace::TraceData;
 use mim_util::channel::Receiver;
+use mim_util::hash::IdMap;
 
 use super::fault_protocol::fault_pat;
 use super::universe::Shared;
@@ -30,7 +30,7 @@ pub(super) struct Membership {
     incarnation: u32,
     /// Latest incarnation observed per peer (via join notices consumed by
     /// `await_rejoin`); stamped onto outgoing envelopes as `dst_inc`.
-    peer_inc: RefCell<HashMap<usize, u32>>,
+    peer_inc: RefCell<IdMap<usize, u32>>,
     /// Highest communicator epoch this rank has derived or been admitted
     /// into; `send_checked` rejects sends on communicators older than this.
     epoch: Cell<u64>,
@@ -57,7 +57,7 @@ impl Membership {
         };
         Self {
             incarnation,
-            peer_inc: RefCell::new(HashMap::new()),
+            peer_inc: RefCell::new(IdMap::default()),
             epoch: Cell::new(join_comm.as_ref().map_or(0, Comm::epoch)),
             join_comm,
             join_plan: RefCell::new(join_plan),

@@ -29,12 +29,12 @@ pub(crate) use wire::{pattern, typed};
 pub use wire::{RankAborted, SrcSel, TagSel, RECV_OVERHEAD_NS, SEND_OVERHEAD_NS};
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use mim_trace::{TraceData, TraceHandle};
 use mim_util::channel::Receiver;
+use mim_util::hash::IdMap;
 
 use mim_topology::{Machine, Placement};
 
@@ -63,7 +63,7 @@ pub struct Rank {
     /// consumes one, which isolates concurrent collectives on one
     /// communicator from each other (MPI requires same call order on all
     /// members, which makes the sequence consistent).
-    coll_seq: RefCell<HashMap<u64, u32>>,
+    coll_seq: RefCell<IdMap<u64, u32>>,
     /// This rank's flight-recorder track (`None` when tracing is off).
     trace: Option<TraceHandle>,
     /// Id of the innermost open collective span, stamped onto the `Send`
@@ -125,7 +125,7 @@ impl Rank {
             clock: Rc::new(VirtualClock::new()),
             mailbox: RefCell::new(mailbox),
             local_hooks: RefCell::new(LocalHooks::default()),
-            coll_seq: RefCell::new(HashMap::new()),
+            coll_seq: RefCell::new(IdMap::default()),
             trace,
             active_coll: Cell::new(None),
             next_coll_span: Cell::new(0),

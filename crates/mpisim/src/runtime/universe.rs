@@ -3,7 +3,6 @@
 //! driver they run and the two launches.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -12,6 +11,7 @@ use std::time::Duration;
 use mim_trace::Tracer;
 use mim_util::channel::{unbounded, Receiver, Sender};
 use mim_util::env_u64;
+use mim_util::hash::IdMap;
 use mim_util::sync::Mutex;
 
 use mim_topology::{Machine, Placement};
@@ -176,7 +176,7 @@ pub(crate) struct Shared {
     pub(crate) global_hooks: OnceLock<Box<[Arc<dyn PmlHook>]>>,
     next_comm_id: AtomicU64,
     /// One-sided window registry: (window id, comm rank) → shared buffer.
-    pub(crate) windows: Mutex<HashMap<(u64, usize), WindowBuf>>,
+    pub(crate) windows: Mutex<IdMap<(u64, usize), WindowBuf>>,
     /// The simulated NIC (also the first global hook); kept here so the
     /// wire layer can count retransmissions without a hook round-trip.
     pub(crate) nic: Arc<NicCounters>,
@@ -300,7 +300,7 @@ impl Universe {
             senders,
             global_hooks: OnceLock::new(),
             next_comm_id: AtomicU64::new(1), // id 0 is MPI_COMM_WORLD
-            windows: Mutex::new(HashMap::new()),
+            windows: Mutex::new(IdMap::default()),
             nic,
             admitted: (0..n).map(|i| AtomicBool::new(i < cfg.initial())).collect(),
             faulty: AtomicBool::new(false),

@@ -1,8 +1,7 @@
 //! The balanced bottom-up TreeMatch algorithm.
 
-use std::collections::HashMap;
-
 use mim_topology::CommMatrix;
+use mim_util::hash::IdMap;
 
 use crate::grouping::{group_exhaustive, group_greedy};
 
@@ -69,7 +68,7 @@ pub fn tree_match_with(
             .map(|g| g.iter().flat_map(|&x| std::mem::take(&mut members[x])).collect())
             .collect();
         // Aggregate affinity between groups.
-        let mut agg: HashMap<(usize, usize), u64> = HashMap::new();
+        let mut agg: IdMap<(usize, usize), u64> = IdMap::default();
         for &(i, j, w) in &pairs {
             let (gi, gj) = (group_of[i], group_of[j]);
             if gi != gj {

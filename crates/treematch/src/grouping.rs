@@ -1,9 +1,8 @@
 //! Grouping kernels: cluster `k` objects into groups of arity `a`
 //! maximizing intra-group affinity.
 
-use std::collections::HashMap;
-
 use mim_topology::CommMatrix;
+use mim_util::hash::IdMap;
 
 /// Disjoint-set union with size tracking.
 pub(crate) struct Dsu {
@@ -68,7 +67,7 @@ pub fn group_greedy(k: usize, a: usize, pairs: &[(usize, usize, u64)]) -> Vec<Ve
     }
     // Collect clusters (members kept in ascending object order for
     // determinism).
-    let mut clusters: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut clusters: IdMap<usize, Vec<usize>> = IdMap::default();
     for x in 0..k {
         clusters.entry(dsu.find(x)).or_default().push(x);
     }

@@ -13,6 +13,7 @@
 //! | [`bench`](mod@bench) | `criterion` | the `crates/bench` microbenchmarks |
 //! | [`deque`] | `crossbeam::deque` | the mpisim M:N rank executor |
 //! | [`fiber`] | `corosensei` | the mpisim M:N rank executor |
+//! | [`hash`] | `rustc-hash` | every library map: the mailbox's matcher, the analyzer's replay |
 //!
 //! The replacements are deliberately small: deterministic, seedable, and
 //! with just enough API surface for the call sites in this repository.
@@ -23,6 +24,7 @@ pub mod bench;
 pub mod channel;
 pub mod deque;
 pub mod fiber;
+pub mod hash;
 pub mod prop;
 pub mod rng;
 pub mod sync;

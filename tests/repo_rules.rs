@@ -50,6 +50,12 @@
 //!    left four orphans in place and missed seven more that the compiler
 //!    then reported. Any mention counts, comments too, so a name collision
 //!    can only let an item pass wrongly, never fail wrongly.
+//! 9. Std's `HashMap` / `HashSet` are named in library code (`crates/*/src`,
+//!    not `src/bin/`, test items stripped) only in [`STD_HASH_HOME`], which
+//!    wraps them as `mim_util::hash::IdMap` / `IdSet`. Std's default hasher
+//!    is SipHash: it once took 7.4 % of a monitored ring's host-time samples,
+//!    nearly all in the unexpected queue, and it reorders a map's iteration
+//!    from run to run. Test oracles keep std maps.
 //!
 //! Hermeticity: `cargo build --offline` works from a clean checkout with an
 //! empty registry cache while no lock file has a `source = ` line (a
@@ -134,6 +140,9 @@ const KEPT_PUBLIC: [(&str, &str, &str); 4] = [
     ("crates/mpisim/src/osc.rs", "accumulate", "one-sided accumulate"),
     ("crates/mpisim/src/osc.rs", "get", "one-sided get"),
 ];
+
+/// Rule 9: the one library file that may name std's hash containers.
+const STD_HASH_HOME: [&str; 1] = ["crates/util/src/hash.rs"];
 
 /// Hermeticity: the lock files of the root workspace and of `mim-ledger`.
 const LOCK_FILES: [&str; 2] = ["Cargo.lock", "mim-ledger/Cargo.lock"];
@@ -469,6 +478,57 @@ fn rule8_census_reads_other_targets_and_skips_test_items() {
     assert_eq!(public_names("pub use mim_trace as trace;"), ["trace"]);
     assert_eq!(public_names("    pub const fn new(value: T) -> Self {"), ["new"]);
     assert_eq!(public_names("pub(crate) fn inner() {}"), Vec::<&str>::new());
+}
+
+/// Rule 9 over `(path, text)` files: every library line (test items and
+/// `tests.rs` / `tests/` files skipped) naming std's `HashMap` or `HashSet`
+/// outside [`STD_HASH_HOME`], then the home if it names neither.
+fn std_hash_sites(files: &[(String, String)]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (rel, text) in files {
+        if library_of(rel).is_none() || rel.ends_with("/tests.rs") || rel.contains("/tests/") {
+            continue;
+        }
+        let is_std_hash = |code: &str| has_word(code, "HashMap") || has_word(code, "HashSet");
+        let named = strip_test_items(text).into_iter().filter(|(l, _)| is_std_hash(code_of(l)));
+        found.extend(named.map(|(l, n)| (rel.clone(), n, l.trim().to_owned())));
+    }
+    stray(&found, &STD_HASH_HOME, |home, rel, _| rel == *home)
+}
+
+#[test]
+fn rule9_std_hash_containers_only_in_the_hash_module() {
+    let rule = "rule 9: std HashMap/HashSet in library code (use mim_util::hash::IdMap/IdSet)";
+    pass(rule, std_hash_sites(&rust_files(&["crates"], false)));
+}
+
+#[test]
+fn rule9_reads_library_code_only() {
+    let file = |rel: &str, text: &str| (rel.to_owned(), text.to_owned());
+    let files = [
+        file("crates/util/src/hash.rs", "pub type IdMap<K, V> = HashMap<K, V, B>;"),
+        // The negative control: one std map planted in the matcher.
+        file(
+            "crates/mpisim/src/mailbox.rs",
+            "use mim_util::hash::IdMap;\n// a HashMap in a comment\n\
+             fn f() {\n    let m = std::collections::HashMap::new();\n}\n\
+             #[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}",
+        ),
+        // Test oracles, binaries and other targets keep std maps.
+        file("crates/core/src/api/tests.rs", "let m = HashMap::new();"),
+        file("crates/bench/src/bin/tool.rs", "let s = HashSet::new();"),
+        file("crates/mpisim/tests/props.rs", "let m = HashMap::new();"),
+        file("mim-ledger/src/spec.rs", "let s = HashSet::new();"),
+    ];
+    assert_eq!(
+        std_hash_sites(&files),
+        ["crates/mpisim/src/mailbox.rs:4: let m = std::collections::HashMap::new();"]
+    );
+    // A home that no longer names them fails too.
+    assert_eq!(
+        std_hash_sites(&files[..0]),
+        ["no line uses (moved or deleted?): \"crates/util/src/hash.rs\""]
+    );
 }
 
 #[test]
