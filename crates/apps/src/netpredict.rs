@@ -150,7 +150,7 @@ mod tests {
             // Busy phase: 100 MB/s for 3 intervals of 10 ms.
             for _ in 0..3 {
                 rank.send_synthetic(&world, 1, 0, 1_000_000);
-                rank.sleep_ns(10e6);
+                rank.compute_ns(10e6);
                 let s = sampler.sample(rank, &mon).unwrap();
                 predictor.observe(s);
                 idle_trace.push(predictor.network_idle());
@@ -158,11 +158,11 @@ mod tests {
             // Quiet phase: a trickle for 6 intervals.
             for _ in 0..3 {
                 rank.send_synthetic(&world, 1, 0, 100);
-                rank.sleep_ns(10e6);
+                rank.compute_ns(10e6);
                 let s = sampler.sample(rank, &mon).unwrap();
                 predictor.observe(s);
                 idle_trace.push(predictor.network_idle());
-                rank.sleep_ns(10e6);
+                rank.compute_ns(10e6);
                 let s = sampler.sample(rank, &mon).unwrap();
                 predictor.observe(s);
                 idle_trace.push(predictor.network_idle());

@@ -65,7 +65,7 @@ fn main() {
             let mut remaining = sleep_ms;
             while remaining > 0.0 {
                 let slice = remaining.min(SAMPLE_MS);
-                rank.sleep_ns(slice * 1e6);
+                rank.compute_ns(slice * 1e6);
                 remaining -= slice;
                 sample(&mon, rank.now_s());
             }

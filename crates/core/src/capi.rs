@@ -41,6 +41,7 @@ use std::cell::RefCell;
 
 use mim_mpisim::{exec, Comm, Rank};
 use mim_util::hash::IdMap;
+use mim_util::sync::Mutex;
 
 use crate::api::{GatheredData, Monitoring};
 use crate::error::MonError;
@@ -104,8 +105,8 @@ unsafe impl Send for TaskEnv {}
 /// Task-keyed twin of [`ENV`].  Entries are taken out for the duration of
 /// each capi call (never locked across user code, which may park the task)
 /// and reinserted afterwards.
-static TASK_ENVS: std::sync::LazyLock<std::sync::Mutex<IdMap<exec::TaskId, TaskEnv>>> =
-    std::sync::LazyLock::new(|| std::sync::Mutex::new(IdMap::default()));
+static TASK_ENVS: std::sync::LazyLock<Mutex<IdMap<exec::TaskId, TaskEnv>>> =
+    std::sync::LazyLock::new(|| Mutex::new(IdMap::default()));
 
 /// Run `f` on the calling rank's environment slot — the fiber task's
 /// registry entry under the M:N executor, the thread-local otherwise.
@@ -119,17 +120,10 @@ fn with_env_slot<R>(f: impl FnOnce(&mut Option<Monitoring>) -> R) -> R {
     let Some(tid) = exec::current_task() else {
         return ENV.with(|env| f(&mut env.borrow_mut()));
     };
-    let mut slot = TASK_ENVS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .remove(&tid)
-        .map(|e| e.0);
+    let mut slot = TASK_ENVS.lock().remove(&tid).map(|e| e.0);
     let r = f(&mut slot);
     if let Some(mon) = slot {
-        TASK_ENVS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(tid, TaskEnv(mon));
+        TASK_ENVS.lock().insert(tid, TaskEnv(mon));
     }
     r
 }

@@ -15,17 +15,10 @@
 //! [`Witness`]: crate::explore::Witness
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mim_mpisim::{Decision, SchedulePolicy};
 use mim_util::rng::Rng;
-
-/// Lock a policy mutex, recovering from poisoning: policies hold no
-/// invariant a panicked peer could have broken mid-update (every mutation
-/// is a single push/increment), so the inner state is always usable.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use mim_util::sync::Mutex;
 
 /// One recorded decision: the seam kind, the slate size, the index chosen,
 /// and the unexplored alternatives of its persistent set.
@@ -92,7 +85,7 @@ impl RecordingPolicy {
 
     /// Everything recorded so far, in decision order.
     pub fn recs(&self) -> Vec<Rec> {
-        lock(&self.inner).recs.clone()
+        self.inner.lock().recs.clone()
     }
 
     /// The serialized decision log (`"r:1/3;w:0/2;"`).
@@ -105,7 +98,7 @@ impl RecordingPolicy {
     /// `racy[i]` marks candidates whose selection can change the outcome;
     /// an empty slice means "all of them can" (wildcard slates).
     pub(crate) fn pick(&self, kind: char, n: usize, racy: &[bool]) -> usize {
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         let at = inner.recs.len();
         let chosen = match inner.script.get(at) {
             Some(&c) => c.min(n.saturating_sub(1)),
@@ -155,11 +148,11 @@ impl ReplayPolicy {
 
     /// The first divergence seen, if any.
     pub fn divergence(&self) -> Option<String> {
-        lock(&self.diverged).clone()
+        self.diverged.lock().clone()
     }
 
     fn diverge(&self, msg: String) -> usize {
-        let mut d = lock(&self.diverged);
+        let mut d = self.diverged.lock();
         if d.is_none() {
             *d = Some(msg);
         }
@@ -169,7 +162,7 @@ impl ReplayPolicy {
     /// Answer one decision from the log, flagging any mismatch.
     pub(crate) fn pick(&self, kind: char, n: usize, _racy: &[bool]) -> usize {
         let at = {
-            let mut at = lock(&self.at);
+            let mut at = self.at.lock();
             let v = *at;
             *at += 1;
             v

@@ -22,19 +22,17 @@
 //!   (the paper's Fig 5a uses the binary tree);
 //! * [`allreduce_recursive_doubling`] — with the standard fold-in step for
 //!   non-power-of-two rank counts;
-//! * `gather_linear`, `scatter_linear`, `alltoall_pairwise`;
+//! * `gather_linear` (`Rank::gather`) and `gather_tree_kary`
+//!   (`Rank::gather_tree`, variable-size rows along a k-ary tree);
 //! * [`allgather_ring`] for payloads (`Rank::allgather`), [`allgather_bruck`]
 //!   for the small fixed-size exchange inside `Rank::comm_split`.
 
-mod extra;
 mod helpers;
 pub(crate) mod pattern;
 mod tree;
 
-pub use extra::{bcast_binary_segmented, reduce_scatter_block, scan_inclusive};
 use tree::gather_tree_kary;
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::comm::Comm;
@@ -70,25 +68,22 @@ pub(crate) fn barrier(rank: &Rank, comm: &Comm) {
     }
 }
 
-/// A broadcast's data rule over one tree's `steps`, on the part `span` of
-/// `data`: what arrives replaces `data` from `span.start` on, decoded into
-/// its capacity, and the span then goes to each child.
+/// A broadcast's data rule over one tree's `steps`: what arrives replaces
+/// `data`, decoded into its capacity, and `data` then goes to each child.
 fn bcast_walk<T: Scalar>(
     rank: &Rank,
     comm: &Comm,
-    tag: u32,
     steps: impl Iterator<Item = Step>,
     data: &mut Vec<T>,
-    mut span: Range<usize>,
 ) {
+    let tag = rank.next_coll_tag(comm);
     for step in steps {
         match step {
             Step::Recv { peer } => {
-                data.truncate(span.start);
+                data.clear();
                 data.extend(T::decode(&crecv(rank, comm, peer, tag)));
-                span.end = data.len();
             }
-            Step::Send { peer, .. } => csend(rank, comm, peer, tag, &data[span.clone()]),
+            Step::Send { peer, .. } => csend(rank, comm, peer, tag, data),
         }
     }
 }
@@ -120,13 +115,13 @@ fn reduce_walk<T: Scalar>(
 /// Binomial-tree broadcast from `root` (the algorithm of the paper's Fig 5b).
 pub(crate) fn bcast_binomial<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
     let steps = pattern::bcast_binomial(comm.rank(), comm.size(), root, 0);
-    bcast_walk(rank, comm, rank.next_coll_tag(comm), steps, data, 0..data.len());
+    bcast_walk(rank, comm, steps, data);
 }
 
 /// Binary-tree broadcast from `root` (ablation partner of the binomial tree).
 pub fn bcast_binary<T: Scalar>(rank: &Rank, comm: &Comm, root: usize, data: &mut Vec<T>) {
     let steps = pattern::bcast_binary(comm.rank(), comm.size(), root, 0);
-    bcast_walk(rank, comm, rank.next_coll_tag(comm), steps, data, 0..data.len());
+    bcast_walk(rank, comm, steps, data);
 }
 
 /// Binomial-tree reduce to `root` with a commutative `op`; returns the
@@ -202,28 +197,6 @@ pub(crate) fn gather_linear<T: Scalar>(
         }
     }
     Some(out)
-}
-
-/// Linear scatter of equal-size chunks from `root`; `data` must be
-/// `Some(n·chunk)` at the root and is ignored elsewhere.
-pub(crate) fn scatter_linear<T: Scalar>(
-    rank: &Rank,
-    comm: &Comm,
-    root: usize,
-    data: Option<&[T]>,
-) -> Vec<T> {
-    let tag = rank.next_coll_tag(comm);
-    let n = comm.size();
-    if comm.rank() != root {
-        return T::from_bytes(&crecv(rank, comm, root, tag));
-    }
-    let data = data.expect("scatter root must provide data");
-    assert!(data.len().is_multiple_of(n), "scatter buffer not divisible by communicator size");
-    let chunk = data.len() / n;
-    for r in (0..n).filter(|&r| r != root) {
-        csend(rank, comm, r, tag, &data[r * chunk..(r + 1) * chunk]);
-    }
-    data[root * chunk..(root + 1) * chunk].to_vec()
 }
 
 /// The equal-size contract of the allgathers, checked on every received
@@ -302,29 +275,6 @@ pub fn allgather_bruck<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T
     }
     held.rotate_right(me * block);
     held
-}
-
-/// Pairwise (ring-offset) all-to-all: step `i` exchanges chunk with the
-/// ranks at offset `±i` — chunk `peer` of `data` goes to `peer`, and what
-/// `peer` sends lands as chunk `peer` of the result.
-pub(crate) fn alltoall_pairwise<T: Scalar>(rank: &Rank, comm: &Comm, data: &[T]) -> Vec<T> {
-    let tag = rank.next_coll_tag(comm);
-    let (me, n) = (comm.rank(), comm.size());
-    assert!(data.len().is_multiple_of(n), "alltoall buffer not divisible by communicator size");
-    let chunk = data.len() / n;
-    let chunk_of = |r: usize| &data[r * chunk..(r + 1) * chunk];
-    let mut out = vec![T::default(); data.len()];
-    out[me * chunk..][..chunk].copy_from_slice(chunk_of(me));
-    for step in pattern::alltoall_pairwise(me, n, 0) {
-        match step {
-            Step::Send { peer, .. } => csend(rank, comm, peer, tag, chunk_of(peer)),
-            Step::Recv { peer } => {
-                let got = crecv(rank, comm, peer, tag);
-                T::fold_bytes(&mut out[peer * chunk..][..chunk], &got, |_, got| got);
-            }
-        }
-    }
-    out
 }
 
 // ----- the collective façade: `Rank` methods over the algorithms above ------
@@ -427,42 +377,6 @@ impl Rank {
     pub fn allgather<T: Scalar>(&self, comm: &Comm, data: &[T]) -> Vec<T> {
         let _span = self.coll_span("allgather_ring", comm);
         allgather_ring(self, comm, data)
-    }
-
-    /// All-to-all personalized exchange (ring-offset pairwise).
-    pub fn alltoall<T: Scalar>(&self, comm: &Comm, data: &[T]) -> Vec<T> {
-        let _span = self.coll_span("alltoall_pairwise", comm);
-        alltoall_pairwise(self, comm, data)
-    }
-
-    /// Reduce-scatter with equal blocks (recursive halving / fallback).
-    pub fn reduce_scatter<T: Scalar>(
-        &self,
-        comm: &Comm,
-        data: &[T],
-        op: impl Fn(T, T) -> T,
-    ) -> Vec<T> {
-        let _span = self.coll_span("reduce_scatter_block", comm);
-        reduce_scatter_block(self, comm, data, op)
-    }
-
-    /// Inclusive prefix scan (`MPI_Scan`).
-    pub fn scan<T: Scalar>(&self, comm: &Comm, data: &[T], op: impl Fn(T, T) -> T) -> Vec<T> {
-        let _span = self.coll_span("scan_inclusive", comm);
-        scan_inclusive(self, comm, data, op)
-    }
-
-    /// Segmented (pipelined) binary-tree broadcast; returns the number of
-    /// segments used.
-    pub fn bcast_segmented<T: Scalar>(
-        &self,
-        comm: &Comm,
-        root: usize,
-        data: &mut Vec<T>,
-        seg_items: usize,
-    ) -> usize {
-        let _span = self.coll_span("bcast_binary_segmented", comm);
-        bcast_binary_segmented(self, comm, root, data, seg_items)
     }
 }
 

@@ -8,7 +8,9 @@
 //! a send carries, what a receive does to the buffer), and a
 //! [`crate::schedule`] generator collects every rank's steps.  The
 //! decomposition the PML hook observes and the one the DES evaluator
-//! predicts are therefore the same code.
+//! predicts are therefore the same code.  The pairwise all-to-all and the
+//! segmented broadcast have no live algorithm: only their schedules exist,
+//! and `schedule::execute` runs those on the wire.
 //!
 //! `unit` is the size of one block in whatever the caller counts — bytes for
 //! a schedule, `1` for a live walk that needs to know how many blocks a send

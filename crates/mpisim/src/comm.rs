@@ -251,11 +251,6 @@ impl Rank {
         let my_rank = group.rank_of_world(self.world_rank()).expect("a member of its own color");
         Comm::new(id, group, my_rank)
     }
-
-    /// Duplicate a communicator (same group, fresh matching id).
-    pub fn comm_dup(&self, comm: &Comm) -> Comm {
-        self.comm_split(comm, 0, comm.rank() as i64)
-    }
 }
 
 #[cfg(test)]
@@ -434,8 +429,9 @@ mod tests {
         let u = small_universe(2);
         u.launch(|rank| {
             let world = rank.comm_world();
+            // One color, the old ranks as keys: a duplicate of `world`.
             for _ in 0..10_000 {
-                let dup = rank.comm_dup(&world);
+                let dup = rank.comm_split(&world, 0, world.rank() as i64);
                 assert_eq!(dup.group(), world.group());
             }
             let held = rank.shared().groups.len();
@@ -457,7 +453,8 @@ mod tests {
         let u = small_universe(2);
         u.launch(|rank| {
             let world = rank.comm_world();
-            let dup = rank.comm_dup(&world);
+            // Same group, fresh matching id.
+            let dup = rank.comm_split(&world, 0, world.rank() as i64);
             assert_ne!(dup.id(), world.id());
             if rank.world_rank() == 0 {
                 rank.send(&world, 1, 5, &[1u8]);

@@ -153,7 +153,7 @@ mod tests {
         let u = universe(2);
         u.launch(|rank| {
             let world = rank.comm_world();
-            let dup = rank.comm_dup(&world);
+            let dup = rank.comm_split(&world, 0, world.rank() as i64);
             if world.rank() == 0 {
                 rank.send(&dup, 1, 3, &[1u8]);
                 rank.send(&world, 1, 3, &[2u8]);

@@ -13,8 +13,8 @@
 //!   codec, incarnations, a latent slot's wait for admission.
 //!
 //! The collective façade (`Rank::barrier`, `Rank::bcast`, …) lives beside
-//! the algorithms it names in [`crate::collectives`], `comm_split` /
-//! `comm_dup` beside [`crate::comm`]'s `Group`.
+//! the algorithms it names in [`crate::collectives`], `comm_split` beside
+//! [`crate::comm`]'s `Group`.
 
 mod fault_protocol;
 mod membership;
@@ -200,11 +200,6 @@ impl Rank {
     /// queued; tracked regardless of whether tracing is enabled).
     pub fn max_unexpected_depth(&self) -> usize {
         self.mailbox.borrow().max_unexpected_depth()
-    }
-
-    /// Virtual sleep (identical to compute: the clock advances).
-    pub fn sleep_ns(&self, ns: f64) {
-        self.clock.tick(ns);
     }
 
     /// `MPI_COMM_WORLD` (the *initial* world).

@@ -294,7 +294,8 @@ pub fn allreduce_recursive_doubling(n: usize, bytes: u64) -> Schedule {
 }
 
 /// Pairwise (ring-offset) all-to-all pattern with equal `chunk_bytes`
-/// chunks, that of `collectives::alltoall_pairwise`.
+/// chunks: step `i` sends to the rank `i` above and receives from the rank
+/// `i` below.  No live algorithm walks it; [`execute`] runs it on the wire.
 pub fn alltoall_pairwise(n: usize, chunk_bytes: u64) -> Schedule {
     every_rank(n, |me| pattern::alltoall_pairwise(me, n, chunk_bytes))
 }
@@ -302,9 +303,9 @@ pub fn alltoall_pairwise(n: usize, chunk_bytes: u64) -> Schedule {
 /// Segmented (pipelined) binary-tree broadcast pattern: the payload is cut
 /// into `ceil(bytes / seg_bytes)` segments, each forwarded down the binary
 /// tree; interleaved so interior ranks forward segment `s` while `s+1` is
-/// in flight.  The pattern of [`crate::collectives::bcast_binary_segmented`]
-/// without its tiny length-header message.  Used to quantify how much
-/// pipelining narrows the reordering gap in the Fig 5 discussion.
+/// in flight.  No live algorithm walks it; [`execute`] runs it on the
+/// wire.  Used to quantify how much pipelining narrows the reordering gap
+/// in the Fig 5 discussion.
 pub fn bcast_binary_segmented(n: usize, root: usize, bytes: u64, seg_bytes: u64) -> Schedule {
     assert!(seg_bytes > 0, "segment size must be positive");
     every_rank(n, |me| pattern::bcast_binary_segmented(me, n, root, bytes, seg_bytes))
@@ -837,15 +838,6 @@ mod tests {
         let s = alltoall_pairwise(5, 40);
         assert_eq!(s.total_messages(), 5 * 4);
         assert_eq!(s.total_bytes(), 800);
-        // The live collective produces the same multiset (5 ranks, 10-byte
-        // chunks of u64 -> use 5 u64 per chunk = 40 bytes).
-        let machine = Machine::cluster(1, 1, 8);
-        let u = Universe::new(UniverseConfig::new(machine, Placement::packed(5)));
-        u.launch(|rank| {
-            let world = rank.comm_world();
-            let data = vec![world.rank() as u64; 25];
-            rank.alltoall(&world, &data);
-        });
     }
 
     #[test]

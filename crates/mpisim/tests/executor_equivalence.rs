@@ -274,7 +274,7 @@ fn wildcard_recv_parked_across_a_crash_notice() {
             1 => {
                 // A virtual-time delay plus a real wall delay so the death
                 // notice has every chance to land while rank 0 is parked.
-                rank.sleep_ns(1_000_000.0);
+                rank.compute_ns(1_000_000.0);
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 rank.send(&world, 0, 9, &[77i64]);
                 0

@@ -5,7 +5,6 @@ use mim_mpisim::trace::{TraceData, Tracer};
 use mim_mpisim::{schedule, Scalar, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
-use mim_util::rng::Rng;
 
 props! {
     fn scalar_roundtrip_f64(g) {
@@ -174,44 +173,6 @@ props! {
 }
 
 props! {
-    /// Reduce-scatter equals a naive reduce-then-slice reference for random
-    /// inputs, any rank count, any block size.
-    fn reduce_scatter_matches_reference(g, cases = 10) {
-        let n = g.gen_range(1usize..10);
-        let block = g.gen_range(1usize..5);
-        let seed = g.any_u64();
-        let inputs: Vec<Vec<i64>> = {
-            let mut rng = Rng::seed_from_u64(seed);
-            (0..n).map(|_| (0..n * block).map(|_| rng.gen_range(-100i64..100)).collect()).collect()
-        };
-        let expect: Vec<i64> = (0..n * block)
-            .map(|i| inputs.iter().map(|v| v[i]).sum())
-            .collect();
-        let inputs2 = inputs.clone();
-        let u = Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 8), Placement::packed(n)));
-        u.launch(move |rank| {
-            let world = rank.comm_world();
-            let me = world.rank();
-            let out = rank.reduce_scatter(&world, &inputs2[me], |a, b| a + b);
-            assert_eq!(out, expect[me * block..(me + 1) * block].to_vec());
-        });
-    }
-
-    /// Scan equals the prefix sums of the contributions.
-    fn scan_matches_prefix_sums(g, cases = 10) {
-        let n = g.gen_range(1usize..12);
-        let vals = g.vec(12..12, |g| g.gen_range(-50i64..50));
-        let vals2 = vals.clone();
-        let u = Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 8), Placement::packed(n)));
-        u.launch(move |rank| {
-            let world = rank.comm_world();
-            let me = world.rank();
-            let out = rank.scan(&world, &[vals2[me]], |a, b| a + b);
-            let expect: i64 = vals2[..=me].iter().sum();
-            assert_eq!(out, vec![expect]);
-        });
-    }
-
     /// The flight-recorder trace and the monitoring library observe the same
     /// wire events: for a random workload mixing point-to-point, collective
     /// and one-sided traffic, the per-pair message counts and byte totals
@@ -321,20 +282,5 @@ props! {
                 }
             }
         }
-    }
-
-    /// Segmented broadcast delivers identical data for any segment size.
-    fn segmented_bcast_any_segmentation(g, cases = 10) {
-        let n = g.gen_range(1usize..12);
-        let seg = g.gen_range(1usize..40);
-        let len = g.gen_range(0usize..60);
-        let u = Universe::new(UniverseConfig::new(Machine::cluster(2, 1, 8), Placement::packed(n)));
-        u.launch(move |rank| {
-            let world = rank.comm_world();
-            let payload: Vec<u32> = (0..len as u32).collect();
-            let mut data = if world.rank() == 0 { payload.clone() } else { vec![] };
-            rank.bcast_segmented(&world, 0, &mut data, seg);
-            assert_eq!(data, payload);
-        });
     }
 }

@@ -11,10 +11,7 @@
 //! empty contributions included; the constants were recorded from the
 //! receive-then-combine implementation these folds replaced.
 
-use mim_mpisim::collectives::{
-    allreduce_recursive_doubling, reduce_binary, reduce_binomial, reduce_scatter_block,
-    scan_inclusive,
-};
+use mim_mpisim::collectives::{allreduce_recursive_doubling, reduce_binary, reduce_binomial};
 use mim_mpisim::{Comm, Rank, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 
@@ -43,17 +40,13 @@ fn fnv(hash: &mut u64, word: u64) {
     }
 }
 
-/// Run `coll` on every size, contribution length (items per rank, scaled
-/// by `n` when `per_rank_blocks`) and op; digest every rank's result.
-fn digest(
-    per_rank_blocks: bool,
-    coll: impl Fn(&Rank, &Comm, &[f64], Op) -> Option<Vec<f64>> + Sync,
-) -> u64 {
+/// Run `coll` on every size, contribution length (items per rank) and op;
+/// digest every rank's result.
+fn digest(coll: impl Fn(&Rank, &Comm, &[f64], Op) -> Option<Vec<f64>> + Sync) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     for n in SIZES {
-        for items in [0, 3] {
+        for len in [0, 3] {
             for op in OPS {
-                let len = if per_rank_blocks { n * items } else { items };
                 let u = Universe::new(UniverseConfig::new(
                     Machine::cluster(4, 2, 4),
                     Placement::packed(n),
@@ -76,7 +69,7 @@ fn digest(
 
 #[test]
 fn reduce_binomial_operand_order_is_pinned() {
-    let hash = digest(false, |rank, comm, data, op| {
+    let hash = digest(|rank, comm, data, op| {
         let roots = [0, comm.size() / 2, comm.size() - 1];
         let outs: Vec<_> = roots.map(|root| reduce_binomial(rank, comm, root, data, op)).into();
         Some(outs.into_iter().flatten().flatten().collect())
@@ -86,7 +79,7 @@ fn reduce_binomial_operand_order_is_pinned() {
 
 #[test]
 fn reduce_binary_operand_order_is_pinned() {
-    let hash = digest(false, |rank, comm, data, op| {
+    let hash = digest(|rank, comm, data, op| {
         let roots = [0, comm.size() / 2, comm.size() - 1];
         let outs: Vec<_> = roots.map(|root| reduce_binary(rank, comm, root, data, op)).into();
         Some(outs.into_iter().flatten().flatten().collect())
@@ -97,22 +90,7 @@ fn reduce_binary_operand_order_is_pinned() {
 /// n = 3 and 12 take the non-power-of-two fold; 1 and 8 do not.
 #[test]
 fn allreduce_recursive_doubling_operand_order_is_pinned() {
-    let hash = digest(false, |rank, comm, data, op| {
-        Some(allreduce_recursive_doubling(rank, comm, data, op))
-    });
-    assert_eq!(hash, 0x7fdb_3928_bf97_28eb, "allreduce_recursive_doubling: {hash:#018x}");
-}
-
-/// n = 8 takes recursive halving; 3 and 12 the reduce + scatter fallback.
-#[test]
-fn reduce_scatter_block_operand_order_is_pinned() {
     let hash =
-        digest(true, |rank, comm, data, op| Some(reduce_scatter_block(rank, comm, data, op)));
-    assert_eq!(hash, 0x7024_a216_7b0f_79aa, "reduce_scatter_block: {hash:#018x}");
-}
-
-#[test]
-fn scan_inclusive_operand_order_is_pinned() {
-    let hash = digest(false, |rank, comm, data, op| Some(scan_inclusive(rank, comm, data, op)));
-    assert_eq!(hash, 0xee1a_7c90_c969_8550, "scan_inclusive: {hash:#018x}");
+        digest(|rank, comm, data, op| Some(allreduce_recursive_doubling(rank, comm, data, op)));
+    assert_eq!(hash, 0x7fdb_3928_bf97_28eb, "allreduce_recursive_doubling: {hash:#018x}");
 }

@@ -739,7 +739,7 @@ mod tests {
         let u = cyclic_universe();
         u.launch(|rank| {
             let world = rank.comm_world();
-            let same = rank.comm_dup(&world);
+            let same = rank.comm_split(&world, 0, world.rank() as i64);
             let data = vec![world.rank() as u32];
             assert_eq!(redistribute(rank, &world, &same, data.clone()), data);
         });

@@ -38,14 +38,14 @@ fn main() {
             // Burst: 4 x 2 MB back to back.
             for _ in 0..4 {
                 rank.send_synthetic(&world, 1, 0, 2_000_000);
-                rank.sleep_ns(5e6);
+                rank.compute_ns(5e6);
                 let s = sampler.sample(rank, &mon).unwrap();
                 let bw = predictor.observe(s);
                 log.push((s.t_s, bw, predictor.network_idle()));
             }
             // Lull: 80 ms of "compute".
             for _ in 0..8 {
-                rank.sleep_ns(10e6);
+                rank.compute_ns(10e6);
                 let s = sampler.sample(rank, &mon).unwrap();
                 let bw = predictor.observe(s);
                 let idle = predictor.network_idle();

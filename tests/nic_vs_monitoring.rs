@@ -3,7 +3,7 @@
 //! introspection library records, plus per-message protocol headers.
 
 use mim_core::{Flags, Monitoring};
-use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{schedule, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 
 /// A global PML hook recording every wire event — the full stream the NIC
@@ -75,12 +75,9 @@ fn nic_equals_cross_node_monitored_traffic() {
 fn intra_node_job_is_invisible_to_the_nic() {
     let machine = Machine::cluster(2, 2, 8); // 16 cores per node
     let u = Universe::new(UniverseConfig::new(machine, Placement::packed(8)));
-    u.launch(|rank| {
-        let world = rank.comm_world();
-        // Heavy all-to-all, but everyone lives on node 0.
-        let data: Vec<u64> = vec![rank.world_rank() as u64; 8 * 16];
-        rank.alltoall(&world, &data);
-    });
+    // Heavy all-to-all (128 bytes per pair), but everyone lives on node 0.
+    let alltoall = schedule::alltoall_pairwise(8, 128);
+    u.launch(|rank| schedule::execute(rank, &rank.comm_world(), &alltoall));
     assert_eq!(u.nic().xmit_bytes(0), 0);
     assert_eq!(u.nic().xmit_bytes(1), 0);
 }

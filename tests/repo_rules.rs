@@ -56,6 +56,15 @@
 //!    is SipHash: it once took 7.4 % of a monitored ring's host-time samples,
 //!    nearly all in the unexpected queue, and it reorders a map's iteration
 //!    from run to run. Test oracles keep std maps.
+//! 10. Every `pub fn` of an `impl Rank` block in `mim-mpisim`'s library
+//!     has a production caller: a call (`.name(`, `.name::<` or
+//!     `Rank::name`) in library code of any crate, its own included, in a
+//!     `src/bin/`, `benches/` or `examples/` file, or in `mim-ledger/src` —
+//!     not in a `tests/` file, a `tests.rs` module or a test item — or is
+//!     kept on purpose in [`TEST_ONLY_KEPT`]. Rule 8 lets a test in another
+//!     target keep an item public; four collectives, a `comm_dup` and a
+//!     second name for `compute_ns` once lived on that alone. As in rule 8,
+//!     a name collision can only let a method pass wrongly.
 //!
 //! Hermeticity: `cargo build --offline` works from a clean checkout with an
 //! empty registry cache while no lock file has a `source = ` line (a
@@ -81,7 +90,7 @@ const SIZE_CAP: usize = 600;
 
 /// Rule 1: (file under `crates/mpisim/src/`, code substring) pairs; the
 /// substring must appear on the offending line for it to pass.
-const ALLOWLIST: [(&str, &str); 10] = [
+const ALLOWLIST: [(&str, &str); 9] = [
     // Matching index and FIFO non-emptiness are the mailbox's own invariants.
     ("mailbox.rs", r#"expect("channel key came from the index")"#),
     ("mailbox.rs", r#"expect("empty channels are pruned")"#),
@@ -96,9 +105,6 @@ const ALLOWLIST: [(&str, &str); 10] = [
     // comm_split: the color/rank were inserted into these very collections.
     ("comm.rs", "distinct.binary_search(&color).unwrap()"),
     ("comm.rs", r#"rank_of_world(self.world_rank()).expect("a member of its own color")"#),
-    // Collectives: a scatter's root brings the data (documented on the
-    // public entry); nobody else's argument is read.
-    ("collectives/mod.rs", r#"expect("scatter root must provide data")"#),
 ];
 
 /// Rule 5: a test talking to its own child process; no README row needed.
@@ -143,6 +149,22 @@ const KEPT_PUBLIC: [(&str, &str, &str); 4] = [
 
 /// Rule 9: the one library file that may name std's hash containers.
 const STD_HASH_HOME: [&str; 1] = ["crates/util/src/hash.rs"];
+
+/// Rule 10: `impl Rank` methods only tests call, kept on purpose:
+/// `(name, reason)`. An entry that names no `impl Rank` method fails.
+const TEST_ONLY_KEPT: [(&str, &str); 8] = [
+    // The one-sided operations `OSC_ONLY` monitors (the paper's third flag).
+    ("win_create", "one-sided: expose a window"),
+    ("win_free", "one-sided: retire a window"),
+    ("win_local", "one-sided: a window's own buffer, read back"),
+    ("put", "one-sided put"),
+    ("get", "one-sided get"),
+    ("accumulate", "one-sided accumulate"),
+    ("fence", "one-sided epoch boundary"),
+    ("gather", "the star gather the tree gather is checked against"),
+];
+/// Rule 10: the trees production callers are read from.
+const PRODUCTION_SCOPE: [&str; 3] = ["crates", "examples", "mim-ledger/src"];
 
 /// Hermeticity: the lock files of the root workspace and of `mim-ledger`.
 const LOCK_FILES: [&str; 2] = ["Cargo.lock", "mim-ledger/Cargo.lock"];
@@ -528,6 +550,94 @@ fn rule9_reads_library_code_only() {
     assert_eq!(
         std_hash_sites(&files[..0]),
         ["no line uses (moved or deleted?): \"crates/util/src/hash.rs\""]
+    );
+}
+
+/// Rule 10 over `(path, text)` files: every `pub fn` of an `impl Rank`
+/// block under `crates/mpisim/src` that no production line calls and no
+/// [`TEST_ONLY_KEPT`]-shaped entry of `kept` names, then every entry that
+/// names no such method.
+fn rank_methods_without_production_caller(
+    files: &[(String, String)],
+    kept: &[(&str, &str)],
+) -> Vec<String> {
+    let is_test = |rel: &str| {
+        rel.starts_with("tests/") || rel.contains("/tests/") || rel.ends_with("/tests.rs")
+    };
+    let production: Vec<(&str, Vec<(&str, usize)>)> = files
+        .iter()
+        .filter(|(rel, _)| !is_test(rel) && PRODUCTION_SCOPE.iter().any(|p| rel.starts_with(p)))
+        .map(|(rel, text)| (rel.as_str(), strip_test_items(text)))
+        .collect();
+    let mut methods = Vec::new();
+    for (rel, lines) in production.iter().filter(|(rel, _)| rel.starts_with("crates/mpisim/src/")) {
+        let mut depth = 0;
+        for &(line, n) in lines {
+            let code = code_of(line);
+            if depth == 0 && !code.trim_start().starts_with("impl Rank ") {
+                continue;
+            }
+            if depth == 1 && code.trim_start().starts_with("pub fn ") {
+                methods.extend(public_names(code).into_iter().map(|name| (*rel, n, name)));
+            }
+            depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        }
+    }
+    let called = |name: &str| {
+        let calls = [format!(".{name}("), format!(".{name}::<"), format!("Rank::{name}")];
+        let calls_it = |code: &str| calls.iter().any(|c| has_word(code, c));
+        production.iter().any(|(_, lines)| lines.iter().any(|(l, _)| calls_it(code_of(l))))
+    };
+    let (mut problems, mut used) = (Vec::new(), vec![false; kept.len()]);
+    for (rel, n, name) in methods {
+        if let Some(i) = kept.iter().position(|(k, _)| *k == name) {
+            used[i] = true;
+        } else if !called(name) {
+            problems.push(format!("{rel}:{n}: `Rank::{name}` has no production caller"));
+        }
+    }
+    let stale = kept.iter().zip(used).filter(|(_, used)| !used);
+    problems.extend(stale.map(|(k, _)| format!("names no impl Rank method (deleted?): {k:?}")));
+    problems
+}
+
+#[test]
+fn rule10_rank_methods_have_a_production_caller() {
+    let files = rust_files(&PRODUCTION_SCOPE, false);
+    let rule = "rule 10: impl Rank method only tests call (delete it or keep it in TEST_ONLY_KEPT)";
+    pass(rule, rank_methods_without_production_caller(&files, &TEST_ONLY_KEPT));
+}
+
+#[test]
+fn rule10_census_reads_production_callers_only() {
+    let file = |rel: &str, text: &str| (rel.to_owned(), text.to_owned());
+    let files = [
+        file(
+            "crates/mpisim/src/comm.rs",
+            "impl Rank {\n    pub fn shown(&self) {}\n    pub fn hidden(&self) {}\n\
+             pub(crate) fn inner(&self) {}\n    pub fn pathed(&self) {}\n\
+             pub fn kept(&self) {}\n}\nimpl RankFailure {\n    pub fn other(&self) {}\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t(rank: &Rank) { rank.hidden(); }\n}",
+        ),
+        // An example is a production caller, as is a path in `mim-ledger`.
+        file("examples/demo.rs", "fn main() { rank.shown(); }"),
+        file("mim-ledger/src/run.rs", "let f = Rank::pathed;"),
+        // Tests, test items, `tests.rs` modules and comments are not.
+        file("crates/mpisim/tests/props.rs", "fn t() { rank.hidden(); }"),
+        file("tests/robustness.rs", "fn t() { rank.hidden(); }"),
+        file("crates/mpisim/src/collectives/tests.rs", "fn t() { rank.hidden(); }"),
+        file(
+            "crates/apps/src/lib.rs",
+            "// rank.hidden()\nfn f() {}\n#[cfg(test)]\nfn g() { rank.hidden(); }",
+        ),
+    ];
+    let kept = [("kept", "on purpose"), ("gone", "stale")];
+    assert_eq!(
+        rank_methods_without_production_caller(&files, &kept),
+        [
+            "crates/mpisim/src/comm.rs:3: `Rank::hidden` has no production caller",
+            "names no impl Rank method (deleted?): (\"gone\", \"stale\")",
+        ]
     );
 }
 

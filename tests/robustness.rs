@@ -154,7 +154,6 @@ fn single_rank_universe_supports_everything() {
         rank.bcast(&world, 0, &mut v);
         assert_eq!(rank.allreduce(&world, &[5i32], |a, b| a + b), vec![5]);
         assert_eq!(rank.allgather(&world, &[7u64]), vec![7]);
-        assert_eq!(rank.scan(&world, &[3i64], |a, b| a + b), vec![3]);
         let mon = Monitoring::init(rank).unwrap();
         let id = mon.start(rank, &world).unwrap();
         rank.send(&world, 0, 0, &[1u8]);
