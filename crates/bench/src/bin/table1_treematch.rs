@@ -19,7 +19,7 @@ use std::time::Instant;
 use mim_apps::output::{ascii_table, results_dir, write_csv};
 use mim_topology::{Machine, Placement};
 use mim_treematch::affinity::stencil2d;
-use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy};
+use mim_treematch::{place_constrained, tree_match};
 
 fn main() {
     let orders = mim_bench::sweep(
@@ -34,7 +34,7 @@ fn main() {
         let nodes = order.div_ceil(24);
         let arities = [nodes, 2, 12];
         let wall = Instant::now();
-        let sigma = tree_match_with(&arities, &affinity, GroupingStrategy::Greedy);
+        let sigma = tree_match(&arities, &affinity);
         let elapsed = wall.elapsed().as_secs_f64();
         assert_eq!(sigma.len(), order);
         let machine = Machine::plafrim(nodes);

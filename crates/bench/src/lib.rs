@@ -15,13 +15,11 @@
 //! sweeps for a fast smoke run.
 //!
 //! The repository's benchmark is `mim-ledger/` (with `BENCHMARK.json`), not
-//! this crate.  The six `benches/` harnesses (on `mim_util::bench`) are
-//! what it has no twin for, and none is compared against a recorded number:
-//! `trace_overhead` and `chaos_overhead` assert their own in-run
-//! disabled/baseline ratio; `retry_storm`, `elastic_churn` and
-//! `analyze_races` are diagnostics a smoke run must complete; `treematch`
-//! is the grouping ablation DESIGN.md §4 cites.  The collective-algorithm
-//! makespans §4 also cites are a `mim-mpisim` unit test
+//! this crate.  What the ledger has no twin for is a test: the
+//! `seam_overhead` test (`#[ignore]`d, release) holds the disabled trace
+//! and fault-injector seams to in-run ratios against seam-free carriers.
+//! The collective-algorithm makespans DESIGN.md §4 cites are a
+//! `mim-mpisim` unit test
 //! (`schedule::tests::design_ablation_makespans_are_pinned`).
 
 use std::fmt::Display;
@@ -32,7 +30,7 @@ use mim_analyze::Program;
 use mim_apps::builtin::{built_in, Shape, PLANS};
 use mim_explore::plans::{wildcard_clean, wildcard_race};
 
-pub use mim_util::bench::quick_mode;
+pub use mim_util::quick_mode;
 
 /// Pick between the full and the quick variant of a sweep.
 pub fn sweep<T: Clone>(full: &[T], quick: &[T]) -> Vec<T> {

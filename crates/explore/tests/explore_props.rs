@@ -16,9 +16,9 @@ use mim_explore::{
 };
 use mim_mpisim::{CanonicalPolicy, ExecutorKind, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
-use mim_util::bench::quick_mode;
 use mim_util::prop::Gen;
 use mim_util::props;
+use mim_util::quick_mode;
 use mim_util::rng::splitmix64;
 
 props! {

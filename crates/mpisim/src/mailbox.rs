@@ -107,9 +107,9 @@ fn chan_matches(pat: &MatchPattern, (src, tag): (usize, u32)) -> bool {
 
 /// The indexed unexpected-message queue (see module docs).
 ///
-/// Public so a benchmark (`mim-ledger`'s `mpisim.mailbox.*` probes, the
-/// `trace_overhead` harness) can drive it directly, without threads or
-/// channels in the measured loop.
+/// Public so a measurement (`mim-ledger`'s `mpisim.mailbox.*` probes,
+/// `mim-bench`'s `seam_overhead` test) can drive it directly, without
+/// threads or channels in the measured loop.
 #[derive(Default)]
 pub struct UnexpectedQueue {
     groups: IdMap<(u64, Ctx), Group>,

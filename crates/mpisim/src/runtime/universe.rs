@@ -52,12 +52,13 @@ pub struct UniverseConfig {
     /// Tracing subsystem: each rank records its wire events on a per-rank
     /// track (flight recorder + optional `MIM_TRACE` file sink).  `None`
     /// disables tracing entirely — every record site is a single
-    /// branch-on-`Option` (see the `trace_overhead` microbench).
+    /// branch-on-`Option` (held to its cost by `mim-bench`'s `seam_overhead`
+    /// test).
     pub tracer: Option<Arc<Tracer>>,
     /// Optional deterministic fault injector (see [`crate::fault`] and the
     /// `mim-chaos` crate).  `None` keeps the wire layer on its fault-free
     /// fast path: the injector check is a single branch-on-`Option`
-    /// (measured by the `chaos_overhead` microbench).
+    /// (held to its cost by `mim-bench`'s `seam_overhead` test).
     pub injector: Option<Arc<dyn FaultInjector>>,
     /// Optional schedule policy (see [`crate::SchedulePolicy`] and the `mim-explore`
     /// crate): takes over the runtime's two nondeterminism points —

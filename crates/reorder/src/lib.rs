@@ -453,7 +453,7 @@ mod tests {
     #[test]
     fn mapping_charge_is_pinned_at_the_calibration_sizes() {
         // (order, non-zeros, charge in ns) of EXPERIMENTS.md's calibration
-        // table: Fig 6's 12-rank ring, the `treematch` harness's 8-cliques,
+        // table: Fig 6's 12-rank ring, the 8-cliques on PlaFRIM nodes,
         // Fig 7's CG at NP = 256 and the 1024- and 4096-rank halo exchanges.
         for (order, nnz, charge_ns) in [
             (12, 12, 9_072.0),

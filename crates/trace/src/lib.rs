@@ -26,7 +26,7 @@
 //!
 //! Tracing is opt-in per universe.  The disabled path is a
 //! branch-on-`Option` at each record site — no ring, no lock, no
-//! formatting — verified by the `trace_overhead` microbench.
+//! formatting — held to its cost by `mim-bench`'s `seam_overhead` test.
 //!
 //! Track identity is a *name* (e.g. `rank3`), not a thread: a rank
 //! registers its track at launch and holds the `Arc<Track>` in its own

@@ -7,7 +7,7 @@ use crate::grouping::{group_exhaustive, group_greedy};
 
 /// How each level's grouping problem is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupingStrategy {
+pub(crate) enum GroupingStrategy {
     /// Exhaustive when the level is small enough, greedy otherwise.
     Auto,
     /// Always greedy pair-merging (fast, scales to Table 1 sizes).
@@ -30,7 +30,7 @@ pub fn tree_match(arities: &[usize], affinity: &CommMatrix) -> Vec<usize> {
 }
 
 /// [`tree_match`] with an explicit grouping strategy.
-pub fn tree_match_with(
+pub(crate) fn tree_match_with(
     arities: &[usize],
     affinity: &CommMatrix,
     strategy: GroupingStrategy,
@@ -126,6 +126,7 @@ mod tests {
     use crate::affinity::{from_pairs, stencil2d};
     use crate::cost::mapping_distance_cost;
     use mim_topology::{CommMatrix, TopologyTree};
+    use mim_util::prop::Gen;
 
     fn assert_injective(sigma: &[usize], leaves: usize) {
         let mut seen = vec![false; leaves];
@@ -204,12 +205,15 @@ mod tests {
         m.set(2, 3, 10);
         let arities = [2usize, 2, 3]; // 12 leaves
         let tree = TopologyTree::new(arities.to_vec());
-        let sigma = tree_match(&arities, &m);
-        assert_eq!(sigma.len(), 5);
-        assert_injective(&sigma, 12);
-        // The heavy pairs share a socket.
-        assert!(tree.lca_depth(sigma[0], sigma[1]) >= 2);
-        assert!(tree.lca_depth(sigma[2], sigma[3]) >= 2);
+        // `Auto` is exhaustive at this size; greedy pads the same way.
+        for strategy in [GroupingStrategy::Auto, GroupingStrategy::Greedy] {
+            let sigma = tree_match_with(&arities, &m, strategy);
+            assert_eq!(sigma.len(), 5);
+            assert_injective(&sigma, 12);
+            // The heavy pairs share a socket.
+            assert!(tree.lca_depth(sigma[0], sigma[1]) >= 2, "{strategy:?}");
+            assert!(tree.lca_depth(sigma[2], sigma[3]) >= 2, "{strategy:?}");
+        }
     }
 
     #[test]
@@ -242,6 +246,26 @@ mod tests {
         let g = tree_match_with(&arities, &aff, GroupingStrategy::Greedy);
         let e = tree_match_with(&arities, &aff, GroupingStrategy::Exhaustive);
         assert!(mapping_distance_cost(&tree, &e, &aff) <= mapping_distance_cost(&tree, &g, &aff));
+    }
+
+    fn arb_sparse(g: &mut Gen, n: usize, max_edges: usize) -> CommMatrix {
+        let pairs = g.vec(0..max_edges, |g| (g.index(n), g.index(n), g.gen_range(1u64..10_000)));
+        from_pairs(n, pairs.into_iter().filter(|&(i, j, _)| i != j))
+    }
+
+    mim_util::props! {
+        fn exhaustive_at_least_as_cohesive_as_greedy(g) {
+            let aff = arb_sparse(g, 8, 16);
+            let arities = [2usize, 2, 2];
+            let tree = TopologyTree::new(arities.to_vec());
+            let gr = tree_match_with(&arities, &aff, GroupingStrategy::Greedy);
+            let e = tree_match_with(&arities, &aff, GroupingStrategy::Exhaustive);
+            // Not a theorem level-by-level, but exhaustive should rarely lose;
+            // allow a small slack to keep the property honest yet tight.
+            let cg = mapping_distance_cost(&tree, &gr, &aff);
+            let ce = mapping_distance_cost(&tree, &e, &aff);
+            assert!(ce <= cg + cg / 4 + 8, "exhaustive {ce} much worse than greedy {cg}");
+        }
     }
 
     #[test]

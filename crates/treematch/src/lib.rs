@@ -13,8 +13,8 @@
 //!   groups of the level's arity so as to maximize intra-group traffic, the
 //!   matrix is aggregated, and the next level up is processed.  Grouping is
 //!   greedy pair-merging over the sorted edge list (scales to the paper's
-//!   Table 1 sizes, order 65 536, on sparse matrices) or exhaustive
-//!   best-disjoint-groups for small instances ([`GroupingStrategy`]).
+//!   Table 1 sizes, order 65 536, on sparse matrices) or, where a level
+//!   has at most 20 000 candidate groups, exhaustive best-disjoint-groups.
 //! * [`place_constrained`] — top-down recursive partitioning for the
 //!   *constrained* case where processes may only occupy a given slot set
 //!   (the occupied cores of a live job — what dynamic rank reordering needs,
@@ -32,6 +32,6 @@ mod constrained;
 mod cost;
 pub mod grouping;
 
-pub use algorithm::{tree_match, tree_match_with, GroupingStrategy};
+pub use algorithm::tree_match;
 pub use constrained::place_constrained;
 pub use cost::mapping_distance_cost;

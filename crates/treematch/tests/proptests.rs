@@ -3,7 +3,7 @@
 use mim_topology::{CommMatrix, Machine};
 use mim_treematch::affinity::from_pairs;
 use mim_treematch::grouping::{group_greedy, grouping_value};
-use mim_treematch::{place_constrained, tree_match_with, GroupingStrategy};
+use mim_treematch::{place_constrained, tree_match};
 use mim_util::prop::Gen;
 use mim_util::props;
 use mim_util::rng::Rng;
@@ -26,31 +26,16 @@ props! {
     fn tree_match_yields_injective_assignment(g) {
         let aff = arb_sparse(g, 10, 25);
         // 10 processes on a 2x2x4 = 16-leaf tree.
-        let sigma = tree_match_with(&[2, 2, 4], &aff, GroupingStrategy::Greedy);
+        let sigma = tree_match(&[2, 2, 4], &aff);
         assert_eq!(sigma.len(), 10);
         assert_injective(&sigma, 16);
     }
 
     fn tree_match_is_deterministic(g) {
         let aff = arb_sparse(g, 8, 20);
-        let a = tree_match_with(&[2, 2, 2], &aff, GroupingStrategy::Greedy);
-        let b = tree_match_with(&[2, 2, 2], &aff, GroupingStrategy::Greedy);
+        let a = tree_match(&[2, 2, 2], &aff);
+        let b = tree_match(&[2, 2, 2], &aff);
         assert_eq!(a, b);
-    }
-
-    fn exhaustive_at_least_as_cohesive_as_greedy(g) {
-        use mim_topology::TopologyTree;
-        use mim_treematch::mapping_distance_cost;
-        let aff = arb_sparse(g, 8, 16);
-        let arities = [2usize, 2, 2];
-        let tree = TopologyTree::new(arities.to_vec());
-        let gr = tree_match_with(&arities, &aff, GroupingStrategy::Greedy);
-        let e = tree_match_with(&arities, &aff, GroupingStrategy::Exhaustive);
-        // Not a theorem level-by-level, but exhaustive should rarely lose;
-        // allow a small slack to keep the property honest yet tight.
-        let cg = mapping_distance_cost(&tree, &gr, &aff);
-        let ce = mapping_distance_cost(&tree, &e, &aff);
-        assert!(ce <= cg + cg / 4 + 8, "exhaustive {ce} much worse than greedy {cg}");
     }
 
     fn constrained_placement_is_valid(g) {

@@ -10,17 +10,15 @@
 //! | [`channel`] | `crossbeam::channel` | the mpisim mailbox wiring |
 //! | [`sync`] | `parking_lot` | NIC counters, one-sided windows, runtime |
 //! | [`prop`] | `proptest` | every `proptests.rs` suite |
-//! | [`bench`](mod@bench) | `criterion` | the `crates/bench` microbenchmarks |
 //! | [`deque`] | `crossbeam::deque` | the mpisim M:N rank executor |
 //! | [`fiber`] | `corosensei` | the mpisim M:N rank executor |
 //! | [`hash`] | `rustc-hash` | every library map: the mailbox's matcher, the analyzer's replay |
 //!
 //! The replacements are deliberately small: deterministic, seedable, and
 //! with just enough API surface for the call sites in this repository.
-//! Beside them sits [`env_u64`], the one reader of the numeric `MIM_*`
-//! variables.
+//! Beside them sit [`env_u64`], the one reader of the numeric `MIM_*`
+//! variables, and [`quick_mode`], the one reader of `MIM_QUICK`.
 
-pub mod bench;
 pub mod channel;
 pub mod deque;
 pub mod fiber;
@@ -39,6 +37,13 @@ pub mod sync;
 pub fn env_u64(name: &str) -> Option<u64> {
     let value = std::env::var_os(name)?;
     Some(parse_u64(name, &value.to_string_lossy()))
+}
+
+/// True when the `MIM_QUICK` environment variable requests a reduced run
+/// (set, non-empty and not `0`): the one reading every figure binary and
+/// property suite shares.
+pub fn quick_mode() -> bool {
+    std::env::var_os("MIM_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
 fn parse_u64(name: &str, value: &str) -> u64 {

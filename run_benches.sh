@@ -29,25 +29,6 @@ for b in fig2_counters table1_treematch fig5_collectives fig6_heatmap fig4_overh
   fi
 done
 
-# The harnesses without a ledger twin ride along, so a smoke run proves each
-# still completes: trace_overhead and chaos_overhead assert their in-run
-# disabled/baseline ratio in-binary, elastic_churn its membership count,
-# treematch the greedy-vs-exhaustive ablation that keeps GroupingStrategy and
-# the place_constrained timings the reorder loop's mapping charge is
-# calibrated on; the others are diagnostics.
-# Everything else is measured by mim-ledger.
-for bench in trace_overhead chaos_overhead retry_storm analyze_races elastic_churn treematch; do
-  echo "===== bench $bench start $(date +%T)"
-  if cargo bench --offline -p mim-bench --bench "$bench" \
-      > "$results_dir/logs/bench_$bench.log" 2>&1; then
-    echo "===== bench $bench done $(date +%T)"
-  else
-    rc=$?
-    status=1
-    echo "===== bench $bench FAILED rc=$rc (see $results_dir/logs/bench_$bench.log)" >&2
-  fi
-done
-
 if [[ $status -ne 0 ]]; then
   echo "SOME_BENCH_BINS_FAILED" >&2
 else

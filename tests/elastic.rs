@@ -151,12 +151,18 @@ fn rolling_restart_converges_across_seeds_and_topologies() {
 
 #[test]
 fn rolling_restart_is_reproducible_and_engine_independent() {
-    let machine = Machine::cluster(2, 1, 4);
-    let a = churn_run(machine.clone(), 6, 11, ExecutorKind::Threads);
-    let b = churn_run(machine.clone(), 6, 11, ExecutorKind::Threads);
-    assert_eq!(a, b, "same seed, same engine: byte-identical (clocks included)");
-    let t = churn_run(machine, 6, 11, ExecutorKind::Tasks);
-    assert_eq!(a, t, "same seed across engines: byte-identical (clocks included)");
+    // 32 ranks over four nodes is the largest churn the suite puts on the
+    // tasks engine.
+    for (machine, n) in [(Machine::cluster(2, 1, 4), 6), (Machine::cluster(4, 1, 8), 32)] {
+        let a = churn_run(machine.clone(), n, 11, ExecutorKind::Threads);
+        let b = churn_run(machine.clone(), n, 11, ExecutorKind::Threads);
+        assert_eq!(a, b, "{n} ranks, same seed, same engine: byte-identical (clocks included)");
+        let t = churn_run(machine, n, 11, ExecutorKind::Tasks);
+        assert_eq!(a, t, "{n} ranks, same seed across engines: byte-identical (clocks included)");
+        for (_, epoch, counts, _, _) in &t {
+            assert_eq!((*epoch, counts.len()), (2, n), "the grown world has every rank again");
+        }
+    }
 }
 
 #[test]

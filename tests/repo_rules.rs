@@ -15,7 +15,7 @@
 //!    loops charge it from a model of that matrix, and fault verdicts and
 //!    the cost model feed every virtual clock: determinism is the whole
 //!    point. Sanctioned wall-clock use lives in `mim-util` (channel
-//!    timeouts, the bench timer), with one exception:
+//!    and `Notifier` timeouts), with one exception:
 //! 3. The M:N executor's substrate (`mim-util`'s `fiber.rs`, `deque.rs`) is
 //!    held to rules 1 and 2. It runs on the scheduler hot path under every
 //!    parked rank: an unwrap there takes down a worker's whole task set, and
@@ -43,8 +43,8 @@
 //! 8. `pub` means another target uses it: every `pub fn`, `pub mod` and
 //!    `pub use` name in a crate's library sources (`crates/*/src`, not
 //!    `src/bin/`, test items stripped) appears in some file outside that
-//!    library — another crate's `src`, any `tests/`, `benches/`, `src/bin/`
-//!    or `examples/`, or `mim-ledger/src` — or is kept on purpose in
+//!    library — another crate's `src`, any `tests/`, `src/bin/` or
+//!    `examples/`, or `mim-ledger/src` — or is kept on purpose in
 //!    [`KEPT_PUBLIC`]. What only its own crate calls is `pub(crate)`, where
 //!    clippy's `dead_code` catches the next orphan. A census by hand once
 //!    left four orphans in place and missed seven more that the compiler
@@ -59,7 +59,7 @@
 //! 10. Every `pub fn` of an `impl Rank` block in `mim-mpisim`'s library
 //!     has a production caller: a call (`.name(`, `.name::<` or
 //!     `Rank::name`) in library code of any crate, its own included, in a
-//!     `src/bin/`, `benches/` or `examples/` file, or in `mim-ledger/src` —
+//!     `src/bin/` or `examples/` file, or in `mim-ledger/src` —
 //!     not in a `tests/` file, a `tests.rs` module or a test item — or is
 //!     kept on purpose in [`TEST_ONLY_KEPT`]. Rule 8 lets a test in another
 //!     target keep an item public; four collectives, a `comm_dup` and a
