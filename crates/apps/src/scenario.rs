@@ -16,11 +16,11 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use mim_chaos::FaultPlan;
 use mim_core::{Flags, Monitoring, Msid};
 use mim_mpisim::trace::Tracer;
 use mim_mpisim::{
-    Comm, ExecStats, ExecutorKind, Rank, RankFailure, StaleEpoch, Universe, UniverseConfig,
+    Comm, ExecStats, ExecutorKind, FaultPlan, Rank, RankFailure, StaleEpoch, Universe,
+    UniverseConfig,
 };
 use mim_reorder::{monitored_reorder, monitored_reorder_resilient, ReorderFallback};
 use mim_topology::{Machine, Placement};
@@ -237,8 +237,7 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
     let seed = plan.seed();
 
     let machine = Machine::cluster(2, 1, 4);
-    let cfg =
-        UniverseConfig::new(machine, Placement::packed(N)).with_injector(plan.into_injector());
+    let cfg = UniverseConfig::new(machine, Placement::packed(N)).with_injector(plan);
     let u = universe(cfg, exec, tracer);
 
     let results = u.launch_faulty(|rank| {
@@ -416,7 +415,7 @@ pub fn elastic_stencil(
     let machine = Machine::cluster(2, 1, 8);
     let cfg = UniverseConfig::new(machine, Placement::packed(N + 1))
         .with_latent_ranks(1)
-        .with_injector(plan.into_injector());
+        .with_injector(plan);
     let u = universe(cfg, exec, tracer);
 
     let results = u.launch_faulty(|rank| {

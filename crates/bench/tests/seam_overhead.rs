@@ -1,5 +1,5 @@
 //! What a disabled instrumentation seam costs: the trace record site of
-//! `Rank::wire_recv` and the fault-injector seam of `Rank::wire_send`, each
+//! `Rank::wire_recv` and the fault-plan seam of `Rank::wire_send`, each
 //! next to a copy of its carrier with no seam code at all.  Every bar is a
 //! ratio between two arms timed in this one run, their samples alternating,
 //! so none needs a recorded baseline:
@@ -17,8 +17,8 @@
 //! * chaos `send_site/disabled` ÷ `send_site/baseline` ≤ 2.0.  The carrier
 //!   is the send path as `wire_send` performs it — the Hockney cost, the
 //!   envelope, a handoff queue standing in for the channel send — and the
-//!   seam is the branch on the `Option<Arc<dyn FaultInjector>>` every
-//!   production run holds as `None`.
+//!   seam is the branch on the `Option<Arc<FaultPlan>>` every production
+//!   run holds as `None`.
 //!
 //! Each arm is 15 samples of at least 10 ms; the run takes about a second.
 //! One test function, so no other test of this binary shares the cores
@@ -35,7 +35,7 @@ use mim_mpisim::envelope::{Ctx, Envelope, MsgKind, Payload};
 use mim_mpisim::fault::{backoff_ns, RETRY_MAX_ATTEMPTS};
 use mim_mpisim::mailbox::{MatchPattern, SrcSel, TagSel, UnexpectedQueue};
 use mim_mpisim::trace::{TraceData, TraceHandle, Tracer};
-use mim_mpisim::{FaultInjector, LinkCtx, SendOutcome};
+use mim_mpisim::{FaultPlan, LinkCtx, SendOutcome};
 
 /// Timed samples per arm.
 const SAMPLES: usize = 15;
@@ -135,18 +135,19 @@ fn record_arm<'a>(trace: &'a Option<TraceHandle>, e: &'a Envelope) -> impl FnMut
     }
 }
 
-// ---- the fault-injector seam on the send path ----
+// ---- the fault-plan seam on the send path ----
 
 const SRC: usize = 0;
 const DST: usize = 1;
 const BYTES: u64 = 4096;
 const BETA: f64 = 0.05;
 
-/// The `wire_send` injector seam, verbatim minus the clock/trace calls:
-/// returns the extra virtual nanoseconds and the wire sequence the send
-/// would carry, so nothing the injector decides can be folded away.
+/// The `wire_send` fault-plan seam (`Rank::judge_send`), verbatim minus the
+/// clock/trace calls: returns the extra virtual nanoseconds and the wire
+/// sequence the send would carry, so nothing the plan decides can be
+/// folded away.
 #[inline(always)]
-fn seam(inj: &Option<Arc<dyn FaultInjector>>, op_index: &mut u64) -> (f64, Option<u64>) {
+fn seam(inj: &Option<Arc<FaultPlan>>, op_index: &mut u64) -> (f64, Option<u64>) {
     let mut beta = BETA;
     let mut extra = 0.0;
     let mut wire_seq = None;
@@ -158,7 +159,7 @@ fn seam(inj: &Option<Arc<dyn FaultInjector>>, op_index: &mut u64) -> (f64, Optio
         let i = *op_index;
         *op_index += 1;
         wire_seq = Some(i);
-        let lctx = LinkCtx { src_world: SRC, dst_world: DST, op_index: i, bytes: BYTES };
+        let lctx = LinkCtx { src_world: SRC, dst_world: DST, op_index: i };
         let mut attempt = 0u32;
         loop {
             match inj.on_attempt(&lctx, attempt) {
@@ -249,7 +250,7 @@ fn disabled_seams_cost_next_to_nothing() {
         t += 1.0;
         carrier(&mut q, t, black_box(BETA) * BYTES as f64, None);
     };
-    let none: Option<Arc<dyn FaultInjector>> = None;
+    let none: Option<Arc<FaultPlan>> = None;
     let (mut q, mut t, mut op_index) = (VecDeque::with_capacity(4), 0.0f64, 0u64);
     let disabled = || {
         t += 1.0;

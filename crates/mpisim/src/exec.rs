@@ -103,17 +103,22 @@ pub enum ExecutorKind {
 
 impl ExecutorKind {
     /// Read `MIM_EXECUTOR` (`threads` | `tasks`); default [`Threads`].
-    /// Unrecognised values fall back to the default with a warning.
+    ///
+    /// # Panics
+    /// On any other value, naming it: a typo that fell back to the default
+    /// would quietly run the threads engine where tasks were asked for.
     ///
     /// [`Threads`]: ExecutorKind::Threads
     pub fn from_env() -> Self {
-        match std::env::var("MIM_EXECUTOR").ok().as_deref() {
+        Self::named(std::env::var("MIM_EXECUTOR").ok().as_deref())
+    }
+
+    /// The engine `MIM_EXECUTOR=value` selects (`None`: unset).
+    fn named(value: Option<&str>) -> Self {
+        match value {
             Some("tasks") => ExecutorKind::Tasks,
             Some("threads") | None => ExecutorKind::Threads,
-            Some(other) => {
-                eprintln!("mim-mpisim: unknown MIM_EXECUTOR={other:?}; using threads");
-                ExecutorKind::Threads
-            }
+            Some(other) => panic!("MIM_EXECUTOR={other:?} is neither \"threads\" nor \"tasks\""),
         }
     }
 }
@@ -878,6 +883,12 @@ mod tests {
         std::env::set_var("MIM_EXECUTOR", "threads");
         assert_eq!(ExecutorKind::from_env(), ExecutorKind::Threads);
         std::env::remove_var("MIM_EXECUTOR");
+        // A typo panics naming the value.  Checked without setting it: every
+        // universe other tests build meanwhile reads the variable.
+        let typo = std::panic::catch_unwind(|| ExecutorKind::named(Some("task")));
+        let msg = typo.expect_err("a typo must not run an engine");
+        let msg = msg.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.contains("MIM_EXECUTOR=\"task\""), "{msg}");
     }
 
     /// [`run_tasks`] over every task slot of `exec`.  The body must outlive

@@ -54,7 +54,7 @@ pub use comm::Comm;
 pub use datatype::Scalar;
 pub use envelope::{MsgKind, Payload};
 pub use exec::{ExecStats, ExecutorKind};
-pub use fault::{CrashPoint, FaultInjector, LinkCtx, RankFailure, SendOutcome};
+pub use fault::{FaultPlan, LinkCtx, RankFailure, SendOutcome};
 pub use mailbox::UnexpectedQueue;
 pub use osc::Window;
 pub use pml::{PmlEvent, PmlHook};

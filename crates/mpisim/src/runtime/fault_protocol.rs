@@ -1,7 +1,7 @@
 //! The fault protocol, rank side: the wire-op prologue that fires a plan's
 //! crash point, the sender-simulated retry/backoff a drop plan costs, death
 //! notices and control sends, the one failure-aware wait, and the liveness
-//! exchange.  The injector seam, the failure taxonomy and the protocol's
+//! exchange.  The fault plan, the failure taxonomy and the protocol's
 //! constants (`backoff_ns`, `RETRY_MAX_ATTEMPTS`, the reserved tags) live
 //! in [`crate::fault`]; everything here stays a single branch-on-`Option`
 //! away from the fault-free wire path.
@@ -17,18 +17,18 @@ use super::{Rank, SrcSel, Status, SEND_OVERHEAD_NS};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::envelope::{Ctx, Envelope, MsgKind, Payload};
-use crate::fault::{self, CrashPoint, FaultInjector, LinkCtx, PeerFailure, SendOutcome};
+use crate::fault::{self, CrashPoint, FaultPlan, LinkCtx, PeerFailure, SendOutcome};
 use crate::mailbox::{self, MatchPattern, TagSel};
 
 /// The fault-only state of a [`Rank`]: all of it idle (and `ops` stuck at
-/// 0) unless the universe carries an injector.
+/// 0) unless the universe carries a fault plan.
 #[derive(Default)]
 pub(super) struct FaultState {
-    /// The installed fault injector, cloned out of the config for
+    /// The installed fault plan, cloned out of the config for
     /// branch-cheap access on the wire paths.
-    injector: Option<Arc<dyn FaultInjector>>,
+    injector: Option<Arc<FaultPlan>>,
     /// Wire operations completed (sends + receives), the op-count frame of
-    /// [`CrashPoint::OpCount`].  Only advanced when an injector is present.
+    /// [`CrashPoint::OpCount`].  Only advanced when a plan is installed.
     ops: Cell<u64>,
     /// Retransmissions this rank issued (drop faults recovered by backoff).
     retries: Cell<u64>,
@@ -41,14 +41,14 @@ pub(super) struct FaultState {
 }
 
 impl FaultState {
-    pub(super) fn new(injector: Option<Arc<dyn FaultInjector>>) -> Self {
+    pub(super) fn new(injector: Option<Arc<FaultPlan>>) -> Self {
         Self { injector, ..Self::default() }
     }
 }
 
 /// What the fault plan made of one logical send: the (possibly degraded)
 /// link speed, arrival jitter, extra copies and the dedup sequence number.
-/// Without an injector it is the caller's β and nothing else.
+/// Without a plan it is the caller's β and nothing else.
 pub(super) struct SendPlan {
     pub(super) beta: f64,
     pub(super) extra_delay: f64,
@@ -69,7 +69,7 @@ impl Rank {
 
     /// Wire-operation prologue: fire the plan's due joins (sponsor only)
     /// and its crash point, else count the op.  A no-op (ops stay 0)
-    /// without an injector.  Both churn triggers are gated on
+    /// without a plan.  Both churn triggers are gated on
     /// `incarnation == 0`: a reborn body must not re-fire the crash that
     /// killed its predecessor, and the join schedule fires once per run.
     pub(super) fn pre_op(&self) {
@@ -94,7 +94,7 @@ impl Rank {
     /// Put one logical send before the fault plan, ahead of the cost model
     /// (called by `wire_send`): the wire-op prologue, the link's bandwidth
     /// scale, the message's dedup sequence and the retry loop.  Returns at
-    /// once, with `beta` untouched, when no injector is installed.
+    /// once, with `beta` untouched, when no plan is installed.
     #[inline]
     pub(super) fn judge_send(&self, dst_world: usize, bytes: u64, beta: f64) -> SendPlan {
         let mut plan = SendPlan { beta, extra_delay: 0.0, duplicates: 0, wire_seq: None };
@@ -112,7 +112,7 @@ impl Rank {
             i
         };
         plan.wire_seq = Some(op_index);
-        let lctx = LinkCtx { src_world: self.world_rank, dst_world, op_index, bytes };
+        let lctx = LinkCtx { src_world: self.world_rank, dst_world, op_index };
         // Sender-simulated ack/retry: a dropped attempt occupies the
         // link for a full transmission, then the retransmit timer fires
         // after a capped-exponential backoff.  After RETRY_MAX_ATTEMPTS
@@ -341,7 +341,7 @@ impl Rank {
         alive
     }
 
-    /// Retransmissions this rank issued (0 without an injector).
+    /// Retransmissions this rank issued (0 without a fault plan).
     pub fn retry_count(&self) -> u64 {
         self.fault.retries.get()
     }
@@ -354,14 +354,20 @@ impl Rank {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{faulty_universe, small_universe, CrashAtOps, DropFirstN, DupAll};
+    use super::super::tests::{faulty_universe, small_universe};
     use super::super::{SrcSel, Universe};
     use super::*;
     use crate::fault::RankFailure;
 
     #[test]
     fn dropped_sends_are_retried_and_recovered() {
-        let u = faulty_universe(2, Arc::new(DropFirstN(3)));
+        // The one message's retries are the seeded plan's own leading drops
+        // for its link and index.
+        let plan = FaultPlan::new(11).drop_p(0.5);
+        let link = LinkCtx { src_world: 0, dst_world: 1, op_index: 0 };
+        let drops = (0..).take_while(|&a| plan.on_attempt(&link, a) == SendOutcome::Drop).count();
+        assert!(drops > 1, "the seed must drop more than the first attempt");
+        let u = faulty_universe(2, plan);
         let retries = u.launch(|rank| {
             let world = rank.comm_world();
             if rank.world_rank() == 0 {
@@ -373,36 +379,41 @@ mod tests {
             }
             rank.retry_count()
         });
-        assert_eq!(retries, vec![3, 0]);
-        assert_eq!(u.nic().retries_total(), 3);
+        assert_eq!(retries, vec![drops as u64, 0]);
+        assert_eq!(u.nic().retries_total(), drops as u64);
         // Retries never inflate the transmit counters: one logical message.
         assert_eq!(u.nic().xmit_msgs(0) + u.nic().xmit_msgs(1), 0); // intra-node
     }
 
     #[test]
     fn retry_storm_costs_virtual_time() {
-        let clean = faulty_universe(2, Arc::new(DropFirstN(0)));
-        let lossy = faulty_universe(2, Arc::new(DropFirstN(5)));
+        let clean = faulty_universe(2, FaultPlan::new(0));
+        let lossy = faulty_universe(2, FaultPlan::new(0).drop_p(1.0));
         let run = |u: &Universe| {
             u.launch(|rank| {
                 let world = rank.comm_world();
                 if rank.world_rank() == 0 {
                     rank.send(&world, 1, 0, &[0u8; 256]);
-                    0.0
                 } else {
                     rank.recv::<u8>(&world, SrcSel::Rank(0), TagSel::Is(0));
-                    rank.now_ns()
                 }
-            })[1]
+                (rank.now_ns(), rank.retry_count())
+            })
         };
-        let (t_clean, t_lossy) = (run(&clean), run(&lossy));
-        // 5 lost transmissions + exponential backoff strictly delay arrival.
+        let (clean, lossy) = (run(&clean), run(&lossy));
+        // Every attempt is lost, so the message is force-delivered after the
+        // retry cap: the lost transmissions and their backoff strictly
+        // delay its arrival.
+        assert_eq!(clean.iter().map(|r| r.1).collect::<Vec<_>>(), [0, 0]);
+        let cap = u64::from(fault::RETRY_MAX_ATTEMPTS - 1);
+        assert_eq!(lossy.iter().map(|r| r.1).collect::<Vec<_>>(), [cap, 0]);
+        let (t_clean, t_lossy) = (clean[1].0, lossy[1].0);
         assert!(t_lossy > t_clean, "lossy {t_lossy} should exceed clean {t_clean}");
     }
 
     #[test]
     fn duplicate_deliveries_are_transparent() {
-        let u = faulty_universe(2, Arc::new(DupAll));
+        let u = faulty_universe(2, FaultPlan::new(0).dup_p(1.0));
         u.launch(|rank| {
             let world = rank.comm_world();
             if rank.world_rank() == 0 {
@@ -416,14 +427,14 @@ mod tests {
                 }
                 // Duplicates of earlier messages were drained (and dropped)
                 // while matching later ones.
-                assert!(rank.duplicates_dropped() >= 8, "dups: {}", rank.duplicates_dropped());
+                assert!(rank.duplicates_dropped() >= 4, "dups: {}", rank.duplicates_dropped());
             }
         });
     }
 
     #[test]
     fn data_sent_before_crash_is_delivered_first() {
-        let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 1 }));
+        let u = faulty_universe(2, FaultPlan::new(0).crash_at_ops(1, 1));
         let results = u.launch_faulty(|rank| {
             let world = rank.comm_world();
             if rank.world_rank() == 0 {
@@ -447,7 +458,7 @@ mod tests {
 
     #[test]
     fn liveness_exchange_and_shrink_continue_collectives() {
-        let u = faulty_universe(4, Arc::new(CrashAtOps { world: 2, ops: 0 }));
+        let u = faulty_universe(4, FaultPlan::new(0).crash_at_ops(2, 0));
         let results = u.launch_faulty(|rank| {
             let world = rank.comm_world();
             if rank.world_rank() == 2 {

@@ -20,7 +20,7 @@ use super::Rank;
 use crate::comm::{Comm, Groups};
 use crate::datatype::Scalar;
 use crate::envelope::{Envelope, Payload};
-use crate::fault::{self, FaultInjector};
+use crate::fault::{self, FaultPlan};
 use crate::mailbox::{self, Mailbox};
 
 /// The membership-only state of a [`Rank`].
@@ -47,11 +47,11 @@ impl Membership {
         world_rank: usize,
         incarnation: u32,
         join_comm: Option<Comm>,
-        injector: Option<&Arc<dyn FaultInjector>>,
+        injector: Option<&Arc<FaultPlan>>,
     ) -> Self {
         let join_plan = match injector {
             Some(inj) if world_rank == 0 && incarnation == 0 => {
-                inj.join_plan().into_iter().map(|(j, at)| (j, at, false)).collect()
+                inj.join_plan().iter().map(|&(j, at)| (j, at, false)).collect()
             }
             _ => Vec::new(),
         };

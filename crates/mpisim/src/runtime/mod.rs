@@ -276,74 +276,20 @@ impl Drop for CollSpanGuard<'_> {
     }
 }
 
-/// Universe builders and toy injectors shared by the runtime's unit tests.
+/// Universe builders shared by the runtime's unit tests.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::fault::{CrashPoint, FaultInjector, LinkCtx, SendOutcome};
+    use crate::fault::FaultPlan;
 
     pub(crate) fn small_universe(n: usize) -> Universe {
         let machine = Machine::cluster(2, 2, 4); // 16 cores
         Universe::new(UniverseConfig::new(machine, Placement::packed(n)))
     }
 
-    // ----- fault injection ---------------------------------------------------
-
-    /// Drop the first `n` attempts of every message.
-    #[derive(Debug)]
-    pub(super) struct DropFirstN(pub(super) u32);
-    impl FaultInjector for DropFirstN {
-        fn on_attempt(&self, _link: &LinkCtx, attempt: u32) -> SendOutcome {
-            if attempt < self.0 {
-                SendOutcome::Drop
-            } else {
-                SendOutcome::CLEAN
-            }
-        }
-    }
-
-    /// Deliver every message plus two duplicate copies.
-    #[derive(Debug)]
-    pub(super) struct DupAll;
-    impl FaultInjector for DupAll {
-        fn on_attempt(&self, _link: &LinkCtx, _attempt: u32) -> SendOutcome {
-            SendOutcome::Deliver { extra_delay_ns: 0.0, duplicates: 2 }
-        }
-    }
-
-    /// Crash one rank at a wire-op count; everything else is clean.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct CrashAtOps {
-        pub(super) world: usize,
-        pub(super) ops: u64,
-    }
-    impl FaultInjector for CrashAtOps {
-        fn on_attempt(&self, _link: &LinkCtx, _attempt: u32) -> SendOutcome {
-            SendOutcome::CLEAN
-        }
-        fn crash_point(&self, world: usize) -> Option<CrashPoint> {
-            (world == self.world).then_some(CrashPoint::OpCount(self.ops))
-        }
-    }
-
-    /// [`CrashAtOps`] followed by one rebirth of the crashed rank.
-    #[derive(Debug)]
-    pub(super) struct RestartAtOps(pub(super) CrashAtOps);
-    impl FaultInjector for RestartAtOps {
-        fn on_attempt(&self, link: &LinkCtx, attempt: u32) -> SendOutcome {
-            self.0.on_attempt(link, attempt)
-        }
-        fn crash_point(&self, world: usize) -> Option<CrashPoint> {
-            self.0.crash_point(world)
-        }
-        fn restart_after_crash(&self, world: usize, incarnation: u32) -> bool {
-            world == self.0.world && incarnation == 0
-        }
-    }
-
-    pub(super) fn faulty_universe(n: usize, inj: Arc<dyn FaultInjector>) -> Universe {
+    pub(super) fn faulty_universe(n: usize, plan: FaultPlan) -> Universe {
         let machine = Machine::cluster(2, 2, 4);
-        let cfg = UniverseConfig::new(machine, Placement::packed(n)).with_injector(inj);
+        let cfg = UniverseConfig::new(machine, Placement::packed(n)).with_injector(plan);
         Universe::new(cfg)
     }
 

@@ -21,7 +21,7 @@ use super::{Rank, RankAborted};
 use crate::comm::{Group, Groups};
 use crate::envelope::Envelope;
 use crate::exec::{self, ExecShared, ExecStats, ExecutorKind};
-use crate::fault::{self, FaultInjector, RankFailure};
+use crate::fault::{self, FaultPlan, RankFailure};
 use crate::nic::NicCounters;
 use crate::pml::PmlHook;
 use crate::sched::PolicyHandle;
@@ -55,11 +55,11 @@ pub struct UniverseConfig {
     /// branch-on-`Option` (held to its cost by `mim-bench`'s `seam_overhead`
     /// test).
     pub tracer: Option<Arc<Tracer>>,
-    /// Optional deterministic fault injector (see [`crate::fault`] and the
-    /// `mim-chaos` crate).  `None` keeps the wire layer on its fault-free
-    /// fast path: the injector check is a single branch-on-`Option`
-    /// (held to its cost by `mim-bench`'s `seam_overhead` test).
-    pub injector: Option<Arc<dyn FaultInjector>>,
+    /// Optional deterministic fault plan (see [`crate::fault`]).  `None`
+    /// keeps the wire layer on its fault-free fast path: the plan check is
+    /// a single branch-on-`Option` (held to its cost by `mim-bench`'s
+    /// `seam_overhead` test).
+    pub injector: Option<Arc<FaultPlan>>,
     /// Optional schedule policy (see [`crate::SchedulePolicy`] and the `mim-explore`
     /// crate): takes over the runtime's two nondeterminism points —
     /// wildcard matching and task resume order.  A policy overrides
@@ -118,9 +118,9 @@ impl UniverseConfig {
         self
     }
 
-    /// Install a deterministic fault injector (builder style).
-    pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.injector = Some(injector);
+    /// Install a deterministic fault plan (builder style).
+    pub fn with_injector(mut self, plan: FaultPlan) -> Self {
+        self.injector = Some(Arc::new(plan));
         self
     }
 
@@ -489,15 +489,15 @@ impl Universe {
     /// self-healing reorder loop runs under.  What the plan and the config
     /// state beyond crashes is honoured here too:
     ///
-    /// - **Rolling restarts.**  A rank crashed by the plan whose
-    ///   [`FaultInjector::restart_after_crash`] says so is reborn in place:
+    /// - **Rolling restarts.**  A rank the plan crashes under
+    ///   [`FaultPlan::restart_at_ops`] is reborn in place, once:
     ///   same world rank, incarnation + 1, fresh clock and mailbox, and `f`
     ///   runs again (`Rank::incarnation` distinguishes the rebirth).  Its
     ///   rebirth broadcasts a join notice peers consume with
     ///   [`Rank::await_rejoin`].
     /// - **Latent joiners.**  Slots reserved by
     ///   [`UniverseConfig::with_latent_ranks`] park until a sponsor admits
-    ///   them ([`Rank::admit`] or the plan's [`FaultInjector::join_plan`]);
+    ///   them ([`Rank::admit`] or the plan's [`FaultPlan::join_at_ops`]);
     ///   an admitted slot runs `f` with [`Rank::join_comm`] set to the
     ///   communicator it was admitted into.  When the sponsor's slot (world
     ///   rank 0) ends for good — returned, or died without a restart —
@@ -519,8 +519,8 @@ impl Universe {
 
 /// The one per-slot driver every launch runs.  A latent slot first parks
 /// until the sponsor admits it, or unwinds as retired.  Then each
-/// incarnation gets a fresh [`Rank`] and runs `f`; a plan crash the
-/// injector covers, under the recoverable launch, starts the next
+/// incarnation gets a fresh [`Rank`] and runs `f`; a plan crash followed
+/// by a scheduled restart, under the recoverable launch, starts the next
 /// incarnation.  When world rank 0's slot ends for good — `f` returned, or
 /// died with no restart to follow — the sponsor's epilogue retires every
 /// latent slot still unadmitted, so none waits out the deadline.  Returns
@@ -581,7 +581,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{faulty_universe, small_universe, CrashAtOps, RestartAtOps};
+    use super::super::tests::{faulty_universe, small_universe};
     use super::*;
 
     #[test]
@@ -620,7 +620,7 @@ mod tests {
 
     #[test]
     fn launch_faulty_reports_crash_and_preserves_survivors() {
-        let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 0 }));
+        let u = faulty_universe(2, FaultPlan::new(0).crash_at_ops(1, 0));
         let results = u.launch_faulty(|rank| {
             let world = rank.comm_world();
             if rank.world_rank() == 0 {
@@ -643,8 +643,7 @@ mod tests {
     /// reboots a rank.
     #[test]
     fn strict_launch_rejects_scheduled_crash() {
-        let crash = CrashAtOps { world: 1, ops: 0 };
-        let plans: [Arc<dyn FaultInjector>; 2] = [Arc::new(crash), Arc::new(RestartAtOps(crash))];
+        let plans = [FaultPlan::new(0).crash_at_ops(1, 0), FaultPlan::new(0).restart_at_ops(1, 0)];
         for plan in plans {
             let u = faulty_universe(2, plan);
             let payload = catch_unwind(AssertUnwindSafe(|| {

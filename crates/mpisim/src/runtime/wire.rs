@@ -310,12 +310,10 @@ pub(crate) fn typed<T: Scalar>(comm: &Comm, env: Envelope) -> (Vec<T>, Status) {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use mim_topology::{Machine, Placement};
 
     use super::super::fault_protocol::fault_pat;
-    use super::super::tests::{faulty_universe, small_universe, CrashAtOps};
+    use super::super::tests::{faulty_universe, small_universe};
     use super::super::{Universe, UniverseConfig};
     use super::*;
     use crate::fault;
@@ -441,7 +439,7 @@ mod tests {
     /// (incarnation 0) on the fault context.
     #[test]
     fn fault_notices_are_stamped_by_the_one_constructor() {
-        let u = faulty_universe(2, Arc::new(CrashAtOps { world: 1, ops: 0 }));
+        let u = faulty_universe(2, fault::FaultPlan::new(0).crash_at_ops(1, 0));
         let (overhead, alpha) = (SEND_OVERHEAD_NS, u.config().machine.link_params(1, 0).alpha_ns);
         let results = u.launch_faulty(move |rank| {
             if rank.world_rank() == 1 {

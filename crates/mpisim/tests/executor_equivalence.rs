@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mim_mpisim::trace::{TraceDigest, Tracer};
-use mim_mpisim::{ExecutorKind, PmlEvent, PmlHook, Rank, SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{
+    ExecutorKind, FaultPlan, PmlEvent, PmlHook, Rank, SrcSel, TagSel, Universe, UniverseConfig,
+};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
 use mim_util::rng::Rng;
@@ -243,23 +245,9 @@ fn bruck_allgather_agrees_with_the_ring_on_both_engines() {
 /// task must park again until the real message lands.
 #[test]
 fn wildcard_recv_parked_across_a_crash_notice() {
-    #[derive(Debug)]
-    struct CrashRank2;
-    impl mim_mpisim::FaultInjector for CrashRank2 {
-        fn on_attempt(
-            &self,
-            _link: &mim_mpisim::LinkCtx,
-            _attempt: u32,
-        ) -> mim_mpisim::SendOutcome {
-            mim_mpisim::SendOutcome::Deliver { extra_delay_ns: 0.0, duplicates: 0 }
-        }
-        fn crash_point(&self, world: usize) -> Option<mim_mpisim::CrashPoint> {
-            (world == 2).then_some(mim_mpisim::CrashPoint::OpCount(0))
-        }
-    }
-    let mut cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(3));
-    cfg.executor = ExecutorKind::Tasks;
-    cfg.injector = Some(Arc::new(CrashRank2));
+    let cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(3))
+        .with_executor(ExecutorKind::Tasks)
+        .with_injector(FaultPlan::new(0).crash_at_ops(2, 0));
     let u = Universe::new(cfg);
     let results = u.launch_faulty(|rank| {
         let world = rank.comm_world();
@@ -296,25 +284,11 @@ fn wildcard_recv_parked_across_a_crash_notice() {
 /// parked-task wakeups (no thread ever blocks).
 #[test]
 fn comm_shrink_while_peers_are_parked() {
-    #[derive(Debug)]
-    struct CrashRank1;
-    impl mim_mpisim::FaultInjector for CrashRank1 {
-        fn on_attempt(
-            &self,
-            _link: &mim_mpisim::LinkCtx,
-            _attempt: u32,
-        ) -> mim_mpisim::SendOutcome {
-            mim_mpisim::SendOutcome::Deliver { extra_delay_ns: 0.0, duplicates: 0 }
-        }
-        fn crash_point(&self, world: usize) -> Option<mim_mpisim::CrashPoint> {
-            // Op 0 is the ring send, op 1 the ring recv; the third wire op
-            // (an extra send) trips this and never delivers.
-            (world == 1).then_some(mim_mpisim::CrashPoint::OpCount(2))
-        }
-    }
-    let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 3), Placement::packed(5));
-    cfg.executor = ExecutorKind::Tasks;
-    cfg.injector = Some(Arc::new(CrashRank1));
+    // Op 0 is the ring send, op 1 the ring recv; the third wire op (an
+    // extra send) trips the crash and never delivers.
+    let cfg = UniverseConfig::new(Machine::cluster(2, 1, 3), Placement::packed(5))
+        .with_executor(ExecutorKind::Tasks)
+        .with_injector(FaultPlan::new(0).crash_at_ops(1, 2));
     let u = Universe::new(cfg);
     let results = u.launch_faulty(|rank| {
         let world = rank.comm_world();
@@ -355,24 +329,10 @@ fn comm_shrink_while_peers_are_parked() {
 /// every run.
 #[test]
 fn tree_gather_reports_a_dead_interior_rank_on_the_virtual_clock() {
-    #[derive(Debug)]
-    struct CrashRank1AtOnce;
-    impl mim_mpisim::FaultInjector for CrashRank1AtOnce {
-        fn on_attempt(
-            &self,
-            _link: &mim_mpisim::LinkCtx,
-            _attempt: u32,
-        ) -> mim_mpisim::SendOutcome {
-            mim_mpisim::SendOutcome::CLEAN
-        }
-        fn crash_point(&self, world: usize) -> Option<mim_mpisim::CrashPoint> {
-            (world == 1).then_some(mim_mpisim::CrashPoint::OpCount(0))
-        }
-    }
     let run = |kind: ExecutorKind| {
-        let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(7));
-        cfg.executor = kind;
-        cfg.injector = Some(Arc::new(CrashRank1AtOnce));
+        let cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(7))
+            .with_executor(kind)
+            .with_injector(FaultPlan::new(0).crash_at_ops(1, 0));
         let deadline = cfg.deadline;
         let wall = std::time::Instant::now();
         let results = Universe::new(cfg).launch_faulty(|rank| {

@@ -651,28 +651,18 @@ mod tests {
 
     #[test]
     fn rank_dying_inside_the_gather_demotes_to_identity() {
-        use mim_mpisim::{CrashPoint, ExecutorKind, FaultInjector, LinkCtx, SendOutcome};
+        use mim_mpisim::{ExecutorKind, FaultPlan};
         use std::time::Instant;
-
-        /// Rank 5 answers the liveness pings, then dies at its first wire
-        /// operation of the gather: `start`'s barrier (a send and a receive
-        /// per dissemination round) and the exchange's one op come first.
-        #[derive(Debug)]
-        struct DieInGather;
-        impl FaultInjector for DieInGather {
-            fn on_attempt(&self, _link: &LinkCtx, _attempt: u32) -> SendOutcome {
-                SendOutcome::CLEAN
-            }
-            fn crash_point(&self, world: usize) -> Option<CrashPoint> {
-                (world == 5).then_some(CrashPoint::OpCount(2 * 3 + 1))
-            }
-        }
 
         for kind in [ExecutorKind::Threads, ExecutorKind::Tasks] {
             let machine = Machine::cluster(2, 1, 8);
+            // Rank 5 answers the liveness pings, then dies at its first wire
+            // operation of the gather: `start`'s barrier (a send and a
+            // receive per dissemination round) and the exchange's one op
+            // come first.
             let cfg = UniverseConfig::new(machine, Placement::packed(8))
                 .with_executor(kind)
-                .with_injector(std::sync::Arc::new(DieInGather));
+                .with_injector(FaultPlan::new(0).crash_at_ops(5, 2 * 3 + 1));
             let deadline = cfg.deadline;
             let wall = Instant::now();
             let results = Universe::new(cfg).launch_faulty(|rank| {

@@ -13,10 +13,10 @@
 //!   window, and the tree gather routes around absent ranks;
 //! * a latent slot never admitted is retired, even when the sponsor dies.
 
-use mim_chaos::FaultPlan;
 use mim_core::{Flags, Monitoring};
 use mim_mpisim::{
-    ExecutorKind, Rank, RankFailure, SrcSel, StaleEpoch, TagSel, Universe, UniverseConfig,
+    ExecutorKind, FaultPlan, Rank, RankFailure, SrcSel, StaleEpoch, TagSel, Universe,
+    UniverseConfig,
 };
 use mim_topology::{Machine, Placement};
 
@@ -109,8 +109,7 @@ type ClocklessOutcome = Vec<(u64, u64, Vec<u64>, Vec<u64>)>;
 
 fn churn_run(machine: Machine, n: usize, seed: u64, kind: ExecutorKind) -> ChurnOutcome {
     let plan = FaultPlan::new(seed).delay(0.2, 30_000.0).restart_at_ops(VICTIM, 5);
-    let mut cfg =
-        UniverseConfig::new(machine, Placement::packed(n)).with_injector(plan.into_injector());
+    let mut cfg = UniverseConfig::new(machine, Placement::packed(n)).with_injector(plan);
     cfg.executor = kind;
     Universe::new(cfg)
         .launch_faulty(churn_app)
@@ -193,7 +192,7 @@ fn chaos_plan_admits_latent_rank_reproducibly() {
         let plan = FaultPlan::new(seed).join_at_ops(4, 6);
         let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(5))
             .with_latent_ranks(1)
-            .with_injector(plan.into_injector());
+            .with_injector(plan);
         cfg.executor = kind;
         Universe::new(cfg).launch_faulty(|rank| {
             let grown = match rank.join_comm() {
@@ -258,7 +257,7 @@ fn a_dead_sponsor_still_retires_latent_slots() {
         let plan = FaultPlan::new(1).crash_at_ops(0, 0);
         let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4))
             .with_latent_ranks(1)
-            .with_injector(plan.into_injector());
+            .with_injector(plan);
         cfg.executor = kind;
         let res = Universe::new(cfg).launch_faulty(|rank| {
             if rank.world_rank() == 0 {
@@ -278,8 +277,8 @@ fn dead_rank_leaves_no_phantom_rows_in_windows() {
     // and gather over themselves — their rows come back intact, and a
     // traffic-free follow-up window is empty everywhere.
     let plan = FaultPlan::new(7).crash_at_ops(3, 7);
-    let cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4))
-        .with_injector(plan.into_injector());
+    let cfg =
+        UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4)).with_injector(plan);
     let res = Universe::new(cfg).launch_faulty(|rank| {
         let world = rank.comm_world();
         let me = world.rank();

@@ -8,11 +8,11 @@
 //!    cascade of rank panics. Allowlisted sites are invariant-backed (the
 //!    message names the invariant) and reviewed by hand.
 //! 2. No wall-clock source (`Instant::now`, `SystemTime::now`) in those four
-//!    crates, `mim-treematch`, `mim-reorder`, `mim-chaos` or
-//!    `mim-topology`. The simulator is a virtual-time machine, the analyzer
-//!    a pure function, the explorer's schedules must replay byte-for-byte,
-//!    the mapper is a pure function of (machine, slots, matrix), the reorder
-//!    loops charge it from a model of that matrix, and fault verdicts and
+//!    crates, `mim-treematch`, `mim-reorder` or `mim-topology`. The
+//!    simulator is a virtual-time machine, the analyzer a pure function,
+//!    the explorer's schedules must replay byte-for-byte, the mapper is a
+//!    pure function of (machine, slots, matrix), the reorder loops charge
+//!    it from a model of that matrix, and fault verdicts and
 //!    the cost model feed every virtual clock: determinism is the whole
 //!    point. Sanctioned wall-clock use lives in `mim-util` (channel
 //!    and `Notifier` timeouts), with one exception:
@@ -65,6 +65,13 @@
 //!     target keep an item public; four collectives, a `comm_dup` and a
 //!     second name for `compute_ns` once lived on that alone. As in rule 8,
 //!     a name collision can only let a method pass wrongly.
+//! 11. Every `pub trait` in library code has at least two production
+//!     `impl … for` sites — production as rule 10 reads it — or is kept on
+//!     purpose in [`KEPT_TRAITS`]. A blanket impl (`impl<T: …> Trait for T`)
+//!     or one a `macro_rules!` body generates (`for $t`) implements the
+//!     trait for many types and is enough alone. A hook with one production
+//!     value is a plain type: the fault plan once sat behind a trait of its
+//!     own, with eight hand-written test fakes standing in for the plan.
 //!
 //! Hermeticity: `cargo build --offline` works from a clean checkout with an
 //! empty registry cache while no lock file has a `source = ` line (a
@@ -81,8 +88,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const UNWRAP_SCOPE: [&str; 4] = ["mpisim", "core", "analyze", "explore"];
-const CLOCK_SCOPE: [&str; 8] =
-    ["mpisim", "core", "analyze", "explore", "treematch", "reorder", "chaos", "topology"];
+const CLOCK_SCOPE: [&str; 7] =
+    ["mpisim", "core", "analyze", "explore", "treematch", "reorder", "topology"];
 /// Rule 3: single files, not whole crates.
 const EXEC_SUBSTRATE: [&str; 2] = ["crates/util/src/fiber.rs", "crates/util/src/deque.rs"];
 const SIZE_SCOPE: [&str; 4] = ["mpisim", "analyze", "explore", "treematch"];
@@ -165,6 +172,11 @@ const TEST_ONLY_KEPT: [(&str, &str); 8] = [
 ];
 /// Rule 10: the trees production callers are read from.
 const PRODUCTION_SCOPE: [&str; 3] = ["crates", "examples", "mim-ledger/src"];
+
+/// Rule 11: library traits with fewer than two production impls, kept on
+/// purpose: `(name, reason)`. An entry whose trait now has two, or that
+/// names no library trait, fails.
+const KEPT_TRAITS: [(&str, &str); 0] = [];
 
 /// Hermeticity: the lock files of the root workspace and of `mim-ledger`.
 const LOCK_FILES: [&str; 2] = ["Cargo.lock", "mim-ledger/Cargo.lock"];
@@ -389,6 +401,12 @@ fn rule7_ledger_only_shims_are_called_nowhere() {
     pass("rule 7: ledger-only shim called", stray(&found, &SHIMS, ok));
 }
 
+/// The identifier at the start of `s` (leading whitespace skipped).
+fn ident(s: &str) -> &str {
+    let s = s.trim_start();
+    &s[..s.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(s.len())]
+}
+
 /// Rule 8: the crate whose library `rel` belongs to (`crates/<c>/src`, not
 /// `src/bin/`); `None` for every other target.
 fn library_of(rel: &str) -> Option<&str> {
@@ -400,10 +418,6 @@ fn library_of(rel: &str) -> Option<&str> {
 /// `pub mod`, and each name a `pub use` brings in (`as` alias or last path
 /// segment; globs bring none).
 fn public_names(code: &str) -> Vec<&str> {
-    fn ident(s: &str) -> &str {
-        let s = s.trim();
-        &s[..s.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(s.len())]
-    }
     let code = code.trim_start();
     if let Some(used) = code.strip_prefix("pub use ") {
         let leaves = used.split(['{', '}', ',', ';']).map(|leaf| match leaf.split_once(" as ") {
@@ -553,6 +567,20 @@ fn rule9_reads_library_code_only() {
     );
 }
 
+/// Rules 10 and 11: `(path, lines)` of every production file — under
+/// [`PRODUCTION_SCOPE`], not a `tests/` file or a `tests.rs` module — with
+/// its test items stripped.
+fn production_lines(files: &[(String, String)]) -> Vec<(&str, Vec<(&str, usize)>)> {
+    let is_test = |rel: &str| {
+        rel.starts_with("tests/") || rel.contains("/tests/") || rel.ends_with("/tests.rs")
+    };
+    files
+        .iter()
+        .filter(|(rel, _)| !is_test(rel) && PRODUCTION_SCOPE.iter().any(|p| rel.starts_with(p)))
+        .map(|(rel, text)| (rel.as_str(), strip_test_items(text)))
+        .collect()
+}
+
 /// Rule 10 over `(path, text)` files: every `pub fn` of an `impl Rank`
 /// block under `crates/mpisim/src` that no production line calls and no
 /// [`TEST_ONLY_KEPT`]-shaped entry of `kept` names, then every entry that
@@ -561,14 +589,7 @@ fn rank_methods_without_production_caller(
     files: &[(String, String)],
     kept: &[(&str, &str)],
 ) -> Vec<String> {
-    let is_test = |rel: &str| {
-        rel.starts_with("tests/") || rel.contains("/tests/") || rel.ends_with("/tests.rs")
-    };
-    let production: Vec<(&str, Vec<(&str, usize)>)> = files
-        .iter()
-        .filter(|(rel, _)| !is_test(rel) && PRODUCTION_SCOPE.iter().any(|p| rel.starts_with(p)))
-        .map(|(rel, text)| (rel.as_str(), strip_test_items(text)))
-        .collect();
+    let production = production_lines(files);
     let mut methods = Vec::new();
     for (rel, lines) in production.iter().filter(|(rel, _)| rel.starts_with("crates/mpisim/src/")) {
         let mut depth = 0;
@@ -639,6 +660,91 @@ fn rule10_census_reads_production_callers_only() {
             "names no impl Rank method (deleted?): (\"gone\", \"stale\")",
         ]
     );
+}
+
+/// Rule 11: the head of an `impl … for …` line (the words before ` for `,
+/// which name the trait) and its weight: 2 when the impl covers many types
+/// — its self type is a `macro_rules!` metavariable or one of the impl's
+/// own type parameters — else 1.
+fn impl_site(code: &str) -> Option<(&str, usize)> {
+    let code = code.trim_start();
+    if !(code.starts_with("impl ") || code.starts_with("impl<")) {
+        return None;
+    }
+    let (head, rest) = code.split_once(" for ")?;
+    let self_ty = rest.split_whitespace().next()?;
+    Some((head, if self_ty.contains('$') || has_word(head, self_ty) { 2 } else { 1 }))
+}
+
+/// Rule 11 over `(path, text)` files: every `pub trait` of a library whose
+/// production impl sites weigh less than two and that no
+/// [`KEPT_TRAITS`]-shaped entry of `kept` names, then every entry that
+/// covers no such trait.
+fn traits_without_two_impls(files: &[(String, String)], kept: &[(&str, &str)]) -> Vec<String> {
+    let (mut declared, mut impls) = (Vec::new(), Vec::new());
+    for (rel, lines) in production_lines(files) {
+        for (line, n) in lines {
+            let code = code_of(line);
+            match code.trim_start().strip_prefix("pub trait ") {
+                Some(name) if library_of(rel).is_some() => declared.push((rel, n, ident(name))),
+                _ => impls.extend(impl_site(code)),
+            }
+        }
+    }
+    let (mut problems, mut used) = (Vec::new(), vec![false; kept.len()]);
+    for (rel, n, name) in declared {
+        let sites: usize = impls.iter().filter(|(head, _)| has_word(head, name)).map(|s| s.1).sum();
+        if sites >= 2 {
+            continue;
+        }
+        match kept.iter().position(|(k, _)| *k == name) {
+            Some(i) => used[i] = true,
+            None => problems.push(format!("{rel}:{n}: `{name}` has {sites} production impl(s)")),
+        }
+    }
+    let stale = kept.iter().zip(used).filter(|(_, used)| !used);
+    problems.extend(stale.map(|(k, _)| format!("covers no trait short of two impls: {k:?}")));
+    problems
+}
+
+#[test]
+fn rule11_library_traits_have_two_production_impls() {
+    let files = rust_files(&PRODUCTION_SCOPE, false);
+    let rule = "rule 11: a pub trait with one production impl (make it a plain type or keep it \
+                in KEPT_TRAITS)";
+    pass(rule, traits_without_two_impls(&files, &KEPT_TRAITS));
+}
+
+#[test]
+fn rule11_census_counts_production_impls_only() {
+    let file = |rel: &str, text: &str| (rel.to_owned(), text.to_owned());
+    let files = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub trait Two {}\npub trait One {}\npub trait Blanket {}\npub trait Macro {}\n\
+             pub trait Kept {}\npub(crate) trait Inner {}\nimpl Two for A {}\n\
+             impl One for A {}\nimpl<F: Fn(&E) -> u8> Blanket for F {}\n\
+             macro_rules! m {\n    ($t:ty) => {\n        impl Macro for $t {}\n    };\n}\n\
+             #[cfg(test)]\nmod tests {\n    impl One for T {}\n}",
+        ),
+        // Another crate's library counts, through a path too.
+        file("crates/b/src/lib.rs", "impl a::Two<u8> for B {}"),
+        // Test targets, `tests.rs` modules and test items do not; a bin's
+        // trait is no library trait.
+        file("crates/a/tests/props.rs", "impl One for U {}"),
+        file("crates/a/src/m/tests.rs", "impl One for V {}"),
+        file("crates/a/src/bin/tool.rs", "pub trait Tool {}"),
+    ];
+    let kept = [("Kept", "on purpose"), ("Two", "stale: implemented twice")];
+    assert_eq!(
+        traits_without_two_impls(&files, &kept),
+        [
+            "crates/a/src/lib.rs:2: `One` has 1 production impl(s)",
+            "covers no trait short of two impls: (\"Two\", \"stale: implemented twice\")",
+        ]
+    );
+    assert_eq!(impl_site("impl<T> Iterator for Wrap<T> {"), Some(("impl<T> Iterator", 1)));
+    assert_eq!(impl_site("impl Rank {"), None);
 }
 
 #[test]
