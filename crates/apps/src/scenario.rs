@@ -24,6 +24,7 @@ use mim_mpisim::{
 };
 use mim_reorder::{monitored_reorder, monitored_reorder_resilient, ReorderFallback};
 use mim_topology::{Machine, Placement};
+use mim_util::env_u64;
 
 use crate::output::fmt_ns;
 use crate::stencil::{run_stencil, StencilConfig};
@@ -152,12 +153,15 @@ pub enum Chaos {
 }
 
 /// The chaos scenarios' plan from the environment: `MIM_CHAOS_SEED`
-/// (default 42) reseeds the built-in plan; `MIM_CHAOS_PLAN` replaces it
-/// entirely (see `FaultPlan::parse`).
+/// (decimal or `0x` hex, default 42) reseeds the built-in plan;
+/// `MIM_CHAOS_PLAN` replaces it entirely, under that seed (see
+/// `FaultPlan::parse`).  Malformed input panics, naming the value or the
+/// offending clause.
 pub fn chaos_from_env() -> Chaos {
-    match FaultPlan::from_env() {
-        Some(plan) if std::env::var("MIM_CHAOS_PLAN").is_ok() => Chaos::Custom(plan),
-        plan => Chaos::Builtin(plan.map_or(42, |p| p.seed())),
+    let seed = env_u64("MIM_CHAOS_SEED").unwrap_or(42);
+    match std::env::var("MIM_CHAOS_PLAN") {
+        Ok(plan) => Chaos::Custom(FaultPlan::parse(seed, &plan)),
+        Err(_) => Chaos::Builtin(seed),
     }
 }
 
@@ -398,6 +402,11 @@ struct ElasticReport {
 ///    the superseded epoch-2 communicator are rejected with a typed
 ///    `StaleEpoch` error, and a fresh session — joiner included — gathers
 ///    a 9x9 window matrix over the live membership.
+///
+/// # Panics
+/// A custom plan without a `restart=3@ops:N` clause is rejected before
+/// launch: without the victim's rebirth the survivors would wait for it
+/// until the deadline.
 pub fn elastic_stencil(
     exec: ExecutorKind,
     tracer: Option<Arc<Tracer>>,
@@ -410,6 +419,11 @@ pub fn elastic_stencil(
             FaultPlan::new(seed).delay(0.15, 20_000.0).restart_at_ops(VICTIM, RESTART_OPS)
         }
     };
+    assert!(
+        plan.restarts(VICTIM),
+        "elastic_stencil: the fault plan has no `restart={VICTIM}@ops:N` clause, so the \
+         survivors would await rank {VICTIM}'s rebirth until the deadline"
+    );
     let seed = plan.seed();
 
     let machine = Machine::cluster(2, 1, 8);

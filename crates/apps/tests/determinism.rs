@@ -10,11 +10,14 @@
 //! protocol, not just the happy path.  Three workers split the ranks
 //! unevenly across their home queues.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use mim_apps::scenario::{self, Chaos, Transcript};
 use mim_mpisim::trace::{TraceData, TraceDigest, Tracer};
 use mim_mpisim::ExecutorKind::{self, Tasks, Threads};
+use mim_mpisim::FaultPlan;
 
 /// The seed of both chaos scenarios' built-in plans.
 const SEED: u64 = 42;
@@ -37,8 +40,8 @@ fn twice() -> Vec<Engine> {
     [&ENGINES[..], &ENGINES[..2]].concat()
 }
 
-/// Held for the length of every run: `MIM_WORKERS` is process-wide, and a
-/// universe reads it when it is built.
+/// Held for the length of every run: `MIM_WORKERS` and `MIM_DEADLINE_MS`
+/// are process-wide, and a universe reads them when it is built.
 static ENV: Mutex<()> = Mutex::new(());
 
 type Scenario<'a> = &'a dyn Fn(ExecutorKind, Option<Arc<Tracer>>) -> Transcript;
@@ -138,4 +141,30 @@ fn elastic_stencil_replays_byte_identically() {
     // reborn and latent ranks receive their epochs by admission notice,
     // which does not re-record the bump.
     assert!(first.count(|e| matches!(e, TraceData::EpochBump { .. })) >= 3);
+}
+
+/// A custom plan that never restarts the victim is refused before launch,
+/// by name, instead of leaving every survivor in `await_rejoin` until the
+/// deadlock detector fires with an unrelated message.
+#[test]
+fn elastic_stencil_rejects_a_plan_without_the_victims_restart() {
+    const DEADLINE_MS: u64 = 200;
+    // The plan README gives for `chaos_stencil`: rank 3 crashes for good.
+    let plan =
+        FaultPlan::parse(SEED, "drop=0.1,dup=0.05,delay=0.2:500,degrade=0-3:0.25,crash=3@ops:18");
+    let _env = ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    std::env::set_var("MIM_DEADLINE_MS", DEADLINE_MS.to_string());
+    let start = Instant::now();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        scenario::elastic_stencil(Threads, None, Chaos::Custom(plan))
+    }));
+    let elapsed = start.elapsed();
+    std::env::remove_var("MIM_DEADLINE_MS");
+    let payload = outcome.expect_err("a plan without a restart clause must be refused");
+    let msg = payload.downcast_ref::<String>().map_or("<non-string panic>", String::as_str);
+    assert!(msg.contains("no `restart=3@ops:N` clause"), "wrong refusal: {msg}");
+    assert!(
+        elapsed < Duration::from_millis(DEADLINE_MS / 2),
+        "refused after {elapsed:?}, not before launch (deadline {DEADLINE_MS} ms)"
+    );
 }

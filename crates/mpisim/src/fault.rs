@@ -2,8 +2,8 @@
 //!
 //! The runtime stays fault-free by default: a [`FaultPlan`] is an
 //! *optional*, seeded schedule of faults — message drop, duplication, extra
-//! delay, per-link bandwidth degradation, rank crashes, rolling restarts and
-//! joins — installed through [`crate::UniverseConfig::with_injector`] and
+//! delay, per-link bandwidth degradation, rank crashes and rolling
+//! restarts — installed through [`crate::UniverseConfig::with_injector`] and
 //! consulted by the wire layer at every send attempt.  Because the plan
 //! decides everything at the sender — drop this attempt, duplicate the
 //! delivery, stretch the arrival — recovery can be *simulated* rather than
@@ -12,11 +12,11 @@
 //! eager protocol with sender-side ack timers would behave.  Without a plan
 //! the wire layer's fault check is one branch on an `Option`.
 //!
-//! Plans come from builder calls or from the environment:
+//! Plans come from builder calls or from [`FaultPlan::parse`], which reads
+//! the `MIM_CHAOS_PLAN` grammar:
 //!
 //! ```text
-//! MIM_CHAOS_SEED=42
-//! MIM_CHAOS_PLAN="drop=0.05,dup=0.02,delay=0.1:2000,degrade=0-1:0.5,crash=3@ops:120"
+//! drop=0.05,dup=0.02,delay=0.1:2000,degrade=0-1:0.5,crash=3@ops:120
 //! ```
 //!
 //! Failure *handling* types also live here: [`RankFailure`] (what
@@ -28,10 +28,10 @@
 //!
 //! Executor independence: every verdict is a pure function of virtual
 //! identifiers (`seed, src, dst, op_index, attempt`) folded through the
-//! in-tree splitmix64 mixer, and both the retransmission backoff and the
-//! crash points are charged to the virtual clock — so a fixed-seed plan
-//! replays bit-identically whether ranks are OS threads or M:N tasks (the
-//! root `tests/chaos.rs`, module `executor_tasks_mode`).
+//! in-tree splitmix64 mixer, the retransmission backoff is charged to the
+//! virtual clock and a crash point is a wire-operation count — so a
+//! fixed-seed plan replays bit-identically whether ranks are OS threads or
+//! M:N tasks (the root `tests/chaos.rs`, module `executor_tasks_mode`).
 //! The only seam the M:N engine adds is on the *receiving* side: a death
 //! notice posted to a parked rank must wake its task, which is why all
 //! fault-protocol traffic goes through `Shared::post` like user traffic.
@@ -39,24 +39,7 @@
 use std::any::Any;
 use std::fmt;
 
-use mim_util::env_u64;
 use mim_util::rng::{splitmix64, Rng};
-
-/// When a rank should crash, in the rank's own frame of reference.
-///
-/// Both variants are checked at wire-operation boundaries (send or receive
-/// entry), the only points where a simulated process interacts with the rest
-/// of the world — crashing mid-computation would be indistinguishable to
-/// every peer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum CrashPoint {
-    /// Crash immediately before the rank's `n`-th wire operation
-    /// (0-based: `OpCount(0)` dies before doing anything).
-    OpCount(u64),
-    /// Crash at the first wire operation whose entry virtual time is
-    /// `>= t` nanoseconds.
-    VirtualTimeNs(f64),
-}
 
 /// Context handed to [`FaultPlan::on_attempt`] for one send attempt over a link.
 #[derive(Debug, Clone, Copy)]
@@ -110,14 +93,12 @@ pub struct FaultPlan {
     delay_max_ns: f64,
     /// Directed `(src_world, dst_world, bandwidth_scale)` overrides.
     degrade: Vec<(usize, usize, f64)>,
-    crashes: Vec<(usize, CrashPoint)>,
+    /// `(world, ops)` crash points (see [`FaultPlan::crash_at_ops`]).
+    crashes: Vec<(usize, u64)>,
     /// Ranks whose plan crash is followed by a rebirth (rolling restart,
     /// honoured by `Universe::launch_faulty`).  Each restarts exactly once:
     /// only the original incarnation's crash is covered.
     restarts: Vec<usize>,
-    /// Join schedule: `(latent joiner world rank, sponsor op count)` pairs
-    /// (see [`FaultPlan::join_plan`]).
-    joins: Vec<(usize, u64)>,
 }
 
 impl FaultPlan {
@@ -133,7 +114,6 @@ impl FaultPlan {
             degrade: Vec::new(),
             crashes: Vec::new(),
             restarts: Vec::new(),
-            joins: Vec::new(),
         }
     }
 
@@ -169,15 +149,11 @@ impl FaultPlan {
         self
     }
 
-    /// Crash `world` when its wire-operation counter reaches `ops`.
+    /// Crash `world` immediately before its `ops`-th wire operation, send
+    /// or receive (0-based: 0 dies before doing anything) — the only points
+    /// where a simulated process meets the rest of the world.
     pub fn crash_at_ops(mut self, world: usize, ops: u64) -> Self {
-        self.crashes.push((world, CrashPoint::OpCount(ops)));
-        self
-    }
-
-    /// Crash `world` at virtual timestamp `at_ns`.
-    fn crash_at_time(mut self, world: usize, at_ns: f64) -> Self {
-        self.crashes.push((world, CrashPoint::VirtualTimeNs(at_ns)));
+        self.crashes.push((world, ops));
         self
     }
 
@@ -190,38 +166,16 @@ impl FaultPlan {
         self.crash_at_ops(world, ops)
     }
 
-    /// Schedule the admission of latent rank `world` when the sponsor's
-    /// (world rank 0's) wire-operation counter reaches `ops` — the join
-    /// dual of [`FaultPlan::crash_at_ops`].
-    pub fn join_at_ops(mut self, world: usize, ops: u64) -> Self {
-        self.joins.push((world, ops));
-        self
-    }
-
     /// The seed this plan keys every decision on.
     pub fn seed(&self) -> u64 {
         self.seed
     }
 
-    /// Build a plan from `MIM_CHAOS_SEED` / `MIM_CHAOS_PLAN`.
-    ///
-    /// Returns `None` when neither variable is set.  `MIM_CHAOS_SEED` is
-    /// decimal or `0x` hex and defaults to 42 when only the plan is given.
-    /// Malformed input panics, naming the value or the offending clause — a
-    /// chaos run with a silently half-parsed plan would be worse than no run.
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed = env_u64("MIM_CHAOS_SEED");
-        let plan = std::env::var("MIM_CHAOS_PLAN").ok();
-        if seed.is_none() && plan.is_none() {
-            return None;
-        }
-        Some(Self::parse(seed.unwrap_or(42), plan.as_deref().unwrap_or("")))
-    }
-
     /// Parse the `MIM_CHAOS_PLAN` grammar: comma-separated clauses
     /// `drop=P`, `dup=P`, `delay=P:MAX_NS`, `degrade=SRC-DST:SCALE`,
-    /// `crash=WORLD@ops:N` / `crash=WORLD@ns:T`, `restart=WORLD@ops:N`,
-    /// `join=WORLD@ops:N`.  Panics on anything it does not understand.
+    /// `crash=WORLD@ops:N` and `restart=WORLD@ops:N`.  Panics on anything
+    /// it does not understand, naming the offending clause — a chaos run
+    /// with a silently half-parsed plan would be worse than no run.
     pub fn parse(seed: u64, plan: &str) -> FaultPlan {
         let mut out = FaultPlan::new(seed);
         for clause in plan.split(',').map(str::trim).filter(|c| !c.is_empty()) {
@@ -229,13 +183,18 @@ impl FaultPlan {
                 .split_once('=')
                 .unwrap_or_else(|| panic!("MIM_CHAOS_PLAN clause without '=': {clause:?}"));
             let bad = |what: &str| -> ! { panic!("MIM_CHAOS_PLAN bad {what} in {clause:?}") };
-            // `WORLD@KIND:N`, the point of the crash, restart and join clauses.
-            let at = || {
+            // `WORLD@ops:N`, the point of the crash and restart clauses.
+            let at = || -> (usize, u64) {
                 let (world, point) = val.split_once('@').unwrap_or_else(|| bad("WORLD@POINT"));
                 let (kind, n) = point.split_once(':').unwrap_or_else(|| bad("KIND:N point"));
-                (world.parse::<usize>().unwrap_or_else(|_| bad("world rank")), kind, n)
+                if kind != "ops" {
+                    bad(&format!("{key} point kind (want ops:)"));
+                }
+                (
+                    world.parse().unwrap_or_else(|_| bad("world rank")),
+                    n.parse().unwrap_or_else(|_| bad("ops")),
+                )
             };
-            let ops = |n: &str| -> u64 { n.parse().unwrap_or_else(|_| bad("ops")) };
             match key {
                 "drop" => out = out.drop_p(val.parse().unwrap_or_else(|_| bad("probability"))),
                 "dup" => out = out.dup_p(val.parse().unwrap_or_else(|_| bad("probability"))),
@@ -256,25 +215,12 @@ impl FaultPlan {
                     );
                 }
                 "crash" => {
-                    out = match at() {
-                        (w, "ops", n) => out.crash_at_ops(w, ops(n)),
-                        (w, "ns", n) => {
-                            out.crash_at_time(w, n.parse().unwrap_or_else(|_| bad("time")))
-                        }
-                        _ => bad("crash point kind (want ops: or ns:)"),
-                    }
+                    let (w, n) = at();
+                    out = out.crash_at_ops(w, n);
                 }
                 "restart" => {
-                    out = match at() {
-                        (w, "ops", n) => out.restart_at_ops(w, ops(n)),
-                        _ => bad("restart point kind (want ops:)"),
-                    }
-                }
-                "join" => {
-                    out = match at() {
-                        (w, "ops", n) => out.join_at_ops(w, ops(n)),
-                        _ => bad("join point kind (want ops:)"),
-                    }
+                    let (w, n) = at();
+                    out = out.restart_at_ops(w, n);
                 }
                 _ => bad("clause key"),
             }
@@ -314,28 +260,19 @@ impl FaultPlan {
             .map_or(1.0, |(_, _, scale)| *scale)
     }
 
-    /// Crash schedule for a rank, if any.
-    pub(crate) fn crash_point(&self, world: usize) -> Option<CrashPoint> {
-        self.crashes.iter().find(|(w, _)| *w == world).map(|(_, p)| *p)
+    /// The wire-operation count at which a rank crashes, if any.
+    pub(crate) fn crash_point(&self, world: usize) -> Option<u64> {
+        self.crashes.iter().find(|(w, _)| *w == world).map(|(_, n)| *n)
     }
 
-    /// Rolling-restart schedule: should a rank crashed by this plan be
-    /// reborn (same world rank, incarnation + 1)?  Consulted by the per-slot
-    /// driver under `Universe::launch_faulty` after a plan crash unwinds the
-    /// rank body; `incarnation` is the incarnation that just died (0 for the
-    /// original).  One rebirth per rank: a reborn body's own crashes stay
-    /// fatal.  The strict `Universe::launch` never asks.
-    pub(crate) fn restart_after_crash(&self, world: usize, incarnation: u32) -> bool {
-        incarnation == 0 && self.restarts.contains(&world)
-    }
-
-    /// Join schedule: latent ranks the sponsor (world rank 0) admits
-    /// mid-run, as `(joiner world rank, sponsor op count)` pairs.  The
-    /// sponsor checks this at every wire-operation prologue and sends the
-    /// admission notice when its op count reaches the threshold, so a
-    /// seeded plan's joins land at a byte-reproducible point of the run.
-    pub(crate) fn join_plan(&self) -> &[(usize, u64)] {
-        &self.joins
+    /// Rolling-restart schedule: is `world`, once this plan crashes it,
+    /// reborn (same world rank, incarnation + 1; a `restart=WORLD@ops:N`
+    /// clause)?  Asked by the per-slot driver under
+    /// `Universe::launch_faulty` after a plan crash unwinds the rank body,
+    /// never by the strict `Universe::launch`.  One rebirth per rank: only
+    /// the original incarnation carries a crash point.
+    pub fn restarts(&self, world: usize) -> bool {
+        self.restarts.contains(&world)
     }
 
     /// No probabilistic faults configured (crashes and degradation do not
@@ -590,11 +527,11 @@ mod tests {
     #[test]
     fn degrade_and_crash_lookups() {
         let plan =
-            FaultPlan::new(0).degrade_link(0, 1, 0.5).crash_at_ops(3, 120).crash_at_time(2, 5000.0);
+            FaultPlan::new(0).degrade_link(0, 1, 0.5).crash_at_ops(3, 120).crash_at_ops(2, 0);
         assert_eq!(plan.link_bandwidth_scale(0, 1), 0.5);
         assert_eq!(plan.link_bandwidth_scale(1, 0), 1.0, "degradation is directed");
-        assert_eq!(plan.crash_point(3), Some(CrashPoint::OpCount(120)));
-        assert_eq!(plan.crash_point(2), Some(CrashPoint::VirtualTimeNs(5000.0)));
+        assert_eq!(plan.crash_point(3), Some(120));
+        assert_eq!(plan.crash_point(2), Some(0));
         assert_eq!(plan.crash_point(0), None);
     }
 
@@ -602,7 +539,7 @@ mod tests {
     fn parse_full_grammar() {
         let plan = FaultPlan::parse(
             9,
-            "drop=0.05, dup=0.02,delay=0.1:2000,degrade=0-1:0.5,crash=3@ops:120,crash=2@ns:5000",
+            "drop=0.05, dup=0.02,delay=0.1:2000,degrade=0-1:0.5,crash=3@ops:120,crash=2@ops:0",
         );
         assert_eq!(plan.seed(), 9);
         assert_eq!(plan.drop_p, 0.05);
@@ -610,28 +547,36 @@ mod tests {
         assert_eq!(plan.delay_p, 0.1);
         assert_eq!(plan.delay_max_ns, 2000.0);
         assert_eq!(plan.degrade, vec![(0, 1, 0.5)]);
-        assert_eq!(
-            plan.crashes,
-            vec![(3, CrashPoint::OpCount(120)), (2, CrashPoint::VirtualTimeNs(5000.0))]
-        );
+        assert_eq!(plan.crashes, vec![(3, 120), (2, 0)]);
     }
 
     #[test]
     fn parse_churn_grammar() {
-        let plan = FaultPlan::parse(5, "restart=3@ops:40,join=8@ops:12");
-        assert_eq!(plan.crashes, vec![(3, CrashPoint::OpCount(40))]);
+        let plan = FaultPlan::parse(5, "restart=3@ops:40");
+        assert_eq!(plan.crashes, vec![(3, 40)]);
         assert_eq!(plan.restarts, vec![3]);
-        assert_eq!(plan.joins, vec![(8, 12)]);
-        assert!(plan.restart_after_crash(3, 0));
-        assert!(!plan.restart_after_crash(3, 1), "ranks restart exactly once");
-        assert!(!plan.restart_after_crash(2, 0));
-        assert_eq!(plan.join_plan(), vec![(8, 12)]);
+        assert!(plan.restarts(3) && !plan.restarts(2));
     }
 
     #[test]
     #[should_panic(expected = "restart point kind")]
     fn parse_rejects_time_restart() {
         let _ = FaultPlan::parse(0, "restart=3@ns:500");
+    }
+
+    /// Latent ranks join where code calls `Rank::admit`: the plan has no
+    /// join clause.
+    #[test]
+    #[should_panic(expected = "bad clause key in \"join=8@ops:12\"")]
+    fn parse_rejects_join_clause() {
+        let _ = FaultPlan::parse(5, "restart=3@ops:40,join=8@ops:12");
+    }
+
+    /// A crash point is a wire-operation count, never a virtual time.
+    #[test]
+    #[should_panic(expected = "bad crash point kind (want ops:) in \"crash=2@ns:5000\"")]
+    fn parse_rejects_time_crash() {
+        let _ = FaultPlan::parse(9, "crash=3@ops:120,crash=2@ns:5000");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use super::{Rank, SrcSel, Status, SEND_OVERHEAD_NS};
 use crate::comm::Comm;
 use crate::datatype::Scalar;
 use crate::envelope::{Ctx, Envelope, MsgKind, Payload};
-use crate::fault::{self, CrashPoint, FaultPlan, LinkCtx, PeerFailure, SendOutcome};
+use crate::fault::{self, FaultPlan, LinkCtx, PeerFailure, SendOutcome};
 use crate::mailbox::{self, MatchPattern, TagSel};
 
 /// The fault-only state of a [`Rank`]: all of it idle (and `ops` stuck at
@@ -27,9 +27,13 @@ pub(super) struct FaultState {
     /// The installed fault plan, cloned out of the config for
     /// branch-cheap access on the wire paths.
     injector: Option<Arc<FaultPlan>>,
-    /// Wire operations completed (sends + receives), the op-count frame of
-    /// [`CrashPoint::OpCount`].  Only advanced when a plan is installed.
+    /// Wire operations completed (sends + receives), the frame of the
+    /// plan's crash points.  Only advanced when a plan is installed.
     ops: Cell<u64>,
+    /// The op count at which this body crashes (`u64::MAX`: never).  Only
+    /// the original incarnation carries the plan's crash point: a reborn
+    /// body must not re-fire the crash that killed its predecessor.
+    crash_at: u64,
     /// Retransmissions this rank issued (drop faults recovered by backoff).
     retries: Cell<u64>,
     /// Next wire sequence per destination world rank (duplicate dedup).
@@ -41,8 +45,16 @@ pub(super) struct FaultState {
 }
 
 impl FaultState {
-    pub(super) fn new(injector: Option<Arc<FaultPlan>>) -> Self {
-        Self { injector, ..Self::default() }
+    pub(super) fn new(
+        injector: Option<Arc<FaultPlan>>,
+        world_rank: usize,
+        incarnation: u32,
+    ) -> Self {
+        let crash_at = match &injector {
+            Some(inj) if incarnation == 0 => inj.crash_point(world_rank).unwrap_or(u64::MAX),
+            _ => u64::MAX,
+        };
+        Self { injector, crash_at, ..Self::default() }
     }
 }
 
@@ -67,28 +79,17 @@ pub(super) fn fault_pat(src: mailbox::SrcSel, tag: u32) -> MatchPattern {
 impl Rank {
     // ----- fault machinery ---------------------------------------------------
 
-    /// Wire-operation prologue: fire the plan's due joins (sponsor only)
-    /// and its crash point, else count the op.  A no-op (ops stay 0)
-    /// without a plan.  Both churn triggers are gated on
-    /// `incarnation == 0`: a reborn body must not re-fire the crash that
-    /// killed its predecessor, and the join schedule fires once per run.
+    /// Wire-operation prologue: crash once this body's op count reaches its
+    /// crash point, else count the op.  A no-op (ops stay 0) without a plan.
     pub(super) fn pre_op(&self) {
-        let Some(inj) = &self.fault.injector else { return };
-        if self.incarnation() == 0 {
-            if self.world_rank == 0 {
-                self.fire_due_joins(self.fault.ops.get());
-            }
-            if let Some(cp) = inj.crash_point(self.world_rank) {
-                let due = match cp {
-                    CrashPoint::OpCount(n) => self.fault.ops.get() >= n,
-                    CrashPoint::VirtualTimeNs(t) => self.clock.now_ns() >= t,
-                };
-                if due {
-                    self.crash_now();
-                }
-            }
+        if self.fault.injector.is_none() {
+            return;
         }
-        self.fault.ops.set(self.fault.ops.get() + 1);
+        let ops = self.fault.ops.get();
+        if ops >= self.fault.crash_at {
+            self.crash_now();
+        }
+        self.fault.ops.set(ops + 1);
     }
 
     /// Put one logical send before the fault plan, ahead of the cost model

@@ -1,10 +1,9 @@
 //! Elastic membership: communicator epochs, the purely local shrink/grow
-//! id derivation, the admission wire codec, incarnations, the plan's join
-//! schedule and a latent slot's parked wait for admission (the per-slot
-//! driver that calls it lives beside the engines in `universe`).  None of
-//! it is on the communication path of a static universe: the wire reads
-//! two numbers from here (this body's incarnation, a peer's) and nothing
-//! else.
+//! id derivation, the admission wire codec, incarnations and a latent
+//! slot's parked wait for admission (the per-slot driver that calls it
+//! lives beside the engines in `universe`).  None of it is on the
+//! communication path of a static universe: the wire reads two numbers
+//! from here (this body's incarnation, a peer's) and nothing else.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
@@ -20,7 +19,7 @@ use super::Rank;
 use crate::comm::{Comm, Groups};
 use crate::datatype::Scalar;
 use crate::envelope::{Envelope, Payload};
-use crate::fault::{self, FaultPlan};
+use crate::fault;
 use crate::mailbox::{self, Mailbox};
 
 /// The membership-only state of a [`Rank`].
@@ -37,30 +36,15 @@ pub(super) struct Membership {
     /// The communicator a latent joiner was admitted into (`None` for
     /// initial-world ranks).
     join_comm: Option<Comm>,
-    /// The plan's join schedule with per-entry fired flags (fetched once;
-    /// only the sponsor's original incarnation consults it).
-    join_plan: RefCell<Vec<(usize, u64, bool)>>,
 }
 
 impl Membership {
-    pub(super) fn new(
-        world_rank: usize,
-        incarnation: u32,
-        join_comm: Option<Comm>,
-        injector: Option<&Arc<FaultPlan>>,
-    ) -> Self {
-        let join_plan = match injector {
-            Some(inj) if world_rank == 0 && incarnation == 0 => {
-                inj.join_plan().iter().map(|&(j, at)| (j, at, false)).collect()
-            }
-            _ => Vec::new(),
-        };
+    pub(super) fn new(incarnation: u32, join_comm: Option<Comm>) -> Self {
         Self {
             incarnation,
             peer_inc: RefCell::new(IdMap::default()),
             epoch: Cell::new(join_comm.as_ref().map_or(0, Comm::epoch)),
             join_comm,
-            join_plan: RefCell::new(join_plan),
         }
     }
 }
@@ -104,19 +88,6 @@ fn derived_id(salt: u64, words: impl Iterator<Item = u64>) -> u64 {
     let h = words
         .fold(0xcbf2_9ce4_8422_2325u64 ^ salt, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01B3));
     h | (1 << 63)
-}
-
-/// Derive a grown communicator's identity: like `comm_shrink`'s id fold but
-/// over the joiner list, salted with the parent's epoch plus a marker so a
-/// grow and a shrink of the same parent can never collide.
-fn grow_comm_parts(parent: &Comm, joiners: &[usize]) -> (u64, Vec<usize>, u64) {
-    let salt = parent.id() ^ 0x6772_6f77 // "grow"
-        ^ parent.epoch().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let id =
-        derived_id(salt, joiners.iter().enumerate().map(|(i, &j)| ((i as u64) << 32) | j as u64));
-    let mut group: Vec<usize> = parent.group().to_vec();
-    group.extend_from_slice(joiners);
-    (id, group, parent.epoch() + 1)
 }
 
 /// Serialize a communicator for the wire (admission notices): little-endian
@@ -200,34 +171,6 @@ impl Rank {
     /// of a peer.
     pub fn stale_dropped(&self) -> u64 {
         self.mailbox.borrow().stale_dropped()
-    }
-
-    /// The sponsor's half of the plan's join schedule: send the admission
-    /// notice for every entry whose op-count threshold this rank has
-    /// reached.  Admission timing is a pure function of the sponsor's op
-    /// count — the dual of [`CrashPoint::OpCount`] — so a seeded plan's
-    /// membership churn replays byte-identically.  The notice carries the
-    /// initial world grown by the joiner; members construct the identical
-    /// communicator with [`Rank::comm_grow`].
-    pub(super) fn fire_due_joins(&self, ops: u64) {
-        let due: Vec<usize> = {
-            let mut plan = self.membership.join_plan.borrow_mut();
-            if plan.is_empty() {
-                return;
-            }
-            plan.iter_mut()
-                .filter(|(_, at, fired)| !*fired && ops >= *at)
-                .map(|e| {
-                    e.2 = true;
-                    e.0
-                })
-                .collect()
-        };
-        for joiner in due {
-            let world = self.comm_world();
-            let (id, group, epoch) = grow_comm_parts(&world, &[joiner]);
-            self.post_admission(id, epoch, &group, joiner);
-        }
     }
 
     /// The newest incarnation this rank knows for a peer (0 until a join or
@@ -401,8 +344,16 @@ impl Rank {
             assert!(j < self.capacity(), "comm_grow: joiner {j} is outside the universe");
             assert!(!comm.contains_world(j), "comm_grow: joiner {j} is already a member");
         }
-        let (id, group, epoch) = grow_comm_parts(comm, &js);
-        self.derive_comm(id, group, comm.rank(), epoch)
+        // `comm_shrink`'s id fold over the joiner list, salted with the
+        // parent's epoch plus a marker so a grow and a shrink of the same
+        // parent can never collide.
+        let salt = comm.id() ^ 0x6772_6f77 // "grow"
+            ^ comm.epoch().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let id =
+            derived_id(salt, js.iter().enumerate().map(|(i, &j)| ((i as u64) << 32) | j as u64));
+        let mut group = comm.group().to_vec();
+        group.extend_from_slice(&js);
+        self.derive_comm(id, group, comm.rank(), comm.epoch() + 1)
     }
 
     /// The shared tail of [`Rank::comm_shrink`] and [`Rank::comm_grow`]:
@@ -423,7 +374,8 @@ impl Rank {
     /// sponsor side of the join protocol.  The other members call
     /// [`Rank::comm_grow`] with the same arguments (deriving the identical
     /// communicator); the joiner receives it via [`Rank::join_comm`]
-    /// (latent slot) or [`Rank::recv_admission`] (reborn rank).
+    /// (latent slot) or [`Rank::recv_admission`] (reborn rank).  This is
+    /// the one sender of admission notices: a fault plan admits no one.
     ///
     /// Admission of *latent* slots should be driven by the sponsor (world
     /// rank 0), so it cannot race the sponsor's retirement sweep.

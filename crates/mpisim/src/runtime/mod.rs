@@ -71,11 +71,11 @@ pub struct Rank {
     active_coll: Cell<Option<u64>>,
     /// Per-rank collective-span id allocator.
     next_coll_span: Cell<u64>,
-    /// Fault-only state: injector, op and retry counters, link sequences,
-    /// known-dead peers (see [`fault_protocol`]).
+    /// Fault-only state: injector, crash point, op and retry counters, link
+    /// sequences, known-dead peers (see [`fault_protocol`]).
     fault: FaultState,
-    /// Membership-only state: incarnations, epoch watermark, join plan
-    /// (see [`membership`]).
+    /// Membership-only state: incarnations, epoch watermark, the admitted
+    /// communicator (see [`membership`]).
     membership: Membership,
 }
 
@@ -117,7 +117,7 @@ impl Rank {
             mailbox.set_policy(Arc::clone(policy), world_rank);
         }
         let (join_comm, joined_at) = join.unzip();
-        let injector = shared.cfg.injector.clone();
+        let fault = FaultState::new(shared.cfg.injector.clone(), world_rank, incarnation);
         let rank = Self {
             world_rank,
             core,
@@ -129,8 +129,8 @@ impl Rank {
             trace,
             active_coll: Cell::new(None),
             next_coll_span: Cell::new(0),
-            membership: Membership::new(world_rank, incarnation, join_comm, injector.as_ref()),
-            fault: FaultState::new(injector),
+            membership: Membership::new(incarnation, join_comm),
+            fault,
         };
         if let Some(at_ns) = joined_at {
             // A joiner's clock starts at its admission, and its track opens

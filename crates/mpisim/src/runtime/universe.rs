@@ -497,8 +497,7 @@ impl Universe {
     ///   [`Rank::await_rejoin`].
     /// - **Latent joiners.**  Slots reserved by
     ///   [`UniverseConfig::with_latent_ranks`] park until a sponsor admits
-    ///   them ([`Rank::admit`] or the plan's [`FaultPlan::join_at_ops`]);
-    ///   an admitted slot runs `f` with [`Rank::join_comm`] set to the
+    ///   them with [`Rank::admit`]; an admitted slot runs `f` with [`Rank::join_comm`] set to the
     ///   communicator it was admitted into.  When the sponsor's slot (world
     ///   rank 0) ends for good — returned, or died without a restart —
     ///   every slot never admitted is retired and yields
@@ -564,7 +563,7 @@ where
         let injector = rank.shared.cfg.injector.as_ref();
         let restart = crashed
             && rank.shared.faulty.load(Ordering::Relaxed)
-            && injector.is_some_and(|i| i.restart_after_crash(world_rank, incarnation));
+            && injector.is_some_and(|i| i.restarts(world_rank));
         if !restart {
             if world_rank == 0 {
                 rank.retire_latents();

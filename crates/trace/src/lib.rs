@@ -47,7 +47,7 @@ use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use mim_util::sync::{Mutex, RwLock};
+use mim_util::sync::Mutex;
 
 /// Per-track ring capacity of every tracer built from the environment.
 const DEFAULT_RING_CAPACITY: usize = 256;
@@ -328,7 +328,7 @@ struct Track {
 /// tracks never contend with each other.
 pub struct Tracer {
     capacity: usize,
-    tracks: RwLock<Vec<Arc<Track>>>,
+    tracks: Mutex<Vec<Arc<Track>>>,
     sink: Option<Mutex<BufWriter<File>>>,
     format: Format,
     path: Option<PathBuf>,
@@ -339,7 +339,7 @@ impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
             .field("capacity", &self.capacity)
-            .field("tracks", &self.tracks.read().len())
+            .field("tracks", &self.tracks.lock().len())
             .field("sink", &self.path)
             .finish()
     }
@@ -351,7 +351,7 @@ impl Tracer {
     pub fn new(capacity: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
             capacity: capacity.max(1),
-            tracks: RwLock::new(Vec::new()),
+            tracks: Mutex::new(Vec::new()),
             sink: None,
             format: Format::Jsonl,
             path: None,
@@ -373,7 +373,7 @@ impl Tracer {
         }
         Ok(Arc::new(Tracer {
             capacity: capacity.max(1),
-            tracks: RwLock::new(Vec::new()),
+            tracks: Mutex::new(Vec::new()),
             sink: Some(Mutex::new(w)),
             format,
             path: Some(path),
@@ -405,7 +405,7 @@ impl Tracer {
     /// creates two tracks.
     pub fn track(self: &Arc<Tracer>, name: impl Into<String>) -> TraceHandle {
         let name = name.into();
-        let mut tracks = self.tracks.write();
+        let mut tracks = self.tracks.lock();
         let tid = tracks.len();
         let track = Arc::new(Track {
             name: name.clone(),
@@ -456,7 +456,7 @@ impl Tracer {
     /// Snapshot of every track's retained events, in registration order.
     pub fn snapshot(&self) -> Vec<(String, Vec<TraceEvent>)> {
         self.tracks
-            .read()
+            .lock()
             .iter()
             .map(|t| {
                 let ring = t.ring.lock();
@@ -474,7 +474,7 @@ impl Tracer {
     /// sink with [`TraceDigest::of_jsonl`].
     pub fn digest(&self) -> TraceDigest {
         let mut digest = TraceDigest::default();
-        for t in self.tracks.read().iter() {
+        for t in self.tracks.lock().iter() {
             let ring = t.ring.lock();
             assert_eq!(ring.dropped, 0, "track {} dropped events from its ring", t.name);
             for ev in &ring.buf {
@@ -488,7 +488,7 @@ impl Tracer {
     /// flight-recorder report appended to deadlock panics.
     pub fn flight_report(&self, last_n: usize) -> String {
         let mut out = String::new();
-        for t in self.tracks.read().iter() {
+        for t in self.tracks.lock().iter() {
             let ring = t.ring.lock();
             let total = ring.next_seq;
             let shown = ring.buf.len().min(last_n);

@@ -1,4 +1,4 @@
-//! Thin no-poison wrappers over `std::sync` locks (replace `parking_lot`).
+//! A thin no-poison wrapper over `std::sync::Mutex` (replace `parking_lot`).
 //!
 //! The call sites were written against `parking_lot`'s API, where `lock()`
 //! returns the guard directly.  Lock poisoning is useless here: every lock
@@ -12,10 +12,6 @@ use std::sync::PoisonError;
 
 /// Guard type returned by [`Mutex::lock`].
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-/// Guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 
 /// A mutex whose `lock` never fails (poison is stripped).
 #[derive(Debug, Default)]
@@ -35,27 +31,6 @@ impl<T> Mutex<T> {
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// A readers–writer lock whose accessors never fail (poison is stripped).
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Wrap a value.
-    pub const fn new(value: T) -> Self {
-        Self(std::sync::RwLock::new(value))
-    }
-
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -494,16 +469,5 @@ mod tests {
         assert!(!n.wait_timeout_epoch(seen, std::time::Duration::from_millis(5)));
         n.notify();
         assert!(n.wait_timeout_epoch(seen, std::time::Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn rwlock_allows_concurrent_readers() {
-        let l = RwLock::new(5);
-        let a = l.read();
-        let b = l.read();
-        assert_eq!(*a + *b, 10);
-        drop((a, b));
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 }

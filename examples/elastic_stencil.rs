@@ -12,7 +12,8 @@
 //! `crates/apps/tests/determinism.rs` holds that.
 //!
 //! Environment: `MIM_CHAOS_SEED` (default 42) reseeds the built-in plan;
-//! `MIM_CHAOS_PLAN` replaces it entirely (see `FaultPlan::parse`).
+//! `MIM_CHAOS_PLAN` replaces it entirely (see `FaultPlan::parse`), and must
+//! restart rank 3 (`restart=3@ops:N`): a plan without it is refused.
 
 use mim_apps::scenario;
 use mim_mpisim::trace::Tracer;

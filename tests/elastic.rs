@@ -11,6 +11,7 @@
 //!   error, deterministically;
 //! * a rank dying mid-epoch leaves no phantom rows in the next gathered
 //!   window, and the tree gather routes around absent ranks;
+//! * a latent slot joins where the sponsor calls `admit`, reproducibly;
 //! * a latent slot never admitted is retired, even when the sponsor dies.
 
 use mim_core::{Flags, Monitoring};
@@ -186,10 +187,13 @@ fn stale_epoch_send_is_rejected_deterministically() {
     assert_eq!(res, [Ok((0, 1)), Ok((0, 1)), Err(RankFailure::Retired)]);
 }
 
+/// World rank 0 admits the latent slot where the other members grow the
+/// world, under a seeded drop plan: the admission, the grown world and
+/// every clock replay byte-identically.
 #[test]
-fn chaos_plan_admits_latent_rank_reproducibly() {
+fn sponsor_admits_latent_rank_reproducibly() {
     let run = |seed: u64, kind: ExecutorKind| {
-        let plan = FaultPlan::new(seed).join_at_ops(4, 6);
+        let plan = FaultPlan::new(seed).drop_p(0.3);
         let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(5))
             .with_latent_ranks(1)
             .with_injector(plan);
@@ -201,19 +205,23 @@ fn chaos_plan_admits_latent_rank_reproducibly() {
                     let world = rank.comm_world();
                     let me = world.rank();
                     let n = world.size();
-                    // Enough traffic for the sponsor to cross ops:6 and
-                    // fire the scheduled admission.
+                    // Traffic before the join, so the admission lands
+                    // after retried sends.
                     for r in 0..4u64 {
                         rank.send(&world, (me + 1) % n, 3, &[r]);
                         let _ =
                             rank.recv::<u64>(&world, SrcSel::Rank((me + n - 1) % n), TagSel::Is(3));
                     }
-                    rank.comm_grow(&world, &[4])
+                    if me == 0 {
+                        rank.admit(&world, 4)
+                    } else {
+                        rank.comm_grow(&world, &[4])
+                    }
                 }
             };
             let me = grown.rank();
             let sum = rank.allreduce(&grown, &[me as u64 + 1], |a, b| a + b)[0];
-            (grown.id(), grown.epoch(), me, sum, rank.now_ns().to_bits())
+            (grown.id(), grown.epoch(), me, sum, rank.now_ns().to_bits(), rank.retry_count())
         })
     };
     let a = run(5, ExecutorKind::Threads);
@@ -221,8 +229,10 @@ fn chaos_plan_admits_latent_rank_reproducibly() {
     assert_eq!(a, b, "fixed-seed join runs are byte-identical");
     let t = run(5, ExecutorKind::Tasks);
     assert_eq!(a, t, "join runs agree across engines");
+    let retries: u64 = a.iter().map(|r| r.as_ref().unwrap().5).sum();
+    assert!(retries > 0, "the drop plan must retry at least once");
     for (w, r) in a.iter().enumerate() {
-        let (id, epoch, me, sum, _) = r.as_ref().unwrap();
+        let (id, epoch, me, sum, _, _) = r.as_ref().unwrap();
         assert!(*id & (1 << 63) != 0, "grown ids live outside the allocator range");
         assert_eq!((*epoch, *me, *sum), (1, w, 15), "all five ranks met on the grown world");
     }

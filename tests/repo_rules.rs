@@ -72,6 +72,10 @@
 //!     trait for many types and is enough alone. A hook with one production
 //!     value is a plain type: the fault plan once sat behind a trait of its
 //!     own, with eight hand-written test fakes standing in for the plan.
+//! 12. The clause keys of README's `MIM_CHAOS_PLAN` row (every `` `key=` ``
+//!     in it) are exactly the string keys `FaultPlan::parse` matches on
+//!     ([`PLAN_PARSER`]). A clause is a settable value: one the parser
+//!     drops must leave the table, and one it learns must be documented.
 //!
 //! Hermeticity: `cargo build --offline` works from a clean checkout with an
 //! empty registry cache while no lock file has a `source = ` line (a
@@ -177,6 +181,9 @@ const PRODUCTION_SCOPE: [&str; 3] = ["crates", "examples", "mim-ledger/src"];
 /// purpose: `(name, reason)`. An entry whose trait now has two, or that
 /// names no library trait, fails.
 const KEPT_TRAITS: [(&str, &str); 0] = [];
+
+/// Rule 12: the file holding `FaultPlan::parse`.
+const PLAN_PARSER: &str = "crates/mpisim/src/fault.rs";
 
 /// Hermeticity: the lock files of the root workspace and of `mim-ledger`.
 const LOCK_FILES: [&str; 2] = ["Cargo.lock", "mim-ledger/Cargo.lock"];
@@ -745,6 +752,62 @@ fn rule11_census_counts_production_impls_only() {
     );
     assert_eq!(impl_site("impl<T> Iterator for Wrap<T> {"), Some(("impl<T> Iterator", 1)));
     assert_eq!(impl_site("impl Rank {"), None);
+}
+
+/// Rule 12 over README's text and the parser file's text: every clause key
+/// one side names and the other does not.
+fn plan_clause_mismatch(readme: &str, parser: &str) -> Vec<String> {
+    let row = readme.lines().find(|l| l.starts_with("| `MIM_CHAOS_PLAN` |"));
+    let documented: BTreeSet<&str> = row
+        .into_iter()
+        .flat_map(|row| row.split('`').skip(1).step_by(2))
+        .filter_map(|quoted| quoted.strip_suffix('='))
+        .collect();
+    // The body of `pub fn parse(`, by brace depth: its `"key" =>` arms.
+    let body = parser.lines().map(code_of).skip_while(|l| !l.contains("pub fn parse("));
+    let (mut parsed, mut depth) = (BTreeSet::new(), 0);
+    for code in body {
+        let arm = code.trim_start().strip_prefix('"').and_then(|a| a.split_once("\" =>"));
+        parsed.extend(arm.map(|(key, _)| key));
+        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        if depth <= 0 && code.contains('}') {
+            break;
+        }
+    }
+    let mut problems: Vec<String> = documented
+        .difference(&parsed)
+        .map(|k| format!("README documents `{k}=`, which FaultPlan::parse does not match"))
+        .collect();
+    let undocumented = parsed.difference(&documented);
+    problems
+        .extend(undocumented.map(|k| format!("FaultPlan::parse matches `{k}=`, README omits it")));
+    problems
+}
+
+#[test]
+fn rule12_plan_clauses_match_the_readme_row() {
+    let read = |rel: &str| fs::read_to_string(repo().join(rel)).expect("a readable file");
+    let rule = "rule 12: MIM_CHAOS_PLAN clauses (README row vs FaultPlan::parse)";
+    pass(rule, plan_clause_mismatch(&read("README.md"), &read(PLAN_PARSER)));
+}
+
+#[test]
+fn rule12_reads_the_row_and_the_parse_arms_only() {
+    let readme = "| `MIM_CHAOS_SEED` | the seed (`seed=` is no clause) |\n\
+                  | `MIM_CHAOS_PLAN` | clauses (`drop=`, `join=`); `x` is no key | plan |";
+    let parser = "fn other(k: &str) {\n    match k {\n        \"late\" => {}\n    }\n}\n\
+                  pub fn parse(plan: &str) {\n    match key {\n        \"drop\" => f(),\n\
+                  \x20       \"crash\" => {\n            g();\n        }\n\
+                  \x20       // \"old\" => h(),\n        _ => bad(\"clause key\"),\n    }\n}\n\
+                  fn after() {\n    match k {\n        \"late\" => {}\n    }\n}";
+    assert_eq!(
+        plan_clause_mismatch(readme, parser),
+        [
+            "README documents `join=`, which FaultPlan::parse does not match",
+            "FaultPlan::parse matches `crash=`, README omits it",
+        ]
+    );
+    assert_eq!(plan_clause_mismatch("", ""), Vec::<String>::new());
 }
 
 #[test]
