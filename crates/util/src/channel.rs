@@ -104,12 +104,16 @@ impl<T> Clone for Sender<T> {
 }
 
 impl<T> Drop for Sender<T> {
+    /// The last sender wakes every receiver asleep on the channel, so it
+    /// can observe disconnection — and, as in [`Sender::send`], makes no
+    /// system call when none is: a universe's teardown drops one channel
+    /// per rank, and under the M:N executor nobody sleeps on any of them.
     fn drop(&mut self) {
         let mut st = self.inner.state();
         st.senders -= 1;
-        if st.senders == 0 {
-            drop(st);
-            // Wake every blocked receiver so it can observe disconnection.
+        let wake = st.senders == 0 && st.sleepers > 0;
+        drop(st);
+        if wake {
             self.inner.readable.notify_all();
         }
     }
