@@ -14,12 +14,15 @@
 //! node indices derived from the placement, and timestamped with the
 //! *virtual* clock — nothing here knows whether the sending rank is an OS
 //! thread or a parked/resumed task, which is why `executor_equivalence`
-//! can require bit-identical NIC totals across both engines.
+//! can require bit-identical NIC totals across both engines.  Each node's
+//! transmit counters sit on a cache line of their own, so the executor's
+//! workers charging different nodes do not contend for a line.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use mim_util::sync::Mutex;
 
+use crate::exec::Padded;
 use crate::pml::{PmlEvent, PmlHook};
 
 /// One timestamped counter increment, used by the Fig 2/3 sampling harness.
@@ -33,12 +36,18 @@ pub struct NicEvent {
     pub wire_bytes: u64,
 }
 
+/// One node's transmit counters.
+#[derive(Default)]
+struct Xmit {
+    bytes: AtomicU64,
+    msgs: AtomicU64,
+}
+
 /// Per-node transmit counters, fed from the PML layer.
 pub struct NicCounters {
     /// Node of each core (`core → node`), precomputed for hook speed.
     core_to_node: Vec<usize>,
-    xmit_bytes: Vec<AtomicU64>,
-    xmit_msgs: Vec<AtomicU64>,
+    xmit: Vec<Padded<Xmit>>,
     retries: Vec<AtomicU64>,
     header_bytes: u64,
     /// Whether sends are logged to `events`: a flag every cross-node send
@@ -54,8 +63,7 @@ impl NicCounters {
         let nodes = core_to_node.iter().copied().max().map_or(0, |m| m + 1);
         Self {
             core_to_node,
-            xmit_bytes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            xmit_msgs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            xmit: (0..nodes).map(|_| Padded::default()).collect(),
             retries: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             header_bytes,
             logging: AtomicBool::new(false),
@@ -79,12 +87,12 @@ impl NicCounters {
 
     /// Total bytes transmitted by a node's NIC (payload + headers).
     pub fn xmit_bytes(&self, node: usize) -> u64 {
-        self.xmit_bytes[node].load(Ordering::Relaxed)
+        self.xmit[node].0.bytes.load(Ordering::Relaxed)
     }
 
     /// Number of messages transmitted by a node's NIC.
     pub fn xmit_msgs(&self, node: usize) -> u64 {
-        self.xmit_msgs[node].load(Ordering::Relaxed)
+        self.xmit[node].0.msgs.load(Ordering::Relaxed)
     }
 
     /// The raw `port_xmit_data` value: byte count divided by 4, as read from
@@ -95,7 +103,7 @@ impl NicCounters {
 
     /// Number of nodes with counters.
     pub fn num_nodes(&self) -> usize {
-        self.xmit_bytes.len()
+        self.xmit.len()
     }
 
     /// Record one wire-level retransmission issued by a core on this node.
@@ -130,8 +138,9 @@ impl PmlHook for NicCounters {
         // by the origin; the NIC still charges the node the data leaves from,
         // which for our eager model is the sender's node in every case.
         let wire = ev.bytes + self.header_bytes;
-        self.xmit_bytes[src_node].fetch_add(wire, Ordering::Relaxed);
-        self.xmit_msgs[src_node].fetch_add(1, Ordering::Relaxed);
+        let xmit = &self.xmit[src_node].0;
+        xmit.bytes.fetch_add(wire, Ordering::Relaxed);
+        xmit.msgs.fetch_add(1, Ordering::Relaxed);
         if self.logging.load(Ordering::Acquire) {
             let event = NicEvent { vtime_ns: ev.vtime_ns, node: src_node, wire_bytes: wire };
             self.events.lock().push(event);
