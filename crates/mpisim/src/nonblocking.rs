@@ -28,20 +28,22 @@ impl SendRequest {
     pub fn wait(self, _rank: &Rank) {}
 }
 
-/// Handle of a posted nonblocking receive.
+/// Handle of a posted nonblocking receive, borrowing the communicator it
+/// was posted on: a clone would write the group's shared reference count
+/// at every post and again at every wait.
 #[derive(Debug)]
 #[must_use = "an unposted wait() loses the message"]
-pub struct RecvRequest {
+pub struct RecvRequest<'c> {
     /// The communicator the receive was posted on (translates the sender
     /// back to a comm rank at completion).
-    comm: Comm,
+    comm: &'c Comm,
     pat: MatchPattern,
 }
 
-impl RecvRequest {
+impl RecvRequest<'_> {
     /// Block until a matching message arrives and return its data.
     pub fn wait<T: Scalar>(self, rank: &Rank) -> (Vec<T>, Status) {
-        typed(&self.comm, rank.mailbox_recv(&self.pat))
+        typed(self.comm, rank.mailbox_recv(&self.pat))
     }
 }
 
@@ -54,8 +56,8 @@ impl Rank {
     }
 
     /// Post a nonblocking receive; complete it with `RecvRequest::wait`.
-    pub fn irecv(&self, comm: &Comm, src: SrcSel, tag: TagSel) -> RecvRequest {
-        RecvRequest { comm: comm.clone(), pat: pattern(comm, src, tag, Ctx::Pt2pt) }
+    pub fn irecv<'c>(&self, comm: &'c Comm, src: SrcSel, tag: TagSel) -> RecvRequest<'c> {
+        RecvRequest { comm, pat: pattern(comm, src, tag, Ctx::Pt2pt) }
     }
 }
 
