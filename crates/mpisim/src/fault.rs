@@ -260,8 +260,9 @@ impl FaultPlan {
             .map_or(1.0, |(_, _, scale)| *scale)
     }
 
-    /// The wire-operation count at which a rank crashes, if any.
-    pub(crate) fn crash_point(&self, world: usize) -> Option<u64> {
+    /// The wire-operation count at which a rank crashes, if any: it
+    /// completes that many operations and dies before the next.
+    pub fn crash_point(&self, world: usize) -> Option<u64> {
         self.crashes.iter().find(|(w, _)| *w == world).map(|(_, n)| *n)
     }
 
