@@ -17,8 +17,11 @@ use crate::runtime::Rank;
 /// O(log n), 4 bytes per member, no hashing.
 ///
 /// Every member of a communicator shares one `Group`: the world's lives in
-/// `Shared`, every other one in the universe's [`Groups`] registry.
+/// `Shared`, every other one in the universe's [`Groups`] registry.  Aligned
+/// to a cache-line pair, so the `Arc` counts every member's communicator
+/// clones and drops share no line with the members every translation reads.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct Group {
     members: Vec<usize>,
     /// Communicator ranks ordered by their world rank; empty for identity

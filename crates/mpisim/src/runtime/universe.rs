@@ -169,6 +169,10 @@ impl UniverseConfig {
 /// Shared buffer of one rank's one-sided window.
 pub(crate) type WindowBuf = Arc<Mutex<Vec<u8>>>;
 
+/// Aligned to a cache-line pair, so the `Arc` counts in front of it share
+/// no line with its fields: every rank bumps them at its start and end,
+/// while every post reads the fields.
+#[repr(align(128))]
 pub(crate) struct Shared {
     pub(crate) cfg: UniverseConfig,
     pub(crate) senders: Vec<Sender<Envelope>>,
