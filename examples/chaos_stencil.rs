@@ -11,7 +11,9 @@
 //! `crates/apps/tests/determinism.rs` holds that.
 //!
 //! Environment: `MIM_CHAOS_SEED` (default 42) reseeds the built-in plan;
-//! `MIM_CHAOS_PLAN` replaces it entirely (see `FaultPlan::parse`).
+//! `MIM_CHAOS_PLAN` replaces it entirely (see `FaultPlan::parse`).  A plan
+//! that crashes a rank before its last send in `Monitoring::start`'s
+//! barrier is refused: that barrier is not failure-aware.
 
 use mim_apps::scenario;
 use mim_mpisim::trace::Tracer;
