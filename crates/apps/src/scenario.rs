@@ -237,12 +237,15 @@ struct ChaosReport {
 /// survivors run more iterations plus an allreduce on the shrunk,
 /// reordered communicator.
 ///
+/// The transcript's header names the plan's crash and restart points.
+///
 /// # Panics
 /// A custom plan that crashes a rank before its last send in
 /// `Monitoring::start`'s barrier (within its first 2·⌈log₂ 8⌉ − 1 wire
 /// operations) is rejected before launch: that barrier is not
 /// failure-aware, so the peer owed the missing message would wait for it
-/// until the deadline.
+/// until the deadline.  So is one that crashes or restarts world rank 0,
+/// whose report the transcript's byte matrix comes from.
 pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Chaos) -> Transcript {
     let builtin = matches!(chaos, Chaos::Builtin(_));
     let plan = match chaos {
@@ -254,9 +257,18 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
     // The barrier's last operation is a receive only its own rank waits
     // on: a crash just before it leaves no peer short of a message.
     let last_send = barrier_ops(N) - 1;
+    let mut faults = Vec::new();
     for w in 0..N {
-        if let Some(ops) = plan.crash_point(w).filter(|&ops| ops < last_send) {
-            let key = if plan.restarts(w) { "restart" } else { "crash" };
+        let Some(ops) = plan.crash_point(w) else { continue };
+        let key = if plan.restarts(w) { "restart" } else { "crash" };
+        if w == 0 {
+            panic!(
+                "chaos_stencil: the fault plan's `{key}=0@ops:{ops}` clause crashes world rank \
+                 0, which this demo needs alive to the end: the transcript prints the \
+                 survivors' byte matrix from its report"
+            );
+        }
+        if ops < last_send {
             panic!(
                 "chaos_stencil: the fault plan's `{key}={w}@ops:{ops}` clause crashes rank {w} \
                  before its last send in `Monitoring::start`'s barrier (its first {last_send} \
@@ -264,7 +276,9 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
                  for it until the deadline"
             );
         }
+        faults.push(format!("{key} rank {w} at {ops} wire ops"));
     }
+    let faults = if faults.is_empty() { "no crash".to_string() } else { faults.join(", ") };
     let seed = plan.seed();
 
     let machine = Machine::cluster(2, 1, 4);
@@ -306,9 +320,7 @@ pub fn chaos_stencil(exec: ExecutorKind, tracer: Option<Arc<Tracer>>, chaos: Cha
         }
     });
 
-    let mut out = format!(
-        "chaos stencil: {N} ranks, plan seed {seed}, crash rank {CRASH_RANK} at {CRASH_OPS} wire ops\n"
-    );
+    let mut out = format!("chaos stencil: {N} ranks, plan seed {seed}, {faults}\n");
     let mut survivor: Option<&ChaosReport> = None;
     for (w, r) in results.iter().enumerate() {
         let _ = match r {

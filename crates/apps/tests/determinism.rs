@@ -200,3 +200,48 @@ fn chaos_stencil_rejects_a_crash_inside_the_start_barrier() {
     assert!(out.text.contains("after 5 wire ops"), "{}", out.text);
     assert!(out.text.contains("survivors: 7/8"), "{}", out.text);
 }
+
+/// The header names the plan that ran, not the built-in one.
+#[test]
+fn chaos_stencil_header_names_the_custom_plan() {
+    let _env = ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    let plan = FaultPlan::parse(SEED, "crash=3@ops:5");
+    let out = scenario::chaos_stencil(Tasks, None, Chaos::Custom(plan));
+    let header = out.text.lines().next().unwrap_or_default();
+    assert!(header.ends_with(", crash rank 3 at 5 wire ops"), "{header}");
+    let plan = FaultPlan::parse(SEED, "drop=0.1,restart=5@ops:20,crash=2@ops:30");
+    let out = scenario::chaos_stencil(Tasks, None, Chaos::Custom(plan));
+    let header = out.text.lines().next().unwrap_or_default();
+    assert!(
+        header.ends_with(", crash rank 2 at 30 wire ops, restart rank 5 at 20 wire ops"),
+        "{header}"
+    );
+}
+
+/// A custom plan that crashes or restarts world rank 0, whose report the
+/// transcript's byte matrix comes from, is refused before launch, naming
+/// the clause, instead of panicking after the run (a crash) or waiting
+/// for the deadline (a restart).
+#[test]
+fn chaos_stencil_rejects_a_fault_on_world_rank_0() {
+    const DEADLINE_MS: u64 = 200;
+    let _env = ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    for clause in ["crash=0@ops:5", "restart=0@ops:5"] {
+        let plan = FaultPlan::parse(SEED, clause);
+        std::env::set_var("MIM_DEADLINE_MS", DEADLINE_MS.to_string());
+        let start = Instant::now();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            scenario::chaos_stencil(Tasks, None, Chaos::Custom(plan))
+        }));
+        let elapsed = start.elapsed();
+        std::env::remove_var("MIM_DEADLINE_MS");
+        let payload = outcome.expect_err("a fault on world rank 0 must be refused");
+        let msg = payload.downcast_ref::<String>().map_or("<non-string panic>", String::as_str);
+        assert!(msg.contains(&format!("`{clause}` clause")), "wrong refusal: {msg}");
+        assert!(msg.contains("world rank 0"), "wrong refusal: {msg}");
+        assert!(
+            elapsed < Duration::from_millis(DEADLINE_MS / 2),
+            "refused after {elapsed:?}, not before launch (deadline {DEADLINE_MS} ms)"
+        );
+    }
+}

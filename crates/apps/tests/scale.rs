@@ -112,10 +112,11 @@ fn ten_thousand_rank_monitored_reorder_fits_its_memory_budget() {
     /// application, sets the peak.
     const STEADY: StencilConfig =
         StencilConfig { rows: 100 * 4, cols: 100 * 4, prows: 100, pcols: 100, iters: 5 };
-    /// Measured at 2085–2165 MiB on a 2-core x86_64 Linux host (3319–3428
-    /// MiB while every rank kept its own group, gather order and `k`); what
-    /// is left is mostly the split's allgathered `(color, key)` pairs, 16 n B
-    /// per rank.
+    /// Measured at 2004–2034 MiB on a 2-core x86_64 Linux host, 2 workers
+    /// (2042–2102 MiB while each fiber stack's lowest page held a canary,
+    /// 3319–3428 MiB while every rank kept its own group, gather order and
+    /// `k`); what is left is mostly the split's allgathered `(color, key)`
+    /// pairs, 16 n B per rank.
     const PEAK_RSS_LIMIT_MIB: u64 = 2560;
     let run = run_loop(STEADY);
     assert_eq!(run.checksum, 340.751953125);
@@ -135,11 +136,13 @@ fn thousand_rank_stencil_loop_fits_its_memory_budget() {
     const STEADY: StencilConfig =
         StencilConfig { rows: 32 * 2048, cols: 32 * 4, prows: 32, pcols: 32, iters: 20 };
     /// The rung's own growth: `VmHWM` above the resident set at its start.
-    /// Run alone on a 2-core x86_64 Linux host it measured 116–131 MiB (1–8
-    /// workers), and 183–190 MiB while every rank held two blocks and kept
-    /// its last halos alive through the next exchange.  After the 10 000-rank
-    /// rung in the same process it reads ≈ 50 MiB lower on either side: it
-    /// reuses that rung's pooled fiber stacks and freed heap.
+    /// Run alone on a 2-core x86_64 Linux host it measured 111–112 MiB (2
+    /// workers; 115–120 MiB while each fiber stack's lowest page held a
+    /// canary, 116–131 MiB over 1–8 workers before that), and 183–190 MiB
+    /// while every rank held two blocks and kept its last halos alive
+    /// through the next exchange.  After the 10 000-rank rung in the same
+    /// process it reads 78–89 MiB: it reuses that rung's pooled fiber
+    /// stacks and freed heap.
     const GROWTH_LIMIT_MIB: u64 = 150;
     let run = run_loop(STEADY);
     assert_eq!(run.checksum.to_bits(), 260.765_487_821_516_2f64.to_bits(), "{}", run.checksum);

@@ -40,6 +40,20 @@
 //! while suspended still has frames on its stack, never to be unwound:
 //! that stack is unmapped, not reused, so anything left pointing into
 //! those frames faults instead of reading another fiber's.
+//!
+//! Overflow guard: a stack's lowest page is never written.  A fresh
+//! anonymous mapping reads as zero, and a read of a page nothing wrote
+//! maps the kernel's one shared zero page, which counts toward no
+//! process's resident set; so a parked stack holds only the pages its
+//! frames touched, at the top.  After each switch back, [`Fiber::resume`]
+//! checks that the guard page's first and last words still read zero (the
+//! last catches a descent into the page at its top) and panics with
+//! `fiber stack overflow` otherwise.  A stack whose guard was written is
+//! unmapped when its fiber is dropped, never cached or pooled: a dirty
+//! guard reaches no other fiber, and no page is re-zeroed, which would
+//! make it resident.  A `PROT_NONE` guard page is not used: it would split
+//! the merged stack mappings, and `vm.max_map_count` would then cap the
+//! process at about 32k stacks.
 
 #[cfg(all(target_arch = "x86_64", target_family = "unix"))]
 mod imp {
@@ -57,12 +71,8 @@ mod imp {
     /// size.  Deep enough for the entry shim plus a panic unwind.
     pub const MIN_STACK: usize = 64 * 1024;
 
-    /// Sentinel written at the low end of every fiber stack and checked on
-    /// each suspension; an overflowing fiber fails loudly instead of
-    /// corrupting the neighbouring allocation.
-    const CANARY: usize = 0x5AFE_57AC_C0DE_CAFE;
-
     /// Stack sizes are whole pages, so a stack's top is its mapping's end.
+    /// A stack's lowest page is its overflow guard (see the module doc).
     const PAGE: usize = 4096;
 
     extern "C" {
@@ -168,6 +178,16 @@ mod imp {
                 std::process::abort();
             }
             Stack { base: base as usize, len }
+        }
+
+        /// Whether the guard page's first and last words still read zero,
+        /// as a mapping's pages do until something writes them.
+        fn guard_clean(&self) -> bool {
+            let guard = self.base as *const usize;
+            // SAFETY: both words lie in the lowest page of the mapping this
+            // value owns; reading one that was never written maps the
+            // kernel's shared zero page, not a page of this process.
+            unsafe { guard.read() == 0 && guard.add(PAGE / 8 - 1).read() == 0 }
         }
     }
 
@@ -303,12 +323,12 @@ mod imp {
             });
             // Six registers and the resume address below the page-aligned top.
             let sp = stack.base + stack.len - 7 * 8;
-            // SAFETY: all writes land inside the stack, which no frame uses
-            // (fresh, or returned by a fiber that finished or never ran); a
-            // recycled one gets its canary and first frame anew.  The layout
-            // mirrors what `mim_fiber_switch` pops.
+            // SAFETY: all writes land in the stack's top page, which no frame
+            // uses (fresh, or returned by a fiber that finished or never
+            // ran); a recycled one gets its first frame anew.  Nothing is
+            // written below it: the guard page is left reading zero.  The
+            // layout mirrors what `mim_fiber_switch` pops.
             unsafe {
-                (stack.base as *mut usize).write(CANARY);
                 let p = sp as *mut usize;
                 p.write(0); // r15
                 p.add(1).write(0); // r14
@@ -342,9 +362,7 @@ mod imp {
                 mim_fiber_switch(&mut (*ptr).parent_sp, (*ptr).resume_sp);
             }
             CURRENT.with(|c| c.set(prev));
-            // SAFETY: reads the canary word written by `new`.
-            let canary = unsafe { (self.stack.base as *const usize).read() };
-            assert!(canary == CANARY, "fiber stack overflow: canary clobbered");
+            assert!(self.stack.guard_clean(), "fiber stack overflow: guard page written");
             if self.inner.done {
                 Resume::Done
             } else {
@@ -372,10 +390,10 @@ mod imp {
 
     impl Drop for Fiber {
         /// The stack goes back to the dropping thread's cache when no frame
-        /// lives on it — the body finished, or never started — and is
-        /// unmapped otherwise.
+        /// lives on it — the body finished, or never started — and its
+        /// guard page still reads zero; it is unmapped otherwise.
         fn drop(&mut self) {
-            if self.inner.done || self.inner.body.is_some() {
+            if (self.inner.done || self.inner.body.is_some()) && self.stack.guard_clean() {
                 give_back(std::mem::take(&mut self.stack));
             }
         }
@@ -630,20 +648,29 @@ mod tests {
     #[test]
     fn a_recycled_stack_runs_a_fiber_like_a_fresh_one() {
         const SIZE: usize = MIN_STACK + 3 * PAGE;
-        // The first fiber finishes with its canary clobbered, as an
-        // overflow would leave it, and its stack goes back to the pool.
+        // A fiber that finishes with a non-zero word at either end of its
+        // guard page, as an overflow would leave it, fails its resume, and
+        // its stack is unmapped, not pooled.
+        for word in [0, PAGE / 8 - 1] {
+            let mut clobbered = Fiber::new(SIZE, Box::new(|| {}));
+            // SAFETY: a word of the guard page; nothing runs on the stack.
+            unsafe { (clobbered.stack_base() as *mut usize).add(word).write(1) };
+            let overflow =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| clobbered.resume()));
+            assert!(overflow.is_err(), "a written guard word {word} must fail the resume");
+            assert!(clobbered.is_done());
+            drop(clobbered);
+            assert_eq!(imp::pooled(SIZE), 0, "a stack with a written guard was pooled");
+        }
+        // A healthy fiber finishes and its stack goes back to the pool.
         let mut first = Fiber::new(SIZE, Box::new(|| {}));
         let base = first.stack_base();
-        // SAFETY: the canary word at the stack's base; nothing runs there.
-        unsafe { (base as *mut usize).write(0) };
-        let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| first.resume()));
-        assert!(overflow.is_err(), "a clobbered canary must fail the resume");
-        assert!(first.is_done());
+        assert_eq!(first.resume(), Resume::Done);
         drop(first);
         assert_eq!(imp::pooled(SIZE), 1);
-        // The next fiber of that size takes the same stack, with a canary
-        // and a first frame of its own: it runs its body from the top,
-        // suspends, migrates, and its panic is captured.
+        // The next fiber of that size takes the same stack, with a first
+        // frame of its own: it runs its body from the top, suspends,
+        // migrates, and its panic is captured.
         let sum = Arc::new(AtomicUsize::new(0));
         let s = Arc::clone(&sum);
         let mut second = Fiber::new(
@@ -672,6 +699,48 @@ mod tests {
         assert_eq!(msg, Some("boom on a recycled stack"));
         drop(second);
         assert_eq!(imp::pooled(SIZE), 1);
+    }
+
+    /// Whether the page holding `addr` is present and mapped by this
+    /// process alone: bits 63 and 56 of its `/proc/self/pagemap` entry.
+    #[cfg(target_os = "linux")]
+    fn resident_own_page(addr: usize) -> bool {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut pagemap = std::fs::File::open("/proc/self/pagemap").expect("open pagemap");
+        pagemap.seek(SeekFrom::Start((addr / PAGE * 8) as u64)).expect("seek pagemap");
+        let mut entry = [0; 8];
+        pagemap.read_exact(&mut entry).expect("read pagemap");
+        let entry = u64::from_le_bytes(entry);
+        entry & (1 << 63) != 0 && entry & (1 << 56) != 0
+    }
+
+    /// A parked fiber's guard page reads zero through the kernel's shared
+    /// zero page, so it is no page of this process's own; its top page,
+    /// which holds frames, is (the control that the reading works).  Not
+    /// read with `mincore`: that reports a page that was only read as
+    /// resident.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_parked_stack_guard_page_is_not_a_page_of_its_own() {
+        const SIZE: usize = MIN_STACK + 9 * PAGE;
+        let check = |f: &Fiber, which: &str| {
+            let base = f.stack_base();
+            assert!(!resident_own_page(base), "{which} fiber's guard page is resident");
+            assert!(resident_own_page(base + SIZE - PAGE), "{which} fiber's top page is not");
+        };
+        let mut first = Fiber::new(SIZE, Box::new(suspend));
+        assert_eq!(first.resume(), Resume::Suspended);
+        check(&first, "the first");
+        assert_eq!(first.resume(), Resume::Done);
+        let base = first.stack_base();
+        drop(first);
+        // The stack is recycled into a second fiber, and its guard page is
+        // still not resident while that fiber parks.
+        let mut second = Fiber::new(SIZE, Box::new(suspend));
+        assert_eq!(second.stack_base(), base, "the pooled stack is reused");
+        assert_eq!(second.resume(), Resume::Suspended);
+        check(&second, "the second");
+        assert_eq!(second.resume(), Resume::Done);
     }
 
     /// A stack returned on a thread stays in that thread's cache while the
