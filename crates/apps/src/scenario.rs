@@ -239,6 +239,18 @@ struct ChaosReport {
 ///
 /// The transcript's header names the plan's crash and restart points.
 ///
+/// Not every crash point is survived.  The reorder loop's head — the
+/// liveness exchanges and the tree gather — is failure-aware, but its tail
+/// (the mapping's `bcast`, `comm_split`'s Bruck allgather, the closing
+/// `allreduce`) is made of plain collectives: measured on both engines, a
+/// custom `crash=3@ops:N` degrades to 7 survivors for N = 5 … 32, blocks
+/// survivors until the deadlock detector fires for N = 33 … 49 (the run
+/// then panics with `at least one survivor`), and for N = 50 … 53 ends
+/// with one to three survivors reported `DEAD panicked: deadlock`.  Op 54
+/// is rank 3's last, a receive no peer waits on; a later point crashes
+/// nothing.  The window's ends depend on the victim's place in the
+/// collectives' trees, so no op count is refused.
+///
 /// # Panics
 /// A custom plan that crashes a rank before its last send in
 /// `Monitoring::start`'s barrier (within its first 2·⌈log₂ 8⌉ − 1 wire

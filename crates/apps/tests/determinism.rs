@@ -6,8 +6,8 @@
 //! Under the tasks engine the chaos plans' retry timers, duplicate
 //! deliveries and scheduled crash fire against *parked tasks*, and
 //! `elastic_stencil` adds the per-slot driver's restart loop and a latent
-//! slot parked before it has a `Rank`, so these pin the park/unpark
-//! protocol, not just the happy path.  Three workers split the ranks
+//! slot waiting for its admission in its own mailbox, so these pin the
+//! park/unpark protocol, not just the happy path.  Three workers split the ranks
 //! unevenly across their home queues.
 
 use std::panic::{self, AssertUnwindSafe};
@@ -199,6 +199,42 @@ fn chaos_stencil_rejects_a_crash_inside_the_start_barrier() {
     let out = scenario::chaos_stencil(Tasks, None, Chaos::Custom(plan));
     assert!(out.text.contains("after 5 wire ops"), "{}", out.text);
     assert!(out.text.contains("survivors: 7/8"), "{}", out.text);
+}
+
+/// A crash in the reorder loop's failure-aware head — the liveness
+/// exchanges and the failure-aware gather — is survived on both engines:
+/// the survivors shrink around it within the deadline.  `crash=3@ops:32`
+/// is the last survivable point; from op 33 rank 3 dies inside the loop's
+/// plain collectives (`bcast`, `comm_split`'s allgather, the closing
+/// `allreduce`), which ROADMAP item 17 covers.
+#[test]
+fn chaos_stencil_survives_a_crash_in_the_failure_aware_head_of_the_loop() {
+    const DEADLINE_MS: u64 = 200;
+    let _env = ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    std::env::set_var("MIM_DEADLINE_MS", DEADLINE_MS.to_string());
+    let outs: Vec<_> = [Threads, Tasks]
+        .into_iter()
+        .map(|exec| {
+            let plan = FaultPlan::parse(SEED, "crash=3@ops:32");
+            let start = Instant::now();
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                scenario::chaos_stencil(exec, None, Chaos::Custom(plan))
+            }));
+            (exec, outcome, start.elapsed())
+        })
+        .collect();
+    std::env::remove_var("MIM_DEADLINE_MS");
+    for (exec, outcome, elapsed) in outs {
+        let out = outcome.unwrap_or_else(|_| panic!("{exec:?}: a crash at op 32 is survived"));
+        assert!(out.text.contains("rank 3: DEAD crashed"), "{exec:?}: {}", out.text);
+        assert!(out.text.contains("after 32 wire ops"), "{exec:?}: {}", out.text);
+        assert!(out.text.contains("survivors: 7/8"), "{exec:?}: {}", out.text);
+        assert!(!out.text.contains("panicked"), "{exec:?}: {}", out.text);
+        assert!(
+            elapsed < Duration::from_millis(DEADLINE_MS),
+            "{exec:?}: survived after {elapsed:?}, the deadline is {DEADLINE_MS} ms"
+        );
+    }
 }
 
 /// The header names the plan that ran, not the built-in one.

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use mim_trace::TraceHandle;
-use mim_util::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use mim_util::channel::Receiver;
 use mim_util::hash::IdMap;
 
 use crate::envelope::{Ctx, Envelope};
@@ -42,16 +42,6 @@ pub enum TagSel {
     Any,
     /// Match a specific tag.
     Is(u32),
-}
-
-/// Why a fallible blocking receive gave up (the recoverable twin of the
-/// `recv_match` deadlock/disconnect panics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvWaitError {
-    /// No matching message arrived within the wall-clock deadline.
-    Timeout,
-    /// Every sender disconnected; no message can ever arrive.
-    Disconnected,
 }
 
 /// A receive pattern: communicator, context, source and tag.
@@ -140,17 +130,6 @@ impl UnexpectedQueue {
         }
         fifo.push_back((seq, env));
         self.len += 1;
-    }
-
-    /// Remove every queued envelope in arrival order — how a latent slot's
-    /// temporary mailbox hands its pre-admission stash to the rank's real
-    /// mailbox instead of dropping it.
-    pub(crate) fn drain_in_order(&mut self) -> Vec<Envelope> {
-        let mut all: Vec<(u64, Envelope)> =
-            self.groups.drain().flat_map(|(_, g)| g.chans.into_values().flatten()).collect();
-        all.sort_unstable_by_key(|&(seq, _)| seq);
-        self.len = 0;
-        all.into_iter().map(|(_, env)| env).collect()
     }
 
     /// Remove and return the earliest-arrived envelope matching `pat`.
@@ -372,23 +351,6 @@ impl Mailbox {
         self.rx
     }
 
-    /// Hand back everything stashed in the unexpected queue, in arrival
-    /// order.  A latent slot's parked wait stashes every envelope that is
-    /// not its admission verdict; the stash transfers to the rank's real
-    /// mailbox so no pre-admission message is lost.
-    pub(crate) fn drain_unexpected(&mut self) -> Vec<Envelope> {
-        self.unexpected.drain_in_order()
-    }
-
-    /// Re-admit an envelope drained from a predecessor mailbox: the
-    /// admission filters (incarnation, duplicate sequences) run again
-    /// against *this* mailbox's state.
-    pub(crate) fn readmit(&mut self, env: Envelope) {
-        if let Some(env) = self.admit(env) {
-            self.queue_unexpected(env);
-        }
-    }
-
     /// Take the earliest (or, under a policy, the chosen) queued envelope
     /// matching `pat`.
     fn take_unexpected(&mut self, pat: &MatchPattern) -> Option<Envelope> {
@@ -461,60 +423,76 @@ impl Mailbox {
         }
     }
 
-    /// The single blocking point of the mailbox: wait for the next envelope
-    /// or give up.  Thread-per-rank sleeps in the channel's wall-clock
-    /// `recv_timeout`; under the M:N executor the rank's *task* parks and a
-    /// `Timeout` is produced deterministically by the scheduler's stall
-    /// resolver (all live tasks parked, every queue empty) rather than by
-    /// elapsed time — same observable outcome, no blocked worker thread.
-    fn wait_message(&mut self) -> Result<Envelope, RecvWaitError> {
+    /// The single blocking point of the mailbox: wait for the next envelope,
+    /// `None` on timeout.  Thread-per-rank sleeps in the channel's
+    /// wall-clock `recv_timeout`; under the M:N executor the rank's *task*
+    /// parks and the timeout is produced deterministically by the
+    /// scheduler's stall resolver (all live tasks parked, every queue empty)
+    /// rather than by elapsed time — same observable outcome, no blocked
+    /// worker thread.
+    fn wait_message(&mut self) -> Option<Envelope> {
         let Some(parker) = &self.parker else {
-            return match self.rx.recv_timeout(self.deadline) {
-                Ok(env) => Ok(env),
-                Err(RecvTimeoutError::Timeout) => Err(RecvWaitError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => Err(RecvWaitError::Disconnected),
-            };
+            return self.rx.recv_timeout(self.deadline);
         };
         loop {
-            match self.rx.try_recv() {
-                Ok(env) => return Ok(env),
-                Err(TryRecvError::Disconnected) => return Err(RecvWaitError::Disconnected),
-                Err(TryRecvError::Empty) => match parker.park(self.deadline) {
-                    // A wake may be a leftover token from a message already
-                    // consumed; the re-poll above sorts it out.
-                    ParkWake::Message => continue,
-                    ParkWake::Deadline => return Err(RecvWaitError::Timeout),
-                },
+            if let Some(env) = self.rx.try_recv() {
+                return Some(env);
+            }
+            match parker.park(self.deadline) {
+                // A wake may be a leftover token from a message already
+                // consumed; the re-poll above sorts it out.
+                ParkWake::Message => continue,
+                ParkWake::Deadline => return None,
             }
         }
     }
 
-    /// The one blocking wait: the earliest queued match over `pats` taken in
-    /// order — an earlier pattern wins when several have a message queued —
-    /// else wait for arrivals, admit each and return the first that matches
-    /// any pattern (directly, without a trip through the unexpected queue),
-    /// queueing the rest.  Returns the envelope with the index of the
-    /// pattern it matched, or why the wait gave up.
-    ///
-    /// With a data pattern ahead of a death-notice pattern this is the
-    /// failure detector's wait: per-channel FIFO guarantees data sent
-    /// before a crash is consumed before the death notice.
-    pub(crate) fn recv_first(
-        &mut self,
-        pats: &[&MatchPattern],
-    ) -> Result<(Envelope, usize), RecvWaitError> {
+    /// The one blocking wait, `None` on timeout: the earliest queued match
+    /// over `pats` taken in order — an earlier pattern wins when several
+    /// have a message queued — else wait for arrivals, admit each and
+    /// return the first that matches any pattern (directly, without a trip
+    /// through the unexpected queue), queueing the rest.  Returns the
+    /// envelope with the index of the pattern it matched.
+    fn wait_first(&mut self, pats: &[&MatchPattern]) -> Option<(Envelope, usize)> {
         for (i, pat) in pats.iter().enumerate() {
             if let Some(env) = self.take_unexpected(pat) {
-                return Ok((env, i));
+                return Some((env, i));
             }
         }
         loop {
             let env = self.wait_message()?;
             let Some(env) = self.admit(env) else { continue };
             if let Some(i) = pats.iter().position(|pat| pat.matches(&env)) {
-                return Ok((env, i));
+                return Some((env, i));
             }
             self.queue_unexpected(env);
+        }
+    }
+
+    /// Blocking receive of the earliest message matching any of `pats`,
+    /// with the index of the pattern it matched (see `wait_first`).
+    ///
+    /// With a data pattern ahead of a death-notice pattern this is the
+    /// failure detector's wait: per-channel FIFO guarantees data sent
+    /// before a crash is consumed before the death notice.
+    ///
+    /// # Panics
+    /// Panics (deadlock detector) if no matching message arrives within the
+    /// wall-clock deadline, with every pattern, the unexpected queue, the
+    /// flight recorder and the policy's decision log in the message.
+    pub(crate) fn recv_first(&mut self, pats: &[&MatchPattern]) -> (Envelope, usize) {
+        match self.wait_first(pats) {
+            Some(got) => got,
+            None => panic!(
+                "deadlock: no message matching {} within {:?} \
+                 (override with MIM_DEADLINE_MS); {} unexpected messages queued:\n{}{}{}",
+                pats.iter().map(|p| format!("{p:?}")).collect::<Vec<_>>().join(" or "),
+                self.deadline,
+                self.unexpected.len(),
+                self.unexpected.dump(16),
+                self.flight_dump(),
+                self.decision_dump()
+            ),
         }
     }
 
@@ -522,33 +500,15 @@ impl Mailbox {
     ///
     /// # Panics
     /// Panics if no matching message arrives within the wall-clock deadline
-    /// (deadlock detector) or if all senders disconnected.
+    /// (deadlock detector).
     pub(crate) fn recv_match(&mut self, pat: &MatchPattern) -> Envelope {
-        match self.recv_first(&[pat]) {
-            Ok((env, _)) => env,
-            Err(RecvWaitError::Timeout) => panic!(
-                "deadlock: no message matching {pat:?} within {:?} \
-                 (override with MIM_DEADLINE_MS); {} unexpected messages queued:\n{}{}{}",
-                self.deadline,
-                self.unexpected.len(),
-                self.unexpected.dump(16),
-                self.flight_dump(),
-                self.decision_dump()
-            ),
-            Err(RecvWaitError::Disconnected) => {
-                panic!(
-                    "all senders disconnected while waiting for {pat:?}{}{}",
-                    self.flight_dump(),
-                    self.decision_dump()
-                )
-            }
-        }
+        self.recv_first(&[pat]).0
     }
 
     /// Non-blocking probe: is a matching message already available?
     /// Drains the channel into the unexpected queue first.
     pub(crate) fn iprobe(&mut self, pat: &MatchPattern) -> bool {
-        while let Ok(env) = self.rx.try_recv() {
+        while let Some(env) = self.rx.try_recv() {
             if let Some(env) = self.admit(env) {
                 self.queue_unexpected(env);
             }
@@ -698,13 +658,13 @@ mod tests {
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
         let mut got = Vec::new();
         for _ in 0..3 {
-            let (e, _) = mb.recv_first(&[&p]).unwrap();
+            let (e, _) = mb.recv_first(&[&p]);
             got.push((e.src_world, e.tag));
         }
         assert_eq!(got, vec![(1, 10), (1, 11), (2, 10)]);
         // The trailing duplicate is only drained (and counted) by the next
         // receive attempt, which then finds nothing live to deliver.
-        assert!(matches!(mb.recv_first(&[&p]), Err(RecvWaitError::Timeout)));
+        assert!(mb.wait_first(&[&p]).is_none());
         assert_eq!(mb.duplicates_dropped(), 2);
     }
 
@@ -728,11 +688,11 @@ mod tests {
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
         let mut got = Vec::new();
         for _ in 0..3 {
-            let (e, _) = mb.recv_first(&[&p]).unwrap();
+            let (e, _) = mb.recv_first(&[&p]);
             got.push(e.tag);
         }
         assert_eq!(got, vec![10, 11, 12]);
-        assert!(matches!(mb.recv_first(&[&p]), Err(RecvWaitError::Timeout)));
+        assert!(mb.wait_first(&[&p]).is_none());
         assert_eq!(mb.stale_dropped(), 1);
         assert_eq!(mb.duplicates_dropped(), 1);
     }
@@ -754,21 +714,12 @@ mod tests {
         fault.dst_inc = 0; // fault protocol never stamps a real incarnation
         tx.send(fault).unwrap();
         let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
-        let (e, _) = mb.recv_first(&[&p]).unwrap();
+        let (e, _) = mb.recv_first(&[&p]);
         assert_eq!(e.tag, 11);
         let f = pat(0, Ctx::Fault, SrcSel::Any, TagSel::Any);
-        let (e, _) = mb.recv_first(&[&f]).unwrap();
+        let (e, _) = mb.recv_first(&[&f]);
         assert_eq!(e.tag, 12);
         assert_eq!(mb.stale_dropped(), 1);
-    }
-
-    #[test]
-    fn recv_first_reports_disconnect() {
-        let (tx, rx) = unbounded::<Envelope>();
-        let mut mb = Mailbox::new(rx, Duration::from_secs(5));
-        drop(tx);
-        let p = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Any);
-        assert!(matches!(mb.recv_first(&[&p]), Err(RecvWaitError::Disconnected)));
     }
 
     #[test]
@@ -782,9 +733,9 @@ mod tests {
         // Drain both into the unexpected queue so one matcher pass sees
         // both; `a` wins even though `b`'s message arrived first.
         mb.iprobe(&pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(99)));
-        let (e, which) = mb.recv_first(&[&a, &b]).unwrap();
+        let (e, which) = mb.recv_first(&[&a, &b]);
         assert_eq!((e.tag, which), (1, 0));
-        let (e, which) = mb.recv_first(&[&a, &b]).unwrap();
+        let (e, which) = mb.recv_first(&[&a, &b]);
         assert_eq!((e.tag, which), (2, 1));
     }
 
@@ -796,7 +747,7 @@ mod tests {
         tx.send(env(1, 7, Ctx::Pt2pt, 2)).unwrap(); // matches b: returned directly
         let a = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(1));
         let b = pat(7, Ctx::Pt2pt, SrcSel::Any, TagSel::Is(2));
-        let (e, which) = mb.recv_first(&[&a, &b]).unwrap();
+        let (e, which) = mb.recv_first(&[&a, &b]);
         assert_eq!((e.tag, which), (2, 1));
         assert_eq!(mb.max_unexpected_depth(), 1, "only the non-matching arrival was queued");
     }

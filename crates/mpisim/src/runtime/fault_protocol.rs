@@ -285,13 +285,8 @@ impl Rank {
         loop {
             let (env, which, depth) = {
                 let mut mb = self.mailbox.borrow_mut();
-                match mb.recv_first(&[data, &death]) {
-                    Ok((env, which)) => (env, which, mb.unexpected_len()),
-                    Err(e) => panic!(
-                        "neither data nor a death notice from world rank {src_world} ({e:?}) \
-                         while waiting for {data:?}"
-                    ),
-                }
+                let (env, which) = mb.recv_first(&[data, &death]);
+                (env, which, mb.unexpected_len())
             };
             if which == 0 {
                 return Ok((env, depth));

@@ -1,26 +1,24 @@
 //! Elastic membership: communicator epochs, the purely local shrink/grow
-//! id derivation, the admission wire codec, incarnations and a latent
-//! slot's parked wait for admission (the per-slot driver that calls it
-//! lives beside the engines in `universe`).  None of it is on the
-//! communication path of a static universe: the wire reads two numbers
+//! id derivation, the admission wire codec, incarnations and the one
+//! admission receive (a latent slot's per-slot driver, beside the engines
+//! in `universe`, calls it before the slot's body runs).  None of it is on
+//! the communication path of a static universe: the wire reads two numbers
 //! from here (this body's incarnation, a peer's) and nothing else.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::panic::resume_unwind;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use mim_trace::TraceData;
-use mim_util::channel::Receiver;
 use mim_util::hash::IdMap;
 
 use super::fault_protocol::fault_pat;
-use super::universe::Shared;
 use super::Rank;
 use crate::comm::{Comm, Groups};
 use crate::datatype::Scalar;
-use crate::envelope::{Envelope, Payload};
+use crate::envelope::Payload;
 use crate::fault;
-use crate::mailbox::{self, Mailbox};
+use crate::mailbox;
 
 /// The membership-only state of a [`Rank`].
 pub(super) struct Membership {
@@ -33,49 +31,19 @@ pub(super) struct Membership {
     /// Highest communicator epoch this rank has derived or been admitted
     /// into; `send_checked` rejects sends on communicators older than this.
     epoch: Cell<u64>,
-    /// The communicator a latent joiner was admitted into (`None` for
-    /// initial-world ranks).
-    join_comm: Option<Comm>,
+    /// The communicator a latent slot's first incarnation was admitted
+    /// into (empty for initial-world ranks and reborn bodies).
+    join_comm: OnceCell<Comm>,
 }
 
 impl Membership {
-    pub(super) fn new(incarnation: u32, join_comm: Option<Comm>) -> Self {
+    pub(super) fn new(incarnation: u32) -> Self {
         Self {
             incarnation,
             peer_inc: RefCell::new(IdMap::default()),
-            epoch: Cell::new(join_comm.as_ref().map_or(0, Comm::epoch)),
-            join_comm,
+            epoch: Cell::new(0),
+            join_comm: OnceCell::new(),
         }
-    }
-}
-
-/// Park a latent slot on its raw channel until the sponsor's verdict:
-/// `Some((comm, arrival_ns, incarnations, stash))` when admitted — `stash`
-/// holding, in arrival order, every envelope that raced ahead of the
-/// admission notice — `None` when retired.  The mailbox is allocated
-/// lazily, right here — a never-admitted slot never owns a `Rank`, a clock
-/// or a trace track.
-pub(super) fn wait_for_admission(
-    world_rank: usize,
-    shared: &Arc<Shared>,
-    rx: &Receiver<Envelope>,
-) -> Option<(Comm, f64, Vec<u32>, Vec<Envelope>)> {
-    let mut mb = Mailbox::new(rx.clone(), shared.cfg.deadline);
-    if let Some(exec) = &shared.exec {
-        mb.set_parker(exec.parker(world_rank));
-    }
-    let admit = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
-    let retire = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_RETIRE);
-    match mb.recv_first(&[&admit, &retire]) {
-        Ok((env, 0)) => {
-            let (comm, incs) = decode_admission(&shared.groups, &env.payload, world_rank);
-            Some((comm, env.arrival_ns, incs, mb.drain_unexpected()))
-        }
-        Ok(_) => None,
-        Err(e) => panic!(
-            "latent rank {world_rank}: neither admitted nor retired before the deadline \
-             ({e:?}); an elastic run must admit or retire every latent slot"
-        ),
     }
 }
 
@@ -161,9 +129,10 @@ impl Rank {
     }
 
     /// The communicator this rank was admitted into, when it joined after
-    /// launch (`None` for initial-world ranks).
+    /// launch (`None` for initial-world ranks, and for a reborn body, which
+    /// rejoins through [`Rank::recv_admission`]).
     pub fn join_comm(&self) -> Option<Comm> {
-        self.membership.join_comm.clone()
+        self.membership.join_comm.get().cloned()
     }
 
     /// Envelopes this rank's mailbox dropped because they were addressed to
@@ -220,13 +189,26 @@ impl Rank {
     }
 
     /// Wait for an admission notice and return the grown communicator it
-    /// carries — the joiner half of [`Rank::admit`].  Used by a *reborn*
-    /// rank to learn the communicator its survivors grew for it; a latent
-    /// slot's first admission is consumed before the rank body even runs
-    /// (its result is [`Rank::join_comm`]).
+    /// carries — the joiner half of [`Rank::admit`].  A reborn body of any
+    /// slot calls it to learn the communicator its survivors grew for it; a
+    /// latent slot's first incarnation is admitted through it by the
+    /// per-slot driver before the rank body runs (the result is
+    /// [`Rank::join_comm`]).  Messages that arrive before the notice wait in
+    /// this rank's unexpected queue.  The clock advances to the notice's
+    /// arrival, and the members' incarnations it carries are adopted.
+    ///
+    /// # Panics
+    /// Unwinds as retired — the recoverable launch reports
+    /// [`fault::RankFailure::Retired`] — when the sponsor retires the slot
+    /// instead (only a never-admitted latent slot is retired), and panics
+    /// (deadlock detector) when neither notice arrives within the deadline.
     pub fn recv_admission(&self) -> Comm {
-        let pat = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
-        let env = self.mailbox.borrow_mut().recv_match(&pat);
+        let admit = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_ADMIT);
+        let retire = fault_pat(mailbox::SrcSel::Any, fault::FAULT_TAG_RETIRE);
+        let (env, which) = self.mailbox.borrow_mut().recv_first(&[&admit, &retire]);
+        if which == 1 {
+            resume_unwind(Box::new(fault::RankRetired));
+        }
         self.clock.advance_to(env.arrival_ns);
         let (comm, incs) = decode_admission(&self.shared.groups, &env.payload, self.world_rank);
         self.adopt_incarnations(comm.group(), &incs);
@@ -234,11 +216,21 @@ impl Rank {
         comm
     }
 
+    /// A latent slot's prologue, run by the per-slot driver before its
+    /// first incarnation's body: the admission receive, then the join
+    /// event at the notice's arrival, and the communicator kept for
+    /// [`Rank::join_comm`].
+    pub(super) fn join_latent(&self) {
+        let comm = self.recv_admission();
+        self.record_trace(self.clock.now_ns(), TraceData::RankJoin { incarnation: 0 });
+        let _ = self.membership.join_comm.set(comm);
+    }
+
     /// Adopt the peer-incarnation vector carried by an admission notice, so
     /// envelopes toward previously-reborn members are stamped correctly.
     /// Never lowers a known incarnation (a join notice may already have
     /// reported a newer one).
-    pub(super) fn adopt_incarnations(&self, group: &[usize], incs: &[u32]) {
+    fn adopt_incarnations(&self, group: &[usize], incs: &[u32]) {
         let mut peers = self.membership.peer_inc.borrow_mut();
         for (&w, &inc) in group.iter().zip(incs) {
             if w != self.world_rank && inc > peers.get(&w).copied().unwrap_or(0) {
@@ -269,8 +261,8 @@ impl Rank {
     }
 
     /// Retire every latent slot never admitted (the sponsor's epilogue, run
-    /// by the per-slot driver when world rank 0's slot ends for good: a
-    /// parked slot would otherwise wait out the deadline).  Idempotent per
+    /// by the per-slot driver when world rank 0's slot ends for good: an
+    /// unadmitted slot would otherwise wait out the deadline).  Idempotent per
     /// slot.
     pub(crate) fn retire_latents(&self) {
         for w in self.shared.cfg.initial()..self.capacity() {
@@ -373,8 +365,9 @@ impl Rank {
     /// Grow `comm` by one joiner *and* send it the admission notice — the
     /// sponsor side of the join protocol.  The other members call
     /// [`Rank::comm_grow`] with the same arguments (deriving the identical
-    /// communicator); the joiner receives it via [`Rank::join_comm`]
-    /// (latent slot) or [`Rank::recv_admission`] (reborn rank).  This is
+    /// communicator); the joiner receives it through
+    /// [`Rank::recv_admission`], which the per-slot driver calls for a
+    /// latent slot (its result is then [`Rank::join_comm`]).  This is
     /// the one sender of admission notices: a fault plan admits no one.
     ///
     /// Admission of *latent* slots should be driven by the sponsor (world

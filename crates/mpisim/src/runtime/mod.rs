@@ -10,7 +10,7 @@
 //! * `fault_protocol` — crash points, retry/backoff, death notices,
 //!   control sends, the failure-aware wait, the liveness exchange;
 //! * `membership` — epochs, shrink/grow id derivation, the admission
-//!   codec, incarnations, a latent slot's wait for admission.
+//!   codec, incarnations, the one admission receive.
 //!
 //! The collective façade (`Rank::barrier`, `Rank::bcast`, …) lives beside
 //! the algorithms it names in [`crate::collectives`], `comm_split` beside
@@ -82,15 +82,12 @@ pub struct Rank {
 impl Rank {
     /// The one constructor, called by the per-slot driver only:
     /// `incarnation > 0` builds a reborn body (its track is `rankN.I` and
-    /// its mailbox filters stale incarnations), and `join` carries a latent
-    /// joiner's admission — the grown communicator plus the notice's
-    /// arrival time, which seeds the joiner's clock.
+    /// its mailbox filters stale incarnations).
     pub(super) fn new_with(
         world_rank: usize,
         shared: Arc<Shared>,
         rx: Receiver<Envelope>,
         incarnation: u32,
-        join: Option<(Comm, f64)>,
     ) -> Self {
         let deadline = shared.cfg.deadline;
         let core = shared.core_of(world_rank);
@@ -116,9 +113,8 @@ impl Rank {
             // panics carry the policy's decision log.
             mailbox.set_policy(Arc::clone(policy), world_rank);
         }
-        let (join_comm, joined_at) = join.unzip();
         let fault = FaultState::new(shared.cfg.injector.clone(), world_rank, incarnation);
-        let rank = Self {
+        Self {
             world_rank,
             core,
             shared,
@@ -129,16 +125,9 @@ impl Rank {
             trace,
             active_coll: Cell::new(None),
             next_coll_span: Cell::new(0),
-            membership: Membership::new(incarnation, join_comm),
+            membership: Membership::new(incarnation),
             fault,
-        };
-        if let Some(at_ns) = joined_at {
-            // A joiner's clock starts at its admission, and its track opens
-            // with the join event.
-            rank.clock.advance_to(at_ns);
-            rank.record_trace(at_ns, TraceData::RankJoin { incarnation: 0 });
         }
-        rank
     }
 
     // ----- identity & time --------------------------------------------------

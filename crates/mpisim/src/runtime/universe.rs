@@ -16,7 +16,6 @@ use mim_util::sync::Mutex;
 
 use mim_topology::{Machine, Placement};
 
-use super::membership::wait_for_admission;
 use super::{Rank, RankAborted};
 use crate::comm::{Group, Groups};
 use crate::envelope::Envelope;
@@ -175,6 +174,8 @@ pub(crate) type WindowBuf = Arc<Mutex<Vec<u8>>>;
 #[repr(align(128))]
 pub(crate) struct Shared {
     pub(crate) cfg: UniverseConfig,
+    /// Every slot's one sender, held for the universe's whole life: the
+    /// only disconnection a post meets is a dead rank's dropped receiver.
     pub(crate) senders: Vec<Sender<Envelope>>,
     /// The global PML hooks, frozen at launch: every wire message reads
     /// them, and nothing writes them while ranks run.
@@ -499,13 +500,18 @@ impl Universe {
     ///   runs again (`Rank::incarnation` distinguishes the rebirth).  Its
     ///   rebirth broadcasts a join notice peers consume with
     ///   [`Rank::await_rejoin`].
-    /// - **Latent joiners.**  Slots reserved by
-    ///   [`UniverseConfig::with_latent_ranks`] park until a sponsor admits
-    ///   them with [`Rank::admit`]; an admitted slot runs `f` with [`Rank::join_comm`] set to the
-    ///   communicator it was admitted into.  When the sponsor's slot (world
-    ///   rank 0) ends for good — returned, or died without a restart —
-    ///   every slot never admitted is retired and yields
-    ///   [`RankFailure::Retired`].
+    /// - **Latent joiners.**  A slot reserved by
+    ///   [`UniverseConfig::with_latent_ranks`] builds its rank at launch
+    ///   and, before `f` runs, waits in that rank's own mailbox until a
+    ///   sponsor admits it with [`Rank::admit`] — the same
+    ///   [`Rank::recv_admission`] a reborn body calls; messages that arrive
+    ///   first wait in its unexpected queue.  The admitted slot runs `f`
+    ///   with [`Rank::join_comm`] set to the communicator it was admitted
+    ///   into.  A reborn body of any slot rejoins through
+    ///   `recv_admission` itself, and its `join_comm` is `None`.  When the
+    ///   sponsor's slot (world rank 0) ends for good — returned, or died
+    ///   without a restart — every slot never admitted is retired and
+    ///   yields [`RankFailure::Retired`].
     /// - **Stale-epoch hygiene.**  In-flight messages addressed to a dead
     ///   incarnation are dropped deterministically (see
     ///   [`Rank::stale_dropped`]), and [`Rank::send_checked`] rejects sends
@@ -520,14 +526,16 @@ impl Universe {
     }
 }
 
-/// The one per-slot driver every launch runs.  A latent slot first parks
-/// until the sponsor admits it, or unwinds as retired.  Then each
-/// incarnation gets a fresh [`Rank`] and runs `f`; a plan crash followed
-/// by a scheduled restart, under the recoverable launch, starts the next
-/// incarnation.  When world rank 0's slot ends for good — `f` returned, or
-/// died with no restart to follow — the sponsor's epilogue retires every
-/// latent slot still unadmitted, so none waits out the deadline.  Returns
-/// the last incarnation's result, or unwinds with what ended it.
+/// The one per-slot driver every launch runs.  Each incarnation gets a
+/// fresh [`Rank`] and runs `f`; a latent slot's first incarnation first
+/// waits in its own mailbox until the sponsor admits it, or unwinds as
+/// retired, and a reborn one first announces its rebirth.  A plan crash
+/// followed by a scheduled restart, under the recoverable launch, starts
+/// the next incarnation.  When world rank 0's slot ends for good — `f`
+/// returned, or died with no restart to follow — the sponsor's epilogue
+/// retires every latent slot still unadmitted, so none waits out the
+/// deadline.  Returns the last incarnation's result, or unwinds with what
+/// ended it.
 fn run_slot<F, R>(
     world_rank: usize,
     mut shared: Arc<Shared>,
@@ -537,30 +545,13 @@ fn run_slot<F, R>(
 where
     F: Fn(&Rank) -> R + Sync,
 {
-    let (join, peer_incs, mut stash) = if world_rank < shared.cfg.initial() {
-        (None, Vec::new(), Vec::new())
-    } else {
-        match wait_for_admission(world_rank, &shared, &rx) {
-            Some((comm, at_ns, incs, pre)) => (Some((comm, at_ns)), incs, pre),
-            None => resume_unwind(Box::new(fault::RankRetired)),
-        }
-    };
     let mut incarnation = 0u32;
     loop {
-        let rank = Rank::new_with(world_rank, shared, rx, incarnation, join.clone());
-        // The admission notice carried the members' incarnations: without
-        // them, envelopes toward a previously-reborn peer would be stamped
-        // `dst_inc 0` and stale-dropped by its mailbox.
-        if let Some((comm, _)) = &join {
-            rank.adopt_incarnations(comm.group(), &peer_incs);
-        }
-        // Messages that raced ahead of the admission notice were stashed by
-        // the parked wait; re-admit them before the first receive.
-        for env in stash.drain(..) {
-            rank.mailbox.borrow_mut().readmit(env);
-        }
+        let rank = Rank::new_with(world_rank, shared, rx, incarnation);
         if incarnation > 0 {
             rank.announce_rejoin();
+        } else if world_rank >= rank.shared.cfg.initial() {
+            rank.join_latent();
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| f(&rank)));
         let crashed = outcome.as_ref().is_err_and(|p| p.is::<fault::RankCrashed>());

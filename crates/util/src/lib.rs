@@ -7,7 +7,7 @@
 //! | module | replaces | used by |
 //! |---|---|---|
 //! | [`rng`] | `rand` | placements, matrix generators, bench inputs |
-//! | [`channel`] | `crossbeam::channel` | the mpisim mailbox wiring |
+//! | [`channel`] | `crossbeam::channel` | the mpisim mailbox wiring: one receiver per rank slot, every sender owned by the universe |
 //! | [`sync`] | `parking_lot` | NIC counters, one-sided windows, runtime |
 //! | [`prop`] | `proptest` | every `proptests.rs` suite |
 //! | [`deque`] | `crossbeam::deque` | the mpisim M:N rank executor |

@@ -238,6 +238,50 @@ fn sponsor_admits_latent_rank_reproducibly() {
     }
 }
 
+/// A message sent to a latent slot before its admission notice reaches the
+/// joiner after admission: world rank 1 sends the joiner a value on the
+/// grown world and only then tells the sponsor to admit, so the value is
+/// queued in the joiner's channel ahead of the notice on both engines.
+#[test]
+fn messages_that_beat_the_admission_notice_reach_the_joiner() {
+    for kind in [ExecutorKind::Threads, ExecutorKind::Tasks] {
+        let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(4))
+            .with_latent_ranks(1);
+        cfg.executor = kind;
+        let res = Universe::new(cfg).launch_faulty(|rank| {
+            if let Some(grown) = rank.join_comm() {
+                let admitted_at = rank.now_ns();
+                let (v, _) = rank.recv::<u64>(&grown, SrcSel::Rank(1), TagSel::Is(11));
+                return (v[0], admitted_at, rank.now_ns());
+            }
+            let world = rank.comm_world();
+            match world.rank() {
+                0 => {
+                    let _ = rank.recv::<u64>(&world, SrcSel::Rank(1), TagSel::Is(12));
+                    let go_at = rank.now_ns();
+                    rank.admit(&world, 3);
+                    (0, go_at, rank.now_ns())
+                }
+                1 => {
+                    let grown = rank.comm_grow(&world, &[3]);
+                    rank.send(&grown, 3, 11, &[42u64]);
+                    rank.send(&world, 0, 12, &[0u64]);
+                    (0, 0.0, rank.now_ns())
+                }
+                _ => {
+                    rank.comm_grow(&world, &[3]);
+                    (0, 0.0, rank.now_ns())
+                }
+            }
+        });
+        let got: Vec<_> = res.into_iter().map(|r| r.expect("every slot completes")).collect();
+        let (value, admitted_at, done_at) = got[3];
+        assert_eq!(value, 42, "{kind:?}: the early message reached the joiner");
+        assert!(admitted_at > got[0].1, "{kind:?}: the joiner's clock starts at its admission");
+        assert!(done_at >= admitted_at, "{kind:?}: the receive ends after the admission");
+    }
+}
+
 #[test]
 fn unadmitted_latent_slots_are_retired() {
     let cfg =

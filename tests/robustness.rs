@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use mim_core::{Flags, MonError, Monitoring, Msid};
 use mim_mpisim::trace::Tracer;
-use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{RankFailure, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 
 fn quick_deadline(n: usize) -> Universe {
@@ -68,6 +68,32 @@ fn deadlock_panic_includes_flight_recorder_dump() {
         msg.contains("send dst=1 bytes=3 kind=p2p"),
         "the dump should show the recorded sends: {msg}"
     );
+}
+
+/// The failure-aware wait gives the same diagnosis as a plain receive: a
+/// live peer that never sends is a deadlock, reported with both patterns
+/// (the data and the peer's death notice) and the flight recorder.
+#[test]
+fn failure_aware_wait_deadlock_carries_the_mailbox_diagnosis() {
+    let mut cfg = UniverseConfig::new(Machine::cluster(2, 1, 4), Placement::packed(2));
+    cfg.deadline = Duration::from_millis(200);
+    cfg.tracer = Some(Tracer::new(64));
+    let u = Universe::new(cfg);
+    let res = u.launch_faulty(|rank| {
+        let world = rank.comm_world();
+        if world.rank() == 0 {
+            let _ = rank.recv_or_failure::<u8>(&world, 1, 7);
+        } else {
+            // Alive, waiting for a message rank 0 never sends.
+            rank.recv::<u8>(&world, SrcSel::Rank(0), TagSel::Is(99));
+        }
+    });
+    let Err(RankFailure::Panicked(msg)) = &res[0] else {
+        panic!("rank 0 must panic on the deadline: {res:?}");
+    };
+    assert!(msg.starts_with("deadlock:"), "unexpected panic: {msg}");
+    assert!(msg.contains("Pt2pt") && msg.contains("Fault"), "both patterns named: {msg}");
+    assert!(msg.contains("flight recorder:"), "missing flight dump: {msg}");
 }
 
 #[test]
